@@ -14,14 +14,13 @@ from .assembly import (
     KernelParams,
     SymForm,
     conductivity_form,
-    frac_laplacian_functional,
     gagliardo_form,
     mass_matrix,
     normalization_constant,
     potential_form,
 )
 from .counterexample import CounterexamplePair, build_pair, verify_nonuniqueness
-from .dnmap import DNMatrix, DNOperator, dn_matrix, dn_pairing, solution_relation_residual
+from .dnmap import DNMatrix, DNOperator, solution_relation_residual
 from .mesh import Box, Mesh, Region, build_mesh, exterior_dofs, region_dofs, support_dofs
 from .reconstruction import (
     BumpSequence,
@@ -54,11 +53,11 @@ __all__ = [
     "KernelParams", "Mesh", "ReducedPotentialForm", "Region", "SymForm",
     "build_mesh", "build_pair", "bump_sequence", "coercivity_bound",
     "conductivity_form", "default_scales", "dn_difference_decomposition",
-    "dn_matrix", "dn_pairing", "dn_transfer_residual", "exterior_dofs",
-    "exterior_reconstruct", "frac_laplacian_functional", "gagliardo_form",
-    "liouville_residual", "mass_matrix", "multiplier_norm_estimate",
-    "normalization_constant", "poincare_constant", "potential_decay_check",
-    "potential_form", "reduced_potential_form", "region_dofs",
-    "schrodinger_form", "solution_relation_residual", "solve_dirichlet",
-    "spectral_frac_laplacian", "support_dofs", "verify_nonuniqueness",
+    "dn_transfer_residual", "exterior_dofs", "exterior_reconstruct",
+    "gagliardo_form", "liouville_residual", "mass_matrix",
+    "multiplier_norm_estimate", "normalization_constant", "poincare_constant",
+    "potential_decay_check", "potential_form", "reduced_potential_form",
+    "region_dofs", "schrodinger_form", "solution_relation_residual",
+    "solve_dirichlet", "spectral_frac_laplacian", "support_dofs",
+    "verify_nonuniqueness",
 ]

@@ -281,8 +281,7 @@ def _triangle_rule_deg4():
 # ---------------------------------------------------------------------------
 
 def gagliardo_form(mesh: Mesh, params: KernelParams, *, order_singular: int = 6,
-                   order_regular: int = 4, check: bool = False,
-                   threads: int = 1) -> SymForm:
+                   order_regular: int = 4, check: bool = False) -> SymForm:
     """Fractional Dirichlet energy form.
 
     ``u^T A v = <(-Delta)^{s/2} u, (-Delta)^{s/2} v>_{L2}`` for the zero
@@ -303,12 +302,12 @@ def gagliardo_form(mesh: Mesh, params: KernelParams, *, order_singular: int = 6,
     """
     ones = np.ones(mesh.num_nodes)
     return _kernel_form(mesh, params, ones, 1.0, order_singular, order_regular,
-                        check, threads)
+                        check)
 
 
 def conductivity_form(mesh: Mesh, params: KernelParams, coeffs: Coefficients, *,
                       order_singular: int = 6, order_regular: int = 4,
-                      check: bool = False, threads: int = 1) -> SymForm:
+                      check: bool = False) -> SymForm:
     """Weighted-diffusion energy form with kernel weight
     ``sqrt(gamma)(x) sqrt(gamma)(y)``.
 
@@ -322,31 +321,18 @@ def conductivity_form(mesh: Mesh, params: KernelParams, coeffs: Coefficients, *,
         raise NonPositiveGamma(f"gamma attains {gamma.min()} <= 0")
     return _kernel_form(
         mesh, params, np.sqrt(gamma), float(np.sqrt(coeffs.gamma_exterior)),
-        order_singular, order_regular, check, threads,
+        order_singular, order_regular, check,
     )
 
 
-def frac_laplacian_functional(mesh: Mesh, params: KernelParams, m: np.ndarray,
-                              form: SymForm | None = None) -> np.ndarray:
-    """Weak fractional Laplacian of ``m``: ``F_i = <(-Delta)^s m, phi_i>``.
-
-    Definitionally the Gagliardo form applied to ``m``; pass a
-    precomputed ``form`` to avoid reassembly.
-    """
-    if form is None:
-        form = gagliardo_form(mesh, params)
-    return form.entries @ np.asarray(m, dtype=float)
-
-
 def _kernel_form(mesh, params, sqrt_gamma, sqrt_gamma_ext, order_singular,
-                 order_regular, check, threads=1):
+                 order_regular, check):
     if params.n != mesh.n:
         raise ValueError("mesh and kernel params dimensions differ")
 
     def build(q_sing, q_reg, extra_depth=0):
         if mesh.n == 1:
-            A = _kernel_inbox_1d(mesh, params.s, sqrt_gamma, q_sing, q_reg,
-                                 threads=threads)
+            A = _kernel_inbox_1d(mesh, params.s, sqrt_gamma, q_sing, q_reg)
             T = _kernel_tail_1d(mesh, params.s, sqrt_gamma, q_sing)
         else:
             from ._assembly2d import MAX_DEPTH, kernel_inbox_2d, kernel_tail_2d
@@ -380,13 +366,8 @@ def _jacobi_rule(order, beta, length):
     return t, w
 
 
-def _kernel_inbox_1d(mesh, s, g, q_sing, q_reg, threads=1):
-    """Raw double integral over box x box (without the C_ns/2 factor).
-
-    With ``threads > 1`` the separated-panel offsets are distributed over
-    a thread pool, each worker accumulating into its own buffer; buffers
-    are summed at the end.
-    """
+def _kernel_inbox_1d(mesh, s, g, q_sing, q_reg):
+    """Raw double integral over box x box (without the C_ns/2 factor)."""
     h = mesh.h
     M = mesh.elements.shape[0]
     N = mesh.num_nodes
@@ -466,40 +447,26 @@ def _kernel_inbox_1d(mesh, s, g, q_sing, q_reg, threads=1):
         V = np.einsum("aq,bq,eq->abeq", S, S, GW)  # (2, 2, M, q)
         diff = xi[:, None] - xi[None, :]
 
-        def separated_block(offsets, buf):
-            for d in offsets:
-                K = np.abs(diff - d * h) ** (-1.0 - 2.0 * s)  # (q, q)
-                m = M - d
-                Ua = U[:, :m, :]
-                Ub = U[:, d:, :]
-                colB = GW[d:, :] @ K.T      # (m, q_i): sum_j GW_b K(i, j)
-                colA = GW[:m, :] @ K        # (m, q_j): sum_i GW_a K(i, j)
-                aa = np.einsum("abei,ei->eab", V[:, :, :m, :], colB)
-                bb = np.einsum("abej,ej->eab", V[:, :, d:, :], colA)
-                RowB = np.einsum("bej,ij->bei", Ub, K)
-                ab_blk = -np.einsum("aei,bei->eab", Ua, RowB)
-                idx = np.arange(m)
-                ra = (idx, idx + 1)
-                rb = (idx + d, idx + d + 1)
-                for a in range(2):
-                    for b in range(2):
-                        buf[ra[a], ra[b]] += 2.0 * aa[:, a, b]
-                        buf[rb[a], rb[b]] += 2.0 * bb[:, a, b]
-                        buf[ra[a], rb[b]] += 2.0 * ab_blk[:, a, b]
-                        buf[rb[b], ra[a]] += 2.0 * ab_blk[:, a, b]
-
-        all_offsets = np.arange(2, M)
-        if threads > 1 and all_offsets.size > threads:
-            from concurrent.futures import ThreadPoolExecutor
-
-            buffers = [np.zeros_like(A) for _ in range(threads)]
-            chunks = [all_offsets[k::threads] for k in range(threads)]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(separated_block, chunks, buffers))
-            for buf in buffers:
-                A += buf
-        else:
-            separated_block(all_offsets, A)
+        for d in range(2, M):
+            K = np.abs(diff - d * h) ** (-1.0 - 2.0 * s)  # (q, q)
+            m = M - d
+            Ua = U[:, :m, :]
+            Ub = U[:, d:, :]
+            colB = GW[d:, :] @ K.T      # (m, q_i): sum_j GW_b K(i, j)
+            colA = GW[:m, :] @ K        # (m, q_j): sum_i GW_a K(i, j)
+            aa = np.einsum("abei,ei->eab", V[:, :, :m, :], colB)
+            bb = np.einsum("abej,ej->eab", V[:, :, d:, :], colA)
+            RowB = np.einsum("bej,ij->bei", Ub, K)
+            ab_blk = -np.einsum("aei,bei->eab", Ua, RowB)
+            idx = np.arange(m)
+            ra = (idx, idx + 1)
+            rb = (idx + d, idx + d + 1)
+            for a in range(2):
+                for b in range(2):
+                    A[ra[a], ra[b]] += 2.0 * aa[:, a, b]
+                    A[rb[a], rb[b]] += 2.0 * bb[:, a, b]
+                    A[ra[a], rb[b]] += 2.0 * ab_blk[:, a, b]
+                    A[rb[b], ra[a]] += 2.0 * ab_blk[:, a, b]
     return A
 
 

@@ -2,17 +2,18 @@
 
 Usage::
 
-    fractomo <subcommand> --config path/to/run.ini [--out DIR]
-             [--threads K] [--verbose]
+    fractomo <subcommand> --config path/to/run.ini [--out DIR] [--verbose]
 
 Subcommands: ``poincare``, ``solve``, ``dn``, ``reconstruct``,
 ``liouville-check``, ``transfer-check``, ``counterexample``,
-``oracle-compare``, ``convergence-study``.
+``oracle-compare``, ``convergence-study``.  Only ``poincare`` and ``dn``
+run on 2D configs; the others are 1D pipelines.
 
 Exit codes: 0 success, 1 runtime error, 2 violated invariant
 (e.g. lost coercivity or a failed maximum principle), 3 configuration
-error.  Artifacts (CSV series, JSON reports) land in the output
-directory; identical configs and seeds produce byte-identical files.
+error (including a 1D pipeline requested on a 2D config).  Artifacts
+(CSV series, JSON reports) land in the output directory; identical
+configs and seeds produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ SUBCOMMANDS = (
     "transfer-check", "counterexample", "oracle-compare", "convergence-study",
 )
 
+#: the subcommands that also run on 2D meshes
+SUBCOMMANDS_2D = ("poincare", "dn")
+
 
 def _exterior_datum(cfg, mesh, spec, where):
     f = cfg.nodal(mesh, spec, where)
@@ -62,9 +66,16 @@ def _forms(cfg: ExperimentConfig, mesh, params, coeffs):
     cond = conductivity_form(
         mesh, params, coeffs,
         order_singular=cfg.order_singular, order_regular=cfg.order_regular,
-        check=cfg.quadrature_check, threads=cfg.threads,
+        check=cfg.quadrature_check,
     )
     return cond + potential_form(mesh, coeffs.q)
+
+
+def _refinements(cfg: ExperimentConfig):
+    """Yield ``(h, mesh, coeffs)`` on the levels ``h, h/2, ...`` of the config."""
+    for level in range(cfg.levels):
+        mesh = cfg.build_mesh(level)
+        yield mesh.h, mesh, cfg.coefficients(mesh)
 
 
 def run_poincare(cfg, outdir, verbose):
@@ -83,10 +94,7 @@ def run_solve(cfg, outdir, verbose):
     f = _exterior_datum(cfg, mesh, cfg.f_spec or "constant:0", "[data] f")
     src = cfg.nodal(mesh, cfg.source_spec, "[data] source")
     f_src = mass_matrix(mesh).entries @ src
-    sol = solve_dirichlet(
-        form, mesh, f, f_src, far_field=cfg.far_field,
-        tol=cfg.solver_tolerance, method=cfg.solver_method,
-    )
+    sol = solve_dirichlet(form, mesh, f, f_src, far_field=cfg.far_field)
     export_solution_csv(outdir / "solution.csv", mesh, sol.u)
     write_json_report(
         outdir / "solve.json",
@@ -104,7 +112,7 @@ def run_dn(cfg, outdir, verbose):
     op = DNOperator(mesh, params, coeffs, form=_forms(cfg, mesh, params, coeffs))
     w1 = "W1" if "W1" in mesh.regions else "W"
     w2 = "W2" if "W2" in mesh.regions else w1
-    dn = op.matrix(w1, w2, threads=cfg.threads)
+    dn = op.matrix(w1, w2)
     export_dn_csv(outdir / "dn_matrix.csv", mesh, dn)
     sym = ""
     if np.array_equal(dn.rows, dn.cols):
@@ -151,12 +159,7 @@ def run_liouville_check(cfg, outdir, verbose):
     center = 0.5 * (olo[0] + ohi[0])
     halfw = 0.5 * (ohi[0] - olo[0])
     hs, residuals = [], []
-    from .mesh import build_mesh as _bm
-
-    for level in range(cfg.levels):
-        h = cfg.h / 2**level
-        mesh = _bm(cfg.resolved_box(), h, cfg.region_objects())
-        coeffs = cfg.coefficients(mesh)
+    for h, mesh, coeffs in _refinements(cfg):
         x = mesh.coords
         u = np.zeros_like(x)
         phi = np.zeros_like(x)
@@ -180,12 +183,7 @@ def run_transfer_check(cfg, outdir, verbose):
     center = 0.5 * (wlo[0] + whi[0])
     halfw = 0.5 * (whi[0] - wlo[0])
     hs, residuals = [], []
-    from .mesh import build_mesh as _bm
-
-    for level in range(cfg.levels):
-        h = cfg.h / 2**level
-        mesh = _bm(cfg.resolved_box(), h, cfg.region_objects())
-        coeffs = cfg.coefficients(mesh)
+    for h, mesh, coeffs in _refinements(cfg):
         x = mesh.coords
         f = bump((x - center) / (0.45 * 2 * halfw))
         g = bump((x - center) / (0.35 * 2 * halfw))
@@ -228,8 +226,6 @@ def run_oracle_compare(cfg, outdir, verbose):
     import csv
 
     mesh = cfg.build_mesh()
-    if mesh.n != 1:
-        raise ConfigError("oracle-compare is a 1D experiment")
     u = cfg.nodal(mesh, cfg.oracle_u_spec, "[oracle] u")
     M = mass_matrix(mesh)
     rows = []
@@ -262,13 +258,8 @@ def run_convergence_study(cfg, outdir, verbose):
     wlo, whi = cfg.regions[wlabel]
     center = 0.5 * (wlo[0] + whi[0])
     width = whi[0] - wlo[0]
-    from .mesh import build_mesh as _bm
-
     values, hs = [], []
-    for level in range(cfg.levels):
-        h = cfg.h / 2**level
-        mesh = _bm(cfg.resolved_box(), h, cfg.region_objects())
-        coeffs = cfg.coefficients(mesh)
+    for h, mesh, coeffs in _refinements(cfg):
         x = mesh.coords
         f = bump((x - center) / (0.45 * width))
         g = bump((x - center) / (0.35 * width))
@@ -308,6 +299,11 @@ def run_experiment(subcommand: str, cfg: ExperimentConfig, outdir=None,
     """Run one subcommand; returns the one-line summary (raises on error)."""
     if subcommand not in RUNNERS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
+    if cfg.n != 1 and subcommand not in SUBCOMMANDS_2D:
+        raise ConfigError(
+            f"{subcommand} is a 1D pipeline; 2D configs run "
+            + " and ".join(SUBCOMMANDS_2D)
+        )
     out = Path(outdir or os.environ.get("FRACTOMO_OUT", cfg.outdir))
     out.mkdir(parents=True, exist_ok=True)
     return RUNNERS[subcommand](cfg, out, verbose)
@@ -324,13 +320,10 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the INI config")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)
-        if args.threads is not None:
-            cfg.threads = args.threads
         summary = run_experiment(args.subcommand, cfg, args.out, args.verbose)
     except ConfigError as exc:
         print(f"fractomo {args.subcommand}: config error: {exc}", file=sys.stderr)

@@ -26,10 +26,6 @@ Grammar (all keys optional unless marked; values shown with defaults):
     q = constant:0
     gamma_exterior = 1.0       ; diffusion value on the box complement
 
-    [solver]
-    tolerance = 1e-10
-    method = auto              ; auto | direct | cg
-
     [quadrature]
     order_singular = 6
     order_regular = 4
@@ -66,7 +62,6 @@ Grammar (all keys optional unless marked; values shown with defaults):
     [output]
     directory = out            ; overridable by --out or FRACTOMO_OUT
     seed = 0
-    threads = 1
 
 Only the output directory may come from the environment
 (``FRACTOMO_OUT``); everything else lives in the file.
@@ -108,8 +103,6 @@ class ExperimentConfig:
     gamma_spec: str = "constant:1"
     q_spec: str = "constant:0"
     gamma_exterior: float = 1.0
-    solver_tolerance: float = 1e-10
-    solver_method: str = "auto"
     order_singular: int = 6
     order_regular: int = 4
     quadrature_check: bool = False
@@ -133,7 +126,6 @@ class ExperimentConfig:
     levels: int = 3
     outdir: str = "out"
     seed: int = 0
-    threads: int = 1
 
     # ------------------------------------------------------------------
     def params(self) -> KernelParams:
@@ -173,10 +165,12 @@ class ExperimentConfig:
         hi = lo + cells * self.h
         return Box(tuple(lo), tuple(hi))
 
-    def build_mesh(self) -> Mesh:
+    def build_mesh(self, level: int = 0) -> Mesh:
+        """Mesh of spacing ``h / 2**level`` on the box resolved for ``h``."""
         if self.h is None:
             raise ConfigError("[mesh]: key 'h' is required")
-        return build_mesh(self.resolved_box(), self.h, self.region_objects())
+        return build_mesh(self.resolved_box(), self.h / 2**level,
+                          self.region_objects())
 
     def coefficients(self, mesh: Mesh) -> Coefficients:
         if mesh.n == 1:
@@ -268,10 +262,6 @@ def parse_config(path) -> ExperimentConfig:
     cfg.q_spec = get("coefficients", "q", str, cfg.q_spec)
     cfg.gamma_exterior = get("coefficients", "gamma_exterior", float,
                              cfg.gamma_exterior)
-    cfg.solver_tolerance = get("solver", "tolerance", float, cfg.solver_tolerance)
-    cfg.solver_method = get("solver", "method", str, cfg.solver_method)
-    if cfg.solver_method not in ("auto", "direct", "cg"):
-        raise ConfigError("[solver] method: must be auto, direct or cg")
     cfg.order_singular = get("quadrature", "order_singular", int, cfg.order_singular)
     cfg.order_regular = get("quadrature", "order_regular", int, cfg.order_regular)
     cfg.quadrature_check = get("quadrature", "check",
@@ -308,7 +298,6 @@ def parse_config(path) -> ExperimentConfig:
     cfg.levels = get("convergence", "levels", int, cfg.levels)
     cfg.outdir = get("output", "directory", str, cfg.outdir)
     cfg.seed = get("output", "seed", int, cfg.seed)
-    cfg.threads = get("output", "threads", int, cfg.threads)
 
     # cheap global validations before any solve starts
     cfg.params()

@@ -231,9 +231,7 @@ def verify_nonuniqueness(pair: CounterexamplePair, mesh: Mesh,
     gap = np.linalg.norm(dn_pair.entries - dn_bg.entries)
     gap /= np.linalg.norm(dn_bg.entries)
 
-    w_nodes = region_dofs(mesh, W) if isinstance(W, str) else np.flatnonzero(
-        W.contains_open(mesh.nodes)
-    )
+    w_nodes = region_dofs(mesh, W)
     q1 = pair.q1
     l2_all = np.sqrt(mesh.h * float(q1 @ q1))
     l2_W = np.sqrt(mesh.h * float(q1[w_nodes] @ q1[w_nodes]))

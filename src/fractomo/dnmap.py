@@ -14,7 +14,6 @@ factorization.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,12 +95,11 @@ class DNOperator:
         u = self.solve(f).u
         return float(g @ (self.form.entries @ u))
 
-    def matrix(self, W1, W2, threads: int = 1) -> DNMatrix:
+    def matrix(self, W1, W2) -> DNMatrix:
         """DN matrix over the compactly supported hats of W1 and W2.
 
-        One interior back-substitution per column, all sharing the
-        factorization; columns are independent and may be chunked over
-        threads.
+        All columns come from one block back-substitution with the shared
+        interior factorization.
         """
         cols = support_dofs(self.mesh, W1)
         rows = support_dofs(self.mesh, W2)
@@ -109,40 +107,13 @@ class DNOperator:
             raise HypothesisViolation("measurement basis is empty")
         interior = self.system.interior
         B = self.form.entries
-        rhs_block = -B[np.ix_(interior, cols)]
-
-        def solve_chunk(sl):
-            return la.cho_solve(self.system._chol, rhs_block[:, sl],
-                                check_finite=False)
-
-        if threads > 1 and cols.size > 1:
-            chunks = np.array_split(np.arange(cols.size), threads)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(lambda c: solve_chunk(c), chunks))
-            U_int = np.hstack(parts)
-        else:
-            U_int = solve_chunk(slice(None))
+        U_int = la.cho_solve(self.system._chol, -B[np.ix_(interior, cols)],
+                             check_finite=False)
         U = np.zeros((self.mesh.num_nodes, cols.size))
         U[cols, np.arange(cols.size)] = 1.0
         U[interior, :] = U_int
         entries = (B @ U)[rows, :]
         return DNMatrix(rows=rows, cols=cols, entries=entries)
-
-
-def dn_pairing(mesh: Mesh, params: KernelParams, coeffs: Coefficients,
-               f: np.ndarray, g: np.ndarray, *, domain="Omega",
-               operator: DNOperator | None = None) -> float:
-    """One DN pairing; see :meth:`DNOperator.pairing`."""
-    op = operator or DNOperator(mesh, params, coeffs, domain=domain)
-    return op.pairing(f, g)
-
-
-def dn_matrix(mesh: Mesh, params: KernelParams, coeffs: Coefficients,
-              W1, W2, *, domain="Omega", threads: int = 1,
-              operator: DNOperator | None = None) -> DNMatrix:
-    """DN matrix between the hat bases of two measurement regions."""
-    op = operator or DNOperator(mesh, params, coeffs, domain=domain)
-    return op.matrix(W1, W2, threads=threads)
 
 
 def solution_relation_residual(mesh: Mesh, params: KernelParams,
@@ -165,9 +136,7 @@ def solution_relation_residual(mesh: Mesh, params: KernelParams,
     SupportViolation
         If ``f`` has interior support.
     """
-    w2_nodes = region_dofs(mesh, W2) if isinstance(W2, str) else np.flatnonzero(
-        W2.contains_open(mesh.nodes)
-    )
+    w2_nodes = region_dofs(mesh, W2)
     if not np.allclose(pair1.gamma[w2_nodes], pair2.gamma[w2_nodes], rtol=0.0, atol=1e-13):
         raise HypothesisViolation("diffusions differ on the receiver set W2")
     f = np.asarray(f, dtype=float)

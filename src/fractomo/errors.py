@@ -65,10 +65,6 @@ class CoercivityLost(VerificationError):
     """
 
 
-class SolverDiverged(FractomoError):
-    """Iterative linear solver failed to reach the requested tolerance."""
-
-
 class EigenFailure(FractomoError):
     """Generalized eigenvalue computation failed to converge."""
 

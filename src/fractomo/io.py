@@ -32,17 +32,6 @@ def export_solution_csv(path, mesh, u: np.ndarray, value_name: str = "u") -> Non
             w.writerow([_fmt(c) for c in node] + [_fmt(val)])
 
 
-def export_form_csv(path, form) -> None:
-    """Dense form matrix as CSV (row index, column index, entry)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "entry"])
-        for i in range(form.dim):
-            for j in range(form.dim):
-                w.writerow([i, j, _fmt(form.entries[i, j])])
-
-
 def export_dn_csv(path, mesh, dn) -> None:
     """DN matrix CSV with row/column node coordinates in the header."""
     path = Path(path)

@@ -294,19 +294,23 @@ def _support_dofs(nodes: np.ndarray, elements: np.ndarray, region: Region) -> np
     return np.flatnonzero(node_ok).astype(np.int64)
 
 
-def region_dofs(mesh: Mesh, label: str) -> np.ndarray:
-    """Node indices inside the open region ``label``.
+def region_dofs(mesh: Mesh, region: Region | str) -> np.ndarray:
+    """Node indices inside the open ``region``.
+
+    Accepts a region object or the label of a declared region.
 
     Raises
     ------
     UnknownRegion
-        If ``label`` was not declared when the mesh was built.
+        If a label was not declared when the mesh was built.
     """
+    if not isinstance(region, str):
+        return np.flatnonzero(region.contains_open(mesh.nodes))
     try:
-        return mesh.regions[label]
+        return mesh.regions[region]
     except KeyError:
         raise UnknownRegion(
-            f"unknown region {label!r}; known: {sorted(mesh.regions)}"
+            f"unknown region {region!r}; known: {sorted(mesh.regions)}"
         ) from None
 
 

@@ -104,6 +104,8 @@ def evaluate_preset(spec: str, x: np.ndarray) -> np.ndarray:
         args = [float(a) for a in rest.split(",") if a.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"preset {spec!r}: non-numeric argument ({exc})") from None
+    if not np.isfinite(args).all():
+        raise ConfigError(f"preset {spec!r}: arguments must be finite")
     if name == "constant":
         _need(spec, args, 1)
         return np.full_like(x, args[0])

@@ -140,9 +140,7 @@ def dn_transfer_residual(mesh: Mesh, params: KernelParams, coeffs: Coefficients,
         If the diffusions differ on the nodes of ``W``.
     """
     Gamma = np.asarray(Gamma, dtype=float)
-    w_nodes = region_dofs(mesh, W) if isinstance(W, str) else np.flatnonzero(
-        W.contains_open(mesh.nodes)
-    )
+    w_nodes = region_dofs(mesh, W)
     if not np.allclose(coeffs.gamma[w_nodes], Gamma[w_nodes], rtol=0.0, atol=1e-13):
         raise HypothesisViolation("Gamma differs from gamma on the measurement set")
     f = np.asarray(f, dtype=float)

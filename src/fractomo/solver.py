@@ -26,17 +26,8 @@ import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
 from .assembly import KernelParams, SymForm, gagliardo_form, mass_matrix, potential_form
-from .errors import (
-    CoercivityLost,
-    EigenFailure,
-    EmptyRegion,
-    SolverDiverged,
-    SupportViolation,
-)
+from .errors import CoercivityLost, EigenFailure, EmptyRegion, SupportViolation
 from .mesh import Mesh, support_dofs
-
-#: interior systems up to this size use a dense Cholesky factorization
-DIRECT_CUTOFF = 2000
 
 
 def _combine(forms) -> SymForm:
@@ -70,6 +61,9 @@ class DirichletSolution:
 class FactorizedSystem:
     """Interior-block factorization reused across many exterior data.
 
+    The interior block is factored once by a dense Cholesky
+    decomposition; every solve is a pair of triangular substitutions.
+
     Parameters
     ----------
     forms : SymForm or iterable of SymForm
@@ -79,16 +73,16 @@ class FactorizedSystem:
         Region whose compactly supported hats are the unknowns.
     interior : ndarray, optional
         Explicit interior dof indices (overrides ``domain``).
-    tol : float
-        Relative tolerance of the iterative path.
-    method : {"auto", "direct", "cg"}
+
+    Raises
+    ------
+    CoercivityLost
+        If the interior block is not positive definite.
     """
 
-    def __init__(self, forms, mesh: Mesh, *, domain="Omega", interior=None,
-                 tol: float = 1e-10, method: str = "auto"):
+    def __init__(self, forms, mesh: Mesh, *, domain="Omega", interior=None):
         self.form = _combine(forms)
         self.mesh = mesh
-        self.tol = float(tol)
         if interior is None:
             interior = support_dofs(mesh, domain)
         self.interior = np.asarray(interior, dtype=np.int64)
@@ -98,22 +92,14 @@ class FactorizedSystem:
         mask[self.interior] = True
         self.exterior = np.flatnonzero(~mask)
         self.B_II = self.form.entries[np.ix_(self.interior, self.interior)]
-        if method == "auto":
-            method = "direct" if self.interior.size <= DIRECT_CUTOFF else "cg"
-        self.method = method
-        self._chol = None
-        if method == "direct":
-            diag = np.diag(self.B_II)
-            if (diag <= 0).any():
-                raise CoercivityLost(
-                    "interior block has a nonpositive diagonal entry"
-                )
-            try:
-                self._chol = la.cho_factor(self.B_II, lower=True, check_finite=False)
-            except la.LinAlgError as exc:
-                raise CoercivityLost(
-                    "interior block is not positive definite: " + str(exc)
-                ) from None
+        if (np.diag(self.B_II) <= 0).any():
+            raise CoercivityLost("interior block has a nonpositive diagonal entry")
+        try:
+            self._chol = la.cho_factor(self.B_II, lower=True, check_finite=False)
+        except la.LinAlgError as exc:
+            raise CoercivityLost(
+                "interior block is not positive definite: " + str(exc)
+            ) from None
 
     def solve(self, f_ext: np.ndarray, f_src: np.ndarray | None = None,
               far_field: float = 0.0) -> DirichletSolution:
@@ -135,23 +121,7 @@ class FactorizedSystem:
         if f_src is not None:
             f_src = np.asarray(f_src, dtype=float)
             rhs += f_src[self.interior]
-        if self.method == "direct":
-            u_I = la.cho_solve(self._chol, rhs, check_finite=False)
-        else:
-            diag = np.diag(self.B_II)
-            if (diag <= 0).any():
-                raise CoercivityLost(
-                    "interior block has a nonpositive diagonal entry"
-                )
-            precond = spla.LinearOperator(
-                self.B_II.shape, matvec=lambda v: v / diag
-            )
-            u_I, info = spla.cg(
-                self.B_II, rhs, rtol=self.tol, atol=0.0,
-                maxiter=10 * self.B_II.shape[0], M=precond,
-            )
-            if info != 0:
-                raise SolverDiverged(f"conjugate gradient failed (info={info})")
+        u_I = la.cho_solve(self._chol, rhs, check_finite=False)
         u = f_ext.copy()
         u[self.interior] = u_I
         rnorm = np.linalg.norm(self.B_II @ u_I - rhs)
@@ -166,12 +136,9 @@ class FactorizedSystem:
 
 def solve_dirichlet(forms, mesh: Mesh, f_ext: np.ndarray,
                     f_src: np.ndarray | None = None, *, domain="Omega",
-                    interior=None, far_field: float = 0.0, tol: float = 1e-10,
-                    method: str = "auto") -> DirichletSolution:
+                    interior=None, far_field: float = 0.0) -> DirichletSolution:
     """One-shot exterior-value solve; see :class:`FactorizedSystem`."""
-    system = FactorizedSystem(
-        forms, mesh, domain=domain, interior=interior, tol=tol, method=method
-    )
+    system = FactorizedSystem(forms, mesh, domain=domain, interior=interior)
     return system.solve(f_ext, f_src, far_field)
 
 

@@ -6,7 +6,6 @@ from fractomo.assembly import (
     Coefficients,
     KernelParams,
     conductivity_form,
-    frac_laplacian_functional,
     gagliardo_form,
     mass_matrix,
     normalization_constant,
@@ -226,32 +225,16 @@ def test_interior_block_positive_definite(params):
     assert vals.min() > 0
 
 
-def test_threads_match_serial(params):
-    mesh = build_mesh(Box((-2.0,), (2.0,)), 1 / 32, [])
-    A1 = gagliardo_form(mesh, params)
-    A2 = gagliardo_form(mesh, params, threads=3)
-    assert np.abs(A1.entries - A2.entries).max() < 1e-14
-
-
 # ---------------------------------------------------------------------------
 # weak fractional Laplacian functional
 # ---------------------------------------------------------------------------
-
-def test_functional_zero_and_definition(mesh9, params):
-    A = gagliardo_form(mesh9, params)
-    z = frac_laplacian_functional(mesh9, params, np.zeros(mesh9.num_nodes), form=A)
-    assert np.abs(z).max() == 0.0
-    m = np.cos(mesh9.coords)
-    F = frac_laplacian_functional(mesh9, params, m, form=A)
-    assert np.array_equal(F, A.entries @ m)
-
 
 def test_functional_matches_spectral_pairing():
     mesh = build_mesh(Box((-8.0,), (8.0,)), 1 / 16, [])
     par = KernelParams(1, 0.25)
     u = np.exp(-mesh.coords**2)
     A = gagliardo_form(mesh, par)
-    F = frac_laplacian_functional(mesh, par, u, form=A)
+    F = A.entries @ u
     M = mass_matrix(mesh)
     F_spec = M.entries @ spectral_frac_laplacian(mesh, par, u)
     mask = np.abs(F_spec) > 1e-3 * np.abs(F_spec).max()

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from fractomo.cli import main
+from fractomo import cli
+from fractomo.cli import SUBCOMMANDS, SUBCOMMANDS_2D, main
 
 CONFIG = """
 [problem]
@@ -150,3 +151,45 @@ def test_standalone_and_deterministic(config_path, tmp_path):
     a = (alt / "dn_matrix.csv").read_bytes()
     b = (out / "dn_matrix.csv").read_bytes()
     assert a == b
+
+
+def test_exit_code_nonfinite_preset(config_path, capsys):
+    path, out = config_path
+    bad = path.parent / "nan.ini"
+    bad.write_text(path.read_text().replace("q = constant:0", "q = constant:nan"))
+    assert main(["solve", "--config", str(bad)]) == 3
+    assert "finite" in capsys.readouterr().err
+
+
+CONFIG_2D = """
+[problem]
+n = 2
+s = 0.3
+[mesh]
+h = 0.5
+box = -2, -1, 3, 1
+[regions]
+Omega = -1, -0.5, 1, 0.5
+W1 = 1.5, -0.5, 2.5, 0.5
+[reconstruct]
+x0 = 2.0
+[output]
+directory = {out}
+"""
+
+
+@pytest.mark.parametrize(
+    "subcommand", [s for s in SUBCOMMANDS if s not in SUBCOMMANDS_2D]
+)
+def test_1d_pipelines_reject_2d_configs_up_front(subcommand, tmp_path,
+                                                   monkeypatch, capsys):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("a form was assembled before the dimension check")
+
+    for name in ("conductivity_form", "gagliardo_form", "mass_matrix"):
+        monkeypatch.setattr(cli, name, no_assembly)
+    path = tmp_path / "run2d.ini"
+    path.write_text(CONFIG_2D.format(out=tmp_path / "artifacts"))
+    assert main([subcommand, "--config", str(path)]) == 3
+    assert "1D pipeline" in capsys.readouterr().err
+    assert not (tmp_path / "artifacts").exists()

@@ -8,7 +8,7 @@ from fractomo.assembly import (
     gagliardo_form,
     potential_form,
 )
-from fractomo.dnmap import DNOperator, dn_pairing, solution_relation_residual
+from fractomo.dnmap import DNOperator, solution_relation_residual
 from fractomo.errors import HypothesisViolation, SupportViolation
 from fractomo.mesh import Box, Region, build_mesh, support_dofs
 from fractomo.profiles import bump, plateau
@@ -95,11 +95,16 @@ def test_dn_matrix_shapes_symmetry(setting):
     assert dn.symmetry_defect() < 1e-10
 
 
-def test_dn_matrix_threads_match(setting):
-    mesh, par, co, op = setting
-    d1 = op.matrix("W1", "W2", threads=1)
-    d2 = op.matrix("W1", "W2", threads=3)
-    assert np.abs(d1.entries - d2.entries).max() < 1e-14
+def test_dn_matrix_above_two_thousand_interior_dofs():
+    mesh = build_mesh(
+        Box((-1.25,), (1.75,)), 1 / 1024,
+        [Region("Omega", (-1.0,), (1.0,)), Region("W1", (1.2,), (1.6,))],
+    )
+    assert mesh.interior_dofs.size > 2000
+    op = DNOperator(mesh, KernelParams(1, 0.25), Coefficients.background(mesh))
+    assert op.matrix("W1", "W1").symmetry_defect() < 1e-10
+    f = bump((mesh.coords - 1.4) / 0.15)
+    assert op.solve(f).residual <= 1e-10
 
 
 def test_dn_energy_bound_on_diagonal(setting):
@@ -147,7 +152,7 @@ def test_dn_refinement_cauchy_rate():
         f = bump((x - 1.625) / 0.3); f[mesh.interior_dofs] = 0.0
         g = bump((x - 1.625) / 0.22); g[mesh.interior_dofs] = 0.0
         co = Coefficients.from_arrays(1.0 + 0.5 * bump(x / 1.4))
-        values.append(dn_pairing(mesh, par, co, f, g))
+        values.append(DNOperator(mesh, par, co).pairing(f, g))
     diffs = np.abs(np.diff(values))
     rates = np.log2(diffs[:-1] / diffs[1:])
     assert (rates > 0.5).all()
@@ -213,6 +218,6 @@ def test_truncation_margin_invariance():
         f = bump((x - 1.625) / 0.3); f[mesh.interior_dofs] = 0.0
         g = bump((x - 1.625) / 0.22); g[mesh.interior_dofs] = 0.0
         co = Coefficients.from_arrays(1.0 + 0.5 * bump(x / 1.4))
-        vals.append(dn_pairing(mesh, par, co, f, g))
+        vals.append(DNOperator(mesh, par, co).pairing(f, g))
     ref = vals[-1]
     assert all(abs(v - ref) < 1e-10 * abs(ref) for v in vals)

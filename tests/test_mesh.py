@@ -46,6 +46,24 @@ def test_region_dofs_unknown_label():
         region_dofs(mesh, "W7")
 
 
+def test_region_dofs_accepts_region_objects():
+    meshes = [
+        build_mesh(
+            Box((-2.0,), (2.5,)), 0.25,
+            [Region("Omega", (-1.0,), (1.0,)), Region("W1", (1.25,), (2.0,)),
+             Region("W2", (1.5,), (2.25,))],
+        ),
+        build_mesh(
+            Box((-2.0, -1.0), (3.0, 1.0)), 0.25,
+            [Region("Omega", (-1.0, -0.5), (1.0, 0.5)),
+             Region("W1", (1.5, -0.5), (2.5, 0.5))],
+        ),
+    ]
+    for mesh in meshes:
+        for label, region in mesh.region_objects.items():
+            assert np.array_equal(region_dofs(mesh, region), region_dofs(mesh, label))
+
+
 def test_nonconforming_spacing():
     with pytest.raises(NonConformingSpacing):
         build_mesh(Box((0.0,), (1.0,)), 0.3, [])

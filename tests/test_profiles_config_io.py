@@ -68,6 +68,9 @@ def test_presets():
         evaluate_preset("gaussian:1,2", x)
     with pytest.raises(ConfigError):
         evaluate_preset("gaussian:1,2,3,abc", x)
+    for spec in ("constant:nan", "bump:1,inf,0,1", "table:-1,0,1,-inf"):
+        with pytest.raises(ConfigError, match="finite"):
+            evaluate_preset(spec, x)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +140,37 @@ def test_config_errors(tmp_path):
         parse_config(_write(tmp_path, bad))
 
 
+def test_config_docstring_lists_exactly_the_parsed_keys(tmp_path, monkeypatch):
+    # every "[section] key" of the grammar in the module docstring is read
+    # by parse_config and vice versa; [regions] takes arbitrary names
+    import configparser
+    import re
+
+    from fractomo import config
+
+    documented, section = set(), None
+    for line in config.__doc__.splitlines():
+        header = re.match(r"\s*\[(\w+)\]", line)
+        if header:
+            section = header.group(1)
+            continue
+        key = re.match(r" {4}(\w+) =", line)
+        if key and section != "regions":
+            documented.add((section, key.group(1).lower()))
+
+    read = set()
+
+    class RecordingParser(configparser.ConfigParser):
+        def has_option(self, section, option):
+            read.add((section, option))
+            return super().has_option(section, option)
+
+    monkeypatch.setattr(config.configparser, "ConfigParser", RecordingParser)
+    config.parse_config(_write(tmp_path, ""))
+    assert read
+    assert documented == read
+
+
 # ---------------------------------------------------------------------------
 # io
 # ---------------------------------------------------------------------------
@@ -163,9 +197,9 @@ def test_dn_csv_headers(tmp_path):
     )
     par = KernelParams(1, 0.25)
     from fractomo.assembly import Coefficients
-    from fractomo.dnmap import dn_matrix
+    from fractomo.dnmap import DNOperator
 
-    dn = dn_matrix(mesh, par, Coefficients.background(mesh), "W1", "W1")
+    dn = DNOperator(mesh, par, Coefficients.background(mesh)).matrix("W1", "W1")
     path = tmp_path / "dn.csv"
     export_dn_csv(path, mesh, dn)
     header = path.read_text().splitlines()[0]
@@ -178,19 +212,6 @@ def test_residual_records_rates():
     assert recs[0]["rate"] is None
     assert recs[1]["rate"] == pytest.approx(2.0)
     assert recs[2]["rate"] == pytest.approx(2.0)
-
-
-def test_export_form_csv(tmp_path):
-    from fractomo.assembly import mass_matrix
-    from fractomo.io import export_form_csv
-
-    mesh = build_mesh(Box((0.0,), (1.0,)), 0.5, [])
-    M = mass_matrix(mesh)
-    path = tmp_path / "form.csv"
-    export_form_csv(path, M)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "i,j,entry"
-    assert len(lines) == 1 + M.dim**2
 
 
 def test_config_2d_constant_coefficients(tmp_path):
