@@ -1,19 +1,16 @@
 """2D kernel-form assembly over triangle-pair panels.
 
-Panels that touch or nearly touch are integrated by recursive
-subdivision toward the diagonal: thanks to the difference structure of
-the integrand the singularity is only ``|x - y|^{-2s}``, so the
-leftover error of a depth-limited refinement decays geometrically.
-Well-separated panels use a tensor product of degree-4 triangle rules.
-
-On the uniform triangulation every near configuration is a translate of
-finitely many reference configurations (triangle orientations times a
-small offset window), and the diffusion weight enters bilinearly through
-its P1 vertex values.  The quadrature is therefore run once per
-configuration class, producing vertex-resolved influence tensors that
-are contracted with the actual diffusion values and scattered over all
-pairs of the class at array speed.  Class tensors are cached per
-fractional order across meshes (they scale like ``h^{2-2s}``).
+Every unordered pair of triangles is a translate of a reference pair
+keyed by the two triangle orientations and the cell offset.  The
+reference blocks of each class are integrated once per fractional order
+and cached across meshes (they scale like ``h^{2-2s}``); the engine in
+:mod:`fractomo.assembly` contracts them with the diffusion vertex values.
+A reference pair that touches or nearly touches is integrated by
+recursive subdivision toward the diagonal: thanks to the difference
+structure of the integrand the singularity is only ``|x - y|^{-2s}``, so
+the leftover error of a depth-limited refinement decays geometrically.
+A well-separated pair is its own single leaf, integrated by the tensor
+product of degree-4 triangle rules.
 
 The exterior-tail weight ``omega(x) = int_{box^c} |x-y|^{-2-2s} dy`` is
 evaluated by exact sector decomposition in polar coordinates.  This 2D
@@ -26,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import roots_legendre
 
-from .assembly import _triangle_rule_deg4
+from .assembly import _assemble_classes, _point_pair_blocks, _triangle_rule_deg4
 
 #: recursion depth for touching reference panels
 MAX_DEPTH = 5
@@ -108,12 +105,11 @@ def _leaf_points(leaves, bary, wts):
 
 
 def _reference_tensors(s, tri_a, tri_b, max_depth):
-    """Vertex-resolved influence tensors of one reference panel pair.
+    """Class blocks ``xx, xy, yy`` (3, 3, 3, 3, 3) of one reference pair.
 
-    Returns the four blocks ``xx, xy, yx, yy`` as (3, 3, 3, 3) arrays:
-    ``T[alpha, beta, a, b]`` pairs test hats ``alpha, beta`` with the
-    diffusion vertex weights ``a`` (on the x triangle) and ``b`` (on the
-    y one).  Signs of the cross blocks are included.
+    The pair is refined by :func:`_collect_leaves`; a separated pair is
+    its own single leaf, so it gets the tensor product of the degree-4
+    triangle rules.
     """
     bary, wts = _triangle_rule_deg4()
     bary = bary.T
@@ -127,21 +123,10 @@ def _reference_tensors(s, tri_a, tri_b, max_depth):
     with np.errstate(divide="ignore"):
         K = np.where(r2 > 0.0, r2 ** (-(1.0 + s)), 0.0)
     W = (wx[:, :, None] * wy[:, None, :]) * K
-    colY = np.einsum("lij,ljd->lid", W, lam_y)
-    colX = np.einsum("lij,lic->ljc", W, lam_x)
-    Txx = np.einsum("lid,lia,lib,lic->abcd", colY, lam_x, lam_x, lam_x,
-                    optimize=True)
-    Tyy = np.einsum("ljc,lja,ljb,ljd->abcd", colX, lam_y, lam_y, lam_y,
-                    optimize=True)
-    Txy = -np.einsum("lij,lia,ljb,lic,ljd->abcd", W, lam_x, lam_y, lam_x,
-                     lam_y, optimize=True)
-    Tyx = np.transpose(Txy, (1, 0, 2, 3))
-    return Txx, Txy, Tyx, Tyy
+    return _point_pair_blocks(W, lam_x, lam_y, "abcd")
 
 
-def _class_tensors(s, type_a, type_b, di, dj, max_depth=None):
-    if max_depth is None:
-        max_depth = MAX_DEPTH
+def _class_tensors(s, type_a, type_b, di, dj, max_depth):
     key = (round(float(s), 12), type_a, type_b, di, dj, max_depth)
     if key not in _CLASS_CACHE:
         ref = {
@@ -154,93 +139,32 @@ def _class_tensors(s, type_a, type_b, di, dj, max_depth=None):
     return _CLASS_CACHE[key]
 
 
-def kernel_inbox_2d(mesh, s, g, q_reg, chunk: int = 20000,
-                    depth: int = None):
+def kernel_inbox_2d(mesh, s, g, depth: int = MAX_DEPTH):
     """Raw double integral over box x box (no normalization factor).
 
-    Far pairs (no shared vertex, centroid distance beyond the separation
-    multiple) run in vectorized chunks; near pairs use the class-cached
-    refined reference panels (``depth`` overrides the default).
+    Every unordered element pair belongs to the class ``(type_a, type_b,
+    di, dj)`` of its triangle types and cell offset; each class is
+    contracted with ``g`` through its cached reference blocks (``depth``
+    sets the refinement of touching reference pairs).
     """
-    del q_reg  # rule order is fixed; refinement handles near-pair accuracy
-    if depth is None:
-        depth = MAX_DEPTH
-    N = mesh.num_nodes
-    A = np.zeros((N, N))
-    bary, wts = _triangle_rule_deg4()
-    bary = bary.T
-    elements = mesh.elements
-    coords = mesh.nodes[elements]
-    E = elements.shape[0]
-    ncells = E // 2
-    cy = mesh.shape[1] - 1
-    cell = np.arange(E) % ncells
-    tri_type = (np.arange(E) >= ncells).astype(int)
-    cix = cell // cy
-    ciy = cell % cy
+    cx, cy = mesh.shape[0] - 1, mesh.shape[1] - 1
+    ncells = cx * cy
 
-    cen, rad = _tri_geometry(coords)
-    pts = np.einsum("qa,eav->eqv", bary, coords)
-    area = mesh.h**2 / 2.0
-    w = area * wts
-    ge = np.einsum("qa,ea->eq", bary, g[elements])
-    gw = ge * w[None, :]
+    def classes():
+        # element index = type * ncells + ix * cy + iy (see build_mesh)
+        for ta, tb in ((0, 0), (0, 1), (1, 1)):
+            for di in range(1 - cx, cx):
+                for dj in range(1 - cy, cy):
+                    if ta == tb and (di, dj) < (0, 0):
+                        continue  # the reversed pair is in class (-di, -dj)
+                    ix = np.arange(max(0, -di), min(cx, cx - di))
+                    iy = np.arange(max(0, -dj), min(cy, cy - dj))
+                    cell = (ix[:, None] * cy + iy).ravel()
+                    yield (_class_tensors(s, ta, tb, di, dj, depth),
+                           ta * ncells + cell, tb * ncells + cell + di * cy + dj)
 
-    dist = np.sqrt(((cen[:, None, :] - cen[None, :, :]) ** 2).sum(axis=-1))
-    near = dist < SEPARATION * (rad[:, None] + rad[None, :])
-
-    # --- far pairs (ordered, both orders) in vectorized chunks
-    ia, ib = np.nonzero(~near)
-    shp = bary  # (6, 3) hat values at own-triangle quadrature points
-    for lo in range(0, ia.size, chunk):
-        sa = ia[lo:lo + chunk]
-        sb = ib[lo:lo + chunk]
-        diff = pts[sa][:, :, None, :] - pts[sb][:, None, :, :]
-        K = ((diff**2).sum(axis=-1)) ** (-(1.0 + s))
-        colB = np.einsum("pij,pj->pi", K, gw[sb])
-        colA = np.einsum("pij,pi->pj", K, gw[sa])
-        aa = np.einsum("pi,ia,ib->pab", gw[sa] * colB, shp, shp)
-        bb = np.einsum("pj,ja,jb->pab", gw[sb] * colA, shp, shp)
-        Wfull = (gw[sa][:, :, None] * gw[sb][:, None, :]) * K
-        ab = -np.einsum("pij,ia,jb->pab", Wfull, shp, shp, optimize=True)
-        va = elements[sa]
-        vb = elements[sb]
-        for a_loc in range(3):
-            for b_loc in range(3):
-                np.add.at(A, (va[:, a_loc], va[:, b_loc]), aa[:, a_loc, b_loc])
-                np.add.at(A, (vb[:, a_loc], vb[:, b_loc]), bb[:, a_loc, b_loc])
-                np.add.at(A, (va[:, a_loc], vb[:, b_loc]), ab[:, a_loc, b_loc])
-                np.add.at(A, (vb[:, b_loc], va[:, a_loc]), ab[:, a_loc, b_loc])
-
-    # --- near pairs by reference class (unordered, doubled when distinct)
-    ia, ib = np.nonzero(near)
-    keep = ia <= ib
-    ia, ib = ia[keep], ib[keep]
-    scale = mesh.h ** (2.0 - 2.0 * s)
-    keys = {}
-    for pa, pb in zip(ia, ib):
-        k = (tri_type[pa], tri_type[pb], int(cix[pb] - cix[pa]), int(ciy[pb] - ciy[pa]))
-        keys.setdefault(k, []).append((pa, pb))
-    for (ta, tb, di, dj), pair_list in keys.items():
-        Txx, Txy, Tyx, Tyy = _class_tensors(s, ta, tb, di, dj, depth)
-        pl = np.asarray(pair_list)
-        sa, sb = pl[:, 0], pl[:, 1]
-        va = elements[sa]
-        vb = elements[sb]
-        gA = g[va]
-        gB = g[vb]
-        factor = np.where(sa == sb, 1.0, 2.0) * scale
-        Lxx = np.einsum("abcd,pc,pd->pab", Txx, gA, gB) * factor[:, None, None]
-        Lxy = np.einsum("abcd,pc,pd->pab", Txy, gA, gB) * factor[:, None, None]
-        Lyx = np.einsum("abcd,pc,pd->pab", Tyx, gA, gB) * factor[:, None, None]
-        Lyy = np.einsum("abcd,pc,pd->pab", Tyy, gA, gB) * factor[:, None, None]
-        for a_loc in range(3):
-            for b_loc in range(3):
-                np.add.at(A, (va[:, a_loc], va[:, b_loc]), Lxx[:, a_loc, b_loc])
-                np.add.at(A, (va[:, a_loc], vb[:, b_loc]), Lxy[:, a_loc, b_loc])
-                np.add.at(A, (vb[:, a_loc], va[:, b_loc]), Lyx[:, a_loc, b_loc])
-                np.add.at(A, (vb[:, a_loc], vb[:, b_loc]), Lyy[:, a_loc, b_loc])
-    return A
+    return _assemble_classes(mesh.num_nodes, mesh.elements, g, classes(),
+                             mesh.h ** (2.0 - 2.0 * s))
 
 
 def tail_weight_2d(points, box, s, order: int = 16):
@@ -355,17 +279,16 @@ def _graded_tail_pieces(tri, box, h, levels):
     return pieces
 
 
-def kernel_tail_2d(mesh, s, g, q_sing, graded_levels: int = 14):
-    """Per-element tail block ``int_T g phi_a phi_b omega`` (no C_ns).
+def kernel_tail_2d(mesh, s, g, graded_levels: int = 14):
+    """Per-element tail blocks ``int_T g phi_a phi_b omega`` (no C_ns) as
+    ``(rows, cols, vals)``.
 
     The tail weight blows up like ``dist^{-2s}`` at the box boundary, so
     boundary-touching triangles are sliced into strips whose distance to
     the face halves at each level (anisotropic grading, linear piece
     count); the leftover sliver error decays like ``2^{-levels(2-2s)}``.
     """
-    del q_sing
-    N = mesh.num_nodes
-    T = np.zeros((N, N))
+    rows, cols, vals = [], [], []
     bary, wts = _triangle_rule_deg4()
     bary = bary.T
     coords = mesh.nodes[mesh.elements]
@@ -381,6 +304,7 @@ def kernel_tail_2d(mesh, s, g, q_sing, graded_levels: int = 14):
         ge = lam @ g[verts]
         for p in range(3):
             for qq in range(3):
-                val = float((w * ge * lam[:, :, p] * lam[:, :, qq] * om).sum())
-                T[verts[p], verts[qq]] += val
-    return T
+                rows.append(verts[p])
+                cols.append(verts[qq])
+                vals.append(float((w * ge * lam[:, :, p] * lam[:, :, qq] * om).sum()))
+    return np.array(rows), np.array(cols), np.array(vals)

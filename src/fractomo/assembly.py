@@ -3,15 +3,23 @@
 Every form is a dense symmetric matrix over the full nodal basis of the
 mesh; nodal functions are extended by zero outside the computational box.
 The kernel-type forms (Gagliardo energy and weighted-diffusion energy)
-are assembled from element-pair panels:
+come from one engine (:func:`_assemble_classes`).  On the uniform mesh
+every element pair is a translate of a reference pair: its class is the
+offset ``d`` in 1D and ``(type_a, type_b, di, dj)`` in 2D.  The P1
+diffusion weight enters bilinearly through its vertex values, so a class
+reduces to vertex-resolved reference blocks, integrated once on unit
+elements, scaled by ``h^{n-2s}``, contracted with the diffusion and
+scattered over all pairs of the class.  The blocks come from
 
-* identical panels and panels sharing a node use Duffy-type variable
-  transformations combined with Gauss--Jacobi rules, which integrate the
-  weakly singular factor exactly against the polynomial part,
-* separated panels use tensor Gauss rules, batched by offset,
-* the contribution of the box complement (where nodal functions vanish
-  and the diffusion equals its constant exterior value) is integrated
-  analytically in 1D and by sector-exact polar quadrature in 2D.
+* Duffy-type transformations with Gauss--Jacobi rules for identical and
+  node-sharing 1D pairs, which integrate the weakly singular factor
+  exactly against the polynomial part,
+* tensor Gauss rules for separated 1D pairs,
+* refined triangle-pair rules for 2D pairs (see ``_assembly2d``).
+
+The contribution of the box complement (where nodal functions vanish
+and the diffusion equals its constant exterior value) is integrated
+analytically in 1D and by sector-exact polar quadrature in 2D.
 
 The adopted energy convention is ``u^T A u = ||(-Delta)^{s/2} u||_L2^2``,
 i.e. the assembled Gagliardo form carries the factor ``C_ns / 2`` in
@@ -333,23 +341,21 @@ def _kernel_form(mesh, params, sqrt_gamma, sqrt_gamma_ext, order_singular,
     def build(q_sing, q_reg, extra_depth=0):
         if mesh.n == 1:
             A = _kernel_inbox_1d(mesh, params.s, sqrt_gamma, q_sing, q_reg)
-            T = _kernel_tail_1d(mesh, params.s, sqrt_gamma, q_sing)
+            rows, cols, vals = _kernel_tail_1d(mesh, params.s, sqrt_gamma, q_sing)
         else:
             from ._assembly2d import MAX_DEPTH, kernel_inbox_2d, kernel_tail_2d
 
-            A = kernel_inbox_2d(mesh, params.s, sqrt_gamma, q_reg,
+            A = kernel_inbox_2d(mesh, params.s, sqrt_gamma,
                                 depth=MAX_DEPTH + extra_depth)
-            T = kernel_tail_2d(mesh, params.s, sqrt_gamma, q_sing)
+            rows, cols, vals = kernel_tail_2d(mesh, params.s, sqrt_gamma)
         A *= 0.5 * params.C_ns
-        T *= params.C_ns * sqrt_gamma_ext
-        return A, T
+        vals = vals * (params.C_ns * sqrt_gamma_ext)
+        np.add.at(A, (rows, cols), vals)
+        return A, np.bincount(rows, vals, mesh.num_nodes)
 
-    A, T = build(order_singular, order_regular)
-    tail_row = T.sum(axis=1)
-    A += T
+    A, tail_row = build(order_singular, order_regular)
     if check:
-        A2, T2 = build(order_singular + 4, order_regular + 4, extra_depth=1)
-        A2 += T2
+        A2, _ = build(order_singular + 4, order_regular + 4, extra_depth=1)
         defect = float(np.abs(A - A2).max() / max(np.abs(A).max(), 1e-300))
         if defect > 5e-4:
             raise QuadratureFailure(
@@ -366,123 +372,165 @@ def _jacobi_rule(order, beta, length):
     return t, w
 
 
-def _kernel_inbox_1d(mesh, s, g, q_sing, q_reg):
-    """Raw double integral over box x box (without the C_ns/2 factor)."""
-    h = mesh.h
-    M = mesh.elements.shape[0]
-    N = mesh.num_nodes
-    A = np.zeros((N, N))
-    inv_h = 1.0 / h
-    e0 = mesh.elements[:, 0]
+def _point_pair_blocks(W, lx, ly, out):
+    """Class blocks ``xx, xy, yy`` from a tensor point-pair rule.
 
-    # --- identical panels: 2 int_0^h t^{1-2s} G(t) dt with
-    #     G(t) = int_0^{h-t} g(y) g(y+t) dy, exact in y by 2-pt Gauss
-    tk, twk = _jacobi_rule(q_sing, 1.0 - 2.0 * s, h)
-    yg, ywg = roots_legendre(2)
-    yg = 0.5 * (yg + 1.0)
-    ywg = 0.5 * ywg
-    p = g[mesh.elements[:, 0]]
-    r = (g[mesh.elements[:, 1]] - p) * inv_h
-    L = h - tk
-    Y = L[:, None] * yg[None, :]  # (qt, 2)
-    gy = p[:, None, None] + r[:, None, None] * Y[None, :, :]
-    gyt = p[:, None, None] + r[:, None, None] * (Y + tk[:, None])[None, :, :]
-    G = np.einsum("ekj,j->ek", gy * gyt, ywg) * L[None, :]
-    I_same = 2.0 * (G @ twk)  # (M,)
-    s_loc = np.array([-inv_h, inv_h])
-    pair = s_loc[:, None] * s_loc[None, :]
-    for a in range(2):
-        for b in range(2):
-            np.add.at(A, (e0 + a, e0 + b), I_same * pair[a, b])
+    ``W[l, i, j]`` holds the weights times the kernel at x point ``i`` and
+    y point ``j`` of leaf ``l``; ``lx[l, i]`` and ``ly[l, j]`` hold the P1
+    shape values there, which serve both as test hats and as diffusion
+    vertex weights.  ``out`` is ``"abcd"`` to sum over the leaves or
+    ``"labcd"`` to keep them apart.  Returns (..., 3, nv, nv, nv, nv).
+    """
+    colY = np.einsum("lij,ljd->lid", W, ly)
+    colX = np.einsum("lij,lic->ljc", W, lx)
+    xx = np.einsum("lid,lia,lib,lic->" + out, colY, lx, lx, lx, optimize=True)
+    xy = -np.einsum("lij,lia,ljb,lic,ljd->" + out, W, lx, ly, lx, ly,
+                    optimize=True)
+    yy = np.einsum("ljc,lja,ljb,ljd->" + out, colX, ly, ly, ly, optimize=True)
+    return np.stack([xx, xy, yy], axis=-5)
 
-    # --- node-sharing panels (offset 1): with x = p - u on the left
-    #     element and y = p + v on the right one, every hat difference is
-    #     homogeneous linear, d_i = a_i u + b_i v, and the two Duffy
-    #     branches expose the weight r^{2-2s} exactly.
-    if M >= 2:
-        ab = np.array([[inv_h, 0.0], [-inv_h, inv_h], [0.0, -inv_h]])
-        vk, vwk = _jacobi_rule(q_sing, 2.0 - 2.0 * s, h)
-        sg, swg = roots_legendre(q_sing)
-        sg = 0.5 * (sg + 1.0)
-        swg = 0.5 * swg
-        ker = (1.0 + sg) ** (-1.0 - 2.0 * s) * swg  # (qs,)
-        X1 = ab[:, 0][:, None] * sg[None, :] + ab[:, 1][:, None]  # a_p*sg + b_p
-        X2 = ab[:, 0][:, None] + ab[:, 1][:, None] * sg[None, :]  # a_p + b_p*sg
-        P1 = np.einsum("pj,qj->pqj", X1, X1)
-        P2 = np.einsum("pj,qj->pqj", X2, X2)
-        gl = g[:-2]   # node at the far left of the union
-        gm = g[1:-1]  # shared node
-        gr = g[2:]
-        # pair (element e as x-side, element e+1 as y-side); note x = p - u
-        # walks left from the shared node, so gamma on the x-side
-        # interpolates from gm toward gl
-        ga1 = gm[:, None, None] + (gl - gm)[:, None, None] * inv_h * (
-            sg[None, None, :] * vk[None, :, None]
-        )  # u = sg*v
-        gb1 = gm[:, None] + (gr - gm)[:, None] * inv_h * vk[None, :]
-        F1 = np.einsum("ekj,ek,k->ej", ga1, gb1, vwk)
-        T1 = np.einsum("ej,j,pqj->epq", F1, ker, P1)
-        ga2 = gm[:, None] + (gl - gm)[:, None] * inv_h * vk[None, :]
-        gb2 = gm[:, None, None] + (gr - gm)[:, None, None] * inv_h * (
-            sg[None, None, :] * vk[None, :, None]
-        )  # v = sg*u
-        F2 = np.einsum("ekj,ek,k->ej", gb2, ga2, vwk)
-        T2 = np.einsum("ej,j,pqj->epq", F2, ker, P2)
-        L_adj = T1 + T2  # symmetric in (p, q)
-        idx = np.arange(M - 1)
-        # both orderings of the unordered element pair contribute equally
-        for a in range(3):
-            for b in range(3):
-                A[idx + a, idx + b] += 2.0 * L_adj[:, a, b]
 
-    # --- separated panels: tensor Gauss, batched per offset d >= 2
-    if M >= 3:
-        xg, xwg = roots_legendre(q_reg)
-        xi = 0.5 * h * (xg + 1.0)
-        wq = 0.5 * h * xwg
-        S = np.stack([1.0 - xi * inv_h, xi * inv_h])  # (2, q)
-        Ge = np.einsum("ae,aq->eq", np.stack([g[:-1], g[1:]]), S)  # (M, q)
-        GW = Ge * wq[None, :]
-        U = GW[None, :, :] * S[:, None, :]  # (2, M, q)
-        V = np.einsum("aq,bq,eq->abeq", S, S, GW)  # (2, 2, M, q)
-        diff = xi[:, None] - xi[None, :]
+def _scatter_plan(nv):
+    """Block entries an element pair adds and where each add lands.
 
-        for d in range(2, M):
-            K = np.abs(diff - d * h) ** (-1.0 - 2.0 * s)  # (q, q)
-            m = M - d
-            Ua = U[:, :m, :]
-            Ub = U[:, d:, :]
-            colB = GW[d:, :] @ K.T      # (m, q_i): sum_j GW_b K(i, j)
-            colA = GW[:m, :] @ K        # (m, q_j): sum_i GW_a K(i, j)
-            aa = np.einsum("abei,ei->eab", V[:, :, :m, :], colB)
-            bb = np.einsum("abej,ej->eab", V[:, :, d:, :], colA)
-            RowB = np.einsum("bej,ij->bei", Ub, K)
-            ab_blk = -np.einsum("aei,bei->eab", Ua, RowB)
-            idx = np.arange(m)
-            ra = (idx, idx + 1)
-            rb = (idx + d, idx + d + 1)
-            for a in range(2):
-                for b in range(2):
-                    A[ra[a], ra[b]] += 2.0 * aa[:, a, b]
-                    A[rb[a], rb[b]] += 2.0 * bb[:, a, b]
-                    A[ra[a], rb[b]] += 2.0 * ab_blk[:, a, b]
-                    A[rb[b], ra[a]] += 2.0 * ab_blk[:, a, b]
+    Local vertex ``k < nv`` is vertex ``k`` of the x element, ``nv + k``
+    vertex ``k`` of the y element.  ``xx`` and ``yy`` are symmetric in the
+    test hats and ``yx`` is the transpose of ``xy``, so only the entries
+    ``alpha <= beta`` of ``xx``/``yy`` and all of ``xy`` are contracted;
+    each off-diagonal one is added at ``(r, c)`` and right after at
+    ``(c, r)``, which keeps the assembled form exactly symmetric.
+    """
+    entries, adds = [], []
+    for k, (ox, oy) in enumerate(((0, 0), (0, nv), (nv, nv))):
+        for a in range(nv):
+            for b in range(nv):
+                if k != 1 and b < a:
+                    continue
+                adds.append((len(entries), ox + a, oy + b))
+                if k == 1 or a != b:
+                    adds.append((len(entries), oy + b, ox + a))
+                entries.append((k * nv + a) * nv + b)
+    return np.array(entries), np.array(adds).T
+
+
+def _assemble_classes(num_nodes, elements, g, classes, scale):
+    """Dense kernel form from element-pair translation classes.
+
+    ``classes`` yields ``(blocks, sa, sb)``: the reference blocks
+    ``xx, xy, yy`` of one class as (3, nv, nv, nv, nv) on unit elements,
+    where ``blocks[k, alpha, beta, c, d]`` pairs the test hats ``alpha,
+    beta`` with the diffusion vertex weights ``c`` (x element) and ``d``
+    (y element), and the element indices of its pairs, each unordered
+    pair once.  Every block is contracted with the vertex values of
+    ``g`` and scaled by ``scale`` (``h^{n-2s}``), once for identical
+    pairs and twice (both orders of the double integral) for distinct
+    ones, then scattered into the form.
+    """
+    nv = elements.shape[1]
+    entries, (entry, row, col) = _scatter_plan(nv)
+    A = np.zeros((num_nodes, num_nodes))
+    flat = A.reshape(-1)
+    for blocks, sa, sb in classes:
+        va, vb = elements[sa], elements[sb]
+        w = (g[va][:, :, None] * g[vb][:, None, :]).reshape(sa.size, nv * nv)
+        w *= scale * np.where(sa == sb, 1.0, 2.0)[:, None]
+        local = w @ blocks.reshape(-1, nv * nv)[entries].T
+        v = np.concatenate([va, vb], axis=1)
+        np.add.at(flat, (v[:, row] * num_nodes + v[:, col]).ravel(),
+                  local[:, entry].ravel())
     return A
 
 
+def _touching_blocks_1d(s, q_sing):
+    """Blocks of the identical (offset 0) and node-sharing (offset 1)
+    classes on unit elements, shape (2, 3, 2, 2, 2, 2).
+
+    Duffy-type transformations expose the weakly singular factor, which
+    Gauss--Jacobi rules integrate exactly against the polynomial part.
+    Where the two elements share vertices the whole local block goes
+    into ``xx`` and the rest into ``xy``/``yy``, each entry once.
+    """
+    blocks = np.zeros((2, 3, 2, 2, 2, 2))
+
+    def shapes(t):  # P1 shape values at local coordinates t in (0, 1)
+        return np.stack([1.0 - t, t])
+
+    # identical: the hat slopes are (-1, 1), so the integrand is
+    # lam_c(x) lam_d(y) |x - y|^{1-2s}; Q is the half x = y + t, t > 0,
+    # with the inner integral over y in (0, 1 - t) exact by 2-pt Gauss,
+    # and Q.T the other half
+    tk, twk = _jacobi_rule(q_sing, 1.0 - 2.0 * s, 1.0)
+    yg, ywg = roots_legendre(2)
+    L = 1.0 - tk
+    Y = L[:, None] * 0.5 * (yg + 1.0)
+    Q = np.einsum("k,j,ckj,dkj->cd", twk * L, 0.5 * ywg, shapes(Y),
+                  shapes(Y + tk[:, None]))
+    slope = np.array([-1.0, 1.0])
+    blocks[0, 0] = np.einsum("a,b,cd->abcd", slope, slope, Q + Q.T)
+
+    # node-sharing: with x = p - u on the left element and y = p + v on
+    # the right one, every hat difference over the union (l, p, r) is
+    # homogeneous linear, d_i = a_i u + b_i v, and the two Duffy branches
+    # expose the weight r^{2-2s} exactly
+    ab = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
+    vk, vwk = _jacobi_rule(q_sing, 2.0 - 2.0 * s, 1.0)
+    sg, swg = roots_legendre(q_sing)
+    sg = 0.5 * (sg + 1.0)
+    ker = (1.0 + sg) ** (-1.0 - 2.0 * s) * 0.5 * swg
+    X1 = ab[:, :1] * sg + ab[:, 1:]  # branch u = sg v
+    X2 = ab[:, :1] + ab[:, 1:] * sg  # branch v = sg u
+    us = sg[None, :] * vk[:, None]  # (k, j)
+    # the left element's vertices are (l, p): shapes at 1 - u
+    F1 = np.einsum("k,ckj,dk->cdj", vwk, shapes(1.0 - us), shapes(vk))
+    F2 = np.einsum("k,ck,dkj->cdj", vwk, shapes(1.0 - vk), shapes(us))
+    U = (np.einsum("cdj,j,pj,qj->pqcd", F1, ker, X1, X1)
+         + np.einsum("cdj,j,pj,qj->pqcd", F2, ker, X2, X2))
+    blocks[1, 0] = U[:2, :2]
+    blocks[1, 1, :, 1] = U[:2, 2]
+    blocks[1, 2, 1, 1] = U[2, 2]
+    return blocks
+
+
+def _separated_blocks_1d(s, M, q_reg):
+    """Blocks of the classes at offsets ``2 .. M-1`` (tensor Gauss)."""
+    xg, xwg = roots_legendre(q_reg)
+    xi = 0.5 * (xg + 1.0)
+    wq = 0.5 * xwg
+    d = np.arange(2, M)[:, None, None]
+    W = wq[:, None] * wq[None, :] * np.abs(xi[:, None] - xi[None, :] - d) ** (
+        -1.0 - 2.0 * s)
+    lam = np.broadcast_to(np.stack([1.0 - xi, xi], axis=1), (W.shape[0], q_reg, 2))
+    return _point_pair_blocks(W, lam, lam, "labcd")
+
+
+def _kernel_inbox_1d(mesh, s, g, q_sing, q_reg):
+    """Raw double integral over box x box (without the C_ns/2 factor).
+
+    The translation class of an element pair is its offset ``d``.
+    """
+    M = mesh.elements.shape[0]
+    blocks = np.concatenate([_touching_blocks_1d(s, q_sing),
+                             _separated_blocks_1d(s, M, q_reg)])
+    e = np.arange(M)
+    classes = ((blocks[d], e[:M - d], e[d:]) for d in range(M))
+    return _assemble_classes(mesh.num_nodes, mesh.elements, g, classes,
+                             mesh.h ** (1.0 - 2.0 * s))
+
+
 def _kernel_tail_1d(mesh, s, g, q_sing):
-    """Per-element tail block ``int_E g phi_a phi_b omega`` with
-    ``omega(x) = ((x - a)^{-2s} + (b - x)^{-2s}) / (2s)`` (no C_ns)."""
+    """Per-element tail blocks ``int_E g phi_a phi_b omega`` with
+    ``omega(x) = ((x - a)^{-2s} + (b - x)^{-2s}) / (2s)`` (no C_ns), as
+    ``(rows, cols, vals)``: the tail couples only hats of a common element.
+    """
     x = mesh.coords
     h = mesh.h
     a_box, b_box = mesh.box.lower[0], mesh.box.upper[0]
     M = mesh.elements.shape[0]
-    N = mesh.num_nodes
-    T = np.zeros((N, N))
     e0 = mesh.elements[:, 0]
     xl = x[e0]
     gl = g[mesh.elements[:, 0]]
     gr = g[mesh.elements[:, 1]]
+    rows, cols, vals = [], [], []
 
     def accumulate(tloc, w, elem_ids):
         # tloc, w: (E, q) local coordinates in (0, h) and weights
@@ -490,11 +538,15 @@ def _kernel_tail_1d(mesh, s, g, q_sing):
         sh2 = tloc / h
         ge = gl[elem_ids][:, None] * sh1 + gr[elem_ids][:, None] * sh2
         shapes = (sh1, sh2)
-        rows = e0[elem_ids]
-        for a in range(2):
-            for b in range(2):
-                vals = np.einsum("eq,eq->e", ge * shapes[a] * shapes[b], w)
-                np.add.at(T, (rows + a, rows + b), vals)
+        first = e0[elem_ids]
+        for a, b in ((0, 0), (0, 1), (1, 1)):
+            v = np.einsum("eq,eq->e", ge * shapes[a] * shapes[b], w) / (2.0 * s)
+            # the (1, 0) block reuses the (0, 1) values, which keeps the
+            # form exactly symmetric
+            for r, c in ((a, b),) if a == b else ((a, b), (b, a)):
+                rows.append(first + r)
+                cols.append(first + c)
+                vals.append(v)
 
     q_reg = max(q_sing, 8)
     xg, xwg = roots_legendre(q_reg)
@@ -519,5 +571,4 @@ def _kernel_tail_1d(mesh, s, g, q_sing):
         dist = (b_box - xl[rest][:, None]) - xi[None, :]
         accumulate(np.tile(xi, (M - 1, 1)), wreg[None, :] * dist ** (-2.0 * s), rest)
 
-    T /= 2.0 * s
-    return T
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)

@@ -106,13 +106,13 @@ def run_solve(cfg, outdir, verbose):
 
 
 def run_dn(cfg, outdir, verbose):
+    if "W1" not in cfg.regions:
+        raise ConfigError("[regions]: dn needs a measurement region W1")
     mesh = cfg.build_mesh()
     params = cfg.params()
     coeffs = cfg.coefficients(mesh)
     op = DNOperator(mesh, params, coeffs, form=_forms(cfg, mesh, params, coeffs))
-    w1 = "W1" if "W1" in mesh.regions else "W"
-    w2 = "W2" if "W2" in mesh.regions else w1
-    dn = op.matrix(w1, w2)
+    dn = op.matrix("W1", "W2" if "W2" in mesh.regions else "W1")
     export_dn_csv(outdir / "dn_matrix.csv", mesh, dn)
     sym = ""
     if np.array_equal(dn.rows, dn.cols):
@@ -332,7 +332,9 @@ def main(argv=None) -> int:
         print(f"fractomo {args.subcommand}: invariant violated: {exc}",
               file=sys.stderr)
         return 2
-    except FractomoError as exc:
+    except (FractomoError, ValueError) as exc:
+        # ValueError is the last resort: inputs that slipped past the
+        # config checks still end with a one-line message, not a traceback
         print(f"fractomo {args.subcommand}: error: {exc}", file=sys.stderr)
         return 1
     print(f"fractomo {args.subcommand}: {summary}")

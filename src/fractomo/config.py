@@ -16,7 +16,8 @@ Grammar (all keys optional unless marked; values shown with defaults):
     box =                      ; explicit box "lo, hi" (1D) or
                                ; "lo1, lo2, hi1, hi2" (2D); overrides margin
 
-    [regions]                  ; name = lo, hi  (1D)  /  lo1, lo2, hi1, hi2 (2D)
+    [regions]                  ; name = lo, hi  (1D)  /  lo1, lo2, hi1, hi2 (2D);
+                               ; names keep their case ("W..." = measurement set)
     Omega = -1.0, 1.0          ; required for solves
     W1 = 1.2, 1.8
     W2 = 1.2, 1.8
@@ -33,7 +34,6 @@ Grammar (all keys optional unless marked; values shown with defaults):
 
     [data]
     f = bump:0,1,1.5,0.25      ; exterior datum preset (zeroed on interior)
-    g =                        ; second datum (defaults to f)
     far_field = 0.0            ; constant value on the box complement
     source = constant:0        ; interior source density
 
@@ -107,7 +107,6 @@ class ExperimentConfig:
     order_regular: int = 4
     quadrature_check: bool = False
     f_spec: str = None
-    g_spec: str = None
     far_field: float = 0.0
     source_spec: str = "constant:0"
     reconstruct_W: str = "W1"
@@ -213,8 +212,12 @@ def parse_config(path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # configparser lowercases keys; region names are labels and keep their case
+    labels = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    labels.optionxform = str
     try:
         parser.read(path)
+        labels.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
 
@@ -244,8 +247,8 @@ def parse_config(path) -> ExperimentConfig:
         if len(box_vals) != 2 * cfg.n:
             raise ConfigError(f"[mesh] box: expected {2*cfg.n} numbers")
         cfg.box = (tuple(box_vals[: cfg.n]), tuple(box_vals[cfg.n:]))
-    if parser.has_section("regions"):
-        for name, raw in parser.items("regions"):
+    if labels.has_section("regions"):
+        for name, raw in labels.items("regions"):
             vals = _floats(raw, f"[regions] {name}")
             if len(vals) != 2 * cfg.n:
                 raise ConfigError(
@@ -254,10 +257,7 @@ def parse_config(path) -> ExperimentConfig:
             lo, hi = tuple(vals[: cfg.n]), tuple(vals[cfg.n:])
             if not all(a < b for a, b in zip(lo, hi)):
                 raise ConfigError(f"[regions] {name}: lower bound must be below upper")
-            # configparser lowercases keys; restore conventional names
-            canonical = {"omega": "Omega", "w1": "W1", "w2": "W2",
-                         "omega_prime": "Omega_prime"}.get(name, name)
-            cfg.regions[canonical] = (lo, hi)
+            cfg.regions[name] = (lo, hi)
     cfg.gamma_spec = get("coefficients", "gamma", str, cfg.gamma_spec)
     cfg.q_spec = get("coefficients", "q", str, cfg.q_spec)
     cfg.gamma_exterior = get("coefficients", "gamma_exterior", float,
@@ -268,7 +268,6 @@ def parse_config(path) -> ExperimentConfig:
                                lambda t: t.lower() in ("1", "true", "yes"),
                                cfg.quadrature_check)
     cfg.f_spec = get("data", "f", str, None)
-    cfg.g_spec = get("data", "g", str, None)
     cfg.far_field = get("data", "far_field", float, cfg.far_field)
     cfg.source_spec = get("data", "source", str, cfg.source_spec)
     cfg.reconstruct_W = get("reconstruct", "w", str, cfg.reconstruct_W)
@@ -301,6 +300,11 @@ def parse_config(path) -> ExperimentConfig:
 
     # cheap global validations before any solve starts
     cfg.params()
+    for order in cfg.oracle_s_list:
+        try:
+            KernelParams(cfg.n, order, cfg.c_ns)
+        except ValueError as exc:
+            raise ConfigError(f"[oracle] s_list: {exc}") from None
     if cfg.h is not None and cfg.h <= 0:
         raise ConfigError("[mesh] h: must be positive")
     try:

@@ -122,14 +122,51 @@ def test_oracle_compare(tmp_path):
 
 
 def test_exit_code_config_error(tmp_path, capsys):
-    cfg = tmp_path / "bad.ini"
+    # every measurement label ("W...") is checked, not only W1/W2
+    for label in ("W1", "W3"):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(
+            "[problem]\nn = 1\ns = 0.25\n[mesh]\nh = 0.125\nbox = -2, 3\n"
+            f"[regions]\nOmega = -1, 1\n{label} = 0.5, 1.5\n"
+        )
+        assert main(["poincare", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert label in err and "Omega" in err
+
+
+def test_exit_code_oracle_order_out_of_range(tmp_path, capsys):
+    cfg = tmp_path / "oracle.ini"
     cfg.write_text(
-        "[problem]\nn = 1\ns = 0.25\n[mesh]\nh = 0.125\nbox = -2, 3\n"
-        "[regions]\nOmega = -1, 1\nW1 = 0.5, 1.5\n"
+        "[problem]\nn = 1\ns = 0.25\n[mesh]\nh = 0.0625\nbox = -8, 8\n"
+        f"[oracle]\ns_list = 0.25, 1.5\n[output]\ndirectory = {tmp_path / 'a'}\n"
     )
-    assert main(["poincare", "--config", str(cfg)]) == 3
-    err = capsys.readouterr().err
-    assert "W1" in err and "Omega" in err
+    assert main(["oracle-compare", "--config", str(cfg)]) == 3
+    assert "s_list" in capsys.readouterr().err
+
+
+def test_value_error_is_one_line_exit_1(config_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("broken input")
+
+    monkeypatch.setattr(cli, "poincare_constant", broken)
+    path, out = config_path
+    assert main(["poincare", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "fractomo poincare: error: broken input\n"
+
+
+def test_dn_needs_w1_before_assembly(tmp_path, monkeypatch, capsys):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("a form was assembled before the W1 check")
+
+    monkeypatch.setattr(cli, "conductivity_form", no_assembly)
+    path = tmp_path / "run.ini"
+    path.write_text(
+        "[problem]\nn = 1\ns = 0.25\n[mesh]\nh = 0.125\nbox = -2, 3\n"
+        "[regions]\nOmega = -1, 1\nV = 1.25, 2\n"
+        f"[output]\ndirectory = {tmp_path / 'a'}\n"
+    )
+    assert main(["dn", "--config", str(path)]) == 3
+    assert "W1" in capsys.readouterr().err
 
 
 def test_exit_code_invariant_violation(config_path, capsys):

@@ -140,6 +140,16 @@ def test_config_errors(tmp_path):
         parse_config(_write(tmp_path, bad))
 
 
+def test_config_region_labels_keep_their_case(tmp_path):
+    text = BASE.format(mesh_extra="box = -2, 3").replace(
+        "W1 = 1.25, 2.0", "W1 = 1.25, 2.0\nV = 2.25, 2.75") + "[reconstruct]\nW = V\n"
+    cfg = parse_config(_write(tmp_path, text))
+    assert set(cfg.regions) == {"Omega", "W1", "V"}
+    mesh = cfg.build_mesh()
+    assert mesh.region_objects[cfg.reconstruct_W].name == "V"
+    assert mesh.regions["V"].size > 0
+
+
 def test_config_docstring_lists_exactly_the_parsed_keys(tmp_path, monkeypatch):
     # every "[section] key" of the grammar in the module docstring is read
     # by parse_config and vice versa; [regions] takes arbitrary names
