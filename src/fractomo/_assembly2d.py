@@ -13,20 +13,25 @@ A well-separated pair is its own single leaf, integrated by the tensor
 product of degree-4 triangle rules.
 
 The exterior-tail weight ``omega(x) = int_{box^c} |x-y|^{-2-2s} dy`` is
-evaluated by exact sector decomposition in polar coordinates.  This 2D
-path targets small desk-scale meshes; accuracy is at the percent level,
-and boundary-touching tail entries additionally require ``s < 1/2``.
+evaluated in closed form (one incomplete beta function per box face),
+and the tail term ``int_T g phi_a phi_b omega`` goes through the same
+local-mass routine as the mass and potential forms.  This 2D path
+targets small desk-scale meshes; accuracy is at the percent level, and
+boundary-touching tail entries additionally require ``s < 1/2``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import roots_legendre
+from scipy.special import beta, betainc
 
 from .assembly import _assemble_classes, _point_pair_blocks, _triangle_rule_deg4
 
 #: recursion depth for touching reference panels
 MAX_DEPTH = 5
+
+#: halving levels of the tail pieces graded toward the box faces
+GRADED_LEVELS = 14
 
 #: separation multiple: pairs beyond this times the radius sum are leaves
 SEPARATION = 1.5
@@ -167,38 +172,35 @@ def kernel_inbox_2d(mesh, s, g, depth: int = MAX_DEPTH):
                              mesh.h ** (2.0 - 2.0 * s))
 
 
-def tail_weight_2d(points, box, s, order: int = 16):
-    """``omega(x) = int_{box^c} |x - y|^{-2-2s} dy`` by sector decomposition.
+def tail_weight_2d(points, box, s):
+    """``omega(x) = int_{box^c} |x - y|^{-2-2s} dy`` in closed form.
 
-    For each point the plane splits into four angular sectors at the
-    directions of the box corners; inside a sector the ray length to the
-    boundary is analytic and the angular integral uses Gauss nodes.
+    In polar coordinates about ``x``, ``omega = int rho(theta)^{-2s} /
+    (2s) dtheta`` with ``rho`` the distance to the box boundary along the
+    ray.  The rays through one face, at normal distance ``d`` with its
+    corners at tangential offsets ``t_lo < 0 < t_hi``, give ``d^{-2s}
+    [F(t_hi/d) - F(t_lo/d)]`` with ``F(tau) = int_0^{atan tau} cos^{2s} =
+    sign(tau) B(1/2, s+1/2)/2 I(1/2, s+1/2; tau^2/(1+tau^2))``, where ``I``
+    is the regularized incomplete beta function.
     """
-    pts = np.atleast_2d(points)
-    (a1, a2), (b1, b2) = box.lower, box.upper
-    corners = np.array([[a1, a2], [b1, a2], [b1, b2], [a1, b2]])
-    xg, wg = roots_legendre(order)
-    out = np.zeros(pts.shape[0])
-    for k, x in enumerate(pts):
-        ang = np.sort(
-            np.mod(np.arctan2(corners[:, 1] - x[1], corners[:, 0] - x[0]), 2 * np.pi)
-        )
-        bounds = np.concatenate([ang, [ang[0] + 2 * np.pi]])
-        total = 0.0
-        for j in range(4):
-            lo, hi = bounds[j], bounds[j + 1]
-            theta = 0.5 * (hi - lo) * (xg + 1.0) + lo
-            wq = 0.5 * (hi - lo) * wg
-            ct, st = np.cos(theta), np.sin(theta)
-            with np.errstate(divide="ignore"):
-                tx = np.where(ct > 0, (b1 - x[0]) / ct,
-                              np.where(ct < 0, (a1 - x[0]) / ct, np.inf))
-                ty = np.where(st > 0, (b2 - x[1]) / st,
-                              np.where(st < 0, (a2 - x[1]) / st, np.inf))
-            rho = np.minimum(tx, ty)
-            total += float(wq @ rho ** (-2.0 * s))
-        out[k] = total / (2.0 * s)
-    return out
+    x = np.atleast_2d(points)
+    lo, hi = np.asarray(box.lower, float), np.asarray(box.upper, float)
+    # faces x0 = lo0, x1 = lo1, x0 = hi0, x1 = hi1: normal distances and
+    # the tangential offsets of their corners
+    d = np.concatenate([x - lo, hi - x], axis=1)
+    t_lo = np.tile(lo[::-1] - x[:, ::-1], 2)
+    t_hi = np.tile(hi[::-1] - x[:, ::-1], 2)
+
+    def F(t):
+        # beyond x = 1/2, I(1/2, s+1/2; x) = 1 - I(s+1/2, 1/2; 1-x) keeps
+        # full accuracy for x near 1, i.e. for points near the face
+        wide = t * t > d * d
+        I = betainc(np.where(wide, s + 0.5, 0.5), np.where(wide, 0.5, s + 0.5),
+                    np.minimum(t * t, d * d) / (t * t + d * d))
+        return np.sign(t) * np.where(wide, 1.0 - I, I)
+
+    span = d ** (-2.0 * s) * (F(t_hi) - F(t_lo))
+    return beta(0.5, s + 0.5) / (4.0 * s) * span.sum(axis=1)
 
 
 def _clip_axis(tris, axis, value, keep_above):
@@ -253,23 +255,17 @@ def _clip_axis(tris, axis, value, keep_above):
     return kept, other
 
 
-def _graded_tail_pieces(tri, box, h, levels):
-    """Split one triangle into pieces graded toward the nearby box faces."""
-    (a1, a2), (b1, b2) = box.lower, box.upper
-    tol = 1e-12 * max(b1 - a1, b2 - a2)
+def _graded_tail_pieces(tri, box, h, touch):
+    """Split one triangle into pieces graded toward the box faces it
+    touches (``touch`` flags the faces x0 = lo0, x0 = hi0, x1 = lo1,
+    x1 = hi1)."""
     pieces = [tri]
-    faces = (
-        (0, a1, True), (0, b1, False), (1, a2, True), (1, b2, False),
-    )
-    for axis, value, above in faces:
-        dist = (tri[:, axis] - value) if above else (value - tri[:, axis])
-        if dist.min() > tol:
-            continue
-        graded = []
-        remaining = pieces
-        for k in range(1, levels + 1):
-            cut = value + (h * 0.5**k) * (1 if above else -1)
-            far, near = _clip_axis(remaining, axis, cut, above)
+    for axis, side in (divmod(f, 2) for f in np.flatnonzero(touch)):
+        value = (box.lower, box.upper)[side][axis]
+        graded, remaining = [], pieces
+        for k in range(1, GRADED_LEVELS + 1):
+            cut = value + (h * 0.5**k) * (1 - 2 * side)
+            far, near = _clip_axis(remaining, axis, cut, side == 0)
             graded.extend(far)
             remaining = near
             if not remaining:
@@ -279,32 +275,39 @@ def _graded_tail_pieces(tri, box, h, levels):
     return pieces
 
 
-def kernel_tail_2d(mesh, s, g, graded_levels: int = 14):
-    """Per-element tail blocks ``int_T g phi_a phi_b omega`` (no C_ns) as
-    ``(rows, cols, vals)``.
+def kernel_tail_2d(mesh, s, g):
+    """Tail quadrature of ``int_T g phi_a phi_b omega`` (no C_ns) as a list
+    of ``(elements, weights, shapes)`` groups for the local-mass routine
+    of :mod:`fractomo.assembly`.
 
     The tail weight blows up like ``dist^{-2s}`` at the box boundary, so
     boundary-touching triangles are sliced into strips whose distance to
     the face halves at each level (anisotropic grading, linear piece
     count); the leftover sliver error decays like ``2^{-levels(2-2s)}``.
+    The elements of one triangle type that touch the same box faces are
+    translates of each other along those faces, so one representative's
+    pieces serve the whole group: translation keeps the barycentric
+    coordinates of the points, and only ``omega`` is evaluated per element.
     """
-    rows, cols, vals = [], [], []
-    bary, wts = _triangle_rule_deg4()
-    bary = bary.T
     coords = mesh.nodes[mesh.elements]
-
-    for e in range(mesh.elements.shape[0]):
-        tri = coords[e]
-        verts = mesh.elements[e]
-        tris = np.asarray(_graded_tail_pieces(tri, mesh.box, mesh.h, graded_levels))
-        pts, w = _leaf_points(tris, bary, wts)
-        flat = pts.reshape(-1, 2)
-        lam = _barycentric(flat, tri).reshape(pts.shape[0], pts.shape[1], 3)
-        om = tail_weight_2d(flat, mesh.box, s).reshape(pts.shape[0], pts.shape[1])
-        ge = lam @ g[verts]
-        for p in range(3):
-            for qq in range(3):
-                rows.append(verts[p])
-                cols.append(verts[qq])
-                vals.append(float((w * ge * lam[:, :, p] * lam[:, :, qq] * om).sum()))
-    return np.array(rows), np.array(cols), np.array(vals)
+    lo, hi = np.asarray(mesh.box.lower), np.asarray(mesh.box.upper)
+    gap = np.stack([coords.min(axis=1) - lo, hi - coords.max(axis=1)], axis=-1)
+    touch = gap.reshape(-1, 4) <= 1e-12 * (hi - lo).max()
+    # element index = type * ncells + cell (see build_mesh)
+    ncells = (mesh.shape[0] - 1) * (mesh.shape[1] - 1)
+    key = np.arange(len(coords)) // ncells * 16 + touch @ (1, 2, 4, 8)
+    bary, wts = _triangle_rule_deg4()
+    groups = []
+    for k in np.unique(key):
+        elems = np.flatnonzero(key == k)
+        tri = coords[elems[0]]
+        pieces = np.asarray(_graded_tail_pieces(tri, mesh.box, mesh.h,
+                                                touch[elems[0]]))
+        pts, w = _leaf_points(pieces, bary.T, wts)
+        pts, w = pts.reshape(-1, 2), w.ravel()
+        lam = _barycentric(pts, tri)
+        shifted = pts + (coords[elems, 0] - tri[0])[:, None]
+        om = tail_weight_2d(shifted.reshape(-1, 2), mesh.box, s).reshape(elems.size, -1)
+        verts = mesh.elements[elems]
+        groups.append((verts, w * om * (g[verts] @ lam.T), lam))
+    return groups

@@ -18,8 +18,11 @@ scattered over all pairs of the class.  The blocks come from
 * refined triangle-pair rules for 2D pairs (see ``_assembly2d``).
 
 The contribution of the box complement (where nodal functions vanish
-and the diffusion equals its constant exterior value) is integrated
-analytically in 1D and by sector-exact polar quadrature in 2D.
+and the diffusion equals its constant exterior value) is the weighted
+local mass ``int g phi_a phi_b omega`` with the complement weight
+``omega(x) = int_{box^c} |x - y|^{-n-2s} dy``, known in closed form in
+1D and 2D.  One routine (:func:`_add_local_mass`) assembles it, the mass
+matrix and the potential form from per-element quadrature weights.
 
 The adopted energy convention is ``u^T A u = ||(-Delta)^{s/2} u||_L2^2``,
 i.e. the assembled Gagliardo form carries the factor ``C_ns / 2`` in
@@ -206,58 +209,61 @@ class SymForm:
 
 
 # ---------------------------------------------------------------------------
-# local (mass / potential) forms
+# local (mass / potential / exterior-tail) forms
 # ---------------------------------------------------------------------------
+
+def _add_local_mass(A, elements, w, lam):
+    """Add ``int rho phi_a phi_b`` over every element into ``A`` in place.
+
+    ``w`` (E, P) holds each element's quadrature weights with the density
+    ``rho`` folded in; ``lam`` (P, nv) or (E, P, nv) holds the P1 shape
+    values at the points.  Only the local entries ``a <= b`` are
+    contracted; each off-diagonal one is added at ``(r, c)`` and at
+    ``(c, r)``, which keeps ``A`` exactly symmetric.  Returns the row sums
+    of what was added.
+    """
+    a, b = np.triu_indices(elements.shape[1])
+    local = (w[..., None] * (lam[..., a] * lam[..., b])).sum(axis=-2)
+    off = a != b
+    rows = np.concatenate([elements[:, a], elements[:, b[off]]], axis=1).ravel()
+    cols = np.concatenate([elements[:, b], elements[:, a[off]]], axis=1).ravel()
+    vals = np.concatenate([local, local[:, off]], axis=1).ravel()
+    np.add.at(A, (rows, cols), vals)
+    return np.bincount(rows, vals, A.shape[0])
+
+
+def _shapes_1d(t):
+    """P1 shape values (..., 2) at local coordinates ``t`` in (0, 1)."""
+    return np.stack([1.0 - t, t], axis=-1)
+
 
 def mass_matrix(mesh: Mesh) -> SymForm:
     """Exact P1 mass matrix (symmetric positive definite)."""
-    N = mesh.num_nodes
-    M = np.zeros((N, N))
-    e = mesh.elements
-    if mesh.n == 1:
-        h = mesh.h
-        np.add.at(M, (e[:, 0], e[:, 0]), h / 3.0)
-        np.add.at(M, (e[:, 1], e[:, 1]), h / 3.0)
-        np.add.at(M, (e[:, 0], e[:, 1]), h / 6.0)
-        np.add.at(M, (e[:, 1], e[:, 0]), h / 6.0)
-    else:
-        area = mesh.h**2 / 2.0
-        local = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
-        for a in range(3):
-            for b in range(3):
-                np.add.at(M, (e[:, a], e[:, b]), local[a, b])
-    return SymForm(N, M)
+    return potential_form(mesh, np.ones(mesh.num_nodes))
 
 
 def potential_form(mesh: Mesh, q: np.ndarray) -> SymForm:
-    """Weighted mass form ``(u, v) -> int q_h u v`` with P1-interpolated q."""
+    """Weighted mass form ``(u, v) -> int q_h u v`` with P1-interpolated q.
+
+    The rules (two-point Gauss in 1D, the degree-4 triangle rule in 2D)
+    are exact for the cubic integrand ``q_h phi_a phi_b``.
+    """
     q = np.asarray(q, dtype=float)
     if q.shape[0] != mesh.num_nodes:
         raise ValueError("potential vector has wrong length for this mesh")
     if not np.isfinite(q).all():
         raise ValueError("potential must be finite at all nodes")
-    N = mesh.num_nodes
-    A = np.zeros((N, N))
-    e = mesh.elements
     if mesh.n == 1:
-        # two-point Gauss is exact for the cubic integrand q_h phi_a phi_b
         xg, wg = roots_legendre(2)
-        t = 0.5 * (xg + 1.0)
+        lam = _shapes_1d(0.5 * (xg + 1.0))
         w = 0.5 * wg * mesh.h
-        shapes = np.stack([1.0 - t, t])
-        qe = q[e[:, 0]][:, None] * shapes[0] + q[e[:, 1]][:, None] * shapes[1]
-        for a in range(2):
-            for b in range(2):
-                vals = (qe * shapes[a] * shapes[b]) @ w
-                np.add.at(A, (e[:, a], e[:, b]), vals)
     else:
         bary, w = _triangle_rule_deg4()
+        lam = bary.T
         w = w * (mesh.h**2 / 2.0)
-        qe = np.einsum("ea,aq->eq", q[e], bary)
-        for a in range(3):
-            for b in range(3):
-                vals = (qe * bary[a] * bary[b]) @ w
-                np.add.at(A, (e[:, a], e[:, b]), vals)
+    N = mesh.num_nodes
+    A = np.zeros((N, N))
+    _add_local_mass(A, mesh.elements, w * (q[mesh.elements] @ lam.T), lam)
     return SymForm(N, A)
 
 
@@ -294,7 +300,7 @@ def gagliardo_form(mesh: Mesh, params: KernelParams, *, order_singular: int = 6,
 
     ``u^T A v = <(-Delta)^{s/2} u, (-Delta)^{s/2} v>_{L2}`` for the zero
     extensions of the nodal interpolants; the integral over the box
-    complement is included (analytically in 1D).  Restricted to any
+    complement is included (its weight in closed form).  Restricted to any
     nonempty compactly supported subspace the matrix is positive
     definite.
 
@@ -341,17 +347,17 @@ def _kernel_form(mesh, params, sqrt_gamma, sqrt_gamma_ext, order_singular,
     def build(q_sing, q_reg, extra_depth=0):
         if mesh.n == 1:
             A = _kernel_inbox_1d(mesh, params.s, sqrt_gamma, q_sing, q_reg)
-            rows, cols, vals = _kernel_tail_1d(mesh, params.s, sqrt_gamma, q_sing)
+            tail = _kernel_tail_1d(mesh, params.s, sqrt_gamma, q_sing)
         else:
             from ._assembly2d import MAX_DEPTH, kernel_inbox_2d, kernel_tail_2d
 
             A = kernel_inbox_2d(mesh, params.s, sqrt_gamma,
                                 depth=MAX_DEPTH + extra_depth)
-            rows, cols, vals = kernel_tail_2d(mesh, params.s, sqrt_gamma)
+            tail = kernel_tail_2d(mesh, params.s, sqrt_gamma)
         A *= 0.5 * params.C_ns
-        vals = vals * (params.C_ns * sqrt_gamma_ext)
-        np.add.at(A, (rows, cols), vals)
-        return A, np.bincount(rows, vals, mesh.num_nodes)
+        scale = params.C_ns * sqrt_gamma_ext
+        return A, sum(_add_local_mass(A, elements, scale * w, lam)
+                      for elements, w, lam in tail)
 
     A, tail_row = build(order_singular, order_regular)
     if check:
@@ -452,9 +458,6 @@ def _touching_blocks_1d(s, q_sing):
     """
     blocks = np.zeros((2, 3, 2, 2, 2, 2))
 
-    def shapes(t):  # P1 shape values at local coordinates t in (0, 1)
-        return np.stack([1.0 - t, t])
-
     # identical: the hat slopes are (-1, 1), so the integrand is
     # lam_c(x) lam_d(y) |x - y|^{1-2s}; Q is the half x = y + t, t > 0,
     # with the inner integral over y in (0, 1 - t) exact by 2-pt Gauss,
@@ -463,8 +466,8 @@ def _touching_blocks_1d(s, q_sing):
     yg, ywg = roots_legendre(2)
     L = 1.0 - tk
     Y = L[:, None] * 0.5 * (yg + 1.0)
-    Q = np.einsum("k,j,ckj,dkj->cd", twk * L, 0.5 * ywg, shapes(Y),
-                  shapes(Y + tk[:, None]))
+    Q = np.einsum("k,j,kjc,kjd->cd", twk * L, 0.5 * ywg, _shapes_1d(Y),
+                  _shapes_1d(Y + tk[:, None]))
     slope = np.array([-1.0, 1.0])
     blocks[0, 0] = np.einsum("a,b,cd->abcd", slope, slope, Q + Q.T)
 
@@ -481,8 +484,8 @@ def _touching_blocks_1d(s, q_sing):
     X2 = ab[:, :1] + ab[:, 1:] * sg  # branch v = sg u
     us = sg[None, :] * vk[:, None]  # (k, j)
     # the left element's vertices are (l, p): shapes at 1 - u
-    F1 = np.einsum("k,ckj,dk->cdj", vwk, shapes(1.0 - us), shapes(vk))
-    F2 = np.einsum("k,ck,dkj->cdj", vwk, shapes(1.0 - vk), shapes(us))
+    F1 = np.einsum("k,kjc,kd->cdj", vwk, _shapes_1d(1.0 - us), _shapes_1d(vk))
+    F2 = np.einsum("k,kc,kjd->cdj", vwk, _shapes_1d(1.0 - vk), _shapes_1d(us))
     U = (np.einsum("cdj,j,pj,qj->pqcd", F1, ker, X1, X1)
          + np.einsum("cdj,j,pj,qj->pqcd", F2, ker, X2, X2))
     blocks[1, 0] = U[:2, :2]
@@ -499,7 +502,7 @@ def _separated_blocks_1d(s, M, q_reg):
     d = np.arange(2, M)[:, None, None]
     W = wq[:, None] * wq[None, :] * np.abs(xi[:, None] - xi[None, :] - d) ** (
         -1.0 - 2.0 * s)
-    lam = np.broadcast_to(np.stack([1.0 - xi, xi], axis=1), (W.shape[0], q_reg, 2))
+    lam = np.broadcast_to(_shapes_1d(xi), (W.shape[0], q_reg, 2))
     return _point_pair_blocks(W, lam, lam, "labcd")
 
 
@@ -518,57 +521,29 @@ def _kernel_inbox_1d(mesh, s, g, q_sing, q_reg):
 
 
 def _kernel_tail_1d(mesh, s, g, q_sing):
-    """Per-element tail blocks ``int_E g phi_a phi_b omega`` with
-    ``omega(x) = ((x - a)^{-2s} + (b - x)^{-2s}) / (2s)`` (no C_ns), as
-    ``(rows, cols, vals)``: the tail couples only hats of a common element.
+    """Tail quadrature of ``int_E g phi_a phi_b omega`` with ``omega(x) =
+    ((x - a)^{-2s} + (b - x)^{-2s}) / (2s)`` (no C_ns), as one
+    ``(elements, weights, shapes)`` group for :func:`_add_local_mass`.
+
+    Every element carries one rule per one-sided weight: Gauss--Jacobi
+    absorbs the singular weight on its end element, and Gauss of order
+    ``max(q_sing, 8)`` integrates the smooth weights elsewhere.
     """
-    x = mesh.coords
     h = mesh.h
     a_box, b_box = mesh.box.lower[0], mesh.box.upper[0]
-    M = mesh.elements.shape[0]
-    e0 = mesh.elements[:, 0]
-    xl = x[e0]
-    gl = g[mesh.elements[:, 0]]
-    gr = g[mesh.elements[:, 1]]
-    rows, cols, vals = [], [], []
-
-    def accumulate(tloc, w, elem_ids):
-        # tloc, w: (E, q) local coordinates in (0, h) and weights
-        sh1 = 1.0 - tloc / h
-        sh2 = tloc / h
-        ge = gl[elem_ids][:, None] * sh1 + gr[elem_ids][:, None] * sh2
-        shapes = (sh1, sh2)
-        first = e0[elem_ids]
-        for a, b in ((0, 0), (0, 1), (1, 1)):
-            v = np.einsum("eq,eq->e", ge * shapes[a] * shapes[b], w) / (2.0 * s)
-            # the (1, 0) block reuses the (0, 1) values, which keeps the
-            # form exactly symmetric
-            for r, c in ((a, b),) if a == b else ((a, b), (b, a)):
-                rows.append(first + r)
-                cols.append(first + c)
-                vals.append(v)
-
-    q_reg = max(q_sing, 8)
-    xg, xwg = roots_legendre(q_reg)
-    xi = 0.5 * h * (xg + 1.0)
-    wreg = 0.5 * h * xwg
-
-    # left tail weight (x - a)^{-2s}, singular on the first element
-    t_j, w_j = _jacobi_rule(q_reg, -2.0 * s, h)
-    accumulate(t_j[None, :], w_j[None, :], np.array([0]))
-    if M > 1:
-        rest = np.arange(1, M)
-        dist = (xl[rest][:, None] - a_box) + xi[None, :]
-        accumulate(np.tile(xi, (M - 1, 1)), wreg[None, :] * dist ** (-2.0 * s), rest)
-
-    # right tail weight (b - x)^{-2s}, singular on the last element
-    xj, wj = roots_jacobi(q_reg, -2.0 * s, 0.0)
-    t_last = 0.5 * h * (xj + 1.0)
-    w_last = wj * (0.5 * h) ** (1.0 - 2.0 * s)
-    accumulate(t_last[None, :], w_last[None, :], np.array([M - 1]))
-    if M > 1:
-        rest = np.arange(0, M - 1)
-        dist = (b_box - xl[rest][:, None]) - xi[None, :]
-        accumulate(np.tile(xi, (M - 1, 1)), wreg[None, :] * dist ** (-2.0 * s), rest)
-
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    xl = mesh.coords[mesh.elements[:, 0]][:, None]
+    q = max(q_sing, 8)
+    xg, xwg = roots_legendre(q)
+    t = np.tile(0.5 * h * (xg + 1.0), (xl.shape[0], 2))  # (E, 2q) in (0, h)
+    w = np.tile(0.5 * h * xwg, (xl.shape[0], 2))
+    w[:, :q] *= ((xl - a_box) + t[:, :q]) ** (-2.0 * s)
+    w[:, q:] *= ((b_box - xl) - t[:, q:]) ** (-2.0 * s)
+    # left weight (x - a)^{-2s}, singular on the first element
+    t[0, :q], w[0, :q] = _jacobi_rule(q, -2.0 * s, h)
+    # right weight (b - x)^{-2s}, singular on the last element
+    xj, wj = roots_jacobi(q, -2.0 * s, 0.0)
+    t[-1, q:] = 0.5 * h * (xj + 1.0)
+    w[-1, q:] = wj * (0.5 * h) ** (1.0 - 2.0 * s)
+    lam = _shapes_1d(t / h)
+    g_h = (lam * g[mesh.elements][:, None, :]).sum(axis=-1)
+    return [(mesh.elements, w * g_h / (2.0 * s), lam)]

@@ -26,13 +26,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .assembly import conductivity_form, gagliardo_form, mass_matrix, potential_form
+from .assembly import (
+    KernelParams,
+    conductivity_form,
+    gagliardo_form,
+    mass_matrix,
+    potential_form,
+)
 from .config import ExperimentConfig, parse_config
 from .counterexample import build_pair, verify_nonuniqueness
 from .dnmap import DNOperator
 from .errors import ConfigError, FractomoError, VerificationError
 from .io import (
     export_dn_csv,
+    export_oracle_csv,
     export_pair_csv,
     export_reconstruction_csv,
     export_solution_csv,
@@ -63,12 +70,15 @@ def _exterior_datum(cfg, mesh, spec, where):
 
 
 def _forms(cfg: ExperimentConfig, mesh, params, coeffs):
-    cond = conductivity_form(
-        mesh, params, coeffs,
-        order_singular=cfg.order_singular, order_regular=cfg.order_regular,
-        check=cfg.quadrature_check,
-    )
+    cond = conductivity_form(mesh, params, coeffs, check=cfg.quadrature_check)
     return cond + potential_form(mesh, coeffs.q)
+
+
+def _measurement_region(cfg: ExperimentConfig, label: str, key: str) -> str:
+    """``label`` if ``[regions]`` defines it; a config error otherwise."""
+    if label not in cfg.regions:
+        raise ConfigError(f"{key}: no region {label!r} in [regions]")
+    return label
 
 
 def _refinements(cfg: ExperimentConfig):
@@ -121,19 +131,18 @@ def run_dn(cfg, outdir, verbose):
 
 
 def run_reconstruct(cfg, outdir, verbose):
+    wlabel = _measurement_region(cfg, cfg.reconstruct_W, "[reconstruct] W")
     mesh = cfg.build_mesh()
     params = cfg.params()
     coeffs = cfg.coefficients(mesh)
     if cfg.x0 is None:
         raise ConfigError("[reconstruct] x0: key is required")
-    gform = gagliardo_form(mesh, params, order_singular=cfg.order_singular,
-                           order_regular=cfg.order_regular)
-    bumps = bump_sequence(mesh, params, cfg.reconstruct_W, cfg.x0, cfg.scales,
-                          gform=gform)
+    gform = gagliardo_form(mesh, params)
+    bumps = bump_sequence(mesh, params, wlabel, cfg.x0, cfg.scales, gform=gform)
     op = DNOperator(mesh, params, coeffs,
                     form=_forms(cfg, mesh, params, coeffs))
     result = exterior_reconstruct(
-        mesh, params, coeffs, cfg.reconstruct_W, cfg.x0,
+        mesh, params, coeffs, wlabel, cfg.x0,
         operator=op, bumps=bumps, gform=gform,
     )
     decay = potential_decay_check(mesh, coeffs.q, bumps, cfg.p_exponent, params,
@@ -176,9 +185,7 @@ def run_liouville_check(cfg, outdir, verbose):
 
 def run_transfer_check(cfg, outdir, verbose):
     params = cfg.params()
-    wlabel = cfg.reconstruct_W if cfg.reconstruct_W in cfg.regions else "W1"
-    if wlabel not in cfg.regions:
-        raise ConfigError("[regions]: a measurement region W1 is required")
+    wlabel = _measurement_region(cfg, cfg.reconstruct_W, "[reconstruct] W")
     wlo, whi = cfg.regions[wlabel]
     center = 0.5 * (wlo[0] + whi[0])
     halfw = 0.5 * (whi[0] - wlo[0])
@@ -200,16 +207,15 @@ def run_transfer_check(cfg, outdir, verbose):
 
 
 def run_counterexample(cfg, outdir, verbose):
+    wlabel = _measurement_region(cfg, cfg.ce_W, "[counterexample] W")
     mesh = cfg.build_mesh()
     params = cfg.params()
     if cfg.ce_omega_prime is None or cfg.ce_omega is None:
         raise ConfigError("[counterexample]: omega_prime and omega are required")
     om_p = Region("Omega_prime", *cfg.ce_omega_prime)
     om = Region("omega_seed", *cfg.ce_omega)
-    wlabel = cfg.ce_W if cfg.ce_W in mesh.regions else "W1"
     W = mesh.region_objects[wlabel]
-    gform = gagliardo_form(mesh, params, order_singular=cfg.order_singular,
-                           order_regular=cfg.order_regular)
+    gform = gagliardo_form(mesh, params)
     pair = build_pair(mesh, params, om_p, om, cfg.ce_eps, W,
                       scale=cfg.ce_scale, gform=gform)
     report = verify_nonuniqueness(pair, mesh, params, W, gform=gform,
@@ -222,29 +228,19 @@ def run_counterexample(cfg, outdir, verbose):
 
 
 def run_oracle_compare(cfg, outdir, verbose):
-    from .io import _fmt
-    import csv
-
     mesh = cfg.build_mesh()
     u = cfg.nodal(mesh, cfg.oracle_u_spec, "[oracle] u")
     M = mass_matrix(mesh)
     rows = []
-    from .assembly import KernelParams
-
     for s in cfg.oracle_s_list:
         params = KernelParams(cfg.n, s, cfg.c_ns)
-        A = gagliardo_form(mesh, params, order_singular=cfg.order_singular,
-                           order_regular=cfg.order_regular)
+        A = gagliardo_form(mesh, params)
         nodal = np.linalg.solve(M.entries, A.entries @ u)
         spec = spectral_frac_laplacian(mesh, params, u, pad_factor=cfg.pad_factor)
         diff = nodal - spec
         rel = np.sqrt(diff @ M.entries @ diff) / np.sqrt(spec @ M.entries @ spec)
         rows.append({"s": s, "rel_l2_mismatch": float(rel)})
-    with (outdir / "oracle_compare.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["s", "rel_l2_mismatch"])
-        for r in rows:
-            w.writerow([_fmt(r["s"]), _fmt(r["rel_l2_mismatch"])])
+    export_oracle_csv(outdir / "oracle_compare.csv", rows)
     write_json_report(outdir / "oracle_compare.json", {"rows": rows},
                       "fractomo.oracle.v1")
     return " ".join(f"s={r['s']:g}:{r['rel_l2_mismatch']:.3%}" for r in rows)

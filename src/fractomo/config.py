@@ -28,8 +28,6 @@ Grammar (all keys optional unless marked; values shown with defaults):
     gamma_exterior = 1.0       ; diffusion value on the box complement
 
     [quadrature]
-    order_singular = 6
-    order_regular = 4
     check = false              ; run the panel self check
 
     [data]
@@ -103,8 +101,6 @@ class ExperimentConfig:
     gamma_spec: str = "constant:1"
     q_spec: str = "constant:0"
     gamma_exterior: float = 1.0
-    order_singular: int = 6
-    order_regular: int = 4
     quadrature_check: bool = False
     f_spec: str = None
     far_field: float = 0.0
@@ -262,8 +258,6 @@ def parse_config(path) -> ExperimentConfig:
     cfg.q_spec = get("coefficients", "q", str, cfg.q_spec)
     cfg.gamma_exterior = get("coefficients", "gamma_exterior", float,
                              cfg.gamma_exterior)
-    cfg.order_singular = get("quadrature", "order_singular", int, cfg.order_singular)
-    cfg.order_regular = get("quadrature", "order_regular", int, cfg.order_regular)
     cfg.quadrature_check = get("quadrature", "check",
                                lambda t: t.lower() in ("1", "true", "yes"),
                                cfg.quadrature_check)

@@ -65,16 +65,13 @@ class DNOperator:
     """
 
     def __init__(self, mesh: Mesh, params: KernelParams, coeffs: Coefficients, *,
-                 domain="Omega", form: SymForm | None = None,
-                 order_singular: int = 6, order_regular: int = 4):
+                 domain="Omega", form: SymForm | None = None):
         self.mesh = mesh
         self.params = params
         self.coeffs = coeffs
         if form is None:
-            form = conductivity_form(
-                mesh, params, coeffs,
-                order_singular=order_singular, order_regular=order_regular,
-            ) + potential_form(mesh, coeffs.q)
+            form = (conductivity_form(mesh, params, coeffs)
+                    + potential_form(mesh, coeffs.q))
         self.form = form
         self.system = FactorizedSystem(form, mesh, domain=domain)
 

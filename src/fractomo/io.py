@@ -58,6 +58,16 @@ def export_reconstruction_csv(path, samples, true_value=None,
             w.writerow([rec["N"], _fmt(rec["estimate"]), err, pot])
 
 
+def export_oracle_csv(path, rows) -> None:
+    """Oracle comparison CSV: order ``s`` and the relative L2 mismatch."""
+    path = Path(path)
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["s", "rel_l2_mismatch"])
+        for r in rows:
+            w.writerow([_fmt(r["s"]), _fmt(r["rel_l2_mismatch"])])
+
+
 def export_pair_csv(path, mesh, pair) -> None:
     """Counterexample pair CSV: node coordinate, gamma_1, q_1, deviation."""
     path = Path(path)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from fractomo.assembly import (
@@ -310,6 +311,63 @@ def test_conductivity_2d_variable_gamma_vs_bruteforce():
     B = conductivity_form(mesh, par, co).entries
     O = bruteforce_kernel_form_2d(mesh, par, np.sqrt(gam))
     d = np.abs(B - O)
+    scale = np.abs(O).max()
+    assert (d / scale).max() < 0.01
+    big = np.abs(O) >= 0.1 * scale
+    assert (d[big] / np.abs(O)[big]).max() < 0.01
+
+
+def _polar_tail_weight(x, box, s):
+    # omega(x) = int rho(theta)^{-2s} / (2s) dtheta, rho the distance from
+    # x to the box boundary along the ray, split at the corner directions
+    (a1, a2), (b1, b2) = box.lower, box.upper
+    corners = np.array([[a1, a2], [b1, a2], [b1, b2], [a1, b2]])
+    angles = np.arctan2(corners[:, 1] - x[1], corners[:, 0] - x[0])
+
+    def integrand(theta):
+        c, sn = np.cos(theta), np.sin(theta)
+        rho = min((b1 - x[0]) / c if c > 0 else (a1 - x[0]) / c if c < 0 else np.inf,
+                  (b2 - x[1]) / sn if sn > 0 else (a2 - x[1]) / sn if sn < 0 else np.inf)
+        return rho ** (-2.0 * s) / (2.0 * s)
+
+    return quad(integrand, -np.pi, np.pi, points=angles, epsabs=0.0,
+                epsrel=1e-13, limit=500)[0]
+
+
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.45])
+def test_tail_weight_2d_matches_polar_integral(s):
+    from fractomo._assembly2d import tail_weight_2d
+
+    # quad itself drifts to ~1e-10 when a point 1e-9 from one face is
+    # also within ~0.1 of another, so the face points keep >= 0.3 clear
+    box = Box((-1.0, -2.0), (3.0, 1.0))
+    points = np.array([
+        [1.0, -0.5],  # box centre
+        [-1.0 + 1e-9, 0.3], [3.0 - 1e-9, -1.5], [0.2, 1.0 - 1e-9],
+        [0.5, -2.0 + 1e-9],  # 1e-9 from each face
+        [-1.0 + 1e-9, -2.0 + 1e-9], [-1.0 + 1e-3, 1.0 - 2e-3],
+        [3.0 - 1e-5, 1.0 - 1e-6],  # near corners
+    ])
+    omega = tail_weight_2d(points, box, s)
+    ref = np.array([_polar_tail_weight(x, box, s) for x in points])
+    assert (np.abs(omega - ref) / ref).max() <= 1e-10
+
+
+def test_tail_2d_vs_bruteforce_oracle():
+    # 4 x 4 cells, so every boundary group of translated elements has
+    # members other than the one whose graded pieces it reuses
+    from _oracles import bruteforce_tail_2d
+    from fractomo._assembly2d import kernel_tail_2d
+    from fractomo.assembly import _add_local_mass
+
+    mesh = build_mesh(Box((-1.0, -1.0), (1.0, 1.0)), 0.5, [])
+    X, Y = mesh.nodes.T
+    g = np.sqrt(1.0 + 0.5 * np.exp(-(X - 0.3) ** 2 - (Y + 0.2) ** 2))
+    T = np.zeros((mesh.num_nodes, mesh.num_nodes))
+    for elements, w, lam in kernel_tail_2d(mesh, 0.3, g):
+        _add_local_mass(T, elements, w, lam)
+    O = bruteforce_tail_2d(mesh, 0.3, g)
+    d = np.abs(T - O)
     scale = np.abs(O).max()
     assert (d / scale).max() < 0.01
     big = np.abs(O) >= 0.1 * scale

@@ -11,7 +11,6 @@ identities hold for any order, spacing and diffusion:
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from fractomo._assembly2d import kernel_inbox_2d
 from fractomo.assembly import Coefficients, KernelParams, conductivity_form
 from fractomo.mesh import Box, Region, build_mesh
 
@@ -40,16 +39,16 @@ def test_conductivity_form_identities_1d(s, cells, level, amp, freq, phase):
 @settings(max_examples=10, deadline=None, database=None)
 @given(level=st.floats(0.2, 5.0), amp=amplitudes, kx=frequencies,
        ky=frequencies, phase=phases)
-def test_inbox_engine_identities_2d(level, amp, kx, ky, phase):
-    # the in-box part alone: its rows sum to zero, and it is definite on
-    # the nodes off the box boundary (s = 0.3 shares the class cache with
-    # the other 2D tests)
+def test_conductivity_form_identities_2d(level, amp, kx, ky, phase):
+    # s = 0.3 shares the class cache with the other 2D tests; the
+    # interior block is the one of the nodes off the box boundary
     mesh = build_mesh(Box((-1.0, -1.0), (1.0, 1.0)), 0.5, [])
     X, Y = mesh.nodes.T
     gamma = level * (1.0 + amp * np.sin(kx * X + phase) * np.cos(ky * Y))
-    A = kernel_inbox_2d(mesh, 0.3, np.sqrt(gamma))
-    scale = np.abs(A).max()
-    assert np.abs(A - A.T).max() <= 1e-13 * scale
-    assert np.abs(A.sum(axis=1)).max() <= 1e-10 * scale
+    A = conductivity_form(mesh, KernelParams(2, 0.3), Coefficients.from_arrays(gamma))
+    scale = np.abs(A.entries).max()
+    assert A.symmetry_defect() <= 1e-13
+    ones = np.ones(mesh.num_nodes)
+    assert np.abs(A.entries @ ones - A.tail_row).max() <= 1e-10 * scale
     inner = np.flatnonzero((np.abs(X) < 1.0) & (np.abs(Y) < 1.0))
-    assert np.linalg.eigvalsh(A[np.ix_(inner, inner)]).min() > 0
+    assert np.linalg.eigvalsh(A.entries[np.ix_(inner, inner)]).min() > 0

@@ -169,6 +169,27 @@ def test_dn_needs_w1_before_assembly(tmp_path, monkeypatch, capsys):
     assert "W1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand, section", [
+    ("reconstruct", "reconstruct"),
+    ("transfer-check", "reconstruct"),
+    ("counterexample", "counterexample"),
+])
+def test_unknown_measurement_label_before_assembly(subcommand, section, config_path,
+                                                    monkeypatch, capsys):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("a form was assembled before the label check")
+
+    for name in ("conductivity_form", "gagliardo_form", "dn_transfer_residual"):
+        monkeypatch.setattr(cli, name, no_assembly)
+    path, out = config_path
+    text = path.read_text()
+    head, tail = text.split(f"[{section}]")
+    bad = path.parent / "typo.ini"
+    bad.write_text(head + f"[{section}]" + tail.replace("W = W1", "W = W9", 1))
+    assert main([subcommand, "--config", str(bad)]) == 3
+    assert "W9" in capsys.readouterr().err
+
+
 def test_exit_code_invariant_violation(config_path, capsys):
     path, out = config_path
     text = path.read_text().replace("q = constant:0", "q = constant:-100")
