@@ -2,15 +2,19 @@
 
 Every unordered pair of triangles is a translate of a reference pair
 keyed by the two triangle orientations and the cell offset.  The
-reference blocks of each class are integrated once per fractional order
-and cached across meshes (they scale like ``h^{2-2s}``); the engine in
+reference blocks of all classes of a mesh are integrated on the unit
+grid in one batch (they scale like ``h^{2-2s}``); the engine in
 :mod:`fractomo.assembly` contracts them with the diffusion vertex values.
-A reference pair that touches or nearly touches is integrated by
-recursive subdivision toward the diagonal: thanks to the difference
-structure of the integrand the singularity is only ``|x - y|^{-2s}``, so
-the leftover error of a depth-limited refinement decays geometrically.
-A well-separated pair is its own single leaf, integrated by the tensor
-product of degree-4 triangle rules.
+A well-separated pair gets the tensor product of degree-4 triangle
+rules.  A pair that touches or nearly touches is split into its 16 child
+pairs, down to a fixed depth; the midpoint split makes every child a
+reference triangle at half scale, so the child pairs are again classes,
+shared by all near pairs and integrated recursively one batch per level.
+Thanks to the difference structure of the integrand the singularity is
+only ``|x - y|^{-2s}``, so the leftover error of the depth-limited
+refinement decays geometrically.  The near classes all sit in a fixed
+window of cell offsets; its blocks do not depend on the mesh and are
+memoized per order and depth.
 
 The exterior-tail weight ``omega(x) = int_{box^c} |x-y|^{-2-2s} dy`` is
 evaluated in closed form (one incomplete beta function per box face),
@@ -21,6 +25,8 @@ boundary-touching tail entries additionally require ``s < 1/2``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy.special import beta, betainc
@@ -36,34 +42,24 @@ GRADED_LEVELS = 14
 #: separation multiple: pairs beyond this times the radius sum are leaves
 SEPARATION = 1.5
 
-#: cache of reference influence tensors, keyed by
-#: (s, type_a, type_b, di, dj, depth)
-_CLASS_CACHE: dict = {}
+#: every class closer than SEPARATION times the radius sum has |di|, |dj|
+#: <= this (its centroids are less than sqrt(5) apart)
+NEAR_WINDOW = 2
+
+#: vertices of the two triangle types on the unit cell (see build_mesh)
+_REF = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
+
+#: the four half-size children of each triangle type, as (type, half-cell
+#: x, half-cell y); the midpoint split makes each child a reference
+#: triangle at half scale
+_CHILDREN = (((0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 1, 0)),
+             ((1, 0, 0), (1, 1, 1), (1, 0, 1), (0, 0, 1)))
 
 
 def _tri_geometry(coords):
     cen = coords.mean(axis=-2)
     rad = np.sqrt(((coords - cen[..., None, :]) ** 2).sum(axis=-1)).max(axis=-1)
     return cen, rad
-
-
-def _subdivide(coords):
-    """Split triangles (..., 3, 2) into 4 children (..., 4, 3, 2)."""
-    a = coords[..., 0, :]
-    b = coords[..., 1, :]
-    c = coords[..., 2, :]
-    ab = 0.5 * (a + b)
-    bc = 0.5 * (b + c)
-    ca = 0.5 * (c + a)
-    return np.stack(
-        [
-            np.stack([a, ab, ca], axis=-2),
-            np.stack([ab, b, bc], axis=-2),
-            np.stack([ca, bc, c], axis=-2),
-            np.stack([ab, bc, ca], axis=-2),
-        ],
-        axis=-3,
-    )
 
 
 def _barycentric(points, tri):
@@ -75,26 +71,6 @@ def _barycentric(points, tri):
     lam12 = rel @ Tinv.T
     lam0 = 1.0 - lam12[..., 0] - lam12[..., 1]
     return np.stack([lam0, lam12[..., 0], lam12[..., 1]], axis=-1)
-
-
-def _collect_leaves(tri_a, tri_b, max_depth):
-    leaves_a, leaves_b = [], []
-    stack = [(tri_a, tri_b, 0)]
-    while stack:
-        A, B, depth = stack.pop()
-        cen_a, rad_a = _tri_geometry(A)
-        cen_b, rad_b = _tri_geometry(B)
-        dist = np.sqrt(((cen_a - cen_b) ** 2).sum())
-        if dist >= SEPARATION * (rad_a + rad_b) or depth >= max_depth:
-            leaves_a.append(A)
-            leaves_b.append(B)
-            continue
-        childs_a = _subdivide(A[None])[0]
-        childs_b = _subdivide(B[None])[0]
-        for i in range(4):
-            for j in range(4):
-                stack.append((childs_a[i], childs_b[j], depth + 1))
-    return np.array(leaves_a), np.array(leaves_b)
 
 
 def _leaf_points(leaves, bary, wts):
@@ -109,66 +85,110 @@ def _leaf_points(leaves, bary, wts):
     return pts, area[:, None] * wts[None, :]
 
 
-def _reference_tensors(s, tri_a, tri_b, max_depth):
-    """Class blocks ``xx, xy, yy`` (3, 3, 3, 3, 3) of one reference pair.
+def _class_blocks(s, keys, depth):
+    """Class blocks ``xx, xy, yy`` (K, 3, 3, 3, 3, 3) on the unit grid.
 
-    The pair is refined by :func:`_collect_leaves`; a separated pair is
-    its own single leaf, so it gets the tensor product of the degree-4
-    triangle rules.
+    Row ``k`` of ``keys`` (K, 4) is the class ``(type_a, type_b, di, dj)``:
+    triangle ``type_a`` on cell (0, 0) against ``type_b`` on cell
+    ``(di, dj)``.  Every class gets the tensor product of the degree-4
+    triangle rules.  A class closer than ``SEPARATION`` times the radius
+    sum (with ``depth > 0``) is replaced by its 16 child pairs: each is a
+    class on the half grid, so its blocks are ``2^{2s-2}`` times those of
+    a unit class at ``depth - 1``, mapped to the parent's barycentric
+    coordinates.  The child classes of all near keys go through one
+    recursive call.
     """
+    ref = np.array(_REF, dtype=float)
+    tri_a = ref[keys[:, 0]]
+    tri_b = ref[keys[:, 1]] + keys[:, None, 2:]
     bary, wts = _triangle_rule_deg4()
-    bary = bary.T
-    leaves_a, leaves_b = _collect_leaves(tri_a, tri_b, max_depth)
-    xp, wx = _leaf_points(leaves_a, bary, wts)
-    yp, wy = _leaf_points(leaves_b, bary, wts)
-    lam_x = _barycentric(xp, tri_a)
-    lam_y = _barycentric(yp, tri_b)
-    diff = xp[:, :, None, :] - yp[:, None, :, :]
-    r2 = (diff**2).sum(axis=-1)
+    xp, wx = _leaf_points(tri_a, bary.T, wts)
+    yp, wy = _leaf_points(tri_b, bary.T, wts)
+    r2 = ((xp[:, :, None] - yp[:, None]) ** 2).sum(axis=-1)
     with np.errstate(divide="ignore"):
         K = np.where(r2 > 0.0, r2 ** (-(1.0 + s)), 0.0)
-    W = (wx[:, :, None] * wy[:, None, :]) * K
-    return _point_pair_blocks(W, lam_x, lam_y, "abcd")
+    lam = np.broadcast_to(bary.T, xp.shape[:2] + (3,))
+    blocks = _point_pair_blocks(wx[:, :, None] * wy[:, None] * K, lam, lam, "labcd")
+    cen_a, rad_a = _tri_geometry(tri_a)
+    cen_b, rad_b = _tri_geometry(tri_b)
+    near = np.sqrt(((cen_a - cen_b) ** 2).sum(axis=-1)) < SEPARATION * (rad_a + rad_b)
+    if depth == 0 or not near.any():
+        return blocks
+
+    children = np.array(_CHILDREN)
+    # M[t, i, p, k]: barycentric p of type t at vertex k of its child i
+    M = np.array([[_barycentric(0.5 * (ref[c[0]] + c[1:]), ref[t]).T
+                   for c in children[t]] for t in (0, 1)])
+    ta, tb = keys[near, 0], keys[near, 1]
+    ca, cb = children[ta][:, :, None], children[tb][:, None, :]
+    # child pair (i, j) of a near class: (type of i, type of j, offset of
+    # j from i in half cells)
+    sub = np.empty((ta.size, 4, 4, 4), dtype=keys.dtype)
+    sub[..., 0], sub[..., 1] = ca[..., 0], cb[..., 0]
+    sub[..., 2:] = 2 * keys[near, None, None, 2:] + cb[..., 1:] - ca[..., 1:]
+    uniq, inv = np.unique(sub.reshape(-1, 4), axis=0, return_inverse=True)
+    C = _class_blocks(s, uniq, depth - 1)[inv.reshape(-1, 4, 4)]
+    Ma, Mb = M[ta], M[tb]
+    blocks[near] = 2.0 ** (2.0 * s - 2.0) * np.stack([
+        np.einsum("pijabcd,piAa,piBb,piCc,pjDd->pABCD", C[:, :, :, 0],
+                  Ma, Ma, Ma, Mb, optimize=True),
+        np.einsum("pijabcd,piAa,pjBb,piCc,pjDd->pABCD", C[:, :, :, 1],
+                  Ma, Mb, Ma, Mb, optimize=True),
+        np.einsum("pijabcd,pjAa,pjBb,piCc,pjDd->pABCD", C[:, :, :, 2],
+                  Mb, Mb, Ma, Mb, optimize=True),
+    ], axis=1)
+    return blocks
 
 
-def _class_tensors(s, type_a, type_b, di, dj, max_depth):
-    key = (round(float(s), 12), type_a, type_b, di, dj, max_depth)
-    if key not in _CLASS_CACHE:
-        ref = {
-            0: np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]),
-            1: np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
-        }
-        tri_a = ref[type_a]
-        tri_b = ref[type_b] + np.array([float(di), float(dj)])
-        _CLASS_CACHE[key] = _reference_tensors(s, tri_a, tri_b, max_depth)
-    return _CLASS_CACHE[key]
+@functools.lru_cache(maxsize=8)
+def _near_window_blocks(s, depth):
+    """Read-only blocks of every class with ``|di|, |dj| <= NEAR_WINDOW``,
+    indexed by ``(type_a, type_b, di + NEAR_WINDOW, dj + NEAR_WINDOW)``.
+
+    The window holds every near class; its blocks do not depend on the
+    mesh, so the recursion of :func:`_class_blocks` runs once per
+    ``(s, depth)``.
+    """
+    w = range(-NEAR_WINDOW, NEAR_WINDOW + 1)
+    keys = np.array([(ta, tb, di, dj) for ta in (0, 1) for tb in (0, 1)
+                     for di in w for dj in w])
+    blocks = _class_blocks(s, keys, depth)
+    blocks = blocks.reshape((2, 2, len(w), len(w)) + blocks.shape[1:])
+    blocks.flags.writeable = False
+    return blocks
 
 
 def kernel_inbox_2d(mesh, s, g, depth: int = MAX_DEPTH):
     """Raw double integral over box x box (no normalization factor).
 
     Every unordered element pair belongs to the class ``(type_a, type_b,
-    di, dj)`` of its triangle types and cell offset; each class is
-    contracted with ``g`` through its cached reference blocks (``depth``
-    sets the refinement of touching reference pairs).
+    di, dj)`` of its triangle types and cell offset; the reference blocks
+    of all classes come from the degree-4 rule, those of the near window
+    from :func:`_near_window_blocks` (``depth`` sets the refinement of
+    near reference pairs), and the engine of :mod:`fractomo.assembly`
+    contracts them with ``g``.
     """
     cx, cy = mesh.shape[0] - 1, mesh.shape[1] - 1
     ncells = cx * cy
-
-    def classes():
-        # element index = type * ncells + ix * cy + iy (see build_mesh)
-        for ta, tb in ((0, 0), (0, 1), (1, 1)):
-            for di in range(1 - cx, cx):
-                for dj in range(1 - cy, cy):
-                    if ta == tb and (di, dj) < (0, 0):
-                        continue  # the reversed pair is in class (-di, -dj)
-                    ix = np.arange(max(0, -di), min(cx, cx - di))
-                    iy = np.arange(max(0, -dj), min(cy, cy - dj))
-                    cell = (ix[:, None] * cy + iy).ravel()
-                    yield (_class_tensors(s, ta, tb, di, dj, depth),
-                           ta * ncells + cell, tb * ncells + cell + di * cy + dj)
-
-    return _assemble_classes(mesh.num_nodes, mesh.elements, g, classes(),
+    keys, pairs = [], []
+    # element index = type * ncells + ix * cy + iy (see build_mesh)
+    for ta, tb in ((0, 0), (0, 1), (1, 1)):
+        for di in range(1 - cx, cx):
+            for dj in range(1 - cy, cy):
+                if ta == tb and (di, dj) < (0, 0):
+                    continue  # the reversed pair is in class (-di, -dj)
+                ix = np.arange(max(0, -di), min(cx, cx - di))
+                iy = np.arange(max(0, -dj), min(cy, cy - dj))
+                cell = (ix[:, None] * cy + iy).ravel()
+                keys.append((ta, tb, di, dj))
+                pairs.append((ta * ncells + cell, tb * ncells + cell + di * cy + dj))
+    keys = np.array(keys)
+    blocks = _class_blocks(s, keys, 0)
+    inside = (np.abs(keys[:, 2:]) <= NEAR_WINDOW).all(axis=1)
+    blocks[inside] = _near_window_blocks(s, depth)[
+        tuple((keys[inside] + (0, 0, NEAR_WINDOW, NEAR_WINDOW)).T)]
+    classes = ((b, sa, sb) for b, (sa, sb) in zip(blocks, pairs))
+    return _assemble_classes(mesh.num_nodes, mesh.elements, g, classes,
                              mesh.h ** (2.0 - 2.0 * s))
 
 

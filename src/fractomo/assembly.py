@@ -15,7 +15,8 @@ scattered over all pairs of the class.  The blocks come from
   node-sharing 1D pairs, which integrate the weakly singular factor
   exactly against the polynomial part,
 * tensor Gauss rules for separated 1D pairs,
-* refined triangle-pair rules for 2D pairs (see ``_assembly2d``).
+* degree-4 triangle-pair rules for 2D pairs, near pairs refined by a
+  batched recursion over their child classes (see ``_assembly2d``).
 
 The contribution of the box complement (where nodal functions vanish
 and the diffusion equals its constant exterior value) is the weighted

@@ -247,10 +247,8 @@ def run_oracle_compare(cfg, outdir, verbose):
 
 
 def run_convergence_study(cfg, outdir, verbose):
+    wlabel = _measurement_region(cfg, cfg.reconstruct_W, "[reconstruct] W")
     params = cfg.params()
-    wlabel = "W1" if "W1" in cfg.regions else cfg.reconstruct_W
-    if wlabel not in cfg.regions:
-        raise ConfigError("[regions]: a measurement region W1 is required")
     wlo, whi = cfg.regions[wlabel]
     center = 0.5 * (wlo[0] + whi[0])
     width = whi[0] - wlo[0]

@@ -57,6 +57,9 @@ UNIT_BALL_VOLUME = {1: 2.0, 2: np.pi}
 #: tolerance of the discrete maximum principle check
 MAX_PRINCIPLE_TOL = 1e-9
 
+#: random interior-supported test pairs behind ``q_form_residual``
+NUM_TEST_PAIRS = 20
+
 
 @dataclass
 class CounterexamplePair:
@@ -97,8 +100,7 @@ def _disjoint(a: tuple, b: tuple, tol: float = 1e-12) -> bool:
 def build_pair(mesh: Mesh, params: KernelParams, omega_prime: Region,
                omega_set: Region, eps: float, W: Region, *,
                scale: float = 1.0, eta_amplitude: float = 1.0,
-               gform: SymForm | None = None,
-               max_principle_tol: float = MAX_PRINCIPLE_TOL) -> CounterexamplePair:
+               gform: SymForm | None = None) -> CounterexamplePair:
     """Run the construction; see the module docstring.
 
     Parameters
@@ -158,7 +160,7 @@ def build_pair(mesh: Mesh, params: KernelParams, omega_prime: Region,
     interior = support_dofs(mesh, solve_region)
     sol = FactorizedSystem(gform, mesh, interior=interior).solve(eta)
     m_tilde = sol.u
-    if m_tilde.min() < -max_principle_tol:
+    if m_tilde.min() < -MAX_PRINCIPLE_TOL:
         raise NegativeSolution(
             f"s-harmonic extension dips to {m_tilde.min():.3e}, "
             "violating the maximum principle"
@@ -197,8 +199,7 @@ def build_pair(mesh: Mesh, params: KernelParams, omega_prime: Region,
 
 def verify_nonuniqueness(pair: CounterexamplePair, mesh: Mesh,
                          params: KernelParams, W: Region | str, *,
-                         gform: SymForm | None = None, seed: int = 0,
-                         num_test_pairs: int = 20) -> dict:
+                         gform: SymForm | None = None, seed: int = 0) -> dict:
     """Measure how well the pair reproduces the background DN data.
 
     Returns a report with
@@ -242,7 +243,7 @@ def verify_nonuniqueness(pair: CounterexamplePair, mesh: Mesh,
     rng = np.random.default_rng(seed)
     interior = mesh.interior_dofs
     q_form_residual = 0.0
-    for _ in range(num_test_pairs):
+    for _ in range(NUM_TEST_PAIRS):
         v = np.zeros(mesh.num_nodes)
         w = np.zeros(mesh.num_nodes)
         v[interior] = rng.standard_normal(interior.size)

@@ -17,17 +17,16 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def export_solution_csv(path, mesh, u: np.ndarray, value_name: str = "u") -> None:
-    """Solution CSV: one row per node, coordinates then the value.
+def export_solution_csv(path, mesh, u: np.ndarray) -> None:
+    """Solution CSV: one row per node, coordinates then the value ``u``.
 
-    Coordinates are in the length units of the box; the value column is
-    dimensionless unless stated otherwise by the caller.
+    Coordinates are in the length units of the box.
     """
     path = Path(path)
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         coords = [f"x{k}" for k in range(mesh.n)]
-        w.writerow(coords + [value_name])
+        w.writerow(coords + ["u"])
         for node, val in zip(mesh.nodes, u):
             w.writerow([_fmt(c) for c in node] + [_fmt(val)])
 

@@ -30,6 +30,9 @@ from .profiles import bump
 #: minimum number of nodes across a bump support
 MIN_SUPPORT_NODES = 4
 
+#: number of trailing samples in the power-fit extrapolation
+FIT_WINDOW = 5
+
 
 @dataclass
 class BumpSequence:
@@ -57,22 +60,21 @@ def _region_bounds(mesh: Mesh, W) -> tuple:
     return W.lower[0], W.upper[0]
 
 
-def default_scales(mesh: Mesh, W, x0: float, *,
-                   min_nodes: int = MIN_SUPPORT_NODES, start: int = 2) -> list:
-    """Geometric scale schedule ``start, 2*start, ...`` while resolvable.
+def default_scales(mesh: Mesh, W, x0: float) -> list:
+    """Geometric scale schedule ``2, 4, 8, ...`` while resolvable.
 
     Scales stop once the bump support either leaves the measurement set
-    or spans fewer than ``min_nodes`` mesh nodes.
+    or spans fewer than ``MIN_SUPPORT_NODES`` mesh nodes.
     """
     wl, wu = _region_bounds(mesh, W)
     x = mesh.coords
     scales = []
-    N = start
+    N = 2
     while True:
         radius = 1.0 / N
         inside = (x0 - radius > wl) and (x0 + radius < wu)
         nodes = int(np.count_nonzero(np.abs(x - x0) < radius))
-        if inside and nodes >= min_nodes:
+        if inside and nodes >= MIN_SUPPORT_NODES:
             scales.append(N)
         elif scales:
             break
@@ -85,8 +87,7 @@ def default_scales(mesh: Mesh, W, x0: float, *,
 
 
 def bump_sequence(mesh: Mesh, params: KernelParams, W, x0: float, Ns=None, *,
-                  gform: SymForm | None = None,
-                  min_nodes: int = MIN_SUPPORT_NODES) -> BumpSequence:
+                  gform: SymForm | None = None) -> BumpSequence:
     """Build the energy-normalized concentrating sequence at ``x0``.
 
     Parameters
@@ -108,7 +109,7 @@ def bump_sequence(mesh: Mesh, params: KernelParams, W, x0: float, Ns=None, *,
     if not wl < x0 < wu:
         raise OutsideMeasurementSet(f"x0={x0} is not inside W=({wl}, {wu})")
     if Ns is None:
-        Ns = default_scales(mesh, W, x0, min_nodes=min_nodes)
+        Ns = default_scales(mesh, W, x0)
     if gform is None:
         gform = gagliardo_form(mesh, params)
     mass = mass_matrix(mesh)
@@ -120,9 +121,9 @@ def bump_sequence(mesh: Mesh, params: KernelParams, W, x0: float, Ns=None, *,
             raise OutsideMeasurementSet(
                 f"support of scale N={N} bump leaves W=({wl}, {wu})"
             )
-        if np.count_nonzero(np.abs(x - x0) < radius) < min_nodes:
+        if np.count_nonzero(np.abs(x - x0) < radius) < MIN_SUPPORT_NODES:
             raise UnresolvableScale(
-                f"scale N={N} support spans fewer than {min_nodes} nodes"
+                f"scale N={N} support spans fewer than {MIN_SUPPORT_NODES} nodes"
             )
         phi = bump(N * (x - x0))
         raw = float(phi @ (gform.entries @ phi))
@@ -139,16 +140,16 @@ def bump_sequence(mesh: Mesh, params: KernelParams, W, x0: float, Ns=None, *,
     )
 
 
-def extrapolate_power_fit(scales, values, window: int = 5) -> dict:
+def extrapolate_power_fit(scales, values) -> dict:
     """Least-squares fit ``value_N = g + a N^{-b}`` over a grid of rates.
 
-    Only the last ``window`` samples enter the fit (the leading ones are
+    Only the last ``FIT_WINDOW`` samples enter the fit (the leading ones are
     outside the asymptotic regime).  Returns the fitted limit ``g``,
     amplitude ``a``, rate ``b`` and the fit residual.  With fewer than
     three samples the last value is returned as the limit.
     """
-    scales = np.asarray(scales, dtype=float)[-window:]
-    values = np.asarray(values, dtype=float)[-window:]
+    scales = np.asarray(scales, dtype=float)[-FIT_WINDOW:]
+    values = np.asarray(values, dtype=float)[-FIT_WINDOW:]
     if len(values) < 3:
         return {"limit": float(values[-1]), "amplitude": 0.0, "rate": 0.0,
                 "fit_residual": float("nan")}

@@ -29,6 +29,12 @@ from .assembly import KernelParams, SymForm, gagliardo_form, mass_matrix, potent
 from .errors import CoercivityLost, EigenFailure, EmptyRegion, SupportViolation
 from .mesh import Mesh, support_dofs
 
+#: largest eigenproblem solved densely by :func:`poincare_constant`
+POINCARE_DENSE_CUTOFF = 500
+
+#: largest eigenproblem solved densely by :func:`multiplier_norm_estimate`
+MULTIPLIER_DENSE_CUTOFF = 2500
+
 
 def _combine(forms) -> SymForm:
     if isinstance(forms, SymForm):
@@ -147,8 +153,8 @@ def solve_dirichlet(forms, mesh: Mesh, f_ext: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def poincare_constant(mesh: Mesh, params: KernelParams, omega="Omega", *,
-                      gform: SymForm | None = None, mass: SymForm | None = None,
-                      dense_cutoff: int = 500) -> dict:
+                      gform: SymForm | None = None,
+                      mass: SymForm | None = None) -> dict:
     """Optimal discrete fractional Poincare constant of the region.
 
     ``C_opt`` is the reciprocal of the smallest eigenvalue of the raw
@@ -170,7 +176,7 @@ def poincare_constant(mesh: Mesh, params: KernelParams, omega="Omega", *,
     G = (2.0 / params.C_ns) * gform.entries[np.ix_(dofs, dofs)]
     M = mass.entries[np.ix_(dofs, dofs)]
     lam_min = _generalized_extreme(G, M, which="smallest",
-                                   dense_cutoff=dense_cutoff, spd=True)
+                                   dense_cutoff=POINCARE_DENSE_CUTOFF, spd=True)
     if lam_min <= 0:
         raise EigenFailure(f"nonpositive seminorm eigenvalue {lam_min}")
     c_opt = 1.0 / lam_min
@@ -180,8 +186,7 @@ def poincare_constant(mesh: Mesh, params: KernelParams, omega="Omega", *,
 def multiplier_norm_estimate(mesh: Mesh, params: KernelParams, q: np.ndarray, *,
                              gform: SymForm | None = None,
                              mass: SymForm | None = None,
-                             form: SymForm | None = None,
-                             dense_cutoff: int = 2500) -> float:
+                             form: SymForm | None = None) -> float:
     """Discrete estimate of the Sobolev multiplier norm of ``q``.
 
     Largest absolute generalized eigenvalue of the pairing form of ``q``
@@ -201,9 +206,9 @@ def multiplier_norm_estimate(mesh: Mesh, params: KernelParams, q: np.ndarray, *,
         form = potential_form(mesh, q)
     H = gform.entries + mass.entries
     lo = _generalized_extreme(form.entries, H, which="smallest",
-                              dense_cutoff=dense_cutoff)
+                              dense_cutoff=MULTIPLIER_DENSE_CUTOFF)
     hi = _generalized_extreme(form.entries, H, which="largest",
-                              dense_cutoff=dense_cutoff)
+                              dense_cutoff=MULTIPLIER_DENSE_CUTOFF)
     return float(max(abs(lo), abs(hi)))
 
 

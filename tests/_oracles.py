@@ -11,13 +11,16 @@ the Duffy/Gauss panel assembly under test:
 * the exterior-tail factor is the analytic complement weight, with the
   cells hugging the box edge refined geometrically toward the edge so
   the weakly singular weight is resolved.
+
+The 2D class-block reference (:func:`leaf_class_blocks`) is the
+leaf-by-leaf form of the same subdivision quadrature as the class
+recursion in ``fractomo._assembly2d``: it collects every leaf pair of one
+reference pair with an explicit stack and contracts all leaves at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from fractomo._assembly2d import _subdivide
 
 
 def hat_values_1d(mesh, points):
@@ -173,6 +176,89 @@ def bruteforce_local_form_1d(mesh, weight, refine=10):
 # ---------------------------------------------------------------------------
 # 2D
 # ---------------------------------------------------------------------------
+
+def _subdivide(coords):
+    """Split triangles (..., 3, 2) into 4 children (..., 4, 3, 2)."""
+    a = coords[..., 0, :]
+    b = coords[..., 1, :]
+    c = coords[..., 2, :]
+    ab = 0.5 * (a + b)
+    bc = 0.5 * (b + c)
+    ca = 0.5 * (c + a)
+    return np.stack(
+        [
+            np.stack([a, ab, ca], axis=-2),
+            np.stack([ab, b, bc], axis=-2),
+            np.stack([ca, bc, c], axis=-2),
+            np.stack([ab, bc, ca], axis=-2),
+        ],
+        axis=-3,
+    )
+
+
+def _collect_leaves(tri_a, tri_b, max_depth, separation):
+    """Leaf pairs of the subdivision of one triangle pair: a pair is a
+    leaf when its centroids are ``separation`` times the radius sum apart
+    or when it sits ``max_depth`` levels down."""
+    def geometry(tri):
+        cen = tri.mean(axis=0)
+        return cen, np.sqrt(((tri - cen) ** 2).sum(axis=1)).max()
+
+    leaves_a, leaves_b = [], []
+    stack = [(tri_a, tri_b, 0)]
+    while stack:
+        A, B, depth = stack.pop()
+        cen_a, rad_a = geometry(A)
+        cen_b, rad_b = geometry(B)
+        dist = np.sqrt(((cen_a - cen_b) ** 2).sum())
+        if dist >= separation * (rad_a + rad_b) or depth >= max_depth:
+            leaves_a.append(A)
+            leaves_b.append(B)
+            continue
+        childs_a = _subdivide(A)
+        childs_b = _subdivide(B)
+        for i in range(4):
+            for j in range(4):
+                stack.append((childs_a[i], childs_b[j], depth + 1))
+    return np.array(leaves_a), np.array(leaves_b)
+
+
+def leaf_class_blocks(s, key, max_depth, separation):
+    """Blocks ``xx, xy, yy`` (3, 3, 3, 3, 3) of the reference pair ``key =
+    (type_a, type_b, di, dj)`` from its leaf pairs, each integrated by the
+    tensor product of the degree-4 triangle rules.
+
+    ``xx[a, b, c, d] = int int K phi_a(x) phi_b(x) phi_c(x) phi_d(y)``,
+    ``xy[a, b, c, d] = -int int K phi_a(x) phi_b(y) phi_c(x) phi_d(y)`` and
+    ``yy[a, b, c, d] = int int K phi_a(y) phi_b(y) phi_c(x) phi_d(y)`` with
+    ``K = |x - y|^{-2-2s}`` and ``phi`` the barycentric coordinates of the
+    two unit triangles.
+    """
+    ref = (np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]),
+           np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+    ta, tb, di, dj = key
+    tri_a, tri_b = ref[ta], ref[tb] + np.array([float(di), float(dj)])
+    bary, wts = _triangle_rule_deg4_local()
+
+    def points(leaves, tri):
+        pts = np.einsum("qa,lav->lqv", bary, leaves)
+        w = _tri_areas(leaves)[:, None] * wts[None, :]
+        rel = np.linalg.solve((tri[1:] - tri[0]).T, (pts - tri[0]).reshape(-1, 2).T).T
+        lam = np.column_stack([1.0 - rel.sum(axis=1), rel]).reshape(pts.shape[:2] + (3,))
+        return pts, w, lam
+
+    leaves_a, leaves_b = _collect_leaves(tri_a, tri_b, max_depth, separation)
+    xp, wx, lx = points(leaves_a, tri_a)
+    yp, wy, ly = points(leaves_b, tri_b)
+    r2 = ((xp[:, :, None, :] - yp[:, None, :, :]) ** 2).sum(axis=-1)
+    with np.errstate(divide="ignore"):
+        K = np.where(r2 > 0.0, r2 ** (-(1.0 + s)), 0.0)
+    W = wx[:, :, None] * wy[:, None, :] * K
+    xx = np.einsum("lij,lia,lib,lic,ljd->abcd", W, lx, lx, lx, ly, optimize=True)
+    xy = -np.einsum("lij,lia,ljb,lic,ljd->abcd", W, lx, ly, lx, ly, optimize=True)
+    yy = np.einsum("lij,lja,ljb,lic,ljd->abcd", W, ly, ly, lx, ly, optimize=True)
+    return np.stack([xx, xy, yy])
+
 
 def hat_values_2d(mesh, points):
     """Dense matrix of all P1 hats at arbitrary points (npts, N)."""
@@ -432,8 +518,7 @@ def bruteforce_tail_2d(mesh, s, sqrt_gamma):
                 accumulate(verts, np.vstack(pts_list), np.concatenate(w_list))
             else:
                 # Q is smooth here: subdivided degree-4 rule
-                tris = _subdivide(tri[None])[0]
-                tris = _subdivide(tris).reshape(-1, 3, 2)
+                tris = _subdivide(_subdivide(tri)).reshape(-1, 3, 2)
                 pts = np.einsum("qa,lav->lqv", bary, tris)
                 ar = _tri_areas(tris)
                 w = (ar[:, None] * wts[None, :]).ravel()

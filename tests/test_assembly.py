@@ -287,6 +287,41 @@ def test_gagliardo_2d_row_sums_and_symmetry():
     assert np.abs(A.entries @ ones - A.tail_row).max() < 1e-11
 
 
+def test_quadrature_self_check_passes_2d():
+    mesh = build_mesh(Box((0.0, 0.0), (1.0, 1.0)), 0.5, [])
+    gagliardo_form(mesh, KernelParams(2, 0.25), check=True)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.3])
+def test_class_blocks_match_leaf_recursion(s, monkeypatch):
+    # the same-type offsets (+-1, +-2) and (+-2, +-1) lie exactly on the
+    # threshold; moved just above them, it makes both sides refine those
+    # pairs whatever the rounding
+    from fractomo import _assembly2d
+    from _oracles import leaf_class_blocks
+
+    separation = 1.5 + 1e-9
+    monkeypatch.setattr(_assembly2d, "SEPARATION", separation)
+    keys = np.array([(ta, tb, di, dj) for ta in (0, 1) for tb in (0, 1)
+                     for di in range(-2, 3) for dj in range(-2, 3)])
+    blocks = _assembly2d._class_blocks(s, keys, 3)
+    for key, B in zip(keys, blocks):
+        O = leaf_class_blocks(s, tuple(key), 3, separation)
+        assert np.abs(B - O).max() <= 1e-12 * np.abs(O).max(), key
+
+
+def test_near_window_holds_every_near_class():
+    # the classes on the ring just outside the window are separated:
+    # refining them changes nothing
+    from fractomo._assembly2d import NEAR_WINDOW, _class_blocks
+
+    r = NEAR_WINDOW + 1
+    ring = np.array([(ta, tb, di, dj) for ta in (0, 1) for tb in (0, 1)
+                     for di in range(-r, r + 1) for dj in range(-r, r + 1)
+                     if max(abs(di), abs(dj)) == r])
+    assert np.array_equal(_class_blocks(0.3, ring, 1), _class_blocks(0.3, ring, 0))
+
+
 @pytest.mark.slow
 def test_scaling_law_2d():
     s = 0.3

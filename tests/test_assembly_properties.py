@@ -40,8 +40,7 @@ def test_conductivity_form_identities_1d(s, cells, level, amp, freq, phase):
 @given(level=st.floats(0.2, 5.0), amp=amplitudes, kx=frequencies,
        ky=frequencies, phase=phases)
 def test_conductivity_form_identities_2d(level, amp, kx, ky, phase):
-    # s = 0.3 shares the class cache with the other 2D tests; the
-    # interior block is the one of the nodes off the box boundary
+    # the interior block is the one of the nodes off the box boundary
     mesh = build_mesh(Box((-1.0, -1.0), (1.0, 1.0)), 0.5, [])
     X, Y = mesh.nodes.T
     gamma = level * (1.0 + amp * np.sin(kx * X + phase) * np.cos(ky * Y))

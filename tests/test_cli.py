@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fractomo import cli
+from fractomo import cli, dnmap
 from fractomo.cli import SUBCOMMANDS, SUBCOMMANDS_2D, main
 
 CONFIG = """
@@ -173,6 +173,7 @@ def test_dn_needs_w1_before_assembly(tmp_path, monkeypatch, capsys):
     ("reconstruct", "reconstruct"),
     ("transfer-check", "reconstruct"),
     ("counterexample", "counterexample"),
+    ("convergence-study", "reconstruct"),
 ])
 def test_unknown_measurement_label_before_assembly(subcommand, section, config_path,
                                                     monkeypatch, capsys):
@@ -181,6 +182,7 @@ def test_unknown_measurement_label_before_assembly(subcommand, section, config_p
 
     for name in ("conductivity_form", "gagliardo_form", "dn_transfer_residual"):
         monkeypatch.setattr(cli, name, no_assembly)
+    monkeypatch.setattr(dnmap, "conductivity_form", no_assembly)
     path, out = config_path
     text = path.read_text()
     head, tail = text.split(f"[{section}]")
@@ -188,6 +190,24 @@ def test_unknown_measurement_label_before_assembly(subcommand, section, config_p
     bad.write_text(head + f"[{section}]" + tail.replace("W = W1", "W = W9", 1))
     assert main([subcommand, "--config", str(bad)]) == 3
     assert "W9" in capsys.readouterr().err
+
+
+def test_convergence_study_pairs_over_the_configured_region(config_path):
+    # [reconstruct] W = W2 next to W1 gives the pairings of a config whose
+    # only measurement region W1 is W2's interval
+    path, out = config_path
+    text = path.read_text()
+    two = path.parent / "two.ini"
+    two.write_text(text.replace("W1 = 1.2, 1.8", "W1 = 1.2, 1.8\nW2 = 2.0, 2.6")
+                   .replace("x0 = 1.5\nW = W1", "x0 = 1.5\nW = W2"))
+    one = path.parent / "one.ini"
+    one.write_text(text.replace("W1 = 1.2, 1.8", "W1 = 2.0, 2.6"))
+    records = []
+    for cfg in (two, one, path):
+        assert main(["convergence-study", "--config", str(cfg)]) == 0
+        records.append(json.loads((out / "convergence.json").read_text())["records"])
+    assert records[0] == records[1]
+    assert records[0] != records[2]
 
 
 def test_exit_code_invariant_violation(config_path, capsys):
