@@ -19,25 +19,30 @@ memoized per order and depth.
 The exterior-tail weight ``omega(x) = int_{box^c} |x-y|^{-2-2s} dy`` is
 evaluated in closed form (one incomplete beta function per box face),
 and the tail term ``int_T g phi_a phi_b omega`` goes through the same
-local-mass routine as the mass and potential forms.  This 2D path
-targets small desk-scale meshes; accuracy is at the percent level, and
-boundary-touching tail entries additionally require ``s < 1/2``.
+local-mass routine as the mass and potential forms.  On an element that
+touches the box boundary, ``omega`` is split into the ``d^{-2s}`` part
+of each face it touches, the parts homogeneous about a box corner at one
+of its vertices, and a smooth rest; each part gets a Duffy-type
+Gauss--Jacobi rule exact for its singular factor (cf. Sauter & Schwab,
+*Boundary Element Methods*, 2011, ch. 5), so the tail entries converge
+geometrically with the order.  For ``s >= 1/2`` the entries between two
+hats on one box face are infinite and are cut off next to the face.
+This 2D path targets small desk-scale meshes; the in-box near pairs are
+accurate at the percent level.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 
 import numpy as np
-from scipy.special import beta, betainc
+from scipy.special import beta, betainc, roots_jacobi, roots_legendre
 
 from .assembly import _assemble_classes, _point_pair_blocks, _triangle_rule_deg4
 
 #: recursion depth for touching reference panels
 MAX_DEPTH = 5
-
-#: halving levels of the tail pieces graded toward the box faces
-GRADED_LEVELS = 14
 
 #: separation multiple: pairs beyond this times the radius sum are leaves
 SEPARATION = 1.5
@@ -45,6 +50,12 @@ SEPARATION = 1.5
 #: every class closer than SEPARATION times the radius sum has |di|, |dj|
 #: <= this (its centroids are less than sqrt(5) apart)
 NEAR_WINDOW = 2
+
+#: relative width of the strip along a box face that the tail entries
+#: between two hats on that face leave out for ``s >= 1/2``, where they
+#: are infinite; only box-boundary rows and columns hold them, and the DN
+#: map and the Poincare constant read none of these
+FACE_CUTOFF = 2.0 ** -14
 
 #: vertices of the two triangle types on the unit cell (see build_mesh)
 _REF = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
@@ -192,142 +203,197 @@ def kernel_inbox_2d(mesh, s, g, depth: int = MAX_DEPTH):
                              mesh.h ** (2.0 - 2.0 * s))
 
 
-def tail_weight_2d(points, box, s):
-    """``omega(x) = int_{box^c} |x - y|^{-2-2s} dy`` in closed form.
+def _face_coords(points, box):
+    """Normal distances ``d`` (P, 4) of points to the faces x0 = lo0,
+    x1 = lo1, x0 = hi0, x1 = hi1 and the tangential offsets ``t_lo <= 0 <=
+    t_hi`` of the two corners of each face."""
+    x = np.atleast_2d(points)
+    lo, hi = np.asarray(box.lower, float), np.asarray(box.upper, float)
+    d = np.concatenate([x - lo, hi - x], axis=1)
+    t_lo = np.tile(lo[::-1] - x[:, ::-1], 2)
+    t_hi = np.tile(hi[::-1] - x[:, ::-1], 2)
+    return d, t_lo, t_hi
+
+
+def tail_weight_2d(points, box, s, faces=None, corners=None):
+    """``omega(x) = int_{box^c} |x - y|^{-2-2s} dy`` in closed form, for
+    points in the box, or selected terms of it.
 
     In polar coordinates about ``x``, ``omega = int rho(theta)^{-2s} /
     (2s) dtheta`` with ``rho`` the distance to the box boundary along the
     ray.  The rays through one face, at normal distance ``d`` with its
-    corners at tangential offsets ``t_lo < 0 < t_hi``, give ``d^{-2s}
+    corners at tangential offsets ``t_lo <= 0 <= t_hi``, give ``d^{-2s}
     [F(t_hi/d) - F(t_lo/d)]`` with ``F(tau) = int_0^{atan tau} cos^{2s} =
-    sign(tau) B(1/2, s+1/2)/2 I(1/2, s+1/2; tau^2/(1+tau^2))``, where ``I``
-    is the regularized incomplete beta function.
+    sign(tau) B(1/2, s+1/2)/2 [1 - J(|tau|)]``, where ``J(tau) = I(s+1/2,
+    1/2; 1/(1+tau^2))`` and ``I`` is the regularized incomplete beta
+    function.  So face ``f`` contributes ``C d^{-2s} [2 - J(t_hi/d) -
+    J(|t_lo|/d)]`` with ``C = B(1/2, s+1/2) / (4s)``.
+
+    The result is ``C sum_f d^{-2s} sum_e (faces[f] - corners[f, e]
+    J_e)``: ``faces`` (4,) selects the terms ``2 C d^{-2s}`` and
+    ``corners`` (4, 2) the terms ``-C d^{-2s} J`` of the ends ``(t_lo,
+    t_hi)``; by default all of them, which is ``omega``.
     """
-    x = np.atleast_2d(points)
-    lo, hi = np.asarray(box.lower, float), np.asarray(box.upper, float)
-    # faces x0 = lo0, x1 = lo1, x0 = hi0, x1 = hi1: normal distances and
-    # the tangential offsets of their corners
-    d = np.concatenate([x - lo, hi - x], axis=1)
-    t_lo = np.tile(lo[::-1] - x[:, ::-1], 2)
-    t_hi = np.tile(hi[::-1] - x[:, ::-1], 2)
-
-    def F(t):
-        # beyond x = 1/2, I(1/2, s+1/2; x) = 1 - I(s+1/2, 1/2; 1-x) keeps
-        # full accuracy for x near 1, i.e. for points near the face
-        wide = t * t > d * d
-        I = betainc(np.where(wide, s + 0.5, 0.5), np.where(wide, 0.5, s + 0.5),
-                    np.minimum(t * t, d * d) / (t * t + d * d))
-        return np.sign(t) * np.where(wide, 1.0 - I, I)
-
-    span = d ** (-2.0 * s) * (F(t_hi) - F(t_lo))
-    return beta(0.5, s + 0.5) / (4.0 * s) * span.sum(axis=1)
+    if faces is None:
+        faces, corners = np.ones(4, bool), np.ones((4, 2), bool)
+    d, t_lo, t_hi = _face_coords(points, box)
+    f, e = np.nonzero(corners)
+    t2 = np.stack([t_lo, t_hi], axis=-1)[:, f, e] ** 2
+    d2 = d[:, f] ** 2
+    # the argument of I stays at most 1/2, where it has full accuracy:
+    # I(s+1/2, 1/2; x) = 1 - I(1/2, s+1/2; 1-x)
+    wide = t2 > d2
+    I = betainc(np.where(wide, s + 0.5, 0.5), np.where(wide, 0.5, s + 0.5),
+                np.minimum(t2, d2) / (t2 + d2))
+    # an end with both terms takes 1 - J as accurate as J itself
+    ends = np.where(faces[f], np.where(wide, 1.0 - I, I),
+                    np.where(wide, -I, I - 1.0))
+    val = faces * (2.0 - corners.sum(axis=1)) + ends @ np.eye(4)[f]
+    return beta(0.5, s + 0.5) / (4.0 * s) * (d ** (-2.0 * s) * val).sum(axis=1)
 
 
-def _clip_axis(tris, axis, value, keep_above):
-    """Clip triangles against the half-plane ``x[axis] >= value`` (or <=).
+def _edge_constant(s):
+    """``int_0^1 rho (1 - rho)^{-2s} drho``.  For ``s >= 1/2`` the integral
+    diverges, and it stops at ``1 - FACE_CUTOFF``."""
+    a = 1.0 - 2.0 * s
+    if a > 0.0:
+        return 1.0 / (a * (1.0 + a))
+    # int_c^1 (t^{-2s} - t^{1-2s}) dt with c = FACE_CUTOFF
+    ln = np.log(FACE_CUTOFF)
+    head = -ln if a == 0.0 else -np.expm1(a * ln) / a
+    return head + np.expm1((1.0 + a) * ln) / (1.0 + a)
 
-    Returns (kept, discarded) lists of triangles (the discarded side is
-    the complement).  Degenerate slivers below area tolerance are
-    dropped.
+
+def _duffy_rules(s, n):
+    """The 1D rules of the Duffy square, all on [0, 1], for ``int_0^1 rho
+    f`` (smooth part), ``int_0^1 rho^{1-2s} f`` (vertex part) and
+    ``int_0^1 rho (1 - rho)^{-2s} f`` (edge part), each exact for
+    polynomial ``f`` of degree below ``2n``, and Gauss--Legendre in the
+    angle variable ``u``.
+
+    The first two are Gauss--Jacobi with ``rho^{-2s}`` divided back out of
+    the vertex weights, which multiply a part of ``omega`` evaluated at
+    the points.  The edge rule writes ``f = f(1) + (1 - rho) q``: ``q``
+    gets Gauss--Jacobi with the weight ``rho (1 - rho)^{1-2s}``, and the
+    point ``rho = 1`` carries ``f(1)`` times the integral of the weight,
+    minus the other points' share.  Only ``f(1)`` meets the non-integrable
+    weight when ``s >= 1/2`` (see :func:`_edge_constant`).
     """
-    kept, other = [], []
-    for tri in tris:
-        sign = tri[:, axis] - value
-        if not keep_above:
-            sign = -sign
-        inside = sign >= 0.0
-        if inside.all():
-            kept.append(tri)
-            continue
-        if not inside.any():
-            other.append(tri)
-            continue
-        # polygon clipping of the triangle against the line; vertices on
-        # the line belong to both sides
-        poly_in, poly_out = [], []
-        for k in range(3):
-            p, pn = tri[k], tri[(k + 1) % 3]
-            sp, sn = sign[k], sign[(k + 1) % 3]
-            if sp >= 0:
-                poly_in.append(p)
-            if sp <= 0:
-                poly_out.append(p)
-            if sp * sn < 0:
-                t = sp / (sp - sn)
-                cut = p + t * (pn - p)
-                poly_in.append(cut)
-                poly_out.append(cut)
+    def jacobi(a, b):
+        r, w = roots_jacobi(n, a, b)
+        return 0.5 * (r + 1.0), w * 0.5 ** (1.0 + a + b)
 
-        def fan(poly, out):
-            if len(poly) < 3:
-                return
-            for k in range(1, len(poly) - 1):
-                t = np.array([poly[0], poly[k], poly[k + 1]])
-                area = 0.5 * abs(
-                    (t[1, 0] - t[0, 0]) * (t[2, 1] - t[0, 1])
-                    - (t[2, 0] - t[0, 0]) * (t[1, 1] - t[0, 1])
-                )
-                if area > 1e-14:
-                    out.append(t)
-
-        fan(poly_in, kept)
-        fan(poly_out, other)
-    return kept, other
+    smooth = jacobi(0.0, 1.0)
+    rho, w = jacobi(0.0, 1.0 - 2.0 * s)
+    vertex = rho, w * rho ** (2.0 * s)
+    rho, w = jacobi(1.0 - 2.0 * s, 1.0)
+    w = w / (1.0 - rho)
+    edge = np.append(rho, 1.0), np.append(w, _edge_constant(s) - w.sum())
+    u, wu = roots_legendre(n)
+    return {"smooth": smooth, "vertex": vertex, "edge": edge}, (0.5 * (u + 1.0), 0.5 * wu)
 
 
-def _graded_tail_pieces(tri, box, h, touch):
-    """Split one triangle into pieces graded toward the box faces it
-    touches (``touch`` flags the faces x0 = lo0, x0 = hi0, x1 = lo1,
-    x1 = hi1)."""
-    pieces = [tri]
-    for axis, side in (divmod(f, 2) for f in np.flatnonzero(touch)):
-        value = (box.lower, box.upper)[side][axis]
-        graded, remaining = [], pieces
-        for k in range(1, GRADED_LEVELS + 1):
-            cut = value + (h * 0.5**k) * (1 - 2 * side)
-            far, near = _clip_axis(remaining, axis, cut, side == 0)
-            graded.extend(far)
-            remaining = near
-            if not remaining:
-                break
-        graded.extend(remaining)
-        pieces = graded
-    return pieces
+def _duffy_points(tri, k, radial, angular):
+    """Points (n_rho * n_u, 2) and weights of ``int_tri f`` under the Duffy
+    map ``x = v + rho (e1 + u (e2 - e1))`` about vertex ``k``, whose
+    Jacobian is ``rho |det(e1, e2)|`` (the radial rule carries ``rho``)."""
+    (rho, wr), (u, wu) = radial, angular
+    v = tri[k]
+    e1, e2 = tri[(k + 1) % 3] - v, tri[(k + 2) % 3] - v
+    pts = v + rho[:, None, None] * (e1 + u[:, None] * (e2 - e1))
+    jac = abs(e1[0] * e2[1] - e1[1] * e2[0])
+    return pts.reshape(-1, 2), (jac * wr[:, None] * wu).ravel()
 
 
-def kernel_tail_2d(mesh, s, g):
+def _tail_rules(tri, on, box, s, radial, angular):
+    """Rules of one element that touches the box boundary; ``on`` (3, 4)
+    flags its vertices on each face.
+
+    ``omega`` is split into the terms of :func:`tail_weight_2d`.  On a face
+    the element touches, ``2 C d^{-2s}`` is exact under the rule collapsed
+    about the vertex on the face (``d`` is ``rho`` times a positive smooth
+    factor: vertex rule) or about the vertex ``k`` opposite the edge on
+    the face (``d`` is ``d_k (1 - rho)``: edge rule).  A term ``-C d^{-2s}
+    J`` whose box corner is vertex ``k`` is homogeneous of degree ``-2s``
+    about ``k`` and joins the vertex rule about ``k``.  The rest of
+    ``omega`` is smooth on the element.
+
+    Returns the points, weights and ``(faces, corners)`` selection of the
+    rest, whose ``omega`` depends on the element, and the points and
+    weights of the singular terms with their ``omega`` multiplied in;
+    these are the same for every translate along the touched faces.
+    """
+    faces = on.any(axis=0)
+    corners = np.zeros((4, 2), dtype=bool)
+    vertex = collections.defaultdict(lambda: (np.zeros(4, bool), np.zeros((4, 2), bool)))
+    pts, wts = [], []
+    for f in np.flatnonzero(faces):
+        verts = np.flatnonzero(on[:, f])
+        if verts.size == 1:
+            vertex[verts[0]][0][f] = True
+        else:
+            k = 3 - verts.sum()
+            p, w = _duffy_points(tri, k, radial["edge"], angular)
+            d_k = _face_coords(tri[k], box)[0][0, f]
+            pts.append(p)
+            wts.append(w * beta(0.5, s + 0.5) / (2.0 * s) * d_k ** (-2.0 * s))
+        # the ends t_lo, t_hi of face f lie on faces 1 - f % 2, 3 - f % 2
+        for e in (0, 1):
+            for k in np.flatnonzero(on[:, f] & on[:, 1 - f % 2 + 2 * e]):
+                corners[f, e] = True
+                vertex[k][1][f, e] = True
+    for k, (fc, cc) in vertex.items():
+        p, w = _duffy_points(tri, k, radial["vertex"], angular)
+        pts.append(p)
+        wts.append(w * tail_weight_2d(p, box, s, fc, cc))
+    rest = _duffy_points(tri, 0, radial["smooth"], angular) + (~faces, ~corners)
+    return rest, (np.concatenate(pts), np.concatenate(wts))
+
+
+def kernel_tail_2d(mesh, s, g, q_sing):
     """Tail quadrature of ``int_T g phi_a phi_b omega`` (no C_ns) as a list
     of ``(elements, weights, shapes)`` groups for the local-mass routine
     of :mod:`fractomo.assembly`.
 
-    The tail weight blows up like ``dist^{-2s}`` at the box boundary, so
-    boundary-touching triangles are sliced into strips whose distance to
-    the face halves at each level (anisotropic grading, linear piece
-    count); the leftover sliver error decays like ``2^{-levels(2-2s)}``.
+    An element that touches no box face gets the degree-4 rule.  On an
+    element that touches one, ``omega`` blows up like ``d^{-2s}``; it is
+    split into terms (see :func:`_tail_rules`), each integrated by a
+    Duffy--Jacobi rule with ``q_sing + 4`` points per direction that is
+    exact for its singular factor, so the entries converge geometrically
+    in ``q_sing``.  For ``s >= 1/2`` the entries between two hats on one
+    face are infinite; they stop at a strip of relative width
+    ``FACE_CUTOFF`` along the face, and all other entries stay exact.
     The elements of one triangle type that touch the same box faces are
     translates of each other along those faces, so one representative's
-    pieces serve the whole group: translation keeps the barycentric
-    coordinates of the points, and only ``omega`` is evaluated per element.
+    rules serve the whole group: translation keeps the barycentric
+    coordinates of the points, and only the smooth rest of ``omega`` is
+    evaluated per element.
     """
     coords = mesh.nodes[mesh.elements]
     lo, hi = np.asarray(mesh.box.lower), np.asarray(mesh.box.upper)
-    gap = np.stack([coords.min(axis=1) - lo, hi - coords.max(axis=1)], axis=-1)
-    touch = gap.reshape(-1, 4) <= 1e-12 * (hi - lo).max()
+    d = _face_coords(coords.reshape(-1, 2), mesh.box)[0].reshape(-1, 3, 4)
+    on = d <= 1e-12 * (hi - lo).max()
     # element index = type * ncells + cell (see build_mesh)
     ncells = (mesh.shape[0] - 1) * (mesh.shape[1] - 1)
-    key = np.arange(len(coords)) // ncells * 16 + touch @ (1, 2, 4, 8)
+    key = np.arange(len(coords)) // ncells * 16 + on.any(axis=1) @ (1, 2, 4, 8)
     bary, wts = _triangle_rule_deg4()
+    radial, angular = _duffy_rules(s, q_sing + 4)
     groups = []
     for k in np.unique(key):
         elems = np.flatnonzero(key == k)
         tri = coords[elems[0]]
-        pieces = np.asarray(_graded_tail_pieces(tri, mesh.box, mesh.h,
-                                                touch[elems[0]]))
-        pts, w = _leaf_points(pieces, bary.T, wts)
-        pts, w = pts.reshape(-1, 2), w.ravel()
-        lam = _barycentric(pts, tri)
+        if on[elems[0]].any():
+            (pts, w, faces, corners), (sp, sw) = _tail_rules(
+                tri, on[elems[0]], mesh.box, s, radial, angular)
+        else:
+            pts, w = (a[0] for a in _leaf_points(tri[None], bary.T, wts))
+            faces = corners = None
+            sp, sw = np.zeros((0, 2)), np.zeros(0)
         shifted = pts + (coords[elems, 0] - tri[0])[:, None]
-        om = tail_weight_2d(shifted.reshape(-1, 2), mesh.box, s).reshape(elems.size, -1)
+        om = tail_weight_2d(shifted.reshape(-1, 2), mesh.box, s, faces, corners)
+        w = np.concatenate([w * om.reshape(elems.size, -1),
+                            np.broadcast_to(sw, (elems.size, sw.size))], axis=1)
+        lam = _barycentric(np.concatenate([pts, sp]), tri)
         verts = mesh.elements[elems]
-        groups.append((verts, w * om * (g[verts] @ lam.T), lam))
+        groups.append((verts, w * (g[verts] @ lam.T), lam))
     return groups

@@ -308,7 +308,9 @@ def gagliardo_form(mesh: Mesh, params: KernelParams, *, order_singular: int = 6,
     Parameters
     ----------
     order_singular : int
-        Gauss--Jacobi order for identical / node-sharing panels.
+        Gauss--Jacobi order for identical / node-sharing panels and the
+        exterior tail of boundary elements (``order_singular + 4`` per
+        direction in 2D).
     order_regular : int
         Tensor Gauss order for separated panels.
     check : bool
@@ -354,7 +356,7 @@ def _kernel_form(mesh, params, sqrt_gamma, sqrt_gamma_ext, order_singular,
 
             A = kernel_inbox_2d(mesh, params.s, sqrt_gamma,
                                 depth=MAX_DEPTH + extra_depth)
-            tail = kernel_tail_2d(mesh, params.s, sqrt_gamma)
+            tail = kernel_tail_2d(mesh, params.s, sqrt_gamma, q_sing)
         A *= 0.5 * params.C_ns
         scale = params.C_ns * sqrt_gamma_ext
         return A, sum(_add_local_mass(A, elements, scale * w, lam)

@@ -27,7 +27,7 @@ from .errors import (
 from .mesh import Mesh
 from .profiles import bump
 
-#: minimum number of nodes across a bump support
+#: minimum width of a bump support, in mesh widths
 MIN_SUPPORT_NODES = 4
 
 #: number of trailing samples in the power-fit extrapolation
@@ -60,21 +60,26 @@ def _region_bounds(mesh: Mesh, W) -> tuple:
     return W.lower[0], W.upper[0]
 
 
+def _resolved(mesh: Mesh, radius: float) -> bool:
+    """Whether a support of this radius spans ``MIN_SUPPORT_NODES`` mesh
+    widths (up to round-off in ``radius / h``)."""
+    return radius >= 0.5 * MIN_SUPPORT_NODES * mesh.h * (1.0 - 1e-12)
+
+
 def default_scales(mesh: Mesh, W, x0: float) -> list:
     """Geometric scale schedule ``2, 4, 8, ...`` while resolvable.
 
     Scales stop once the bump support either leaves the measurement set
-    or spans fewer than ``MIN_SUPPORT_NODES`` mesh nodes.
+    or spans fewer than ``MIN_SUPPORT_NODES`` mesh widths.  The test does
+    not depend on where ``x0`` falls between nodes.
     """
     wl, wu = _region_bounds(mesh, W)
-    x = mesh.coords
     scales = []
     N = 2
     while True:
         radius = 1.0 / N
         inside = (x0 - radius > wl) and (x0 + radius < wu)
-        nodes = int(np.count_nonzero(np.abs(x - x0) < radius))
-        if inside and nodes >= MIN_SUPPORT_NODES:
+        if inside and _resolved(mesh, radius):
             scales.append(N)
         elif scales:
             break
@@ -121,9 +126,9 @@ def bump_sequence(mesh: Mesh, params: KernelParams, W, x0: float, Ns=None, *,
             raise OutsideMeasurementSet(
                 f"support of scale N={N} bump leaves W=({wl}, {wu})"
             )
-        if np.count_nonzero(np.abs(x - x0) < radius) < MIN_SUPPORT_NODES:
+        if not _resolved(mesh, radius):
             raise UnresolvableScale(
-                f"scale N={N} support spans fewer than {MIN_SUPPORT_NODES} nodes"
+                f"scale N={N} support spans fewer than {MIN_SUPPORT_NODES} mesh widths"
             )
         phi = bump(N * (x - x0))
         raw = float(phi @ (gform.entries @ phi))

@@ -541,3 +541,56 @@ def _tri_areas(tris):
         (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
         - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
     )
+
+
+def adaptive_tail_block(mesh, element, s, sqrt_gamma, pairs=None, rtol=1e-9):
+    """Local tail entries ``int_T g_h phi_a phi_b omega`` of one element for
+    the local vertex pairs ``(a, b)`` (default: ``a <= b`` in
+    ``np.triu_indices(3)`` order), by adaptive quadrature of the
+    closed-form ``omega`` over the element's Duffy square.
+
+    The square is the map ``x = v0 + rho (e1 + u (e2 - e1))`` about the
+    element's first vertex.  The outer integral over ``rho`` is adaptive
+    (``quad_vec``, all entries at once); the inner one over ``u`` is a
+    tanh-sinh rule evaluated as one vector, whose nodes cluster doubly
+    exponentially at both ends, down to 1e-150 from u = 0.  A face the
+    element touches should lie on a coordinate line ``x_i = 0``, so that
+    the distance to it keeps full relative precision that close.
+    """
+    from scipy.integrate import quad_vec
+    from fractomo._assembly2d import tail_weight_2d
+
+    tri = mesh.nodes[mesh.elements[element]]
+    v, e1, e2 = tri[0], tri[1] - tri[0], tri[2] - tri[0]
+    jac = abs(e1[0] * e2[1] - e1[1] * e2[0])
+    T = np.array([[1.0, 1.0, 1.0], tri[:, 0], tri[:, 1]])
+    ge = sqrt_gamma[mesh.elements[element]]
+    a, b = np.triu_indices(3) if pairs is None else np.asarray(pairs).T
+    t = np.linspace(-6.5, 6.5, 131)
+    sh = 0.5 * np.pi * np.sinh(t)
+    with np.errstate(over="ignore"):
+        u = 1.0 / (1.0 + np.exp(-2.0 * sh))
+        wu = (t[1] - t[0]) * 0.25 * np.pi * np.cosh(t) / np.cosh(sh) ** 2
+    # nodes closer than 1e-150 to u = 0 would overflow d^{-2s} for s > 1/2
+    keep = (u > 1e-150) & (u < 1.0)
+    u, wu = u[keep], wu[keep]
+
+    def inner(rho):
+        x = v + rho * (e1 + u[:, None] * (e2 - e1))
+        lam = np.linalg.solve(T, np.vstack([np.ones(len(u)), x.T])).T
+        dens = wu * tail_weight_2d(x, mesh.box, s) * (lam @ ge)
+        return rho * jac * (dens @ (lam[:, a] * lam[:, b]))
+
+    return quad_vec(inner, 0.0, 1.0, epsabs=0.0, epsrel=rtol)[0]
+
+
+def tail_matrix_2d(mesh, s, sqrt_gamma, q_sing):
+    """The 2D exterior tail ``int g phi_a phi_b omega`` (no C_ns) as a dense
+    matrix, from the groups of ``kernel_tail_2d``."""
+    from fractomo._assembly2d import kernel_tail_2d
+    from fractomo.assembly import _add_local_mass
+
+    T = np.zeros((mesh.num_nodes, mesh.num_nodes))
+    for elements, w, lam in kernel_tail_2d(mesh, s, sqrt_gamma, q_sing):
+        _add_local_mass(T, elements, w, lam)
+    return T

@@ -16,7 +16,7 @@ from fractomo.errors import NonPositiveGamma
 from fractomo.mesh import Box, Region, build_mesh
 from fractomo.spectral import spectral_frac_laplacian
 
-from _oracles import bruteforce_kernel_form_1d, bruteforce_local_form_1d
+from _oracles import bruteforce_kernel_form_1d, bruteforce_local_form_1d, tail_matrix_2d
 
 
 @pytest.fixture(scope="module")
@@ -390,23 +390,92 @@ def test_tail_weight_2d_matches_polar_integral(s):
 
 def test_tail_2d_vs_bruteforce_oracle():
     # 4 x 4 cells, so every boundary group of translated elements has
-    # members other than the one whose graded pieces it reuses
+    # members other than the one whose rules it reuses
     from _oracles import bruteforce_tail_2d
-    from fractomo._assembly2d import kernel_tail_2d
-    from fractomo.assembly import _add_local_mass
 
     mesh = build_mesh(Box((-1.0, -1.0), (1.0, 1.0)), 0.5, [])
     X, Y = mesh.nodes.T
     g = np.sqrt(1.0 + 0.5 * np.exp(-(X - 0.3) ** 2 - (Y + 0.2) ** 2))
-    T = np.zeros((mesh.num_nodes, mesh.num_nodes))
-    for elements, w, lam in kernel_tail_2d(mesh, 0.3, g):
-        _add_local_mass(T, elements, w, lam)
+    T = tail_matrix_2d(mesh, 0.3, g, 6)
     O = bruteforce_tail_2d(mesh, 0.3, g)
     d = np.abs(T - O)
     scale = np.abs(O).max()
     assert (d / scale).max() < 0.01
     big = np.abs(O) >= 0.1 * scale
     assert (d[big] / np.abs(O)[big]).max() < 0.01
+
+
+#: one element of each kind of contact with the box boundary, as (box,
+#: vertices); the faces touched lie on x = 0 or y = 0 (see
+#: adaptive_tail_block), and the first vertex is on a face
+TAIL_ELEMENTS = {
+    "corner vertex": (((0.0, 0.0), (2.0, 2.0)), [(0, 0), (0.25, 0), (0.25, 0.25)]),
+    "face edge": (((0.0, 0.0), (2.0, 2.0)), [(0.25, 0), (0.5, 0), (0.5, 0.25)]),
+    "face vertex": (((0.0, 0.0), (2.0, 2.0)), [(0.25, 0), (0.5, 0.25), (0.25, 0.25)]),
+    "two face vertices": (((-2.0, 0.0), (0.0, 2.0)),
+                          [(-0.25, 0), (0, 0.25), (-0.25, 0.25)]),
+}
+
+
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.45, 0.6])
+@pytest.mark.parametrize("kind", TAIL_ELEMENTS)
+def test_tail_2d_element_vs_adaptive_reference(kind, s):
+    from _oracles import adaptive_tail_block
+    from fractomo._assembly2d import kernel_tail_2d
+
+    box, verts = TAIL_ELEMENTS[kind]
+    mesh = build_mesh(Box(*box), 0.25, [])
+    X, Y = mesh.nodes.T
+    g = np.sqrt(1.0 + 0.5 * np.exp(-(X - 0.3) ** 2 - (Y + 0.2) ** 2))
+    e = next(e for e, tri in enumerate(mesh.nodes[mesh.elements])
+             if np.allclose(tri, verts))
+    a, b = np.triu_indices(3)
+    if s >= 0.5 and kind in ("corner vertex", "face edge"):
+        # the two hats of the edge on the face have infinite entries; the
+        # pairs with the off-face vertex 2 stay finite
+        a, b = np.array([0, 1, 2]), np.array([2, 2, 2])
+    for elements, w, lam in kernel_tail_2d(mesh, s, g, 6):
+        row = np.flatnonzero((elements == mesh.elements[e]).all(axis=1))
+        if row.size:
+            local = w[row[0]] @ (lam[:, a] * lam[:, b])
+    ref = adaptive_tail_block(mesh, e, s, g, np.stack([a, b], axis=1))
+    assert np.abs(local - ref).max() <= 1e-8 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("s", [0.1, 0.45])
+def test_tail_2d_converges_in_order(s):
+    # the self check raises the tail's order with order_singular, and the
+    # default order is converged
+    mesh = build_mesh(Box((-2.0, -1.0), (3.0, 1.0)), 0.25, [])
+    X, Y = mesh.nodes.T
+    g = np.sqrt(1.0 + 0.5 * np.exp(-(X - 0.3) ** 2 - (Y + 0.2) ** 2))
+    T, T8 = tail_matrix_2d(mesh, s, g, 6), tail_matrix_2d(mesh, s, g, 14)
+    assert not np.array_equal(T, T8)
+    assert np.abs(T - T8).max() <= 1e-10 * np.abs(T).max()
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_tail_edge_constant(s):
+    from fractomo._assembly2d import FACE_CUTOFF, _edge_constant
+
+    end = 1.0 if s < 0.5 else 1.0 - FACE_CUTOFF
+    ref = quad(lambda r: r * (1.0 - r) ** (-2.0 * s), 0.0, end, limit=200,
+               epsabs=0.0, epsrel=1e-12)[0]
+    assert _edge_constant(s) == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("s", [0.5, 0.6, 0.9])
+def test_gagliardo_2d_beyond_half(s):
+    # for s >= 1/2 only the tail entries between two hats on one box face
+    # are infinite; they are cut off, the others stay exact
+    mesh = build_mesh(Box((-1.0, -1.0), (1.0, 1.0)), 0.5, [])
+    A = gagliardo_form(mesh, KernelParams(2, s)).entries
+    A14 = gagliardo_form(mesh, KernelParams(2, s), order_singular=14).entries
+    assert np.isfinite(A).all()
+    assert np.array_equal(A, A.T)
+    off = np.flatnonzero((np.abs(mesh.nodes) < 1.0).all(axis=1))
+    assert np.linalg.eigvalsh(A).min() > 0
+    assert np.abs(A - A14)[off].max() <= 1e-10 * np.abs(A[off]).max()
 
 
 def test_quadrature_self_check_rejects_crude_orders(mesh9, params):

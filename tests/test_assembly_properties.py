@@ -5,7 +5,8 @@ identities hold for any order, spacing and diffusion:
 
 * the form is symmetric,
 * constants are in the kernel of the in-box part: ``A 1 = tail_row``,
-* the interior block is positive definite.
+* the interior block is positive definite,
+* the 2D exterior tail keeps the symmetries of the mesh.
 """
 
 import numpy as np
@@ -13,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from fractomo.assembly import Coefficients, KernelParams, conductivity_form
 from fractomo.mesh import Box, Region, build_mesh
+
+from _oracles import tail_matrix_2d
 
 amplitudes = st.one_of(st.just(0.0), st.floats(0.01, 0.9))
 frequencies = st.floats(0.1, 3.0)
@@ -51,3 +54,26 @@ def test_conductivity_form_identities_2d(level, amp, kx, ky, phase):
     assert np.abs(A.entries @ ones - A.tail_row).max() <= 1e-10 * scale
     inner = np.flatnonzero((np.abs(X) < 1.0) & (np.abs(Y) < 1.0))
     assert np.linalg.eigvalsh(A.entries[np.ix_(inner, inner)]).min() > 0
+
+
+def _node_map(mesh, f):
+    """Node permutation ``p`` with ``nodes[p[i]] == f(nodes[i])``."""
+    index = {tuple(k): i for i, k in enumerate(np.rint(mesh.nodes / mesh.h).astype(int))}
+    return np.array([index[tuple(k)] for k in np.rint(f(mesh.nodes) / mesh.h).astype(int)])
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(s=st.floats(0.05, 0.49), cells=st.sampled_from([2, 4]),
+       half=st.tuples(st.sampled_from([1.0, 1.5]), st.sampled_from([1.0, 1.5])),
+       amp=amplitudes, freq=frequencies)
+def test_tail_2d_mesh_symmetries(s, cells, half, amp, freq):
+    # the point reflection and the transpose both swap the two triangle
+    # types, so they map every face and corner contact onto another one
+    mesh = build_mesh(Box((-half[0], -half[1]), half), 1.0 / cells, [])
+    X, Y = mesh.nodes.T
+    g = 1.0 + amp * np.cos(freq * X) * np.cos(freq * Y)
+    T = tail_matrix_2d(mesh, s, g, 6)
+    maps = [lambda x: -x] + ([lambda x: x[:, ::-1]] if half[0] == half[1] else [])
+    for f in maps:
+        p = _node_map(mesh, f)
+        assert np.abs(T[np.ix_(p, p)] - T).max() <= 1e-10 * np.abs(T).max()

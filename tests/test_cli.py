@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from fractomo import cli, dnmap
 from fractomo.cli import SUBCOMMANDS, SUBCOMMANDS_2D, main
+from fractomo.profiles import bump
 
 CONFIG = """
 [problem]
@@ -237,6 +239,37 @@ def test_exit_code_nonfinite_preset(config_path, capsys):
     bad.write_text(path.read_text().replace("q = constant:0", "q = constant:nan"))
     assert main(["solve", "--config", str(bad)]) == 3
     assert "finite" in capsys.readouterr().err
+
+
+RECONSTRUCT_ON_NODE = """
+[problem]
+n = 1
+s = 0.25
+[mesh]
+h = 0.0078125
+box = -2.25, 3.75
+[regions]
+Omega = -1.0, 1.0
+W1 = 1.25, 2.75
+[coefficients]
+gamma = bump:1,0.7,2.0,1.4
+q = bump:0,2.0,2.0,0.5
+[reconstruct]
+W = W1
+x0 = 2.0
+[output]
+directory = {out}
+"""
+
+
+def test_reconstruct_at_a_grid_node(tmp_path):
+    # x0 = 2.0 is a node at h = 1/128; gamma(x0) = 1 + 0.7 bump(0)
+    path = tmp_path / "run.ini"
+    path.write_text(RECONSTRUCT_ON_NODE.format(out=tmp_path / "artifacts"))
+    assert main(["reconstruct", "--config", str(path)]) == 0
+    data = json.loads((tmp_path / "artifacts" / "reconstruction.json").read_text())
+    true = 1.0 + 0.7 * float(bump(np.array([0.0]))[0])
+    assert abs(data["extrapolated"] - true) <= 0.01 * true
 
 
 CONFIG_2D = """

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractomo.assembly import Coefficients, KernelParams, gagliardo_form
 from fractomo.dnmap import DNOperator
@@ -221,3 +222,13 @@ def test_energy_concentration_monotone(setting):
     out = exterior_reconstruct(mesh, par, co, "W1", X0, bumps=bumps, gform=gform)
     errors = [abs(rec["estimate"] - 2.0) for rec in out["samples"]]
     assert all(b < a for a, b in zip(errors, errors[1:]))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(k=st.integers(228, 291))
+def test_default_scales_do_not_depend_on_grid_nodes(setting, k):
+    # x0 = a grid node of W1 (1.2, 2.4) at least 0.1 inside it
+    mesh = setting[0]
+    x0 = float(mesh.coords[k])
+    assert default_scales(mesh, "W1", x0) == default_scales(mesh, "W1", x0 - 1e-9) \
+        == default_scales(mesh, "W1", x0 + 1e-9)
