@@ -13,11 +13,14 @@ import numpy as np
 from fractomo import (
     Box,
     Coefficients,
+    DNOperator,
     KernelParams,
     Region,
     build_mesh,
     dn_transfer_residual,
+    gagliardo_form,
     liouville_residual,
+    potential_form,
     reduced_potential_form,
 )
 from fractomo.profiles import bump
@@ -37,18 +40,21 @@ for h in (1 / 16, 1 / 32, 1 / 64, 1 / 128):
     ii = mesh.interior_dofs
     u[ii] = bump((x[ii] - 0.2) / 0.6)
     phi[ii] = bump((x[ii] + 0.3) / 0.5)
-    r_form = liouville_residual(mesh, params, coeffs, u, phi)
+    # each form is assembled once and read by both identities
+    gform = gagliardo_form(mesh, params)
+    op = DNOperator(mesh, params, coeffs)
+    r_form = liouville_residual(mesh, coeffs, u, phi, cond_form=op.form,
+                                gform=gform)
     f = bump((x - 1.625) / 0.3); f[ii] = 0.0
     g = bump((x - 1.625) / 0.22); g[ii] = 0.0
-    r_dn = dn_transfer_residual(mesh, params, coeffs, gam, "W1", f, g)
+    r_dn = dn_transfer_residual(mesh, coeffs, gam, "W1", f, g, operator=op,
+                                gform=gform)
     print(f"1/{round(1/h):<8d} {r_form:14.3e} {r_dn:13.3e}")
 
 print("\nunit diffusion collapses the reduced potential to the plain")
 print("absorption pairing (identity exact to round-off):")
 mesh = build_mesh(box, 1 / 32, regions)
 co1 = Coefficients.from_arrays(np.ones(mesh.num_nodes), 0.3 * bump(mesh.coords))
-Q = reduced_potential_form(mesh, params, co1)
-from fractomo import potential_form
-
+Q = reduced_potential_form(mesh, co1, gform=gagliardo_form(mesh, params))
 print("max |Q-form - potential form| =",
       np.abs(Q.base.entries - potential_form(mesh, co1.q).entries).max())

@@ -13,6 +13,7 @@ import numpy as np
 from fractomo import (
     Box,
     Coefficients,
+    DNOperator,
     KernelParams,
     Region,
     build_mesh,
@@ -35,9 +36,8 @@ q = 5.0 * bump((x - x0) / 0.5)                    # nonnegative absorption
 coeffs = Coefficients.from_arrays(gamma, q)
 
 gform = gagliardo_form(mesh, params)
-bumps = bump_sequence(mesh, params, "W1", x0, gform=gform)
-out = exterior_reconstruct(mesh, params, coeffs, "W1", x0, bumps=bumps,
-                           gform=gform)
+bumps = bump_sequence(mesh, "W1", x0, gform=gform)
+out = exterior_reconstruct(DNOperator(mesh, params, coeffs), bumps)
 decay = potential_decay_check(mesh, q, bumps, math.inf, params)
 
 print(f"recovering gamma({x0}) = 2 from DN pairings of concentrating bumps:")

@@ -12,6 +12,7 @@ without knowing the absorption on the window.
 from fractomo import (
     Box,
     Coefficients,
+    DNOperator,
     KernelParams,
     Region,
     build_mesh,
@@ -32,8 +33,9 @@ for h in (1 / 32, 1 / 64, 1 / 128):
     mesh = build_mesh(Box((-2.25,), (3.25,)), h, regions)
     gform = gagliardo_form(mesh, params)
     W = mesh.region_objects["W1"]
-    pair = build_pair(mesh, params, omega_prime, omega_seed, 0.05, W, gform=gform)
-    rep = verify_nonuniqueness(pair, mesh, params, W, gform=gform)
+    pair = build_pair(mesh, omega_prime, omega_seed, 0.05, W, gform=gform)
+    op = DNOperator(mesh, params, pair.coeffs)
+    rep = verify_nonuniqueness(pair, mesh, params, W, operator=op, gform=gform)
     print(f"1/{round(1/h):<6d} {rep['dn_gap']:.3e} {rep['q_gap']:8.4f}"
           f" {rep['m_sup']:9.4f} {rep['multiplier_estimate']:10.4f}"
           f" {rep['admissibility_threshold']:10.4f}")

@@ -69,7 +69,12 @@ def _exterior_datum(cfg, mesh, spec, where):
     return f
 
 
-def _forms(cfg: ExperimentConfig, mesh, params, coeffs):
+def _gagliardo(cfg: ExperimentConfig, mesh, params):
+    return gagliardo_form(mesh, params, check=cfg.quadrature_check)
+
+
+def _system_form(cfg: ExperimentConfig, mesh, params, coeffs):
+    """Conductivity plus potential form: the system form of ``coeffs``."""
     cond = conductivity_form(mesh, params, coeffs, check=cfg.quadrature_check)
     return cond + potential_form(mesh, coeffs.q)
 
@@ -91,7 +96,8 @@ def _refinements(cfg: ExperimentConfig):
 def run_poincare(cfg, outdir, verbose):
     mesh = cfg.build_mesh()
     params = cfg.params()
-    result = poincare_constant(mesh, params)
+    result = poincare_constant(mesh, params, gform=_gagliardo(cfg, mesh, params),
+                               mass=mass_matrix(mesh))
     write_json_report(outdir / "poincare.json", result, "fractomo.poincare.v1")
     return f"C_opt={result['C_opt']:.6g} delta0={result['delta0']:.6g}"
 
@@ -100,7 +106,7 @@ def run_solve(cfg, outdir, verbose):
     mesh = cfg.build_mesh()
     params = cfg.params()
     coeffs = cfg.coefficients(mesh)
-    form = _forms(cfg, mesh, params, coeffs)
+    form = _system_form(cfg, mesh, params, coeffs)
     f = _exterior_datum(cfg, mesh, cfg.f_spec or "constant:0", "[data] f")
     src = cfg.nodal(mesh, cfg.source_spec, "[data] source")
     f_src = mass_matrix(mesh).entries @ src
@@ -121,7 +127,8 @@ def run_dn(cfg, outdir, verbose):
     mesh = cfg.build_mesh()
     params = cfg.params()
     coeffs = cfg.coefficients(mesh)
-    op = DNOperator(mesh, params, coeffs, form=_forms(cfg, mesh, params, coeffs))
+    op = DNOperator(mesh, params, coeffs,
+                    form=_system_form(cfg, mesh, params, coeffs))
     dn = op.matrix("W1", "W2" if "W2" in mesh.regions else "W1")
     export_dn_csv(outdir / "dn_matrix.csv", mesh, dn)
     sym = ""
@@ -137,14 +144,11 @@ def run_reconstruct(cfg, outdir, verbose):
     coeffs = cfg.coefficients(mesh)
     if cfg.x0 is None:
         raise ConfigError("[reconstruct] x0: key is required")
-    gform = gagliardo_form(mesh, params)
-    bumps = bump_sequence(mesh, params, wlabel, cfg.x0, cfg.scales, gform=gform)
+    bumps = bump_sequence(mesh, wlabel, cfg.x0, cfg.scales,
+                          gform=_gagliardo(cfg, mesh, params))
     op = DNOperator(mesh, params, coeffs,
-                    form=_forms(cfg, mesh, params, coeffs))
-    result = exterior_reconstruct(
-        mesh, params, coeffs, wlabel, cfg.x0,
-        operator=op, bumps=bumps, gform=gform,
-    )
+                    form=_system_form(cfg, mesh, params, coeffs))
+    result = exterior_reconstruct(op, bumps)
     decay = potential_decay_check(mesh, coeffs.q, bumps, cfg.p_exponent, params,
                                   strict=False)
     export_reconstruction_csv(
@@ -175,7 +179,11 @@ def run_liouville_check(cfg, outdir, verbose):
         ii = mesh.interior_dofs
         u[ii] = bump((x[ii] - center + 0.2 * halfw) / (0.6 * halfw))
         phi[ii] = bump((x[ii] - center - 0.2 * halfw) / (0.5 * halfw))
-        residuals.append(liouville_residual(mesh, params, coeffs, u, phi))
+        residuals.append(liouville_residual(
+            mesh, coeffs, u, phi,
+            cond_form=_system_form(cfg, mesh, params, coeffs),
+            gform=_gagliardo(cfg, mesh, params),
+        ))
         hs.append(h)
     records = residual_records(hs, residuals)
     write_json_report(outdir / "liouville.json", {"records": records},
@@ -196,9 +204,12 @@ def run_transfer_check(cfg, outdir, verbose):
         g = bump((x - center) / (0.35 * 2 * halfw))
         f[mesh.interior_dofs] = 0.0
         g[mesh.interior_dofs] = 0.0
-        residuals.append(
-            dn_transfer_residual(mesh, params, coeffs, coeffs.gamma, wlabel, f, g)
-        )
+        op = DNOperator(mesh, params, coeffs,
+                        form=_system_form(cfg, mesh, params, coeffs))
+        residuals.append(dn_transfer_residual(
+            mesh, coeffs, coeffs.gamma, wlabel, f, g,
+            operator=op, gform=_gagliardo(cfg, mesh, params),
+        ))
         hs.append(h)
     records = residual_records(hs, residuals)
     write_json_report(outdir / "transfer.json", {"records": records},
@@ -215,11 +226,13 @@ def run_counterexample(cfg, outdir, verbose):
     om_p = Region("Omega_prime", *cfg.ce_omega_prime)
     om = Region("omega_seed", *cfg.ce_omega)
     W = mesh.region_objects[wlabel]
-    gform = gagliardo_form(mesh, params)
-    pair = build_pair(mesh, params, om_p, om, cfg.ce_eps, W,
-                      scale=cfg.ce_scale, gform=gform)
-    report = verify_nonuniqueness(pair, mesh, params, W, gform=gform,
-                                  seed=cfg.seed)
+    gform = _gagliardo(cfg, mesh, params)
+    pair = build_pair(mesh, om_p, om, cfg.ce_eps, W, gform=gform,
+                      scale=cfg.ce_scale)
+    op = DNOperator(mesh, params, pair.coeffs,
+                    form=_system_form(cfg, mesh, params, pair.coeffs))
+    report = verify_nonuniqueness(pair, mesh, params, W, operator=op,
+                                  gform=gform, seed=cfg.seed)
     export_pair_csv(outdir / "pair.csv", mesh, pair)
     schema = report.pop("schema")
     write_json_report(outdir / "nonuniqueness.json", report, schema)
@@ -234,7 +247,7 @@ def run_oracle_compare(cfg, outdir, verbose):
     rows = []
     for s in cfg.oracle_s_list:
         params = KernelParams(cfg.n, s, cfg.c_ns)
-        A = gagliardo_form(mesh, params)
+        A = _gagliardo(cfg, mesh, params)
         nodal = np.linalg.solve(M.entries, A.entries @ u)
         spec = spectral_frac_laplacian(mesh, params, u, pad_factor=cfg.pad_factor)
         diff = nodal - spec
@@ -259,7 +272,8 @@ def run_convergence_study(cfg, outdir, verbose):
         g = bump((x - center) / (0.35 * width))
         f[mesh.interior_dofs] = 0.0
         g[mesh.interior_dofs] = 0.0
-        op = DNOperator(mesh, params, coeffs)
+        op = DNOperator(mesh, params, coeffs,
+                        form=_system_form(cfg, mesh, params, coeffs))
         values.append(op.pairing(f, g))
         hs.append(h)
     records = []

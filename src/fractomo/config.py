@@ -28,7 +28,8 @@ Grammar (all keys optional unless marked; values shown with defaults):
     gamma_exterior = 1.0       ; diffusion value on the box complement
 
     [quadrature]
-    check = false              ; run the panel self check
+    check = false              ; run the panel self check on every kernel
+                               ; form the subcommand assembles
 
     [data]
     f = bump:0,1,1.5,0.25      ; exterior datum preset (zeroed on interior)

@@ -36,14 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (
-    Coefficients,
-    KernelParams,
-    SymForm,
-    gagliardo_form,
-    mass_matrix,
-    potential_form,
-)
+from .assembly import Coefficients, KernelParams, SymForm, mass_matrix, potential_form
 from .dnmap import DNOperator
 from .errors import GeometryViolation, NegativeSolution
 from .mesh import Mesh, Region, region_dofs, support_dofs
@@ -97,10 +90,9 @@ def _disjoint(a: tuple, b: tuple, tol: float = 1e-12) -> bool:
     return a[1] <= b[0] + tol or b[1] <= a[0] + tol
 
 
-def build_pair(mesh: Mesh, params: KernelParams, omega_prime: Region,
-               omega_set: Region, eps: float, W: Region, *,
-               scale: float = 1.0, eta_amplitude: float = 1.0,
-               gform: SymForm | None = None) -> CounterexamplePair:
+def build_pair(mesh: Mesh, omega_prime: Region, omega_set: Region, eps: float,
+               W: Region, *, gform: SymForm, scale: float = 1.0,
+               eta_amplitude: float = 1.0) -> CounterexamplePair:
     """Run the construction; see the module docstring.
 
     Parameters
@@ -117,6 +109,8 @@ def build_pair(mesh: Mesh, params: KernelParams, omega_prime: Region,
     scale : float
         Extra factor in (0, 1] on top of ``C_eps``; shrinking the
         deviation shrinks the multiplier norm of ``q_1`` at will.
+    gform : SymForm
+        The Gagliardo form of ``mesh``.
 
     Raises
     ------
@@ -146,8 +140,6 @@ def build_pair(mesh: Mesh, params: KernelParams, omega_prime: Region,
             raise GeometryViolation("Omega'(5eps) is not contained in Omega")
 
     x = mesh.coords
-    if gform is None:
-        gform = gagliardo_form(mesh, params)
     mass = mass_matrix(mesh)
 
     # cutoff eta: 1 on omega, supported strictly inside its 3-eps
@@ -199,10 +191,13 @@ def build_pair(mesh: Mesh, params: KernelParams, omega_prime: Region,
 
 def verify_nonuniqueness(pair: CounterexamplePair, mesh: Mesh,
                          params: KernelParams, W: Region | str, *,
-                         gform: SymForm | None = None, seed: int = 0) -> dict:
+                         operator: DNOperator, gform: SymForm,
+                         seed: int = 0) -> dict:
     """Measure how well the pair reproduces the background DN data.
 
-    Returns a report with
+    ``operator`` is the DN operator of ``pair.coeffs`` and ``gform`` the
+    Gagliardo form of ``mesh``, which is also the background's system
+    form.  Returns a report with
 
     * ``dn_gap``: relative Frobenius gap between the DN matrices of the
       pair and of the background over the hat basis of ``W``,
@@ -219,15 +214,12 @@ def verify_nonuniqueness(pair: CounterexamplePair, mesh: Mesh,
     * ``multiplier_estimate`` vs ``gamma0/delta0``: admissibility of the
       constructed absorption.
     """
-    if gform is None:
-        gform = gagliardo_form(mesh, params)
     mass = mass_matrix(mesh)
     background = Coefficients.background(mesh)
 
-    op_pair = DNOperator(mesh, params, pair.coeffs)
     op_bg = DNOperator(mesh, params, background,
                        form=gform + potential_form(mesh, background.q))
-    dn_pair = op_pair.matrix(W, W)
+    dn_pair = operator.matrix(W, W)
     dn_bg = op_bg.matrix(W, W)
     gap = np.linalg.norm(dn_pair.entries - dn_bg.entries)
     gap /= np.linalg.norm(dn_bg.entries)
@@ -238,7 +230,7 @@ def verify_nonuniqueness(pair: CounterexamplePair, mesh: Mesh,
     l2_W = np.sqrt(mesh.h * float(q1[w_nodes] @ q1[w_nodes]))
     q_gap = l2_W / l2_all if l2_all > 0 else 0.0
 
-    Q = reduced_potential_form(mesh, params, pair.coeffs, gform=gform).base
+    Q = reduced_potential_form(mesh, pair.coeffs, gform=gform).base
     H = gform.entries + mass.entries
     rng = np.random.default_rng(seed)
     interior = mesh.interior_dofs
@@ -251,14 +243,14 @@ def verify_nonuniqueness(pair: CounterexamplePair, mesh: Mesh,
         val = abs(float(v @ (Q.entries @ w)))
         den = np.sqrt(float(v @ (H @ v))) * np.sqrt(float(w @ (H @ w)))
         q_form_residual = max(q_form_residual, val / den)
-    q_form_norm = multiplier_norm_estimate(mesh, params, None, gform=gform,
-                                           mass=mass, form=Q)
+    q_form_norm = multiplier_norm_estimate(Q, gform=gform, mass=mass)
 
     q_raw = np.linalg.solve(mass.entries, gform.entries @ pair.m)
     cond3 = np.abs(q_raw[w_nodes] - q1[w_nodes]).max()
     cond3 /= max(1.0, np.abs(q1).max())
 
-    mult = multiplier_norm_estimate(mesh, params, q1, gform=gform, mass=mass)
+    mult = multiplier_norm_estimate(potential_form(mesh, q1), gform=gform,
+                                    mass=mass)
     pc = poincare_constant(mesh, params, gform=gform, mass=mass)
     threshold = pair.coeffs.gamma0 / pc["delta0"]
 

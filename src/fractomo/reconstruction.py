@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .assembly import Coefficients, KernelParams, SymForm, gagliardo_form, mass_matrix, potential_form
+from .assembly import KernelParams, SymForm, mass_matrix, potential_form
 from .dnmap import DNOperator
 from .errors import (
     DecayCheckFailed,
@@ -91,8 +91,8 @@ def default_scales(mesh: Mesh, W, x0: float) -> list:
     return scales
 
 
-def bump_sequence(mesh: Mesh, params: KernelParams, W, x0: float, Ns=None, *,
-                  gform: SymForm | None = None) -> BumpSequence:
+def bump_sequence(mesh: Mesh, W, x0: float, Ns=None, *,
+                  gform: SymForm) -> BumpSequence:
     """Build the energy-normalized concentrating sequence at ``x0``.
 
     Parameters
@@ -103,6 +103,8 @@ def bump_sequence(mesh: Mesh, params: KernelParams, W, x0: float, Ns=None, *,
     Ns : list of int, optional
         Concentration scales (support radius ``1/N``); defaults to the
         geometric schedule of :func:`default_scales`.
+    gform : SymForm
+        The Gagliardo form of ``mesh``, whose energy normalizes the bumps.
 
     Raises
     ------
@@ -115,8 +117,6 @@ def bump_sequence(mesh: Mesh, params: KernelParams, W, x0: float, Ns=None, *,
         raise OutsideMeasurementSet(f"x0={x0} is not inside W=({wl}, {wu})")
     if Ns is None:
         Ns = default_scales(mesh, W, x0)
-    if gform is None:
-        gform = gagliardo_form(mesh, params)
     mass = mass_matrix(mesh)
     x = mesh.coords
     vectors, energies, l2s = [], [], []
@@ -171,30 +171,22 @@ def extrapolate_power_fit(scales, values) -> dict:
             "fit_residual": resid}
 
 
-def exterior_reconstruct(mesh: Mesh, params: KernelParams, coeffs: Coefficients,
-                         W, x0: float, Ns=None, *,
-                         operator: DNOperator | None = None,
-                         bumps: BumpSequence | None = None,
-                         gform: SymForm | None = None) -> dict:
-    """Evaluate the exterior reconstruction sequence at ``x0``.
+def exterior_reconstruct(operator: DNOperator, bumps: BumpSequence) -> dict:
+    """Evaluate the exterior reconstruction sequence of a DN operator.
 
     Computes ``estimate_N = <Lambda Phi_N, Phi_N>`` for the normalized
     bump sequence and extrapolates the limit, which recovers the
-    diffusion value at ``x0`` (for a.e.-continuous diffusion there).
+    diffusion value at the bumps' center (for a.e.-continuous diffusion
+    there).
 
     Returns
     -------
     dict with ``samples`` (list of ``{"N": ..., "estimate": ...}``),
     ``extrapolated`` (power-fit limit) and the fit record.
     """
-    if gform is None and bumps is None:
-        gform = gagliardo_form(mesh, params)
-    if bumps is None:
-        bumps = bump_sequence(mesh, params, W, x0, Ns, gform=gform)
-    op = operator or DNOperator(mesh, params, coeffs)
     samples = []
     for N, phi in zip(bumps.scales, bumps.vectors):
-        samples.append({"N": int(N), "estimate": op.pairing(phi, phi)})
+        samples.append({"N": int(N), "estimate": operator.pairing(phi, phi)})
     fit = extrapolate_power_fit(
         [s["N"] for s in samples], [s["estimate"] for s in samples]
     )

@@ -28,13 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (
-    Coefficients,
-    KernelParams,
-    SymForm,
-    gagliardo_form,
-    potential_form,
-)
+from .assembly import Coefficients, KernelParams, SymForm, potential_form
 from .dnmap import DNOperator
 from .errors import HypothesisViolation, NonPositiveGamma
 from .mesh import Mesh, region_dofs
@@ -56,9 +50,8 @@ class ReducedPotentialForm:
     gamma_ref: Coefficients
 
 
-def reduced_potential_form(mesh: Mesh, params: KernelParams,
-                           coeffs: Coefficients, *,
-                           gform: SymForm | None = None) -> ReducedPotentialForm:
+def reduced_potential_form(mesh: Mesh, coeffs: Coefficients, *,
+                           gform: SymForm) -> ReducedPotentialForm:
     """Assemble the discrete pairing form of the reduced potential.
 
     The action on nodal vectors is
@@ -66,15 +59,13 @@ def reduced_potential_form(mesh: Mesh, params: KernelParams,
         ``v^T Q w = -(A m)^T Pi(gamma^{-1/2} v w)
                     + (gamma^{-1/2} v)^T M_q (gamma^{-1/2} w)``
 
-    with ``A`` the Gagliardo form, ``Pi`` nodal re-interpolation of the
-    pointwise product and ``M_q`` the potential form; symmetric by
-    construction.  For unit diffusion this is exactly the potential
-    form of ``q``.
+    with ``A = gform`` the Gagliardo form, ``Pi`` nodal re-interpolation
+    of the pointwise product and ``M_q`` the potential form; symmetric by
+    construction.  For unit diffusion this is exactly the potential form
+    of ``q``.
     """
     if coeffs.gamma.min() <= 0.0:
         raise NonPositiveGamma("diffusion must be positive")
-    if gform is None:
-        gform = gagliardo_form(mesh, params)
     inv_sqrt = 1.0 / np.sqrt(coeffs.gamma)
     Am = gform.entries @ coeffs.m_gamma
     entries = np.diag(-Am * inv_sqrt)
@@ -84,36 +75,29 @@ def reduced_potential_form(mesh: Mesh, params: KernelParams,
     return ReducedPotentialForm(SymForm(mesh.num_nodes, entries), coeffs)
 
 
-def schrodinger_form(mesh: Mesh, params: KernelParams, coeffs: Coefficients, *,
-                     gform: SymForm | None = None) -> SymForm:
+def schrodinger_form(mesh: Mesh, coeffs: Coefficients, *,
+                     gform: SymForm) -> SymForm:
     """System form of the reduced problem: Gagliardo + reduced potential."""
-    if gform is None:
-        gform = gagliardo_form(mesh, params)
-    return gform + reduced_potential_form(mesh, params, coeffs, gform=gform).base
+    return gform + reduced_potential_form(mesh, coeffs, gform=gform).base
 
 
-def liouville_residual(mesh: Mesh, params: KernelParams, coeffs: Coefficients,
-                       u: np.ndarray, phi: np.ndarray, *,
-                       cond_form: SymForm | None = None,
-                       gform: SymForm | None = None) -> float:
+def liouville_residual(mesh: Mesh, coeffs: Coefficients, u: np.ndarray,
+                       phi: np.ndarray, *, cond_form: SymForm,
+                       gform: SymForm) -> float:
     """Relative defect of the form identity
     ``B_{gamma,q}(u, phi) = B_Q(sqrt(gamma) u, sqrt(gamma) phi)``.
 
-    Exact (to round-off) for unit diffusion; for smooth non-constant
-    diffusion the defect is the nodal re-interpolation error and decays
-    under mesh refinement.
+    ``cond_form`` is the system form of ``coeffs`` (conductivity plus
+    potential form) and ``gform`` the Gagliardo form.  Exact (to
+    round-off) for unit diffusion; for smooth non-constant diffusion the
+    defect is the nodal re-interpolation error and decays under mesh
+    refinement.
     """
-    from .assembly import conductivity_form
-
     u = np.asarray(u, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    if gform is None:
-        gform = gagliardo_form(mesh, params)
-    if cond_form is None:
-        cond_form = conductivity_form(mesh, params, coeffs) + potential_form(mesh, coeffs.q)
     lhs = float(u @ (cond_form.entries @ phi))
     sq = np.sqrt(coeffs.gamma)
-    Q = reduced_potential_form(mesh, params, coeffs, gform=gform).base
+    Q = reduced_potential_form(mesh, coeffs, gform=gform).base
     v = sq * u
     w = sq * phi
     rhs = float(v @ ((gform.entries + Q.entries) @ w))
@@ -121,18 +105,18 @@ def liouville_residual(mesh: Mesh, params: KernelParams, coeffs: Coefficients,
     return abs(lhs - rhs) / (abs(lhs) + guard)
 
 
-def dn_transfer_residual(mesh: Mesh, params: KernelParams, coeffs: Coefficients,
-                         Gamma: np.ndarray, W, f: np.ndarray, g: np.ndarray, *,
-                         domain="Omega",
-                         operator: DNOperator | None = None,
-                         gform: SymForm | None = None) -> float:
+def dn_transfer_residual(mesh: Mesh, coeffs: Coefficients, Gamma: np.ndarray,
+                         W, f: np.ndarray, g: np.ndarray, *,
+                         operator: DNOperator, gform: SymForm) -> float:
     """Relative defect of the DN transfer identity
     ``<Lambda_{gamma,q} f, g> = <Lambda_Q (Gamma^{1/2} f), Gamma^{1/2} g>``.
 
-    ``Gamma`` is any admissible diffusion agreeing with ``coeffs.gamma``
-    on the measurement region ``W``; ``f, g`` must be supported in ``W``.
-    The right side solves the reduced Schroedinger problem with exterior
-    datum ``Gamma^{1/2} f`` and pairs with ``Gamma^{1/2} g``.
+    ``operator`` is the DN operator of ``coeffs``; the reduced problem is
+    solved on its interior dofs.  ``Gamma`` is any admissible diffusion
+    agreeing with ``coeffs.gamma`` on the measurement region ``W``;
+    ``f, g`` must be supported in ``W``.  The right side solves the
+    reduced Schroedinger problem with exterior datum ``Gamma^{1/2} f`` and
+    pairs with ``Gamma^{1/2} g``.
 
     Raises
     ------
@@ -145,14 +129,11 @@ def dn_transfer_residual(mesh: Mesh, params: KernelParams, coeffs: Coefficients,
         raise HypothesisViolation("Gamma differs from gamma on the measurement set")
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
-    if gform is None:
-        gform = gagliardo_form(mesh, params)
-    op = operator or DNOperator(mesh, params, coeffs, domain=domain)
-    lhs = op.pairing(f, g)
+    lhs = operator.pairing(f, g)
 
-    S = gform + reduced_potential_form(mesh, params, coeffs, gform=gform).base
+    S = schrodinger_form(mesh, coeffs, gform=gform)
     sqG = np.sqrt(Gamma)
-    system = FactorizedSystem(S, mesh, domain=domain)
+    system = FactorizedSystem(S, mesh, interior=operator.system.interior)
     v = system.solve(sqG * f).u
     rhs = float((sqG * g) @ (S.entries @ v))
     guard = GUARD * max(1.0, abs(lhs), abs(rhs))
@@ -161,19 +142,18 @@ def dn_transfer_residual(mesh: Mesh, params: KernelParams, coeffs: Coefficients,
 
 def dn_difference_decomposition(mesh: Mesh, params: KernelParams,
                                 pair1: Coefficients, pair2: Coefficients,
-                                f: np.ndarray, *, domain="Omega",
-                                gform: SymForm | None = None) -> dict:
+                                f: np.ndarray, *, gform: SymForm,
+                                domain="Omega") -> dict:
     """Three-term decomposition of ``<(Lambda_1 - Lambda_2) f, f>``.
 
     Returns the pairing difference, the three assembled terms (the
     deviation term driven by ``(-Delta)^s (m_2 - m_1)``, the potential
     difference term, and the solution-relation term) and the relative
-    defect of the identity.  The datum ``f`` must be exterior-supported
-    with one layer of exterior nodes around its support.
+    defect of the identity.  ``gform`` is the Gagliardo form of ``mesh``.
+    The datum ``f`` must be exterior-supported with one layer of exterior
+    nodes around its support.
     """
     f = np.asarray(f, dtype=float)
-    if gform is None:
-        gform = gagliardo_form(mesh, params)
     op1 = DNOperator(mesh, params, pair1, domain=domain)
     op2 = DNOperator(mesh, params, pair2, domain=domain)
     lhs = op1.pairing(f, f) - op2.pairing(f, f)

@@ -23,17 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse.linalg as spla
 
-from .assembly import KernelParams, SymForm, gagliardo_form, mass_matrix, potential_form
+from .assembly import KernelParams, SymForm
 from .errors import CoercivityLost, EigenFailure, EmptyRegion, SupportViolation
 from .mesh import Mesh, support_dofs
-
-#: largest eigenproblem solved densely by :func:`poincare_constant`
-POINCARE_DENSE_CUTOFF = 500
-
-#: largest eigenproblem solved densely by :func:`multiplier_norm_estimate`
-MULTIPLIER_DENSE_CUTOFF = 2500
 
 
 def _combine(forms) -> SymForm:
@@ -153,14 +146,18 @@ def solve_dirichlet(forms, mesh: Mesh, f_ext: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def poincare_constant(mesh: Mesh, params: KernelParams, omega="Omega", *,
-                      gform: SymForm | None = None,
-                      mass: SymForm | None = None) -> dict:
+                      gform: SymForm, mass: SymForm) -> dict:
     """Optimal discrete fractional Poincare constant of the region.
 
     ``C_opt`` is the reciprocal of the smallest eigenvalue of the raw
-    Gagliardo seminorm form (``(2/C_ns) * gagliardo_form``) against the
-    mass matrix over the compactly supported hats of ``omega``; the
-    derived constant is ``delta0 = 2 max(1, C_opt)``.
+    Gagliardo seminorm form (``(2/C_ns) * gform``) against the mass
+    matrix over the compactly supported hats of ``omega``; the derived
+    constant is ``delta0 = 2 max(1, C_opt)``.
+
+    Parameters
+    ----------
+    gform, mass : SymForm
+        The Gagliardo form and the mass matrix of ``mesh``.
 
     Returns
     -------
@@ -169,46 +166,29 @@ def poincare_constant(mesh: Mesh, params: KernelParams, omega="Omega", *,
     dofs = support_dofs(mesh, omega)
     if dofs.size == 0:
         raise EmptyRegion("region has no interior degrees of freedom")
-    if gform is None:
-        gform = gagliardo_form(mesh, params)
-    if mass is None:
-        mass = mass_matrix(mesh)
     G = (2.0 / params.C_ns) * gform.entries[np.ix_(dofs, dofs)]
     M = mass.entries[np.ix_(dofs, dofs)]
-    lam_min = _generalized_extreme(G, M, which="smallest",
-                                   dense_cutoff=POINCARE_DENSE_CUTOFF, spd=True)
+    lam_min = _generalized_extreme(G, M, which="smallest")
     if lam_min <= 0:
         raise EigenFailure(f"nonpositive seminorm eigenvalue {lam_min}")
     c_opt = 1.0 / lam_min
     return {"C_opt": float(c_opt), "delta0": float(2.0 * max(1.0, c_opt))}
 
 
-def multiplier_norm_estimate(mesh: Mesh, params: KernelParams, q: np.ndarray, *,
-                             gform: SymForm | None = None,
-                             mass: SymForm | None = None,
-                             form: SymForm | None = None) -> float:
-    """Discrete estimate of the Sobolev multiplier norm of ``q``.
+def multiplier_norm_estimate(form: SymForm, *, gform: SymForm,
+                             mass: SymForm) -> float:
+    """Discrete estimate of the Sobolev multiplier norm of a pairing form.
 
-    Largest absolute generalized eigenvalue of the pairing form of ``q``
-    against the discrete ``H^s`` inner product ``H = gagliardo + mass``,
-    taken over the full nodal space.  This is a lower bound on the true
-    multiplier norm (the supremum is restricted to the nodal subspace)
-    and is reported as such.
-
-    ``form`` optionally replaces the pairing form of ``q`` (used to
-    estimate the norm of an already-assembled distributional form).
+    Largest absolute generalized eigenvalue of ``form`` (the potential
+    form of ``q``, or any assembled distributional form) against the
+    discrete ``H^s`` inner product ``H = gform + mass``, taken over the
+    full nodal space.  This is a lower bound on the true multiplier norm
+    (the supremum is restricted to the nodal subspace) and is reported as
+    such.
     """
-    if gform is None:
-        gform = gagliardo_form(mesh, params)
-    if mass is None:
-        mass = mass_matrix(mesh)
-    if form is None:
-        form = potential_form(mesh, q)
     H = gform.entries + mass.entries
-    lo = _generalized_extreme(form.entries, H, which="smallest",
-                              dense_cutoff=MULTIPLIER_DENSE_CUTOFF)
-    hi = _generalized_extreme(form.entries, H, which="largest",
-                              dense_cutoff=MULTIPLIER_DENSE_CUTOFF)
+    lo = _generalized_extreme(form.entries, H, which="smallest")
+    hi = _generalized_extreme(form.entries, H, which="largest")
     return float(max(abs(lo), abs(hi)))
 
 
@@ -226,29 +206,13 @@ def coercivity_bound(gamma0: float, delta0: float, q_small_norm: float) -> float
     return float(gamma0 / delta0 - q_small_norm)
 
 
-def _generalized_extreme(A, B, which="smallest", dense_cutoff=500, spd=False):
-    """Extreme eigenvalue of ``A x = lambda B x`` with ``B`` SPD.
-
-    ``spd=True`` marks ``A`` as positive definite too, enabling the
-    shift-invert Lanczos path for the smallest eigenvalue; otherwise the
-    algebraically extreme eigenvalues are located directly.
-    """
+def _generalized_extreme(A, B, which="smallest"):
+    """Extreme eigenvalue of ``A x = lambda B x`` with ``B`` SPD (dense)."""
     n = A.shape[0]
+    idx = [0, 0] if which == "smallest" else [n - 1, n - 1]
     try:
-        if n <= dense_cutoff:
-            idx = [0, 0] if which == "smallest" else [n - 1, n - 1]
-            vals = la.eigh(A, B, subset_by_index=idx, eigvals_only=True,
-                           check_finite=False)
-            return float(vals[0])
-        if which == "smallest" and spd:
-            vals = spla.eigsh(A, k=1, M=B, sigma=0.0, which="LM",
-                              return_eigenvectors=False)
-        elif which == "smallest":
-            vals = spla.eigsh(A, k=1, M=B, which="SA",
-                              return_eigenvectors=False)
-        else:
-            vals = spla.eigsh(A, k=1, M=B, which="LA",
-                              return_eigenvectors=False)
-        return float(vals[0])
-    except (la.LinAlgError, spla.ArpackError, spla.ArpackNoConvergence) as exc:
+        vals = la.eigh(A, B, subset_by_index=idx, eigvals_only=True,
+                       check_finite=False)
+    except la.LinAlgError as exc:
         raise EigenFailure(str(exc)) from None
+    return float(vals[0])

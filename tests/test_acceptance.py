@@ -66,8 +66,10 @@ def counterexample_pipeline():
         mesh = build_mesh(CE_BOX, h, CE_REGIONS)
         gform = gagliardo_form(mesh, par)
         W = mesh.region_objects["W1"]
-        pair = build_pair(mesh, par, CE_PRIME, CE_SEED, CE_EPS, W, gform=gform)
-        rep = verify_nonuniqueness(pair, mesh, par, W, gform=gform)
+        pair = build_pair(mesh, CE_PRIME, CE_SEED, CE_EPS, W, gform=gform)
+        rep = verify_nonuniqueness(pair, mesh, par, W,
+                                   operator=DNOperator(mesh, par, pair.coeffs),
+                                   gform=gform)
         levels[h] = (mesh, gform, pair, rep)
     return par, levels, time.time() - t0
 
@@ -181,7 +183,10 @@ def test_criterion_05_liouville_reduction():
     phi = np.zeros(mesh.num_nodes)
     u[mesh.interior_dofs] = rng.standard_normal(mesh.interior_dofs.size)
     phi[mesh.interior_dofs] = rng.standard_normal(mesh.interior_dofs.size)
-    unit_res = liouville_residual(mesh, par, co1, u, phi)
+    unit_res = liouville_residual(
+        mesh, co1, u, phi,
+        cond_form=conductivity_form(mesh, par, co1) + potential_form(mesh, co1.q),
+        gform=gagliardo_form(mesh, par))
     assert unit_res < 1e-12
     residuals = []
     for h in (1 / 32, 1 / 64, 1 / 128):
@@ -194,7 +199,9 @@ def test_criterion_05_liouville_reduction():
         ii = m.interior_dofs
         uu[ii] = bump((x[ii] - 0.2) / 0.6)
         pp[ii] = bump((x[ii] + 0.3) / 0.5)
-        residuals.append(liouville_residual(m, par, co, uu, pp))
+        cond = conductivity_form(m, par, co) + potential_form(m, co.q)
+        residuals.append(liouville_residual(m, co, uu, pp, cond_form=cond,
+                                            gform=gagliardo_form(m, par)))
     rate = np.polyfit(np.log([32, 64, 128]), -np.log(residuals), 1)[0]
     assert rate > 0.5
     report(5, f"unit-diffusion residual {unit_res:.2e} (< 1e-12), "
@@ -208,8 +215,10 @@ def test_criterion_06_dn_transfer_identity():
     mesh = build_mesh(box, 1 / 32, regions)
     x = mesh.coords
     f = bump((x - 1.625) / 0.3); f[mesh.interior_dofs] = 0.0
-    unit = dn_transfer_residual(mesh, par, Coefficients.background(mesh),
-                                np.ones_like(x), "W1", f, f)
+    bg = Coefficients.background(mesh)
+    unit = dn_transfer_residual(mesh, bg, np.ones_like(x), "W1", f, f,
+                                operator=DNOperator(mesh, par, bg),
+                                gform=gagliardo_form(mesh, par))
     assert unit <= 1e-10
     residuals = []
     for h in (1 / 32, 1 / 64, 1 / 128):
@@ -219,7 +228,9 @@ def test_criterion_06_dn_transfer_identity():
         co = Coefficients.from_arrays(gam, 0.3 * bump(xm / 1.2))
         ff = bump((xm - 1.625) / 0.3); ff[m.interior_dofs] = 0.0
         gg = bump((xm - 1.625) / 0.22); gg[m.interior_dofs] = 0.0
-        residuals.append(dn_transfer_residual(m, par, co, gam, "W1", ff, gg))
+        residuals.append(dn_transfer_residual(m, co, gam, "W1", ff, gg,
+                                              operator=DNOperator(m, par, co),
+                                              gform=gagliardo_form(m, par)))
     rate = np.polyfit(np.log([32, 64, 128]), -np.log(residuals), 1)[0]
     assert rate > 0.5
     report(6, f"unit case {unit:.2e} (<= solver tol), "
@@ -238,10 +249,10 @@ def test_criterion_07_exterior_reconstruction():
     q = 5.0 * bump((x - x0) / 0.5)                  # >= 0, bounded, in W
     co = Coefficients.from_arrays(gam, q)
     gform = gagliardo_form(mesh, par)
-    bumps = bump_sequence(mesh, par, "W1", x0, gform=gform)
+    bumps = bump_sequence(mesh, "W1", x0, gform=gform)
     op = DNOperator(mesh, par, co,
                     form=conductivity_form(mesh, par, co) + potential_form(mesh, q))
-    out = exterior_reconstruct(mesh, par, co, "W1", x0, bumps=bumps, gform=gform)
+    out = exterior_reconstruct(op, bumps)
     err = abs(out["extrapolated"] - 2.0) / 2.0
     assert err < 0.05
     records = potential_decay_check(mesh, q, bumps, math.inf, par)
@@ -292,7 +303,7 @@ def test_criterion_08_poincare_coercivity_chain():
         co = Coefficients.from_arrays(gam, q)
         B = conductivity_form(msh, par, co) + potential_form(msh, q)
         pcm = poincare_constant(msh, par, gform=Am, mass=Mm)
-        qn = multiplier_norm_estimate(msh, par, q, gform=Am, mass=Mm)
+        qn = multiplier_norm_estimate(potential_form(msh, q), gform=Am, mass=Mm)
         alpha = coercivity_bound(co.gamma0, pcm["delta0"], qn)
         assert alpha > 0
         iim = msh.interior_dofs

@@ -1,9 +1,10 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from fractomo import cli, dnmap
+from fractomo import assembly, cli, dnmap
 from fractomo.cli import SUBCOMMANDS, SUBCOMMANDS_2D, main
 from fractomo.profiles import bump
 
@@ -110,14 +111,17 @@ def test_convergence_study_runs(config_path):
     assert len(data["records"]) == 2
 
 
+ORACLE_CONFIG = (
+    "[problem]\nn = 1\ns = 0.25\n[mesh]\nh = 0.0625\nbox = -8, 8\n"
+    "[oracle]\ns_list = 0.25\nu = gaussian:0,1,0,1\n"
+    "[output]\ndirectory = {out}\n"
+)
+
+
 def test_oracle_compare(tmp_path):
     out = tmp_path / "a"
     cfg = tmp_path / "oracle.ini"
-    cfg.write_text(
-        "[problem]\nn = 1\ns = 0.25\n[mesh]\nh = 0.0625\nbox = -8, 8\n"
-        "[oracle]\ns_list = 0.25\nu = gaussian:0,1,0,1\n"
-        f"[output]\ndirectory = {out}\n"
-    )
+    cfg.write_text(ORACLE_CONFIG.format(out=out))
     assert main(["oracle-compare", "--config", str(cfg)]) == 0
     rows = json.loads((out / "oracle_compare.json").read_text())["rows"]
     assert rows[0]["rel_l2_mismatch"] < 0.02
@@ -304,3 +308,53 @@ def test_1d_pipelines_reject_2d_configs_up_front(subcommand, tmp_path,
     assert main([subcommand, "--config", str(path)]) == 3
     assert "1D pipeline" in capsys.readouterr().err
     assert not (tmp_path / "artifacts").exists()
+
+
+QUADRATURE_CHECK = "\n[quadrature]\ncheck = true\n"
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_quadrature_check_reaches_every_kernel_form(subcommand, config_path,
+                                                    tmp_path, monkeypatch):
+    original = assembly._kernel_form
+    signature = inspect.signature(original)
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(signature.bind(*args, **kwargs).arguments["check"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "_kernel_form", recording)
+    path, out = config_path
+    if subcommand == "oracle-compare":
+        text = ORACLE_CONFIG.format(out=out)
+    else:
+        text = path.read_text()
+    checked = tmp_path / "checked.ini"
+    checked.write_text(text + QUADRATURE_CHECK)
+    assert main([subcommand, "--config", str(checked)]) == 0
+    assert seen and all(check is True for check in seen), seen
+
+
+CONFIG_2D_S045 = """
+[problem]
+n = 2
+s = 0.45
+[mesh]
+h = 0.25
+box = -1, -1, 1, 1
+[regions]
+Omega = -0.5, -0.5, 0.5, 0.5
+W1 = 0.5, -0.75, 1.0, 0.75
+[output]
+directory = {out}
+"""
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS_2D)
+def test_quadrature_check_fails_2d_at_s045(subcommand, tmp_path, capsys):
+    # the 2D self check defect is 5.7e-4 at s = 0.45, above its 5e-4 bound
+    path = tmp_path / "run2d.ini"
+    path.write_text(CONFIG_2D_S045.format(out=tmp_path / "a") + QUADRATURE_CHECK)
+    assert main([subcommand, "--config", str(path)]) == 1
+    assert "self check failed" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import pytest
 
 from fractomo.assembly import Coefficients, KernelParams, gagliardo_form, mass_matrix
 from fractomo.counterexample import UNIT_BALL_VOLUME, build_pair, verify_nonuniqueness
-from fractomo.dnmap import solution_relation_residual
+from fractomo.dnmap import DNOperator, solution_relation_residual
 from fractomo.errors import GeometryViolation, NegativeSolution
 from fractomo.mesh import Box, Region, build_mesh, region_dofs
 from fractomo.profiles import bump, mollifier_kernel
@@ -21,18 +21,20 @@ def setting():
     par = KernelParams(1, 0.25)
     gform = gagliardo_form(mesh, par)
     W = mesh.region_objects["W1"]
-    pair = build_pair(mesh, par, OMEGA_PRIME, OMEGA_SEED, EPS, W, gform=gform)
+    pair = build_pair(mesh, OMEGA_PRIME, OMEGA_SEED, EPS, W, gform=gform)
     return mesh, par, gform, W, pair
 
 
 def test_degenerate_cutoff_gives_background(setting):
     mesh, par, gform, W, _ = setting
-    pair = build_pair(mesh, par, OMEGA_PRIME, OMEGA_SEED, EPS, W,
+    pair = build_pair(mesh, OMEGA_PRIME, OMEGA_SEED, EPS, W,
                       eta_amplitude=0.0, gform=gform)
     assert np.abs(pair.m).max() == 0.0
     assert np.abs(pair.gamma1 - 1.0).max() == 0.0
     assert np.abs(pair.q1).max() == 0.0
-    report = verify_nonuniqueness(pair, mesh, par, W, gform=gform)
+    report = verify_nonuniqueness(pair, mesh, par, W,
+                                  operator=DNOperator(mesh, par, pair.coeffs),
+                                  gform=gform)
     assert report["dn_gap"] == 0.0
     assert report["q_gap"] == 0.0
 
@@ -42,7 +44,7 @@ def test_maximum_principle_and_nonnegativity(setting):
     assert pair.m_tilde.min() >= 0.0
     assert pair.m.min() >= 0.0
     with pytest.raises(NegativeSolution):
-        build_pair(mesh, par, OMEGA_PRIME, OMEGA_SEED, EPS, W,
+        build_pair(mesh, OMEGA_PRIME, OMEGA_SEED, EPS, W,
                    eta_amplitude=-1.0, gform=gform)
 
 
@@ -90,19 +92,21 @@ def test_q1_defining_relation(setting):
 def test_geometry_violations(setting):
     mesh, par, gform, W, pair = setting
     with pytest.raises(GeometryViolation):
-        build_pair(mesh, par, OMEGA_PRIME, Region("o", (1.3,), (1.6,)), 0.2, W,
+        build_pair(mesh, OMEGA_PRIME, Region("o", (1.3,), (1.6,)), 0.2, W,
                    gform=gform)  # omega(5eps) hits W
     with pytest.raises(GeometryViolation):
-        build_pair(mesh, par, Region("Op", (-0.9,), (0.9,)), OMEGA_SEED, EPS, W,
+        build_pair(mesh, Region("Op", (-0.9,), (0.9,)), OMEGA_SEED, EPS, W,
                    gform=gform)  # Omega'(5eps) leaves Omega
     with pytest.raises(GeometryViolation):
-        build_pair(mesh, par, OMEGA_PRIME, Region("o", (3.0,), (3.2,)), EPS, W,
+        build_pair(mesh, OMEGA_PRIME, Region("o", (3.0,), (3.2,)), EPS, W,
                    gform=gform)  # omega(5eps) leaves the box
 
 
 def test_report_invariants(setting):
     mesh, par, gform, W, pair = setting
-    report = verify_nonuniqueness(pair, mesh, par, W, gform=gform)
+    report = verify_nonuniqueness(pair, mesh, par, W,
+                                  operator=DNOperator(mesh, par, pair.coeffs),
+                                  gform=gform)
     assert report["dn_gap"] < 1e-2
     assert report["q_gap"] > 0.05
     assert report["condition3_residual"] < 1e-8
@@ -131,10 +135,12 @@ def test_interior_layout_also_supported():
     gform = gagliardo_form(mesh, par)
     W = mesh.region_objects["W1"]
     seed = Region("omega_seed", (0.7,), (0.85,))
-    pair = build_pair(mesh, par, Region("Op", (-0.5,), (0.2,)), seed, 0.03, W,
+    pair = build_pair(mesh, Region("Op", (-0.5,), (0.2,)), seed, 0.03, W,
                       gform=gform)
     w_nodes = region_dofs(mesh, "W1")
     assert np.abs(pair.gamma1[w_nodes] - 1.0).max() == 0.0
-    report = verify_nonuniqueness(pair, mesh, par, W, gform=gform)
+    report = verify_nonuniqueness(pair, mesh, par, W,
+                                  operator=DNOperator(mesh, par, pair.coeffs),
+                                  gform=gform)
     assert report["dn_gap"] < 5e-2
     assert report["q_gap"] > 0.0

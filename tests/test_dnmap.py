@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import roots_legendre
 
 from fractomo.assembly import (
@@ -46,13 +47,34 @@ def test_pairing_support_violation(setting):
         op.pairing(bad, f)
 
 
-def test_well_definedness_representative_independence(setting):
-    mesh, par, co, op = setting
+# smooth diffusion gamma = 1 + amp sin(freq x + phase) with amp <= 0.9,
+# nonnegative absorption q = level bump(x / width), order s in (0.05, 0.49)
+orders = st.floats(0.05, 0.49)
+amplitudes = st.one_of(st.just(0.0), st.floats(0.01, 0.9))
+frequencies = st.floats(0.1, 3.0)
+phases = st.floats(0.0, 2.0 * np.pi)
+levels = st.one_of(st.just(0.0), st.floats(0.01, 2.0))
+
+
+def _drawn_operator(mesh, s, amp, freq, phase, level):
+    x = mesh.coords
+    gamma = 1.0 + amp * np.sin(freq * x + phase)
+    q = level * bump(x / 1.5)
+    return DNOperator(mesh, KernelParams(1, s), Coefficients.from_arrays(gamma, q))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(s=orders, amp=amplitudes, freq=frequencies, phase=phases, level=levels,
+       seed=st.integers(0, 2**32 - 1))
+def test_well_definedness_representative_independence(setting, s, amp, freq,
+                                                       phase, level, seed):
+    mesh = setting[0]
+    op = _drawn_operator(mesh, s, amp, freq, phase, level)
     x = mesh.coords
     f = bump((x - 1.6) / 0.3); f[mesh.interior_dofs] = 0.0
     g = bump((x - 1.9) / 0.25); g[mesh.interior_dofs] = 0.0
     base = op.pairing(f, g)
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(seed)
     for _ in range(5):
         z = np.zeros(mesh.num_nodes)
         z[mesh.interior_dofs] = rng.standard_normal(mesh.interior_dofs.size)
@@ -116,16 +138,21 @@ def test_dn_energy_bound_on_diagonal(setting):
         assert dn.entries[k, k] <= op.form.energy(phi) + 1e-12
 
 
-def test_dn_monotone_in_constant_potential_shift(setting):
-    mesh, par, co, op = setting
-    dn0 = op.matrix("W1", "W1")
-    co_shift = co.with_q(co.q + 0.5)
-    op_shift = DNOperator(mesh, par, co_shift,
-                          form=op.form + potential_form(mesh, np.full(mesh.num_nodes, 0.5)))
-    dn1 = op_shift.matrix("W1", "W1")
-    diag0 = np.diag(dn0.entries)
-    diag1 = np.diag(dn1.entries)
-    assert (diag1 >= diag0 - 1e-12).all()
+@settings(max_examples=40, deadline=None, database=None)
+@given(s=orders, amp=amplitudes, freq=frequencies, phase=phases, level=levels,
+       shift=st.floats(0.01, 2.0))
+def test_dn_monotone_in_constant_potential_shift(setting, s, amp, freq, phase,
+                                                 level, shift):
+    # the DN quadratic form is the least energy over interior extensions,
+    # and the shift adds shift * (mass energy) >= 0 to every energy, so
+    # DN(q + shift) - DN(q) is positive semidefinite
+    mesh = setting[0]
+    op = _drawn_operator(mesh, s, amp, freq, phase, level)
+    co_shift = op.coeffs.with_q(op.coeffs.q + shift)
+    op_shift = DNOperator(mesh, op.params, co_shift,
+                          form=op.form + potential_form(mesh, np.full(mesh.num_nodes, shift)))
+    gap = op_shift.matrix("W1", "W1").entries - op.matrix("W1", "W1").entries
+    assert np.linalg.eigvalsh(0.5 * (gap + gap.T)).min() >= -1e-12
 
 
 def test_dn_gamma1_q0_equals_reduced_route(setting):
@@ -134,7 +161,7 @@ def test_dn_gamma1_q0_equals_reduced_route(setting):
     mesh, par, co, op = setting
     from fractomo.reduction import schrodinger_form
 
-    S = schrodinger_form(mesh, par, co)
+    S = schrodinger_form(mesh, co, gform=gagliardo_form(mesh, par))
     op2 = DNOperator(mesh, par, co, form=S)
     d1 = op.matrix("W1", "W2")
     d2 = op2.matrix("W1", "W2")

@@ -31,7 +31,7 @@ def setting():
     mesh = build_mesh(BOX, 1 / 64, REGIONS)
     par = KernelParams(1, 0.25)
     gform = gagliardo_form(mesh, par)
-    bumps = bump_sequence(mesh, par, "W1", X0, gform=gform)
+    bumps = bump_sequence(mesh, "W1", X0, gform=gform)
     return mesh, par, gform, bumps
 
 
@@ -87,17 +87,17 @@ def test_default_scales_respect_resolution(setting):
 def test_bump_errors(setting):
     mesh, par, gform, bumps = setting
     with pytest.raises(OutsideMeasurementSet):
-        bump_sequence(mesh, par, "W1", 3.0, [4], gform=gform)
+        bump_sequence(mesh, "W1", 3.0, [4], gform=gform)
     with pytest.raises(OutsideMeasurementSet):
-        bump_sequence(mesh, par, "W1", X0, [1], gform=gform)  # support leaves W
+        bump_sequence(mesh, "W1", X0, [1], gform=gform)  # support leaves W
     with pytest.raises(UnresolvableScale):
-        bump_sequence(mesh, par, "W1", X0, [4096], gform=gform)
+        bump_sequence(mesh, "W1", X0, [4096], gform=gform)
 
 
 def test_reconstruct_unit_background(setting):
     mesh, par, gform, bumps = setting
     co = Coefficients.background(mesh)
-    out = exterior_reconstruct(mesh, par, co, "W1", X0, bumps=bumps, gform=gform)
+    out = exterior_reconstruct(DNOperator(mesh, par, co), bumps)
     for rec in out["samples"]:
         assert abs(rec["estimate"] - 1.0) < 0.05
     assert abs(out["extrapolated"] - 1.0) < 0.02
@@ -141,8 +141,8 @@ def test_reconstruct_locality_in_q(setting):
     q2 = q1 + 0.7 * bump((x - 3.2) / 0.2)  # far outside supports and Omega
     co1 = Coefficients.from_arrays(np.ones_like(x), q1)
     co2 = Coefficients.from_arrays(np.ones_like(x), q2)
-    r1 = exterior_reconstruct(mesh, par, co1, "W1", X0, bumps=bumps, gform=gform)
-    r2 = exterior_reconstruct(mesh, par, co2, "W1", X0, bumps=bumps, gform=gform)
+    r1 = exterior_reconstruct(DNOperator(mesh, par, co1), bumps)
+    r2 = exterior_reconstruct(DNOperator(mesh, par, co2), bumps)
     for a, b in zip(r1["samples"], r2["samples"]):
         assert abs(a["estimate"] - b["estimate"]) < 1e-9
 
@@ -173,7 +173,7 @@ def test_theta_exponent_formula():
     assert 2 - 1 / (0.25 * 3) == pytest.approx(2.0 / 3.0)
     mesh = build_mesh(BOX, 1 / 32, REGIONS)
     gform = gagliardo_form(mesh, par)
-    bumps = bump_sequence(mesh, par, "W1", X0, gform=gform)
+    bumps = bump_sequence(mesh, "W1", X0, gform=gform)
     q = bump((mesh.coords - X0) / 0.5)
     recs3 = potential_decay_check(mesh, q, bumps, 3.0, par, strict=False)
     norms = bumps.l2_norms
@@ -201,10 +201,10 @@ def test_exterior_q_shifts_estimates_by_its_pairing(setting):
     x = mesh.coords
     gam = 1.0 + plateau(x, (1.0, 2.6), (0.7, 2.9))
     q = 5.0 * bump((x - X0) / 0.5)
-    r0 = exterior_reconstruct(mesh, par, Coefficients.from_arrays(gam),
-                              "W1", X0, bumps=bumps, gform=gform)
-    rq = exterior_reconstruct(mesh, par, Coefficients.from_arrays(gam, q),
-                              "W1", X0, bumps=bumps, gform=gform)
+    r0 = exterior_reconstruct(
+        DNOperator(mesh, par, Coefficients.from_arrays(gam)), bumps)
+    rq = exterior_reconstruct(
+        DNOperator(mesh, par, Coefficients.from_arrays(gam, q)), bumps)
     records = potential_decay_check(mesh, q, bumps, math.inf, par)
     for a, b, d in zip(r0["samples"], rq["samples"], records):
         delta = abs(b["estimate"] - a["estimate"])
@@ -219,7 +219,7 @@ def test_energy_concentration_monotone(setting):
     x = mesh.coords
     gam = 1.0 + plateau(x, (1.0, 2.6), (0.7, 2.9))
     co = Coefficients.from_arrays(gam)
-    out = exterior_reconstruct(mesh, par, co, "W1", X0, bumps=bumps, gform=gform)
+    out = exterior_reconstruct(DNOperator(mesh, par, co), bumps)
     errors = [abs(rec["estimate"] - 2.0) for rec in out["samples"]]
     assert all(b < a for a, b in zip(errors, errors[1:]))
 

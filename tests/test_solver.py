@@ -140,7 +140,8 @@ def test_poincare_refinement_monotone():
     for h in (1 / 16, 1 / 32, 1 / 64):
         mesh = build_mesh(Box((-2.0,), (2.0,)), h,
                           [Region("Omega", (-1.0,), (1.0,))])
-        values.append(poincare_constant(mesh, par)["C_opt"])
+        values.append(poincare_constant(mesh, par, gform=gagliardo_form(mesh, par),
+                                        mass=mass_matrix(mesh))["C_opt"])
     assert values[0] < values[1] < values[2]
     # frozen fine-mesh reference computed with this module at h=1/256
     reference = 0.10276
@@ -151,18 +152,20 @@ def test_delta0_arithmetic():
     assert 2.0 * max(1.0, 0.5) == 2.0  # delta0 for C_opt = 1/2
     mesh = build_mesh(Box((-2.0,), (2.0,)), 1 / 16,
                       [Region("Omega", (-1.0,), (1.0,))])
-    pc = poincare_constant(mesh, KernelParams(1, 0.25))
+    par = KernelParams(1, 0.25)
+    pc = poincare_constant(mesh, par, gform=gagliardo_form(mesh, par),
+                           mass=mass_matrix(mesh))
     assert pc["delta0"] == 2.0 * max(1.0, pc["C_opt"])
 
 
 def test_multiplier_estimate_basics(setting):
     mesh, par, A, M = setting
-    zero = multiplier_norm_estimate(mesh, par, np.zeros(mesh.num_nodes),
+    zero = multiplier_norm_estimate(potential_form(mesh, np.zeros(mesh.num_nodes)),
                                     gform=A, mass=M)
     assert zero == 0.0
     q = bump(mesh.coords / 1.2)
-    e1 = multiplier_norm_estimate(mesh, par, q, gform=A, mass=M)
-    e2 = multiplier_norm_estimate(mesh, par, -3.0 * q, gform=A, mass=M)
+    e1 = multiplier_norm_estimate(potential_form(mesh, q), gform=A, mass=M)
+    e2 = multiplier_norm_estimate(potential_form(mesh, -3.0 * q), gform=A, mass=M)
     assert e2 == pytest.approx(3.0 * e1, rel=1e-10)
 
 
@@ -172,7 +175,7 @@ def test_multiplier_estimate_unit_q_and_svd_oracle():
     par = KernelParams(1, 0.25)
     A = gagliardo_form(mesh, par)
     M = mass_matrix(mesh)
-    est = multiplier_norm_estimate(mesh, par, np.ones(mesh.num_nodes),
+    est = multiplier_norm_estimate(potential_form(mesh, np.ones(mesh.num_nodes)),
                                    gform=A, mass=M)
     assert est <= 1.0 + 1e-10
     # dense SVD oracle on this <= 50-node mesh
@@ -206,7 +209,7 @@ def test_coercivity_bound_vs_eigenvalue():
     co = Coefficients.from_arrays(1.0 + 0.4 * bump(x / 1.2), q)
     B = conductivity_form(mesh, par, co) + potential_form(mesh, q)
     pc = poincare_constant(mesh, par, gform=A, mass=M)
-    qnorm = multiplier_norm_estimate(mesh, par, q, gform=A, mass=M)
+    qnorm = multiplier_norm_estimate(potential_form(mesh, q), gform=A, mass=M)
     alpha = coercivity_bound(co.gamma0, pc["delta0"], qnorm)
     assert alpha > 0
     ii = mesh.interior_dofs
