@@ -17,13 +17,13 @@ from scipy.special import gamma as G
 from fractomo import (
     Box,
     Coefficients,
+    FactorizedSystem,
     KernelParams,
     Region,
     build_mesh,
     conductivity_form,
     gagliardo_form,
     mass_matrix,
-    solve_dirichlet,
 )
 
 s = 0.25
@@ -36,8 +36,8 @@ for h in (1 / 32, 1 / 64, 1 / 128):
     mesh = build_mesh(Box((-1.5,), (1.5,)), h, [Region("Omega", (-1.0,), (1.0,))])
     A = gagliardo_form(mesh, params)
     M = mass_matrix(mesh)
-    sol = solve_dirichlet(A, mesh, np.zeros(mesh.num_nodes),
-                          f_src=M.entries @ np.ones(mesh.num_nodes))
+    sol = FactorizedSystem(A, mesh).solve(np.zeros(mesh.num_nodes),
+                                          f_src=M.entries @ np.ones(mesh.num_nodes))
     x = mesh.coords
     exact = np.where(np.abs(x) < 1, kappa * np.maximum(0, 1 - x**2) ** s, 0.0)
     sub = mesh.interior_dofs[np.abs(x[mesh.interior_dofs]) <= 0.9]
@@ -52,6 +52,6 @@ B = conductivity_form(mesh, params, co)
 for c in (0.7, -1.3):
     f = np.full(mesh.num_nodes, c)
     f[mesh.interior_dofs] = 0.0
-    sol = solve_dirichlet(B, mesh, f, far_field=c)
+    sol = FactorizedSystem(B, mesh).solve(f, far_field=c)
     print(f"c = {c:+.1f}: max |u - c| = {np.abs(sol.u - c).max():.2e},"
           f" energy = {sol.energy:.2e}")

@@ -57,4 +57,4 @@ mesh = build_mesh(box, 1 / 32, regions)
 co1 = Coefficients.from_arrays(np.ones(mesh.num_nodes), 0.3 * bump(mesh.coords))
 Q = reduced_potential_form(mesh, co1, gform=gagliardo_form(mesh, params))
 print("max |Q-form - potential form| =",
-      np.abs(Q.base.entries - potential_form(mesh, co1.q).entries).max())
+      np.abs(Q.entries - potential_form(mesh, co1.q).entries).max())

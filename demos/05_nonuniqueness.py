@@ -18,6 +18,7 @@ from fractomo import (
     build_mesh,
     build_pair,
     gagliardo_form,
+    mass_matrix,
     solution_relation_residual,
     verify_nonuniqueness,
 )
@@ -32,10 +33,13 @@ print("h        dn_gap      q_gap   ||m||_inf  multiplier  threshold")
 for h in (1 / 32, 1 / 64, 1 / 128):
     mesh = build_mesh(Box((-2.25,), (3.25,)), h, regions)
     gform = gagliardo_form(mesh, params)
+    mass = mass_matrix(mesh)
     W = mesh.region_objects["W1"]
-    pair = build_pair(mesh, omega_prime, omega_seed, 0.05, W, gform=gform)
+    pair = build_pair(mesh, omega_prime, omega_seed, 0.05, W, gform=gform,
+                      mass=mass)
     op = DNOperator(mesh, params, pair.coeffs)
-    rep = verify_nonuniqueness(pair, mesh, params, W, operator=op, gform=gform)
+    rep = verify_nonuniqueness(pair, mesh, params, W, operator=op, gform=gform,
+                               mass=mass)
     print(f"1/{round(1/h):<6d} {rep['dn_gap']:.3e} {rep['q_gap']:8.4f}"
           f" {rep['m_sup']:9.4f} {rep['multiplier_estimate']:10.4f}"
           f" {rep['admissibility_threshold']:10.4f}")
@@ -45,6 +49,7 @@ print("agree for data supported in the window")
 x = mesh.coords
 f = bump((x - 1.5) / 0.25)
 f[mesh.interior_dofs] = 0.0
-r = solution_relation_residual(mesh, params, pair.coeffs,
-                               Coefficients.background(mesh), f, "W1")
+r = solution_relation_residual(
+    op, DNOperator(mesh, params, Coefficients.background(mesh), form=gform),
+    f, "W1", mass=mass)
 print(f"relative L2 mismatch of sqrt(gamma) u between the pairs: {r:.2e}")

@@ -21,7 +21,7 @@ from .assembly import (
 )
 from .counterexample import CounterexamplePair, build_pair, verify_nonuniqueness
 from .dnmap import DNMatrix, DNOperator, solution_relation_residual
-from .mesh import Box, Mesh, Region, build_mesh, exterior_dofs, region_dofs, support_dofs
+from .mesh import Box, Mesh, Region, build_mesh, region_dofs, support_dofs
 from .reconstruction import (
     BumpSequence,
     bump_sequence,
@@ -30,7 +30,6 @@ from .reconstruction import (
     potential_decay_check,
 )
 from .reduction import (
-    ReducedPotentialForm,
     dn_difference_decomposition,
     dn_transfer_residual,
     liouville_residual,
@@ -43,21 +42,20 @@ from .solver import (
     coercivity_bound,
     multiplier_norm_estimate,
     poincare_constant,
-    solve_dirichlet,
 )
 from .spectral import spectral_frac_laplacian
 
 __all__ = [
     "Box", "BumpSequence", "Coefficients", "CounterexamplePair",
     "DirichletSolution", "DNMatrix", "DNOperator", "FactorizedSystem",
-    "KernelParams", "Mesh", "ReducedPotentialForm", "Region", "SymForm",
+    "KernelParams", "Mesh", "Region", "SymForm",
     "build_mesh", "build_pair", "bump_sequence", "coercivity_bound",
     "conductivity_form", "default_scales", "dn_difference_decomposition",
-    "dn_transfer_residual", "exterior_dofs", "exterior_reconstruct",
+    "dn_transfer_residual", "exterior_reconstruct",
     "gagliardo_form", "liouville_residual", "mass_matrix",
     "multiplier_norm_estimate", "normalization_constant", "poincare_constant",
     "potential_decay_check", "potential_form", "reduced_potential_form",
     "region_dofs", "schrodinger_form", "solution_relation_residual",
-    "solve_dirichlet", "spectral_frac_laplacian", "support_dofs",
+    "spectral_frac_laplacian", "support_dofs",
     "verify_nonuniqueness",
 ]

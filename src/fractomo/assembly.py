@@ -64,14 +64,12 @@ def normalization_constant(n: int, s: float) -> float:
 class KernelParams:
     """Dimension, fractional order and kernel normalization.
 
-    ``C_ns`` defaults to :func:`normalization_constant`; it may be
-    overridden from the configuration to experiment with other
-    conventions.  Orders must satisfy ``0 < s < min(1, n/2)``.
+    ``C_ns`` is always :func:`normalization_constant` of ``(n, s)``.
+    Orders must satisfy ``0 < s < min(1, n/2)``.
     """
 
     n: int
     s: float
-    C_ns: float = None
 
     def __post_init__(self):
         if self.n not in (1, 2):
@@ -80,10 +78,10 @@ class KernelParams:
             raise ValueError(
                 f"order s={self.s} outside (0, min(1, n/2)) for n={self.n}"
             )
-        if self.C_ns is None:
-            object.__setattr__(self, "C_ns", normalization_constant(self.n, self.s))
-        if not self.C_ns > 0:
-            raise ValueError("C_ns must be positive")
+
+    @property
+    def C_ns(self) -> float:
+        return normalization_constant(self.n, self.s)
 
 
 @dataclass(frozen=True)
@@ -96,9 +94,6 @@ class Coefficients:
         Nodal diffusion values, bounded below by ``gamma0 > 0``.
     q : ndarray
         Nodal absorption (potential) values.
-    m_gamma : ndarray
-        Background deviation ``sqrt(gamma) - 1``, kept exactly consistent
-        with ``gamma``.
     gamma0 : float
         Uniform ellipticity lower bound.
     gamma_exterior : float
@@ -108,17 +103,14 @@ class Coefficients:
 
     gamma: np.ndarray
     q: np.ndarray
-    m_gamma: np.ndarray
     gamma0: float
     gamma_exterior: float = 1.0
 
     def __post_init__(self):
         gamma = np.asarray(self.gamma, dtype=float)
         q = np.asarray(self.q, dtype=float)
-        m = np.asarray(self.m_gamma, dtype=float)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "m_gamma", m)
         if not self.gamma0 > 0:
             raise NonPositiveGamma(f"gamma0={self.gamma0} is not positive")
         if gamma.min() < self.gamma0 - 1e-14:
@@ -127,14 +119,17 @@ class Coefficients:
             )
         if self.gamma_exterior <= 0:
             raise NonPositiveGamma("exterior diffusion value must be positive")
-        if not np.array_equal(np.sqrt(gamma) - 1.0, m):
-            raise ValueError("m_gamma must equal sqrt(gamma) - 1 exactly")
         if not (np.isfinite(gamma).all() and np.isfinite(q).all()):
             raise ValueError("coefficients must be finite")
 
+    @property
+    def m_gamma(self) -> np.ndarray:
+        """Background deviation ``sqrt(gamma) - 1``."""
+        return np.sqrt(self.gamma) - 1.0
+
     @classmethod
     def from_arrays(cls, gamma, q=None, gamma0=None, gamma_exterior=1.0):
-        """Build validated coefficients; ``m_gamma`` is derived."""
+        """Build validated coefficients; ``gamma0`` defaults to ``min(gamma)``."""
         gamma = np.asarray(gamma, dtype=float)
         if gamma.size and gamma.min() <= 0.0:
             raise NonPositiveGamma(f"gamma attains {gamma.min()} <= 0")
@@ -145,7 +140,6 @@ class Coefficients:
         return cls(
             gamma=gamma,
             q=np.asarray(q, dtype=float),
-            m_gamma=np.sqrt(gamma) - 1.0,
             gamma0=float(gamma0),
             gamma_exterior=float(gamma_exterior),
         )
@@ -157,8 +151,8 @@ class Coefficients:
 
     def with_q(self, q: np.ndarray) -> "Coefficients":
         return Coefficients(
-            self.gamma, np.asarray(q, dtype=float), self.m_gamma,
-            self.gamma0, self.gamma_exterior,
+            self.gamma, np.asarray(q, dtype=float), self.gamma0,
+            self.gamma_exterior,
         )
 
 
@@ -166,33 +160,18 @@ class Coefficients:
 class SymForm:
     """Dense symmetric bilinear form over the nodal basis."""
 
-    dim: int
     entries: np.ndarray
     tail_row: np.ndarray = None
 
     def __post_init__(self):
         if self.tail_row is None:
-            self.tail_row = np.zeros(self.dim)
+            self.tail_row = np.zeros(self.entries.shape[0])
 
     def __add__(self, other: "SymForm") -> "SymForm":
-        if self.dim != other.dim:
+        if self.entries.shape != other.entries.shape:
             raise ValueError("form dimensions differ")
-        return SymForm(
-            self.dim,
-            self.entries + other.entries,
-            self.tail_row + other.tail_row,
-        )
-
-    def __mul__(self, scalar: float) -> "SymForm":
-        return SymForm(self.dim, self.entries * scalar, self.tail_row * scalar)
-
-    __rmul__ = __mul__
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.entries @ u
-
-    def pair(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(u @ (self.entries @ v))
+        return SymForm(self.entries + other.entries,
+                       self.tail_row + other.tail_row)
 
     def energy(self, u: np.ndarray, far_field: float = 0.0) -> float:
         """``B(u + c 1_ext, u + c 1_ext)`` for far-field constant ``c``."""
@@ -265,7 +244,7 @@ def potential_form(mesh: Mesh, q: np.ndarray) -> SymForm:
     N = mesh.num_nodes
     A = np.zeros((N, N))
     _add_local_mass(A, mesh.elements, w * (q[mesh.elements] @ lam.T), lam)
-    return SymForm(N, A)
+    return SymForm(A)
 
 
 def _triangle_rule_deg4():
@@ -370,7 +349,7 @@ def _kernel_form(mesh, params, sqrt_gamma, sqrt_gamma_ext, order_singular,
             raise QuadratureFailure(
                 f"panel self check failed: relative defect {defect:.2e}"
             )
-    return SymForm(mesh.num_nodes, A, tail_row)
+    return SymForm(A, tail_row)
 
 
 def _jacobi_rule(order, beta, length):

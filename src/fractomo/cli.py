@@ -36,7 +36,7 @@ from .assembly import (
 from .config import ExperimentConfig, parse_config
 from .counterexample import build_pair, verify_nonuniqueness
 from .dnmap import DNOperator
-from .errors import ConfigError, FractomoError, VerificationError
+from .errors import ConfigError, FractomoError, InsufficientPadding, VerificationError
 from .io import (
     export_dn_csv,
     export_oracle_csv,
@@ -50,7 +50,7 @@ from .mesh import Region
 from .profiles import bump
 from .reconstruction import bump_sequence, exterior_reconstruct, potential_decay_check
 from .reduction import dn_transfer_residual, liouville_residual
-from .solver import poincare_constant, solve_dirichlet
+from .solver import FactorizedSystem, poincare_constant
 from .spectral import spectral_frac_laplacian
 
 SUBCOMMANDS = (
@@ -110,7 +110,7 @@ def run_solve(cfg, outdir, verbose):
     f = _exterior_datum(cfg, mesh, cfg.f_spec or "constant:0", "[data] f")
     src = cfg.nodal(mesh, cfg.source_spec, "[data] source")
     f_src = mass_matrix(mesh).entries @ src
-    sol = solve_dirichlet(form, mesh, f, f_src, far_field=cfg.far_field)
+    sol = FactorizedSystem(form, mesh).solve(f, f_src, far_field=cfg.far_field)
     export_solution_csv(outdir / "solution.csv", mesh, sol.u)
     write_json_report(
         outdir / "solve.json",
@@ -227,12 +227,13 @@ def run_counterexample(cfg, outdir, verbose):
     om = Region("omega_seed", *cfg.ce_omega)
     W = mesh.region_objects[wlabel]
     gform = _gagliardo(cfg, mesh, params)
-    pair = build_pair(mesh, om_p, om, cfg.ce_eps, W, gform=gform,
+    mass = mass_matrix(mesh)
+    pair = build_pair(mesh, om_p, om, cfg.ce_eps, W, gform=gform, mass=mass,
                       scale=cfg.ce_scale)
     op = DNOperator(mesh, params, pair.coeffs,
                     form=_system_form(cfg, mesh, params, pair.coeffs))
     report = verify_nonuniqueness(pair, mesh, params, W, operator=op,
-                                  gform=gform, seed=cfg.seed)
+                                  gform=gform, mass=mass, seed=cfg.seed)
     export_pair_csv(outdir / "pair.csv", mesh, pair)
     schema = report.pop("schema")
     write_json_report(outdir / "nonuniqueness.json", report, schema)
@@ -243,16 +244,21 @@ def run_counterexample(cfg, outdir, verbose):
 def run_oracle_compare(cfg, outdir, verbose):
     mesh = cfg.build_mesh()
     u = cfg.nodal(mesh, cfg.oracle_u_spec, "[oracle] u")
+    orders = [KernelParams(cfg.n, s) for s in cfg.oracle_s_list]
+    try:
+        # the oracle rejects a u too close to the box before any assembly
+        specs = [spectral_frac_laplacian(mesh, params, u, pad_factor=cfg.pad_factor)
+                 for params in orders]
+    except InsufficientPadding as exc:
+        raise ConfigError(f"[oracle] u: {exc}") from None
     M = mass_matrix(mesh)
     rows = []
-    for s in cfg.oracle_s_list:
-        params = KernelParams(cfg.n, s, cfg.c_ns)
+    for params, spec in zip(orders, specs):
         A = _gagliardo(cfg, mesh, params)
         nodal = np.linalg.solve(M.entries, A.entries @ u)
-        spec = spectral_frac_laplacian(mesh, params, u, pad_factor=cfg.pad_factor)
         diff = nodal - spec
         rel = np.sqrt(diff @ M.entries @ diff) / np.sqrt(spec @ M.entries @ spec)
-        rows.append({"s": s, "rel_l2_mismatch": float(rel)})
+        rows.append({"s": params.s, "rel_l2_mismatch": float(rel)})
     export_oracle_csv(outdir / "oracle_compare.csv", rows)
     write_json_report(outdir / "oracle_compare.json", {"rows": rows},
                       "fractomo.oracle.v1")

@@ -7,7 +7,6 @@ Grammar (all keys optional unless marked; values shown with defaults):
     [problem]
     n = 1                      ; dimension, 1 or 2
     s = 0.25                   ; fractional order, 0 < s < min(1, n/2)
-    c_ns =                     ; kernel constant override (default: standard)
 
     [mesh]
     h = 0.03125                ; required: grid spacing
@@ -94,7 +93,6 @@ class ExperimentConfig:
 
     n: int = 1
     s: float = 0.25
-    c_ns: float = None
     h: float = None
     margin: float = None
     box: tuple = None
@@ -126,7 +124,7 @@ class ExperimentConfig:
     # ------------------------------------------------------------------
     def params(self) -> KernelParams:
         try:
-            return KernelParams(self.n, self.s, self.c_ns)
+            return KernelParams(self.n, self.s)
         except ValueError as exc:
             raise ConfigError(f"[problem]: {exc}") from None
 
@@ -236,7 +234,6 @@ def parse_config(path) -> ExperimentConfig:
     if cfg.n not in (1, 2):
         raise ConfigError("[problem] n: must be 1 or 2")
     cfg.s = get("problem", "s", float, cfg.s)
-    cfg.c_ns = get("problem", "c_ns", float, None)
     cfg.h = get("mesh", "h", float, None)
     cfg.margin = get("mesh", "margin", float, None)
     box_vals = get("mesh", "box", lambda t: _floats(t, "[mesh] box"), None)
@@ -297,7 +294,7 @@ def parse_config(path) -> ExperimentConfig:
     cfg.params()
     for order in cfg.oracle_s_list:
         try:
-            KernelParams(cfg.n, order, cfg.c_ns)
+            KernelParams(cfg.n, order)
         except ValueError as exc:
             raise ConfigError(f"[oracle] s_list: {exc}") from None
     if cfg.h is not None and cfg.h <= 0:

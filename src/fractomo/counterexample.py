@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import Coefficients, KernelParams, SymForm, mass_matrix, potential_form
+from .assembly import Coefficients, KernelParams, SymForm, potential_form
 from .dnmap import DNOperator
 from .errors import GeometryViolation, NegativeSolution
 from .mesh import Mesh, Region, region_dofs, support_dofs
@@ -91,7 +91,7 @@ def _disjoint(a: tuple, b: tuple, tol: float = 1e-12) -> bool:
 
 
 def build_pair(mesh: Mesh, omega_prime: Region, omega_set: Region, eps: float,
-               W: Region, *, gform: SymForm, scale: float = 1.0,
+               W: Region, *, gform: SymForm, mass: SymForm, scale: float = 1.0,
                eta_amplitude: float = 1.0) -> CounterexamplePair:
     """Run the construction; see the module docstring.
 
@@ -109,8 +109,8 @@ def build_pair(mesh: Mesh, omega_prime: Region, omega_set: Region, eps: float,
     scale : float
         Extra factor in (0, 1] on top of ``C_eps``; shrinking the
         deviation shrinks the multiplier norm of ``q_1`` at will.
-    gform : SymForm
-        The Gagliardo form of ``mesh``.
+    gform, mass : SymForm
+        The Gagliardo form and the mass matrix of ``mesh``.
 
     Raises
     ------
@@ -140,7 +140,6 @@ def build_pair(mesh: Mesh, omega_prime: Region, omega_set: Region, eps: float,
             raise GeometryViolation("Omega'(5eps) is not contained in Omega")
 
     x = mesh.coords
-    mass = mass_matrix(mesh)
 
     # cutoff eta: 1 on omega, supported strictly inside its 3-eps
     # dilation (zero amplitude degenerates the pair to the background)
@@ -191,13 +190,13 @@ def build_pair(mesh: Mesh, omega_prime: Region, omega_set: Region, eps: float,
 
 def verify_nonuniqueness(pair: CounterexamplePair, mesh: Mesh,
                          params: KernelParams, W: Region | str, *,
-                         operator: DNOperator, gform: SymForm,
+                         operator: DNOperator, gform: SymForm, mass: SymForm,
                          seed: int = 0) -> dict:
     """Measure how well the pair reproduces the background DN data.
 
-    ``operator`` is the DN operator of ``pair.coeffs`` and ``gform`` the
+    ``operator`` is the DN operator of ``pair.coeffs``, ``gform`` the
     Gagliardo form of ``mesh``, which is also the background's system
-    form.  Returns a report with
+    form, and ``mass`` the mass matrix of ``mesh``.  Returns a report with
 
     * ``dn_gap``: relative Frobenius gap between the DN matrices of the
       pair and of the background over the hat basis of ``W``,
@@ -214,11 +213,7 @@ def verify_nonuniqueness(pair: CounterexamplePair, mesh: Mesh,
     * ``multiplier_estimate`` vs ``gamma0/delta0``: admissibility of the
       constructed absorption.
     """
-    mass = mass_matrix(mesh)
-    background = Coefficients.background(mesh)
-
-    op_bg = DNOperator(mesh, params, background,
-                       form=gform + potential_form(mesh, background.q))
+    op_bg = DNOperator(mesh, params, Coefficients.background(mesh), form=gform)
     dn_pair = operator.matrix(W, W)
     dn_bg = op_bg.matrix(W, W)
     gap = np.linalg.norm(dn_pair.entries - dn_bg.entries)
@@ -230,7 +225,7 @@ def verify_nonuniqueness(pair: CounterexamplePair, mesh: Mesh,
     l2_W = np.sqrt(mesh.h * float(q1[w_nodes] @ q1[w_nodes]))
     q_gap = l2_W / l2_all if l2_all > 0 else 0.0
 
-    Q = reduced_potential_form(mesh, pair.coeffs, gform=gform).base
+    Q = reduced_potential_form(mesh, pair.coeffs, gform=gform)
     H = gform.entries + mass.entries
     rng = np.random.default_rng(seed)
     interior = mesh.interior_dofs

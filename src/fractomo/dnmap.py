@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .assembly import Coefficients, KernelParams, SymForm, conductivity_form, mass_matrix, potential_form
+from .assembly import Coefficients, KernelParams, SymForm, conductivity_form, potential_form
 from .errors import HypothesisViolation, SupportViolation
 from .mesh import Mesh, region_dofs, support_dofs
 from .solver import FactorizedSystem
@@ -57,15 +57,15 @@ class DNOperator:
     Parameters
     ----------
     mesh, params, coeffs
-        Problem data; ``coeffs.q`` enters through the potential form.
-    domain : region label or Region
-        Where the equation holds (interior unknowns).
+        Problem data; ``coeffs.q`` enters through the potential form.  The
+        equation holds on ``Omega``: the interior unknowns are
+        ``mesh.interior_dofs``.
     form : SymForm, optional
         Pre-assembled system form; skips assembly when given.
     """
 
     def __init__(self, mesh: Mesh, params: KernelParams, coeffs: Coefficients, *,
-                 domain="Omega", form: SymForm | None = None):
+                 form: SymForm | None = None):
         self.mesh = mesh
         self.params = params
         self.coeffs = coeffs
@@ -73,7 +73,7 @@ class DNOperator:
             form = (conductivity_form(mesh, params, coeffs)
                     + potential_form(mesh, coeffs.q))
         self.form = form
-        self.system = FactorizedSystem(form, mesh, domain=domain)
+        self.system = FactorizedSystem(form, mesh)
 
     def solve(self, f_ext: np.ndarray, far_field: float = 0.0):
         return self.system.solve(f_ext, far_field=far_field)
@@ -113,15 +113,15 @@ class DNOperator:
         return DNMatrix(rows=rows, cols=cols, entries=entries)
 
 
-def solution_relation_residual(mesh: Mesh, params: KernelParams,
-                               pair1: Coefficients, pair2: Coefficients,
-                               f: np.ndarray, W2, *, domain="Omega") -> float:
+def solution_relation_residual(op1: DNOperator, op2: DNOperator, f: np.ndarray,
+                               W2, *, mass: SymForm) -> float:
     """Discrete defect of the solution relation
     ``sqrt(gamma_1) u^(1) = sqrt(gamma_2) u^(2)``.
 
-    Solves the exterior-value problem for both coefficient pairs with
-    the same datum ``f`` and returns the relative mass-weighted L2 norm
-    of ``sqrt(gamma_1) u^(1) - sqrt(gamma_2) u^(2)``.  Small exactly when
+    Solves the exterior-value problem of both DN operators (on the same
+    mesh) with the same datum ``f`` and returns the relative
+    mass-weighted L2 norm of ``sqrt(gamma_1) u^(1) - sqrt(gamma_2)
+    u^(2)``; ``mass`` is the mass matrix of the mesh.  Small exactly when
     the hypotheses of the relation lemma hold discretely (diffusions
     agree on the receiver set and the DN data coincide in the limit).
 
@@ -133,20 +133,18 @@ def solution_relation_residual(mesh: Mesh, params: KernelParams,
     SupportViolation
         If ``f`` has interior support.
     """
+    mesh = op1.mesh
+    gamma1, gamma2 = op1.coeffs.gamma, op2.coeffs.gamma
     w2_nodes = region_dofs(mesh, W2)
-    if not np.allclose(pair1.gamma[w2_nodes], pair2.gamma[w2_nodes], rtol=0.0, atol=1e-13):
+    if not np.allclose(gamma1[w2_nodes], gamma2[w2_nodes], rtol=0.0, atol=1e-13):
         raise HypothesisViolation("diffusions differ on the receiver set W2")
     f = np.asarray(f, dtype=float)
     supp = np.abs(f) > 0.0
     if supp[support_dofs(mesh, W2)].all():
         raise HypothesisViolation("datum support covers the whole receiver set")
-    op1 = DNOperator(mesh, params, pair1, domain=domain)
-    op2 = DNOperator(mesh, params, pair2, domain=domain)
-    u1 = op1.solve(f).u
-    u2 = op2.solve(f).u
-    v1 = np.sqrt(pair1.gamma) * u1
-    v2 = np.sqrt(pair2.gamma) * u2
-    M = mass_matrix(mesh).entries
+    v1 = np.sqrt(gamma1) * op1.solve(f).u
+    v2 = np.sqrt(gamma2) * op2.solve(f).u
+    M = mass.entries
     diff = v1 - v2
     num = float(np.sqrt(diff @ (M @ diff)))
     den = float(np.sqrt(v1 @ (M @ v1)))

@@ -294,10 +294,9 @@ def _support_dofs(nodes: np.ndarray, elements: np.ndarray, region: Region) -> np
     return np.flatnonzero(node_ok).astype(np.int64)
 
 
-def region_dofs(mesh: Mesh, region: Region | str) -> np.ndarray:
-    """Node indices inside the open ``region``.
-
-    Accepts a region object or the label of a declared region.
+def resolve_region(mesh: Mesh, region: Region | str) -> Region:
+    """The region object of a label declared on ``mesh``; a region object
+    is returned as it is.
 
     Raises
     ------
@@ -305,13 +304,24 @@ def region_dofs(mesh: Mesh, region: Region | str) -> np.ndarray:
         If a label was not declared when the mesh was built.
     """
     if not isinstance(region, str):
-        return np.flatnonzero(region.contains_open(mesh.nodes))
+        return region
     try:
-        return mesh.regions[region]
+        return mesh.region_objects[region]
     except KeyError:
         raise UnknownRegion(
-            f"unknown region {region!r}; known: {sorted(mesh.regions)}"
+            f"unknown region {region!r}; known: {sorted(mesh.region_objects)}"
         ) from None
+
+
+def region_dofs(mesh: Mesh, region: Region | str) -> np.ndarray:
+    """Node indices inside the open ``region``.
+
+    Accepts a region object or the label of a declared region (see
+    :func:`resolve_region`).
+    """
+    if isinstance(region, str):
+        return mesh.regions[resolve_region(mesh, region).name]
+    return np.flatnonzero(region.contains_open(mesh.nodes))
 
 
 def support_dofs(mesh: Mesh, region: Region | str) -> np.ndarray:
@@ -320,23 +330,8 @@ def support_dofs(mesh: Mesh, region: Region | str) -> np.ndarray:
     This is the discrete realization of the compactly supported trial
     space on the open set: exactly the hat functions one may use as test
     functions supported in ``region``.  Accepts a region object or the
-    label of a declared region.
+    label of a declared region (see :func:`resolve_region`).
     """
-    if isinstance(region, str):
-        if region == "Omega" and "Omega" in mesh.region_objects:
-            return mesh.interior_dofs
-        try:
-            region = mesh.region_objects[region]
-        except KeyError:
-            raise UnknownRegion(
-                f"unknown region {region!r}; known: {sorted(mesh.region_objects)}"
-            ) from None
-    return _support_dofs(mesh.nodes, mesh.elements, region)
-
-
-def exterior_dofs(mesh: Mesh, domain: Region | str = "Omega") -> np.ndarray:
-    """Complement of :func:`support_dofs`: carriers of exterior data."""
-    interior = support_dofs(mesh, domain)
-    mask = np.ones(mesh.num_nodes, dtype=bool)
-    mask[interior] = False
-    return np.flatnonzero(mask).astype(np.int64)
+    if region == "Omega" and "Omega" in mesh.region_objects:
+        return mesh.interior_dofs
+    return _support_dofs(mesh.nodes, mesh.elements, resolve_region(mesh, region))

@@ -24,7 +24,7 @@ from .errors import (
     OutsideMeasurementSet,
     UnresolvableScale,
 )
-from .mesh import Mesh
+from .mesh import Mesh, resolve_region
 from .profiles import bump
 
 #: minimum width of a bump support, in mesh widths
@@ -48,15 +48,13 @@ class BumpSequence:
     vectors: list
     energies: list
     l2_norms: list = field(default_factory=list)
-    mesh: Mesh = None
 
     def __len__(self):
         return len(self.scales)
 
 
 def _region_bounds(mesh: Mesh, W) -> tuple:
-    if isinstance(W, str):
-        W = mesh.region_objects[W]
+    W = resolve_region(mesh, W)
     return W.lower[0], W.upper[0]
 
 
@@ -108,7 +106,7 @@ def bump_sequence(mesh: Mesh, W, x0: float, Ns=None, *,
 
     Raises
     ------
-    OutsideMeasurementSet, UnresolvableScale
+    OutsideMeasurementSet, UnresolvableScale, UnknownRegion
     """
     if mesh.n != 1:
         raise NotImplementedError("bump sequences are implemented for 1D meshes")
@@ -141,7 +139,7 @@ def bump_sequence(mesh: Mesh, W, x0: float, Ns=None, *,
         raise UnresolvableScale("L2 norms of the bump sequence fail to decrease")
     return BumpSequence(
         center=float(x0), scales=list(Ns), vectors=vectors,
-        energies=energies, l2_norms=l2s, mesh=mesh,
+        energies=energies, l2_norms=l2s,
     )
 
 

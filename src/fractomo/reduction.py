@@ -24,11 +24,9 @@ artificial jump at the truncation edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .assembly import Coefficients, KernelParams, SymForm, potential_form
+from .assembly import Coefficients, SymForm, potential_form
 from .dnmap import DNOperator
 from .errors import HypothesisViolation, NonPositiveGamma
 from .mesh import Mesh, region_dofs
@@ -38,20 +36,8 @@ from .solver import FactorizedSystem
 GUARD = 1e-14
 
 
-@dataclass
-class ReducedPotentialForm:
-    """Pairing form of the reduced Schroedinger potential.
-
-    ``base.pair(v, w)`` realizes ``<Q v, w>`` for nodal ``v, w``;
-    ``gamma_ref`` records the coefficients the form was built from.
-    """
-
-    base: SymForm
-    gamma_ref: Coefficients
-
-
 def reduced_potential_form(mesh: Mesh, coeffs: Coefficients, *,
-                           gform: SymForm) -> ReducedPotentialForm:
+                           gform: SymForm) -> SymForm:
     """Assemble the discrete pairing form of the reduced potential.
 
     The action on nodal vectors is
@@ -72,13 +58,13 @@ def reduced_potential_form(mesh: Mesh, coeffs: Coefficients, *,
     if np.any(coeffs.q != 0.0):
         Mq = potential_form(mesh, coeffs.q).entries
         entries += inv_sqrt[:, None] * Mq * inv_sqrt[None, :]
-    return ReducedPotentialForm(SymForm(mesh.num_nodes, entries), coeffs)
+    return SymForm(entries)
 
 
 def schrodinger_form(mesh: Mesh, coeffs: Coefficients, *,
                      gform: SymForm) -> SymForm:
     """System form of the reduced problem: Gagliardo + reduced potential."""
-    return gform + reduced_potential_form(mesh, coeffs, gform=gform).base
+    return gform + reduced_potential_form(mesh, coeffs, gform=gform)
 
 
 def liouville_residual(mesh: Mesh, coeffs: Coefficients, u: np.ndarray,
@@ -97,7 +83,7 @@ def liouville_residual(mesh: Mesh, coeffs: Coefficients, u: np.ndarray,
     phi = np.asarray(phi, dtype=float)
     lhs = float(u @ (cond_form.entries @ phi))
     sq = np.sqrt(coeffs.gamma)
-    Q = reduced_potential_form(mesh, coeffs, gform=gform).base
+    Q = reduced_potential_form(mesh, coeffs, gform=gform)
     v = sq * u
     w = sq * phi
     rhs = float(v @ ((gform.entries + Q.entries) @ w))
@@ -140,22 +126,21 @@ def dn_transfer_residual(mesh: Mesh, coeffs: Coefficients, Gamma: np.ndarray,
     return abs(lhs - rhs) / (abs(lhs) + guard)
 
 
-def dn_difference_decomposition(mesh: Mesh, params: KernelParams,
-                                pair1: Coefficients, pair2: Coefficients,
-                                f: np.ndarray, *, gform: SymForm,
-                                domain="Omega") -> dict:
+def dn_difference_decomposition(op1: DNOperator, op2: DNOperator,
+                                f: np.ndarray, *, gform: SymForm) -> dict:
     """Three-term decomposition of ``<(Lambda_1 - Lambda_2) f, f>``.
 
-    Returns the pairing difference, the three assembled terms (the
-    deviation term driven by ``(-Delta)^s (m_2 - m_1)``, the potential
-    difference term, and the solution-relation term) and the relative
-    defect of the identity.  ``gform`` is the Gagliardo form of ``mesh``.
-    The datum ``f`` must be exterior-supported with one layer of exterior
-    nodes around its support.
+    ``op1``, ``op2`` are the DN operators of the two coefficient pairs on
+    one mesh and ``gform`` is the Gagliardo form of that mesh.  Returns
+    the pairing difference, the three assembled terms (the deviation term
+    driven by ``(-Delta)^s (m_2 - m_1)``, the potential difference term,
+    and the solution-relation term) and the relative defect of the
+    identity.  The datum ``f`` must be exterior-supported with one layer
+    of exterior nodes around its support.
     """
     f = np.asarray(f, dtype=float)
-    op1 = DNOperator(mesh, params, pair1, domain=domain)
-    op2 = DNOperator(mesh, params, pair2, domain=domain)
+    mesh = op1.mesh
+    pair1, pair2 = op1.coeffs, op2.coeffs
     lhs = op1.pairing(f, f) - op2.pairing(f, f)
 
     sq1 = np.sqrt(pair1.gamma)

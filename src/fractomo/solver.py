@@ -29,19 +29,6 @@ from .errors import CoercivityLost, EigenFailure, EmptyRegion, SupportViolation
 from .mesh import Mesh, support_dofs
 
 
-def _combine(forms) -> SymForm:
-    if isinstance(forms, SymForm):
-        return forms
-    if isinstance(forms, dict):
-        forms = list(forms.values())
-    total = None
-    for f in forms:
-        total = f if total is None else total + f
-    if total is None:
-        raise ValueError("no forms given")
-    return total
-
-
 @dataclass
 class DirichletSolution:
     """Solution record of one exterior-value problem.
@@ -51,7 +38,6 @@ class DirichletSolution:
     """
 
     u: np.ndarray
-    f_ext: np.ndarray
     residual: float
     energy: float
     far_field: float = 0.0
@@ -65,13 +51,12 @@ class FactorizedSystem:
 
     Parameters
     ----------
-    forms : SymForm or iterable of SymForm
-        Summed into the system form (e.g. diffusion + potential).
+    form : SymForm
+        The system form (e.g. diffusion + potential).
     mesh : Mesh
-    domain : str or Region
-        Region whose compactly supported hats are the unknowns.
     interior : ndarray, optional
-        Explicit interior dof indices (overrides ``domain``).
+        Interior dof indices; defaults to ``mesh.interior_dofs``, the
+        compactly supported hats of ``Omega``.
 
     Raises
     ------
@@ -79,11 +64,11 @@ class FactorizedSystem:
         If the interior block is not positive definite.
     """
 
-    def __init__(self, forms, mesh: Mesh, *, domain="Omega", interior=None):
-        self.form = _combine(forms)
+    def __init__(self, form: SymForm, mesh: Mesh, *, interior=None):
+        self.form = form
         self.mesh = mesh
         if interior is None:
-            interior = support_dofs(mesh, domain)
+            interior = mesh.interior_dofs
         self.interior = np.asarray(interior, dtype=np.int64)
         if self.interior.size == 0:
             raise EmptyRegion("domain has no interior degrees of freedom")
@@ -128,17 +113,9 @@ class FactorizedSystem:
         residual = rnorm / denom if denom > 0 else rnorm
         energy = self.form.energy(u, far_field)
         return DirichletSolution(
-            u=u, f_ext=f_ext, residual=float(residual),
+            u=u, residual=float(residual),
             energy=float(energy), far_field=float(far_field),
         )
-
-
-def solve_dirichlet(forms, mesh: Mesh, f_ext: np.ndarray,
-                    f_src: np.ndarray | None = None, *, domain="Omega",
-                    interior=None, far_field: float = 0.0) -> DirichletSolution:
-    """One-shot exterior-value solve; see :class:`FactorizedSystem`."""
-    system = FactorizedSystem(forms, mesh, domain=domain, interior=interior)
-    return system.solve(f_ext, f_src, far_field)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +145,7 @@ def poincare_constant(mesh: Mesh, params: KernelParams, omega="Omega", *,
         raise EmptyRegion("region has no interior degrees of freedom")
     G = (2.0 / params.C_ns) * gform.entries[np.ix_(dofs, dofs)]
     M = mass.entries[np.ix_(dofs, dofs)]
-    lam_min = _generalized_extreme(G, M, which="smallest")
+    lam_min, _ = _generalized_extremes(G, M)
     if lam_min <= 0:
         raise EigenFailure(f"nonpositive seminorm eigenvalue {lam_min}")
     c_opt = 1.0 / lam_min
@@ -187,8 +164,7 @@ def multiplier_norm_estimate(form: SymForm, *, gform: SymForm,
     such.
     """
     H = gform.entries + mass.entries
-    lo = _generalized_extreme(form.entries, H, which="smallest")
-    hi = _generalized_extreme(form.entries, H, which="largest")
+    lo, hi = _generalized_extremes(form.entries, H)
     return float(max(abs(lo), abs(hi)))
 
 
@@ -206,13 +182,13 @@ def coercivity_bound(gamma0: float, delta0: float, q_small_norm: float) -> float
     return float(gamma0 / delta0 - q_small_norm)
 
 
-def _generalized_extreme(A, B, which="smallest"):
-    """Extreme eigenvalue of ``A x = lambda B x`` with ``B`` SPD (dense)."""
+def _generalized_extremes(A, B) -> tuple:
+    """Smallest and largest eigenvalue of ``A x = lambda B x`` with ``B``
+    SPD, from one dense solve."""
     n = A.shape[0]
-    idx = [0, 0] if which == "smallest" else [n - 1, n - 1]
     try:
-        vals = la.eigh(A, B, subset_by_index=idx, eigvals_only=True,
+        vals = la.eigh(A, B, subset_by_index=[0, n - 1], eigvals_only=True,
                        check_finite=False)
     except la.LinAlgError as exc:
         raise EigenFailure(str(exc)) from None
-    return float(vals[0])
+    return float(vals[0]), float(vals[-1])

@@ -31,7 +31,6 @@ from fractomo.solver import (
     coercivity_bound,
     multiplier_norm_estimate,
     poincare_constant,
-    solve_dirichlet,
 )
 from fractomo.spectral import spectral_frac_laplacian
 
@@ -65,11 +64,13 @@ def counterexample_pipeline():
     for h in (1 / 32, 1 / 64, 1 / 128):
         mesh = build_mesh(CE_BOX, h, CE_REGIONS)
         gform = gagliardo_form(mesh, par)
+        mass = mass_matrix(mesh)
         W = mesh.region_objects["W1"]
-        pair = build_pair(mesh, CE_PRIME, CE_SEED, CE_EPS, W, gform=gform)
+        pair = build_pair(mesh, CE_PRIME, CE_SEED, CE_EPS, W, gform=gform,
+                          mass=mass)
         rep = verify_nonuniqueness(pair, mesh, par, W,
                                    operator=DNOperator(mesh, par, pair.coeffs),
-                                   gform=gform)
+                                   gform=gform, mass=mass)
         levels[h] = (mesh, gform, pair, rep)
     return par, levels, time.time() - t0
 
@@ -107,8 +108,8 @@ def test_criterion_02_getoor_closed_form():
         mesh = build_mesh(Box((-1.5,), (1.5,)), h, [Region("Omega", (-1.0,), (1.0,))])
         A = gagliardo_form(mesh, par)
         M = mass_matrix(mesh)
-        sol = solve_dirichlet(A, mesh, np.zeros(mesh.num_nodes),
-                              f_src=M.entries @ np.ones(mesh.num_nodes))
+        sol = FactorizedSystem(A, mesh).solve(np.zeros(mesh.num_nodes),
+                                              f_src=M.entries @ np.ones(mesh.num_nodes))
         x = mesh.coords
         exact = np.where(np.abs(x) < 1, kappa * np.maximum(0.0, 1 - x**2) ** s, 0.0)
         # pointwise relative error over the interior subregion |x| <= 0.9
@@ -347,8 +348,9 @@ def test_criterion_10_solution_relation(counterexample_pipeline):
         f = bump((x - 1.5) / 0.25)
         f[mesh.interior_dofs] = 0.0
         bg = Coefficients.background(mesh)
-        residuals[h] = solution_relation_residual(mesh, par, pair.coeffs, bg,
-                                                  f, "W1")
+        residuals[h] = solution_relation_residual(
+            DNOperator(mesh, par, pair.coeffs), DNOperator(mesh, par, bg), f,
+            "W1", mass=mass_matrix(mesh))
     assert residuals[1 / 64] < 5e-2
     assert residuals[1 / 32] > residuals[1 / 64] > residuals[1 / 128]
     mesh, _, _, _ = levels[1 / 64]
@@ -358,8 +360,10 @@ def test_criterion_10_solution_relation(counterexample_pipeline):
     mismatched = Coefficients.from_arrays(
         1.0 + 8.0 * plateau(x, (-0.5, 0.5), (-0.9, 0.9))
     )
-    r_mis = solution_relation_residual(mesh, par, mismatched,
-                                       Coefficients.background(mesh), f, "W1")
+    r_mis = solution_relation_residual(
+        DNOperator(mesh, par, mismatched),
+        DNOperator(mesh, par, Coefficients.background(mesh)), f, "W1",
+        mass=mass_matrix(mesh))
     assert r_mis > 0.1
     report(10, f"pair residual {residuals[1/64]:.2e} at h=1/64 (< 5e-2), "
                f"decreasing {residuals[1/32]:.1e} > {residuals[1/64]:.1e} > "

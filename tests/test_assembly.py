@@ -251,8 +251,6 @@ def test_coefficients_consistency(mesh9):
     gam = 1.0 + 0.3 * np.cos(mesh9.coords)
     co = Coefficients.from_arrays(gam)
     assert np.array_equal(co.m_gamma, np.sqrt(gam) - 1.0)
-    with pytest.raises(ValueError):
-        Coefficients(gam, np.zeros_like(gam), np.zeros_like(gam), 1.0)
     with pytest.raises(NonPositiveGamma):
         Coefficients.from_arrays(gam, gamma0=-1.0)
 

@@ -127,6 +127,22 @@ def test_oracle_compare(tmp_path):
     assert rows[0]["rel_l2_mismatch"] < 0.02
 
 
+def test_oracle_u_without_padding_is_a_config_error(config_path, monkeypatch, capsys):
+    # the default u on the box -2.25..3.25 comes too close to the box faces
+    calls = []
+    original = assembly._kernel_form
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "_kernel_form", recording)
+    path, out = config_path
+    assert main(["oracle-compare", "--config", str(path)]) == 3
+    assert "[oracle] u" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     # every measurement label ("W...") is checked, not only W1/W2
     for label in ("W1", "W3"):

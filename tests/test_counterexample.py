@@ -21,20 +21,20 @@ def setting():
     par = KernelParams(1, 0.25)
     gform = gagliardo_form(mesh, par)
     W = mesh.region_objects["W1"]
-    pair = build_pair(mesh, OMEGA_PRIME, OMEGA_SEED, EPS, W, gform=gform)
+    pair = build_pair(mesh, OMEGA_PRIME, OMEGA_SEED, EPS, W, gform=gform, mass=mass_matrix(mesh))
     return mesh, par, gform, W, pair
 
 
 def test_degenerate_cutoff_gives_background(setting):
     mesh, par, gform, W, _ = setting
     pair = build_pair(mesh, OMEGA_PRIME, OMEGA_SEED, EPS, W,
-                      eta_amplitude=0.0, gform=gform)
+                      eta_amplitude=0.0, gform=gform, mass=mass_matrix(mesh))
     assert np.abs(pair.m).max() == 0.0
     assert np.abs(pair.gamma1 - 1.0).max() == 0.0
     assert np.abs(pair.q1).max() == 0.0
     report = verify_nonuniqueness(pair, mesh, par, W,
                                   operator=DNOperator(mesh, par, pair.coeffs),
-                                  gform=gform)
+                                  gform=gform, mass=mass_matrix(mesh))
     assert report["dn_gap"] == 0.0
     assert report["q_gap"] == 0.0
 
@@ -45,7 +45,7 @@ def test_maximum_principle_and_nonnegativity(setting):
     assert pair.m.min() >= 0.0
     with pytest.raises(NegativeSolution):
         build_pair(mesh, OMEGA_PRIME, OMEGA_SEED, EPS, W,
-                   eta_amplitude=-1.0, gform=gform)
+                   eta_amplitude=-1.0, gform=gform, mass=mass_matrix(mesh))
 
 
 def test_deviation_capped_at_half(setting):
@@ -93,20 +93,20 @@ def test_geometry_violations(setting):
     mesh, par, gform, W, pair = setting
     with pytest.raises(GeometryViolation):
         build_pair(mesh, OMEGA_PRIME, Region("o", (1.3,), (1.6,)), 0.2, W,
-                   gform=gform)  # omega(5eps) hits W
+                   gform=gform, mass=mass_matrix(mesh))  # omega(5eps) hits W
     with pytest.raises(GeometryViolation):
         build_pair(mesh, Region("Op", (-0.9,), (0.9,)), OMEGA_SEED, EPS, W,
-                   gform=gform)  # Omega'(5eps) leaves Omega
+                   gform=gform, mass=mass_matrix(mesh))  # Omega'(5eps) leaves Omega
     with pytest.raises(GeometryViolation):
         build_pair(mesh, OMEGA_PRIME, Region("o", (3.0,), (3.2,)), EPS, W,
-                   gform=gform)  # omega(5eps) leaves the box
+                   gform=gform, mass=mass_matrix(mesh))  # omega(5eps) leaves the box
 
 
 def test_report_invariants(setting):
     mesh, par, gform, W, pair = setting
     report = verify_nonuniqueness(pair, mesh, par, W,
                                   operator=DNOperator(mesh, par, pair.coeffs),
-                                  gform=gform)
+                                  gform=gform, mass=mass_matrix(mesh))
     assert report["dn_gap"] < 1e-2
     assert report["q_gap"] > 0.05
     assert report["condition3_residual"] < 1e-8
@@ -124,7 +124,9 @@ def test_solution_relation_against_background(setting):
     f = bump((x - 1.5) / 0.25)
     f[mesh.interior_dofs] = 0.0
     bg = Coefficients.background(mesh)
-    r = solution_relation_residual(mesh, par, pair.coeffs, bg, f, "W1")
+    r = solution_relation_residual(DNOperator(mesh, par, pair.coeffs),
+                                   DNOperator(mesh, par, bg), f, "W1",
+                                   mass=mass_matrix(mesh))
     assert r < 5e-2
 
 
@@ -136,11 +138,11 @@ def test_interior_layout_also_supported():
     W = mesh.region_objects["W1"]
     seed = Region("omega_seed", (0.7,), (0.85,))
     pair = build_pair(mesh, Region("Op", (-0.5,), (0.2,)), seed, 0.03, W,
-                      gform=gform)
+                      gform=gform, mass=mass_matrix(mesh))
     w_nodes = region_dofs(mesh, "W1")
     assert np.abs(pair.gamma1[w_nodes] - 1.0).max() == 0.0
     report = verify_nonuniqueness(pair, mesh, par, W,
                                   operator=DNOperator(mesh, par, pair.coeffs),
-                                  gform=gform)
+                                  gform=gform, mass=mass_matrix(mesh))
     assert report["dn_gap"] < 5e-2
     assert report["q_gap"] > 0.0

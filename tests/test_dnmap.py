@@ -7,6 +7,7 @@ from fractomo.assembly import (
     Coefficients,
     KernelParams,
     gagliardo_form,
+    mass_matrix,
     potential_form,
 )
 from fractomo.dnmap import DNOperator, solution_relation_residual
@@ -189,7 +190,7 @@ def test_solution_relation_identical_pairs(setting):
     mesh, par, co, op = setting
     x = mesh.coords
     f = bump((x - 1.6) / 0.25); f[mesh.interior_dofs] = 0.0
-    r = solution_relation_residual(mesh, par, co, co, f, "W2")
+    r = solution_relation_residual(op, op, f, "W2", mass=mass_matrix(mesh))
     assert r < 1e-12
 
 
@@ -200,7 +201,8 @@ def test_solution_relation_hypothesis_violation(setting):
     gam2 = np.where((x > 1.25) & (x < 2.25), 2.0, 1.0)
     other = Coefficients.from_arrays(gam2)
     with pytest.raises(HypothesisViolation):
-        solution_relation_residual(mesh, par, co, other, f, "W2")
+        solution_relation_residual(op, DNOperator(mesh, par, other), f, "W2",
+                                   mass=mass_matrix(mesh))
 
 
 def test_solution_relation_mismatched_floor(setting):
@@ -209,7 +211,8 @@ def test_solution_relation_mismatched_floor(setting):
     f = bump((x - 1.7) / 0.35); f[mesh.interior_dofs] = 0.0
     gam2 = 1.0 + 8.0 * plateau(x, (-0.5, 0.5), (-0.9, 0.9))
     mismatched = Coefficients.from_arrays(gam2)
-    r = solution_relation_residual(mesh, par, mismatched, co, f, "W2")
+    r = solution_relation_residual(DNOperator(mesh, par, mismatched), op, f, "W2",
+                                   mass=mass_matrix(mesh))
     assert r > 0.1
 
 

@@ -7,7 +7,7 @@ from fractomo.errors import (
     RegionOverlapViolation,
     UnknownRegion,
 )
-from fractomo.mesh import Box, Region, build_mesh, exterior_dofs, region_dofs, support_dofs
+from fractomo.mesh import Box, Region, build_mesh, region_dofs, support_dofs
 
 
 def test_five_node_interval_counts():
@@ -99,8 +99,6 @@ def test_interior_and_measurement_dofs_disjoint():
     )
     for label in ("W1", "W2"):
         assert not set(mesh.interior_dofs) & set(region_dofs(mesh, label))
-    ext = exterior_dofs(mesh)
-    assert set(ext) | set(mesh.interior_dofs) == set(range(mesh.num_nodes))
 
 
 def test_support_dofs_closure_rule():

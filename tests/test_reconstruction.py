@@ -10,6 +10,7 @@ from fractomo.errors import (
     DecayCheckFailed,
     ExponentOutOfRange,
     OutsideMeasurementSet,
+    UnknownRegion,
     UnresolvableScale,
 )
 from fractomo.mesh import Box, Region, build_mesh
@@ -92,6 +93,17 @@ def test_bump_errors(setting):
         bump_sequence(mesh, "W1", X0, [1], gform=gform)  # support leaves W
     with pytest.raises(UnresolvableScale):
         bump_sequence(mesh, "W1", X0, [4096], gform=gform)
+
+
+def test_unknown_label_is_named_like_everywhere_else(setting):
+    # the bump pipeline resolves labels like the DN matrix does
+    mesh, par, gform, bumps = setting
+    with pytest.raises(UnknownRegion, match="W9"):
+        bump_sequence(mesh, "W9", X0, [4], gform=gform)
+    with pytest.raises(UnknownRegion, match="W9"):
+        default_scales(mesh, "W9", X0)
+    with pytest.raises(UnknownRegion, match="W9"):
+        DNOperator(mesh, par, Coefficients.background(mesh), form=gform).matrix("W9", "W1")
 
 
 def test_reconstruct_unit_background(setting):

@@ -41,7 +41,7 @@ def test_reduced_form_unit_gamma_is_potential(setting):
     co = Coefficients.from_arrays(np.ones(mesh.num_nodes), q)
     Q = reduced_potential_form(mesh, co, gform=gform)
     Mq = potential_form(mesh, q)
-    assert np.abs(Q.base.entries - Mq.entries).max() == 0.0
+    assert np.abs(Q.entries - Mq.entries).max() == 0.0
 
 
 def test_reduced_form_constant_gamma_tail_artifact(setting):
@@ -53,7 +53,7 @@ def test_reduced_form_constant_gamma_tail_artifact(setting):
     co = Coefficients.from_arrays(np.full(mesh.num_nodes, 4.0))
     Q = reduced_potential_form(mesh, co, gform=gform)
     expected = -np.diag(gform.tail_row / 2.0)
-    assert np.abs(Q.base.entries - expected).max() < 1e-12
+    assert np.abs(Q.entries - expected).max() < 1e-12
 
 
 def test_reduced_form_spectral_route():
@@ -66,7 +66,7 @@ def test_reduced_form_spectral_route():
     co = Coefficients.from_arrays(gamma)
     Q = reduced_potential_form(mesh, co, gform=gform)
     v = bump((x - 0.2) / 0.5)
-    lhs = float(v @ (Q.base.entries @ v))
+    lhs = float(v @ (Q.entries @ v))
     lap_m = spectral_frac_laplacian(mesh, par, co.m_gamma)
     M = mass_matrix(mesh)
     rhs = -float((M.entries @ lap_m) @ (v * v / np.sqrt(gamma)))
@@ -211,7 +211,8 @@ def test_dn_difference_decomposition_exact_for_unit_gamma():
     pair2 = Coefficients.from_arrays(np.ones_like(x), q2)
     f = bump((x - 1.625) / 0.25)
     f[mesh.interior_dofs] = 0.0
-    out = dn_difference_decomposition(mesh, par, pair1, pair2, f,
+    out = dn_difference_decomposition(DNOperator(mesh, par, pair1),
+                                      DNOperator(mesh, par, pair2), f,
                                       gform=gagliardo_form(mesh, par))
     assert abs(out["pairing_difference"]) > 1e-6  # genuinely different data
     assert out["residual"] < 1e-6

@@ -19,7 +19,6 @@ from fractomo.solver import (
     coercivity_bound,
     multiplier_norm_estimate,
     poincare_constant,
-    solve_dirichlet,
 )
 
 
@@ -46,14 +45,14 @@ def test_constants_in_kernel(setting):
     for c in rng.uniform(-2, 2, size=3):
         f = np.full(mesh.num_nodes, c)
         f[mesh.interior_dofs] = 0.0
-        sol = solve_dirichlet(B, mesh, f, far_field=c)
+        sol = FactorizedSystem(B, mesh).solve(f, far_field=c)
         assert np.abs(sol.u - c).max() < 1e-9
 
 
 def test_getoor_closed_form(setting):
     mesh, par, A, M = setting
-    sol = solve_dirichlet(A, mesh, np.zeros(mesh.num_nodes),
-                          f_src=M.entries @ np.ones(mesh.num_nodes))
+    sol = FactorizedSystem(A, mesh).solve(np.zeros(mesh.num_nodes),
+                                          f_src=M.entries @ np.ones(mesh.num_nodes))
     exact = getoor_exact(mesh.coords, par.s)
     center = np.argmin(np.abs(mesh.coords))
     assert abs(sol.u[center] - exact[center]) / exact[center] < 0.03
@@ -65,14 +64,14 @@ def test_coercivity_lost_error(setting):
     q = np.full(mesh.num_nodes, -10.0)  # far below the admissible regime
     B = A + potential_form(mesh, q)
     with pytest.raises(CoercivityLost):
-        solve_dirichlet(B, mesh, np.zeros(mesh.num_nodes))
+        FactorizedSystem(B, mesh).solve(np.zeros(mesh.num_nodes))
 
 
 def test_exterior_datum_support_checked(setting):
     mesh, par, A, M = setting
     f = np.ones(mesh.num_nodes)  # nonzero on interior dofs
     with pytest.raises(SupportViolation):
-        solve_dirichlet(A, mesh, f)
+        FactorizedSystem(A, mesh).solve(f)
 
 
 def test_uniqueness_and_superposition(setting):
@@ -98,7 +97,7 @@ def test_energy_minimization(setting):
     f = bump((x - 1.5) / 0.4)
     f[mesh.interior_dofs] = 0.0
     F = M.entries @ bump(x / 0.5)
-    sol = solve_dirichlet(A, mesh, f, F)
+    sol = FactorizedSystem(A, mesh).solve(f, F)
 
     def functional(u):
         return 0.5 * u @ A.entries @ u - F @ u
