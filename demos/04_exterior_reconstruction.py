@@ -20,7 +20,9 @@ from fractomo import (
     bump_sequence,
     exterior_reconstruct,
     gagliardo_form,
+    mass_matrix,
     potential_decay_check,
+    potential_form,
 )
 from fractomo.profiles import bump, plateau
 
@@ -36,9 +38,9 @@ q = 5.0 * bump((x - x0) / 0.5)                    # nonnegative absorption
 coeffs = Coefficients.from_arrays(gamma, q)
 
 gform = gagliardo_form(mesh, params)
-bumps = bump_sequence(mesh, "W1", x0, gform=gform)
+bumps = bump_sequence(mesh, "W1", x0, gform=gform, mass=mass_matrix(mesh))
 out = exterior_reconstruct(DNOperator(mesh, params, coeffs), bumps)
-decay = potential_decay_check(mesh, q, bumps, math.inf, params)
+decay = potential_decay_check(potential_form(mesh, q), bumps, math.inf, params)
 
 print(f"recovering gamma({x0}) = 2 from DN pairings of concentrating bumps:")
 print("  N     estimate    |estimate - 2|   absorption term")

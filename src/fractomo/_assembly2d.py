@@ -37,9 +37,14 @@ import collections
 import functools
 
 import numpy as np
-from scipy.special import beta, betainc, roots_jacobi, roots_legendre
+from scipy.special import beta, betainc, roots_legendre
 
-from .assembly import _assemble_classes, _point_pair_blocks, _triangle_rule_deg4
+from .assembly import (
+    _assemble_classes,
+    _jacobi_rule,
+    _point_pair_blocks,
+    _triangle_rule_deg4,
+)
 
 #: recursion depth for touching reference panels
 MAX_DEPTH = 5
@@ -279,14 +284,10 @@ def _duffy_rules(s, n):
     minus the other points' share.  Only ``f(1)`` meets the non-integrable
     weight when ``s >= 1/2`` (see :func:`_edge_constant`).
     """
-    def jacobi(a, b):
-        r, w = roots_jacobi(n, a, b)
-        return 0.5 * (r + 1.0), w * 0.5 ** (1.0 + a + b)
-
-    smooth = jacobi(0.0, 1.0)
-    rho, w = jacobi(0.0, 1.0 - 2.0 * s)
+    smooth = _jacobi_rule(n, 0.0, 1.0)
+    rho, w = _jacobi_rule(n, 0.0, 1.0 - 2.0 * s)
     vertex = rho, w * rho ** (2.0 * s)
-    rho, w = jacobi(1.0 - 2.0 * s, 1.0)
+    rho, w = _jacobi_rule(n, 1.0 - 2.0 * s, 1.0)
     w = w / (1.0 - rho)
     edge = np.append(rho, 1.0), np.append(w, _edge_constant(s) - w.sum())
     u, wu = roots_legendre(n)

@@ -352,12 +352,11 @@ def _kernel_form(mesh, params, sqrt_gamma, sqrt_gamma_ext, order_singular,
     return SymForm(A, tail_row)
 
 
-def _jacobi_rule(order, beta, length):
-    """Nodes/weights for ``int_0^L t^beta f(t) dt`` with smooth ``f``."""
-    xk, wk = roots_jacobi(order, 0.0, beta)
-    t = 0.5 * length * (xk + 1.0)
-    w = wk * (0.5 * length) ** (beta + 1.0)
-    return t, w
+def _jacobi_rule(order, a, b, length=1.0):
+    """Gauss--Jacobi nodes/weights for ``int_0^L (L - t)^a t^b f(t) dt``,
+    exact for polynomial ``f`` of degree below ``2 * order``."""
+    xk, wk = roots_jacobi(order, a, b)
+    return 0.5 * length * (xk + 1.0), wk * (0.5 * length) ** (1.0 + a + b)
 
 
 def _point_pair_blocks(W, lx, ly, out):
@@ -444,7 +443,7 @@ def _touching_blocks_1d(s, q_sing):
     # lam_c(x) lam_d(y) |x - y|^{1-2s}; Q is the half x = y + t, t > 0,
     # with the inner integral over y in (0, 1 - t) exact by 2-pt Gauss,
     # and Q.T the other half
-    tk, twk = _jacobi_rule(q_sing, 1.0 - 2.0 * s, 1.0)
+    tk, twk = _jacobi_rule(q_sing, 0.0, 1.0 - 2.0 * s)
     yg, ywg = roots_legendre(2)
     L = 1.0 - tk
     Y = L[:, None] * 0.5 * (yg + 1.0)
@@ -458,7 +457,7 @@ def _touching_blocks_1d(s, q_sing):
     # homogeneous linear, d_i = a_i u + b_i v, and the two Duffy branches
     # expose the weight r^{2-2s} exactly
     ab = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
-    vk, vwk = _jacobi_rule(q_sing, 2.0 - 2.0 * s, 1.0)
+    vk, vwk = _jacobi_rule(q_sing, 0.0, 2.0 - 2.0 * s)
     sg, swg = roots_legendre(q_sing)
     sg = 0.5 * (sg + 1.0)
     ker = (1.0 + sg) ** (-1.0 - 2.0 * s) * 0.5 * swg
@@ -521,11 +520,9 @@ def _kernel_tail_1d(mesh, s, g, q_sing):
     w[:, :q] *= ((xl - a_box) + t[:, :q]) ** (-2.0 * s)
     w[:, q:] *= ((b_box - xl) - t[:, q:]) ** (-2.0 * s)
     # left weight (x - a)^{-2s}, singular on the first element
-    t[0, :q], w[0, :q] = _jacobi_rule(q, -2.0 * s, h)
+    t[0, :q], w[0, :q] = _jacobi_rule(q, 0.0, -2.0 * s, h)
     # right weight (b - x)^{-2s}, singular on the last element
-    xj, wj = roots_jacobi(q, -2.0 * s, 0.0)
-    t[-1, q:] = 0.5 * h * (xj + 1.0)
-    w[-1, q:] = wj * (0.5 * h) ** (1.0 - 2.0 * s)
+    t[-1, q:], w[-1, q:] = _jacobi_rule(q, -2.0 * s, 0.0, h)
     lam = _shapes_1d(t / h)
     g_h = (lam * g[mesh.elements][:, None, :]).sum(axis=-1)
     return [(mesh.elements, w * g_h / (2.0 * s), lam)]

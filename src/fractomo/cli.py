@@ -10,8 +10,9 @@ Subcommands: ``poincare``, ``solve``, ``dn``, ``reconstruct``,
 run on 2D configs; the others are 1D pipelines.
 
 Exit codes: 0 success, 1 runtime error, 2 violated invariant
-(e.g. lost coercivity or a failed maximum principle), 3 configuration
-error (including a 1D pipeline requested on a 2D config).  Artifacts
+(e.g. lost coercivity, a failed maximum principle or decay bound), 3
+configuration error (including a usage error, a value outside its domain
+and a 1D pipeline requested on a 2D config).  Artifacts
 (CSV series, JSON reports) land in the output directory; identical
 configs and seeds produce byte-identical files.
 """
@@ -53,11 +54,6 @@ from .reduction import dn_transfer_residual, liouville_residual
 from .solver import FactorizedSystem, poincare_constant
 from .spectral import spectral_frac_laplacian
 
-SUBCOMMANDS = (
-    "poincare", "solve", "dn", "reconstruct", "liouville-check",
-    "transfer-check", "counterexample", "oracle-compare", "convergence-study",
-)
-
 #: the subcommands that also run on 2D meshes
 SUBCOMMANDS_2D = ("poincare", "dn")
 
@@ -91,6 +87,23 @@ def _refinements(cfg: ExperimentConfig):
     for level in range(cfg.levels):
         mesh = cfg.build_mesh(level)
         yield mesh.h, mesh, cfg.coefficients(mesh)
+
+
+def _window_levels(cfg: ExperimentConfig, wlabel: str):
+    """Yield ``(h, op, f, g)`` on the refinement levels: the DN operator of
+    the level's system form and the exterior data ``f, g``, bumps centred
+    in ``W`` of widths 0.45 and 0.35 of ``W``, zero on the interior dofs."""
+    params = cfg.params()
+    wlo, whi = cfg.regions[wlabel]
+    center = 0.5 * (wlo[0] + whi[0])
+    width = whi[0] - wlo[0]
+    for h, mesh, coeffs in _refinements(cfg):
+        f = bump((mesh.coords - center) / (0.45 * width))
+        g = bump((mesh.coords - center) / (0.35 * width))
+        f[mesh.interior_dofs] = 0.0
+        g[mesh.interior_dofs] = 0.0
+        yield h, DNOperator(mesh, params, coeffs,
+                            form=_system_form(cfg, mesh, params, coeffs)), f, g
 
 
 def run_poincare(cfg, outdir, verbose):
@@ -145,12 +158,13 @@ def run_reconstruct(cfg, outdir, verbose):
     if cfg.x0 is None:
         raise ConfigError("[reconstruct] x0: key is required")
     bumps = bump_sequence(mesh, wlabel, cfg.x0, cfg.scales,
-                          gform=_gagliardo(cfg, mesh, params))
-    op = DNOperator(mesh, params, coeffs,
-                    form=_system_form(cfg, mesh, params, coeffs))
+                          gform=_gagliardo(cfg, mesh, params),
+                          mass=mass_matrix(mesh))
+    qform = potential_form(mesh, coeffs.q)
+    cond = conductivity_form(mesh, params, coeffs, check=cfg.quadrature_check)
+    op = DNOperator(mesh, params, coeffs, form=cond + qform)
     result = exterior_reconstruct(op, bumps)
-    decay = potential_decay_check(mesh, coeffs.q, bumps, cfg.p_exponent, params,
-                                  strict=False)
+    decay = potential_decay_check(qform, bumps, cfg.p_exponent, params)
     export_reconstruction_csv(
         outdir / "reconstruction.csv", result["samples"], cfg.gamma_true,
         [d["value"] for d in decay],
@@ -192,23 +206,12 @@ def run_liouville_check(cfg, outdir, verbose):
 
 
 def run_transfer_check(cfg, outdir, verbose):
-    params = cfg.params()
     wlabel = _measurement_region(cfg, cfg.reconstruct_W, "[reconstruct] W")
-    wlo, whi = cfg.regions[wlabel]
-    center = 0.5 * (wlo[0] + whi[0])
-    halfw = 0.5 * (whi[0] - wlo[0])
     hs, residuals = [], []
-    for h, mesh, coeffs in _refinements(cfg):
-        x = mesh.coords
-        f = bump((x - center) / (0.45 * 2 * halfw))
-        g = bump((x - center) / (0.35 * 2 * halfw))
-        f[mesh.interior_dofs] = 0.0
-        g[mesh.interior_dofs] = 0.0
-        op = DNOperator(mesh, params, coeffs,
-                        form=_system_form(cfg, mesh, params, coeffs))
+    for h, op, f, g in _window_levels(cfg, wlabel):
         residuals.append(dn_transfer_residual(
-            mesh, coeffs, coeffs.gamma, wlabel, f, g,
-            operator=op, gform=_gagliardo(cfg, mesh, params),
+            op.mesh, op.coeffs, op.coeffs.gamma, wlabel, f, g,
+            operator=op, gform=_gagliardo(cfg, op.mesh, op.params),
         ))
         hs.append(h)
     records = residual_records(hs, residuals)
@@ -267,19 +270,8 @@ def run_oracle_compare(cfg, outdir, verbose):
 
 def run_convergence_study(cfg, outdir, verbose):
     wlabel = _measurement_region(cfg, cfg.reconstruct_W, "[reconstruct] W")
-    params = cfg.params()
-    wlo, whi = cfg.regions[wlabel]
-    center = 0.5 * (wlo[0] + whi[0])
-    width = whi[0] - wlo[0]
     values, hs = [], []
-    for h, mesh, coeffs in _refinements(cfg):
-        x = mesh.coords
-        f = bump((x - center) / (0.45 * width))
-        g = bump((x - center) / (0.35 * width))
-        f[mesh.interior_dofs] = 0.0
-        g[mesh.interior_dofs] = 0.0
-        op = DNOperator(mesh, params, coeffs,
-                        form=_system_form(cfg, mesh, params, coeffs))
+    for h, op, f, g in _window_levels(cfg, wlabel):
         values.append(op.pairing(f, g))
         hs.append(h)
     records = []
@@ -306,6 +298,8 @@ RUNNERS = {
     "oracle-compare": run_oracle_compare,
     "convergence-study": run_convergence_study,
 }
+
+SUBCOMMANDS = tuple(RUNNERS)
 
 
 def run_experiment(subcommand: str, cfg: ExperimentConfig, outdir=None,
@@ -335,7 +329,12 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the INI config")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 2:  # a usage error is a configuration error
+            return 3
+        raise
     try:
         cfg = parse_config(args.config)
         summary = run_experiment(args.subcommand, cfg, args.out, args.verbose)

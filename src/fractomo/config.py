@@ -1,21 +1,23 @@
 """Experiment configuration: a flat INI file with sections.
 
-Grammar (all keys optional unless marked; values shown with defaults):
+Grammar (all keys optional unless marked; values shown with defaults,
+then the domain of each key):
 
 .. code-block:: ini
 
     [problem]
-    n = 1                      ; dimension, 1 or 2
-    s = 0.25                   ; fractional order, 0 < s < min(1, n/2)
+    n = 1                      ; dimension: 1 or 2
+    s = 0.25                   ; fractional order: 0 < s < min(1, n/2)
 
     [mesh]
-    h = 0.03125                ; required: grid spacing
-    margin =                   ; box margin beyond the hull of all regions
-                               ; (default: 2 x diameter of Omega)
+    h = 0.03125                ; required: grid spacing, positive
+    margin =                   ; box margin beyond the hull of all regions,
+                               ; finite and >= 0 (default: 2 x diameter of Omega)
     box =                      ; explicit box "lo, hi" (1D) or
                                ; "lo1, lo2, hi1, hi2" (2D); overrides margin
 
     [regions]                  ; name = lo, hi  (1D)  /  lo1, lo2, hi1, hi2 (2D);
+                               ; finite, lo < hi on every axis;
                                ; names keep their case ("W..." = measurement set)
     Omega = -1.0, 1.0          ; required for solves
     W1 = 1.2, 1.8
@@ -24,45 +26,51 @@ Grammar (all keys optional unless marked; values shown with defaults):
     [coefficients]
     gamma = constant:1         ; preset, see fractomo.profiles.evaluate_preset
     q = constant:0
-    gamma_exterior = 1.0       ; diffusion value on the box complement
+    gamma_exterior = 1.0       ; diffusion on the box complement, positive
 
     [quadrature]
-    check = false              ; run the panel self check on every kernel
-                               ; form the subcommand assembles
+    check = false              ; true/false, yes/no, on/off or 1/0: run the
+                               ; panel self check on every kernel form the
+                               ; subcommand assembles
 
     [data]
     f = bump:0,1,1.5,0.25      ; exterior datum preset (zeroed on interior)
-    far_field = 0.0            ; constant value on the box complement
+    far_field = 0.0            ; constant value on the box complement, finite
     source = constant:0        ; interior source density
 
     [reconstruct]
     W = W1                     ; measurement region label
-    x0 = 1.5                   ; concentration point (required by `reconstruct`)
-    scales =                   ; comma list of N values (default: geometric)
-    p = inf                    ; integrability exponent of the absorption
-    gamma_true =               ; known value at x0, for the error column
+    x0 = 1.5                   ; concentration point, finite (required by
+                               ; `reconstruct`)
+    scales =                   ; comma list of N values, integers >= 1
+                               ; (default: geometric)
+    p = inf                    ; integrability exponent of the absorption,
+                               ; p > n/(2s); inf allowed
+    gamma_true =               ; known value at x0 (finite), for the error column
 
     [counterexample]
     Omega_prime = -0.5, 0.5    ; interval of the inner construction set
     omega = 2.1, 2.4           ; interval of the cutoff seed set
     W = W1                     ; measurement region label
-    eps = 0.05
+    eps = 0.05                 ; positive
     scale = 1.0                ; extra deviation scale in (0, 1]
 
     [oracle]
-    s_list = 0.1, 0.25, 0.4    ; orders for `oracle-compare`
+    s_list = 0.1, 0.25, 0.4    ; orders for `oracle-compare`, each as [problem] s
     u = gaussian:0,1,0,1       ; test function preset
-    pad_factor = 16
+    pad_factor = 16            ; integer >= 1
 
     [convergence]
-    levels = 3                 ; refinement levels h, h/2, ...
+    levels = 3                 ; refinement levels h, h/2, ...; integer >= 1
 
     [output]
     directory = out            ; overridable by --out or FRACTOMO_OUT
-    seed = 0
+    seed = 0                   ; integer >= 0
 
-Only the output directory may come from the environment
-(``FRACTOMO_OUT``); everything else lives in the file.
+A value outside its domain is a ``ConfigError`` naming the key, raised by
+:func:`parse_config` before any assembly.  Only the output directory may
+come from the environment (``FRACTOMO_OUT``); everything else lives in
+the file.
 """
 
 from __future__ import annotations
@@ -82,9 +90,23 @@ from .profiles import evaluate_preset
 
 def _floats(text: str, where: str) -> list:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        vals = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
         raise ConfigError(f"{where}: expected comma-separated numbers, got {text!r}")
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"{where}: expected finite numbers, got {text!r}")
+    return vals
+
+
+def _positive(v: float) -> bool:
+    return 0.0 < v < math.inf
+
+
+def _boolean(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(f"expected one of {', '.join(states)}, got {text!r}")
+    return states[text.lower()]
 
 
 @dataclass
@@ -218,24 +240,28 @@ def parse_config(path) -> ExperimentConfig:
 
     cfg = ExperimentConfig()
 
-    def get(section, key, cast, default, where=None):
-        where = where or f"[{section}] {key}"
+    def get(section, key, cast, default, ok=None, domain=""):
+        """The cast value of ``[section] key``; ``ok`` tests its domain."""
+        where = f"[{section}] {key}"
         if not parser.has_option(section, key):
             return default
         raw = parser.get(section, key).strip()
         if raw == "":
             return default
         try:
-            return cast(raw)
-        except (ValueError, ConfigError) as exc:
+            value = cast(raw)
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"{where}: {exc}") from None
+        if ok is not None and not ok(value):
+            raise ConfigError(f"{where}: must be {domain}, got {raw!r}")
+        return value
 
-    cfg.n = get("problem", "n", int, cfg.n)
-    if cfg.n not in (1, 2):
-        raise ConfigError("[problem] n: must be 1 or 2")
+    cfg.n = get("problem", "n", int, cfg.n, lambda v: v in (1, 2), "1 or 2")
     cfg.s = get("problem", "s", float, cfg.s)
-    cfg.h = get("mesh", "h", float, None)
-    cfg.margin = get("mesh", "margin", float, None)
+    cfg.params()
+    cfg.h = get("mesh", "h", float, None, _positive, "positive")
+    cfg.margin = get("mesh", "margin", float, None, lambda v: 0.0 <= v < math.inf,
+                     "finite and nonnegative")
     box_vals = get("mesh", "box", lambda t: _floats(t, "[mesh] box"), None)
     if box_vals is not None:
         if len(box_vals) != 2 * cfg.n:
@@ -255,21 +281,24 @@ def parse_config(path) -> ExperimentConfig:
     cfg.gamma_spec = get("coefficients", "gamma", str, cfg.gamma_spec)
     cfg.q_spec = get("coefficients", "q", str, cfg.q_spec)
     cfg.gamma_exterior = get("coefficients", "gamma_exterior", float,
-                             cfg.gamma_exterior)
-    cfg.quadrature_check = get("quadrature", "check",
-                               lambda t: t.lower() in ("1", "true", "yes"),
-                               cfg.quadrature_check)
+                             cfg.gamma_exterior, _positive, "positive")
+    cfg.quadrature_check = get("quadrature", "check", _boolean, cfg.quadrature_check)
     cfg.f_spec = get("data", "f", str, None)
-    cfg.far_field = get("data", "far_field", float, cfg.far_field)
+    cfg.far_field = get("data", "far_field", float, cfg.far_field, math.isfinite,
+                        "finite")
     cfg.source_spec = get("data", "source", str, cfg.source_spec)
     cfg.reconstruct_W = get("reconstruct", "w", str, cfg.reconstruct_W)
-    cfg.x0 = get("reconstruct", "x0", float, None)
+    cfg.x0 = get("reconstruct", "x0", float, None, math.isfinite, "finite")
     cfg.scales = get("reconstruct", "scales",
-                     lambda t: [int(float(v)) for v in t.split(",")], None)
+                     lambda t: [int(float(v)) for v in t.split(",")], None,
+                     lambda v: min(v) >= 1, "positive integers")
+    p_min = cfg.n / (2.0 * cfg.s)
     cfg.p_exponent = get("reconstruct", "p",
                          lambda t: math.inf if t.lower() in ("inf", "infinity")
-                         else float(t), cfg.p_exponent)
-    cfg.gamma_true = get("reconstruct", "gamma_true", float, None)
+                         else float(t), cfg.p_exponent,
+                         lambda v: v > p_min, f"above n/(2s) = {p_min:g}")
+    cfg.gamma_true = get("reconstruct", "gamma_true", float, None, math.isfinite,
+                         "finite")
     op = get("counterexample", "omega_prime",
              lambda t: _floats(t, "[counterexample] omega_prime"), None)
     if op is not None:
@@ -279,26 +308,27 @@ def parse_config(path) -> ExperimentConfig:
     if om is not None:
         cfg.ce_omega = (tuple(om[: cfg.n]), tuple(om[cfg.n:]))
     cfg.ce_W = get("counterexample", "w", str, cfg.ce_W)
-    cfg.ce_eps = get("counterexample", "eps", float, cfg.ce_eps)
-    cfg.ce_scale = get("counterexample", "scale", float, cfg.ce_scale)
+    cfg.ce_eps = get("counterexample", "eps", float, cfg.ce_eps, _positive,
+                     "positive")
+    cfg.ce_scale = get("counterexample", "scale", float, cfg.ce_scale,
+                       lambda v: 0.0 < v <= 1.0, "in (0, 1]")
     cfg.oracle_s_list = get("oracle", "s_list",
                             lambda t: _floats(t, "[oracle] s_list"),
                             cfg.oracle_s_list)
     cfg.oracle_u_spec = get("oracle", "u", str, cfg.oracle_u_spec)
-    cfg.pad_factor = get("oracle", "pad_factor", int, cfg.pad_factor)
-    cfg.levels = get("convergence", "levels", int, cfg.levels)
+    cfg.pad_factor = get("oracle", "pad_factor", int, cfg.pad_factor,
+                         lambda v: v >= 1, "at least 1")
+    cfg.levels = get("convergence", "levels", int, cfg.levels,
+                     lambda v: v >= 1, "at least 1")
     cfg.outdir = get("output", "directory", str, cfg.outdir)
-    cfg.seed = get("output", "seed", int, cfg.seed)
+    cfg.seed = get("output", "seed", int, cfg.seed, lambda v: v >= 0, "nonnegative")
 
     # cheap global validations before any solve starts
-    cfg.params()
     for order in cfg.oracle_s_list:
         try:
             KernelParams(cfg.n, order)
         except ValueError as exc:
             raise ConfigError(f"[oracle] s_list: {exc}") from None
-    if cfg.h is not None and cfg.h <= 0:
-        raise ConfigError("[mesh] h: must be positive")
     try:
         if cfg.h is not None and (cfg.regions or cfg.box):
             cfg.build_mesh()

@@ -42,7 +42,12 @@ from .errors import GeometryViolation, NegativeSolution
 from .mesh import Mesh, Region, region_dofs, support_dofs
 from .profiles import mollifier_kernel, plateau
 from .reduction import reduced_potential_form
-from .solver import FactorizedSystem, multiplier_norm_estimate, poincare_constant
+from .solver import (
+    FactorizedSystem,
+    coercivity_bound,
+    multiplier_norm_estimate,
+    poincare_constant,
+)
 
 #: volume of the unit ball per dimension
 UNIT_BALL_VOLUME = {1: 2.0, 2: np.pi}
@@ -247,7 +252,7 @@ def verify_nonuniqueness(pair: CounterexamplePair, mesh: Mesh,
     mult = multiplier_norm_estimate(potential_form(mesh, q1), gform=gform,
                                     mass=mass)
     pc = poincare_constant(mesh, params, gform=gform, mass=mass)
-    threshold = pair.coeffs.gamma0 / pc["delta0"]
+    gamma0, delta0 = pair.coeffs.gamma0, pc["delta0"]
 
     return {
         "schema": "fractomo.nonuniqueness-report.v1",
@@ -261,8 +266,8 @@ def verify_nonuniqueness(pair: CounterexamplePair, mesh: Mesh,
         "m_min": float(pair.m.min()),
         "m_sup": float(np.abs(pair.m).max()),
         "multiplier_estimate": float(mult),
-        "admissibility_threshold": float(threshold),
-        "admissible": bool(mult < threshold),
+        "admissibility_threshold": float(gamma0 / delta0),
+        "admissible": coercivity_bound(gamma0, delta0, mult) > 0,
         "c_eps": pair.c_eps,
         "scale": pair.scale,
     }

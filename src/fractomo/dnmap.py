@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .assembly import Coefficients, KernelParams, SymForm, conductivity_form, potential_form
 from .errors import HypothesisViolation, SupportViolation
@@ -95,8 +94,8 @@ class DNOperator:
     def matrix(self, W1, W2) -> DNMatrix:
         """DN matrix over the compactly supported hats of W1 and W2.
 
-        All columns come from one block back-substitution with the shared
-        interior factorization.
+        The solutions for all columns come from one block solve with the
+        shared interior factorization; only the receiver rows are formed.
         """
         cols = support_dofs(self.mesh, W1)
         rows = support_dofs(self.mesh, W2)
@@ -104,12 +103,8 @@ class DNOperator:
             raise HypothesisViolation("measurement basis is empty")
         interior = self.system.interior
         B = self.form.entries
-        U_int = la.cho_solve(self.system._chol, -B[np.ix_(interior, cols)],
-                             check_finite=False)
-        U = np.zeros((self.mesh.num_nodes, cols.size))
-        U[cols, np.arange(cols.size)] = 1.0
-        U[interior, :] = U_int
-        entries = (B @ U)[rows, :]
+        U_int = self.system.solve_interior(-B[np.ix_(interior, cols)])
+        entries = B[np.ix_(rows, cols)] + B[np.ix_(rows, interior)] @ U_int
         return DNMatrix(rows=rows, cols=cols, entries=entries)
 
 

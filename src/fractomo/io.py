@@ -17,65 +17,62 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _write_csv(path, header, rows) -> None:
+    """The header row, then ``rows``: strings and ints as given, every
+    other number in repr-faithful precision."""
+    with Path(path).open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([c if isinstance(c, (str, int)) else _fmt(c) for c in row]
+                    for row in rows)
+
+
+def _coord_names(mesh) -> list:
+    return [f"x{k}" for k in range(mesh.n)]
+
+
+def _node_label(prefix, node) -> str:
+    return prefix + "_".join(_fmt(c) for c in node)
+
+
 def export_solution_csv(path, mesh, u: np.ndarray) -> None:
     """Solution CSV: one row per node, coordinates then the value ``u``.
 
     Coordinates are in the length units of the box.
     """
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        coords = [f"x{k}" for k in range(mesh.n)]
-        w.writerow(coords + ["u"])
-        for node, val in zip(mesh.nodes, u):
-            w.writerow([_fmt(c) for c in node] + [_fmt(val)])
+    rows = ([*node, val] for node, val in zip(mesh.nodes, u))
+    _write_csv(path, _coord_names(mesh) + ["u"], rows)
 
 
 def export_dn_csv(path, mesh, dn) -> None:
     """DN matrix CSV with row/column node coordinates in the header."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        col_coords = ["col_" + "_".join(_fmt(c) for c in mesh.nodes[j])
-                      for j in dn.cols]
-        w.writerow(["row_node"] + col_coords)
-        for r, i in enumerate(dn.rows):
-            label = "row_" + "_".join(_fmt(c) for c in mesh.nodes[i])
-            w.writerow([label] + [_fmt(v) for v in dn.entries[r]])
+    header = ["row_node"] + [_node_label("col_", mesh.nodes[j]) for j in dn.cols]
+    rows = ([_node_label("row_", mesh.nodes[i]), *dn.entries[r]]
+            for r, i in enumerate(dn.rows))
+    _write_csv(path, header, rows)
 
 
 def export_reconstruction_csv(path, samples, true_value=None,
                               potential_terms=None) -> None:
     """Reconstruction series CSV: N, estimate, error (if known), absorption term."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["N", "estimate", "error_vs_true_if_known", "potential_term"])
-        for k, rec in enumerate(samples):
-            err = "" if true_value is None else _fmt(abs(rec["estimate"] - true_value))
-            pot = "" if potential_terms is None else _fmt(potential_terms[k])
-            w.writerow([rec["N"], _fmt(rec["estimate"]), err, pot])
+    rows = ([rec["N"], rec["estimate"],
+             "" if true_value is None else abs(rec["estimate"] - true_value),
+             "" if potential_terms is None else potential_terms[k]]
+            for k, rec in enumerate(samples))
+    _write_csv(path, ["N", "estimate", "error_vs_true_if_known", "potential_term"], rows)
 
 
 def export_oracle_csv(path, rows) -> None:
     """Oracle comparison CSV: order ``s`` and the relative L2 mismatch."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["s", "rel_l2_mismatch"])
-        for r in rows:
-            w.writerow([_fmt(r["s"]), _fmt(r["rel_l2_mismatch"])])
+    _write_csv(path, ["s", "rel_l2_mismatch"],
+               ([r["s"], r["rel_l2_mismatch"]] for r in rows))
 
 
 def export_pair_csv(path, mesh, pair) -> None:
     """Counterexample pair CSV: node coordinate, gamma_1, q_1, deviation."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        coords = [f"x{k}" for k in range(mesh.n)]
-        w.writerow(coords + ["gamma1", "q1", "m"])
-        for node, g, q, m in zip(mesh.nodes, pair.gamma1, pair.q1, pair.m):
-            w.writerow([_fmt(c) for c in node] + [_fmt(g), _fmt(q), _fmt(m)])
+    rows = ([*node, g, q, m]
+            for node, g, q, m in zip(mesh.nodes, pair.gamma1, pair.q1, pair.m))
+    _write_csv(path, _coord_names(mesh) + ["gamma1", "q1", "m"], rows)
 
 
 def write_json_report(path, payload: dict, schema: str) -> None:

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .assembly import KernelParams, SymForm, mass_matrix, potential_form
+from .assembly import KernelParams, SymForm
 from .dnmap import DNOperator
 from .errors import (
     DecayCheckFailed,
@@ -90,7 +90,7 @@ def default_scales(mesh: Mesh, W, x0: float) -> list:
 
 
 def bump_sequence(mesh: Mesh, W, x0: float, Ns=None, *,
-                  gform: SymForm) -> BumpSequence:
+                  gform: SymForm, mass: SymForm) -> BumpSequence:
     """Build the energy-normalized concentrating sequence at ``x0``.
 
     Parameters
@@ -101,8 +101,9 @@ def bump_sequence(mesh: Mesh, W, x0: float, Ns=None, *,
     Ns : list of int, optional
         Concentration scales (support radius ``1/N``); defaults to the
         geometric schedule of :func:`default_scales`.
-    gform : SymForm
-        The Gagliardo form of ``mesh``, whose energy normalizes the bumps.
+    gform, mass : SymForm
+        The Gagliardo form of ``mesh``, whose energy normalizes the bumps,
+        and the mass matrix of ``mesh``, which gives their L2 norms.
 
     Raises
     ------
@@ -115,7 +116,6 @@ def bump_sequence(mesh: Mesh, W, x0: float, Ns=None, *,
         raise OutsideMeasurementSet(f"x0={x0} is not inside W=({wl}, {wu})")
     if Ns is None:
         Ns = default_scales(mesh, W, x0)
-    mass = mass_matrix(mesh)
     x = mesh.coords
     vectors, energies, l2s = [], [], []
     for N in Ns:
@@ -191,12 +191,13 @@ def exterior_reconstruct(operator: DNOperator, bumps: BumpSequence) -> dict:
     return {"samples": samples, "extrapolated": fit["limit"], "fit": fit}
 
 
-def potential_decay_check(mesh: Mesh, q: np.ndarray, bumps: BumpSequence,
+def potential_decay_check(qform: SymForm, bumps: BumpSequence,
                           p: float, params: KernelParams, *,
                           tol: float = 0.25, strict: bool = True) -> list:
     """Decay of the absorption pairing along the bump sequence.
 
-    Measures ``value_N = Phi_N^T M_q Phi_N`` and compares against the
+    Measures ``value_N = Phi_N^T M_q Phi_N``, with ``M_q = qform`` the
+    potential form of the absorption, and compares against the
     interpolation bound ``C * ||Phi_N||_L2^theta`` with the exponent
 
         ``theta = 2 - n/(s p)`` for ``n/(2s) < p <= n/s``, else ``1``,
@@ -218,8 +219,7 @@ def potential_decay_check(mesh: Mesh, q: np.ndarray, bumps: BumpSequence,
             f"integrability exponent p={p} must exceed n/(2s)={n/(2*s)}"
         )
     theta = 2.0 - n / (s * p) if p <= n / s else 1.0
-    Mq = potential_form(mesh, np.asarray(q, dtype=float))
-    values = [float(phi @ (Mq.entries @ phi)) for phi in bumps.vectors]
+    values = [float(phi @ (qform.entries @ phi)) for phi in bumps.vectors]
     norms = bumps.l2_norms
     if abs(values[0]) > 0:
         C = abs(values[0]) / norms[0] ** theta

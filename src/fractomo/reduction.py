@@ -36,6 +36,11 @@ from .solver import FactorizedSystem
 GUARD = 1e-14
 
 
+def _relative_defect(lhs: float, rhs: float) -> float:
+    """``|lhs - rhs| / |lhs|``, guarded against a vanishing ``lhs``."""
+    return abs(lhs - rhs) / (abs(lhs) + GUARD * max(1.0, abs(lhs), abs(rhs)))
+
+
 def reduced_potential_form(mesh: Mesh, coeffs: Coefficients, *,
                            gform: SymForm) -> SymForm:
     """Assemble the discrete pairing form of the reduced potential.
@@ -87,8 +92,7 @@ def liouville_residual(mesh: Mesh, coeffs: Coefficients, u: np.ndarray,
     v = sq * u
     w = sq * phi
     rhs = float(v @ ((gform.entries + Q.entries) @ w))
-    guard = GUARD * max(1.0, abs(lhs), abs(rhs))
-    return abs(lhs - rhs) / (abs(lhs) + guard)
+    return _relative_defect(lhs, rhs)
 
 
 def dn_transfer_residual(mesh: Mesh, coeffs: Coefficients, Gamma: np.ndarray,
@@ -122,8 +126,7 @@ def dn_transfer_residual(mesh: Mesh, coeffs: Coefficients, Gamma: np.ndarray,
     system = FactorizedSystem(S, mesh, interior=operator.system.interior)
     v = system.solve(sqG * f).u
     rhs = float((sqG * g) @ (S.entries @ v))
-    guard = GUARD * max(1.0, abs(lhs), abs(rhs))
-    return abs(lhs - rhs) / (abs(lhs) + guard)
+    return _relative_defect(lhs, rhs)
 
 
 def dn_difference_decomposition(op1: DNOperator, op2: DNOperator,
@@ -152,12 +155,10 @@ def dn_difference_decomposition(op1: DNOperator, op2: DNOperator,
     term_q = float(f @ ((potential_form(mesh, pair1.q).entries
                          - potential_form(mesh, pair2.q).entries) @ f))
     term_sol = float((sq1 * u1 - sq2 * u2) @ (gform.entries @ (sq1 * f)))
-    rhs = term_m + term_q + term_sol
-    guard = GUARD * max(1.0, abs(lhs), abs(rhs))
     return {
         "pairing_difference": lhs,
         "deviation_term": term_m,
         "potential_term": term_q,
         "solution_term": term_sol,
-        "residual": abs(lhs - rhs) / (abs(lhs) + guard),
+        "residual": _relative_defect(lhs, term_m + term_q + term_sol),
     }

@@ -26,7 +26,7 @@ import scipy.linalg as la
 
 from .assembly import KernelParams, SymForm
 from .errors import CoercivityLost, EigenFailure, EmptyRegion, SupportViolation
-from .mesh import Mesh, support_dofs
+from .mesh import Mesh
 
 
 @dataclass
@@ -105,7 +105,7 @@ class FactorizedSystem:
         if f_src is not None:
             f_src = np.asarray(f_src, dtype=float)
             rhs += f_src[self.interior]
-        u_I = la.cho_solve(self._chol, rhs, check_finite=False)
+        u_I = self.solve_interior(rhs)
         u = f_ext.copy()
         u[self.interior] = u_I
         rnorm = np.linalg.norm(self.B_II @ u_I - rhs)
@@ -117,18 +117,22 @@ class FactorizedSystem:
             energy=float(energy), far_field=float(far_field),
         )
 
+    def solve_interior(self, rhs: np.ndarray) -> np.ndarray:
+        """``B_II^{-1} rhs`` for a vector or a block of interior columns."""
+        return la.cho_solve(self._chol, rhs, check_finite=False)
+
 
 # ---------------------------------------------------------------------------
 # Poincare constant, multiplier estimate, coercivity bound
 # ---------------------------------------------------------------------------
 
-def poincare_constant(mesh: Mesh, params: KernelParams, omega="Omega", *,
+def poincare_constant(mesh: Mesh, params: KernelParams, *,
                       gform: SymForm, mass: SymForm) -> dict:
-    """Optimal discrete fractional Poincare constant of the region.
+    """Optimal discrete fractional Poincare constant of ``Omega``.
 
     ``C_opt`` is the reciprocal of the smallest eigenvalue of the raw
     Gagliardo seminorm form (``(2/C_ns) * gform``) against the mass
-    matrix over the compactly supported hats of ``omega``; the derived
+    matrix over the compactly supported hats of ``Omega``; the derived
     constant is ``delta0 = 2 max(1, C_opt)``.
 
     Parameters
@@ -140,12 +144,12 @@ def poincare_constant(mesh: Mesh, params: KernelParams, omega="Omega", *,
     -------
     dict with keys ``C_opt`` and ``delta0``.
     """
-    dofs = support_dofs(mesh, omega)
+    dofs = mesh.interior_dofs
     if dofs.size == 0:
         raise EmptyRegion("region has no interior degrees of freedom")
     G = (2.0 / params.C_ns) * gform.entries[np.ix_(dofs, dofs)]
     M = mass.entries[np.ix_(dofs, dofs)]
-    lam_min, _ = _generalized_extremes(G, M)
+    lam_min = float(_generalized_eigvals(G, M, 0)[0])
     if lam_min <= 0:
         raise EigenFailure(f"nonpositive seminorm eigenvalue {lam_min}")
     c_opt = 1.0 / lam_min
@@ -164,8 +168,8 @@ def multiplier_norm_estimate(form: SymForm, *, gform: SymForm,
     such.
     """
     H = gform.entries + mass.entries
-    lo, hi = _generalized_extremes(form.entries, H)
-    return float(max(abs(lo), abs(hi)))
+    vals = _generalized_eigvals(form.entries, H, H.shape[0] - 1)
+    return float(max(abs(vals[0]), abs(vals[-1])))
 
 
 def coercivity_bound(gamma0: float, delta0: float, q_small_norm: float) -> float:
@@ -182,13 +186,11 @@ def coercivity_bound(gamma0: float, delta0: float, q_small_norm: float) -> float
     return float(gamma0 / delta0 - q_small_norm)
 
 
-def _generalized_extremes(A, B) -> tuple:
-    """Smallest and largest eigenvalue of ``A x = lambda B x`` with ``B``
-    SPD, from one dense solve."""
-    n = A.shape[0]
+def _generalized_eigvals(A, B, last: int) -> np.ndarray:
+    """Eigenvalues ``0 .. last`` (ascending) of ``A x = lambda B x`` with
+    ``B`` SPD, from one dense solve."""
     try:
-        vals = la.eigh(A, B, subset_by_index=[0, n - 1], eigvals_only=True,
+        return la.eigh(A, B, subset_by_index=[0, last], eigvals_only=True,
                        check_finite=False)
     except la.LinAlgError as exc:
         raise EigenFailure(str(exc)) from None
-    return float(vals[0]), float(vals[-1])

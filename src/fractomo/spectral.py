@@ -77,34 +77,15 @@ def spectral_frac_laplacian(mesh: Mesh, params: KernelParams, u: np.ndarray,
     if params.n != mesh.n:
         raise ValueError("mesh and kernel params dimensions differ")
     _check_padding(mesh, u)
-    h = mesh.h
-    if mesh.n == 1:
-        n_samples = mesh.num_nodes - 1  # periodic samples, drop repeated edge
-        P = pad_factor * n_samples
-        buf = np.zeros(P)
-        off = (P - n_samples) // 2
-        buf[off:off + n_samples] = u[:n_samples]
-        xi = 2.0 * np.pi * np.fft.fftfreq(P, d=h)
-        out = np.fft.ifft(np.abs(xi) ** (2.0 * params.s) * np.fft.fft(buf)).real
-        res = np.empty(mesh.num_nodes)
-        res[:n_samples] = out[off:off + n_samples]
-        res[-1] = out[(off + n_samples) % P]
-        return res
-    nx, ny = mesh.shape
-    U = u.reshape(nx, ny)
-    Px = pad_factor * (nx - 1)
-    Py = pad_factor * (ny - 1)
-    buf = np.zeros((Px, Py))
-    ox = (Px - (nx - 1)) // 2
-    oy = (Py - (ny - 1)) // 2
-    buf[ox:ox + nx - 1, oy:oy + ny - 1] = U[: nx - 1, : ny - 1]
-    xix = 2.0 * np.pi * np.fft.fftfreq(Px, d=h)
-    xiy = 2.0 * np.pi * np.fft.fftfreq(Py, d=h)
-    sym = (xix[:, None] ** 2 + xiy[None, :] ** 2) ** params.s
-    out = np.fft.ifft2(sym * np.fft.fft2(buf)).real
-    res = np.zeros((nx, ny))
-    res[: nx - 1, : ny - 1] = out[ox:ox + nx - 1, oy:oy + ny - 1]
-    res[-1, : ny - 1] = out[(ox + nx - 1) % Px, oy:oy + ny - 1]
-    res[: nx - 1, -1] = out[ox:ox + nx - 1, (oy + ny - 1) % Py]
-    res[-1, -1] = out[(ox + nx - 1) % Px, (oy + ny - 1) % Py]
-    return res.ravel()
+    m = np.asarray(mesh.shape) - 1  # periodic samples: drop the repeated edge
+    P = pad_factor * m
+    off = (P - m) // 2
+    buf = np.zeros(P)
+    buf[tuple(map(slice, off, off + m))] = u.reshape(mesh.shape)[tuple(map(slice, m))]
+    xi = np.meshgrid(*(2.0 * np.pi * np.fft.fftfreq(p, d=mesh.h) for p in P),
+                     indexing="ij", sparse=True)
+    sym = sum(x ** 2 for x in xi) ** params.s
+    out = np.fft.ifftn(sym * np.fft.fftn(buf)).real
+    # the last node on each axis is the periodic image of the first
+    return out[np.ix_(*((o + np.arange(k + 1)) % p
+                        for o, k, p in zip(off, m, P)))].ravel()

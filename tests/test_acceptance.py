@@ -250,13 +250,13 @@ def test_criterion_07_exterior_reconstruction():
     q = 5.0 * bump((x - x0) / 0.5)                  # >= 0, bounded, in W
     co = Coefficients.from_arrays(gam, q)
     gform = gagliardo_form(mesh, par)
-    bumps = bump_sequence(mesh, "W1", x0, gform=gform)
-    op = DNOperator(mesh, par, co,
-                    form=conductivity_form(mesh, par, co) + potential_form(mesh, q))
+    bumps = bump_sequence(mesh, "W1", x0, gform=gform, mass=mass_matrix(mesh))
+    qform = potential_form(mesh, q)
+    op = DNOperator(mesh, par, co, form=conductivity_form(mesh, par, co) + qform)
     out = exterior_reconstruct(op, bumps)
     err = abs(out["extrapolated"] - 2.0) / 2.0
     assert err < 0.05
-    records = potential_decay_check(mesh, q, bumps, math.inf, par)
+    records = potential_decay_check(qform, bumps, math.inf, par)
     values = [r["value"] for r in records]
     slope = np.polyfit(np.log(bumps.scales), np.log(values), 1)[0]
     assert abs(slope - (-2 * par.s)) / (2 * par.s) < 0.25

@@ -1,5 +1,7 @@
+import configparser
 import inspect
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -374,3 +376,77 @@ def test_quadrature_check_fails_2d_at_s045(subcommand, tmp_path, capsys):
     path.write_text(CONFIG_2D_S045.format(out=tmp_path / "a") + QUADRATURE_CHECK)
     assert main([subcommand, "--config", str(path)]) == 1
     assert "self check failed" in capsys.readouterr().err
+
+
+def test_reconstruct_assembles_each_local_form_once(config_path, monkeypatch):
+    # one mass matrix for the bumps and one absorption form, which serves
+    # both the system form and the decay check
+    original = assembly.potential_form
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fractomo") and getattr(module, "potential_form", None) is original:
+            monkeypatch.setattr(module, "potential_form", counting)
+    path, out = config_path
+    assert main(["reconstruct", "--config", str(path)]) == 0
+    assert len(calls) == 2
+
+
+def test_reconstruct_enforces_the_decay_bound(config_path, capsys):
+    # an absorption spike at x0 makes the pairing grow along the bumps
+    path, out = config_path
+    bad = path.parent / "spike.ini"
+    bad.write_text(path.read_text().replace("q = constant:0", "q = bump:0,100,1.5,0.05"))
+    assert main(["reconstruct", "--config", str(bad)]) == 2
+    assert "invariant violated" in capsys.readouterr().err
+
+
+def _with_key(path, section, key, value):
+    cp = configparser.ConfigParser()
+    cp.optionxform = str
+    cp.read(path)
+    if not cp.has_section(section):
+        cp.add_section(section)
+    cp.set(section, key, value)
+    bad = path.parent / "bad.ini"
+    with bad.open("w") as fh:
+        cp.write(fh)
+    return bad
+
+
+@pytest.mark.parametrize("subcommand, section, key, value", [
+    ("solve", "data", "far_field", "nan"),
+    ("convergence-study", "convergence", "levels", "0"),
+    ("liouville-check", "convergence", "levels", "-1"),
+    ("reconstruct", "reconstruct", "scales", "0"),
+    ("reconstruct", "reconstruct", "p", "1.5"),
+    ("oracle-compare", "oracle", "pad_factor", "0"),
+    ("poincare", "quadrature", "check", "maybe"),
+    ("counterexample", "output", "seed", "-1"),
+    ("counterexample", "counterexample", "eps", "0"),
+    ("counterexample", "counterexample", "scale", "1.5"),
+    ("solve", "coefficients", "gamma_exterior", "-1"),
+])
+def test_value_outside_its_domain_is_named_before_assembly(
+        subcommand, section, key, value, config_path, monkeypatch, capsys):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("a form was assembled before the config check")
+
+    monkeypatch.setattr(assembly, "_kernel_form", no_assembly)
+    path, out = config_path
+    assert main([subcommand, "--config", str(_with_key(path, section, key, value))]) == 3
+    assert f"[{section}] {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["poincare"],
+    ["poincare", "--config", "run.ini", "--no-such-flag"],
+    ["no-such-subcommand", "--config", "run.ini"],
+])
+def test_usage_error_is_a_config_error(argv, capsys):
+    assert main(argv) == 3
+    assert "usage" in capsys.readouterr().err

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractomo.assembly import Coefficients, KernelParams, gagliardo_form
+from fractomo.assembly import (
+    Coefficients,
+    KernelParams,
+    gagliardo_form,
+    mass_matrix,
+    potential_form,
+)
 from fractomo.dnmap import DNOperator
 from fractomo.errors import (
     DecayCheckFailed,
@@ -32,7 +38,7 @@ def setting():
     mesh = build_mesh(BOX, 1 / 64, REGIONS)
     par = KernelParams(1, 0.25)
     gform = gagliardo_form(mesh, par)
-    bumps = bump_sequence(mesh, "W1", X0, gform=gform)
+    bumps = bump_sequence(mesh, "W1", X0, gform=gform, mass=mass_matrix(mesh))
     return mesh, par, gform, bumps
 
 
@@ -87,19 +93,20 @@ def test_default_scales_respect_resolution(setting):
 
 def test_bump_errors(setting):
     mesh, par, gform, bumps = setting
+    mass = mass_matrix(mesh)
     with pytest.raises(OutsideMeasurementSet):
-        bump_sequence(mesh, "W1", 3.0, [4], gform=gform)
+        bump_sequence(mesh, "W1", 3.0, [4], gform=gform, mass=mass)
     with pytest.raises(OutsideMeasurementSet):
-        bump_sequence(mesh, "W1", X0, [1], gform=gform)  # support leaves W
+        bump_sequence(mesh, "W1", X0, [1], gform=gform, mass=mass)  # support leaves W
     with pytest.raises(UnresolvableScale):
-        bump_sequence(mesh, "W1", X0, [4096], gform=gform)
+        bump_sequence(mesh, "W1", X0, [4096], gform=gform, mass=mass)
 
 
 def test_unknown_label_is_named_like_everywhere_else(setting):
     # the bump pipeline resolves labels like the DN matrix does
     mesh, par, gform, bumps = setting
     with pytest.raises(UnknownRegion, match="W9"):
-        bump_sequence(mesh, "W9", X0, [4], gform=gform)
+        bump_sequence(mesh, "W9", X0, [4], gform=gform, mass=mass_matrix(mesh))
     with pytest.raises(UnknownRegion, match="W9"):
         default_scales(mesh, "W9", X0)
     with pytest.raises(UnknownRegion, match="W9"):
@@ -162,7 +169,7 @@ def test_reconstruct_locality_in_q(setting):
 def test_potential_decay_pinf(setting):
     mesh, par, gform, bumps = setting
     q = 5.0 * bump((mesh.coords - X0) / 0.5)
-    records = potential_decay_check(mesh, q, bumps, math.inf, par)
+    records = potential_decay_check(potential_form(mesh, q), bumps, math.inf, par)
     values = [r["value"] for r in records]
     assert values[-1] < values[0]
     for r in records:
@@ -174,8 +181,8 @@ def test_potential_decay_pinf(setting):
 
 def test_potential_decay_zero_q(setting):
     mesh, par, gform, bumps = setting
-    records = potential_decay_check(mesh, np.zeros(mesh.num_nodes), bumps,
-                                    math.inf, par)
+    records = potential_decay_check(potential_form(mesh, np.zeros(mesh.num_nodes)),
+                                    bumps, math.inf, par)
     assert all(r["value"] == 0.0 for r in records)
 
 
@@ -185,15 +192,15 @@ def test_theta_exponent_formula():
     assert 2 - 1 / (0.25 * 3) == pytest.approx(2.0 / 3.0)
     mesh = build_mesh(BOX, 1 / 32, REGIONS)
     gform = gagliardo_form(mesh, par)
-    bumps = bump_sequence(mesh, "W1", X0, gform=gform)
-    q = bump((mesh.coords - X0) / 0.5)
-    recs3 = potential_decay_check(mesh, q, bumps, 3.0, par, strict=False)
+    bumps = bump_sequence(mesh, "W1", X0, gform=gform, mass=mass_matrix(mesh))
+    qform = potential_form(mesh, bump((mesh.coords - X0) / 0.5))
+    recs3 = potential_decay_check(qform, bumps, 3.0, par, strict=False)
     norms = bumps.l2_norms
     C = recs3[0]["value"] / norms[0] ** (2.0 / 3.0)
     for rec, r in zip(recs3, norms):
         assert rec["bound"] == pytest.approx(C * r ** (2.0 / 3.0), rel=1e-12)
     with pytest.raises(ExponentOutOfRange):
-        potential_decay_check(mesh, q, bumps, 1.9, par)  # p <= n/(2s) = 2
+        potential_decay_check(qform, bumps, 1.9, par)  # p <= n/(2s) = 2
 
 
 def test_decay_check_failure_raises(setting):
@@ -202,7 +209,7 @@ def test_decay_check_failure_raises(setting):
     # calibrated bound
     q = 1.0 / (0.01 + np.abs(mesh.coords - X0))
     with pytest.raises(DecayCheckFailed):
-        potential_decay_check(mesh, q, bumps, math.inf, par, tol=0.01)
+        potential_decay_check(potential_form(mesh, q), bumps, math.inf, par, tol=0.01)
 
 
 def test_exterior_q_shifts_estimates_by_its_pairing(setting):
@@ -217,7 +224,7 @@ def test_exterior_q_shifts_estimates_by_its_pairing(setting):
         DNOperator(mesh, par, Coefficients.from_arrays(gam)), bumps)
     rq = exterior_reconstruct(
         DNOperator(mesh, par, Coefficients.from_arrays(gam, q)), bumps)
-    records = potential_decay_check(mesh, q, bumps, math.inf, par)
+    records = potential_decay_check(potential_form(mesh, q), bumps, math.inf, par)
     for a, b, d in zip(r0["samples"], rq["samples"], records):
         delta = abs(b["estimate"] - a["estimate"])
         assert delta <= d["value"] * (1 + 1e-10)

@@ -128,8 +128,9 @@ def test_discrete_poincare(setting):
 def test_poincare_domain_monotonicity(setting):
     mesh, par, A, M = setting
     big = poincare_constant(mesh, par, gform=A, mass=M)
-    small = poincare_constant(mesh, par, Region("sub", (-0.5,), (0.5,)),
-                              gform=A, mass=M)
+    # the same nodes with a smaller Omega share the forms A and M
+    sub = build_mesh(mesh.box, mesh.h, [Region("Omega", (-0.5,), (0.5,))])
+    small = poincare_constant(sub, par, gform=A, mass=M)
     assert small["C_opt"] <= big["C_opt"] + 1e-14
 
 
