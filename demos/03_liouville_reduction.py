@@ -17,6 +17,7 @@ from fractomo import (
     KernelParams,
     Region,
     build_mesh,
+    conductivity_form,
     dn_transfer_residual,
     gagliardo_form,
     liouville_residual,
@@ -42,19 +43,20 @@ for h in (1 / 16, 1 / 32, 1 / 64, 1 / 128):
     phi[ii] = bump((x[ii] + 0.3) / 0.5)
     # each form is assembled once and read by both identities
     gform = gagliardo_form(mesh, params)
-    op = DNOperator(mesh, params, coeffs)
-    r_form = liouville_residual(mesh, coeffs, u, phi, cond_form=op.form,
-                                gform=gform)
+    qform = potential_form(mesh, coeffs.q)
+    op = DNOperator(mesh, params, coeffs,
+                    form=conductivity_form(mesh, params, coeffs) + qform)
+    r_form = liouville_residual(coeffs, u, phi, cond_form=op.form, gform=gform,
+                                qform=qform)
     f = bump((x - 1.625) / 0.3); f[ii] = 0.0
     g = bump((x - 1.625) / 0.22); g[ii] = 0.0
-    r_dn = dn_transfer_residual(mesh, coeffs, gam, "W1", f, g, operator=op,
-                                gform=gform)
+    r_dn = dn_transfer_residual(op, gam, "W1", f, g, gform=gform, qform=qform)
     print(f"1/{round(1/h):<8d} {r_form:14.3e} {r_dn:13.3e}")
 
 print("\nunit diffusion collapses the reduced potential to the plain")
 print("absorption pairing (identity exact to round-off):")
 mesh = build_mesh(box, 1 / 32, regions)
 co1 = Coefficients.from_arrays(np.ones(mesh.num_nodes), 0.3 * bump(mesh.coords))
-Q = reduced_potential_form(mesh, co1, gform=gagliardo_form(mesh, params))
-print("max |Q-form - potential form| =",
-      np.abs(Q.entries - potential_form(mesh, co1.q).entries).max())
+Mq = potential_form(mesh, co1.q)
+Q = reduced_potential_form(co1, gform=gagliardo_form(mesh, params), qform=Mq)
+print("max |Q-form - potential form| =", np.abs(Q.entries - Mq.entries).max())

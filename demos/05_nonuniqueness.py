@@ -17,8 +17,10 @@ from fractomo import (
     Region,
     build_mesh,
     build_pair,
+    conductivity_form,
     gagliardo_form,
     mass_matrix,
+    potential_form,
     solution_relation_residual,
     verify_nonuniqueness,
 )
@@ -34,11 +36,13 @@ for h in (1 / 32, 1 / 64, 1 / 128):
     mesh = build_mesh(Box((-2.25,), (3.25,)), h, regions)
     gform = gagliardo_form(mesh, params)
     mass = mass_matrix(mesh)
-    W = mesh.region_objects["W1"]
+    W = mesh.regions["W1"]
     pair = build_pair(mesh, omega_prime, omega_seed, 0.05, W, gform=gform,
                       mass=mass)
-    op = DNOperator(mesh, params, pair.coeffs)
-    rep = verify_nonuniqueness(pair, mesh, params, W, operator=op, gform=gform,
+    qform = potential_form(mesh, pair.q1)
+    op = DNOperator(mesh, params, pair.coeffs,
+                    form=conductivity_form(mesh, params, pair.coeffs) + qform)
+    rep = verify_nonuniqueness(pair, W, operator=op, gform=gform, qform=qform,
                                mass=mass)
     print(f"1/{round(1/h):<6d} {rep['dn_gap']:.3e} {rep['q_gap']:8.4f}"
           f" {rep['m_sup']:9.4f} {rep['multiplier_estimate']:10.4f}"

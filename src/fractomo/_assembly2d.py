@@ -124,7 +124,7 @@ def _class_blocks(s, keys, depth):
     with np.errstate(divide="ignore"):
         K = np.where(r2 > 0.0, r2 ** (-(1.0 + s)), 0.0)
     lam = np.broadcast_to(bary.T, xp.shape[:2] + (3,))
-    blocks = _point_pair_blocks(wx[:, :, None] * wy[:, None] * K, lam, lam, "labcd")
+    blocks = _point_pair_blocks(wx[:, :, None] * wy[:, None] * K, lam)
     cen_a, rad_a = _tri_geometry(tri_a)
     cen_b, rad_b = _tri_geometry(tri_b)
     near = np.sqrt(((cen_a - cen_b) ** 2).sum(axis=-1)) < SEPARATION * (rad_a + rad_b)

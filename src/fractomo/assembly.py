@@ -45,6 +45,14 @@ from scipy.special import gamma as gamma_fn, roots_jacobi, roots_legendre
 from .errors import NonPositiveGamma, QuadratureFailure
 from .mesh import Mesh
 
+#: Gauss--Jacobi order of the identical and node-sharing 1D panels and of
+#: the exterior tail of boundary elements (``ORDER_SINGULAR + 4`` points
+#: per direction in 2D)
+ORDER_SINGULAR = 6
+
+#: tensor Gauss order of the separated 1D panels
+ORDER_REGULAR = 4
+
 
 def normalization_constant(n: int, s: float) -> float:
     """Normalization constant of the singular-integral fractional Laplacian.
@@ -182,10 +190,15 @@ class SymForm:
         return e
 
     def symmetry_defect(self) -> float:
-        scale = np.abs(self.entries).max()
-        if scale == 0.0:
-            return 0.0
-        return float(np.abs(self.entries - self.entries.T).max() / scale)
+        return _asymmetry(self.entries)
+
+
+def _asymmetry(entries: np.ndarray) -> float:
+    """``max |A - A^T| / max |A|`` of a square matrix (0 for ``A = 0``)."""
+    scale = np.abs(entries).max()
+    if scale == 0.0:
+        return 0.0
+    return float(np.abs(entries - entries.T).max() / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +287,8 @@ def _triangle_rule_deg4():
 # kernel-type forms
 # ---------------------------------------------------------------------------
 
-def gagliardo_form(mesh: Mesh, params: KernelParams, *, order_singular: int = 6,
-                   order_regular: int = 4, check: bool = False) -> SymForm:
+def gagliardo_form(mesh: Mesh, params: KernelParams, *,
+                   check: bool = False) -> SymForm:
     """Fractional Dirichlet energy form.
 
     ``u^T A v = <(-Delta)^{s/2} u, (-Delta)^{s/2} v>_{L2}`` for the zero
@@ -284,45 +297,38 @@ def gagliardo_form(mesh: Mesh, params: KernelParams, *, order_singular: int = 6,
     nonempty compactly supported subspace the matrix is positive
     definite.
 
+    The quadrature orders are :data:`ORDER_SINGULAR` and
+    :data:`ORDER_REGULAR`.
+
     Parameters
     ----------
-    order_singular : int
-        Gauss--Jacobi order for identical / node-sharing panels and the
-        exterior tail of boundary elements (``order_singular + 4`` per
-        direction in 2D).
-    order_regular : int
-        Tensor Gauss order for separated panels.
     check : bool
-        Re-assemble with elevated orders on the same mesh and raise
+        Re-assemble with both orders raised by 4 (and the 2D recursion one
+        level deeper) on the same mesh and raise
         :class:`QuadratureFailure` if the two assemblies disagree.
     """
-    ones = np.ones(mesh.num_nodes)
-    return _kernel_form(mesh, params, ones, 1.0, order_singular, order_regular,
-                        check)
+    return _kernel_form(mesh, params, np.ones(mesh.num_nodes), 1.0, check)
 
 
 def conductivity_form(mesh: Mesh, params: KernelParams, coeffs: Coefficients, *,
-                      order_singular: int = 6, order_regular: int = 4,
                       check: bool = False) -> SymForm:
     """Weighted-diffusion energy form with kernel weight
     ``sqrt(gamma)(x) sqrt(gamma)(y)``.
 
     ``sqrt(gamma)`` enters the quadrature by nodal P1 interpolation; the
     diffusion equals ``coeffs.gamma_exterior`` on the box complement.
+    Orders and ``check`` as in :func:`gagliardo_form`.
     """
     gamma = np.asarray(coeffs.gamma, dtype=float)
     if gamma.shape[0] != mesh.num_nodes:
         raise ValueError("gamma has wrong length for this mesh")
     if gamma.min() <= 0.0:
         raise NonPositiveGamma(f"gamma attains {gamma.min()} <= 0")
-    return _kernel_form(
-        mesh, params, np.sqrt(gamma), float(np.sqrt(coeffs.gamma_exterior)),
-        order_singular, order_regular, check,
-    )
+    return _kernel_form(mesh, params, np.sqrt(gamma),
+                        float(np.sqrt(coeffs.gamma_exterior)), check)
 
 
-def _kernel_form(mesh, params, sqrt_gamma, sqrt_gamma_ext, order_singular,
-                 order_regular, check):
+def _kernel_form(mesh, params, sqrt_gamma, sqrt_gamma_ext, check):
     if params.n != mesh.n:
         raise ValueError("mesh and kernel params dimensions differ")
 
@@ -341,9 +347,9 @@ def _kernel_form(mesh, params, sqrt_gamma, sqrt_gamma_ext, order_singular,
         return A, sum(_add_local_mass(A, elements, scale * w, lam)
                       for elements, w, lam in tail)
 
-    A, tail_row = build(order_singular, order_regular)
+    A, tail_row = build(ORDER_SINGULAR, ORDER_REGULAR)
     if check:
-        A2, _ = build(order_singular + 4, order_regular + 4, extra_depth=1)
+        A2, _ = build(ORDER_SINGULAR + 4, ORDER_REGULAR + 4, extra_depth=1)
         defect = float(np.abs(A - A2).max() / max(np.abs(A).max(), 1e-300))
         if defect > 5e-4:
             raise QuadratureFailure(
@@ -359,21 +365,21 @@ def _jacobi_rule(order, a, b, length=1.0):
     return 0.5 * length * (xk + 1.0), wk * (0.5 * length) ** (1.0 + a + b)
 
 
-def _point_pair_blocks(W, lx, ly, out):
-    """Class blocks ``xx, xy, yy`` from a tensor point-pair rule.
+def _point_pair_blocks(W, lam):
+    """Class blocks ``xx, xy, yy`` of each leaf from a tensor point-pair
+    rule with the same points on both elements.
 
     ``W[l, i, j]`` holds the weights times the kernel at x point ``i`` and
-    y point ``j`` of leaf ``l``; ``lx[l, i]`` and ``ly[l, j]`` hold the P1
-    shape values there, which serve both as test hats and as diffusion
-    vertex weights.  ``out`` is ``"abcd"`` to sum over the leaves or
-    ``"labcd"`` to keep them apart.  Returns (..., 3, nv, nv, nv, nv).
+    y point ``j`` of leaf ``l``; ``lam[l, i]`` holds the P1 shape values at
+    point ``i``, which serve both as test hats and as diffusion vertex
+    weights.  Returns (L, 3, nv, nv, nv, nv).
     """
-    colY = np.einsum("lij,ljd->lid", W, ly)
-    colX = np.einsum("lij,lic->ljc", W, lx)
-    xx = np.einsum("lid,lia,lib,lic->" + out, colY, lx, lx, lx, optimize=True)
-    xy = -np.einsum("lij,lia,ljb,lic,ljd->" + out, W, lx, ly, lx, ly,
+    colY = np.einsum("lij,ljd->lid", W, lam)
+    colX = np.einsum("lij,lic->ljc", W, lam)
+    xx = np.einsum("lid,lia,lib,lic->labcd", colY, lam, lam, lam, optimize=True)
+    xy = -np.einsum("lij,lia,ljb,lic,ljd->labcd", W, lam, lam, lam, lam,
                     optimize=True)
-    yy = np.einsum("ljc,lja,ljb,ljd->" + out, colX, ly, ly, ly, optimize=True)
+    yy = np.einsum("ljc,lja,ljb,ljd->labcd", colX, lam, lam, lam, optimize=True)
     return np.stack([xx, xy, yy], axis=-5)
 
 
@@ -484,7 +490,7 @@ def _separated_blocks_1d(s, M, q_reg):
     W = wq[:, None] * wq[None, :] * np.abs(xi[:, None] - xi[None, :] - d) ** (
         -1.0 - 2.0 * s)
     lam = np.broadcast_to(_shapes_1d(xi), (W.shape[0], q_reg, 2))
-    return _point_pair_blocks(W, lam, lam, "labcd")
+    return _point_pair_blocks(W, lam)
 
 
 def _kernel_inbox_1d(mesh, s, g, q_sing, q_reg):

@@ -47,7 +47,6 @@ from .io import (
     residual_records,
     write_json_report,
 )
-from .mesh import Region
 from .profiles import bump
 from .reconstruction import bump_sequence, exterior_reconstruct, potential_decay_check
 from .reduction import dn_transfer_residual, liouville_residual
@@ -70,9 +69,11 @@ def _gagliardo(cfg: ExperimentConfig, mesh, params):
 
 
 def _system_form(cfg: ExperimentConfig, mesh, params, coeffs):
-    """Conductivity plus potential form: the system form of ``coeffs``."""
+    """The system form of ``coeffs`` (conductivity plus potential form)
+    and its potential form, the absorption form."""
     cond = conductivity_form(mesh, params, coeffs, check=cfg.quadrature_check)
-    return cond + potential_form(mesh, coeffs.q)
+    qform = potential_form(mesh, coeffs.q)
+    return cond + qform, qform
 
 
 def _measurement_region(cfg: ExperimentConfig, label: str, key: str) -> str:
@@ -90,20 +91,21 @@ def _refinements(cfg: ExperimentConfig):
 
 
 def _window_levels(cfg: ExperimentConfig, wlabel: str):
-    """Yield ``(h, op, f, g)`` on the refinement levels: the DN operator of
-    the level's system form and the exterior data ``f, g``, bumps centred
-    in ``W`` of widths 0.45 and 0.35 of ``W``, zero on the interior dofs."""
+    """Yield ``(h, op, qform, f, g)`` on the refinement levels: the DN
+    operator of the level's system form, its absorption form and the
+    exterior data ``f, g``, bumps centred in ``W`` of widths 0.45 and 0.35
+    of ``W``, zero on the interior dofs."""
     params = cfg.params()
-    wlo, whi = cfg.regions[wlabel]
-    center = 0.5 * (wlo[0] + whi[0])
-    width = whi[0] - wlo[0]
+    W = cfg.regions[wlabel]
+    center = 0.5 * (W.lower[0] + W.upper[0])
+    width = W.upper[0] - W.lower[0]
     for h, mesh, coeffs in _refinements(cfg):
         f = bump((mesh.coords - center) / (0.45 * width))
         g = bump((mesh.coords - center) / (0.35 * width))
         f[mesh.interior_dofs] = 0.0
         g[mesh.interior_dofs] = 0.0
-        yield h, DNOperator(mesh, params, coeffs,
-                            form=_system_form(cfg, mesh, params, coeffs)), f, g
+        form, qform = _system_form(cfg, mesh, params, coeffs)
+        yield h, DNOperator(mesh, params, coeffs, form=form), qform, f, g
 
 
 def run_poincare(cfg, outdir, verbose):
@@ -119,7 +121,7 @@ def run_solve(cfg, outdir, verbose):
     mesh = cfg.build_mesh()
     params = cfg.params()
     coeffs = cfg.coefficients(mesh)
-    form = _system_form(cfg, mesh, params, coeffs)
+    form, _ = _system_form(cfg, mesh, params, coeffs)
     f = _exterior_datum(cfg, mesh, cfg.f_spec or "constant:0", "[data] f")
     src = cfg.nodal(mesh, cfg.source_spec, "[data] source")
     f_src = mass_matrix(mesh).entries @ src
@@ -140,8 +142,8 @@ def run_dn(cfg, outdir, verbose):
     mesh = cfg.build_mesh()
     params = cfg.params()
     coeffs = cfg.coefficients(mesh)
-    op = DNOperator(mesh, params, coeffs,
-                    form=_system_form(cfg, mesh, params, coeffs))
+    form, _ = _system_form(cfg, mesh, params, coeffs)
+    op = DNOperator(mesh, params, coeffs, form=form)
     dn = op.matrix("W1", "W2" if "W2" in mesh.regions else "W1")
     export_dn_csv(outdir / "dn_matrix.csv", mesh, dn)
     sym = ""
@@ -160,9 +162,8 @@ def run_reconstruct(cfg, outdir, verbose):
     bumps = bump_sequence(mesh, wlabel, cfg.x0, cfg.scales,
                           gform=_gagliardo(cfg, mesh, params),
                           mass=mass_matrix(mesh))
-    qform = potential_form(mesh, coeffs.q)
-    cond = conductivity_form(mesh, params, coeffs, check=cfg.quadrature_check)
-    op = DNOperator(mesh, params, coeffs, form=cond + qform)
+    form, qform = _system_form(cfg, mesh, params, coeffs)
+    op = DNOperator(mesh, params, coeffs, form=form)
     result = exterior_reconstruct(op, bumps)
     decay = potential_decay_check(qform, bumps, cfg.p_exponent, params)
     export_reconstruction_csv(
@@ -182,9 +183,9 @@ def run_liouville_check(cfg, outdir, verbose):
     params = cfg.params()
     if "Omega" not in cfg.regions:
         raise ConfigError("[regions]: Omega is required")
-    olo, ohi = cfg.regions["Omega"]
-    center = 0.5 * (olo[0] + ohi[0])
-    halfw = 0.5 * (ohi[0] - olo[0])
+    omega = cfg.regions["Omega"]
+    center = 0.5 * (omega.lower[0] + omega.upper[0])
+    halfw = 0.5 * (omega.upper[0] - omega.lower[0])
     hs, residuals = [], []
     for h, mesh, coeffs in _refinements(cfg):
         x = mesh.coords
@@ -193,10 +194,10 @@ def run_liouville_check(cfg, outdir, verbose):
         ii = mesh.interior_dofs
         u[ii] = bump((x[ii] - center + 0.2 * halfw) / (0.6 * halfw))
         phi[ii] = bump((x[ii] - center - 0.2 * halfw) / (0.5 * halfw))
+        form, qform = _system_form(cfg, mesh, params, coeffs)
         residuals.append(liouville_residual(
-            mesh, coeffs, u, phi,
-            cond_form=_system_form(cfg, mesh, params, coeffs),
-            gform=_gagliardo(cfg, mesh, params),
+            coeffs, u, phi, cond_form=form,
+            gform=_gagliardo(cfg, mesh, params), qform=qform,
         ))
         hs.append(h)
     records = residual_records(hs, residuals)
@@ -208,10 +209,10 @@ def run_liouville_check(cfg, outdir, verbose):
 def run_transfer_check(cfg, outdir, verbose):
     wlabel = _measurement_region(cfg, cfg.reconstruct_W, "[reconstruct] W")
     hs, residuals = [], []
-    for h, op, f, g in _window_levels(cfg, wlabel):
+    for h, op, qform, f, g in _window_levels(cfg, wlabel):
         residuals.append(dn_transfer_residual(
-            op.mesh, op.coeffs, op.coeffs.gamma, wlabel, f, g,
-            operator=op, gform=_gagliardo(cfg, op.mesh, op.params),
+            op, op.coeffs.gamma, wlabel, f, g,
+            gform=_gagliardo(cfg, op.mesh, op.params), qform=qform,
         ))
         hs.append(h)
     records = residual_records(hs, residuals)
@@ -226,17 +227,15 @@ def run_counterexample(cfg, outdir, verbose):
     params = cfg.params()
     if cfg.ce_omega_prime is None or cfg.ce_omega is None:
         raise ConfigError("[counterexample]: omega_prime and omega are required")
-    om_p = Region("Omega_prime", *cfg.ce_omega_prime)
-    om = Region("omega_seed", *cfg.ce_omega)
-    W = mesh.region_objects[wlabel]
+    W = cfg.regions[wlabel]
     gform = _gagliardo(cfg, mesh, params)
     mass = mass_matrix(mesh)
-    pair = build_pair(mesh, om_p, om, cfg.ce_eps, W, gform=gform, mass=mass,
-                      scale=cfg.ce_scale)
-    op = DNOperator(mesh, params, pair.coeffs,
-                    form=_system_form(cfg, mesh, params, pair.coeffs))
-    report = verify_nonuniqueness(pair, mesh, params, W, operator=op,
-                                  gform=gform, mass=mass, seed=cfg.seed)
+    pair = build_pair(mesh, cfg.ce_omega_prime, cfg.ce_omega, cfg.ce_eps, W,
+                      gform=gform, mass=mass, scale=cfg.ce_scale)
+    form, qform = _system_form(cfg, mesh, params, pair.coeffs)
+    op = DNOperator(mesh, params, pair.coeffs, form=form)
+    report = verify_nonuniqueness(pair, W, operator=op, gform=gform,
+                                  qform=qform, mass=mass, seed=cfg.seed)
     export_pair_csv(outdir / "pair.csv", mesh, pair)
     schema = report.pop("schema")
     write_json_report(outdir / "nonuniqueness.json", report, schema)
@@ -271,7 +270,7 @@ def run_oracle_compare(cfg, outdir, verbose):
 def run_convergence_study(cfg, outdir, verbose):
     wlabel = _measurement_region(cfg, cfg.reconstruct_W, "[reconstruct] W")
     values, hs = [], []
-    for h, op, f, g in _window_levels(cfg, wlabel):
+    for h, op, _, f, g in _window_levels(cfg, wlabel):
         values.append(op.pairing(f, g))
         hs.append(h)
     records = []

@@ -14,10 +14,11 @@ then the domain of each key):
     margin =                   ; box margin beyond the hull of all regions,
                                ; finite and >= 0 (default: 2 x diameter of Omega)
     box =                      ; explicit box "lo, hi" (1D) or
-                               ; "lo1, lo2, hi1, hi2" (2D); overrides margin
+                               ; "lo1, lo2, hi1, hi2" (2D): 2n finite numbers,
+                               ; lo < hi on every axis; overrides margin
 
-    [regions]                  ; name = lo, hi  (1D)  /  lo1, lo2, hi1, hi2 (2D);
-                               ; finite, lo < hi on every axis;
+    [regions]                  ; name = lo, hi  (1D)  /  lo1, lo2, hi1, hi2 (2D):
+                               ; 2n finite numbers, lo < hi on every axis;
                                ; names keep their case ("W..." = measurement set)
     Omega = -1.0, 1.0          ; required for solves
     W1 = 1.2, 1.8
@@ -49,8 +50,8 @@ then the domain of each key):
     gamma_true =               ; known value at x0 (finite), for the error column
 
     [counterexample]
-    Omega_prime = -0.5, 0.5    ; interval of the inner construction set
-    omega = 2.1, 2.4           ; interval of the cutoff seed set
+    Omega_prime = -0.5, 0.5    ; inner construction set, as a [regions] entry
+    omega = 2.1, 2.4           ; cutoff seed set, as a [regions] entry
     W = W1                     ; measurement region label
     eps = 0.05                 ; positive
     scale = 1.0                ; extra deviation scale in (0, 1]
@@ -98,6 +99,20 @@ def _floats(text: str, where: str) -> list:
     return vals
 
 
+def _bounds(cls, where: str, n: int, *name):
+    """Cast of a box-like key: ``cls(*name, lower, upper)`` from the 2n
+    numbers ``lower, upper``; ``lower < upper`` on every axis."""
+    def cast(text: str):
+        vals = _floats(text, where)
+        if len(vals) != 2 * n:
+            raise ConfigError(f"{where}: expected {2*n} numbers, got {len(vals)}")
+        lo, hi = tuple(vals[:n]), tuple(vals[n:])
+        if not all(a < b for a, b in zip(lo, hi)):
+            raise ConfigError(f"{where}: lower bound must be below upper")
+        return cls(*name, lo, hi)
+    return cast
+
+
 def _positive(v: float) -> bool:
     return 0.0 < v < math.inf
 
@@ -117,8 +132,8 @@ class ExperimentConfig:
     s: float = 0.25
     h: float = None
     margin: float = None
-    box: tuple = None
-    regions: dict = field(default_factory=dict)
+    box: Box = None
+    regions: dict = field(default_factory=dict)  # label -> Region
     gamma_spec: str = "constant:1"
     q_spec: str = "constant:0"
     gamma_exterior: float = 1.0
@@ -131,8 +146,8 @@ class ExperimentConfig:
     scales: list = None
     p_exponent: float = math.inf
     gamma_true: float = None
-    ce_omega_prime: tuple = None
-    ce_omega: tuple = None
+    ce_omega_prime: Region = None
+    ce_omega: Region = None
     ce_W: str = "W1"
     ce_eps: float = 0.05
     ce_scale: float = 1.0
@@ -150,31 +165,22 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"[problem]: {exc}") from None
 
-    def region_objects(self) -> list:
-        out = []
-        for name, (lo, hi) in self.regions.items():
-            try:
-                out.append(Region(name, lo, hi))
-            except ValueError as exc:
-                raise ConfigError(f"[regions] {name}: {exc}") from None
-        return out
-
     def resolved_box(self) -> Box:
         if self.box is not None:
-            lo, hi = self.box
-            return Box(lo, hi)
+            return self.box
         if not self.regions:
             raise ConfigError("[mesh]: need an explicit box or regions to hull")
-        lows = np.min([r[0] for r in self.regions.values()], axis=0)
-        highs = np.max([r[1] for r in self.regions.values()], axis=0)
+        lows = np.min([r.lower for r in self.regions.values()], axis=0)
+        highs = np.max([r.upper for r in self.regions.values()], axis=0)
         margin = self.margin
         if margin is None:
             if "Omega" not in self.regions:
                 raise ConfigError(
                     "[mesh]: default margin needs a region named Omega"
                 )
-            olo, ohi = self.regions["Omega"]
-            margin = 2.0 * float(np.max(np.asarray(ohi) - np.asarray(olo)))
+            omega = self.regions["Omega"]
+            margin = 2.0 * float(np.max(np.asarray(omega.upper)
+                                        - np.asarray(omega.lower)))
         lo = np.asarray(lows) - margin
         # snap the upper bound outward so h divides the box exactly
         cells = np.ceil((np.asarray(highs) + margin - lo) / self.h - 1e-12)
@@ -186,7 +192,7 @@ class ExperimentConfig:
         if self.h is None:
             raise ConfigError("[mesh]: key 'h' is required")
         return build_mesh(self.resolved_box(), self.h / 2**level,
-                          self.region_objects())
+                          list(self.regions.values()))
 
     def coefficients(self, mesh: Mesh) -> Coefficients:
         if mesh.n == 1:
@@ -262,22 +268,10 @@ def parse_config(path) -> ExperimentConfig:
     cfg.h = get("mesh", "h", float, None, _positive, "positive")
     cfg.margin = get("mesh", "margin", float, None, lambda v: 0.0 <= v < math.inf,
                      "finite and nonnegative")
-    box_vals = get("mesh", "box", lambda t: _floats(t, "[mesh] box"), None)
-    if box_vals is not None:
-        if len(box_vals) != 2 * cfg.n:
-            raise ConfigError(f"[mesh] box: expected {2*cfg.n} numbers")
-        cfg.box = (tuple(box_vals[: cfg.n]), tuple(box_vals[cfg.n:]))
+    cfg.box = get("mesh", "box", _bounds(Box, "[mesh] box", cfg.n), None)
     if labels.has_section("regions"):
         for name, raw in labels.items("regions"):
-            vals = _floats(raw, f"[regions] {name}")
-            if len(vals) != 2 * cfg.n:
-                raise ConfigError(
-                    f"[regions] {name}: expected {2*cfg.n} numbers, got {len(vals)}"
-                )
-            lo, hi = tuple(vals[: cfg.n]), tuple(vals[cfg.n:])
-            if not all(a < b for a, b in zip(lo, hi)):
-                raise ConfigError(f"[regions] {name}: lower bound must be below upper")
-            cfg.regions[name] = (lo, hi)
+            cfg.regions[name] = _bounds(Region, f"[regions] {name}", cfg.n, name)(raw)
     cfg.gamma_spec = get("coefficients", "gamma", str, cfg.gamma_spec)
     cfg.q_spec = get("coefficients", "q", str, cfg.q_spec)
     cfg.gamma_exterior = get("coefficients", "gamma_exterior", float,
@@ -290,7 +284,7 @@ def parse_config(path) -> ExperimentConfig:
     cfg.reconstruct_W = get("reconstruct", "w", str, cfg.reconstruct_W)
     cfg.x0 = get("reconstruct", "x0", float, None, math.isfinite, "finite")
     cfg.scales = get("reconstruct", "scales",
-                     lambda t: [int(float(v)) for v in t.split(",")], None,
+                     lambda t: [int(v) for v in t.split(",")], None,
                      lambda v: min(v) >= 1, "positive integers")
     p_min = cfg.n / (2.0 * cfg.s)
     cfg.p_exponent = get("reconstruct", "p",
@@ -299,14 +293,12 @@ def parse_config(path) -> ExperimentConfig:
                          lambda v: v > p_min, f"above n/(2s) = {p_min:g}")
     cfg.gamma_true = get("reconstruct", "gamma_true", float, None, math.isfinite,
                          "finite")
-    op = get("counterexample", "omega_prime",
-             lambda t: _floats(t, "[counterexample] omega_prime"), None)
-    if op is not None:
-        cfg.ce_omega_prime = (tuple(op[: cfg.n]), tuple(op[cfg.n:]))
-    om = get("counterexample", "omega",
-             lambda t: _floats(t, "[counterexample] omega"), None)
-    if om is not None:
-        cfg.ce_omega = (tuple(om[: cfg.n]), tuple(om[cfg.n:]))
+    cfg.ce_omega_prime = get("counterexample", "omega_prime",
+                             _bounds(Region, "[counterexample] omega_prime",
+                                     cfg.n, "Omega_prime"), None)
+    cfg.ce_omega = get("counterexample", "omega",
+                       _bounds(Region, "[counterexample] omega", cfg.n,
+                               "omega_seed"), None)
     cfg.ce_W = get("counterexample", "w", str, cfg.ce_W)
     cfg.ce_eps = get("counterexample", "eps", float, cfg.ce_eps, _positive,
                      "positive")

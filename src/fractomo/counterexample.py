@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import Coefficients, KernelParams, SymForm, potential_form
+from .assembly import Coefficients, SymForm
 from .dnmap import DNOperator
 from .errors import GeometryViolation, NegativeSolution
 from .mesh import Mesh, Region, region_dofs, support_dofs
@@ -139,8 +139,8 @@ def build_pair(mesh: Mesh, omega_prime: Region, omega_set: Region, eps: float,
     for name, iv in (("Omega'(5eps)", op5), ("omega(5eps)", om5), ("W", w_iv)):
         if iv[0] < box_iv[0] - 1e-12 or iv[1] > box_iv[1] + 1e-12:
             raise GeometryViolation(f"{name} leaves the computational box")
-    if "Omega" in mesh.region_objects:
-        om = _interval(mesh.region_objects["Omega"])
+    if "Omega" in mesh.regions:
+        om = _interval(mesh.regions["Omega"])
         if op5[0] < om[0] - 1e-12 or op5[1] > om[1] + 1e-12:
             raise GeometryViolation("Omega'(5eps) is not contained in Omega")
 
@@ -193,15 +193,16 @@ def build_pair(mesh: Mesh, omega_prime: Region, omega_set: Region, eps: float,
     )
 
 
-def verify_nonuniqueness(pair: CounterexamplePair, mesh: Mesh,
-                         params: KernelParams, W: Region | str, *,
-                         operator: DNOperator, gform: SymForm, mass: SymForm,
-                         seed: int = 0) -> dict:
+def verify_nonuniqueness(pair: CounterexamplePair, W: Region | str, *,
+                         operator: DNOperator, gform: SymForm, qform: SymForm,
+                         mass: SymForm, seed: int = 0) -> dict:
     """Measure how well the pair reproduces the background DN data.
 
-    ``operator`` is the DN operator of ``pair.coeffs``, ``gform`` the
-    Gagliardo form of ``mesh``, which is also the background's system
-    form, and ``mass`` the mass matrix of ``mesh``.  Returns a report with
+    ``operator`` is the DN operator of ``pair.coeffs`` and carries the
+    mesh and the kernel parameters.  ``gform`` is the Gagliardo form of
+    the mesh, which is also the background's system form, ``qform`` the
+    potential form of ``pair.q1`` and ``mass`` the mass matrix of the
+    mesh.  Returns a report with
 
     * ``dn_gap``: relative Frobenius gap between the DN matrices of the
       pair and of the background over the hat basis of ``W``,
@@ -218,6 +219,7 @@ def verify_nonuniqueness(pair: CounterexamplePair, mesh: Mesh,
     * ``multiplier_estimate`` vs ``gamma0/delta0``: admissibility of the
       constructed absorption.
     """
+    mesh, params = operator.mesh, operator.params
     op_bg = DNOperator(mesh, params, Coefficients.background(mesh), form=gform)
     dn_pair = operator.matrix(W, W)
     dn_bg = op_bg.matrix(W, W)
@@ -230,7 +232,7 @@ def verify_nonuniqueness(pair: CounterexamplePair, mesh: Mesh,
     l2_W = np.sqrt(mesh.h * float(q1[w_nodes] @ q1[w_nodes]))
     q_gap = l2_W / l2_all if l2_all > 0 else 0.0
 
-    Q = reduced_potential_form(mesh, pair.coeffs, gform=gform)
+    Q = reduced_potential_form(pair.coeffs, gform=gform, qform=qform)
     H = gform.entries + mass.entries
     rng = np.random.default_rng(seed)
     interior = mesh.interior_dofs
@@ -249,8 +251,7 @@ def verify_nonuniqueness(pair: CounterexamplePair, mesh: Mesh,
     cond3 = np.abs(q_raw[w_nodes] - q1[w_nodes]).max()
     cond3 /= max(1.0, np.abs(q1).max())
 
-    mult = multiplier_norm_estimate(potential_form(mesh, q1), gform=gform,
-                                    mass=mass)
+    mult = multiplier_norm_estimate(qform, gform=gform, mass=mass)
     pc = poincare_constant(mesh, params, gform=gform, mass=mass)
     gamma0, delta0 = pair.coeffs.gamma0, pc["delta0"]
 

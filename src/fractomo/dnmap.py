@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import Coefficients, KernelParams, SymForm, conductivity_form, potential_form
+from .assembly import (
+    Coefficients,
+    KernelParams,
+    SymForm,
+    _asymmetry,
+    conductivity_form,
+    potential_form,
+)
 from .errors import HypothesisViolation, SupportViolation
 from .mesh import Mesh, region_dofs, support_dofs
 from .solver import FactorizedSystem
@@ -40,10 +47,7 @@ class DNMatrix:
         """Relative asymmetry; meaningful when rows == cols."""
         if self.rows.shape != self.cols.shape or not np.array_equal(self.rows, self.cols):
             raise ValueError("symmetry is only defined for identical bases")
-        scale = np.abs(self.entries).max()
-        if scale == 0.0:
-            return 0.0
-        return float(np.abs(self.entries - self.entries.T).max() / scale)
+        return _asymmetry(self.entries)
 
 
 class DNOperator:

@@ -59,10 +59,6 @@ class Box:
     def n(self) -> int:
         return len(self.lower)
 
-    @property
-    def extent(self) -> np.ndarray:
-        return np.asarray(self.upper) - np.asarray(self.lower)
-
 
 @dataclass(frozen=True)
 class Region:
@@ -143,9 +139,8 @@ class Mesh:
     elements : ndarray, shape (E, n+1)
         Interval endpoints (1D) or triangle vertices (2D) as node indices.
     regions : dict
-        Label -> sorted array of node indices inside the open region.
-    region_objects : dict
-        Label -> :class:`Region` (keeps the predicate available).
+        Label -> :class:`Region`, the labeled regions the mesh was built
+        with (see :func:`region_dofs` for their nodes).
     interior_dofs : ndarray
         Indices of nodes whose hat-function support lies in the closure
         of the region labeled ``"Omega"`` (empty if no such region).
@@ -156,7 +151,6 @@ class Mesh:
     nodes: np.ndarray
     elements: np.ndarray
     regions: dict
-    region_objects: dict
     interior_dofs: np.ndarray
     shape: tuple = field(default=())
 
@@ -204,7 +198,7 @@ def build_mesh(box: Box, h: float, regions: list | None = None) -> Mesh:
         Positive spacing; ``(upper - lower)/h`` must be integral within
         1e-9 along every axis.
     regions : list of Region, optional
-        Labeled regions to realize as node masks.  Measurement regions
+        Labeled regions, each capturing at least one node.  Measurement regions
         (labels starting with ``"W"``) must not meet the closure of the
         region labeled ``"Omega"``.
 
@@ -244,9 +238,8 @@ def build_mesh(box: Box, h: float, regions: list | None = None) -> Mesh:
         elements = np.vstack([lower_tris, upper_tris]).astype(np.int64)
         shape = (nx, ny)
 
-    region_objects = {r.name: r for r in regions}
-    omega = region_objects.get("Omega")
-    masks = {}
+    labeled = {r.name: r for r in regions}
+    omega = labeled.get("Omega")
     for r in regions:
         if r.n != box.n:
             raise ValueError(f"region {r.name!r} has wrong dimension")
@@ -255,10 +248,8 @@ def build_mesh(box: Box, h: float, regions: list | None = None) -> Mesh:
                 raise RegionOverlapViolation(
                     f"measurement set {r.name!r} meets the closure of Omega"
                 )
-        idx = np.flatnonzero(r.contains_open(nodes))
-        if idx.size == 0:
+        if not r.contains_open(nodes).any():
             raise EmptyRegion(f"region {r.name!r} captures zero nodes")
-        masks[r.name] = idx
 
     interior = (
         _support_dofs(nodes, elements, omega)
@@ -268,15 +259,12 @@ def build_mesh(box: Box, h: float, regions: list | None = None) -> Mesh:
 
     for arr in (nodes, elements, interior):
         arr.setflags(write=False)
-    for idx in masks.values():
-        idx.setflags(write=False)
     return Mesh(
         box=box,
         h=float(h),
         nodes=nodes,
         elements=elements,
-        regions=masks,
-        region_objects=region_objects,
+        regions=labeled,
         interior_dofs=interior,
         shape=shape,
     )
@@ -306,10 +294,10 @@ def resolve_region(mesh: Mesh, region: Region | str) -> Region:
     if not isinstance(region, str):
         return region
     try:
-        return mesh.region_objects[region]
+        return mesh.regions[region]
     except KeyError:
         raise UnknownRegion(
-            f"unknown region {region!r}; known: {sorted(mesh.region_objects)}"
+            f"unknown region {region!r}; known: {sorted(mesh.regions)}"
         ) from None
 
 
@@ -319,9 +307,7 @@ def region_dofs(mesh: Mesh, region: Region | str) -> np.ndarray:
     Accepts a region object or the label of a declared region (see
     :func:`resolve_region`).
     """
-    if isinstance(region, str):
-        return mesh.regions[resolve_region(mesh, region).name]
-    return np.flatnonzero(region.contains_open(mesh.nodes))
+    return np.flatnonzero(resolve_region(mesh, region).contains_open(mesh.nodes))
 
 
 def support_dofs(mesh: Mesh, region: Region | str) -> np.ndarray:
@@ -332,6 +318,4 @@ def support_dofs(mesh: Mesh, region: Region | str) -> np.ndarray:
     functions supported in ``region``.  Accepts a region object or the
     label of a declared region (see :func:`resolve_region`).
     """
-    if region == "Omega" and "Omega" in mesh.region_objects:
-        return mesh.interior_dofs
     return _support_dofs(mesh.nodes, mesh.elements, resolve_region(mesh, region))

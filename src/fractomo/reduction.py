@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import Coefficients, SymForm, potential_form
+from .assembly import Coefficients, SymForm
 from .dnmap import DNOperator
 from .errors import HypothesisViolation, NonPositiveGamma
-from .mesh import Mesh, region_dofs
+from .mesh import region_dofs
 from .solver import FactorizedSystem
 
 #: epsilon-guard scale for relative residuals
@@ -41,8 +41,8 @@ def _relative_defect(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / (abs(lhs) + GUARD * max(1.0, abs(lhs), abs(rhs)))
 
 
-def reduced_potential_form(mesh: Mesh, coeffs: Coefficients, *,
-                           gform: SymForm) -> SymForm:
+def reduced_potential_form(coeffs: Coefficients, *, gform: SymForm,
+                           qform: SymForm) -> SymForm:
     """Assemble the discrete pairing form of the reduced potential.
 
     The action on nodal vectors is
@@ -51,8 +51,8 @@ def reduced_potential_form(mesh: Mesh, coeffs: Coefficients, *,
                     + (gamma^{-1/2} v)^T M_q (gamma^{-1/2} w)``
 
     with ``A = gform`` the Gagliardo form, ``Pi`` nodal re-interpolation
-    of the pointwise product and ``M_q`` the potential form; symmetric by
-    construction.  For unit diffusion this is exactly the potential form
+    of the pointwise product and ``M_q = qform`` the potential form of
+    ``coeffs.q``; symmetric by construction.  For unit diffusion this is exactly the potential form
     of ``q``.
     """
     if coeffs.gamma.min() <= 0.0:
@@ -61,25 +61,25 @@ def reduced_potential_form(mesh: Mesh, coeffs: Coefficients, *,
     Am = gform.entries @ coeffs.m_gamma
     entries = np.diag(-Am * inv_sqrt)
     if np.any(coeffs.q != 0.0):
-        Mq = potential_form(mesh, coeffs.q).entries
-        entries += inv_sqrt[:, None] * Mq * inv_sqrt[None, :]
+        entries += inv_sqrt[:, None] * qform.entries * inv_sqrt[None, :]
     return SymForm(entries)
 
 
-def schrodinger_form(mesh: Mesh, coeffs: Coefficients, *,
-                     gform: SymForm) -> SymForm:
+def schrodinger_form(coeffs: Coefficients, *, gform: SymForm,
+                     qform: SymForm) -> SymForm:
     """System form of the reduced problem: Gagliardo + reduced potential."""
-    return gform + reduced_potential_form(mesh, coeffs, gform=gform)
+    return gform + reduced_potential_form(coeffs, gform=gform, qform=qform)
 
 
-def liouville_residual(mesh: Mesh, coeffs: Coefficients, u: np.ndarray,
-                       phi: np.ndarray, *, cond_form: SymForm,
-                       gform: SymForm) -> float:
+def liouville_residual(coeffs: Coefficients, u: np.ndarray, phi: np.ndarray, *,
+                       cond_form: SymForm, gform: SymForm,
+                       qform: SymForm) -> float:
     """Relative defect of the form identity
     ``B_{gamma,q}(u, phi) = B_Q(sqrt(gamma) u, sqrt(gamma) phi)``.
 
     ``cond_form`` is the system form of ``coeffs`` (conductivity plus
-    potential form) and ``gform`` the Gagliardo form.  Exact (to
+    potential form), ``gform`` the Gagliardo form and ``qform`` the
+    potential form of ``coeffs.q``.  Exact (to
     round-off) for unit diffusion; for smooth non-constant diffusion the
     defect is the nodal re-interpolation error and decays under mesh
     refinement.
@@ -88,22 +88,24 @@ def liouville_residual(mesh: Mesh, coeffs: Coefficients, u: np.ndarray,
     phi = np.asarray(phi, dtype=float)
     lhs = float(u @ (cond_form.entries @ phi))
     sq = np.sqrt(coeffs.gamma)
-    Q = reduced_potential_form(mesh, coeffs, gform=gform)
+    Q = reduced_potential_form(coeffs, gform=gform, qform=qform)
     v = sq * u
     w = sq * phi
     rhs = float(v @ ((gform.entries + Q.entries) @ w))
     return _relative_defect(lhs, rhs)
 
 
-def dn_transfer_residual(mesh: Mesh, coeffs: Coefficients, Gamma: np.ndarray,
-                         W, f: np.ndarray, g: np.ndarray, *,
-                         operator: DNOperator, gform: SymForm) -> float:
+def dn_transfer_residual(operator: DNOperator, Gamma: np.ndarray, W,
+                         f: np.ndarray, g: np.ndarray, *, gform: SymForm,
+                         qform: SymForm) -> float:
     """Relative defect of the DN transfer identity
     ``<Lambda_{gamma,q} f, g> = <Lambda_Q (Gamma^{1/2} f), Gamma^{1/2} g>``.
 
-    ``operator`` is the DN operator of ``coeffs``; the reduced problem is
-    solved on its interior dofs.  ``Gamma`` is any admissible diffusion
-    agreeing with ``coeffs.gamma`` on the measurement region ``W``;
+    The mesh and the pair ``(gamma, q)`` are those of ``operator``; the
+    reduced problem is solved on its interior dofs.  ``gform`` is the
+    Gagliardo form of the mesh and ``qform`` the potential form of ``q``.
+    ``Gamma`` is any admissible diffusion agreeing with ``gamma`` on the
+    measurement region ``W``;
     ``f, g`` must be supported in ``W``.  The right side solves the
     reduced Schroedinger problem with exterior datum ``Gamma^{1/2} f`` and
     pairs with ``Gamma^{1/2} g``.
@@ -113,6 +115,7 @@ def dn_transfer_residual(mesh: Mesh, coeffs: Coefficients, Gamma: np.ndarray,
     HypothesisViolation
         If the diffusions differ on the nodes of ``W``.
     """
+    mesh, coeffs = operator.mesh, operator.coeffs
     Gamma = np.asarray(Gamma, dtype=float)
     w_nodes = region_dofs(mesh, W)
     if not np.allclose(coeffs.gamma[w_nodes], Gamma[w_nodes], rtol=0.0, atol=1e-13):
@@ -121,7 +124,7 @@ def dn_transfer_residual(mesh: Mesh, coeffs: Coefficients, Gamma: np.ndarray,
     g = np.asarray(g, dtype=float)
     lhs = operator.pairing(f, g)
 
-    S = schrodinger_form(mesh, coeffs, gform=gform)
+    S = schrodinger_form(coeffs, gform=gform, qform=qform)
     sqG = np.sqrt(Gamma)
     system = FactorizedSystem(S, mesh, interior=operator.system.interior)
     v = system.solve(sqG * f).u
@@ -130,11 +133,13 @@ def dn_transfer_residual(mesh: Mesh, coeffs: Coefficients, Gamma: np.ndarray,
 
 
 def dn_difference_decomposition(op1: DNOperator, op2: DNOperator,
-                                f: np.ndarray, *, gform: SymForm) -> dict:
+                                f: np.ndarray, *, gform: SymForm,
+                                qform1: SymForm, qform2: SymForm) -> dict:
     """Three-term decomposition of ``<(Lambda_1 - Lambda_2) f, f>``.
 
     ``op1``, ``op2`` are the DN operators of the two coefficient pairs on
-    one mesh and ``gform`` is the Gagliardo form of that mesh.  Returns
+    one mesh, ``gform`` is the Gagliardo form of that mesh and ``qform1``,
+    ``qform2`` are the potential forms of the two absorptions.  Returns
     the pairing difference, the three assembled terms (the deviation term
     driven by ``(-Delta)^s (m_2 - m_1)``, the potential difference term,
     and the solution-relation term) and the relative defect of the
@@ -142,7 +147,6 @@ def dn_difference_decomposition(op1: DNOperator, op2: DNOperator,
     of exterior nodes around its support.
     """
     f = np.asarray(f, dtype=float)
-    mesh = op1.mesh
     pair1, pair2 = op1.coeffs, op2.coeffs
     lhs = op1.pairing(f, f) - op2.pairing(f, f)
 
@@ -152,8 +156,7 @@ def dn_difference_decomposition(op1: DNOperator, op2: DNOperator,
     u2 = op2.solve(f).u
     d_m = gform.entries @ (pair2.m_gamma - pair1.m_gamma)
     term_m = float(d_m @ (sq1 * f * f))
-    term_q = float(f @ ((potential_form(mesh, pair1.q).entries
-                         - potential_form(mesh, pair2.q).entries) @ f))
+    term_q = float(f @ ((qform1.entries - qform2.entries) @ f))
     term_sol = float((sq1 * u1 - sq2 * u2) @ (gform.entries @ (sq1 * f)))
     return {
         "pairing_difference": lhs,

@@ -65,12 +65,13 @@ def counterexample_pipeline():
         mesh = build_mesh(CE_BOX, h, CE_REGIONS)
         gform = gagliardo_form(mesh, par)
         mass = mass_matrix(mesh)
-        W = mesh.region_objects["W1"]
+        W = mesh.regions["W1"]
         pair = build_pair(mesh, CE_PRIME, CE_SEED, CE_EPS, W, gform=gform,
                           mass=mass)
-        rep = verify_nonuniqueness(pair, mesh, par, W,
+        rep = verify_nonuniqueness(pair, W,
                                    operator=DNOperator(mesh, par, pair.coeffs),
-                                   gform=gform, mass=mass)
+                                   gform=gform, qform=potential_form(mesh, pair.q1),
+                                   mass=mass)
         levels[h] = (mesh, gform, pair, rep)
     return par, levels, time.time() - t0
 
@@ -184,10 +185,10 @@ def test_criterion_05_liouville_reduction():
     phi = np.zeros(mesh.num_nodes)
     u[mesh.interior_dofs] = rng.standard_normal(mesh.interior_dofs.size)
     phi[mesh.interior_dofs] = rng.standard_normal(mesh.interior_dofs.size)
+    q1form = potential_form(mesh, co1.q)
     unit_res = liouville_residual(
-        mesh, co1, u, phi,
-        cond_form=conductivity_form(mesh, par, co1) + potential_form(mesh, co1.q),
-        gform=gagliardo_form(mesh, par))
+        co1, u, phi, cond_form=conductivity_form(mesh, par, co1) + q1form,
+        gform=gagliardo_form(mesh, par), qform=q1form)
     assert unit_res < 1e-12
     residuals = []
     for h in (1 / 32, 1 / 64, 1 / 128):
@@ -200,9 +201,11 @@ def test_criterion_05_liouville_reduction():
         ii = m.interior_dofs
         uu[ii] = bump((x[ii] - 0.2) / 0.6)
         pp[ii] = bump((x[ii] + 0.3) / 0.5)
-        cond = conductivity_form(m, par, co) + potential_form(m, co.q)
-        residuals.append(liouville_residual(m, co, uu, pp, cond_form=cond,
-                                            gform=gagliardo_form(m, par)))
+        qform = potential_form(m, co.q)
+        cond = conductivity_form(m, par, co) + qform
+        residuals.append(liouville_residual(co, uu, pp, cond_form=cond,
+                                            gform=gagliardo_form(m, par),
+                                            qform=qform))
     rate = np.polyfit(np.log([32, 64, 128]), -np.log(residuals), 1)[0]
     assert rate > 0.5
     report(5, f"unit-diffusion residual {unit_res:.2e} (< 1e-12), "
@@ -217,9 +220,9 @@ def test_criterion_06_dn_transfer_identity():
     x = mesh.coords
     f = bump((x - 1.625) / 0.3); f[mesh.interior_dofs] = 0.0
     bg = Coefficients.background(mesh)
-    unit = dn_transfer_residual(mesh, bg, np.ones_like(x), "W1", f, f,
-                                operator=DNOperator(mesh, par, bg),
-                                gform=gagliardo_form(mesh, par))
+    unit = dn_transfer_residual(DNOperator(mesh, par, bg), np.ones_like(x), "W1",
+                                f, f, gform=gagliardo_form(mesh, par),
+                                qform=potential_form(mesh, bg.q))
     assert unit <= 1e-10
     residuals = []
     for h in (1 / 32, 1 / 64, 1 / 128):
@@ -229,9 +232,9 @@ def test_criterion_06_dn_transfer_identity():
         co = Coefficients.from_arrays(gam, 0.3 * bump(xm / 1.2))
         ff = bump((xm - 1.625) / 0.3); ff[m.interior_dofs] = 0.0
         gg = bump((xm - 1.625) / 0.22); gg[m.interior_dofs] = 0.0
-        residuals.append(dn_transfer_residual(m, co, gam, "W1", ff, gg,
-                                              operator=DNOperator(m, par, co),
-                                              gform=gagliardo_form(m, par)))
+        residuals.append(dn_transfer_residual(DNOperator(m, par, co), gam, "W1",
+                                              ff, gg, gform=gagliardo_form(m, par),
+                                              qform=potential_form(m, co.q)))
     rate = np.polyfit(np.log([32, 64, 128]), -np.log(residuals), 1)[0]
     assert rate > 0.5
     report(6, f"unit case {unit:.2e} (<= solver tol), "

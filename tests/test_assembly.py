@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
+from fractomo import assembly
 from fractomo.assembly import (
     Coefficients,
     KernelParams,
@@ -442,7 +443,7 @@ def test_tail_2d_element_vs_adaptive_reference(kind, s):
 
 @pytest.mark.parametrize("s", [0.1, 0.45])
 def test_tail_2d_converges_in_order(s):
-    # the self check raises the tail's order with order_singular, and the
+    # the self check raises the tail's order with ORDER_SINGULAR, and the
     # default order is converged
     mesh = build_mesh(Box((-2.0, -1.0), (3.0, 1.0)), 0.25, [])
     X, Y = mesh.nodes.T
@@ -463,12 +464,13 @@ def test_tail_edge_constant(s):
 
 
 @pytest.mark.parametrize("s", [0.5, 0.6, 0.9])
-def test_gagliardo_2d_beyond_half(s):
+def test_gagliardo_2d_beyond_half(s, monkeypatch):
     # for s >= 1/2 only the tail entries between two hats on one box face
     # are infinite; they are cut off, the others stay exact
     mesh = build_mesh(Box((-1.0, -1.0), (1.0, 1.0)), 0.5, [])
     A = gagliardo_form(mesh, KernelParams(2, s)).entries
-    A14 = gagliardo_form(mesh, KernelParams(2, s), order_singular=14).entries
+    monkeypatch.setattr(assembly, "ORDER_SINGULAR", 14)
+    A14 = gagliardo_form(mesh, KernelParams(2, s)).entries
     assert np.isfinite(A).all()
     assert np.array_equal(A, A.T)
     off = np.flatnonzero((np.abs(mesh.nodes) < 1.0).all(axis=1))
@@ -476,9 +478,10 @@ def test_gagliardo_2d_beyond_half(s):
     assert np.abs(A - A14)[off].max() <= 1e-10 * np.abs(A[off]).max()
 
 
-def test_quadrature_self_check_rejects_crude_orders(mesh9, params):
+def test_quadrature_self_check_rejects_crude_orders(mesh9, params, monkeypatch):
     from fractomo.errors import QuadratureFailure
 
+    monkeypatch.setattr(assembly, "ORDER_SINGULAR", 1)
+    monkeypatch.setattr(assembly, "ORDER_REGULAR", 1)
     with pytest.raises(QuadratureFailure):
-        gagliardo_form(mesh9, params, order_singular=1, order_regular=1,
-                       check=True)
+        gagliardo_form(mesh9, params, check=True)

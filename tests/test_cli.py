@@ -378,9 +378,14 @@ def test_quadrature_check_fails_2d_at_s045(subcommand, tmp_path, capsys):
     assert "self check failed" in capsys.readouterr().err
 
 
-def test_reconstruct_assembles_each_local_form_once(config_path, monkeypatch):
-    # one mass matrix for the bumps and one absorption form, which serves
-    # both the system form and the decay check
+@pytest.mark.parametrize("subcommand", [
+    "reconstruct", "counterexample", "liouville-check", "transfer-check",
+])
+def test_reconstruct_assembles_each_local_form_once(subcommand, config_path,
+                                                    monkeypatch):
+    # one absorption form per system form, which every pipeline reuses,
+    # and one mass matrix (reconstruct, counterexample); the convergence
+    # levels of the residual checks each build one system form
     original = assembly.potential_form
     calls = []
 
@@ -392,7 +397,10 @@ def test_reconstruct_assembles_each_local_form_once(config_path, monkeypatch):
         if name.startswith("fractomo") and getattr(module, "potential_form", None) is original:
             monkeypatch.setattr(module, "potential_form", counting)
     path, out = config_path
-    assert main(["reconstruct", "--config", str(path)]) == 0
+    absorbing = path.parent / "absorbing.ini"
+    absorbing.write_text(path.read_text().replace("q = constant:0",
+                                                  "q = bump:0,0.3,0,0.6"))
+    assert main([subcommand, "--config", str(absorbing)]) == 0
     assert len(calls) == 2
 
 
@@ -430,6 +438,11 @@ def _with_key(path, section, key, value):
     ("counterexample", "counterexample", "eps", "0"),
     ("counterexample", "counterexample", "scale", "1.5"),
     ("solve", "coefficients", "gamma_exterior", "-1"),
+    ("solve", "mesh", "box", "3.25, -2.25"),
+    ("counterexample", "counterexample", "omega", "2.1"),
+    ("counterexample", "counterexample", "omega", "2.1, 2.4, 2.5"),
+    ("counterexample", "counterexample", "omega_prime", "0.5, -0.5"),
+    ("reconstruct", "reconstruct", "scales", "4.7, 8"),
 ])
 def test_value_outside_its_domain_is_named_before_assembly(
         subcommand, section, key, value, config_path, monkeypatch, capsys):

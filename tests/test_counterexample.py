@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from fractomo.assembly import Coefficients, KernelParams, gagliardo_form, mass_matrix
+from fractomo.assembly import (
+    Coefficients,
+    KernelParams,
+    gagliardo_form,
+    mass_matrix,
+    potential_form,
+)
 from fractomo.counterexample import UNIT_BALL_VOLUME, build_pair, verify_nonuniqueness
 from fractomo.dnmap import DNOperator, solution_relation_residual
 from fractomo.errors import GeometryViolation, NegativeSolution
@@ -20,7 +26,7 @@ def setting():
     mesh = build_mesh(BOX, 1 / 32, REGIONS)
     par = KernelParams(1, 0.25)
     gform = gagliardo_form(mesh, par)
-    W = mesh.region_objects["W1"]
+    W = mesh.regions["W1"]
     pair = build_pair(mesh, OMEGA_PRIME, OMEGA_SEED, EPS, W, gform=gform, mass=mass_matrix(mesh))
     return mesh, par, gform, W, pair
 
@@ -32,9 +38,10 @@ def test_degenerate_cutoff_gives_background(setting):
     assert np.abs(pair.m).max() == 0.0
     assert np.abs(pair.gamma1 - 1.0).max() == 0.0
     assert np.abs(pair.q1).max() == 0.0
-    report = verify_nonuniqueness(pair, mesh, par, W,
+    report = verify_nonuniqueness(pair, W,
                                   operator=DNOperator(mesh, par, pair.coeffs),
-                                  gform=gform, mass=mass_matrix(mesh))
+                                  gform=gform, qform=potential_form(mesh, pair.q1),
+                                  mass=mass_matrix(mesh))
     assert report["dn_gap"] == 0.0
     assert report["q_gap"] == 0.0
 
@@ -104,9 +111,10 @@ def test_geometry_violations(setting):
 
 def test_report_invariants(setting):
     mesh, par, gform, W, pair = setting
-    report = verify_nonuniqueness(pair, mesh, par, W,
+    report = verify_nonuniqueness(pair, W,
                                   operator=DNOperator(mesh, par, pair.coeffs),
-                                  gform=gform, mass=mass_matrix(mesh))
+                                  gform=gform, qform=potential_form(mesh, pair.q1),
+                                  mass=mass_matrix(mesh))
     assert report["dn_gap"] < 1e-2
     assert report["q_gap"] > 0.05
     assert report["condition3_residual"] < 1e-8
@@ -135,14 +143,15 @@ def test_interior_layout_also_supported():
     mesh = build_mesh(BOX, 1 / 32, REGIONS)
     par = KernelParams(1, 0.25)
     gform = gagliardo_form(mesh, par)
-    W = mesh.region_objects["W1"]
+    W = mesh.regions["W1"]
     seed = Region("omega_seed", (0.7,), (0.85,))
     pair = build_pair(mesh, Region("Op", (-0.5,), (0.2,)), seed, 0.03, W,
                       gform=gform, mass=mass_matrix(mesh))
     w_nodes = region_dofs(mesh, "W1")
     assert np.abs(pair.gamma1[w_nodes] - 1.0).max() == 0.0
-    report = verify_nonuniqueness(pair, mesh, par, W,
+    report = verify_nonuniqueness(pair, W,
                                   operator=DNOperator(mesh, par, pair.coeffs),
-                                  gform=gform, mass=mass_matrix(mesh))
+                                  gform=gform, qform=potential_form(mesh, pair.q1),
+                                  mass=mass_matrix(mesh))
     assert report["dn_gap"] < 5e-2
     assert report["q_gap"] > 0.0

@@ -162,7 +162,8 @@ def test_dn_gamma1_q0_equals_reduced_route(setting):
     mesh, par, co, op = setting
     from fractomo.reduction import schrodinger_form
 
-    S = schrodinger_form(mesh, co, gform=gagliardo_form(mesh, par))
+    S = schrodinger_form(co, gform=gagliardo_form(mesh, par),
+                         qform=potential_form(mesh, co.q))
     op2 = DNOperator(mesh, par, co, form=S)
     d1 = op.matrix("W1", "W2")
     d2 = op2.matrix("W1", "W2")

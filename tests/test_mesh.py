@@ -60,7 +60,7 @@ def test_region_dofs_accepts_region_objects():
         ),
     ]
     for mesh in meshes:
-        for label, region in mesh.region_objects.items():
+        for label, region in mesh.regions.items():
             assert np.array_equal(region_dofs(mesh, region), region_dofs(mesh, label))
 
 

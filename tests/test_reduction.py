@@ -39,8 +39,8 @@ def test_reduced_form_unit_gamma_is_potential(setting):
     mesh, par, gform = setting
     q = np.sin(mesh.coords)
     co = Coefficients.from_arrays(np.ones(mesh.num_nodes), q)
-    Q = reduced_potential_form(mesh, co, gform=gform)
     Mq = potential_form(mesh, q)
+    Q = reduced_potential_form(co, gform=gform, qform=Mq)
     assert np.abs(Q.entries - Mq.entries).max() == 0.0
 
 
@@ -51,7 +51,7 @@ def test_reduced_form_constant_gamma_tail_artifact(setting):
     m = np.ones(mesh.num_nodes)
     assert np.abs(gform.entries @ m - gform.tail_row).max() < 1e-12
     co = Coefficients.from_arrays(np.full(mesh.num_nodes, 4.0))
-    Q = reduced_potential_form(mesh, co, gform=gform)
+    Q = reduced_potential_form(co, gform=gform, qform=potential_form(mesh, co.q))
     expected = -np.diag(gform.tail_row / 2.0)
     assert np.abs(Q.entries - expected).max() < 1e-12
 
@@ -64,7 +64,7 @@ def test_reduced_form_spectral_route():
     m = 0.2 * bump(x / 1.2)
     gamma = (1.0 + m) ** 2
     co = Coefficients.from_arrays(gamma)
-    Q = reduced_potential_form(mesh, co, gform=gform)
+    Q = reduced_potential_form(co, gform=gform, qform=potential_form(mesh, co.q))
     v = bump((x - 0.2) / 0.5)
     lhs = float(v @ (Q.entries @ v))
     lap_m = spectral_frac_laplacian(mesh, par, co.m_gamma)
@@ -81,8 +81,10 @@ def test_liouville_unit_gamma_exact(setting):
     phi = np.zeros(mesh.num_nodes)
     u[mesh.interior_dofs] = rng.standard_normal(mesh.interior_dofs.size)
     phi[mesh.interior_dofs] = rng.standard_normal(mesh.interior_dofs.size)
-    cond = conductivity_form(mesh, par, co) + potential_form(mesh, co.q)
-    assert liouville_residual(mesh, co, u, phi, cond_form=cond, gform=gform) < 1e-12
+    qform = potential_form(mesh, co.q)
+    cond = conductivity_form(mesh, par, co) + qform
+    assert liouville_residual(co, u, phi, cond_form=cond, gform=gform,
+                              qform=qform) < 1e-12
 
 
 def _smooth_coeffs(mesh):
@@ -103,9 +105,11 @@ def test_liouville_refinement_rate():
         ii = mesh.interior_dofs
         u[ii] = bump((x[ii] - 0.2) / 0.6)
         phi[ii] = bump((x[ii] + 0.3) / 0.5)
-        cond = conductivity_form(mesh, par, co) + potential_form(mesh, co.q)
-        residuals.append(liouville_residual(mesh, co, u, phi, cond_form=cond,
-                                            gform=gagliardo_form(mesh, par)))
+        qform = potential_form(mesh, co.q)
+        cond = conductivity_form(mesh, par, co) + qform
+        residuals.append(liouville_residual(co, u, phi, cond_form=cond,
+                                            gform=gagliardo_form(mesh, par),
+                                            qform=qform))
     rates = np.log2(np.array(residuals[:-1]) / np.array(residuals[1:]))
     assert (rates > 0.5).all()
 
@@ -129,8 +133,8 @@ def test_transfer_identity_unit_case(setting):
     co = Coefficients.background(mesh)
     x = mesh.coords
     f = bump((x - 1.625) / 0.3); f[mesh.interior_dofs] = 0.0
-    r = dn_transfer_residual(mesh, co, np.ones_like(x), "W1", f, f,
-                             operator=DNOperator(mesh, par, co), gform=gform)
+    r = dn_transfer_residual(DNOperator(mesh, par, co), np.ones_like(x), "W1",
+                             f, f, gform=gform, qform=potential_form(mesh, co.q))
     assert r < 1e-12
 
 
@@ -144,9 +148,9 @@ def test_transfer_refinement_rate():
         f = bump((x - 1.625) / 0.3); f[mesh.interior_dofs] = 0.0
         g = bump((x - 1.625) / 0.22); g[mesh.interior_dofs] = 0.0
         residuals.append(
-            dn_transfer_residual(mesh, co, co.gamma, "W1", f, g,
-                                 operator=DNOperator(mesh, par, co),
-                                 gform=gagliardo_form(mesh, par))
+            dn_transfer_residual(DNOperator(mesh, par, co), co.gamma, "W1", f, g,
+                                 gform=gagliardo_form(mesh, par),
+                                 qform=potential_form(mesh, co.q))
         )
     rates = np.log2(np.array(residuals[:-1]) / np.array(residuals[1:]))
     assert (rates > 0.5).all()
@@ -159,11 +163,10 @@ def test_transfer_gamma_modified_away_from_w(setting):
     f = bump((x - 1.625) / 0.3); f[mesh.interior_dofs] = 0.0
     g = bump((x - 1.625) / 0.22); g[mesh.interior_dofs] = 0.0
     op = DNOperator(mesh, par, co)
-    r1 = dn_transfer_residual(mesh, co, co.gamma, "W1", f, g, operator=op,
-                              gform=gform)
+    qform = potential_form(mesh, co.q)
+    r1 = dn_transfer_residual(op, co.gamma, "W1", f, g, gform=gform, qform=qform)
     gamma_mod = co.gamma + 0.4 * bump((x + 1.6) / 0.3)  # away from W1
-    r2 = dn_transfer_residual(mesh, co, gamma_mod, "W1", f, g, operator=op,
-                              gform=gform)
+    r2 = dn_transfer_residual(op, gamma_mod, "W1", f, g, gform=gform, qform=qform)
     assert abs(r1 - r2) < 1e-8
 
 
@@ -174,8 +177,8 @@ def test_transfer_hypothesis_violation(setting):
     f = bump((x - 1.625) / 0.3); f[mesh.interior_dofs] = 0.0
     gamma_bad = co.gamma + bump((x - 1.625) / 0.3)
     with pytest.raises(HypothesisViolation):
-        dn_transfer_residual(mesh, co, gamma_bad, "W1", f, f,
-                             operator=DNOperator(mesh, par, co), gform=gform)
+        dn_transfer_residual(DNOperator(mesh, par, co), gamma_bad, "W1", f, f,
+                             gform=gform, qform=potential_form(mesh, co.q))
 
 
 def test_schrodinger_solution_relation_refinement():
@@ -190,7 +193,8 @@ def test_schrodinger_solution_relation_refinement():
         f = bump((x - 1.625) / 0.3); f[mesh.interior_dofs] = 0.0
         op = DNOperator(mesh, par, co)
         u = op.solve(f).u
-        S = schrodinger_form(mesh, co, gform=gagliardo_form(mesh, par))
+        S = schrodinger_form(co, gform=gagliardo_form(mesh, par),
+                             qform=potential_form(mesh, co.q))
         v = FactorizedSystem(S, mesh).solve(np.sqrt(co.gamma) * f).u
         M = mass_matrix(mesh).entries
         diff = v - np.sqrt(co.gamma) * u
@@ -213,7 +217,9 @@ def test_dn_difference_decomposition_exact_for_unit_gamma():
     f[mesh.interior_dofs] = 0.0
     out = dn_difference_decomposition(DNOperator(mesh, par, pair1),
                                       DNOperator(mesh, par, pair2), f,
-                                      gform=gagliardo_form(mesh, par))
+                                      gform=gagliardo_form(mesh, par),
+                                      qform1=potential_form(mesh, q1),
+                                      qform2=potential_form(mesh, q2))
     assert abs(out["pairing_difference"]) > 1e-6  # genuinely different data
     assert out["residual"] < 1e-6
     assert out["deviation_term"] == 0.0
