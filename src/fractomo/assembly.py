@@ -3,13 +3,21 @@
 Every form is a dense symmetric matrix over the full nodal basis of the
 mesh; nodal functions are extended by zero outside the computational box.
 The kernel-type forms (Gagliardo energy and weighted-diffusion energy)
-come from one engine (:func:`_assemble_classes`).  On the uniform mesh
+come from one engine (:func:`_assemble_offsets`).  On the uniform mesh
 every element pair is a translate of a reference pair: its class is the
 offset ``d`` in 1D and ``(type_a, type_b, di, dj)`` in 2D.  The P1
 diffusion weight enters bilinearly through its vertex values, so a class
 reduces to vertex-resolved reference blocks, integrated once on unit
-elements, scaled by ``h^{n-2s}``, contracted with the diffusion and
-scattered over all pairs of the class.  The blocks come from
+elements and scaled by ``h^{n-2s}``.  Because a class depends only on its
+offset, the form is a sum of Toeplitz (1D) or block-Toeplitz (2D)
+matrices scaled on both sides by shifted copies of the diffusion
+weight: ``sum_pq D_p T_pq D_q`` over the node offsets ``p, q`` within an
+element (3 in 1D, 7 in 2D), with ``D_p = diag(g[i + p])`` (cf. Ainsworth
+& Glusa, 2018, on this structure for the fractional Laplacian).  That identity
+assumes every element next to a node exists; the rows and columns of the
+nodes on the box boundary are evaluated with the elements that do.  The
+element-local blocks are correlations of the diffusion with the class
+blocks: direct sums in 1D, one batched FFT in 2D.  The blocks come from
 
 * Duffy-type transformations with Gauss--Jacobi rules for identical and
   node-sharing 1D pairs, which integrate the weakly singular factor
@@ -40,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gamma as gamma_fn, roots_jacobi, roots_legendre
 
 from .errors import NonPositiveGamma, QuadratureFailure
@@ -210,13 +219,23 @@ def _add_local_mass(A, elements, w, lam):
 
     ``w`` (E, P) holds each element's quadrature weights with the density
     ``rho`` folded in; ``lam`` (P, nv) or (E, P, nv) holds the P1 shape
-    values at the points.  Only the local entries ``a <= b`` are
-    contracted; each off-diagonal one is added at ``(r, c)`` and at
-    ``(c, r)``, which keeps ``A`` exactly symmetric.  Returns the row sums
-    of what was added.
+    values at the points.  Returns the row sums of what was added (see
+    :func:`_add_local`).
     """
     a, b = np.triu_indices(elements.shape[1])
-    local = (w[..., None] * (lam[..., a] * lam[..., b])).sum(axis=-2)
+    return _add_local(A, elements,
+                      (w[..., None] * (lam[..., a] * lam[..., b])).sum(axis=-2))
+
+
+def _add_local(A, elements, local):
+    """Add element matrices into ``A`` in place.
+
+    ``local`` (E, nv (nv + 1) / 2) holds the local entries ``a <= b`` of
+    each element in ``triu_indices`` order; each off-diagonal one is
+    added at ``(r, c)`` and at ``(c, r)``, which keeps ``A`` exactly
+    symmetric.  Returns the row sums of what was added.
+    """
+    a, b = np.triu_indices(elements.shape[1])
     off = a != b
     rows = np.concatenate([elements[:, a], elements[:, b[off]]], axis=1).ravel()
     cols = np.concatenate([elements[:, b], elements[:, a[off]]], axis=1).ravel()
@@ -383,54 +402,198 @@ def _point_pair_blocks(W, lam):
     return np.stack([xx, xy, yy], axis=-5)
 
 
-def _scatter_plan(nv):
-    """Block entries an element pair adds and where each add lands.
+#: rows of the form per block of the offset sums (whole grid lines in 2D)
+ROW_BLOCK = 64
 
-    Local vertex ``k < nv`` is vertex ``k`` of the x element, ``nv + k``
-    vertex ``k`` of the y element.  ``xx`` and ``yy`` are symmetric in the
-    test hats and ``yx`` is the transpose of ``xy``, so only the entries
-    ``alpha <= beta`` of ``xx``/``yy`` and all of ``xy`` are contracted;
-    each off-diagonal one is added at ``(r, c)`` and right after at
-    ``(c, r)``, which keeps the assembled form exactly symmetric.
+#: vertices of the one 1D element type on its cell, as node offsets
+_VERTS_1D = (((0,), (1,)),)
+
+
+def _offset_sum(seq, left, right, rows, cols):
+    """Block ``sum_ab left[a][i] seq[a, b][j - i] right[b][j]`` of a sum of
+    diagonally scaled Toeplitz (1D) or BTTB (2D) matrices.
+
+    ``left`` (na, *shape) and ``right`` (nb, *shape) are nodal weights on
+    the node grid, and ``seq[a, b]`` holds one value per node offset
+    ``k``, stored at ``k + shape - 1``.  ``rows`` and ``cols`` are tuples
+    of basic indices (ints and slices) into the node grid that select the
+    nodes ``i`` and ``j``.  The Toeplitz matrices are read through a
+    sliding window over ``seq`` and never formed.
     """
-    entries, adds = [], []
-    for k, (ox, oy) in enumerate(((0, 0), (0, nv), (nv, nv))):
-        for a in range(nv):
-            for b in range(nv):
-                if k != 1 and b < a:
-                    continue
-                adds.append((len(entries), ox + a, oy + b))
-                if k == 1 or a != b:
-                    adds.append((len(entries), oy + b, ox + a))
-                entries.append((k * nv + a) * nv + b)
-    return np.array(entries), np.array(adds).T
+    n = left.ndim - 1
+    win = sliding_window_view(seq, left.shape[1:], axis=tuple(range(2, 2 + n)))
+    win = win[(slice(None),) * 2 + (slice(None, None, -1),) * n]
+    lw, rw = left[(slice(None),) + rows], right[(slice(None),) + cols]
+    i, j = "rst"[:lw.ndim - 1], "uvw"[:rw.ndim - 1]
+    return np.einsum(f"a{i},ab{i}{j},b{j}->{i}{j}", lw,
+                     win[(slice(None),) * 2 + rows + cols], rw)
 
 
-def _assemble_classes(num_nodes, elements, g, classes, scale):
-    """Dense kernel form from element-pair translation classes.
+def _mirror_upper(M):
+    """Overwrite the strict lower triangle of the square ``M`` with its
+    upper one, in place."""
+    i, j = np.tril_indices(M.shape[0], -1)
+    M[i, j] = M[j, i]
 
-    ``classes`` yields ``(blocks, sa, sb)``: the reference blocks
-    ``xx, xy, yy`` of one class as (3, nv, nv, nv, nv) on unit elements,
-    where ``blocks[k, alpha, beta, c, d]`` pairs the test hats ``alpha,
-    beta`` with the diffusion vertex weights ``c`` (x element) and ``d``
-    (y element), and the element indices of its pairs, each unordered
-    pair once.  Every block is contracted with the vertex values of
-    ``g`` and scaled by ``scale`` (``h^{n-2s}``), once for identical
-    pairs and twice (both orders of the double integral) for distinct
-    ones, then scattered into the form.
+
+def _partner_terms(gv, ta, tb, D, xx, yy):
+    """Local entries ``ab`` (T, *cells, nab) that the distinct pairs give
+    every element ``(t, C)``: ``sum_cd gv[t, c, C] P[t, u, D, ab, c, d]
+    gv[u, d, C + D]``, summed over the partners ``(u, C + D)`` that exist.
+
+    ``gv`` (T, nv, *cells) holds the vertex values of ``g`` of every
+    element, ``xx`` and ``yy`` (K, nab, nv, nv) the entries ``ab`` of the
+    classes ``(ta, tb, D)`` for the x and for the y element.  The sum over
+    ``D`` is a correlation: in 2D one batched FFT for all elements, in 1D
+    direct sums (``np.correlate``, 12 of length M), which keep the 1D
+    pipelines off the FFT extension and its resident code.
     """
-    nv = elements.shape[1]
-    entries, (entry, row, col) = _scatter_plan(nv)
-    A = np.zeros((num_nodes, num_nodes))
-    flat = A.reshape(-1)
-    for blocks, sa, sb in classes:
-        va, vb = elements[sa], elements[sb]
-        w = (g[va][:, :, None] * g[vb][:, None, :]).reshape(sa.size, nv * nv)
-        w *= scale * np.where(sa == sb, 1.0, 2.0)[:, None]
-        local = w @ blocks.reshape(-1, nv * nv)[entries].T
-        v = np.concatenate([va, vb], axis=1)
-        np.add.at(flat, (v[:, row] * num_nodes + v[:, col]).ravel(),
-                  local[:, entry].ravel())
+    T, nv, *cells = gv.shape
+    n = len(cells)
+    period = tuple(2 * c for c in cells)
+    # P[t, u, ab, c, d, D mod period]; the x element's partner sits at D,
+    # the y element's at -D, and within one statement every class lands at
+    # its own (t, u, D).  An FFT of length period has no wrap-around at the
+    # offsets |D| < cells, and the even length keeps it fast.
+    P = np.zeros((T, T) + xx.shape[1:] + period)
+    P[(ta, tb) + (slice(None),) * 3 + tuple((D % period).T)] += xx
+    P[(tb, ta) + (slice(None),) * 3 + tuple((-D % period).T)] += yy.swapaxes(2, 3)
+    if n == 1:
+        # D at D + cells - 1, for |D| < cells
+        lin = np.roll(P, cells[0] - 1, axis=-1)[..., :2 * cells[0] - 1]
+        corr = np.zeros((T, xx.shape[1], nv, cells[0]))
+        for t, u, e, c, d in np.ndindex(P.shape[:5]):
+            corr[t, e, c] += np.correlate(lin[t, u, e, c, d], gv[u, d], "valid")[::-1]
+    else:
+        ax = tuple(range(-n, 0))
+        spec = np.einsum("tuecd...,ud...->tec...", np.fft.rfftn(P, axes=ax).conj(),
+                         np.fft.rfftn(gv, s=period, axes=ax))
+        corr = np.fft.irfftn(spec, s=period, axes=ax)[
+            (Ellipsis,) + tuple(slice(c) for c in cells)]
+    return np.einsum("tc...,tec...->t...e", gv, corr)
+
+
+def _assemble_offsets(shape, verts, g, keys, blocks, scale):
+    """Dense kernel form on the uniform node grid ``shape`` from the
+    element-pair translation classes.
+
+    ``verts`` (T, nv, n) holds the vertex offsets of each element type on
+    its cell; element ``t`` on cell ``C`` is number ``t * ncells +
+    ravel(C)``.  Row ``l`` of ``keys`` is the class ``(type_a, type_b,
+    *D)``: type ``type_a`` on cell ``C`` against type ``type_b`` on cell
+    ``C + D``, each unordered pair of elements in one class.
+    ``blocks[l]`` holds its reference blocks ``xx, xy, yy`` (3, nv, nv,
+    nv, nv) on unit elements, where ``blocks[l, k, alpha, beta, c, d]``
+    pairs the test hats ``alpha, beta`` with the diffusion vertex weights
+    ``c`` (x element) and ``d`` (y element).  A class counts once for
+    identical pairs and twice (both orders of the double integral) for
+    distinct ones, times ``scale`` (``h^{n-2s}``).
+
+    The blocks reach the form as offset sequences, not pair by pair.  A
+    slot ``a = (t, alpha, c)`` is vertex ``alpha`` of an element of type
+    ``t``, weighted by ``g`` at its vertex ``c``, the node offset ``p(a) =
+    V_c - V_alpha`` away.  An ``xy`` entry of a distinct pair couples
+    node ``i`` with node ``j = i + D + V_beta - V_alpha``, so the ``xy``
+    parts sum to ``sum_ab L_a[i] L_b[j] V_ab[j - i]``, with one sequence
+    ``V_ab`` per slot pair and ``L_a[i] = g[i + p(a)]`` where the element
+    of slot ``a`` at node ``i`` exists, 0 where it does not:
+
+    * next to a node off the box boundary every element exists, and the
+      slots with equal ``p`` merge: those rows and columns are ``sum_pq
+      D_p T_pq D_q`` with ``D_p = diag(g[i + p])`` (``g`` zero-padded)
+      and ``T_pq`` the Toeplitz (1D) or BTTB (2D) matrix of the sum of
+      the ``V_ab`` with ``p(a) = p, p(b) = q``: 9 terms in 1D, 49 in 2D.
+      They are evaluated :data:`ROW_BLOCK` rows at a time on and above
+      the diagonal and mirrored below it;
+    * the rows of each box face, and so its columns, take the masked
+      ``L_a`` and every ``V_ab``.
+
+    The ``xx``/``yy`` blocks of the distinct pairs give each element a
+    local matrix (see :func:`_partner_terms`).  An identical pair lies in
+    one element, so all three of its blocks go straight into that
+    element's local matrix.  The local matrices are added by the mirrored
+    scatter of :func:`_add_local`.  Every entry is written once and
+    mirrored, so the form is exactly symmetric.
+    """
+    shape, verts = np.asarray(shape), np.asarray(verts)
+    T, nv, n = verts.shape
+    N, cells = int(shape.prod()), shape - 1
+    full = (slice(None),) * n
+    index = np.arange(N).reshape(shape)
+    elements = np.stack([[index[tuple(slice(o, o + c) for o, c in zip(v, cells))]
+                          for v in vt] for vt in verts])  # (T, nv, *cells)
+    gv = g[elements]
+
+    ta, tb, D = keys[:, 0], keys[:, 1], keys[:, 2:]
+    same = (ta == tb) & ~D.any(axis=1)
+    ia, ib = np.triu_indices(nv)
+    xx, xy, yy = np.moveaxis(blocks[same], 1, 0)
+    own = np.zeros((T, ia.size, nv, nv))
+    own[ta[same]] = scale * (xx + yy + xy + xy.swapaxes(1, 2))[:, ia, ib]
+    pair = np.flatnonzero(~same)
+    ta, tb, D, w = ta[pair], tb[pair], D[pair], 2.0 * scale
+    local = (np.einsum("tc...,td...,tecd->t...e", gv, gv, own)
+             + _partner_terms(gv, ta, tb, D, w * blocks[pair[:, None], 0, ia, ib],
+                              w * blocks[pair[:, None], 2, ia, ib]))
+
+    # V[ta, alpha, c, tb, beta, d, k + shape - 1]; within one statement
+    # every class lands at its own (ta, tb, D)
+    V = np.zeros((T, nv, nv, T, nv, nv) + tuple(2 * shape - 1))
+    for al in range(nv):
+        for be in range(nv):
+            k = D + verts[tb, be] - verts[ta, al] + shape - 1
+            v = w * blocks[pair, 1, al, be]
+            V[(ta, al, slice(None), tb, be, slice(None)) + tuple(k.T)] += v
+            V[(tb, be, slice(None), ta, al, slice(None))
+              + tuple((2 * shape - 2 - k).T)] += v.swapaxes(1, 2)
+    del blocks  # the callers keep no reference: freed before the form exists
+    na = T * nv * nv
+    V = V.reshape((na, na) + V.shape[6:])
+    offsets, p = np.unique((verts[:, None] - verts[:, :, None]).reshape(na, n),
+                           axis=0, return_inverse=True)
+    p = p.ravel()
+    merge = np.eye(len(offsets))[p]
+    # contiguous along the offsets, which the windows read
+    S = np.ascontiguousarray(np.einsum("ap,ab...,bq->pq...", merge, V, merge,
+                                       optimize=True))
+
+    # nodal weights: G[p] = g[i + p], and L[a] = G[p(a)] where slot a exists
+    gpad = np.pad(g.reshape(shape), 1)
+    G = np.stack([gpad[tuple(slice(1 + o, 1 + o + m) for o, m in zip(off, shape))]
+                  for off in offsets])
+    anchor = np.indices(shape)[None, None] - verts.reshape(T, nv, n, *(1,) * n)
+    exists = ((anchor >= 0) & (anchor < cells.reshape(n, *(1,) * n))).all(axis=2)
+    L = (exists[:, :, None] * G[p].reshape(T, nv, nv, *shape)).reshape(na, *shape)
+    # the face rows are evaluated before the form exists, so that V is gone
+    # by then; they are written after the Toeplitz part
+    faces = []
+    for d in range(n):
+        for side in (0, shape[d] - 1):
+            face = full[:d] + (side,) + full[d + 1:]
+            rows = index[face].ravel()
+            live = L[(slice(None),) + face].reshape(na, -1).any(axis=1)
+            R = _offset_sum(V[live], L[live], L, face, full).reshape(rows.size, N)
+            sub = R[:, rows]
+            _mirror_upper(sub)
+            R[:, rows] = sub
+            faces.append((rows, R))
+    del V
+
+    A = np.zeros((N, N))
+    grid = A.reshape(tuple(shape) * 2)  # A[i, j] at grid[(*i, *j)]
+    rest = N // shape[0]
+    step = max(1, ROW_BLOCK // rest)
+    for x0 in range(0, shape[0], step):
+        r0, r1 = x0 * rest, min(N, (x0 + step) * rest)
+        rsel, csel = (slice(x0, x0 + step),) + full[1:], (slice(x0, None),) + full[1:]
+        grid[rsel + csel] = _offset_sum(S, G, G, rsel, csel)
+        _mirror_upper(A[r0:r1, r0:r1])
+        A[r1:, r0:r1] = A[r0:r1, r1:].T
+    for rows, R in faces:
+        A[rows] = R
+        A[:, rows] = R.T
+    _add_local(A, np.moveaxis(elements, 1, -1).reshape(-1, nv),
+               local.reshape(-1, ia.size))
     return A
 
 
@@ -499,12 +662,12 @@ def _kernel_inbox_1d(mesh, s, g, q_sing, q_reg):
     The translation class of an element pair is its offset ``d``.
     """
     M = mesh.elements.shape[0]
-    blocks = np.concatenate([_touching_blocks_1d(s, q_sing),
-                             _separated_blocks_1d(s, M, q_reg)])
-    e = np.arange(M)
-    classes = ((blocks[d], e[:M - d], e[d:]) for d in range(M))
-    return _assemble_classes(mesh.num_nodes, mesh.elements, g, classes,
-                             mesh.h ** (1.0 - 2.0 * s))
+    keys = np.stack([np.zeros(M, int), np.zeros(M, int), np.arange(M)], axis=1)
+    return _assemble_offsets(
+        mesh.shape, _VERTS_1D, g, keys,
+        np.concatenate([_touching_blocks_1d(s, q_sing),
+                        _separated_blocks_1d(s, M, q_reg)])[:M],
+        mesh.h ** (1.0 - 2.0 * s))
 
 
 def _kernel_tail_1d(mesh, s, g, q_sing):

@@ -9,7 +9,8 @@ Subcommands: ``poincare``, ``solve``, ``dn``, ``reconstruct``,
 ``oracle-compare``, ``convergence-study``.  Only ``poincare`` and ``dn``
 run on 2D configs; the others are 1D pipelines.
 
-Exit codes: 0 success, 1 runtime error, 2 violated invariant
+Exit codes: 0 success, 1 runtime error (including a run whose dense
+forms would not fit in the available memory), 2 violated invariant
 (e.g. lost coercivity, a failed maximum principle or decay bound), 3
 configuration error (including a usage error, a value outside its domain
 and a 1D pipeline requested on a 2D config).  Artifacts
@@ -37,7 +38,13 @@ from .assembly import (
 from .config import ExperimentConfig, parse_config
 from .counterexample import build_pair, verify_nonuniqueness
 from .dnmap import DNOperator
-from .errors import ConfigError, FractomoError, InsufficientPadding, VerificationError
+from .errors import (
+    ConfigError,
+    FractomoError,
+    InsufficientMemory,
+    InsufficientPadding,
+    VerificationError,
+)
 from .io import (
     export_dn_csv,
     export_oracle_csv,
@@ -55,6 +62,46 @@ from .spectral import spectral_frac_laplacian
 
 #: the subcommands that also run on 2D meshes
 SUBCOMMANDS_2D = ("poincare", "dn")
+
+#: the subcommands that run on the refinement levels h, h/2, ...
+SUBCOMMANDS_REFINING = ("liouville-check", "transfer-check", "convergence-study")
+
+#: dense N x N arrays a run holds at its peak, in units of one form: peak
+#: resident memory over 8 N^2 bytes on the 1D test config at N = 2817 is
+#: 10.0 for counterexample, 5.4 for transfer-check, 5.0 for
+#: liouville-check and at most 3.1 for the other subcommands (the
+#: quadrature self check holds one more form while it compares)
+FORMS_ALIVE = 10
+
+
+def _available_memory():
+    """``MemAvailable`` of ``/proc/meminfo`` in bytes, or None if it cannot
+    be read."""
+    try:
+        with open("/proc/meminfo") as meminfo:
+            for line in meminfo:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _memory_preflight(subcommand: str, cfg: ExperimentConfig) -> None:
+    """Raise :class:`InsufficientMemory` if ``FORMS_ALIVE`` dense forms on
+    the run's largest mesh exceed the available memory; skip the check if
+    that cannot be read."""
+    available = _available_memory()
+    if available is None:
+        return
+    level = cfg.levels - 1 if subcommand in SUBCOMMANDS_REFINING else 0
+    N = cfg.build_mesh(level).num_nodes
+    need = FORMS_ALIVE * 8 * N * N
+    if need > available:
+        raise InsufficientMemory(
+            f"N = {N} nodes: {FORMS_ALIVE} dense forms need about {need} bytes, "
+            f"{available} bytes are available"
+        )
 
 
 def _exterior_datum(cfg, mesh, spec, where):
@@ -311,6 +358,7 @@ def run_experiment(subcommand: str, cfg: ExperimentConfig, outdir=None,
             f"{subcommand} is a 1D pipeline; 2D configs run "
             + " and ".join(SUBCOMMANDS_2D)
         )
+    _memory_preflight(subcommand, cfg)
     out = Path(outdir or os.environ.get("FRACTOMO_OUT", cfg.outdir))
     out.mkdir(parents=True, exist_ok=True)
     return RUNNERS[subcommand](cfg, out, verbose)

@@ -51,6 +51,10 @@ class InsufficientPadding(FractomoError):
     """Input of the spectral operator is not padded enough from the box edge."""
 
 
+class InsufficientMemory(FractomoError):
+    """The dense forms of a run would not fit in the available memory."""
+
+
 # --- solver / eigen -------------------------------------------------------
 
 class VerificationError(FractomoError):

@@ -1,21 +1,25 @@
 """Structural invariants of the kernel forms over random inputs.
 
-Every element pair goes through the translation-class engine, so these
-identities hold for any order, spacing and diffusion:
+Every element pair goes through the translation classes and the offset
+engine, so these identities hold for any order, spacing and diffusion:
 
 * the form is symmetric,
 * constants are in the kernel of the in-box part: ``A 1 = tail_row``,
 * the interior block is positive definite,
-* the 2D exterior tail keeps the symmetries of the mesh.
+* the 2D exterior tail keeps the symmetries of the mesh,
+* the offset engine agrees with the pair-by-pair class scatter and
+  writes a bit-for-bit symmetric form.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from fractomo import _assembly2d, assembly
 from fractomo.assembly import Coefficients, KernelParams, conductivity_form
 from fractomo.mesh import Box, Region, build_mesh
 
-from _oracles import tail_matrix_2d
+from _oracles import class_scatter_reference, tail_matrix_2d
 
 amplitudes = st.one_of(st.just(0.0), st.floats(0.01, 0.9))
 frequencies = st.floats(0.1, 3.0)
@@ -77,3 +81,73 @@ def test_tail_2d_mesh_symmetries(s, cells, half, amp, freq):
     for f in maps:
         p = _node_map(mesh, f)
         assert np.abs(T[np.ix_(p, p)] - T).max() <= 1e-10 * np.abs(T).max()
+
+
+#: entries of the offset engine against the class scatter summed in
+#: extended precision, relative to max|A|: the engine's own round-off,
+#: measured at up to 1.1e-14 (2D, one cell, s = 0.49) and 2.1e-16 in 1D
+#: at N = 2817
+ENGINE_RTOL = 5e-14
+
+
+def _engine_against_reference(mesh, s, gamma):
+    """The conductivity form of ``gamma`` with its in-box part from the
+    offset engine, the engine's in-box part and the class-scatter
+    reference of the same classes and blocks."""
+    calls = []
+    engine = assembly._assemble_offsets
+
+    def recorded(shape, verts, g, keys, blocks, scale):
+        reference = class_scatter_reference(mesh, g, keys, blocks, scale)
+        A = engine(shape, verts, g, keys, blocks, scale)
+        calls.append((A.copy(), reference))
+        return A
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "_assemble_offsets", recorded)
+        mp.setattr(_assembly2d, "_assemble_offsets", recorded)
+        form = conductivity_form(mesh, KernelParams(mesh.n, s),
+                                 Coefficients.from_arrays(gamma))
+    (A, reference), = calls
+    return form, A, reference
+
+
+def _check_engine(mesh, s, gamma):
+    form, A, reference = _engine_against_reference(mesh, s, gamma)
+    assert np.abs(A - reference).max() <= ENGINE_RTOL * np.abs(reference).max()
+    assert np.array_equal(A, A.T)
+    assert np.array_equal(form.entries, form.entries.T)
+    ones = np.ones(mesh.num_nodes)
+    scale = np.abs(form.entries).max()
+    assert np.abs(form.entries @ ones - form.tail_row).max() <= 1e-10 * scale
+
+
+# 1-3 elements: every node touches the box boundary; 62-64 elements: the
+# node counts on both sides of a row-block edge
+@settings(max_examples=30, deadline=None, database=None)
+@given(s=st.floats(0.05, 0.49), cells=st.sampled_from([1, 2, 3, 62, 63, 64]),
+       lower=st.floats(-2.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_offset_engine_matches_class_scatter_1d(s, cells, lower, seed):
+    h = 1.0 / 16
+    mesh = build_mesh(Box((lower,), (lower + cells * h,)), h, [])
+    gamma = np.random.default_rng(seed).uniform(0.2, 5.0, mesh.num_nodes)
+    _check_engine(mesh, s, gamma)
+
+
+def test_offset_engine_matches_class_scatter_1409_nodes():
+    mesh = build_mesh(Box((-2.25,), (3.25,)), 1.0 / 256, [])
+    gamma = np.random.default_rng(7).uniform(0.2, 5.0, mesh.num_nodes)
+    _check_engine(mesh, 0.25, gamma)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(s=st.floats(0.05, 0.49),
+       cells=st.sampled_from([(1, 1), (1, 3), (3, 1), (2, 3)]),
+       h=st.sampled_from([0.25, 0.5, 0.7]),
+       lower=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_offset_engine_matches_class_scatter_2d(s, cells, h, lower, seed):
+    upper = (lower[0] + cells[0] * h, lower[1] + cells[1] * h)
+    mesh = build_mesh(Box(lower, upper), h, [])
+    gamma = np.random.default_rng(seed).uniform(0.2, 5.0, mesh.num_nodes)
+    _check_engine(mesh, s, gamma)

@@ -463,3 +463,36 @@ def test_value_outside_its_domain_is_named_before_assembly(
 def test_usage_error_is_a_config_error(argv, capsys):
     assert main(argv) == 3
     assert "usage" in capsys.readouterr().err
+
+
+# the test config has 177 nodes at h = 1/32 and 353 on its second
+# refinement level, which convergence-study also runs
+@pytest.mark.parametrize("subcommand, nodes", [
+    ("counterexample", 177),
+    ("convergence-study", 353),
+])
+def test_memory_preflight_exits_1_before_any_kernel_form(
+        subcommand, nodes, config_path, monkeypatch, capsys):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("a kernel form was assembled")
+
+    monkeypatch.setattr(assembly, "_kernel_form", no_assembly)
+    need = cli.FORMS_ALIVE * 8 * nodes**2
+    monkeypatch.setattr(cli, "_available_memory", lambda: need - 1)
+    path, out = config_path
+    assert main([subcommand, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"N = {nodes} nodes" in err
+    assert f"{need} bytes" in err and f"{need - 1} bytes" in err
+    assert not out.exists()
+
+
+def test_memory_preflight_is_skipped_without_a_reading(config_path, monkeypatch):
+    monkeypatch.setattr(cli, "_available_memory", lambda: None)
+    path, out = config_path
+    assert main(["poincare", "--config", str(path)]) == 0
+
+
+def test_available_memory_reads_a_byte_count():
+    available = cli._available_memory()
+    assert available is None or (isinstance(available, int) and available > 0)
