@@ -52,6 +52,7 @@ from .assembly import (
     _point_pair_blocks,
     _triangle_rule_deg4,
 )
+from .mesh import ELEMENT_VERTS
 
 #: recursion depth for touching reference panels
 MAX_DEPTH = 5
@@ -68,9 +69,6 @@ NEAR_WINDOW = 2
 #: are infinite; only box-boundary rows and columns hold them, and the DN
 #: map and the Poincare constant read none of these
 FACE_CUTOFF = 2.0 ** -14
-
-#: vertices of the two triangle types on the unit cell (see build_mesh)
-_REF = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
 
 #: the four half-size children of each triangle type, as (type, half-cell
 #: x, half-cell y); the midpoint split makes each child a reference
@@ -121,7 +119,7 @@ def _class_blocks(s, keys, depth):
     coordinates.  The child classes of all near keys go through one
     recursive call.
     """
-    ref = np.array(_REF, dtype=float)
+    ref = np.array(ELEMENT_VERTS[2], dtype=float)
     tri_a = ref[keys[:, 0]]
     tri_b = ref[keys[:, 1]] + keys[:, None, 2:]
     bary, wts = _triangle_rule_deg4()
@@ -207,7 +205,7 @@ def kernel_inbox_2d(mesh, s, g, depth: int = MAX_DEPTH):
     half = D[(D[:, 0] > 0) | ((D[:, 0] == 0) & (D[:, 1] >= 0))]
     keys = np.concatenate([np.column_stack([np.full(len(d), ta), np.full(len(d), tb), d])
                            for ta, tb, d in ((0, 0, half), (0, 1, D), (1, 1, half))])
-    return _assemble_offsets(mesh.shape, _REF, g, keys,
+    return _assemble_offsets(mesh.shape, ELEMENT_VERTS[2], g, keys,
                              _inbox_blocks(s, keys, depth),
                              mesh.h ** (2.0 - 2.0 * s))
 
@@ -378,7 +376,7 @@ def kernel_tail_2d(mesh, s, g, q_sing):
     lo, hi = np.asarray(mesh.box.lower), np.asarray(mesh.box.upper)
     d = _face_coords(coords.reshape(-1, 2), mesh.box)[0].reshape(-1, 3, 4)
     on = d <= 1e-12 * (hi - lo).max()
-    # element index = type * ncells + cell (see build_mesh)
+    # element index = type * ncells + cell (see mesh.grid_elements)
     ncells = (mesh.shape[0] - 1) * (mesh.shape[1] - 1)
     key = np.arange(len(coords)) // ncells * 16 + on.any(axis=1) @ (1, 2, 4, 8)
     bary, wts = _triangle_rule_deg4()

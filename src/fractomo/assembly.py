@@ -52,7 +52,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gamma as gamma_fn, roots_jacobi, roots_legendre
 
 from .errors import NonPositiveGamma, QuadratureFailure
-from .mesh import Mesh
+from .mesh import ELEMENT_VERTS, Mesh, grid_elements
 
 #: Gauss--Jacobi order of the identical and node-sharing 1D panels and of
 #: the exterior tail of boundary elements (``ORDER_SINGULAR + 4`` points
@@ -405,9 +405,6 @@ def _point_pair_blocks(W, lam):
 #: rows of the form per block of the offset sums (whole grid lines in 2D)
 ROW_BLOCK = 64
 
-#: vertices of the one 1D element type on its cell, as node offsets
-_VERTS_1D = (((0,), (1,)),)
-
 
 def _offset_sum(seq, left, right, rows, cols):
     """Block ``sum_ab left[a][i] seq[a, b][j - i] right[b][j]`` of a sum of
@@ -478,10 +475,11 @@ def _assemble_offsets(shape, verts, g, keys, blocks, scale):
     element-pair translation classes.
 
     ``verts`` (T, nv, n) holds the vertex offsets of each element type on
-    its cell; element ``t`` on cell ``C`` is number ``t * ncells +
-    ravel(C)``.  Row ``l`` of ``keys`` is the class ``(type_a, type_b,
-    *D)``: type ``type_a`` on cell ``C`` against type ``type_b`` on cell
-    ``C + D``, each unordered pair of elements in one class.
+    its cell, with the elements numbered by
+    :func:`fractomo.mesh.grid_elements`.  Row ``l`` of ``keys`` is the
+    class ``(type_a, type_b, *D)``: type ``type_a`` on cell ``C`` against
+    type ``type_b`` on cell ``C + D``, each unordered pair of elements in
+    one class.
     ``blocks[l]`` holds its reference blocks ``xx, xy, yy`` (3, nv, nv,
     nv, nv) on unit elements, where ``blocks[l, k, alpha, beta, c, d]``
     pairs the test hats ``alpha, beta`` with the diffusion vertex weights
@@ -520,8 +518,7 @@ def _assemble_offsets(shape, verts, g, keys, blocks, scale):
     N, cells = int(shape.prod()), shape - 1
     full = (slice(None),) * n
     index = np.arange(N).reshape(shape)
-    elements = np.stack([[index[tuple(slice(o, o + c) for o, c in zip(v, cells))]
-                          for v in vt] for vt in verts])  # (T, nv, *cells)
+    elements = grid_elements(shape, verts)  # (T, nv, *cells), contiguous
     gv = g[elements]
 
     ta, tb, D = keys[:, 0], keys[:, 1], keys[:, 2:]
@@ -664,7 +661,7 @@ def _kernel_inbox_1d(mesh, s, g, q_sing, q_reg):
     M = mesh.elements.shape[0]
     keys = np.stack([np.zeros(M, int), np.zeros(M, int), np.arange(M)], axis=1)
     return _assemble_offsets(
-        mesh.shape, _VERTS_1D, g, keys,
+        mesh.shape, ELEMENT_VERTS[1], g, keys,
         np.concatenate([_touching_blocks_1d(s, q_sing),
                         _separated_blocks_1d(s, M, q_reg)])[:M],
         mesh.h ** (1.0 - 2.0 * s))

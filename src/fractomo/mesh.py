@@ -9,7 +9,11 @@ compactly supported trial space on an open set ``R`` is the span of hat
 functions whose support is contained in the closure of ``R``; those node
 indices are what :func:`support_dofs` returns.
 
-Supported dimensions are ``n = 1`` (primary) and ``n = 2``.
+Supported dimensions are ``n = 1`` (primary) and ``n = 2``; one grid
+layout serves both.  :data:`ELEMENT_VERTS` holds the element types of a
+grid cell (the interval; the two triangles of the square), and
+:func:`grid_elements` numbers the elements of every cell, which the
+assembly relies on.
 """
 
 from __future__ import annotations
@@ -28,6 +32,29 @@ from .errors import (
 #: relative tolerance used for all coordinate comparisons
 COORD_RTOL = 1e-9
 
+#: vertex offsets of each element type on its grid cell, per dimension:
+#: the interval in 1D; the lower and the upper triangle of the square in
+#: 2D, both positively oriented (see :func:`grid_elements`)
+ELEMENT_VERTS = {
+    1: (((0,), (1,)),),
+    2: (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1))),
+}
+
+
+def _set_bounds(obj, what: str) -> None:
+    """Store the bounds of a box or region as tuples of floats; they must
+    have equal lengths 1 or 2 and satisfy ``lower[i] < upper[i]``."""
+    lo = tuple(float(v) for v in np.atleast_1d(obj.lower))
+    up = tuple(float(v) for v in np.atleast_1d(obj.upper))
+    if len(lo) != len(up):
+        raise ValueError(f"{what}: lower and upper must have the same length")
+    if len(lo) not in (1, 2):
+        raise ValueError(f"{what}: only dimensions 1 and 2 are supported")
+    if not all(l < u for l, u in zip(lo, up)):
+        raise ValueError(f"{what} must satisfy lower[i] < upper[i]")
+    object.__setattr__(obj, "lower", lo)
+    object.__setattr__(obj, "upper", up)
+
 
 @dataclass(frozen=True)
 class Box:
@@ -44,16 +71,7 @@ class Box:
     upper: tuple
 
     def __post_init__(self):
-        lo = tuple(float(v) for v in np.atleast_1d(self.lower))
-        up = tuple(float(v) for v in np.atleast_1d(self.upper))
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
-        if len(lo) != len(up):
-            raise ValueError("lower and upper must have the same length")
-        if len(lo) not in (1, 2):
-            raise ValueError("only dimensions 1 and 2 are supported")
-        if not all(l < u for l, u in zip(lo, up)):
-            raise ValueError("box must satisfy lower[i] < upper[i]")
+        _set_bounds(self, "box")
 
     @property
     def n(self) -> int:
@@ -76,12 +94,7 @@ class Region:
     upper: tuple
 
     def __post_init__(self):
-        lo = tuple(float(v) for v in np.atleast_1d(self.lower))
-        up = tuple(float(v) for v in np.atleast_1d(self.upper))
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
-        if not all(l < u for l, u in zip(lo, up)):
-            raise ValueError(f"region {self.name!r} must satisfy lower < upper")
+        _set_bounds(self, f"region {self.name!r}")
 
     @property
     def n(self) -> int:
@@ -137,7 +150,8 @@ class Mesh:
     nodes : ndarray, shape (N, n)
         Node coordinates in lexicographic order.
     elements : ndarray, shape (E, n+1)
-        Interval endpoints (1D) or triangle vertices (2D) as node indices.
+        Interval endpoints (1D) or triangle vertices (2D) as node indices,
+        in the order of :func:`grid_elements`.
     regions : dict
         Label -> :class:`Region`, the labeled regions the mesh was built
         with (see :func:`region_dofs` for their nodes).
@@ -184,6 +198,22 @@ def _axis_counts(box: Box, h: float) -> tuple:
     return tuple(counts)
 
 
+def grid_elements(shape: tuple, verts) -> np.ndarray:
+    """Node indices (T, nv, *cells) of every element of the node grid
+    ``shape``, C-contiguous.
+
+    Nodes are numbered lexicographically (node ``i`` at grid index
+    ``unravel(i)``).  ``verts`` (T, nv, n) holds the vertex offsets of each
+    element type on its cell, e.g. :data:`ELEMENT_VERTS`; element ``t``
+    on cell ``C`` is number ``t * ncells + ravel(C)``, and its vertex
+    ``alpha`` sits at node ``C + verts[t][alpha]``.
+    """
+    index = np.arange(int(np.prod(shape))).reshape(shape)
+    cells = [m - 1 for m in shape]
+    return np.stack([[index[tuple(slice(o, o + c) for o, c in zip(v, cells))]
+                      for v in vt] for vt in verts])
+
+
 def build_mesh(box: Box, h: float, regions: list | None = None) -> Mesh:
     """Build the uniform mesh of ``box`` with spacing ``h``.
 
@@ -211,32 +241,13 @@ def build_mesh(box: Box, h: float, regions: list | None = None) -> Mesh:
     regions = list(regions) if regions else []
     cells = _axis_counts(box, h)
 
-    axes = [
-        l + h * np.arange(m + 1) for l, m in zip(box.lower, cells)
-    ]
-    if box.n == 1:
-        nodes = axes[0][:, None]
-        nel = cells[0]
-        elements = np.column_stack(
-            [np.arange(nel), np.arange(1, nel + 1)]
-        ).astype(np.int64)
-        shape = (cells[0] + 1,)
-    else:
-        nx, ny = cells[0] + 1, cells[1] + 1
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-        nodes = np.column_stack([X.ravel(), Y.ravel()])
-        # node index (ix, iy) -> ix*ny + iy; lexicographic in (x, y)
-        ix, iy = np.meshgrid(
-            np.arange(cells[0]), np.arange(cells[1]), indexing="ij"
-        )
-        a = (ix * ny + iy).ravel()
-        b = ((ix + 1) * ny + iy).ravel()
-        c = ((ix + 1) * ny + iy + 1).ravel()
-        d = (ix * ny + iy + 1).ravel()
-        lower_tris = np.column_stack([a, b, c])
-        upper_tris = np.column_stack([a, c, d])
-        elements = np.vstack([lower_tris, upper_tris]).astype(np.int64)
-        shape = (nx, ny)
+    shape = tuple(m + 1 for m in cells)
+    axes = [l + h * np.arange(m) for l, m in zip(box.lower, shape)]
+    nodes = np.stack([X.ravel() for X in np.meshgrid(*axes, indexing="ij")],
+                     axis=1)
+    table = grid_elements(shape, ELEMENT_VERTS[box.n])
+    elements = np.ascontiguousarray(
+        np.moveaxis(table, 1, -1).reshape(-1, table.shape[1]))
 
     labeled = {r.name: r for r in regions}
     omega = labeled.get("Omega")

@@ -243,16 +243,27 @@ def test_exit_code_invariant_violation(config_path, capsys):
     assert "invariant" in capsys.readouterr().err
 
 
-def test_standalone_and_deterministic(config_path, tmp_path):
-    # every subcommand runs with no other artifact present, and reruns
-    # produce byte-identical CSV output
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_standalone_and_deterministic(subcommand, config_path, tmp_path):
+    # every subcommand runs with no other artifact present, and a rerun
+    # writes byte-identical CSV and JSON artifacts
     path, out = config_path
+    if subcommand == "oracle-compare":
+        # the default oracle u comes too close to the faces of this box
+        path = tmp_path / "oracle.ini"
+        path.write_text(ORACLE_CONFIG.format(out=out))
     alt = tmp_path / "other"
-    assert main(["dn", "--config", str(path), "--out", str(alt)]) == 0
-    assert main(["dn", "--config", str(path)]) == 0
-    a = (alt / "dn_matrix.csv").read_bytes()
-    b = (out / "dn_matrix.csv").read_bytes()
-    assert a == b
+    assert main([subcommand, "--config", str(path), "--out", str(alt)]) == 0
+    assert main([subcommand, "--config", str(path)]) == 0
+
+    def artifacts(directory):
+        return sorted(p.name for p in directory.iterdir()
+                      if p.suffix in (".csv", ".json"))
+
+    names = artifacts(alt)
+    assert names and names == artifacts(out)
+    for name in names:
+        assert (alt / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_exit_code_nonfinite_preset(config_path, capsys):

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,14 @@ from fractomo.errors import (
     RegionOverlapViolation,
     UnknownRegion,
 )
-from fractomo.mesh import Box, Region, build_mesh, region_dofs, support_dofs
+from fractomo.mesh import (
+    ELEMENT_VERTS,
+    Box,
+    Region,
+    build_mesh,
+    region_dofs,
+    support_dofs,
+)
 
 
 def test_five_node_interval_counts():
@@ -131,3 +141,71 @@ def test_mesh_is_immutable():
     mesh = build_mesh(Box((-1.0,), (1.0,)), 0.5, [])
     with pytest.raises(ValueError):
         mesh.nodes[0, 0] = 7.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Region("W1", (1.0,), (2.0, 9.0)),
+    lambda: Region("X", (), ()),
+    lambda: Region("Y", (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+    lambda: Region("Z", (0.0, 1.0), (1.0, 1.0)),
+    lambda: Box((1.0,), (2.0, 9.0)),
+    lambda: Box((), ()),
+    lambda: Box((2.0,), (1.0,)),
+])
+def test_box_and_region_reject_bad_bounds(make):
+    # equal lengths, dimension 1 or 2, lower < upper on every axis
+    with pytest.raises(ValueError):
+        make()
+
+
+@pytest.mark.parametrize("lower, upper, h", [
+    ((-2.25,), (3.25,), 0.25),
+    ((-1.0, -1.0), (1.0, 1.0), 0.25),
+    ((0.0, 0.0), (1.0, 3.0), 0.5),
+    ((-1.0, 0.0), (2.0, 1.0), 0.25),
+])
+def test_grid_layout_contract(lower, upper, h):
+    # the numbering the kernel assembly relies on, against explicit loops
+    mesh = build_mesh(Box(lower, upper), h, [])
+    n = len(lower)
+    cells = [round((u - l) / h) for l, u in zip(lower, upper)]
+    shape = [c + 1 for c in cells]
+    assert list(mesh.shape) == shape
+
+    def node(index):
+        k = 0
+        for i, m in zip(index, shape):
+            k = k * m + i
+        return k
+
+    # nodes in lexicographic order of their grid index
+    grid = list(itertools.product(*(range(m) for m in shape)))
+    assert mesh.num_nodes == len(grid)
+    for index in grid:
+        expected = [l + h * i for l, i in zip(lower, index)]
+        assert mesh.nodes[node(index)] == pytest.approx(expected, rel=1e-14, abs=1e-14)
+
+    # element t on cell C is number t * ncells + ravel(C); vertex alpha
+    # sits at node C + ELEMENT_VERTS[n][t][alpha]
+    verts = ELEMENT_VERTS[n]
+    ncells = math.prod(cells)
+    assert mesh.elements.shape == (len(verts) * ncells, n + 1)
+    for t, vt in enumerate(verts):
+        for c, C in enumerate(itertools.product(*(range(m) for m in cells))):
+            for alpha, v in enumerate(vt):
+                vertex = [ci + vi for ci, vi in zip(C, v)]
+                assert mesh.elements[t * ncells + c, alpha] == node(vertex)
+
+    if n == 2:
+        # type 0 is the lower triangle of its cell, type 1 the upper one
+        centroid = np.mean(verts, axis=1)
+        assert centroid[0, 1] < centroid[0, 0] and centroid[1, 1] > centroid[1, 0]
+
+    # every element type is positively oriented
+    P = mesh.nodes[mesh.elements]
+    if n == 1:
+        size = P[:, 1, 0] - P[:, 0, 0]
+    else:
+        e1, e2 = P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]
+        size = (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]) / 2
+    assert np.allclose(size, h**n / n)
