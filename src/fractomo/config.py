@@ -101,15 +101,15 @@ def _floats(text: str, where: str) -> list:
 
 def _bounds(cls, where: str, n: int, *name):
     """Cast of a box-like key: ``cls(*name, lower, upper)`` from the 2n
-    numbers ``lower, upper``; ``lower < upper`` on every axis."""
+    numbers ``lower, upper``; a bound the class rejects names the key."""
     def cast(text: str):
         vals = _floats(text, where)
         if len(vals) != 2 * n:
             raise ConfigError(f"{where}: expected {2*n} numbers, got {len(vals)}")
-        lo, hi = tuple(vals[:n]), tuple(vals[n:])
-        if not all(a < b for a, b in zip(lo, hi)):
-            raise ConfigError(f"{where}: lower bound must be below upper")
-        return cls(*name, lo, hi)
+        try:
+            return cls(*name, tuple(vals[:n]), tuple(vals[n:]))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     return cast
 
 

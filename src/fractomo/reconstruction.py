@@ -22,6 +22,7 @@ from .errors import (
     DecayCheckFailed,
     ExponentOutOfRange,
     OutsideMeasurementSet,
+    SupportViolation,
     UnresolvableScale,
 )
 from .mesh import Mesh, resolve_region
@@ -181,10 +182,25 @@ def exterior_reconstruct(operator: DNOperator, bumps: BumpSequence) -> dict:
     -------
     dict with ``samples`` (list of ``{"N": ..., "estimate": ...}``),
     ``extrapolated`` (power-fit limit) and the fit record.
+
+    Raises
+    ------
+    SupportViolation
+        If a bump has interior support.
     """
-    samples = []
-    for N, phi in zip(bumps.scales, bumps.vectors):
-        samples.append({"N": int(N), "estimate": operator.pairing(phi, phi)})
+    system, B = operator.system, operator.form.entries
+    Phi = np.column_stack(bumps.vectors)
+    if np.abs(Phi[system.interior]).max(initial=0.0) > 0.0:
+        raise SupportViolation("a bump has interior support")
+    # u = phi outside the interior and u_I = -B_II^{-1} (B phi)_I, so by
+    # symmetry <Lambda phi, phi> = phi^T B phi - (B phi)_I^T B_II^{-1} (B phi)_I:
+    # one product and one block solve for all bumps
+    BPhi = B @ Phi
+    rhs = BPhi[system.interior]
+    estimates = (np.sum(Phi * BPhi, axis=0)
+                 - np.sum(rhs * system.solve_interior(rhs), axis=0))
+    samples = [{"N": int(N), "estimate": float(e)}
+               for N, e in zip(bumps.scales, estimates)]
     fit = extrapolate_power_fit(
         [s["N"] for s in samples], [s["estimate"] for s in samples]
     )

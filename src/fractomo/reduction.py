@@ -58,10 +58,13 @@ def reduced_potential_form(coeffs: Coefficients, *, gform: SymForm,
     if coeffs.gamma.min() <= 0.0:
         raise NonPositiveGamma("diffusion must be positive")
     inv_sqrt = 1.0 / np.sqrt(coeffs.gamma)
-    Am = gform.entries @ coeffs.m_gamma
-    entries = np.diag(-Am * inv_sqrt)
-    if np.any(coeffs.q != 0.0):
-        entries += inv_sqrt[:, None] * qform.entries * inv_sqrt[None, :]
+    diagonal = -(gform.entries @ coeffs.m_gamma) * inv_sqrt
+    if not np.any(coeffs.q != 0.0):
+        return SymForm(np.diag(diagonal))
+    # scaled in place: no N x N temporary besides the result
+    entries = inv_sqrt[:, None] * qform.entries
+    entries *= inv_sqrt[None, :]
+    entries[np.diag_indices_from(entries)] += diagonal
     return SymForm(entries)
 
 

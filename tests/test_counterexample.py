@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from fractomo.assembly import (
     Coefficients,
@@ -8,11 +9,18 @@ from fractomo.assembly import (
     mass_matrix,
     potential_form,
 )
-from fractomo.counterexample import UNIT_BALL_VOLUME, build_pair, verify_nonuniqueness
+from fractomo.counterexample import (
+    NUM_TEST_PAIRS,
+    UNIT_BALL_VOLUME,
+    build_pair,
+    verify_nonuniqueness,
+)
 from fractomo.dnmap import DNOperator, solution_relation_residual
 from fractomo.errors import GeometryViolation, NegativeSolution
 from fractomo.mesh import Box, Region, build_mesh, region_dofs
 from fractomo.profiles import bump, mollifier_kernel
+from fractomo.reduction import reduced_potential_form
+from fractomo.solver import multiplier_norm_estimate
 
 REGIONS = [Region("Omega", (-1.0,), (1.0,)), Region("W1", (1.2,), (1.8,))]
 OMEGA_PRIME = Region("Omega_prime", (-0.5,), (0.5,))
@@ -109,12 +117,32 @@ def test_geometry_violations(setting):
                    gform=gform, mass=mass_matrix(mesh))  # omega(5eps) leaves the box
 
 
+def _q_form_residual_by_pairs(mesh, Q, gform, mass, seed):
+    """``q_form_residual`` one test pair at a time, in the draw order
+    (v_k, then w_k)."""
+    rng = np.random.default_rng(seed)
+    ii = mesh.interior_dofs
+    worst = 0.0
+    for _ in range(NUM_TEST_PAIRS):
+        v = np.zeros(mesh.num_nodes)
+        w = np.zeros(mesh.num_nodes)
+        v[ii] = rng.standard_normal(ii.size)
+        w[ii] = rng.standard_normal(ii.size)
+        den = np.sqrt((gform.energy(v) + mass.energy(v))
+                      * (gform.energy(w) + mass.energy(w)))
+        worst = max(worst, abs(v @ Q.entries @ w) / den)
+    return worst
+
+
 def test_report_invariants(setting):
     mesh, par, gform, W, pair = setting
+    qform, mass = potential_form(mesh, pair.q1), mass_matrix(mesh)
     report = verify_nonuniqueness(pair, W,
                                   operator=DNOperator(mesh, par, pair.coeffs),
-                                  gform=gform, qform=potential_form(mesh, pair.q1),
-                                  mass=mass_matrix(mesh))
+                                  gform=gform, qform=qform, mass=mass)
+    Q = reduced_potential_form(pair.coeffs, gform=gform, qform=qform)
+    assert report["q_form_residual"] == pytest.approx(
+        _q_form_residual_by_pairs(mesh, Q, gform, mass, seed=0), rel=1e-12)
     assert report["dn_gap"] < 1e-2
     assert report["q_gap"] > 0.05
     assert report["condition3_residual"] < 1e-8
@@ -124,6 +152,24 @@ def test_report_invariants(setting):
     assert report["q_form_residual"] < 1e-3
     assert report["admissible"]
     assert report["multiplier_estimate"] < report["admissibility_threshold"]
+
+
+def test_multiplier_estimates_of_the_pair_match_the_dense_pencil(setting, monkeypatch):
+    # both estimates of the report; Lanczos stops long before the Krylov
+    # space is exhausted
+    mesh, par, gform, W, pair = setting
+    qform, mass = potential_form(mesh, pair.q1), mass_matrix(mesh)
+    Q = reduced_potential_form(pair.coeffs, gform=gform, qform=qform)
+    H = gform.entries + mass.entries
+    steps = []
+    tridiagonal = la.eigh_tridiagonal
+    monkeypatch.setattr(la, "eigh_tridiagonal",
+                        lambda d, e, **kw: steps.append(len(d)) or tridiagonal(d, e, **kw))
+    for form in (qform, Q):
+        vals = la.eigh(form.entries, H, eigvals_only=True)
+        est = multiplier_norm_estimate(form, gform=gform, mass=mass)
+        assert est == pytest.approx(max(-vals[0], vals[-1]), rel=1e-12)
+    assert max(steps) < mesh.num_nodes / 4
 
 
 def test_solution_relation_against_background(setting):

@@ -16,12 +16,14 @@ from fractomo.errors import (
     DecayCheckFailed,
     ExponentOutOfRange,
     OutsideMeasurementSet,
+    SupportViolation,
     UnknownRegion,
     UnresolvableScale,
 )
 from fractomo.mesh import Box, Region, build_mesh
 from fractomo.profiles import bump, plateau
 from fractomo.reconstruction import (
+    BumpSequence,
     bump_sequence,
     default_scales,
     exterior_reconstruct,
@@ -120,6 +122,21 @@ def test_reconstruct_unit_background(setting):
     for rec in out["samples"]:
         assert abs(rec["estimate"] - 1.0) < 0.05
     assert abs(out["extrapolated"] - 1.0) < 0.02
+
+
+def test_reconstruct_equals_the_per_bump_pairings(setting):
+    mesh, par, gform, bumps = setting
+    x = mesh.coords
+    co = Coefficients.from_arrays(1.0 + 0.7 * bump((x - 2.0) / 1.4),
+                                  2.0 * bump((x - X0) / 0.5))
+    op = DNOperator(mesh, par, co)
+    out = exterior_reconstruct(op, bumps)
+    for rec, phi in zip(out["samples"], bumps.vectors):
+        assert rec["estimate"] == pytest.approx(op.pairing(phi, phi), rel=1e-14)
+    inside = bumps.vectors[0].copy()
+    inside[mesh.interior_dofs[0]] = 1e-3
+    with pytest.raises(SupportViolation):
+        exterior_reconstruct(op, BumpSequence(X0, [2], [inside], [1.0]))
 
 
 def test_dn_decomposition_identity(setting):

@@ -6,12 +6,13 @@ from scipy.special import gamma as gamma_fn
 from fractomo.assembly import (
     Coefficients,
     KernelParams,
+    SymForm,
     conductivity_form,
     gagliardo_form,
     mass_matrix,
     potential_form,
 )
-from fractomo.errors import CoercivityLost, SupportViolation
+from fractomo.errors import CoercivityLost, EigenFailure, SupportViolation
 from fractomo.mesh import Box, Region, build_mesh
 from fractomo.profiles import bump
 from fractomo.solver import (
@@ -185,6 +186,46 @@ def test_multiplier_estimate_unit_q_and_svd_oracle():
     Mq = potential_form(mesh, np.ones(mesh.num_nodes)).entries
     svd_norm = np.linalg.svd(H_inv_half @ Mq @ H_inv_half, compute_uv=False)[0]
     assert est == pytest.approx(svd_norm, rel=1e-8)
+
+
+def _pencil(n, band, sign, rng):
+    """Random SPD ``H`` and symmetric ``F``: tridiagonal or dense, and
+    positive semidefinite (``sign = 1``), negative semidefinite plus a
+    small positive part (``sign = -1``, so ``|lambda_min| > lambda_max``)
+    or indefinite (``sign = 0``)."""
+    R = rng.standard_normal((n, n))
+    H = R @ R.T + n * np.eye(n)
+    C = rng.standard_normal((n, n))
+    if band:
+        C = np.tril(np.triu(C, -1))  # lower bidiagonal: C C^T is tridiagonal
+    F = {1: C @ C.T, -1: 0.1 * np.eye(n) - C @ C.T, 0: C + C.T}[sign]
+    return F, H
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50])
+@pytest.mark.parametrize("band", [True, False])
+@pytest.mark.parametrize("sign", [1, -1, 0])
+def test_multiplier_estimate_matches_dense_pencil(n, band, sign):
+    rng = np.random.default_rng(100 * n + 10 * band + sign)
+    F, H = _pencil(n, band, sign, rng)
+    vals = la.eigh(F, H, eigvals_only=True)
+    if band:
+        assert not np.triu(F, 2).any()
+    if sign == -1:
+        assert abs(vals[0]) > vals[-1]
+    dense = max(abs(vals[0]), abs(vals[-1]))
+    est = multiplier_norm_estimate(SymForm(F), gform=SymForm(H),
+                                   mass=SymForm(np.zeros((n, n))))
+    assert est == pytest.approx(dense, rel=1e-12)
+
+
+def test_multiplier_estimate_rejects_an_indefinite_inner_product():
+    rng = np.random.default_rng(3)
+    F, H = _pencil(5, False, 0, rng)
+    H[0, 0] = -1.0
+    with pytest.raises(EigenFailure):
+        multiplier_norm_estimate(SymForm(F), gform=SymForm(H),
+                                 mass=SymForm(np.zeros((5, 5))))
 
 
 def test_coercivity_bound_arithmetic():
