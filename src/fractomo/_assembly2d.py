@@ -31,11 +31,17 @@ Gauss--Jacobi rule exact for its singular factor (cf. Sauter & Schwab,
 *Boundary Element Methods*, 2011, ch. 5), so the tail entries converge
 geometrically with the order.  For ``s >= 1/2`` the entries between two
 hats on one box face are infinite and are cut off next to the face.
-This 2D path targets desk-scale meshes: on one core of a 2-core x86_64
-host the in-box part of a form takes about 0.04 s at N = 289, 0.25 s at
-N = 1089 and 2 s at N = 4225 (h = 1/32 on ``[-1, 1]^2``), where one
-dense form holds 143 MB.  The in-box near pairs are accurate at the
-percent level.
+The class blocks, their offset sequences and the tail rules with
+``omega`` depend on the grid and the order only: they form the grid plans
+of :mod:`fractomo.assembly` (:func:`_inbox_plan_2d`,
+:func:`_tail_plan_2d`), built by the first form on a grid and order and
+contracted with ``g`` by every form.  This 2D path targets desk-scale
+meshes: on one core of a 2-core x86_64 host the in-box part of a form
+takes 0.066 s cold (plan built) and 0.020 s warm (plan cached) at N =
+289, 0.33 s and 0.17 s at N = 1089, and 2.4 s and 1.6 s at N = 4225 (h =
+1/32 on ``[-1, 1]^2``), where one dense form holds 143 MB and the in-box
+plan 79 MB; the tail takes 0.05, 0.10 and 0.24 s cold and under 1 ms
+warm.  The in-box near pairs are accurate at the percent level.
 """
 
 from __future__ import annotations
@@ -47,8 +53,10 @@ import numpy as np
 from scipy.special import beta, betainc, roots_legendre
 
 from .assembly import (
-    _assemble_offsets,
+    _apply_offsets,
+    _grid_plan,
     _jacobi_rule,
+    _offset_plan,
     _point_pair_blocks,
     _triangle_rule_deg4,
 )
@@ -189,14 +197,13 @@ def _inbox_blocks(s, keys, depth):
     return blocks
 
 
-def kernel_inbox_2d(mesh, s, g, depth: int = MAX_DEPTH):
-    """Raw double integral over box x box (no normalization factor).
+def _inbox_plan_2d(mesh, s, depth):
+    """Offset plan of the 2D in-box form.
 
     Every unordered element pair belongs to the class ``(type_a, type_b,
     di, dj)`` of its triangle types and cell offset; the reference blocks
     of all classes come from :func:`_inbox_blocks` (``depth`` sets the
-    refinement of near reference pairs), and the offset engine of
-    :mod:`fractomo.assembly` contracts them with ``g``.
+    refinement of near reference pairs).
     """
     cx, cy = mesh.shape[0] - 1, mesh.shape[1] - 1
     di, dj = np.meshgrid(np.arange(1 - cx, cx), np.arange(1 - cy, cy), indexing="ij")
@@ -205,9 +212,16 @@ def kernel_inbox_2d(mesh, s, g, depth: int = MAX_DEPTH):
     half = D[(D[:, 0] > 0) | ((D[:, 0] == 0) & (D[:, 1] >= 0))]
     keys = np.concatenate([np.column_stack([np.full(len(d), ta), np.full(len(d), tb), d])
                            for ta, tb, d in ((0, 0, half), (0, 1, D), (1, 1, half))])
-    return _assemble_offsets(mesh.shape, ELEMENT_VERTS[2], g, keys,
-                             _inbox_blocks(s, keys, depth),
-                             mesh.h ** (2.0 - 2.0 * s))
+    return _offset_plan(mesh.shape, ELEMENT_VERTS[2], keys,
+                        _inbox_blocks(s, keys, depth), mesh.h ** (2.0 - 2.0 * s))
+
+
+def kernel_inbox_2d(mesh, s, g, depth: int = MAX_DEPTH):
+    """Raw double integral over box x box (no normalization factor): the
+    offset plan of :func:`_inbox_plan_2d`, built once per grid, ``s`` and
+    ``depth``, contracted with ``g`` by the offset engine of
+    :mod:`fractomo.assembly`."""
+    return _apply_offsets(_grid_plan(_inbox_plan_2d, mesh.box, mesh.h, s, depth), g)
 
 
 def _face_coords(points, box):
@@ -353,25 +367,10 @@ def _tail_rules(tri, on, box, s, radial, angular):
     return rest, (np.concatenate(pts), np.concatenate(wts))
 
 
-def kernel_tail_2d(mesh, s, g, q_sing):
-    """Tail quadrature of ``int_T g phi_a phi_b omega`` (no C_ns) as a list
-    of ``(elements, weights, shapes)`` groups for the local-mass routine
-    of :mod:`fractomo.assembly`.
-
-    An element that touches no box face gets the degree-4 rule.  On an
-    element that touches one, ``omega`` blows up like ``d^{-2s}``; it is
-    split into terms (see :func:`_tail_rules`), each integrated by a
-    Duffy--Jacobi rule with ``q_sing + 4`` points per direction that is
-    exact for its singular factor, so the entries converge geometrically
-    in ``q_sing``.  For ``s >= 1/2`` the entries between two hats on one
-    face are infinite; they stop at a strip of relative width
-    ``FACE_CUTOFF`` along the face, and all other entries stay exact.
-    The elements of one triangle type that touch the same box faces are
-    translates of each other along those faces, so one representative's
-    rules serve the whole group: translation keeps the barycentric
-    coordinates of the points, and only the smooth rest of ``omega`` is
-    evaluated per element.
-    """
+def _tail_plan_2d(mesh, s, q_sing):
+    """Tail rules of every element as ``(elements, weights, shapes)``
+    groups, the weights with ``omega`` multiplied in (see
+    :func:`kernel_tail_2d`)."""
     coords = mesh.nodes[mesh.elements]
     lo, hi = np.asarray(mesh.box.lower), np.asarray(mesh.box.upper)
     d = _face_coords(coords.reshape(-1, 2), mesh.box)[0].reshape(-1, 3, 4)
@@ -397,6 +396,30 @@ def kernel_tail_2d(mesh, s, g, q_sing):
         w = np.concatenate([w * om.reshape(elems.size, -1),
                             np.broadcast_to(sw, (elems.size, sw.size))], axis=1)
         lam = _barycentric(np.concatenate([pts, sp]), tri)
-        verts = mesh.elements[elems]
-        groups.append((verts, w * (g[verts] @ lam.T), lam))
-    return groups
+        groups.append((mesh.elements[elems], w, lam))
+    return tuple(groups)
+
+
+def kernel_tail_2d(mesh, s, g, q_sing):
+    """Tail quadrature of ``int_T g phi_a phi_b omega`` (no C_ns) as a list
+    of ``(elements, weights, shapes)`` groups for the local-mass routine
+    of :mod:`fractomo.assembly`.
+
+    An element that touches no box face gets the degree-4 rule.  On an
+    element that touches one, ``omega`` blows up like ``d^{-2s}``; it is
+    split into terms (see :func:`_tail_rules`), each integrated by a
+    Duffy--Jacobi rule with ``q_sing + 4`` points per direction that is
+    exact for its singular factor, so the entries converge geometrically
+    in ``q_sing``.  For ``s >= 1/2`` the entries between two hats on one
+    face are infinite; they stop at a strip of relative width
+    ``FACE_CUTOFF`` along the face, and all other entries stay exact.
+    The elements of one triangle type that touch the same box faces are
+    translates of each other along those faces, so one representative's
+    rules serve the whole group: translation keeps the barycentric
+    coordinates of the points, and only the smooth rest of ``omega`` is
+    evaluated per element.  The rules and weights, ``omega`` included,
+    are built once per grid, ``s`` and ``q_sing`` (:func:`_tail_plan_2d`);
+    a form multiplies in only ``g`` at the points.
+    """
+    return [(verts, w * (g[verts] @ lam.T), lam)
+            for verts, w, lam in _grid_plan(_tail_plan_2d, mesh.box, mesh.h, s, q_sing)]

@@ -17,7 +17,31 @@ element (3 in 1D, 7 in 2D), with ``D_p = diag(g[i + p])`` (cf. Ainsworth
 assumes every element next to a node exists; the rows and columns of the
 nodes on the box boundary are evaluated with the elements that do.  The
 element-local blocks are correlations of the diffusion with the class
-blocks: direct sums in 1D, one batched FFT in 2D.  The blocks come from
+blocks: direct sums in 1D, one batched FFT in 2D.
+
+A kernel form is built in two steps.  The grid plan holds what depends
+on the grid and the order but not on the coefficients: the element
+table, the identical-pair entries, the operand of the element-local
+correlations (the 2D spectrum, the 1D sequences), the slot-pair
+sequences of the box-face rows, the merged Toeplitz/BTTB sequences, the
+node offsets and the slot masks (:func:`_offset_plan`), and the
+exterior-tail rules with ``omega`` multiplied in.  One bounded LRU cache
+(:func:`_grid_plan`, :data:`PLAN_CACHE` plans) keeps the plans with
+their arrays read-only, keyed by the builder (in-box or tail, 1D or 2D),
+the box, the spacing, ``s`` and the quadrature orders the builder
+reads.  Every form, the first one too, takes its plans from there and
+contracts them with its diffusion weight (:func:`_apply_offsets` and
+the tail weights), so a form from a cached plan is bit-identical to one
+built from scratch.  A plan grows linearly with the grid, a dense form
+quadratically: an in-box plan holds about 0.6 kB per node in 1D and
+19 kB per node in 2D (mostly the face-row sequences and the correlation
+spectrum), a 1D tail plan 0.4 kB per node, and a 2D one grows with the
+boundary elements and their singular rules.  In-box plus tail plan take
+0.86 + 0.56 MB at N = 1409 in 1D (a form: 15.9 MB), 1.4 + 0.2 MB at N =
+81 in 2D, and 79 + 1.5 MB at N = 4225 (h = 1/32 on ``[-1, 1]^2``, a
+form: 143 MB).
+
+The blocks come from
 
 * Duffy-type transformations with Gauss--Jacobi rules for identical and
   node-sharing 1D pairs, which integrate the weakly singular factor
@@ -45,14 +69,16 @@ globally constant functions exact kernel elements of the diffusion form.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gamma as gamma_fn, roots_jacobi, roots_legendre
 
 from .errors import NonPositiveGamma, QuadratureFailure
-from .mesh import ELEMENT_VERTS, Mesh, grid_elements
+from .mesh import ELEMENT_VERTS, Mesh, build_mesh, grid_elements
 
 #: Gauss--Jacobi order of the identical and node-sharing 1D panels and of
 #: the exterior tail of boundary elements (``ORDER_SINGULAR + 4`` points
@@ -214,6 +240,11 @@ def _asymmetry(entries: np.ndarray) -> float:
 # local (mass / potential / exterior-tail) forms
 # ---------------------------------------------------------------------------
 
+#: the local entries ``a <= b`` of an element with 2 (1D) or 3 (2D)
+#: vertices, in ``triu_indices`` order
+_TRIU = {nv: np.triu_indices(nv) for nv in (2, 3)}
+
+
 def _add_local_mass(A, elements, w, lam):
     """Add ``int rho phi_a phi_b`` over every element into ``A`` in place.
 
@@ -222,7 +253,7 @@ def _add_local_mass(A, elements, w, lam):
     values at the points.  Returns the row sums of what was added (see
     :func:`_add_local`).
     """
-    a, b = np.triu_indices(elements.shape[1])
+    a, b = _TRIU[elements.shape[1]]
     return _add_local(A, elements,
                       (w[..., None] * (lam[..., a] * lam[..., b])).sum(axis=-2))
 
@@ -235,7 +266,7 @@ def _add_local(A, elements, local):
     added at ``(r, c)`` and at ``(c, r)``, which keeps ``A`` exactly
     symmetric.  Returns the row sums of what was added.
     """
-    a, b = np.triu_indices(elements.shape[1])
+    a, b = _TRIU[elements.shape[1]]
     off = a != b
     rows = np.concatenate([elements[:, a], elements[:, b[off]]], axis=1).ravel()
     cols = np.concatenate([elements[:, b], elements[:, a[off]]], axis=1).ravel()
@@ -300,6 +331,39 @@ def _triangle_rule_deg4():
     )
     weights = np.array([w1, w1, w1, w2, w2, w2]) * 3.0
     return pts.T.copy(), weights / weights.sum()
+
+
+#: grid plans that :func:`_grid_plan` keeps, the least recently used
+#: dropped first.  A run builds the kernel forms of one mesh together, each
+#: from an in-box and a tail plan per order (two orders with the quadrature
+#: self check): 2 or 4 plans per mesh.  8 keep both meshes of a
+#: ``reconstruct`` and a ``counterexample`` run warm with the self check;
+#: a refining subcommand needs the plans of one level at a time
+PLAN_CACHE = 8
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _grid_plan(build, box, h, s, *orders):
+    """``build(mesh, s, *orders)`` on the mesh ``build_mesh(box, h)``,
+    with every array in it read-only.
+
+    A plan holds what a kernel form needs from the grid and the order but
+    not from the coefficients, so every form on one grid and order shares
+    it; each form contracts it with its diffusion weight.  The key is the
+    builder (in-box or tail, 1D or 2D), the box, the spacing, the order
+    ``s`` and the quadrature orders the builder reads.
+    """
+    return _frozen(build(build_mesh(box, h), s, *orders))
+
+
+def _frozen(plan):
+    """``plan`` (an array or nested tuples of them) made read-only."""
+    if isinstance(plan, np.ndarray):
+        plan.flags.writeable = False
+    elif isinstance(plan, tuple):
+        for item in plan:
+            _frozen(item)
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -433,46 +497,78 @@ def _mirror_upper(M):
     M[i, j] = M[j, i]
 
 
-def _partner_terms(gv, ta, tb, D, xx, yy):
+def _partner_plan(T, cells, ta, tb, D, xx, yy):
+    """Operand of :func:`_partner_terms` for the distinct classes ``(ta,
+    tb, D)`` between element types ``0 .. T-1`` on the cell grid
+    ``cells``.
+
+    ``xx`` and ``yy`` (K, nab, nv, nv) hold the entries ``ab`` of each
+    class for the x and for the y element.  They are laid out as
+    ``P[t, u, ab, c, d, D mod period]``: the x element's partner sits at
+    ``D``, the y element's at ``-D``, and within one statement every class
+    lands at its own ``(t, u, D)``.  An FFT of length ``period = 2 cells``
+    has no wrap-around at the offsets ``|D| < cells``, and the even length
+    keeps it fast.  In 2D the operand is the conjugate spectrum of ``P``,
+    in 1D ``P`` itself with ``D`` at ``D + cells - 1``.
+    """
+    n = len(cells)
+    period = tuple(2 * c for c in cells)
+    P = np.zeros((T, T) + xx.shape[1:] + period)
+    P[(ta, tb) + (slice(None),) * 3 + tuple((D % period).T)] += xx
+    P[(tb, ta) + (slice(None),) * 3 + tuple((-D % period).T)] += yy.swapaxes(2, 3)
+    if n == 1:
+        return np.roll(P, cells[0] - 1, axis=-1)[..., :2 * cells[0] - 1]
+    return np.fft.rfftn(P, axes=tuple(range(-n, 0))).conj()
+
+
+def _partner_terms(gv, partners):
     """Local entries ``ab`` (T, *cells, nab) that the distinct pairs give
     every element ``(t, C)``: ``sum_cd gv[t, c, C] P[t, u, D, ab, c, d]
     gv[u, d, C + D]``, summed over the partners ``(u, C + D)`` that exist.
 
     ``gv`` (T, nv, *cells) holds the vertex values of ``g`` of every
-    element, ``xx`` and ``yy`` (K, nab, nv, nv) the entries ``ab`` of the
-    classes ``(ta, tb, D)`` for the x and for the y element.  The sum over
-    ``D`` is a correlation: in 2D one batched FFT for all elements, in 1D
-    direct sums (``np.correlate``, 12 of length M), which keep the 1D
-    pipelines off the FFT extension and its resident code.
+    element and ``partners`` the operand of :func:`_partner_plan`.  The
+    sum over ``D`` is a correlation: in 2D one batched FFT for all
+    elements, in 1D direct sums (``np.correlate``, 12 of length M), which
+    keep the 1D pipelines off the FFT extension and its resident code.
     """
     T, nv, *cells = gv.shape
     n = len(cells)
-    period = tuple(2 * c for c in cells)
-    # P[t, u, ab, c, d, D mod period]; the x element's partner sits at D,
-    # the y element's at -D, and within one statement every class lands at
-    # its own (t, u, D).  An FFT of length period has no wrap-around at the
-    # offsets |D| < cells, and the even length keeps it fast.
-    P = np.zeros((T, T) + xx.shape[1:] + period)
-    P[(ta, tb) + (slice(None),) * 3 + tuple((D % period).T)] += xx
-    P[(tb, ta) + (slice(None),) * 3 + tuple((-D % period).T)] += yy.swapaxes(2, 3)
     if n == 1:
-        # D at D + cells - 1, for |D| < cells
-        lin = np.roll(P, cells[0] - 1, axis=-1)[..., :2 * cells[0] - 1]
-        corr = np.zeros((T, xx.shape[1], nv, cells[0]))
-        for t, u, e, c, d in np.ndindex(P.shape[:5]):
-            corr[t, e, c] += np.correlate(lin[t, u, e, c, d], gv[u, d], "valid")[::-1]
+        corr = np.zeros((T, partners.shape[2], nv, cells[0]))
+        for t, u, e, c, d in np.ndindex(partners.shape[:5]):
+            corr[t, e, c] += np.correlate(partners[t, u, e, c, d], gv[u, d],
+                                          "valid")[::-1]
     else:
+        period = tuple(2 * c for c in cells)
         ax = tuple(range(-n, 0))
-        spec = np.einsum("tuecd...,ud...->tec...", np.fft.rfftn(P, axes=ax).conj(),
+        spec = np.einsum("tuecd...,ud...->tec...", partners,
                          np.fft.rfftn(gv, s=period, axes=ax))
         corr = np.fft.irfftn(spec, s=period, axes=ax)[
             (Ellipsis,) + tuple(slice(c) for c in cells)]
     return np.einsum("tc...,tec...->t...e", gv, corr)
 
 
-def _assemble_offsets(shape, verts, g, keys, blocks, scale):
-    """Dense kernel form on the uniform node grid ``shape`` from the
-    element-pair translation classes.
+class _OffsetPlan(NamedTuple):
+    """The part of an in-box kernel form that depends only on the grid and
+    the order (see :func:`_offset_plan`)."""
+
+    shape: tuple  # the node grid
+    elements: np.ndarray  # (T, nv, *cells), see mesh.grid_elements
+    own: np.ndarray  # (T, nab, nv, nv) identical-pair entries per type
+    partners: np.ndarray  # operand of _partner_terms
+    V: np.ndarray  # (na, na, *(2 shape - 1)) slot-pair sequences
+    S: np.ndarray  # (P, P, *(2 shape - 1)) sequences merged by offset
+    offsets: np.ndarray  # (P, n) node offsets p
+    p: np.ndarray  # (na,) offset index of each slot
+    exists: np.ndarray  # (T, nv, *shape) where each slot's element exists
+    faces: tuple  # (basic index of the face, its node indices) per face
+
+
+def _offset_plan(shape, verts, keys, blocks, scale):
+    """Plan of the dense kernel form on the uniform node grid ``shape``
+    from the element-pair translation classes; :func:`_apply_offsets`
+    contracts it with the diffusion weight ``g``.
 
     ``verts`` (T, nv, n) holds the vertex offsets of each element type on
     its cell, with the elements numbered by
@@ -515,23 +611,21 @@ def _assemble_offsets(shape, verts, g, keys, blocks, scale):
     """
     shape, verts = np.asarray(shape), np.asarray(verts)
     T, nv, n = verts.shape
-    N, cells = int(shape.prod()), shape - 1
+    cells = shape - 1
     full = (slice(None),) * n
-    index = np.arange(N).reshape(shape)
-    elements = grid_elements(shape, verts)  # (T, nv, *cells), contiguous
-    gv = g[elements]
+    index = np.arange(int(shape.prod())).reshape(shape)
 
     ta, tb, D = keys[:, 0], keys[:, 1], keys[:, 2:]
     same = (ta == tb) & ~D.any(axis=1)
-    ia, ib = np.triu_indices(nv)
+    ia, ib = _TRIU[nv]
     xx, xy, yy = np.moveaxis(blocks[same], 1, 0)
     own = np.zeros((T, ia.size, nv, nv))
     own[ta[same]] = scale * (xx + yy + xy + xy.swapaxes(1, 2))[:, ia, ib]
     pair = np.flatnonzero(~same)
     ta, tb, D, w = ta[pair], tb[pair], D[pair], 2.0 * scale
-    local = (np.einsum("tc...,td...,tecd->t...e", gv, gv, own)
-             + _partner_terms(gv, ta, tb, D, w * blocks[pair[:, None], 0, ia, ib],
-                              w * blocks[pair[:, None], 2, ia, ib]))
+    partners = _partner_plan(T, tuple(int(c) for c in cells), ta, tb, D,
+                             w * blocks[pair[:, None], 0, ia, ib],
+                             w * blocks[pair[:, None], 2, ia, ib])
 
     # V[ta, alpha, c, tb, beta, d, k + shape - 1]; within one statement
     # every class lands at its own (ta, tb, D)
@@ -543,7 +637,7 @@ def _assemble_offsets(shape, verts, g, keys, blocks, scale):
             V[(ta, al, slice(None), tb, be, slice(None)) + tuple(k.T)] += v
             V[(tb, be, slice(None), ta, al, slice(None))
               + tuple((2 * shape - 2 - k).T)] += v.swapaxes(1, 2)
-    del blocks  # the callers keep no reference: freed before the form exists
+    del blocks  # the callers keep no reference: freed before S is merged
     na = T * nv * nv
     V = V.reshape((na, na) + V.shape[6:])
     offsets, p = np.unique((verts[:, None] - verts[:, :, None]).reshape(na, n),
@@ -554,27 +648,45 @@ def _assemble_offsets(shape, verts, g, keys, blocks, scale):
     S = np.ascontiguousarray(np.einsum("ap,ab...,bq->pq...", merge, V, merge,
                                        optimize=True))
 
-    # nodal weights: G[p] = g[i + p], and L[a] = G[p(a)] where slot a exists
-    gpad = np.pad(g.reshape(shape), 1)
-    G = np.stack([gpad[tuple(slice(1 + o, 1 + o + m) for o, m in zip(off, shape))]
-                  for off in offsets])
     anchor = np.indices(shape)[None, None] - verts.reshape(T, nv, n, *(1,) * n)
     exists = ((anchor >= 0) & (anchor < cells.reshape(n, *(1,) * n))).all(axis=2)
-    L = (exists[:, :, None] * G[p].reshape(T, nv, nv, *shape)).reshape(na, *shape)
-    # the face rows are evaluated before the form exists, so that V is gone
-    # by then; they are written after the Toeplitz part
     faces = []
     for d in range(n):
         for side in (0, shape[d] - 1):
             face = full[:d] + (side,) + full[d + 1:]
-            rows = index[face].ravel()
-            live = L[(slice(None),) + face].reshape(na, -1).any(axis=1)
-            R = _offset_sum(V[live], L[live], L, face, full).reshape(rows.size, N)
-            sub = R[:, rows]
-            _mirror_upper(sub)
-            R[:, rows] = sub
-            faces.append((rows, R))
-    del V
+            faces.append((face, index[face].ravel()))
+    return _OffsetPlan(tuple(int(m) for m in shape), grid_elements(shape, verts),
+                       own, partners, V, S, offsets, p, exists, tuple(faces))
+
+
+def _apply_offsets(plan, g):
+    """The dense form of :func:`_offset_plan` with the nodal diffusion
+    weight ``g``: the element-local terms, the nodal weights, the box-face
+    rows, the Toeplitz/BTTB sums a row block at a time, and the local
+    scatter, in that order."""
+    shape, elements = np.asarray(plan.shape), plan.elements
+    T, nv, *_ = elements.shape
+    n, N = len(plan.shape), int(shape.prod())
+    na, full = len(plan.p), (slice(None),) * n
+    gv = g[elements]
+    local = (np.einsum("tc...,td...,tecd->t...e", gv, gv, plan.own)
+             + _partner_terms(gv, plan.partners))
+
+    # nodal weights: G[p] = g[i + p], and L[a] = G[p(a)] where slot a exists
+    gpad = np.pad(g.reshape(shape), 1)
+    G = np.stack([gpad[tuple(slice(1 + o, 1 + o + m) for o, m in zip(off, shape))]
+                  for off in plan.offsets])
+    L = (plan.exists[:, :, None] * G[plan.p].reshape(T, nv, nv, *shape)
+         ).reshape(na, *shape)
+    # the face rows are written after the Toeplitz part
+    faces = []
+    for face, rows in plan.faces:
+        live = L[(slice(None),) + face].reshape(na, -1).any(axis=1)
+        R = _offset_sum(plan.V[live], L[live], L, face, full).reshape(rows.size, N)
+        sub = R[:, rows]
+        _mirror_upper(sub)
+        R[:, rows] = sub
+        faces.append((rows, R))
 
     A = np.zeros((N, N))
     grid = A.reshape(tuple(shape) * 2)  # A[i, j] at grid[(*i, *j)]
@@ -583,14 +695,14 @@ def _assemble_offsets(shape, verts, g, keys, blocks, scale):
     for x0 in range(0, shape[0], step):
         r0, r1 = x0 * rest, min(N, (x0 + step) * rest)
         rsel, csel = (slice(x0, x0 + step),) + full[1:], (slice(x0, None),) + full[1:]
-        grid[rsel + csel] = _offset_sum(S, G, G, rsel, csel)
+        grid[rsel + csel] = _offset_sum(plan.S, G, G, rsel, csel)
         _mirror_upper(A[r0:r1, r0:r1])
         A[r1:, r0:r1] = A[r0:r1, r1:].T
     for rows, R in faces:
         A[rows] = R
         A[:, rows] = R.T
     _add_local(A, np.moveaxis(elements, 1, -1).reshape(-1, nv),
-               local.reshape(-1, ia.size))
+               local.reshape(-1, plan.own.shape[1]))
     return A
 
 
@@ -653,24 +765,28 @@ def _separated_blocks_1d(s, M, q_reg):
     return _point_pair_blocks(W, lam)
 
 
-def _kernel_inbox_1d(mesh, s, g, q_sing, q_reg):
-    """Raw double integral over box x box (without the C_ns/2 factor).
-
-    The translation class of an element pair is its offset ``d``.
-    """
+def _inbox_plan_1d(mesh, s, q_sing, q_reg):
+    """Offset plan of the 1D in-box form; the translation class of an
+    element pair is its offset ``d``."""
     M = mesh.elements.shape[0]
     keys = np.stack([np.zeros(M, int), np.zeros(M, int), np.arange(M)], axis=1)
-    return _assemble_offsets(
-        mesh.shape, ELEMENT_VERTS[1], g, keys,
+    return _offset_plan(
+        mesh.shape, ELEMENT_VERTS[1], keys,
         np.concatenate([_touching_blocks_1d(s, q_sing),
                         _separated_blocks_1d(s, M, q_reg)])[:M],
         mesh.h ** (1.0 - 2.0 * s))
 
 
-def _kernel_tail_1d(mesh, s, g, q_sing):
-    """Tail quadrature of ``int_E g phi_a phi_b omega`` with ``omega(x) =
-    ((x - a)^{-2s} + (b - x)^{-2s}) / (2s)`` (no C_ns), as one
-    ``(elements, weights, shapes)`` group for :func:`_add_local_mass`.
+def _kernel_inbox_1d(mesh, s, g, q_sing, q_reg):
+    """Raw double integral over box x box (without the C_ns/2 factor)."""
+    return _apply_offsets(_grid_plan(_inbox_plan_1d, mesh.box, mesh.h, s,
+                                     q_sing, q_reg), g)
+
+
+def _tail_plan_1d(mesh, s, q_sing):
+    """Tail rule of every element for :func:`_kernel_tail_1d`: one
+    ``(elements, weights, shapes)`` group, the weights with ``2s omega``
+    multiplied in.
 
     Every element carries one rule per one-sided weight: Gauss--Jacobi
     absorbs the singular weight on its end element, and Gauss of order
@@ -689,6 +805,15 @@ def _kernel_tail_1d(mesh, s, g, q_sing):
     t[0, :q], w[0, :q] = _jacobi_rule(q, 0.0, -2.0 * s, h)
     # right weight (b - x)^{-2s}, singular on the last element
     t[-1, q:], w[-1, q:] = _jacobi_rule(q, -2.0 * s, 0.0, h)
-    lam = _shapes_1d(t / h)
-    g_h = (lam * g[mesh.elements][:, None, :]).sum(axis=-1)
-    return [(mesh.elements, w * g_h / (2.0 * s), lam)]
+    return ((mesh.elements, w, _shapes_1d(t / h)),)
+
+
+def _kernel_tail_1d(mesh, s, g, q_sing):
+    """Tail quadrature of ``int_E g phi_a phi_b omega`` with ``omega(x) =
+    ((x - a)^{-2s} + (b - x)^{-2s}) / (2s)`` (no C_ns), as one
+    ``(elements, weights, shapes)`` group for :func:`_add_local_mass`;
+    the rules come from :func:`_tail_plan_1d`.
+    """
+    (elements, w, lam), = _grid_plan(_tail_plan_1d, mesh.box, mesh.h, s, q_sing)
+    g_h = (lam * g[elements][:, None, :]).sum(axis=-1)
+    return [(elements, w * g_h / (2.0 * s), lam)]

@@ -57,7 +57,7 @@ from .io import (
 from .profiles import bump
 from .reconstruction import bump_sequence, exterior_reconstruct, potential_decay_check
 from .reduction import dn_transfer_residual, liouville_residual
-from .solver import FactorizedSystem, poincare_constant
+from .solver import FactorizedSystem, mass_solve, poincare_constant
 from .spectral import spectral_frac_laplacian
 
 #: the subcommands that also run on 2D meshes
@@ -302,10 +302,11 @@ def run_oracle_compare(cfg, outdir, verbose):
     except InsufficientPadding as exc:
         raise ConfigError(f"[oracle] u: {exc}") from None
     M = mass_matrix(mesh)
+    # one form at a time; the mass matrix is solved once for all orders
+    nodals = mass_solve(M, np.column_stack(
+        [_gagliardo(cfg, mesh, params).entries @ u for params in orders]))
     rows = []
-    for params, spec in zip(orders, specs):
-        A = _gagliardo(cfg, mesh, params)
-        nodal = np.linalg.solve(M.entries, A.entries @ u)
+    for params, spec, nodal in zip(orders, specs, nodals.T):
         diff = nodal - spec
         rel = np.sqrt(diff @ M.entries @ diff) / np.sqrt(spec @ M.entries @ spec)
         rows.append({"s": params.s, "rel_l2_mismatch": float(rel)})

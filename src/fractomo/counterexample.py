@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .assembly import Coefficients, SymForm
 from .dnmap import DNOperator
@@ -46,7 +45,8 @@ from .reduction import reduced_potential_form
 from .solver import (
     FactorizedSystem,
     coercivity_bound,
-    multiplier_norm_estimate,
+    mass_solve,
+    multiplier_norm_estimates,
     poincare_constant,
 )
 
@@ -180,11 +180,7 @@ def build_pair(mesh: Mesh, omega_prime: Region, omega_set: Region, eps: float,
     m = scale * c_eps * smoothed
 
     gamma1 = (1.0 + m) ** 2
-    # the 1D P1 mass matrix is tridiagonal: solve with its lower band
-    ab = np.zeros((2, mesh.num_nodes))
-    ab[0] = np.diag(mass.entries)
-    ab[1, :-1] = np.diag(mass.entries, -1)
-    q_raw = la.solveh_banded(ab, gform.entries @ m, lower=True, check_finite=False)
+    q_raw = mass_solve(mass, gform.entries @ m)
     q1 = (1.0 + m) * q_raw
     coeffs = Coefficients.from_arrays(gamma1, q1, gamma0=1.0)
 
@@ -250,12 +246,11 @@ def verify_nonuniqueness(pair: CounterexamplePair, W: Region | str, *,
                      + np.sum(X * (mass.entries @ X), axis=0))
     val = np.abs(np.sum(Xv * (Q.entries @ Xw), axis=0))
     q_form_residual = (val / (h_norm[0::2] * h_norm[1::2])).max()
-    q_form_norm = multiplier_norm_estimate(Q, gform=gform, mass=mass)
+    q_form_norm, mult = multiplier_norm_estimates((Q, qform), gform=gform, mass=mass)
 
     cond3 = np.abs(pair.q_raw[w_nodes] - q1[w_nodes]).max()
     cond3 /= max(1.0, np.abs(q1).max())
 
-    mult = multiplier_norm_estimate(qform, gform=gform, mass=mass)
     pc = poincare_constant(mesh, params, gform=gform, mass=mass)
     gamma0, delta0 = pair.coeffs.gamma0, pc["delta0"]
 

@@ -18,10 +18,12 @@ multiplier norm estimates, and the resulting coercivity lower bound.  The
 Poincare constant needs the smallest eigenvalue of a pencil on the
 interior block and takes it from a dense generalized eigensolve.  A
 multiplier estimate needs the two extreme eigenvalues of a pencil on the
-full nodal space: it factors ``H = L L^T`` once and runs Lanczos with full
-reorthogonalization on ``L^{-1} F L^{-T}`` until the residual bounds of
-both extreme Ritz values fall to ``1e-14`` of the estimate, which then
-matches the dense value to 1e-12 relative.
+full nodal space: it factors ``H = L L^T`` once (shared by all the
+estimates of one call) and runs Lanczos with full reorthogonalization on
+``L^{-1} F L^{-T}`` until the residual bounds of both extreme Ritz values
+fall to ``1e-14`` of the estimate, which then matches the dense value to
+1e-12 relative.  The 1D mass matrix is tridiagonal and is solved from its
+band.
 """
 
 from __future__ import annotations
@@ -132,6 +134,16 @@ class FactorizedSystem:
         return la.cho_solve(self._chol, rhs, check_finite=False)
 
 
+def mass_solve(mass: SymForm, rhs: np.ndarray) -> np.ndarray:
+    """``M^{-1} rhs`` for the 1D P1 mass matrix ``M`` and a vector or a
+    block of columns: ``M`` is tridiagonal, so one banded Cholesky factor
+    of its lower band serves every column."""
+    ab = np.zeros((2, mass.entries.shape[0]))
+    ab[0] = np.diag(mass.entries)
+    ab[1, :-1] = np.diag(mass.entries, -1)
+    return la.solveh_banded(ab, rhs, lower=True, check_finite=False)
+
+
 # ---------------------------------------------------------------------------
 # Poincare constant, multiplier estimate, coercivity bound
 # ---------------------------------------------------------------------------
@@ -179,6 +191,12 @@ def multiplier_norm_estimate(form: SymForm, *, gform: SymForm,
     eigenvalues come from Lanczos on ``L^{-1} F L^{-T}`` (see
     :func:`_lanczos_extreme`).
     """
+    return multiplier_norm_estimates([form], gform=gform, mass=mass)[0]
+
+
+def multiplier_norm_estimates(forms, *, gform: SymForm, mass: SymForm) -> list:
+    """:func:`multiplier_norm_estimate` of each of ``forms``, all on one
+    factor of ``H = gform + mass``."""
     # H is symmetric: its transpose is the same matrix in the Fortran order
     # that lets the factor overwrite it instead of a copy
     H = (gform.entries + mass.entries).T
@@ -186,7 +204,7 @@ def multiplier_norm_estimate(form: SymForm, *, gform: SymForm,
         L = la.cholesky(H, lower=True, overwrite_a=True, check_finite=False)
     except la.LinAlgError as exc:
         raise EigenFailure(str(exc)) from None
-    return _lanczos_extreme(form.entries, L)
+    return [_lanczos_extreme(form.entries, L) for form in forms]
 
 
 def coercivity_bound(gamma0: float, delta0: float, q_small_norm: float) -> float:

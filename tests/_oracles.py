@@ -206,7 +206,7 @@ def _scatter_plan(nv):
 
 def class_scatter_reference(mesh, g, keys, blocks, scale):
     """The in-box kernel form of the classes ``keys`` with reference
-    ``blocks``, as the offset engine ``fractomo.assembly._assemble_offsets``
+    ``blocks``, as the offset plan ``fractomo.assembly._offset_plan``
     takes them, assembled pair by pair.
 
     Every element pair of a class ``(type_a, type_b, *D)`` (element

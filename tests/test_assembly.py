@@ -485,3 +485,98 @@ def test_quadrature_self_check_rejects_crude_orders(mesh9, params, monkeypatch):
     monkeypatch.setattr(assembly, "ORDER_REGULAR", 1)
     with pytest.raises(QuadratureFailure):
         gagliardo_form(mesh9, params, check=True)
+
+
+# ---------------------------------------------------------------------------
+# grid plans
+# ---------------------------------------------------------------------------
+
+PLAN_MESHES = {1: (Box((-1.0,), (1.5,)), 1 / 16), 2: (Box((0.0, 0.0), (1.0, 1.0)), 0.25)}
+
+
+def _kernel_forms(mesh, s, check):
+    """The Gagliardo form and a conductivity form, in that order."""
+    x = mesh.nodes
+    gamma = 1.0 + 0.5 * np.exp(-((x - x.mean(axis=0)) ** 2).sum(axis=1))
+    p = KernelParams(mesh.n, s)
+    return [gagliardo_form(mesh, p, check=check),
+            conductivity_form(mesh, p, Coefficients.from_arrays(gamma, gamma_exterior=1.5),
+                              check=check)]
+
+
+def _same_forms(a, b):
+    return all(np.array_equal(f.entries, g.entries) and np.array_equal(f.tail_row, g.tail_row)
+               for f, g in zip(a, b))
+
+
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.45])
+@pytest.mark.parametrize("n", [1, 2])
+def test_forms_from_cold_and_warm_plans_are_identical(n, s):
+    mesh = build_mesh(*PLAN_MESHES[n], [])
+    # the 2D self check rejects s >= 0.4 (see the README)
+    for check in (False, True) if n == 1 or s < 0.4 else (False,):
+        assembly._grid_plan.cache_clear()
+        cold = _kernel_forms(mesh, s, check)  # the conductivity form is warm
+        warm = _kernel_forms(mesh, s, check)
+        assembly._grid_plan.cache_clear()
+        conductivity_cold = _kernel_forms(mesh, s, check)[1:]
+        assert _same_forms(cold, warm)
+        assert _same_forms(cold[1:], conductivity_cold)
+
+
+def test_plan_keys_are_separate(monkeypatch):
+    settings = [(n, box, h, s, order)
+                for n, box, h in ((1, Box((-1.0,), (1.5,)), 1 / 16),
+                                  (1, Box((-1.0,), (1.0,)), 1 / 16),
+                                  (1, Box((-1.0,), (1.5,)), 1 / 8),
+                                  (2, Box((0.0, 0.0), (1.0, 1.0)), 0.25),
+                                  (2, Box((0.0, 0.0), (1.0, 1.5)), 0.25))
+                for s in (0.1, 0.3) for order in (assembly.ORDER_SINGULAR, 4)]
+
+    def forms(n, box, h, s, order):
+        monkeypatch.setattr(assembly, "ORDER_SINGULAR", order)
+        return _kernel_forms(build_mesh(box, h, []), s, False)
+
+    reference = []
+    for setting in settings:
+        assembly._grid_plan.cache_clear()
+        reference.append(forms(*setting))
+    assembly._grid_plan.cache_clear()
+    for k in range(2 * len(settings)):
+        # strides 7 and 1 through the settings: every result meets plans
+        # of other settings, warm and evicted
+        i = (7 * k) % len(settings) if k < len(settings) else k - len(settings)
+        assert _same_forms(forms(*settings[i]), reference[i]), settings[i]
+
+
+def _plan_arrays(plan):
+    if isinstance(plan, np.ndarray):
+        return [plan]
+    if isinstance(plan, tuple):
+        return [a for item in plan for a in _plan_arrays(item)]
+    return []
+
+
+def test_plan_arrays_are_read_only():
+    from fractomo import _assembly2d
+
+    for n, build, orders in ((1, assembly._inbox_plan_1d, (6, 4)),
+                             (1, assembly._tail_plan_1d, (6,)),
+                             (2, _assembly2d._inbox_plan_2d, (5,)),
+                             (2, _assembly2d._tail_plan_2d, (6,))):
+        arrays = _plan_arrays(assembly._grid_plan(build, *PLAN_MESHES[n], 0.25, *orders))
+        assert arrays
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flat[0] = 1.0
+
+
+def test_plan_cache_is_bounded():
+    assembly._grid_plan.cache_clear()
+    for k in range(assembly.PLAN_CACHE + 3):
+        gagliardo_form(build_mesh(Box((0.0,), (1.0 + k / 8,)), 1 / 8, []),
+                       KernelParams(1, 0.25))
+    info = assembly._grid_plan.cache_info()
+    assert info.maxsize == assembly.PLAN_CACHE
+    assert info.currsize == assembly.PLAN_CACHE

@@ -94,22 +94,28 @@ def _engine_against_reference(mesh, s, gamma):
     """The conductivity form of ``gamma`` with its in-box part from the
     offset engine, the engine's in-box part and the class-scatter
     reference of the same classes and blocks."""
-    calls = []
-    engine = assembly._assemble_offsets
+    classes, parts = [], []
+    plan, apply = assembly._offset_plan, assembly._apply_offsets
 
-    def recorded(shape, verts, g, keys, blocks, scale):
-        reference = class_scatter_reference(mesh, g, keys, blocks, scale)
-        A = engine(shape, verts, g, keys, blocks, scale)
-        calls.append((A.copy(), reference))
+    def recorded_plan(shape, verts, keys, blocks, scale):
+        classes.append((keys, blocks, scale))
+        return plan(shape, verts, keys, blocks, scale)
+
+    def recorded_apply(offset_plan, g):
+        A = apply(offset_plan, g)
+        parts.append((A.copy(), g))
         return A
 
+    assembly._grid_plan.cache_clear()  # so that the plan is built here
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(assembly, "_assemble_offsets", recorded)
-        mp.setattr(_assembly2d, "_assemble_offsets", recorded)
+        for module in (assembly, _assembly2d):
+            mp.setattr(module, "_offset_plan", recorded_plan)
+            mp.setattr(module, "_apply_offsets", recorded_apply)
         form = conductivity_form(mesh, KernelParams(mesh.n, s),
                                  Coefficients.from_arrays(gamma))
-    (A, reference), = calls
-    return form, A, reference
+    (keys, blocks, scale), = classes
+    (A, g), = parts
+    return form, A, class_scatter_reference(mesh, g, keys, blocks, scale)
 
 
 def _check_engine(mesh, s, gamma):

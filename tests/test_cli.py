@@ -106,6 +106,22 @@ def test_counterexample_runs(config_path):
     assert (out / "pair.csv").exists()
 
 
+@pytest.mark.parametrize("check", [False, True])
+@pytest.mark.parametrize("subcommand", ["reconstruct", "counterexample"])
+def test_kernel_forms_of_a_run_share_one_plan_per_grid_and_order(
+        subcommand, check, config_path):
+    # two kernel forms on one mesh: an in-box and a tail plan per order,
+    # built by the first form and read by the second
+    path, out = config_path
+    if check:
+        path.write_text(path.read_text() + QUADRATURE_CHECK)
+    assembly._grid_plan.cache_clear()
+    assert main([subcommand, "--config", str(path)]) == 0
+    info = assembly._grid_plan.cache_info()
+    plans = 2 * (1 + check)
+    assert (info.misses, info.hits, info.currsize) == (plans, plans, plans)
+
+
 def test_convergence_study_runs(config_path):
     path, out = config_path
     assert main(["convergence-study", "--config", str(path)]) == 0

@@ -172,6 +172,21 @@ def test_multiplier_estimates_of_the_pair_match_the_dense_pencil(setting, monkey
     assert max(steps) < mesh.num_nodes / 4
 
 
+def test_report_estimates_share_one_factor_of_h(setting, monkeypatch):
+    mesh, par, gform, W, pair = setting
+    qform, mass = potential_form(mesh, pair.q1), mass_matrix(mesh)
+    Q = reduced_potential_form(pair.coeffs, gform=gform, qform=qform)
+    separate = [multiplier_norm_estimate(form, gform=gform, mass=mass)
+                for form in (Q, qform)]
+    factors = []
+    cholesky = la.cholesky
+    monkeypatch.setattr(la, "cholesky", lambda *a, **kw: factors.append(1) or cholesky(*a, **kw))
+    report = verify_nonuniqueness(pair, W, operator=DNOperator(mesh, par, pair.coeffs),
+                                  gform=gform, qform=qform, mass=mass)
+    assert len(factors) == 1
+    assert [report["q_form_norm"], report["multiplier_estimate"]] == separate
+
+
 def test_solution_relation_against_background(setting):
     mesh, par, gform, W, pair = setting
     x = mesh.coords

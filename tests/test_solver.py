@@ -18,6 +18,7 @@ from fractomo.profiles import bump
 from fractomo.solver import (
     FactorizedSystem,
     coercivity_bound,
+    mass_solve,
     multiplier_norm_estimate,
     poincare_constant,
 )
@@ -226,6 +227,16 @@ def test_multiplier_estimate_rejects_an_indefinite_inner_product():
     with pytest.raises(EigenFailure):
         multiplier_norm_estimate(SymForm(F), gform=SymForm(H),
                                  mass=SymForm(np.zeros((5, 5))))
+
+
+def test_mass_solve_of_a_block_matches_dense_and_columnwise(setting):
+    mesh, _, A, M = setting
+    rhs = A.entries @ np.random.default_rng(3).standard_normal((mesh.num_nodes, 3))
+    block = mass_solve(M, rhs)
+    dense = np.linalg.solve(M.entries, rhs)
+    assert np.abs(block - dense).max() <= 1e-13 * np.abs(dense).max()
+    for k in range(3):
+        assert np.array_equal(block[:, k], mass_solve(M, rhs[:, k]))
 
 
 def test_coercivity_bound_arithmetic():
