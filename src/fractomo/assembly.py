@@ -493,8 +493,15 @@ def _offset_sum(seq, left, right, rows, cols):
 def _mirror_upper(M):
     """Overwrite the strict lower triangle of the square ``M`` with its
     upper one, in place."""
-    i, j = np.tril_indices(M.shape[0], -1)
-    M[i, j] = M[j, i]
+    np.copyto(M, M.T, where=_strict_lower(M.shape[0]))
+
+
+@functools.lru_cache(maxsize=16)
+def _strict_lower(m):
+    """Read-only mask of the strict lower triangle of an ``m x m`` matrix;
+    a form mirrors row blocks of a few sizes only (:data:`ROW_BLOCK` rows,
+    the last block, the face rows)."""
+    return _frozen(np.tri(m, k=-1, dtype=bool))
 
 
 def _partner_plan(T, cells, ta, tb, D, xx, yy):

@@ -68,7 +68,7 @@ SUBCOMMANDS_REFINING = ("liouville-check", "transfer-check", "convergence-study"
 
 #: dense N x N arrays a run holds at its peak, in units of one form: peak
 #: resident memory above the import baseline over 8 N^2 bytes on the 1D
-#: test config, on a largest mesh of N = 2817 nodes, is 6.82 for
+#: test config, on a largest mesh of N = 2817 nodes, is 6.93 for
 #: counterexample, 5.6 for transfer-check, 5.1 for liouville-check and at
 #: most 3.7 for the other subcommands (the quadrature self check holds one
 #: more form while it compares)

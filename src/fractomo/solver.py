@@ -22,8 +22,15 @@ full nodal space: it factors ``H = L L^T`` once (shared by all the
 estimates of one call) and runs Lanczos with full reorthogonalization on
 ``L^{-1} F L^{-T}`` until the residual bounds of both extreme Ritz values
 fall to ``1e-14`` of the estimate, which then matches the dense value to
-1e-12 relative.  The 1D mass matrix is tridiagonal and is solved from its
-band.
+1e-12 relative.  A Lanczos step costs about its two triangular solves: a
+form whose nonzeros all lie on its three central diagonals (every 1D
+potential form) is applied from those diagonals in O(N), any other form
+by a dense product; the basis is preallocated and only its rows in use
+are touched; and the convergence test computes only the two extreme Ritz
+values and the last components of their eigenvectors, by bisection and
+inverse iteration on the tridiagonal Lanczos matrix.  The 1D mass matrix
+is tridiagonal and is solved from its band; any other mass matrix is
+rejected.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
+from scipy.linalg.lapack import dstebz, dstein, dtrtrs
 
 from .assembly import KernelParams, SymForm
 from .errors import CoercivityLost, EigenFailure, EmptyRegion, SupportViolation
@@ -137,11 +145,31 @@ class FactorizedSystem:
 def mass_solve(mass: SymForm, rhs: np.ndarray) -> np.ndarray:
     """``M^{-1} rhs`` for the 1D P1 mass matrix ``M`` and a vector or a
     block of columns: ``M`` is tridiagonal, so one banded Cholesky factor
-    of its lower band serves every column."""
-    ab = np.zeros((2, mass.entries.shape[0]))
-    ab[0] = np.diag(mass.entries)
-    ab[1, :-1] = np.diag(mass.entries, -1)
+    of its lower band serves every column.
+
+    Raises
+    ------
+    ValueError
+        If ``M`` has a nonzero off its three central diagonals (a 2D mass
+        matrix, for one).
+    """
+    bands = _three_diagonals(mass.entries)
+    if bands is None:
+        raise ValueError("mass matrix is not tridiagonal (not a 1D P1 mass matrix)")
+    lower, main, _ = bands
+    ab = np.zeros((2, main.size))
+    ab[0] = main
+    ab[1, :-1] = lower
     return la.solveh_banded(ab, rhs, lower=True, check_finite=False)
+
+
+def _three_diagonals(A):
+    """``(lower, main, upper)`` diagonals of the square ``A`` if every
+    nonzero of ``A`` lies on them, else ``None``; one pass over ``A``."""
+    bands = tuple(np.diagonal(A, k) for k in (-1, 0, 1))
+    if np.count_nonzero(A) > sum(np.count_nonzero(band) for band in bands):
+        return None
+    return bands
 
 
 # ---------------------------------------------------------------------------
@@ -237,23 +265,56 @@ def _lanczos_extreme(F, L) -> float:
 
     Stops once the residual bound ``beta_k |s_k|`` of both extreme Ritz
     values is at most ``LANCZOS_TOL * max |theta|``, or when the Krylov
-    space is exhausted; the basis grows by one row per step.
+    space is exhausted.  A step is two triangular solves, a product with
+    ``F`` (from its three central diagonals when ``F`` has no other
+    nonzero, dense otherwise), two Gram--Schmidt passes over the basis
+    rows in use, and the two extreme Ritz pairs.
     """
     n = F.shape[0]
+    bands = _three_diagonals(F)
+    V = np.empty((n, n))  # the basis, a row per step: unused rows stay untouched
+    alpha, beta = np.empty(n), np.empty(n)
     q = np.random.default_rng(0).standard_normal(n)
-    V = (q / np.linalg.norm(q))[None, :]
-    alpha, beta = [], []
-    while True:
-        y = la.solve_triangular(L, V[-1], lower=True, trans="T", check_finite=False)
-        w = la.solve_triangular(L, F @ y, lower=True, check_finite=False)
-        alpha.append(V[-1] @ w)
+    V[0] = q / np.linalg.norm(q)
+    for k in range(1, n + 1):
+        # L is a Cholesky factor, never singular: the solves cannot fail
+        y, _ = dtrtrs(L, V[k - 1], lower=1, trans=1)
+        w, _ = dtrtrs(L, F @ y if bands is None else _tridiagonal_matvec(bands, y),
+                      lower=1)
+        alpha[k - 1] = V[k - 1] @ w
         for _ in range(2):  # classical Gram-Schmidt, twice is enough
-            w -= V.T @ (V @ w)
+            w -= V[:k].T @ (V[:k] @ w)
         b = np.linalg.norm(w)
-        theta, S = la.eigh_tridiagonal(alpha, beta, check_finite=False)
-        extreme = max(abs(theta[0]), abs(theta[-1]))
-        residual = b * max(abs(S[-1, 0]), abs(S[-1, -1]))
-        if len(alpha) == n or residual <= LANCZOS_TOL * extreme:
+        (lo, s_lo), (hi, s_hi) = _extreme_ritz_pairs(alpha[:k], beta[:k - 1])
+        extreme = max(abs(lo), abs(hi))
+        if k == n or b * max(abs(s_lo), abs(s_hi)) <= LANCZOS_TOL * extreme:
             return float(extreme)
-        beta.append(b)
-        V = np.vstack([V, w / b])
+        beta[k - 1] = b
+        V[k] = w / b
+
+
+def _tridiagonal_matvec(bands, y):
+    """``A @ y`` for the ``(lower, main, upper)`` diagonals of ``A``."""
+    lower, main, upper = bands
+    z = main * y
+    z[1:] += lower * y[:-1]
+    z[:-1] += upper * y[1:]
+    return z
+
+
+def _extreme_ritz_pairs(alpha, beta):
+    """The smallest and the largest eigenvalue of the symmetric tridiagonal
+    matrix with diagonal ``alpha`` and off-diagonal ``beta``, each with the
+    last component of its unit eigenvector: bisection for the value,
+    inverse iteration for the vector."""
+    if alpha.size == 1:
+        return [(alpha[0], 1.0)] * 2
+    pairs = []
+    for i in (1, alpha.size):
+        _, w, block, split, info = dstebz(alpha, beta, 2, 0.0, 0.0, i, i, 0.0, "B")
+        if info == 0:
+            v, info = dstein(alpha, beta, w[:1], block, split)
+        if info != 0:
+            raise EigenFailure(f"Ritz pair {i} of {alpha.size} did not converge")
+        pairs.append((w[0], v[-1, 0]))
+    return pairs

@@ -580,3 +580,16 @@ def test_plan_cache_is_bounded():
     info = assembly._grid_plan.cache_info()
     assert info.maxsize == assembly.PLAN_CACHE
     assert info.currsize == assembly.PLAN_CACHE
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 64])
+def test_mirror_upper_of_a_block_matches_the_index_copy(m):
+    # the row blocks are views into a larger form; the cached mask is shared
+    A = np.random.default_rng(m).standard_normal((m + 3, m + 5))
+    ref = A.copy()
+    i, j = np.tril_indices(m, -1)
+    block = ref[1:m + 1, 2:m + 2]
+    block[i, j] = block[j, i]
+    assembly._mirror_upper(A[1:m + 1, 2:m + 2])
+    assert np.array_equal(A, ref)
+    assert not assembly._strict_lower(m).flags.writeable

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as la
 from scipy.special import gamma as gamma_fn
 
+from fractomo import solver
 from fractomo.assembly import (
     Coefficients,
     KernelParams,
@@ -227,6 +228,53 @@ def test_multiplier_estimate_rejects_an_indefinite_inner_product():
     with pytest.raises(EigenFailure):
         multiplier_norm_estimate(SymForm(F), gform=SymForm(H),
                                  mass=SymForm(np.zeros((5, 5))))
+
+
+def _matvec_form(case, rng):
+    """``F`` of one matvec case: a diagonal one, a tridiagonal one with
+    zero off-diagonal entries, any 1 x 1 and 2 x 2 one (all banded), and a
+    tridiagonal one with a nonzero pair far from the diagonal (dense)."""
+    if case == "n1":
+        return np.array([[-2.5]])
+    if case == "n2":
+        C = rng.standard_normal((2, 2))
+        return C + C.T
+    n = 30
+    F = np.diag(rng.standard_normal(n))
+    if case == "diagonal":
+        return F
+    off = rng.standard_normal(n - 1)
+    off[::3] = 0.0
+    F += np.diag(off, 1) + np.diag(off, -1)
+    if case == "far":
+        F[0, n - 3] = F[n - 3, 0] = 0.7
+    return F
+
+
+@pytest.mark.parametrize("case", ["diagonal", "zero_off_diagonals", "n1", "n2", "far"])
+def test_multiplier_estimate_of_each_matvec_path_matches_dense_pencil(case, monkeypatch):
+    rng = np.random.default_rng(sum(map(ord, case)))
+    F = _matvec_form(case, rng)
+    n = F.shape[0]
+    R = rng.standard_normal((n, n))
+    H = R @ R.T + n * np.eye(n)
+    banded = []
+    matvec = solver._tridiagonal_matvec
+    monkeypatch.setattr(solver, "_tridiagonal_matvec",
+                        lambda bands, y: banded.append(1) or matvec(bands, y))
+    est = multiplier_norm_estimate(SymForm(F), gform=SymForm(H),
+                                   mass=SymForm(np.zeros((n, n))))
+    vals = la.eigh(F, H, eigvals_only=True)
+    assert est == pytest.approx(max(abs(vals[0]), abs(vals[-1])), rel=1e-12)
+    assert bool(banded) == (case != "far")
+    assert (solver._three_diagonals(F) is None) == (case == "far")
+
+
+def test_mass_solve_rejects_a_mass_matrix_that_is_not_tridiagonal():
+    mesh = build_mesh(Box((-1.0, -1.0), (1.0, 1.0)), 1 / 4)
+    M = mass_matrix(mesh)
+    with pytest.raises(ValueError, match="not tridiagonal"):
+        mass_solve(M, np.ones(mesh.num_nodes))
 
 
 def test_mass_solve_of_a_block_matches_dense_and_columnwise(setting):
