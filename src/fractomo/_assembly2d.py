@@ -11,9 +11,7 @@ at half scale, so the child pairs are again classes,
 shared by all near pairs and integrated recursively one batch per level.
 Thanks to the difference structure of the integrand the singularity is
 only ``|x - y|^{-2s}``, so the leftover error of the depth-limited
-refinement decays geometrically.  The near classes all sit in a fixed
-window of cell offsets; its blocks do not depend on the mesh and are
-memoized per order and depth.  The offset engine of
+refinement decays geometrically.  The offset engine of
 :mod:`fractomo.assembly` turns the blocks into block-Toeplitz sequences
 over node offsets: off the box boundary the in-box form is a sum of 49
 of them, scaled on both sides by shifted copies of the diffusion weight,
@@ -47,7 +45,6 @@ warm.  The in-box near pairs are accurate at the percent level.
 from __future__ import annotations
 
 import collections
-import functools
 
 import numpy as np
 from scipy.special import beta, betainc, roots_legendre
@@ -67,10 +64,6 @@ MAX_DEPTH = 5
 
 #: separation multiple: pairs beyond this times the radius sum are leaves
 SEPARATION = 1.5
-
-#: every class closer than SEPARATION times the radius sum has |di|, |dj|
-#: <= this (its centroids are less than sqrt(5) apart)
-NEAR_WINDOW = 2
 
 #: relative width of the strip along a box face that the tail entries
 #: between two hats on that face leave out for ``s >= 1/2``, where they
@@ -169,41 +162,15 @@ def _class_blocks(s, keys, depth):
     return blocks
 
 
-@functools.lru_cache(maxsize=8)
-def _near_window_blocks(s, depth):
-    """Read-only blocks of every class with ``|di|, |dj| <= NEAR_WINDOW``,
-    indexed by ``(type_a, type_b, di + NEAR_WINDOW, dj + NEAR_WINDOW)``.
-
-    The window holds every near class; its blocks do not depend on the
-    mesh, so the recursion of :func:`_class_blocks` runs once per
-    ``(s, depth)``.
-    """
-    w = range(-NEAR_WINDOW, NEAR_WINDOW + 1)
-    keys = np.array([(ta, tb, di, dj) for ta in (0, 1) for tb in (0, 1)
-                     for di in w for dj in w])
-    blocks = _class_blocks(s, keys, depth)
-    blocks = blocks.reshape((2, 2, len(w), len(w)) + blocks.shape[1:])
-    blocks.flags.writeable = False
-    return blocks
-
-
-def _inbox_blocks(s, keys, depth):
-    """Blocks of the classes ``keys``: the degree-4 rule, and those of the
-    near window from :func:`_near_window_blocks`."""
-    blocks = _class_blocks(s, keys, 0)
-    inside = (np.abs(keys[:, 2:]) <= NEAR_WINDOW).all(axis=1)
-    blocks[inside] = _near_window_blocks(s, depth)[
-        tuple((keys[inside] + (0, 0, NEAR_WINDOW, NEAR_WINDOW)).T)]
-    return blocks
-
-
 def _inbox_plan_2d(mesh, s, depth):
     """Offset plan of the 2D in-box form.
 
     Every unordered element pair belongs to the class ``(type_a, type_b,
     di, dj)`` of its triangle types and cell offset; the reference blocks
-    of all classes come from :func:`_inbox_blocks` (``depth`` sets the
-    refinement of near reference pairs).
+    of all classes of the mesh come from one :func:`_class_blocks` batch
+    (``depth`` sets the refinement of near reference pairs), built with
+    the plan and kept only in the grid-plan cache of
+    :mod:`fractomo.assembly`.
     """
     cx, cy = mesh.shape[0] - 1, mesh.shape[1] - 1
     di, dj = np.meshgrid(np.arange(1 - cx, cx), np.arange(1 - cy, cy), indexing="ij")
@@ -213,7 +180,7 @@ def _inbox_plan_2d(mesh, s, depth):
     keys = np.concatenate([np.column_stack([np.full(len(d), ta), np.full(len(d), tb), d])
                            for ta, tb, d in ((0, 0, half), (0, 1, D), (1, 1, half))])
     return _offset_plan(mesh.shape, ELEMENT_VERTS[2], keys,
-                        _inbox_blocks(s, keys, depth), mesh.h ** (2.0 - 2.0 * s))
+                        _class_blocks(s, keys, depth), mesh.h ** (2.0 - 2.0 * s))
 
 
 def kernel_inbox_2d(mesh, s, g, depth: int = MAX_DEPTH):

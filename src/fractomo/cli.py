@@ -7,7 +7,9 @@ Usage::
 Subcommands: ``poincare``, ``solve``, ``dn``, ``reconstruct``,
 ``liouville-check``, ``transfer-check``, ``counterexample``,
 ``oracle-compare``, ``convergence-study``.  Only ``poincare`` and ``dn``
-run on 2D configs; the others are 1D pipelines.
+run on 2D configs; the others are 1D pipelines.  ``--verbose`` is
+accepted and read by nothing yet: :func:`main` keeps it for a stage
+trace.
 
 Exit codes: 0 success, 1 runtime error (including a run whose dense
 forms would not fit in the available memory), 2 violated invariant
@@ -156,7 +158,7 @@ def _window_levels(cfg: ExperimentConfig, wlabel: str):
         yield h, DNOperator(mesh, params, coeffs, form=form), qform, f, g
 
 
-def run_poincare(cfg, outdir, verbose):
+def run_poincare(cfg, outdir):
     mesh = cfg.build_mesh()
     params = cfg.params()
     result = poincare_constant(mesh, params, gform=_gagliardo(cfg, mesh, params),
@@ -165,7 +167,7 @@ def run_poincare(cfg, outdir, verbose):
     return f"C_opt={result['C_opt']:.6g} delta0={result['delta0']:.6g}"
 
 
-def run_solve(cfg, outdir, verbose):
+def run_solve(cfg, outdir):
     mesh = cfg.build_mesh()
     params = cfg.params()
     coeffs = cfg.coefficients(mesh)
@@ -184,7 +186,7 @@ def run_solve(cfg, outdir, verbose):
     return f"residual={sol.residual:.2e} energy={sol.energy:.6g}"
 
 
-def run_dn(cfg, outdir, verbose):
+def run_dn(cfg, outdir):
     if "W1" not in cfg.regions:
         raise ConfigError("[regions]: dn needs a measurement region W1")
     mesh = cfg.build_mesh()
@@ -200,7 +202,7 @@ def run_dn(cfg, outdir, verbose):
     return f"dn {dn.entries.shape[0]}x{dn.entries.shape[1]}{sym}"
 
 
-def run_reconstruct(cfg, outdir, verbose):
+def run_reconstruct(cfg, outdir):
     wlabel = _measurement_region(cfg, cfg.reconstruct_W, "[reconstruct] W")
     mesh = cfg.build_mesh()
     params = cfg.params()
@@ -227,7 +229,7 @@ def run_reconstruct(cfg, outdir, verbose):
     return f"extrapolated={result['extrapolated']:.6g} over {len(bumps)} scales"
 
 
-def run_liouville_check(cfg, outdir, verbose):
+def run_liouville_check(cfg, outdir):
     params = cfg.params()
     if "Omega" not in cfg.regions:
         raise ConfigError("[regions]: Omega is required")
@@ -254,7 +256,7 @@ def run_liouville_check(cfg, outdir, verbose):
     return "residuals " + " ".join(f"{r:.2e}" for r in residuals)
 
 
-def run_transfer_check(cfg, outdir, verbose):
+def run_transfer_check(cfg, outdir):
     wlabel = _measurement_region(cfg, cfg.reconstruct_W, "[reconstruct] W")
     hs, residuals = [], []
     for h, op, qform, f, g in _window_levels(cfg, wlabel):
@@ -269,7 +271,7 @@ def run_transfer_check(cfg, outdir, verbose):
     return "residuals " + " ".join(f"{r:.2e}" for r in residuals)
 
 
-def run_counterexample(cfg, outdir, verbose):
+def run_counterexample(cfg, outdir):
     wlabel = _measurement_region(cfg, cfg.ce_W, "[counterexample] W")
     mesh = cfg.build_mesh()
     params = cfg.params()
@@ -291,7 +293,7 @@ def run_counterexample(cfg, outdir, verbose):
             f"admissible={report['admissible']}")
 
 
-def run_oracle_compare(cfg, outdir, verbose):
+def run_oracle_compare(cfg, outdir):
     mesh = cfg.build_mesh()
     u = cfg.nodal(mesh, cfg.oracle_u_spec, "[oracle] u")
     orders = [KernelParams(cfg.n, s) for s in cfg.oracle_s_list]
@@ -316,7 +318,7 @@ def run_oracle_compare(cfg, outdir, verbose):
     return " ".join(f"s={r['s']:g}:{r['rel_l2_mismatch']:.3%}" for r in rows)
 
 
-def run_convergence_study(cfg, outdir, verbose):
+def run_convergence_study(cfg, outdir):
     wlabel = _measurement_region(cfg, cfg.reconstruct_W, "[reconstruct] W")
     values, hs = [], []
     for h, op, _, f, g in _window_levels(cfg, wlabel):
@@ -327,7 +329,7 @@ def run_convergence_study(cfg, outdir, verbose):
         rec = {"h": h, "value": v}
         if k:
             rec["diff"] = abs(v - values[k - 1])
-            if k >= 2 and rec["diff"] > 0:
+            if k >= 2 and rec["diff"] > 0 and records[-1]["diff"] > 0:
                 rec["rate"] = float(np.log2(records[-1]["diff"] / rec["diff"]))
         records.append(rec)
     write_json_report(outdir / "convergence.json", {"records": records},
@@ -350,8 +352,7 @@ RUNNERS = {
 SUBCOMMANDS = tuple(RUNNERS)
 
 
-def run_experiment(subcommand: str, cfg: ExperimentConfig, outdir=None,
-                   verbose: bool = False) -> str:
+def run_experiment(subcommand: str, cfg: ExperimentConfig, outdir=None) -> str:
     """Run one subcommand; returns the one-line summary (raises on error)."""
     if subcommand not in RUNNERS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
@@ -363,7 +364,7 @@ def run_experiment(subcommand: str, cfg: ExperimentConfig, outdir=None,
     _memory_preflight(subcommand, cfg)
     out = Path(outdir or os.environ.get("FRACTOMO_OUT", cfg.outdir))
     out.mkdir(parents=True, exist_ok=True)
-    return RUNNERS[subcommand](cfg, out, verbose)
+    return RUNNERS[subcommand](cfg, out)
 
 
 def main(argv=None) -> int:
@@ -386,7 +387,7 @@ def main(argv=None) -> int:
         raise
     try:
         cfg = parse_config(args.config)
-        summary = run_experiment(args.subcommand, cfg, args.out, args.verbose)
+        summary = run_experiment(args.subcommand, cfg, args.out)
     except ConfigError as exc:
         print(f"fractomo {args.subcommand}: config error: {exc}", file=sys.stderr)
         return 3

@@ -57,7 +57,8 @@ then the domain of each key):
     scale = 1.0                ; extra deviation scale in (0, 1]
 
     [oracle]
-    s_list = 0.1, 0.25, 0.4    ; orders for `oracle-compare`, each as [problem] s
+    s_list = 0.1, 0.25, 0.4    ; one or more orders for `oracle-compare`, each
+                               ; as [problem] s
     u = gaussian:0,1,0,1       ; test function preset
     pad_factor = 16            ; integer >= 1
 
@@ -306,7 +307,7 @@ def parse_config(path) -> ExperimentConfig:
                        lambda v: 0.0 < v <= 1.0, "in (0, 1]")
     cfg.oracle_s_list = get("oracle", "s_list",
                             lambda t: _floats(t, "[oracle] s_list"),
-                            cfg.oracle_s_list)
+                            cfg.oracle_s_list, bool, "at least one order")
     cfg.oracle_u_spec = get("oracle", "u", str, cfg.oracle_u_spec)
     cfg.pad_factor = get("oracle", "pad_factor", int, cfg.pad_factor,
                          lambda v: v >= 1, "at least 1")

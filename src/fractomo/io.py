@@ -76,24 +76,25 @@ def export_pair_csv(path, mesh, pair) -> None:
 
 
 def write_json_report(path, payload: dict, schema: str) -> None:
-    """Versioned JSON report; the schema tag names the record layout."""
+    """Versioned JSON report; the schema tag names the record layout.
+
+    Strict JSON: an undefined number is ``None`` (``null``), and a
+    non-finite float raises ``ValueError``.
+    """
     path = Path(path)
     data = dict(payload)
     data["schema"] = schema
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def residual_records(hs, residuals) -> list:
-    """JSON-able refinement records ``{h, residual, rate}``."""
+    """JSON-able refinement records ``{h, residual, rate}``; the rate is
+    None on the first level and where a residual of the pair is 0."""
     out = []
     for k, (h, r) in enumerate(zip(hs, residuals)):
-        rec = {"h": float(h), "residual": float(r)}
-        if k:
+        rec = {"h": float(h), "residual": float(r), "rate": None}
+        if k and out[-1]["residual"] > 0 and r > 0:
             prev = out[-1]
-            ratio = prev["residual"] / r if r > 0 else float("inf")
-            step = prev["h"] / h
-            rec["rate"] = float(np.log(ratio) / np.log(step))
-        else:
-            rec["rate"] = None
+            rec["rate"] = float(np.log(prev["residual"] / r) / np.log(prev["h"] / h))
         out.append(rec)
     return out

@@ -199,7 +199,11 @@ def poincare_constant(mesh: Mesh, params: KernelParams, *,
         raise EmptyRegion("region has no interior degrees of freedom")
     G = (2.0 / params.C_ns) * gform.entries[np.ix_(dofs, dofs)]
     M = mass.entries[np.ix_(dofs, dofs)]
-    lam_min = float(_generalized_eigvals(G, M, 0)[0])
+    try:
+        lam_min = float(la.eigh(G, M, subset_by_index=[0, 0], eigvals_only=True,
+                                check_finite=False)[0])
+    except la.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from None
     if lam_min <= 0:
         raise EigenFailure(f"nonpositive seminorm eigenvalue {lam_min}")
     c_opt = 1.0 / lam_min
@@ -247,16 +251,6 @@ def coercivity_bound(gamma0: float, delta0: float, q_small_norm: float) -> float
     if not delta0 >= 2.0:
         raise ValueError("delta0 = 2 max(1, C_opt) is at least 2")
     return float(gamma0 / delta0 - q_small_norm)
-
-
-def _generalized_eigvals(A, B, last: int) -> np.ndarray:
-    """Eigenvalues ``0 .. last`` (ascending) of ``A x = lambda B x`` with
-    ``B`` SPD, from one dense solve."""
-    try:
-        return la.eigh(A, B, subset_by_index=[0, last], eigvals_only=True,
-                       check_finite=False)
-    except la.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from None
 
 
 def _lanczos_extreme(F, L) -> float:

@@ -309,16 +309,37 @@ def test_class_blocks_match_leaf_recursion(s, monkeypatch):
         assert np.abs(B - O).max() <= 1e-12 * np.abs(O).max(), key
 
 
-def test_near_window_holds_every_near_class():
-    # the classes on the ring just outside the window are separated:
-    # refining them changes nothing
-    from fractomo._assembly2d import NEAR_WINDOW, _class_blocks
+def _mesh_classes(monkeypatch, box, h):
+    """The class keys that the in-box plan of ``build_mesh(box, h)`` passes
+    to :func:`_class_blocks`."""
+    from fractomo import _assembly2d
 
-    r = NEAR_WINDOW + 1
-    ring = np.array([(ta, tb, di, dj) for ta in (0, 1) for tb in (0, 1)
-                     for di in range(-r, r + 1) for dj in range(-r, r + 1)
-                     if max(abs(di), abs(dj)) == r])
-    assert np.array_equal(_class_blocks(0.3, ring, 1), _class_blocks(0.3, ring, 0))
+    calls = []
+    original = _assembly2d._class_blocks
+    with monkeypatch.context() as m:
+        m.setattr(_assembly2d, "_class_blocks",
+                  lambda s, keys, depth: calls.append(keys) or original(s, keys, depth))
+        _assembly2d._inbox_plan_2d(build_mesh(box, h), 0.25, 0)
+    return calls[0]
+
+
+@pytest.mark.parametrize("depth", [5, 6])
+def test_class_blocks_do_not_depend_on_the_batch(depth, monkeypatch):
+    # each grid's plan integrates only its own classes, so a class must get
+    # the same blocks whatever other classes share its batch
+    from fractomo._assembly2d import _class_blocks
+
+    a = _mesh_classes(monkeypatch, Box((0.0, 0.0), (1.0, 1.0)), 0.25)
+    b = _mesh_classes(monkeypatch, Box((-2.0, -1.0), (3.0, 1.0)), 0.5)
+    row_a = {tuple(k): i for i, k in enumerate(a)}
+    ia, ib = np.array([(row_a[tuple(k)], i) for i, k in enumerate(b)
+                       if tuple(k) in row_a]).T
+    assert ia.size == len(a) < len(b)  # every class of a, near ones included
+    perm = np.random.default_rng(depth).permutation(len(a))
+    s = 0.3
+    blocks = _class_blocks(s, a, depth)
+    assert np.array_equal(_class_blocks(s, b, depth)[ib], blocks[ia])
+    assert np.array_equal(_class_blocks(s, a[perm], depth), blocks[perm])
 
 
 @pytest.mark.slow

@@ -97,6 +97,54 @@ def test_residual_checks_run(config_path):
         assert len(data["records"]) == 2
 
 
+def _strict_json(path):
+    """The report at ``path``, parsed without the ``NaN``/``Infinity``
+    extension of Python's JSON reader."""
+    def reject(name):
+        raise ValueError(f"{path.name}: non-finite number {name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("subcommand, report", [
+    ("liouville-check", "liouville.json"),
+    ("transfer-check", "transfer.json"),
+])
+def test_zero_residuals_have_no_rate(subcommand, report, config_path):
+    # unit diffusion makes both reductions exact on every level
+    path, out = config_path
+    text = (path.read_text()
+            .replace("gamma = plateau:1,1,-0.6,0.6,-0.9,0.9", "gamma = constant:1")
+            .replace("q = constant:0", "q = constant:0.5")
+            .replace("h = 0.03125", "h = 0.0625")
+            .replace("levels = 2", "levels = 3"))
+    path.write_text(text)
+    assert main([subcommand, "--config", str(path)]) == 0
+    records = _strict_json(out / report)["records"]
+    assert [r["residual"] for r in records] == [0.0] * 3
+    assert [r["rate"] for r in records] == [None] * 3
+
+
+def test_fit_of_two_scales_has_no_residual(config_path):
+    path, out = config_path
+    path.write_text(path.read_text().replace("x0 = 1.5", "x0 = 1.5\nscales = 4, 8"))
+    assert main(["reconstruct", "--config", str(path)]) == 0
+    fit = _strict_json(out / "reconstruction.json")["fit"]
+    assert fit["fit_residual"] is None
+
+
+def test_convergence_rate_after_a_zero_difference_is_left_out(config_path, monkeypatch):
+    # equal pairings on the first two levels: no rate from a zero difference
+    values = iter([1.0, 1.0, 1.5])
+    monkeypatch.setattr(dnmap.DNOperator, "pairing", lambda self, f, g: next(values))
+    path, out = config_path
+    path.write_text(path.read_text().replace("levels = 2", "levels = 3"))
+    assert main(["convergence-study", "--config", str(path)]) == 0
+    records = _strict_json(out / "convergence.json")["records"]
+    assert [r["diff"] for r in records[1:]] == [0.0, 0.5]
+    assert all("rate" not in r for r in records)
+
+
 def test_counterexample_runs(config_path):
     path, out = config_path
     assert main(["counterexample", "--config", str(path)]) == 0
@@ -470,6 +518,7 @@ def _with_key(path, section, key, value):
     ("counterexample", "counterexample", "omega", "2.1, 2.4, 2.5"),
     ("counterexample", "counterexample", "omega_prime", "0.5, -0.5"),
     ("reconstruct", "reconstruct", "scales", "4.7, 8"),
+    ("oracle-compare", "oracle", "s_list", ","),
 ])
 def test_value_outside_its_domain_is_named_before_assembly(
         subcommand, section, key, value, config_path, monkeypatch, capsys):

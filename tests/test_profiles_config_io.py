@@ -224,6 +224,19 @@ def test_residual_records_rates():
     assert recs[2]["rate"] == pytest.approx(2.0)
 
 
+def test_residual_records_have_no_rate_at_a_zero_residual():
+    recs = residual_records([0.2, 0.1, 0.05, 0.025], [1e-2, 0.0, 0.0, 1e-3])
+    assert [r["rate"] for r in recs] == [None] * 4
+
+
+def test_json_report_rejects_a_nonfinite_number(tmp_path):
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            write_json_report(tmp_path / "r.json", {"x": value}, "test.v1")
+    write_json_report(tmp_path / "r.json", {"x": None}, "test.v1")
+    assert json.loads((tmp_path / "r.json").read_text())["x"] is None
+
+
 def test_config_2d_constant_coefficients(tmp_path):
     text = """
 [problem]
