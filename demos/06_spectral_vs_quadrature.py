@@ -9,6 +9,7 @@ smooth bump calibrates the kernel normalization constant.
 import numpy as np
 
 from fractomo import Box, KernelParams, build_mesh, gagliardo_form, mass_matrix
+from fractomo.solver import mass_solve
 from fractomo.spectral import spectral_frac_laplacian
 
 mesh = build_mesh(Box((-8.0,), (8.0,)), 1 / 64, [])
@@ -19,7 +20,7 @@ print("s      C_{1,s}      rel L2 mismatch")
 for s in (0.1, 0.25, 0.4):
     params = KernelParams(1, s)
     A = gagliardo_form(mesh, params)
-    nodal = np.linalg.solve(M.entries, A.entries @ u)
+    nodal = mass_solve(M, A.entries @ u)
     spec = spectral_frac_laplacian(mesh, params, u)
     diff = nodal - spec
     rel = np.sqrt(diff @ M.entries @ diff) / np.sqrt(spec @ M.entries @ spec)
@@ -28,7 +29,7 @@ for s in (0.1, 0.25, 0.4):
 print("\npointwise profile at the center (s = 0.25):")
 params = KernelParams(1, 0.25)
 A = gagliardo_form(mesh, params)
-nodal = np.linalg.solve(M.entries, A.entries @ u)
+nodal = mass_solve(M, A.entries @ u)
 spec = spectral_frac_laplacian(mesh, params, u)
 for xv in (0.0, 0.5, 1.0, 2.0):
     k = np.argmin(np.abs(mesh.coords - xv))

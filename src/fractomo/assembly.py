@@ -156,7 +156,7 @@ class Coefficients:
         object.__setattr__(self, "q", q)
         if not self.gamma0 > 0:
             raise NonPositiveGamma(f"gamma0={self.gamma0} is not positive")
-        if gamma.min() < self.gamma0 - 1e-14:
+        if gamma.min() <= 0.0 or gamma.min() < self.gamma0 - 1e-14:
             raise NonPositiveGamma(
                 f"gamma dips to {gamma.min()} below gamma0={self.gamma0}"
             )
@@ -174,8 +174,6 @@ class Coefficients:
     def from_arrays(cls, gamma, q=None, gamma0=None, gamma_exterior=1.0):
         """Build validated coefficients; ``gamma0`` defaults to ``min(gamma)``."""
         gamma = np.asarray(gamma, dtype=float)
-        if gamma.size and gamma.min() <= 0.0:
-            raise NonPositiveGamma(f"gamma attains {gamma.min()} <= 0")
         if q is None:
             q = np.zeros_like(gamma)
         if gamma0 is None:

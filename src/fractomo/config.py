@@ -43,8 +43,8 @@ then the domain of each key):
     W = W1                     ; measurement region label
     x0 = 1.5                   ; concentration point, finite (required by
                                ; `reconstruct`)
-    scales =                   ; comma list of N values, integers >= 1
-                               ; (default: geometric)
+    scales =                   ; comma list of N values, strictly increasing
+                               ; integers >= 1 (default: geometric)
     p = inf                    ; integrability exponent of the absorption,
                                ; p > n/(2s); inf allowed
     gamma_true =               ; known value at x0 (finite), for the error column
@@ -286,7 +286,8 @@ def parse_config(path) -> ExperimentConfig:
     cfg.x0 = get("reconstruct", "x0", float, None, math.isfinite, "finite")
     cfg.scales = get("reconstruct", "scales",
                      lambda t: [int(v) for v in t.split(",")], None,
-                     lambda v: min(v) >= 1, "positive integers")
+                     lambda v: v[0] >= 1 and sorted(set(v)) == v,
+                     "strictly increasing positive integers")
     p_min = cfg.n / (2.0 * cfg.s)
     cfg.p_exponent = get("reconstruct", "p",
                          lambda t: math.inf if t.lower() in ("inf", "infinity")

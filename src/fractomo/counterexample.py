@@ -62,22 +62,21 @@ NUM_TEST_PAIRS = 20
 
 @dataclass
 class CounterexamplePair:
-    """Constructed pair and its provenance.
+    """Constructed pair and the intermediate fields it was built from.
 
     ``coeffs`` bundles ``gamma_1`` and ``q_1``; ``m`` is the scaled,
     mollified deviation actually used in the construction, ``q_raw =
     M^{-1}(A m)`` its weak fractional Laplacian, ``m_tilde`` the unscaled
-    s-harmonic extension of the cutoff, and ``c_eps`` the scaling
-    constant from the formula above (before the optional extra ``scale``
-    factor).
+    s-harmonic extension of the cutoff, ``c_eps`` the scaling constant
+    from the formula above and ``scale`` the optional extra factor on
+    top of it.  The construction sets, ``eps`` and the cutoff ``eta``
+    are not kept: they are the caller's inputs or follow from them.
     """
 
     coeffs: Coefficients
-    geometry: dict
     m: np.ndarray
     q_raw: np.ndarray
     m_tilde: np.ndarray
-    eta: np.ndarray
     c_eps: float
     scale: float
 
@@ -88,14 +87,6 @@ class CounterexamplePair:
     @property
     def q1(self) -> np.ndarray:
         return self.coeffs.q
-
-
-def _interval(r: Region) -> tuple:
-    return r.lower[0], r.upper[0]
-
-
-def _disjoint(a: tuple, b: tuple, tol: float = 1e-12) -> bool:
-    return a[1] <= b[0] + tol or b[1] <= a[0] + tol
 
 
 def build_pair(mesh: Mesh, omega_prime: Region, omega_set: Region, eps: float,
@@ -123,35 +114,34 @@ def build_pair(mesh: Mesh, omega_prime: Region, omega_set: Region, eps: float,
     Raises
     ------
     GeometryViolation, NegativeSolution
+        The geometry is checked by :meth:`Region.intersects_closed` and
+        :meth:`Region.within`, under the coordinate tolerance of
+        :mod:`fractomo.mesh`.
     """
     if mesh.n != 1:
         raise NotImplementedError("the construction pipeline is 1D")
     if eps <= 0 or not 0.0 < scale <= 1.0:
         raise ValueError("need eps > 0 and 0 < scale <= 1")
-    op5 = _interval(omega_prime.dilate(5 * eps))
-    om5 = _interval(omega_set.dilate(5 * eps))
-    w_iv = _interval(W)
-    box_iv = (mesh.box.lower[0], mesh.box.upper[0])
+    op5 = omega_prime.dilate(5 * eps)
+    om5 = omega_set.dilate(5 * eps)
     for name, a, b in (
         ("Omega'(5eps) and omega(5eps)", op5, om5),
-        ("Omega'(5eps) and W", op5, w_iv),
-        ("omega(5eps) and W", om5, w_iv),
+        ("Omega'(5eps) and W", op5, W),
+        ("omega(5eps) and W", om5, W),
     ):
-        if not _disjoint(a, b):
+        if a.intersects_closed(b):
             raise GeometryViolation(f"{name} intersect")
-    for name, iv in (("Omega'(5eps)", op5), ("omega(5eps)", om5), ("W", w_iv)):
-        if iv[0] < box_iv[0] - 1e-12 or iv[1] > box_iv[1] + 1e-12:
+    for name, r in (("Omega'(5eps)", op5), ("omega(5eps)", om5), ("W", W)):
+        if not r.within(mesh.box):
             raise GeometryViolation(f"{name} leaves the computational box")
-    if "Omega" in mesh.regions:
-        om = _interval(mesh.regions["Omega"])
-        if op5[0] < om[0] - 1e-12 or op5[1] > om[1] + 1e-12:
-            raise GeometryViolation("Omega'(5eps) is not contained in Omega")
+    if "Omega" in mesh.regions and not op5.within(mesh.regions["Omega"]):
+        raise GeometryViolation("Omega'(5eps) is not contained in Omega")
 
     x = mesh.coords
 
     # cutoff eta: 1 on omega, supported strictly inside its 3-eps
     # dilation (zero amplitude degenerates the pair to the background)
-    ol, ou = _interval(omega_set)
+    (ol,), (ou,) = omega_set.lower, omega_set.upper
     eta = eta_amplitude * plateau(x, (ol, ou), (ol - 2.5 * eps, ou + 2.5 * eps))
 
     # s-harmonic extension of eta across Omega'(2eps)
@@ -183,17 +173,8 @@ def build_pair(mesh: Mesh, omega_prime: Region, omega_set: Region, eps: float,
     q_raw = mass_solve(mass, gform.entries @ m)
     q1 = (1.0 + m) * q_raw
     coeffs = Coefficients.from_arrays(gamma1, q1, gamma0=1.0)
-
-    geometry = {
-        "Omega_prime": _interval(omega_prime),
-        "omega": _interval(omega_set),
-        "W": w_iv,
-        "eps": float(eps),
-    }
-    return CounterexamplePair(
-        coeffs=coeffs, geometry=geometry, m=m, q_raw=q_raw, m_tilde=m_tilde,
-        eta=eta, c_eps=float(c_eps), scale=float(scale),
-    )
+    return CounterexamplePair(coeffs=coeffs, m=m, q_raw=q_raw, m_tilde=m_tilde,
+                              c_eps=float(c_eps), scale=float(scale))
 
 
 def verify_nonuniqueness(pair: CounterexamplePair, W: Region | str, *,

@@ -9,6 +9,15 @@ compactly supported trial space on an open set ``R`` is the span of hat
 functions whose support is contained in the closure of ``R``; those node
 indices are what :func:`support_dofs` returns.
 
+Every set relation is a method of :class:`Region`, under one coordinate
+rule: two coordinates are equal when they differ by less than
+``COORD_RTOL * max(1, c)``, with ``c`` the largest absolute coordinate of
+the regions (or the box) involved.  A node lies in the open region when it
+is farther than that inside every face; two regions intersect when, on
+every axis, the upper face of each lies more than that above the lower
+face of the other, so regions that touch do not; one lies within another
+(or within the box) when none of its faces sticks out by more than that.
+
 Supported dimensions are ``n = 1`` (primary) and ``n = 2``; one grid
 layout serves both.  :data:`ELEMENT_VERTS` holds the element types of a
 grid cell (the interval; the two triangles of the square), and
@@ -29,7 +38,7 @@ from .errors import (
     UnknownRegion,
 )
 
-#: relative tolerance used for all coordinate comparisons
+#: relative tolerance of every coordinate comparison (see the module docstring)
 COORD_RTOL = 1e-9
 
 #: vertex offsets of each element type on its grid cell, per dimension:
@@ -85,8 +94,10 @@ class Region:
     All regions used by the pipelines (domain, measurement sets,
     construction sets) are open intervals / rectangles, so membership is
     a coordinate-wise comparison.  ``contains_open`` realizes the open
-    set, ``contains_closed`` its closure; both use a relative tolerance
-    so that grid-aligned boundaries behave predictably.
+    set, ``contains_closed`` its closure; ``intersects_closed`` and
+    ``within`` relate two sets.  All of them compare coordinates under
+    the one tolerance of the module docstring, so that grid-aligned
+    boundaries behave predictably.
     """
 
     name: str
@@ -100,8 +111,9 @@ class Region:
     def n(self) -> int:
         return len(self.lower)
 
-    def _tol(self) -> float:
-        scale = max(abs(v) for v in self.lower + self.upper)
+    def _tol(self, *others) -> float:
+        """The coordinate tolerance of this region and ``others``."""
+        scale = max(abs(v) for r in (self, *others) for v in r.lower + r.upper)
         return COORD_RTOL * max(1.0, scale)
 
     def contains_open(self, points: np.ndarray) -> np.ndarray:
@@ -129,13 +141,20 @@ class Region:
         return Region(self.name + f"+{delta:g}", lo, up)
 
     def intersects_closed(self, other: "Region") -> bool:
-        """True if this open region meets the closure of ``other``."""
-        for (l1, u1), (l2, u2) in zip(
-            zip(self.lower, self.upper), zip(other.lower, other.upper)
-        ):
-            if not (u1 > l2 and l1 < u2):
-                return False
-        return True
+        """True if this open region meets the closure of ``other``: on
+        every axis, the upper face of each lies more than the tolerance
+        above the lower face of the other.  Regions that touch, or overlap
+        by less than the tolerance, do not intersect."""
+        tol = self._tol(other)
+        return all(u1 - l2 > tol and u2 - l1 > tol for l1, u1, l2, u2
+                   in zip(self.lower, self.upper, other.lower, other.upper))
+
+    def within(self, other: "Region | Box") -> bool:
+        """True if the closure of this region lies in the closure of
+        ``other``, a region or a box."""
+        tol = self._tol(other)
+        return all(l2 - l1 <= tol and u1 - u2 <= tol for l1, u1, l2, u2
+                   in zip(self.lower, self.upper, other.lower, other.upper))
 
 
 @dataclass(frozen=True)

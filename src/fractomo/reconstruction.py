@@ -150,13 +150,13 @@ def extrapolate_power_fit(scales, values) -> dict:
     Only the last ``FIT_WINDOW`` samples enter the fit (the leading ones are
     outside the asymptotic regime).  Returns the fitted limit ``g``,
     amplitude ``a``, rate ``b`` and the fit residual.  With fewer than
-    three samples the last value is returned as the limit and the fit
-    residual is None.
+    three samples no fit is made: the last value is returned as the limit
+    and the amplitude, rate and fit residual are None.
     """
     scales = np.asarray(scales, dtype=float)[-FIT_WINDOW:]
     values = np.asarray(values, dtype=float)[-FIT_WINDOW:]
     if len(values) < 3:
-        return {"limit": float(values[-1]), "amplitude": 0.0, "rate": 0.0,
+        return {"limit": float(values[-1]), "amplitude": None, "rate": None,
                 "fit_residual": None}
     best = None
     for b in np.linspace(0.1, 3.0, 117):

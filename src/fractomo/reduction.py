@@ -59,8 +59,6 @@ def reduced_potential_form(coeffs: Coefficients, *, gform: SymForm,
         raise NonPositiveGamma("diffusion must be positive")
     inv_sqrt = 1.0 / np.sqrt(coeffs.gamma)
     diagonal = -(gform.entries @ coeffs.m_gamma) * inv_sqrt
-    if not np.any(coeffs.q != 0.0):
-        return SymForm(np.diag(diagonal))
     # scaled in place: no N x N temporary besides the result
     entries = inv_sqrt[:, None] * qform.entries
     entries *= inv_sqrt[None, :]
@@ -91,10 +89,8 @@ def liouville_residual(coeffs: Coefficients, u: np.ndarray, phi: np.ndarray, *,
     phi = np.asarray(phi, dtype=float)
     lhs = float(u @ (cond_form.entries @ phi))
     sq = np.sqrt(coeffs.gamma)
-    Q = reduced_potential_form(coeffs, gform=gform, qform=qform)
-    v = sq * u
-    w = sq * phi
-    rhs = float(v @ ((gform.entries + Q.entries) @ w))
+    S = schrodinger_form(coeffs, gform=gform, qform=qform)
+    rhs = float((sq * u) @ (S.entries @ (sq * phi)))
     return _relative_defect(lhs, rhs)
 
 

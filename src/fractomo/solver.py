@@ -96,8 +96,6 @@ class FactorizedSystem:
         mask[self.interior] = True
         self.exterior = np.flatnonzero(~mask)
         self.B_II = self.form.entries[np.ix_(self.interior, self.interior)]
-        if (np.diag(self.B_II) <= 0).any():
-            raise CoercivityLost("interior block has a nonpositive diagonal entry")
         try:
             self._chol = la.cho_factor(self.B_II, lower=True, check_finite=False)
         except la.LinAlgError as exc:

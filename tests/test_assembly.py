@@ -192,6 +192,9 @@ def test_conductivity_rejects_nonpositive(mesh9, params):
     gam[2] = -0.5
     with pytest.raises(NonPositiveGamma):
         Coefficients.from_arrays(gam)
+    # positive even where gamma0 is below the slack of the gamma0 bound
+    with pytest.raises(NonPositiveGamma):
+        Coefficients.from_arrays(np.where(gam > 0, 1.0, -5e-15), gamma0=1e-15)
     co = Coefficients.background(mesh9)
     object.__setattr__(co, "gamma", gam)
     with pytest.raises(NonPositiveGamma):

@@ -130,6 +130,8 @@ def test_fit_of_two_scales_has_no_residual(config_path):
     path.write_text(path.read_text().replace("x0 = 1.5", "x0 = 1.5\nscales = 4, 8"))
     assert main(["reconstruct", "--config", str(path)]) == 0
     fit = _strict_json(out / "reconstruction.json")["fit"]
+    # no power law is fitted to two samples: none of its numbers is reported
+    assert fit["amplitude"] is None and fit["rate"] is None
     assert fit["fit_residual"] is None
 
 
@@ -518,6 +520,8 @@ def _with_key(path, section, key, value):
     ("counterexample", "counterexample", "omega", "2.1, 2.4, 2.5"),
     ("counterexample", "counterexample", "omega_prime", "0.5, -0.5"),
     ("reconstruct", "reconstruct", "scales", "4.7, 8"),
+    ("reconstruct", "reconstruct", "scales", "8, 4"),
+    ("reconstruct", "reconstruct", "scales", "4, 4"),
     ("oracle-compare", "oracle", "s_list", ","),
 ])
 def test_value_outside_its_domain_is_named_before_assembly(

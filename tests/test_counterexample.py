@@ -105,17 +105,42 @@ def test_q1_defining_relation(setting):
     assert np.abs(pair.q1 - expected).max() < 1e-12 * max(1.0, np.abs(pair.q1).max())
 
 
-def test_geometry_violations(setting):
+# Omega'(5eps) = (-0.75, 0.75), omega(5eps) = (1.85, 2.65) and W1 =
+# (1.2, 1.8) in a box (-2.25, 3.25) with Omega = (-1, 1): each case breaks
+# one relation and keeps those checked before it
+@pytest.mark.parametrize("omega_prime, omega_seed, W, message", [
+    (OMEGA_PRIME, Region("o", (0.8,), (0.9,)), None,
+     "Omega'(5eps) and omega(5eps) intersect"),
+    (OMEGA_PRIME, OMEGA_SEED, Region("W", (0.6,), (0.7,)),
+     "Omega'(5eps) and W intersect"),
+    (OMEGA_PRIME, Region("o", (1.9,), (2.0,)), None,
+     "omega(5eps) and W intersect"),
+    (Region("Op", (-2.2,), (-2.1,)), OMEGA_SEED, None,
+     "Omega'(5eps) leaves the computational box"),
+    (OMEGA_PRIME, Region("o", (3.0,), (3.2,)), None,
+     "omega(5eps) leaves the computational box"),
+    (OMEGA_PRIME, OMEGA_SEED, Region("W", (3.0,), (3.5,)),
+     "W leaves the computational box"),
+    (Region("Op", (-0.9,), (0.9,)), OMEGA_SEED, None,
+     "Omega'(5eps) is not contained in Omega"),
+], ids=["Op-omega", "Op-W", "omega-W", "Op-box", "omega-box", "W-box", "Op-Omega"])
+def test_each_geometry_violation_is_named(setting, omega_prime, omega_seed, W,
+                                          message):
+    mesh, par, gform, W1, pair = setting
+    with pytest.raises(GeometryViolation) as exc:
+        build_pair(mesh, omega_prime, omega_seed, EPS, W or W1, gform=gform,
+                   mass=mass_matrix(mesh))
+    assert str(exc.value) == message
+
+
+def test_sets_that_touch_within_the_tolerance_pass(setting):
+    # Omega'(5eps) = Omega; omega(5eps) starts at 2.05 - 0.25, one rounding
+    # below the upper face 1.8 of W1
     mesh, par, gform, W, pair = setting
-    with pytest.raises(GeometryViolation):
-        build_pair(mesh, OMEGA_PRIME, Region("o", (1.3,), (1.6,)), 0.2, W,
-                   gform=gform, mass=mass_matrix(mesh))  # omega(5eps) hits W
-    with pytest.raises(GeometryViolation):
-        build_pair(mesh, Region("Op", (-0.9,), (0.9,)), OMEGA_SEED, EPS, W,
-                   gform=gform, mass=mass_matrix(mesh))  # Omega'(5eps) leaves Omega
-    with pytest.raises(GeometryViolation):
-        build_pair(mesh, OMEGA_PRIME, Region("o", (3.0,), (3.2,)), EPS, W,
-                   gform=gform, mass=mass_matrix(mesh))  # omega(5eps) leaves the box
+    touching = build_pair(mesh, Region("Op", (-0.75,), (0.75,)),
+                          Region("o", (2.05,), (2.4,)), EPS, W, gform=gform,
+                          mass=mass_matrix(mesh))
+    assert np.abs(touching.gamma1[region_dofs(mesh, "W1")] - 1.0).max() == 0.0
 
 
 def _q_form_residual_by_pairs(mesh, Q, gform, mass, seed):

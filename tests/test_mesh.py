@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fractomo.errors import (
     EmptyRegion,
@@ -11,6 +12,7 @@ from fractomo.errors import (
     UnknownRegion,
 )
 from fractomo.mesh import (
+    COORD_RTOL,
     ELEMENT_VERTS,
     Box,
     Region,
@@ -209,3 +211,111 @@ def test_grid_layout_contract(lower, upper, h):
         e1, e2 = P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]
         size = (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]) / 2
     assert np.allclose(size, h**n / n)
+
+
+# ---------------------------------------------------------------------------
+# set relations of regions under the one coordinate tolerance
+# ---------------------------------------------------------------------------
+
+dims = st.sampled_from([1, 2])
+coords = st.floats(-64.0, 64.0)
+widths = st.floats(0.01, 16.0)
+sides = st.sampled_from([-1, 1])
+# offsets in units of the tolerance, away from the edge case 1 where a
+# rounding of the coordinates could tip the comparison either way
+below_tolerance = st.one_of(st.just(0.0), st.floats(-10.0, 0.9))
+above_tolerance = st.floats(1.1, 10.0)
+
+
+def _tolerance(*sets):
+    """The rule of the module docstring, restated."""
+    return COORD_RTOL * max(1.0, max(abs(v) for r in sets for v in r.lower + r.upper))
+
+
+@st.composite
+def regions(draw, n, name="A"):
+    lower = [draw(coords) for _ in range(n)]
+    return Region(name, tuple(lower), tuple(l + draw(widths) for l in lower))
+
+
+def _beyond(a, axis, side, width, overlap):
+    """The region of extent ``width`` on ``axis`` beyond the face ``side``
+    (+1 upper, -1 lower) of ``a`` that overlaps ``a`` by ``overlap`` there
+    (a gap if negative) and matches ``a`` on the other axis."""
+    lower, upper = list(a.lower), list(a.upper)
+    if side > 0:
+        lower[axis] = a.upper[axis] - overlap
+        upper[axis] = lower[axis] + width
+    else:
+        upper[axis] = a.lower[axis] + overlap
+        lower[axis] = upper[axis] - width
+    return Region("B", tuple(lower), tuple(upper))
+
+
+def _face_moved(a, axis, side, move):
+    """``a`` with its face ``side`` on ``axis`` moved outward by ``move``."""
+    lower, upper = list(a.lower), list(a.upper)
+    if side > 0:
+        upper[axis] += move
+    else:
+        lower[axis] -= move
+    return Region("B", tuple(lower), tuple(upper))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(n=dims, data=st.data())
+def test_intersects_closed_is_symmetric(n, data):
+    a, b = data.draw(regions(n)), data.draw(regions(n, "B"))
+    assert a.intersects_closed(b) == b.intersects_closed(a)
+    # and so is it between a region and one that touches it
+    axis, side = data.draw(st.integers(0, n - 1)), data.draw(sides)
+    frac = data.draw(st.floats(-2.0, 2.0))
+    c = _beyond(a, axis, side, data.draw(widths), frac * _tolerance(a))
+    assert a.intersects_closed(c) == c.intersects_closed(a)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(n=dims, data=st.data(), side=sides, width=widths,
+       frac=st.one_of(below_tolerance, above_tolerance))
+def test_regions_intersect_when_they_overlap_by_more_than_the_tolerance(
+        n, data, side, width, frac):
+    a = data.draw(regions(n))
+    axis = data.draw(st.integers(0, n - 1))
+    tol = _tolerance(a, _beyond(a, axis, side, width, 0.0))
+    b = _beyond(a, axis, side, width, frac * tol)
+    assert a.intersects_closed(b) == (frac > 1.0)
+    assert b.intersects_closed(a) == (frac > 1.0)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(n=dims, data=st.data(), side=sides,
+       frac=st.one_of(below_tolerance, above_tolerance))
+def test_within_allows_a_face_out_by_the_tolerance(n, data, side, frac):
+    a = data.draw(regions(n))
+    axis = data.draw(st.integers(0, n - 1))
+    assert a.within(a)
+    # a sticks out of b by frac * tol on one face
+    b = _face_moved(a, axis, side, -frac * _tolerance(a))
+    assert a.within(b) == (frac < 1.0)
+    assert a.within(Box(b.lower, b.upper)) == a.within(b)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(n=dims, data=st.data())
+def test_within_implies_intersects_closed_for_a_region_wider_than_twice_the_tolerance(
+        n, data):
+    lower = [data.draw(coords) for _ in range(n)]
+    # a bound of the tolerance of a and of b, which both lie within 103
+    # units of lower
+    unit = COORD_RTOL * max(1.0, max(abs(v) for v in lower) + 1.0)
+    a = Region("A", tuple(lower),
+               tuple(l + data.draw(st.floats(2.01, 100.0)) * unit for l in lower))
+    # b is a with each face moved outward by up to 3 units, or inward
+    moves = [data.draw(st.floats(-3.0, 3.0)) * unit for _ in range(2 * n)]
+    lower_b = tuple(l - m for l, m in zip(a.lower, moves))
+    upper_b = tuple(u + m for u, m in zip(a.upper, moves[n:]))
+    assume(all(l < u for l, u in zip(lower_b, upper_b)))
+    b = Region("B", lower_b, upper_b)
+    assert min(u - l for l, u in zip(a.lower, a.upper)) > 2 * _tolerance(a, b)
+    if a.within(b):
+        assert a.intersects_closed(b)
