@@ -15,6 +15,8 @@ from fractomo import (
     KernelParams,
     Region,
     build_mesh,
+    conductivity_form,
+    potential_form,
 )
 from fractomo.profiles import bump
 
@@ -25,7 +27,8 @@ mesh = build_mesh(
 )
 x = mesh.coords
 coeffs = Coefficients.from_arrays(1.0 + 0.5 * bump(x / 1.4), 0.2 * bump(x / 0.8))
-op = DNOperator(mesh, params, coeffs)
+form = conductivity_form(mesh, params, coeffs) + potential_form(mesh, coeffs.q)
+op = DNOperator(mesh, params, coeffs, form=form)
 
 dn = op.matrix("W1", "W1")
 print(f"DN matrix over W1: {dn.entries.shape[0]} x {dn.entries.shape[1]} hats")
@@ -34,7 +37,7 @@ print(f"symmetry defect: {dn.symmetry_defect():.2e}")
 for k in (0, len(dn.cols) // 2):
     phi = np.zeros(mesh.num_nodes)
     phi[dn.cols[k]] = 1.0
-    direct = op.form.energy(phi)
+    direct = form.energy(phi)
     print(f"hat at x = {x[dn.cols[k]]:+.3f}: <Lambda phi, phi> = "
           f"{dn.entries[k, k]:.6f} <= direct energy {direct:.6f}")
 

@@ -44,9 +44,9 @@ for h in (1 / 16, 1 / 32, 1 / 64, 1 / 128):
     # each form is assembled once and read by both identities
     gform = gagliardo_form(mesh, params)
     qform = potential_form(mesh, coeffs.q)
-    op = DNOperator(mesh, params, coeffs,
-                    form=conductivity_form(mesh, params, coeffs) + qform)
-    r_form = liouville_residual(coeffs, u, phi, cond_form=op.form, gform=gform,
+    form = conductivity_form(mesh, params, coeffs) + qform
+    op = DNOperator(mesh, params, coeffs, form=form)
+    r_form = liouville_residual(coeffs, u, phi, cond_form=form, gform=gform,
                                 qform=qform)
     f = bump((x - 1.625) / 0.3); f[ii] = 0.0
     g = bump((x - 1.625) / 0.22); g[ii] = 0.0

@@ -18,6 +18,7 @@ from fractomo import (
     Region,
     build_mesh,
     bump_sequence,
+    conductivity_form,
     exterior_reconstruct,
     gagliardo_form,
     mass_matrix,
@@ -39,8 +40,11 @@ coeffs = Coefficients.from_arrays(gamma, q)
 
 gform = gagliardo_form(mesh, params)
 bumps = bump_sequence(mesh, "W1", x0, gform=gform, mass=mass_matrix(mesh))
-out = exterior_reconstruct(DNOperator(mesh, params, coeffs), bumps)
-decay = potential_decay_check(potential_form(mesh, q), bumps, math.inf, params)
+qform = potential_form(mesh, q)
+op = DNOperator(mesh, params, coeffs,
+                form=conductivity_form(mesh, params, coeffs) + qform)
+out = exterior_reconstruct(op, bumps)
+decay = potential_decay_check(qform, bumps, math.inf, params)
 
 print(f"recovering gamma({x0}) = 2 from DN pairings of concentrating bumps:")
 print("  N     estimate    |estimate - 2|   absorption term")

@@ -3,21 +3,22 @@
 Every form is a dense symmetric matrix over the full nodal basis of the
 mesh; nodal functions are extended by zero outside the computational box.
 The kernel-type forms (Gagliardo energy and weighted-diffusion energy)
-come from one engine (:func:`_assemble_offsets`).  On the uniform mesh
-every element pair is a translate of a reference pair: its class is the
-offset ``d`` in 1D and ``(type_a, type_b, di, dj)`` in 2D.  The P1
-diffusion weight enters bilinearly through its vertex values, so a class
-reduces to vertex-resolved reference blocks, integrated once on unit
-elements and scaled by ``h^{n-2s}``.  Because a class depends only on its
-offset, the form is a sum of Toeplitz (1D) or block-Toeplitz (2D)
-matrices scaled on both sides by shifted copies of the diffusion
-weight: ``sum_pq D_p T_pq D_q`` over the node offsets ``p, q`` within an
-element (3 in 1D, 7 in 2D), with ``D_p = diag(g[i + p])`` (cf. Ainsworth
-& Glusa, 2018, on this structure for the fractional Laplacian).  That identity
-assumes every element next to a node exists; the rows and columns of the
-nodes on the box boundary are evaluated with the elements that do.  The
-element-local blocks are correlations of the diffusion with the class
-blocks: direct sums in 1D, one batched FFT in 2D.
+come from one engine (:func:`_offset_plan`, :func:`_apply_offsets`).  On
+the uniform mesh every element pair is a translate of a reference pair:
+its class is the offset ``d`` in 1D and ``(type_a, type_b, di, dj)`` in
+2D.  The P1 diffusion weight enters bilinearly through its vertex
+values, so a class reduces to vertex-resolved reference blocks,
+integrated once on unit elements and scaled by ``h^{n-2s}``.  Because
+a class depends only on its offset, the form is a sum of Toeplitz (1D)
+or block-Toeplitz (2D) matrices scaled on both sides by shifted copies
+of the diffusion weight: ``sum_pq D_p T_pq D_q`` over the node offsets
+``p, q`` within an element (3 in 1D, 7 in 2D), with
+``D_p = diag(g[i + p])`` (cf. Ainsworth & Glusa, 2018, on this structure
+for the fractional Laplacian).  That identity assumes every element next
+to a node exists; the rows and columns of the nodes on the box boundary
+are evaluated with the elements that do.  The element-local blocks are
+correlations of the diffusion with the class blocks: direct sums in 1D,
+one batched FFT in 2D.
 
 A kernel form is built in two steps.  The grid plan holds what depends
 on the grid and the order but not on the coefficients: the element
@@ -189,12 +190,6 @@ class Coefficients:
     def background(cls, mesh: Mesh):
         """Unit diffusion, zero absorption."""
         return cls.from_arrays(np.ones(mesh.num_nodes), np.zeros(mesh.num_nodes))
-
-    def with_q(self, q: np.ndarray) -> "Coefficients":
-        return Coefficients(
-            self.gamma, np.asarray(q, dtype=float), self.gamma0,
-            self.gamma_exterior,
-        )
 
 
 @dataclass
@@ -534,8 +529,7 @@ def _partner_terms(gv, partners):
     ``gv`` (T, nv, *cells) holds the vertex values of ``g`` of every
     element and ``partners`` the operand of :func:`_partner_plan`.  The
     sum over ``D`` is a correlation: in 2D one batched FFT for all
-    elements, in 1D direct sums (``np.correlate``, 12 of length M), which
-    keep the 1D pipelines off the FFT extension and its resident code.
+    elements, in 1D direct sums (``np.correlate``, 12 of length M).
     """
     T, nv, *cells = gv.shape
     n = len(cells)

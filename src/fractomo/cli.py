@@ -23,7 +23,6 @@ configs and seeds produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -362,7 +361,7 @@ def run_experiment(subcommand: str, cfg: ExperimentConfig, outdir=None) -> str:
             + " and ".join(SUBCOMMANDS_2D)
         )
     _memory_preflight(subcommand, cfg)
-    out = Path(outdir or os.environ.get("FRACTOMO_OUT", cfg.outdir))
+    out = Path(outdir or cfg.outdir)
     out.mkdir(parents=True, exist_ok=True)
     return RUNNERS[subcommand](cfg, out)
 

@@ -66,13 +66,13 @@ then the domain of each key):
     levels = 3                 ; refinement levels h, h/2, ...; integer >= 1
 
     [output]
-    directory = out            ; overridable by --out or FRACTOMO_OUT
+    directory = out            ; overridable by --out
     seed = 0                   ; integer >= 0
 
 A value outside its domain is a ``ConfigError`` naming the key, raised by
-:func:`parse_config` before any assembly.  Only the output directory may
-come from the environment (``FRACTOMO_OUT``); everything else lives in
-the file.
+:func:`parse_config` before any assembly.  Nothing comes from the
+environment: everything lives in the file, and only the output
+directory may be overridden (by ``--out``).
 """
 
 from __future__ import annotations

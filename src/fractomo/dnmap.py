@@ -18,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (
-    Coefficients,
-    KernelParams,
-    SymForm,
-    _asymmetry,
-    conductivity_form,
-    potential_form,
-)
+from .assembly import Coefficients, KernelParams, SymForm, _asymmetry
 from .errors import HypothesisViolation, SupportViolation
 from .mesh import Mesh, region_dofs, support_dofs
 from .solver import FactorizedSystem
@@ -53,28 +46,25 @@ class DNMatrix:
 class DNOperator:
     """Discrete DN machinery for one coefficient pair.
 
-    Assembles the system form (diffusion + potential) once and keeps the
-    interior factorization for all subsequent pairings and matrix
-    columns.
+    Factors the interior block of the assembled system form once and
+    reads every pairing, self pairing and matrix column from that
+    factorization.
 
     Parameters
     ----------
     mesh, params, coeffs
-        Problem data; ``coeffs.q`` enters through the potential form.  The
-        equation holds on ``Omega``: the interior unknowns are
-        ``mesh.interior_dofs``.
-    form : SymForm, optional
-        Pre-assembled system form; skips assembly when given.
+        Problem data.  The equation holds on ``Omega``: the interior
+        unknowns are ``mesh.interior_dofs``.
+    form : SymForm
+        The assembled system form of ``coeffs``, e.g. conductivity plus
+        potential form, or the Schroedinger form of a reduced problem.
     """
 
     def __init__(self, mesh: Mesh, params: KernelParams, coeffs: Coefficients, *,
-                 form: SymForm | None = None):
+                 form: SymForm):
         self.mesh = mesh
         self.params = params
         self.coeffs = coeffs
-        if form is None:
-            form = (conductivity_form(mesh, params, coeffs)
-                    + potential_form(mesh, coeffs.q))
         self.form = form
         self.system = FactorizedSystem(form, mesh)
 
@@ -95,6 +85,25 @@ class DNOperator:
         u = self.solve(f).u
         return float(g @ (self.form.entries @ u))
 
+    def self_pairings(self, Phi: np.ndarray) -> np.ndarray:
+        """``<Lambda Phi_k, Phi_k>`` for each column ``Phi_k`` of ``Phi``.
+
+        Raises
+        ------
+        SupportViolation
+            If a column has interior support.
+        """
+        interior, B = self.system.interior, self.form.entries
+        if np.abs(Phi[interior]).max(initial=0.0) > 0.0:
+            raise SupportViolation("a column has interior support")
+        # u = phi outside the interior and u_I = -B_II^{-1} (B phi)_I, so by
+        # symmetry <Lambda phi, phi> = phi^T B phi - (B phi)_I^T B_II^{-1} (B phi)_I:
+        # one product and one block solve for all columns
+        BPhi = B @ Phi
+        rhs = BPhi[interior]
+        return (np.sum(Phi * BPhi, axis=0)
+                - np.sum(rhs * self.system.solve_interior(rhs), axis=0))
+
     def matrix(self, W1, W2) -> DNMatrix:
         """DN matrix over the compactly supported hats of W1 and W2.
 
@@ -110,6 +119,14 @@ class DNOperator:
         U_int = self.system.solve_interior(-B[np.ix_(interior, cols)])
         entries = B[np.ix_(rows, cols)] + B[np.ix_(rows, interior)] @ U_int
         return DNMatrix(rows=rows, cols=cols, entries=entries)
+
+
+def _require_agreement(mesh: Mesh, gamma1, gamma2, W, message: str) -> None:
+    """Raise ``HypothesisViolation(message)`` unless the two diffusions
+    agree (to ``1e-13``) on the nodes of ``W``."""
+    nodes = region_dofs(mesh, W)
+    if not np.allclose(gamma1[nodes], gamma2[nodes], rtol=0.0, atol=1e-13):
+        raise HypothesisViolation(message)
 
 
 def solution_relation_residual(op1: DNOperator, op2: DNOperator, f: np.ndarray,
@@ -134,9 +151,8 @@ def solution_relation_residual(op1: DNOperator, op2: DNOperator, f: np.ndarray,
     """
     mesh = op1.mesh
     gamma1, gamma2 = op1.coeffs.gamma, op2.coeffs.gamma
-    w2_nodes = region_dofs(mesh, W2)
-    if not np.allclose(gamma1[w2_nodes], gamma2[w2_nodes], rtol=0.0, atol=1e-13):
-        raise HypothesisViolation("diffusions differ on the receiver set W2")
+    _require_agreement(mesh, gamma1, gamma2, W2,
+                       "diffusions differ on the receiver set W2")
     f = np.asarray(f, dtype=float)
     supp = np.abs(f) > 0.0
     if supp[support_dofs(mesh, W2)].all():

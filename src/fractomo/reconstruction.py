@@ -22,7 +22,6 @@ from .errors import (
     DecayCheckFailed,
     ExponentOutOfRange,
     OutsideMeasurementSet,
-    SupportViolation,
     UnresolvableScale,
 )
 from .mesh import Mesh, resolve_region
@@ -33,6 +32,10 @@ MIN_SUPPORT_NODES = 4
 
 #: number of trailing samples in the power-fit extrapolation
 FIT_WINDOW = 5
+
+#: relative slack of the absorption decay check, on the bound and on the
+#: step from one scale to the next
+DECAY_TOL = 0.25
 
 
 @dataclass
@@ -189,17 +192,7 @@ def exterior_reconstruct(operator: DNOperator, bumps: BumpSequence) -> dict:
     SupportViolation
         If a bump has interior support.
     """
-    system, B = operator.system, operator.form.entries
-    Phi = np.column_stack(bumps.vectors)
-    if np.abs(Phi[system.interior]).max(initial=0.0) > 0.0:
-        raise SupportViolation("a bump has interior support")
-    # u = phi outside the interior and u_I = -B_II^{-1} (B phi)_I, so by
-    # symmetry <Lambda phi, phi> = phi^T B phi - (B phi)_I^T B_II^{-1} (B phi)_I:
-    # one product and one block solve for all bumps
-    BPhi = B @ Phi
-    rhs = BPhi[system.interior]
-    estimates = (np.sum(Phi * BPhi, axis=0)
-                 - np.sum(rhs * system.solve_interior(rhs), axis=0))
+    estimates = operator.self_pairings(np.column_stack(bumps.vectors))
     samples = [{"N": int(N), "estimate": float(e)}
                for N, e in zip(bumps.scales, estimates)]
     fit = extrapolate_power_fit(
@@ -209,8 +202,7 @@ def exterior_reconstruct(operator: DNOperator, bumps: BumpSequence) -> dict:
 
 
 def potential_decay_check(qform: SymForm, bumps: BumpSequence,
-                          p: float, params: KernelParams, *,
-                          tol: float = 0.25, strict: bool = True) -> list:
+                          p: float, params: KernelParams) -> list:
     """Decay of the absorption pairing along the bump sequence.
 
     Measures ``value_N = Phi_N^T M_q Phi_N``, with ``M_q = qform`` the
@@ -227,8 +219,8 @@ def potential_decay_check(qform: SymForm, bumps: BumpSequence,
     ExponentOutOfRange
         If ``p <= n/(2s)``.
     DecayCheckFailed
-        If ``strict`` and a value fails to decay or exceeds its bound by
-        more than the tolerance.
+        If a value fails to decay or exceeds its bound by more than
+        ``DECAY_TOL``.
     """
     n, s = params.n, params.s
     if not p > n / (2.0 * s):
@@ -245,13 +237,12 @@ def potential_decay_check(qform: SymForm, bumps: BumpSequence,
     records = []
     for N, v, r in zip(bumps.scales, values, norms):
         records.append({"N": int(N), "value": v, "bound": C * r**theta})
-    if strict:
-        for k, rec in enumerate(records):
-            if abs(rec["value"]) > rec["bound"] * (1.0 + tol) + 1e-300:
-                raise DecayCheckFailed(
-                    f"pairing {rec['value']:.3e} exceeds bound {rec['bound']:.3e} "
-                    f"at N={rec['N']}"
-                )
-            if k and abs(records[k]["value"]) > abs(records[k - 1]["value"]) * (1.0 + tol):
-                raise DecayCheckFailed("absorption pairing fails to decay")
+    for k, rec in enumerate(records):
+        if abs(rec["value"]) > rec["bound"] * (1.0 + DECAY_TOL) + 1e-300:
+            raise DecayCheckFailed(
+                f"pairing {rec['value']:.3e} exceeds bound {rec['bound']:.3e} "
+                f"at N={rec['N']}"
+            )
+        if k and abs(rec["value"]) > abs(records[k - 1]["value"]) * (1.0 + DECAY_TOL):
+            raise DecayCheckFailed("absorption pairing fails to decay")
     return records

@@ -39,6 +39,7 @@ from _oracles import (
     bruteforce_kernel_form_2d,
     bruteforce_local_form_1d,
 )
+from _systems import system_operator
 
 
 def report(k, detail):
@@ -69,7 +70,7 @@ def counterexample_pipeline():
         pair = build_pair(mesh, CE_PRIME, CE_SEED, CE_EPS, W, gform=gform,
                           mass=mass)
         rep = verify_nonuniqueness(pair, W,
-                                   operator=DNOperator(mesh, par, pair.coeffs),
+                                   operator=system_operator(mesh, par, pair.coeffs),
                                    gform=gform, qform=potential_form(mesh, pair.q1),
                                    mass=mass)
         levels[h] = (mesh, gform, pair, rep)
@@ -156,7 +157,7 @@ def test_criterion_04_dn_symmetry_and_well_definedness():
     x = mesh.coords
     co = Coefficients.from_arrays(1.0 + 0.5 * bump(x / 1.4),
                                   0.2 * bump(x / 0.8))
-    op = DNOperator(mesh, par, co)
+    op = system_operator(mesh, par, co)
     dn = op.matrix("W1", "W1")
     sym = dn.symmetry_defect()
     assert sym < 1e-10
@@ -220,7 +221,7 @@ def test_criterion_06_dn_transfer_identity():
     x = mesh.coords
     f = bump((x - 1.625) / 0.3); f[mesh.interior_dofs] = 0.0
     bg = Coefficients.background(mesh)
-    unit = dn_transfer_residual(DNOperator(mesh, par, bg), np.ones_like(x), "W1",
+    unit = dn_transfer_residual(system_operator(mesh, par, bg), np.ones_like(x), "W1",
                                 f, f, gform=gagliardo_form(mesh, par),
                                 qform=potential_form(mesh, bg.q))
     assert unit <= 1e-10
@@ -232,7 +233,7 @@ def test_criterion_06_dn_transfer_identity():
         co = Coefficients.from_arrays(gam, 0.3 * bump(xm / 1.2))
         ff = bump((xm - 1.625) / 0.3); ff[m.interior_dofs] = 0.0
         gg = bump((xm - 1.625) / 0.22); gg[m.interior_dofs] = 0.0
-        residuals.append(dn_transfer_residual(DNOperator(m, par, co), gam, "W1",
+        residuals.append(dn_transfer_residual(system_operator(m, par, co), gam, "W1",
                                               ff, gg, gform=gagliardo_form(m, par),
                                               qform=potential_form(m, co.q)))
     rate = np.polyfit(np.log([32, 64, 128]), -np.log(residuals), 1)[0]
@@ -352,7 +353,7 @@ def test_criterion_10_solution_relation(counterexample_pipeline):
         f[mesh.interior_dofs] = 0.0
         bg = Coefficients.background(mesh)
         residuals[h] = solution_relation_residual(
-            DNOperator(mesh, par, pair.coeffs), DNOperator(mesh, par, bg), f,
+            system_operator(mesh, par, pair.coeffs), system_operator(mesh, par, bg), f,
             "W1", mass=mass_matrix(mesh))
     assert residuals[1 / 64] < 5e-2
     assert residuals[1 / 32] > residuals[1 / 64] > residuals[1 / 128]
@@ -364,8 +365,8 @@ def test_criterion_10_solution_relation(counterexample_pipeline):
         1.0 + 8.0 * plateau(x, (-0.5, 0.5), (-0.9, 0.9))
     )
     r_mis = solution_relation_residual(
-        DNOperator(mesh, par, mismatched),
-        DNOperator(mesh, par, Coefficients.background(mesh)), f, "W1",
+        system_operator(mesh, par, mismatched),
+        system_operator(mesh, par, Coefficients.background(mesh)), f, "W1",
         mass=mass_matrix(mesh))
     assert r_mis > 0.1
     report(10, f"pair residual {residuals[1/64]:.2e} at h=1/64 (< 5e-2), "

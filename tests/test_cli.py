@@ -272,7 +272,6 @@ def test_unknown_measurement_label_before_assembly(subcommand, section, config_p
 
     for name in ("conductivity_form", "gagliardo_form", "dn_transfer_residual"):
         monkeypatch.setattr(cli, name, no_assembly)
-    monkeypatch.setattr(dnmap, "conductivity_form", no_assembly)
     path, out = config_path
     text = path.read_text()
     head, tail = text.split(f"[{section}]")

@@ -16,12 +16,14 @@ from fractomo.counterexample import (
     build_pair,
     verify_nonuniqueness,
 )
-from fractomo.dnmap import DNOperator, solution_relation_residual
+from fractomo.dnmap import solution_relation_residual
 from fractomo.errors import GeometryViolation, NegativeSolution
 from fractomo.mesh import Box, Region, build_mesh, region_dofs
 from fractomo.profiles import bump, mollifier_kernel
 from fractomo.reduction import reduced_potential_form
 from fractomo.solver import multiplier_norm_estimate
+
+from _systems import system_operator
 
 REGIONS = [Region("Omega", (-1.0,), (1.0,)), Region("W1", (1.2,), (1.8,))]
 OMEGA_PRIME = Region("Omega_prime", (-0.5,), (0.5,))
@@ -48,7 +50,7 @@ def test_degenerate_cutoff_gives_background(setting):
     assert np.abs(pair.gamma1 - 1.0).max() == 0.0
     assert np.abs(pair.q1).max() == 0.0
     report = verify_nonuniqueness(pair, W,
-                                  operator=DNOperator(mesh, par, pair.coeffs),
+                                  operator=system_operator(mesh, par, pair.coeffs),
                                   gform=gform, qform=potential_form(mesh, pair.q1),
                                   mass=mass_matrix(mesh))
     assert report["dn_gap"] == 0.0
@@ -164,7 +166,7 @@ def test_report_invariants(setting):
     mesh, par, gform, W, pair = setting
     qform, mass = potential_form(mesh, pair.q1), mass_matrix(mesh)
     report = verify_nonuniqueness(pair, W,
-                                  operator=DNOperator(mesh, par, pair.coeffs),
+                                  operator=system_operator(mesh, par, pair.coeffs),
                                   gform=gform, qform=qform, mass=mass)
     Q = reduced_potential_form(pair.coeffs, gform=gform, qform=qform)
     assert report["q_form_residual"] == pytest.approx(
@@ -207,7 +209,8 @@ def test_report_estimates_share_one_factor_of_h(setting, monkeypatch):
     factors = []
     cholesky = la.cholesky
     monkeypatch.setattr(la, "cholesky", lambda *a, **kw: factors.append(1) or cholesky(*a, **kw))
-    report = verify_nonuniqueness(pair, W, operator=DNOperator(mesh, par, pair.coeffs),
+    report = verify_nonuniqueness(pair, W,
+                                  operator=system_operator(mesh, par, pair.coeffs),
                                   gform=gform, qform=qform, mass=mass)
     assert len(factors) == 1
     assert [report["q_form_norm"], report["multiplier_estimate"]] == separate
@@ -219,8 +222,8 @@ def test_solution_relation_against_background(setting):
     f = bump((x - 1.5) / 0.25)
     f[mesh.interior_dofs] = 0.0
     bg = Coefficients.background(mesh)
-    r = solution_relation_residual(DNOperator(mesh, par, pair.coeffs),
-                                   DNOperator(mesh, par, bg), f, "W1",
+    r = solution_relation_residual(system_operator(mesh, par, pair.coeffs),
+                                   system_operator(mesh, par, bg), f, "W1",
                                    mass=mass_matrix(mesh))
     assert r < 5e-2
 
@@ -237,7 +240,7 @@ def test_interior_layout_also_supported():
     w_nodes = region_dofs(mesh, "W1")
     assert np.abs(pair.gamma1[w_nodes] - 1.0).max() == 0.0
     report = verify_nonuniqueness(pair, W,
-                                  operator=DNOperator(mesh, par, pair.coeffs),
+                                  operator=system_operator(mesh, par, pair.coeffs),
                                   gform=gform, qform=potential_form(mesh, pair.q1),
                                   mass=mass_matrix(mesh))
     assert report["dn_gap"] < 5e-2

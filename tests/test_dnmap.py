@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,8 @@ from fractomo.errors import HypothesisViolation, SupportViolation
 from fractomo.mesh import Box, Region, build_mesh, support_dofs
 from fractomo.profiles import bump, plateau
 
+from _systems import system_operator
+
 
 @pytest.fixture(scope="module")
 def setting():
@@ -25,7 +29,7 @@ def setting():
     )
     par = KernelParams(1, 0.25)
     co = Coefficients.background(mesh)
-    op = DNOperator(mesh, par, co)
+    op = system_operator(mesh, par, co)
     return mesh, par, co, op
 
 
@@ -61,7 +65,7 @@ def _drawn_operator(mesh, s, amp, freq, phase, level):
     x = mesh.coords
     gamma = 1.0 + amp * np.sin(freq * x + phase)
     q = level * bump(x / 1.5)
-    return DNOperator(mesh, KernelParams(1, s), Coefficients.from_arrays(gamma, q))
+    return system_operator(mesh, KernelParams(1, s), Coefficients.from_arrays(gamma, q))
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -81,6 +85,37 @@ def test_well_definedness_representative_independence(setting, s, amp, freq,
         z[mesh.interior_dofs] = rng.standard_normal(mesh.interior_dofs.size)
         shifted = op.pairing(f, g + z, check_support=False)
         assert abs(shifted - base) < 1e-9
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(s=orders, amp=amplitudes, freq=frequencies, phase=phases, level=levels,
+       seed=st.integers(0, 2**32 - 1))
+def test_self_pairings_are_the_diagonal_pairings(setting, s, amp, freq, phase,
+                                                 level, seed):
+    mesh = setting[0]
+    op = _drawn_operator(mesh, s, amp, freq, phase, level)
+    cols = support_dofs(mesh, "W1")
+    Phi = np.zeros((mesh.num_nodes, 4))
+    Phi[cols] = np.random.default_rng(seed).standard_normal((cols.size, 4))
+    values = op.self_pairings(Phi)
+    assert values.shape == (4,)
+    for value, phi in zip(values, Phi.T):
+        assert value == pytest.approx(op.pairing(phi, phi), rel=1e-14)
+
+
+def test_self_pairings_reject_interior_support(setting):
+    mesh, par, co, op = setting
+    Phi = np.zeros((mesh.num_nodes, 2))
+    Phi[support_dofs(mesh, "W1"), 0] = 1.0
+    Phi[mesh.interior_dofs[-1], 1] = 1e-3
+    with pytest.raises(SupportViolation, match="interior support"):
+        op.self_pairings(Phi)
+
+
+def test_operator_needs_an_assembled_form(setting):
+    mesh, par, co, op = setting
+    with pytest.raises(TypeError, match="form"):
+        DNOperator(mesh, par, co)
 
 
 def test_disjoint_support_cross_term():
@@ -124,7 +159,7 @@ def test_dn_matrix_above_two_thousand_interior_dofs():
         [Region("Omega", (-1.0,), (1.0,)), Region("W1", (1.2,), (1.6,))],
     )
     assert mesh.interior_dofs.size > 2000
-    op = DNOperator(mesh, KernelParams(1, 0.25), Coefficients.background(mesh))
+    op = system_operator(mesh, KernelParams(1, 0.25), Coefficients.background(mesh))
     assert op.matrix("W1", "W1").symmetry_defect() < 1e-10
     f = bump((mesh.coords - 1.4) / 0.15)
     assert op.solve(f).residual <= 1e-10
@@ -149,7 +184,7 @@ def test_dn_monotone_in_constant_potential_shift(setting, s, amp, freq, phase,
     # DN(q + shift) - DN(q) is positive semidefinite
     mesh = setting[0]
     op = _drawn_operator(mesh, s, amp, freq, phase, level)
-    co_shift = op.coeffs.with_q(op.coeffs.q + shift)
+    co_shift = dataclasses.replace(op.coeffs, q=op.coeffs.q + shift)
     op_shift = DNOperator(mesh, op.params, co_shift,
                           form=op.form + potential_form(mesh, np.full(mesh.num_nodes, shift)))
     gap = op_shift.matrix("W1", "W1").entries - op.matrix("W1", "W1").entries
@@ -181,7 +216,7 @@ def test_dn_refinement_cauchy_rate():
         f = bump((x - 1.625) / 0.3); f[mesh.interior_dofs] = 0.0
         g = bump((x - 1.625) / 0.22); g[mesh.interior_dofs] = 0.0
         co = Coefficients.from_arrays(1.0 + 0.5 * bump(x / 1.4))
-        values.append(DNOperator(mesh, par, co).pairing(f, g))
+        values.append(system_operator(mesh, par, co).pairing(f, g))
     diffs = np.abs(np.diff(values))
     rates = np.log2(diffs[:-1] / diffs[1:])
     assert (rates > 0.5).all()
@@ -202,7 +237,7 @@ def test_solution_relation_hypothesis_violation(setting):
     gam2 = np.where((x > 1.25) & (x < 2.25), 2.0, 1.0)
     other = Coefficients.from_arrays(gam2)
     with pytest.raises(HypothesisViolation):
-        solution_relation_residual(op, DNOperator(mesh, par, other), f, "W2",
+        solution_relation_residual(op, system_operator(mesh, par, other), f, "W2",
                                    mass=mass_matrix(mesh))
 
 
@@ -212,7 +247,7 @@ def test_solution_relation_mismatched_floor(setting):
     f = bump((x - 1.7) / 0.35); f[mesh.interior_dofs] = 0.0
     gam2 = 1.0 + 8.0 * plateau(x, (-0.5, 0.5), (-0.9, 0.9))
     mismatched = Coefficients.from_arrays(gam2)
-    r = solution_relation_residual(DNOperator(mesh, par, mismatched), op, f, "W2",
+    r = solution_relation_residual(system_operator(mesh, par, mismatched), op, f, "W2",
                                    mass=mass_matrix(mesh))
     assert r > 0.1
 
@@ -225,7 +260,7 @@ def test_dn_matrix_2d_smoke():
     )
     par = KernelParams(2, 0.3)
     co = Coefficients.background(mesh)
-    op = DNOperator(mesh, par, co)
+    op = system_operator(mesh, par, co)
     dn = op.matrix("W1", "W1")
     assert dn.entries.shape[0] == dn.entries.shape[1] > 0
     assert dn.symmetry_defect() < 1e-10
@@ -249,5 +284,5 @@ def test_truncation_margin_invariance(s, cells, amp):
         f = bump((x - 1.625) / 0.3); f[mesh.interior_dofs] = 0.0
         g = bump((x - 1.625) / 0.22); g[mesh.interior_dofs] = 0.0
         co = Coefficients.from_arrays(1.0 + amp * bump(x / 1.4))
-        vals.append(DNOperator(mesh, par, co).pairing(f, g))
+        vals.append(system_operator(mesh, par, co).pairing(f, g))
     assert abs(vals[1] - vals[0]) < 1e-10 * abs(vals[0])

@@ -207,9 +207,9 @@ def test_dn_csv_headers(tmp_path):
     )
     par = KernelParams(1, 0.25)
     from fractomo.assembly import Coefficients
-    from fractomo.dnmap import DNOperator
+    from _systems import system_operator
 
-    dn = DNOperator(mesh, par, Coefficients.background(mesh)).matrix("W1", "W1")
+    dn = system_operator(mesh, par, Coefficients.background(mesh)).matrix("W1", "W1")
     path = tmp_path / "dn.csv"
     export_dn_csv(path, mesh, dn)
     header = path.read_text().splitlines()[0]

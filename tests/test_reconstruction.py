@@ -30,6 +30,8 @@ from fractomo.reconstruction import (
     potential_decay_check,
 )
 
+from _systems import system_operator
+
 REGIONS = [Region("Omega", (-1.0,), (1.0,)), Region("W1", (1.2,), (2.4,))]
 BOX = Box((-2.25,), (3.75,))
 X0 = 1.8
@@ -118,7 +120,7 @@ def test_unknown_label_is_named_like_everywhere_else(setting):
 def test_reconstruct_unit_background(setting):
     mesh, par, gform, bumps = setting
     co = Coefficients.background(mesh)
-    out = exterior_reconstruct(DNOperator(mesh, par, co), bumps)
+    out = exterior_reconstruct(system_operator(mesh, par, co), bumps)
     for rec in out["samples"]:
         assert abs(rec["estimate"] - 1.0) < 0.05
     assert abs(out["extrapolated"] - 1.0) < 0.02
@@ -129,7 +131,7 @@ def test_reconstruct_equals_the_per_bump_pairings(setting):
     x = mesh.coords
     co = Coefficients.from_arrays(1.0 + 0.7 * bump((x - 2.0) / 1.4),
                                   2.0 * bump((x - X0) / 0.5))
-    op = DNOperator(mesh, par, co)
+    op = system_operator(mesh, par, co)
     out = exterior_reconstruct(op, bumps)
     for rec, phi in zip(out["samples"], bumps.vectors):
         assert rec["estimate"] == pytest.approx(op.pairing(phi, phi), rel=1e-14)
@@ -145,7 +147,7 @@ def test_dn_decomposition_identity(setting):
     x = mesh.coords
     co = Coefficients.from_arrays(1.0 + plateau(x, (1.0, 2.6), (0.7, 2.9)),
                                   0.5 * bump((x - X0) / 0.5))
-    op = DNOperator(mesh, par, co)
+    op = system_operator(mesh, par, co)
     B = op.form.entries
     for phi in bumps.vectors[:3]:
         u = op.solve(phi).u
@@ -158,7 +160,7 @@ def test_dn_decomposition_identity(setting):
 def test_solution_correction_energy_vanishes(setting):
     mesh, par, gform, bumps = setting
     co = Coefficients.background(mesh)
-    op = DNOperator(mesh, par, co)
+    op = system_operator(mesh, par, co)
     vals = []
     for phi in bumps.vectors:
         u = op.solve(phi).u
@@ -177,8 +179,8 @@ def test_reconstruct_locality_in_q(setting):
     q2 = q1 + 0.7 * bump((x - 3.2) / 0.2)  # far outside supports and Omega
     co1 = Coefficients.from_arrays(np.ones_like(x), q1)
     co2 = Coefficients.from_arrays(np.ones_like(x), q2)
-    r1 = exterior_reconstruct(DNOperator(mesh, par, co1), bumps)
-    r2 = exterior_reconstruct(DNOperator(mesh, par, co2), bumps)
+    r1 = exterior_reconstruct(system_operator(mesh, par, co1), bumps)
+    r2 = exterior_reconstruct(system_operator(mesh, par, co2), bumps)
     for a, b in zip(r1["samples"], r2["samples"]):
         assert abs(a["estimate"] - b["estimate"]) < 1e-9
 
@@ -211,7 +213,7 @@ def test_theta_exponent_formula():
     gform = gagliardo_form(mesh, par)
     bumps = bump_sequence(mesh, "W1", X0, gform=gform, mass=mass_matrix(mesh))
     qform = potential_form(mesh, bump((mesh.coords - X0) / 0.5))
-    recs3 = potential_decay_check(qform, bumps, 3.0, par, strict=False)
+    recs3 = potential_decay_check(qform, bumps, 3.0, par)
     norms = bumps.l2_norms
     C = recs3[0]["value"] / norms[0] ** (2.0 / 3.0)
     for rec, r in zip(recs3, norms):
@@ -226,7 +228,7 @@ def test_decay_check_failure_raises(setting):
     # calibrated bound
     q = 1.0 / (0.01 + np.abs(mesh.coords - X0))
     with pytest.raises(DecayCheckFailed):
-        potential_decay_check(potential_form(mesh, q), bumps, math.inf, par, tol=0.01)
+        potential_decay_check(potential_form(mesh, q), bumps, math.inf, par)
 
 
 def test_exterior_q_shifts_estimates_by_its_pairing(setting):
@@ -238,9 +240,9 @@ def test_exterior_q_shifts_estimates_by_its_pairing(setting):
     gam = 1.0 + plateau(x, (1.0, 2.6), (0.7, 2.9))
     q = 5.0 * bump((x - X0) / 0.5)
     r0 = exterior_reconstruct(
-        DNOperator(mesh, par, Coefficients.from_arrays(gam)), bumps)
+        system_operator(mesh, par, Coefficients.from_arrays(gam)), bumps)
     rq = exterior_reconstruct(
-        DNOperator(mesh, par, Coefficients.from_arrays(gam, q)), bumps)
+        system_operator(mesh, par, Coefficients.from_arrays(gam, q)), bumps)
     records = potential_decay_check(potential_form(mesh, q), bumps, math.inf, par)
     for a, b, d in zip(r0["samples"], rq["samples"], records):
         delta = abs(b["estimate"] - a["estimate"])
@@ -255,7 +257,7 @@ def test_energy_concentration_monotone(setting):
     x = mesh.coords
     gam = 1.0 + plateau(x, (1.0, 2.6), (0.7, 2.9))
     co = Coefficients.from_arrays(gam)
-    out = exterior_reconstruct(DNOperator(mesh, par, co), bumps)
+    out = exterior_reconstruct(system_operator(mesh, par, co), bumps)
     errors = [abs(rec["estimate"] - 2.0) for rec in out["samples"]]
     assert all(b < a for a, b in zip(errors, errors[1:]))
 

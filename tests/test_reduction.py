@@ -9,8 +9,7 @@ from fractomo.assembly import (
     mass_matrix,
     potential_form,
 )
-from fractomo.dnmap import DNOperator
-from fractomo.errors import HypothesisViolation
+from fractomo.errors import HypothesisViolation, SupportViolation
 from fractomo.mesh import Box, Region, build_mesh
 from fractomo.profiles import bump
 from fractomo.reduction import (
@@ -22,6 +21,8 @@ from fractomo.reduction import (
 )
 from fractomo.solver import FactorizedSystem
 from fractomo.spectral import spectral_frac_laplacian
+
+from _systems import system_operator
 
 REGIONS = [Region("Omega", (-1.0,), (1.0,)), Region("W1", (1.25,), (2.0,))]
 BOX = Box((-2.25,), (3.25,))
@@ -133,7 +134,7 @@ def test_transfer_identity_unit_case(setting):
     co = Coefficients.background(mesh)
     x = mesh.coords
     f = bump((x - 1.625) / 0.3); f[mesh.interior_dofs] = 0.0
-    r = dn_transfer_residual(DNOperator(mesh, par, co), np.ones_like(x), "W1",
+    r = dn_transfer_residual(system_operator(mesh, par, co), np.ones_like(x), "W1",
                              f, f, gform=gform, qform=potential_form(mesh, co.q))
     assert r < 1e-12
 
@@ -148,7 +149,7 @@ def test_transfer_refinement_rate():
         f = bump((x - 1.625) / 0.3); f[mesh.interior_dofs] = 0.0
         g = bump((x - 1.625) / 0.22); g[mesh.interior_dofs] = 0.0
         residuals.append(
-            dn_transfer_residual(DNOperator(mesh, par, co), co.gamma, "W1", f, g,
+            dn_transfer_residual(system_operator(mesh, par, co), co.gamma, "W1", f, g,
                                  gform=gagliardo_form(mesh, par),
                                  qform=potential_form(mesh, co.q))
         )
@@ -162,7 +163,7 @@ def test_transfer_gamma_modified_away_from_w(setting):
     x = mesh.coords
     f = bump((x - 1.625) / 0.3); f[mesh.interior_dofs] = 0.0
     g = bump((x - 1.625) / 0.22); g[mesh.interior_dofs] = 0.0
-    op = DNOperator(mesh, par, co)
+    op = system_operator(mesh, par, co)
     qform = potential_form(mesh, co.q)
     r1 = dn_transfer_residual(op, co.gamma, "W1", f, g, gform=gform, qform=qform)
     gamma_mod = co.gamma + 0.4 * bump((x + 1.6) / 0.3)  # away from W1
@@ -177,8 +178,23 @@ def test_transfer_hypothesis_violation(setting):
     f = bump((x - 1.625) / 0.3); f[mesh.interior_dofs] = 0.0
     gamma_bad = co.gamma + bump((x - 1.625) / 0.3)
     with pytest.raises(HypothesisViolation):
-        dn_transfer_residual(DNOperator(mesh, par, co), gamma_bad, "W1", f, f,
+        dn_transfer_residual(system_operator(mesh, par, co), gamma_bad, "W1", f, f,
                              gform=gform, qform=potential_form(mesh, co.q))
+
+
+@pytest.mark.parametrize("datum", ["f", "g"])
+def test_transfer_rejects_interior_support(setting, datum):
+    mesh, par, gform = setting
+    co = _smooth_coeffs(mesh)
+    x = mesh.coords
+    data = {"f": bump((x - 1.625) / 0.3), "g": bump((x - 1.625) / 0.22)}
+    for v in data.values():
+        v[mesh.interior_dofs] = 0.0
+    data[datum][mesh.interior_dofs[0]] = 1e-3
+    with pytest.raises(SupportViolation):
+        dn_transfer_residual(system_operator(mesh, par, co), co.gamma, "W1",
+                             data["f"], data["g"], gform=gform,
+                             qform=potential_form(mesh, co.q))
 
 
 def test_schrodinger_solution_relation_refinement():
@@ -191,7 +207,7 @@ def test_schrodinger_solution_relation_refinement():
         co = _smooth_coeffs(mesh)
         x = mesh.coords
         f = bump((x - 1.625) / 0.3); f[mesh.interior_dofs] = 0.0
-        op = DNOperator(mesh, par, co)
+        op = system_operator(mesh, par, co)
         u = op.solve(f).u
         S = schrodinger_form(co, gform=gagliardo_form(mesh, par),
                              qform=potential_form(mesh, co.q))
@@ -215,8 +231,8 @@ def test_dn_difference_decomposition_exact_for_unit_gamma():
     pair2 = Coefficients.from_arrays(np.ones_like(x), q2)
     f = bump((x - 1.625) / 0.25)
     f[mesh.interior_dofs] = 0.0
-    out = dn_difference_decomposition(DNOperator(mesh, par, pair1),
-                                      DNOperator(mesh, par, pair2), f,
+    out = dn_difference_decomposition(system_operator(mesh, par, pair1),
+                                      system_operator(mesh, par, pair2), f,
                                       gform=gagliardo_form(mesh, par),
                                       qform1=potential_form(mesh, q1),
                                       qform2=potential_form(mesh, q2))
