@@ -17,13 +17,13 @@ of the diffusion weight: ``sum_pq D_p T_pq D_q`` over the node offsets
 for the fractional Laplacian).  That identity assumes every element next
 to a node exists; the rows and columns of the nodes on the box boundary
 are evaluated with the elements that do.  The element-local blocks are
-correlations of the diffusion with the class blocks: direct sums in 1D,
-one batched FFT in 2D.
+correlations of the diffusion with the class blocks, one batched FFT in
+either dimension.
 
 A kernel form is built in two steps.  The grid plan holds what depends
 on the grid and the order but not on the coefficients: the element
 table, the identical-pair entries, the operand of the element-local
-correlations (the 2D spectrum, the 1D sequences), the slot-pair
+correlations (the conjugate spectrum of the class blocks), the slot-pair
 sequences of the box-face rows, the merged Toeplitz/BTTB sequences, the
 node offsets and the slot masks (:func:`_offset_plan`), and the
 exterior-tail rules with ``omega`` multiplied in.  One bounded LRU cache
@@ -508,16 +508,13 @@ def _partner_plan(T, cells, ta, tb, D, xx, yy):
     ``D``, the y element's at ``-D``, and within one statement every class
     lands at its own ``(t, u, D)``.  An FFT of length ``period = 2 cells``
     has no wrap-around at the offsets ``|D| < cells``, and the even length
-    keeps it fast.  In 2D the operand is the conjugate spectrum of ``P``,
-    in 1D ``P`` itself with ``D`` at ``D + cells - 1``.
+    keeps it fast.  The operand is the conjugate spectrum of ``P``.
     """
     n = len(cells)
     period = tuple(2 * c for c in cells)
     P = np.zeros((T, T) + xx.shape[1:] + period)
     P[(ta, tb) + (slice(None),) * 3 + tuple((D % period).T)] += xx
     P[(tb, ta) + (slice(None),) * 3 + tuple((-D % period).T)] += yy.swapaxes(2, 3)
-    if n == 1:
-        return np.roll(P, cells[0] - 1, axis=-1)[..., :2 * cells[0] - 1]
     return np.fft.rfftn(P, axes=tuple(range(-n, 0))).conj()
 
 
@@ -528,23 +525,16 @@ def _partner_terms(gv, partners):
 
     ``gv`` (T, nv, *cells) holds the vertex values of ``g`` of every
     element and ``partners`` the operand of :func:`_partner_plan`.  The
-    sum over ``D`` is a correlation: in 2D one batched FFT for all
-    elements, in 1D direct sums (``np.correlate``, 12 of length M).
+    sum over ``D`` is a correlation, one batched FFT for all elements.
     """
     T, nv, *cells = gv.shape
     n = len(cells)
-    if n == 1:
-        corr = np.zeros((T, partners.shape[2], nv, cells[0]))
-        for t, u, e, c, d in np.ndindex(partners.shape[:5]):
-            corr[t, e, c] += np.correlate(partners[t, u, e, c, d], gv[u, d],
-                                          "valid")[::-1]
-    else:
-        period = tuple(2 * c for c in cells)
-        ax = tuple(range(-n, 0))
-        spec = np.einsum("tuecd...,ud...->tec...", partners,
-                         np.fft.rfftn(gv, s=period, axes=ax))
-        corr = np.fft.irfftn(spec, s=period, axes=ax)[
-            (Ellipsis,) + tuple(slice(c) for c in cells)]
+    period = tuple(2 * c for c in cells)
+    ax = tuple(range(-n, 0))
+    spec = np.einsum("tuecd...,ud...->tec...", partners,
+                     np.fft.rfftn(gv, s=period, axes=ax))
+    corr = np.fft.irfftn(spec, s=period, axes=ax)[
+        (Ellipsis,) + tuple(slice(c) for c in cells)]
     return np.einsum("tc...,tec...->t...e", gv, corr)
 
 

@@ -37,13 +37,16 @@ from .assembly import (
     potential_form,
 )
 from .config import ExperimentConfig, parse_config
-from .counterexample import build_pair, verify_nonuniqueness
+from .counterexample import build_pair, check_geometry, verify_nonuniqueness
 from .dnmap import DNOperator
 from .errors import (
     ConfigError,
     FractomoError,
+    GeometryViolation,
     InsufficientMemory,
     InsufficientPadding,
+    OutsideMeasurementSet,
+    UnresolvableScale,
     VerificationError,
 )
 from .io import (
@@ -55,8 +58,14 @@ from .io import (
     residual_records,
     write_json_report,
 )
+from .mesh import is_measurement_label
 from .profiles import bump
-from .reconstruction import bump_sequence, exterior_reconstruct, potential_decay_check
+from .reconstruction import (
+    bump_scales,
+    bump_sequence,
+    exterior_reconstruct,
+    potential_decay_check,
+)
 from .reduction import dn_transfer_residual, liouville_residual
 from .solver import FactorizedSystem, mass_solve, poincare_constant
 from .spectral import spectral_frac_laplacian
@@ -126,10 +135,23 @@ def _system_form(cfg: ExperimentConfig, mesh, params, coeffs):
 
 
 def _measurement_region(cfg: ExperimentConfig, label: str, key: str) -> str:
-    """``label`` if ``[regions]`` defines it; a config error otherwise."""
+    """``label`` if ``[regions]`` defines it as a measurement set; a config
+    error otherwise."""
     if label not in cfg.regions:
         raise ConfigError(f"{key}: no region {label!r} in [regions]")
+    if not is_measurement_label(label):
+        raise ConfigError(f"{key}: region {label!r} is not a measurement set "
+                          "(a label starting with W)")
     return label
+
+
+def _relation(section: str, check, *args):
+    """``check(*args)``, with a violated relation between the keys of
+    ``section`` and the regions reported as a config error."""
+    try:
+        return check(*args)
+    except (GeometryViolation, OutsideMeasurementSet, UnresolvableScale) as exc:
+        raise ConfigError(f"{section}: {exc}") from None
 
 
 def _refinements(cfg: ExperimentConfig):
@@ -208,7 +230,9 @@ def run_reconstruct(cfg, outdir):
     coeffs = cfg.coefficients(mesh)
     if cfg.x0 is None:
         raise ConfigError("[reconstruct] x0: key is required")
-    bumps = bump_sequence(mesh, wlabel, cfg.x0, cfg.scales,
+    scales = _relation("[reconstruct]", bump_scales, mesh, wlabel, cfg.x0,
+                       cfg.scales)
+    bumps = bump_sequence(mesh, wlabel, cfg.x0, scales,
                           gform=_gagliardo(cfg, mesh, params),
                           mass=mass_matrix(mesh))
     form, qform = _system_form(cfg, mesh, params, coeffs)
@@ -277,6 +301,8 @@ def run_counterexample(cfg, outdir):
     if cfg.ce_omega_prime is None or cfg.ce_omega is None:
         raise ConfigError("[counterexample]: omega_prime and omega are required")
     W = cfg.regions[wlabel]
+    _relation("[counterexample]", check_geometry, mesh, cfg.ce_omega_prime,
+              cfg.ce_omega, cfg.ce_eps, W)
     gform = _gagliardo(cfg, mesh, params)
     mass = mass_matrix(mesh)
     pair = build_pair(mesh, cfg.ce_omega_prime, cfg.ce_omega, cfg.ce_eps, W,

@@ -89,6 +89,34 @@ class CounterexamplePair:
         return self.coeffs.q
 
 
+def check_geometry(mesh: Mesh, omega_prime: Region, omega_set: Region,
+                   eps: float, W: Region) -> None:
+    """Raise :class:`GeometryViolation` unless the 5-eps dilations of
+    ``Omega'`` and ``omega`` and the set ``W`` are pairwise disjoint and
+    inside the box of ``mesh``, and ``Omega'(5eps)`` lies in ``Omega``
+    where the mesh declares it.
+
+    The relations are :meth:`Region.intersects_closed` and
+    :meth:`Region.within`, under the coordinate tolerance of
+    :mod:`fractomo.mesh`.  Needs only the mesh, so a caller can check its
+    inputs before assembling a form.
+    """
+    op5 = omega_prime.dilate(5 * eps)
+    om5 = omega_set.dilate(5 * eps)
+    for name, a, b in (
+        ("Omega'(5eps) and omega(5eps)", op5, om5),
+        ("Omega'(5eps) and W", op5, W),
+        ("omega(5eps) and W", om5, W),
+    ):
+        if a.intersects_closed(b):
+            raise GeometryViolation(f"{name} intersect")
+    for name, r in (("Omega'(5eps)", op5), ("omega(5eps)", om5), ("W", W)):
+        if not r.within(mesh.box):
+            raise GeometryViolation(f"{name} leaves the computational box")
+    if "Omega" in mesh.regions and not op5.within(mesh.regions["Omega"]):
+        raise GeometryViolation("Omega'(5eps) is not contained in Omega")
+
+
 def build_pair(mesh: Mesh, omega_prime: Region, omega_set: Region, eps: float,
                W: Region, *, gform: SymForm, mass: SymForm, scale: float = 1.0,
                eta_amplitude: float = 1.0) -> CounterexamplePair:
@@ -114,28 +142,13 @@ def build_pair(mesh: Mesh, omega_prime: Region, omega_set: Region, eps: float,
     Raises
     ------
     GeometryViolation, NegativeSolution
-        The geometry is checked by :meth:`Region.intersects_closed` and
-        :meth:`Region.within`, under the coordinate tolerance of
-        :mod:`fractomo.mesh`.
+        The geometry is checked by :func:`check_geometry`.
     """
     if mesh.n != 1:
         raise NotImplementedError("the construction pipeline is 1D")
     if eps <= 0 or not 0.0 < scale <= 1.0:
         raise ValueError("need eps > 0 and 0 < scale <= 1")
-    op5 = omega_prime.dilate(5 * eps)
-    om5 = omega_set.dilate(5 * eps)
-    for name, a, b in (
-        ("Omega'(5eps) and omega(5eps)", op5, om5),
-        ("Omega'(5eps) and W", op5, W),
-        ("omega(5eps) and W", om5, W),
-    ):
-        if a.intersects_closed(b):
-            raise GeometryViolation(f"{name} intersect")
-    for name, r in (("Omega'(5eps)", op5), ("omega(5eps)", om5), ("W", W)):
-        if not r.within(mesh.box):
-            raise GeometryViolation(f"{name} leaves the computational box")
-    if "Omega" in mesh.regions and not op5.within(mesh.regions["Omega"]):
-        raise GeometryViolation("Omega'(5eps) is not contained in Omega")
+    check_geometry(mesh, omega_prime, omega_set, eps, W)
 
     x = mesh.coords
 

@@ -233,6 +233,12 @@ def grid_elements(shape: tuple, verts) -> np.ndarray:
                       for v in vt] for vt in verts])
 
 
+def is_measurement_label(label: str) -> bool:
+    """Whether a region of this label is a measurement set: its label
+    starts with ``"W"``."""
+    return label.startswith("W")
+
+
 def build_mesh(box: Box, h: float, regions: list | None = None) -> Mesh:
     """Build the uniform mesh of ``box`` with spacing ``h``.
 
@@ -248,7 +254,7 @@ def build_mesh(box: Box, h: float, regions: list | None = None) -> Mesh:
         1e-9 along every axis.
     regions : list of Region, optional
         Labeled regions, each capturing at least one node.  Measurement regions
-        (labels starting with ``"W"``) must not meet the closure of the
+        (see :func:`is_measurement_label`) must not meet the closure of the
         region labeled ``"Omega"``.
 
     Raises
@@ -273,7 +279,7 @@ def build_mesh(box: Box, h: float, regions: list | None = None) -> Mesh:
     for r in regions:
         if r.n != box.n:
             raise ValueError(f"region {r.name!r} has wrong dimension")
-        if omega is not None and r.name.startswith("W"):
+        if omega is not None and is_measurement_label(r.name):
             if r.intersects_closed(omega):
                 raise RegionOverlapViolation(
                     f"measurement set {r.name!r} meets the closure of Omega"

@@ -93,6 +93,37 @@ def default_scales(mesh: Mesh, W, x0: float) -> list:
     return scales
 
 
+def bump_scales(mesh: Mesh, W, x0: float, Ns=None) -> list:
+    """The concentration scales of a bump sequence at ``x0`` in ``W``:
+    ``Ns`` after checking them, or :func:`default_scales` if ``Ns`` is None.
+
+    ``x0`` must lie inside ``W`` with positive distance to its boundary,
+    and the support of radius ``1/N`` of every bump must stay inside
+    ``W`` and span ``MIN_SUPPORT_NODES`` mesh widths.  Needs only the
+    mesh, so a caller can check its inputs before assembling a form.
+
+    Raises
+    ------
+    OutsideMeasurementSet, UnresolvableScale, UnknownRegion
+    """
+    wl, wu = _region_bounds(mesh, W)
+    if not wl < x0 < wu:
+        raise OutsideMeasurementSet(f"x0={x0} is not inside W=({wl}, {wu})")
+    if Ns is None:
+        return default_scales(mesh, W, x0)
+    for N in Ns:
+        radius = 1.0 / N
+        if x0 - radius <= wl or x0 + radius >= wu:
+            raise OutsideMeasurementSet(
+                f"support of scale N={N} bump leaves W=({wl}, {wu})"
+            )
+        if not _resolved(mesh, radius):
+            raise UnresolvableScale(
+                f"scale N={N} support spans fewer than {MIN_SUPPORT_NODES} mesh widths"
+            )
+    return list(Ns)
+
+
 def bump_sequence(mesh: Mesh, W, x0: float, Ns=None, *,
                   gform: SymForm, mass: SymForm) -> BumpSequence:
     """Build the energy-normalized concentrating sequence at ``x0``.
@@ -100,8 +131,8 @@ def bump_sequence(mesh: Mesh, W, x0: float, Ns=None, *,
     Parameters
     ----------
     W : Region or label
-        Measurement set; ``x0`` must lie inside with positive distance
-        to the boundary and every bump support must stay inside.
+        Measurement set; ``x0`` and the scales must pass
+        :func:`bump_scales`.
     Ns : list of int, optional
         Concentration scales (support radius ``1/N``); defaults to the
         geometric schedule of :func:`default_scales`.
@@ -115,23 +146,10 @@ def bump_sequence(mesh: Mesh, W, x0: float, Ns=None, *,
     """
     if mesh.n != 1:
         raise NotImplementedError("bump sequences are implemented for 1D meshes")
-    wl, wu = _region_bounds(mesh, W)
-    if not wl < x0 < wu:
-        raise OutsideMeasurementSet(f"x0={x0} is not inside W=({wl}, {wu})")
-    if Ns is None:
-        Ns = default_scales(mesh, W, x0)
+    Ns = bump_scales(mesh, W, x0, Ns)
     x = mesh.coords
     vectors, energies, l2s = [], [], []
     for N in Ns:
-        radius = 1.0 / N
-        if x0 - radius <= wl or x0 + radius >= wu:
-            raise OutsideMeasurementSet(
-                f"support of scale N={N} bump leaves W=({wl}, {wu})"
-            )
-        if not _resolved(mesh, radius):
-            raise UnresolvableScale(
-                f"scale N={N} support spans fewer than {MIN_SUPPORT_NODES} mesh widths"
-            )
         phi = bump(N * (x - x0))
         raw = float(phi @ (gform.entries @ phi))
         c = 1.0 / math.sqrt(raw)
@@ -142,7 +160,7 @@ def bump_sequence(mesh: Mesh, W, x0: float, Ns=None, *,
     if any(l2s[k + 1] >= l2s[k] for k in range(len(l2s) - 1)):
         raise UnresolvableScale("L2 norms of the bump sequence fail to decrease")
     return BumpSequence(
-        center=float(x0), scales=list(Ns), vectors=vectors,
+        center=float(x0), scales=Ns, vectors=vectors,
         energies=energies, l2_norms=l2s,
     )
 

@@ -85,7 +85,7 @@ def test_tail_2d_mesh_symmetries(s, cells, half, amp, freq):
 
 #: entries of the offset engine against the class scatter summed in
 #: extended precision, relative to max|A|: the engine's own round-off,
-#: measured at up to 1.1e-14 (2D, one cell, s = 0.49) and 2.1e-16 in 1D
+#: measured at up to 1.1e-14 (2D, one cell, s = 0.49) and 3.3e-16 in 1D
 #: at N = 2817
 ENGINE_RTOL = 5e-14
 

@@ -276,9 +276,13 @@ def test_unknown_measurement_label_before_assembly(subcommand, section, config_p
     text = path.read_text()
     head, tail = text.split(f"[{section}]")
     bad = path.parent / "typo.ini"
-    bad.write_text(head + f"[{section}]" + tail.replace("W = W1", "W = W9", 1))
-    assert main([subcommand, "--config", str(bad)]) == 3
-    assert "W9" in capsys.readouterr().err
+    # W9 names no region; Omega names one that is no measurement set
+    for label in ("W9", "Omega"):
+        bad.write_text(head + f"[{section}]"
+                       + tail.replace("W = W1", f"W = {label}", 1))
+        assert main([subcommand, "--config", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert f"[{section}] W: " in err and repr(label) in err
 
 
 def test_convergence_study_pairs_over_the_configured_region(config_path):
@@ -532,6 +536,31 @@ def test_value_outside_its_domain_is_named_before_assembly(
     path, out = config_path
     assert main([subcommand, "--config", str(_with_key(path, section, key, value))]) == 3
     assert f"[{section}] {key}" in capsys.readouterr().err
+
+
+# each value lies in its key's domain but breaks a relation with the
+# regions (W1 = 1.2, 1.8 at h = 1/32): the library's message is kept
+@pytest.mark.parametrize("subcommand, section, key, value, message", [
+    ("reconstruct", "reconstruct", "x0", "2.5", "x0=2.5 is not inside W=(1.2, 1.8)"),
+    ("reconstruct", "reconstruct", "scales", "2, 4",
+     "support of scale N=2 bump leaves W=(1.2, 1.8)"),
+    ("reconstruct", "reconstruct", "scales", "4, 64",
+     "scale N=64 support spans fewer than 4 mesh widths"),
+    ("counterexample", "counterexample", "omega", "1.3, 1.6",
+     "omega(5eps) and W intersect"),
+    ("counterexample", "counterexample", "eps", "5",
+     "Omega'(5eps) and omega(5eps) intersect"),
+], ids=["x0-outside-W", "scale-leaves-W", "scale-unresolved", "omega-meets-W",
+        "eps-joins-sets"])
+def test_region_relation_is_named_before_assembly(
+        subcommand, section, key, value, message, config_path, monkeypatch, capsys):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("a form was assembled before the relation check")
+
+    monkeypatch.setattr(assembly, "_kernel_form", no_assembly)
+    path, out = config_path
+    assert main([subcommand, "--config", str(_with_key(path, section, key, value))]) == 3
+    assert f"config error: [{section}]: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
