@@ -4,10 +4,12 @@ Usage::
 
     fractomo <subcommand> --config path/to/run.ini [--out DIR] [--verbose]
 
-Subcommands: ``poincare``, ``solve``, ``dn``, ``reconstruct``,
-``liouville-check``, ``transfer-check``, ``counterexample``,
-``oracle-compare``, ``convergence-study``.  Only ``poincare`` and ``dn``
-run on 2D configs; the others are 1D pipelines.  ``--verbose`` is
+The subcommand is a positional argument, one of ``poincare``,
+``solve``, ``dn``, ``reconstruct``, ``liouville-check``,
+``transfer-check``, ``counterexample``, ``oracle-compare``,
+``convergence-study``; the three options are shared by all of them.
+Only ``poincare`` and ``dn`` run on 2D configs; the others are 1D
+pipelines.  ``--verbose`` is
 accepted and read by nothing yet: :func:`main` keeps it for a stage
 trace.
 
@@ -15,7 +17,9 @@ Exit codes: 0 success, 1 runtime error (including a run whose dense
 forms would not fit in the available memory), 2 violated invariant
 (e.g. lost coercivity, a failed maximum principle or decay bound), 3
 configuration error (including a usage error, a value outside its domain
-and a 1D pipeline requested on a 2D config).  Artifacts
+such as a malformed preset or a non-constant coefficient preset on a 2D
+config, a 1D pipeline requested on a 2D config, and a mesh without an
+interior dof for any subcommand but ``oracle-compare``).  Artifacts
 (CSV series, JSON reports) land in the output directory; identical
 configs and seeds produce byte-identical files.
 """
@@ -115,8 +119,8 @@ def _memory_preflight(subcommand: str, cfg: ExperimentConfig) -> None:
         )
 
 
-def _exterior_datum(cfg, mesh, spec, where):
-    f = cfg.nodal(mesh, spec, where)
+def _exterior_datum(cfg, mesh, spec):
+    f = cfg.nodal(mesh, spec)
     f = np.asarray(f, dtype=float).copy()
     f[mesh.interior_dofs] = 0.0
     return f
@@ -193,8 +197,8 @@ def run_solve(cfg, outdir):
     params = cfg.params()
     coeffs = cfg.coefficients(mesh)
     form, _ = _system_form(cfg, mesh, params, coeffs)
-    f = _exterior_datum(cfg, mesh, cfg.f_spec or "constant:0", "[data] f")
-    src = cfg.nodal(mesh, cfg.source_spec, "[data] source")
+    f = _exterior_datum(cfg, mesh, cfg.f_spec)
+    src = cfg.nodal(mesh, cfg.source_spec)
     f_src = mass_matrix(mesh).entries @ src
     sol = FactorizedSystem(form, mesh).solve(f, f_src, far_field=cfg.far_field)
     export_solution_csv(outdir / "solution.csv", mesh, sol.u)
@@ -254,8 +258,6 @@ def run_reconstruct(cfg, outdir):
 
 def run_liouville_check(cfg, outdir):
     params = cfg.params()
-    if "Omega" not in cfg.regions:
-        raise ConfigError("[regions]: Omega is required")
     omega = cfg.regions["Omega"]
     center = 0.5 * (omega.lower[0] + omega.upper[0])
     halfw = 0.5 * (omega.upper[0] - omega.lower[0])
@@ -320,7 +322,7 @@ def run_counterexample(cfg, outdir):
 
 def run_oracle_compare(cfg, outdir):
     mesh = cfg.build_mesh()
-    u = cfg.nodal(mesh, cfg.oracle_u_spec, "[oracle] u")
+    u = cfg.nodal(mesh, cfg.oracle_u_spec)
     orders = [KernelParams(cfg.n, s) for s in cfg.oracle_s_list]
     try:
         # the oracle rejects a u too close to the box before any assembly
@@ -386,6 +388,9 @@ def run_experiment(subcommand: str, cfg: ExperimentConfig, outdir=None) -> str:
             f"{subcommand} is a 1D pipeline; 2D configs run "
             + " and ".join(SUBCOMMANDS_2D)
         )
+    if subcommand != "oracle-compare" and not cfg.build_mesh().interior_dofs.size:
+        raise ConfigError(f"[regions]: no interior dof at h = {cfg.h:g}: a region "
+                          "Omega must contain the support of a hat function")
     _memory_preflight(subcommand, cfg)
     out = Path(outdir or cfg.outdir)
     out.mkdir(parents=True, exist_ok=True)
@@ -398,12 +403,10 @@ def main(argv=None) -> int:
         description="nonlocal optical tomography laboratory",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to the INI config")
-        p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--verbose", action="store_true")
+    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("--config", required=True, help="path to the INI config")
+    parser.add_argument("--out", default=None, help="output directory override")
+    parser.add_argument("--verbose", action="store_true")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -25,8 +25,9 @@ then the domain of each key):
     W2 = 1.2, 1.8
 
     [coefficients]
-    gamma = constant:1         ; preset, see fractomo.profiles.evaluate_preset
-    q = constant:0
+    gamma = constant:1         ; preset, see fractomo.profiles.evaluate_preset;
+                               ; on 2D configs (n = 2) only constant:VALUE
+    q = constant:0             ; preset, as gamma
     gamma_exterior = 1.0       ; diffusion on the box complement, positive
 
     [quadrature]
@@ -35,9 +36,9 @@ then the domain of each key):
                                ; subcommand assembles
 
     [data]
-    f = bump:0,1,1.5,0.25      ; exterior datum preset (zeroed on interior)
+    f = constant:0             ; exterior datum preset (zeroed on interior)
     far_field = 0.0            ; constant value on the box complement, finite
-    source = constant:0        ; interior source density
+    source = constant:0        ; interior source density preset
 
     [reconstruct]
     W = W1                     ; measurement region label
@@ -69,8 +70,10 @@ then the domain of each key):
     directory = out            ; overridable by --out
     seed = 0                   ; integer >= 0
 
-A value outside its domain is a ``ConfigError`` naming the key, raised by
-:func:`parse_config` before any assembly.  Nothing comes from the
+A preset key holds a preset of :func:`fractomo.profiles.evaluate_preset`
+(its name and arguments are checked).  A value outside its domain is a
+``ConfigError`` naming the key, raised by :func:`parse_config` before any
+assembly.  Nothing comes from the
 environment: everything lives in the file, and only the output
 directory may be overridden (by ``--out``).
 """
@@ -114,6 +117,12 @@ def _bounds(cls, where: str, n: int, *name):
     return cast
 
 
+def _preset(text: str) -> str:
+    """Cast of a preset key: ``text`` once its name and arguments pass."""
+    evaluate_preset(text, np.zeros(0))
+    return text
+
+
 def _positive(v: float) -> bool:
     return 0.0 < v < math.inf
 
@@ -139,7 +148,7 @@ class ExperimentConfig:
     q_spec: str = "constant:0"
     gamma_exterior: float = 1.0
     quadrature_check: bool = False
-    f_spec: str = None
+    f_spec: str = "constant:0"
     far_field: float = 0.0
     source_spec: str = "constant:0"
     reconstruct_W: str = "W1"
@@ -196,20 +205,10 @@ class ExperimentConfig:
                           list(self.regions.values()))
 
     def coefficients(self, mesh: Mesh) -> Coefficients:
-        if mesh.n == 1:
-            x = mesh.coords
-            gamma = evaluate_preset(self.gamma_spec, x)
-            q = evaluate_preset(self.q_spec, x)
-        else:
-            # only spatially constant presets make sense on 2D meshes
-            for spec, key in ((self.gamma_spec, "gamma"), (self.q_spec, "q")):
-                if not spec.strip().lower().startswith("constant"):
-                    raise ConfigError(
-                        f"[coefficients] {key}: only constant presets are "
-                        "supported on 2D meshes"
-                    )
-            gamma = evaluate_preset(self.gamma_spec, mesh.nodes[:, 0] * 0.0)
-            q = evaluate_preset(self.q_spec, mesh.nodes[:, 0] * 0.0)
+        # presets read the first coordinate; 2D configs hold only constants
+        x = mesh.nodes[:, 0]
+        gamma = evaluate_preset(self.gamma_spec, x)
+        q = evaluate_preset(self.q_spec, x)
         if gamma.min() <= 0:
             raise ConfigError(
                 f"[coefficients] gamma: preset dips to {gamma.min()} <= 0"
@@ -218,9 +217,7 @@ class ExperimentConfig:
             gamma, q, gamma_exterior=self.gamma_exterior
         )
 
-    def nodal(self, mesh: Mesh, spec: str, where: str) -> np.ndarray:
-        if spec is None:
-            raise ConfigError(f"{where}: preset is required")
+    def nodal(self, mesh: Mesh, spec: str) -> np.ndarray:
         return evaluate_preset(spec, mesh.coords)
 
 
@@ -257,7 +254,7 @@ def parse_config(path) -> ExperimentConfig:
             return default
         try:
             value = cast(raw)
-        except (ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError, ConfigError) as exc:
             raise ConfigError(f"{where}: {exc}") from None
         if ok is not None and not ok(value):
             raise ConfigError(f"{where}: must be {domain}, got {raw!r}")
@@ -273,15 +270,21 @@ def parse_config(path) -> ExperimentConfig:
     if labels.has_section("regions"):
         for name, raw in labels.items("regions"):
             cfg.regions[name] = _bounds(Region, f"[regions] {name}", cfg.n, name)(raw)
-    cfg.gamma_spec = get("coefficients", "gamma", str, cfg.gamma_spec)
-    cfg.q_spec = get("coefficients", "q", str, cfg.q_spec)
+
+    def constant_in_2d(spec):
+        return cfg.n == 1 or spec.partition(":")[0].strip().lower() == "constant"
+
+    cfg.gamma_spec = get("coefficients", "gamma", _preset, cfg.gamma_spec,
+                         constant_in_2d, "a constant preset on 2D configs")
+    cfg.q_spec = get("coefficients", "q", _preset, cfg.q_spec, constant_in_2d,
+                     "a constant preset on 2D configs")
     cfg.gamma_exterior = get("coefficients", "gamma_exterior", float,
                              cfg.gamma_exterior, _positive, "positive")
     cfg.quadrature_check = get("quadrature", "check", _boolean, cfg.quadrature_check)
-    cfg.f_spec = get("data", "f", str, None)
+    cfg.f_spec = get("data", "f", _preset, cfg.f_spec)
     cfg.far_field = get("data", "far_field", float, cfg.far_field, math.isfinite,
                         "finite")
-    cfg.source_spec = get("data", "source", str, cfg.source_spec)
+    cfg.source_spec = get("data", "source", _preset, cfg.source_spec)
     cfg.reconstruct_W = get("reconstruct", "w", str, cfg.reconstruct_W)
     cfg.x0 = get("reconstruct", "x0", float, None, math.isfinite, "finite")
     cfg.scales = get("reconstruct", "scales",
@@ -309,7 +312,7 @@ def parse_config(path) -> ExperimentConfig:
     cfg.oracle_s_list = get("oracle", "s_list",
                             lambda t: _floats(t, "[oracle] s_list"),
                             cfg.oracle_s_list, bool, "at least one order")
-    cfg.oracle_u_spec = get("oracle", "u", str, cfg.oracle_u_spec)
+    cfg.oracle_u_spec = get("oracle", "u", _preset, cfg.oracle_u_spec)
     cfg.pad_factor = get("oracle", "pad_factor", int, cfg.pad_factor,
                          lambda v: v >= 1, "at least 1")
     cfg.levels = get("convergence", "levels", int, cfg.levels,

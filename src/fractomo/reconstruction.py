@@ -62,32 +62,33 @@ def _region_bounds(mesh: Mesh, W) -> tuple:
     return W.lower[0], W.upper[0]
 
 
-def _resolved(mesh: Mesh, radius: float) -> bool:
-    """Whether a support of this radius spans ``MIN_SUPPORT_NODES`` mesh
+def _scale_error(mesh: Mesh, bounds: tuple, x0: float, N: int):
+    """The error that rules out the bump of scale ``N`` at ``x0``, or None
+    if it is admissible: its support of radius ``1/N`` stays inside the
+    measurement set of ``bounds`` and spans ``MIN_SUPPORT_NODES`` mesh
     widths (up to round-off in ``radius / h``)."""
-    return radius >= 0.5 * MIN_SUPPORT_NODES * mesh.h * (1.0 - 1e-12)
+    wl, wu = bounds
+    radius = 1.0 / N
+    if x0 - radius <= wl or x0 + radius >= wu:
+        return OutsideMeasurementSet(
+            f"support of scale N={N} bump leaves W=({wl}, {wu})")
+    if radius < 0.5 * MIN_SUPPORT_NODES * mesh.h * (1.0 - 1e-12):
+        return UnresolvableScale(
+            f"scale N={N} support spans fewer than {MIN_SUPPORT_NODES} mesh widths")
+    return None
 
 
 def default_scales(mesh: Mesh, W, x0: float) -> list:
-    """Geometric scale schedule ``2, 4, 8, ...`` while resolvable.
+    """The admissible scales among ``2, 4, 8, ..., 2**24``.
 
-    Scales stop once the bump support either leaves the measurement set
-    or spans fewer than ``MIN_SUPPORT_NODES`` mesh widths.  The test does
-    not depend on where ``x0`` falls between nodes.
+    A scale is admissible if the bump support stays inside the
+    measurement set and spans ``MIN_SUPPORT_NODES`` mesh widths; the
+    admissible scales are consecutive.  The test does not depend on where
+    ``x0`` falls between nodes.
     """
-    wl, wu = _region_bounds(mesh, W)
-    scales = []
-    N = 2
-    while True:
-        radius = 1.0 / N
-        inside = (x0 - radius > wl) and (x0 + radius < wu)
-        if inside and _resolved(mesh, radius):
-            scales.append(N)
-        elif scales:
-            break
-        N *= 2
-        if N > 2 ** 24:
-            break
+    bounds = _region_bounds(mesh, W)
+    scales = [2**k for k in range(1, 25)
+              if _scale_error(mesh, bounds, x0, 2**k) is None]
     if not scales:
         raise UnresolvableScale("no admissible bump scale on this mesh")
     return scales
@@ -106,21 +107,15 @@ def bump_scales(mesh: Mesh, W, x0: float, Ns=None) -> list:
     ------
     OutsideMeasurementSet, UnresolvableScale, UnknownRegion
     """
-    wl, wu = _region_bounds(mesh, W)
+    wl, wu = bounds = _region_bounds(mesh, W)
     if not wl < x0 < wu:
         raise OutsideMeasurementSet(f"x0={x0} is not inside W=({wl}, {wu})")
     if Ns is None:
         return default_scales(mesh, W, x0)
     for N in Ns:
-        radius = 1.0 / N
-        if x0 - radius <= wl or x0 + radius >= wu:
-            raise OutsideMeasurementSet(
-                f"support of scale N={N} bump leaves W=({wl}, {wu})"
-            )
-        if not _resolved(mesh, radius):
-            raise UnresolvableScale(
-                f"scale N={N} support spans fewer than {MIN_SUPPORT_NODES} mesh widths"
-            )
+        error = _scale_error(mesh, bounds, x0, N)
+        if error is not None:
+            raise error
     return list(Ns)
 
 

@@ -408,6 +408,38 @@ def test_1d_pipelines_reject_2d_configs_up_front(subcommand, tmp_path,
     assert not (tmp_path / "artifacts").exists()
 
 
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS_2D)
+def test_2d_coefficients_are_constant_presets_before_assembly(subcommand, tmp_path,
+                                                              monkeypatch, capsys):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("a kernel form was assembled before the preset check")
+
+    monkeypatch.setattr(assembly, "_kernel_form", no_assembly)
+    path = tmp_path / "run2d.ini"
+    path.write_text(CONFIG_2D.format(out=tmp_path / "artifacts")
+                    + "[coefficients]\ngamma = gaussian:1,1,0,1\n")
+    assert main([subcommand, "--config", str(path)]) == 3
+    assert "[coefficients] gamma: must be a constant preset" in capsys.readouterr().err
+    assert not (tmp_path / "artifacts").exists()
+
+
+# at h = 1/32, Omega = -0.02, 0.02 captures node 0 but holds no hat support
+@pytest.mark.parametrize("omega", ["", "Omega = -0.02, 0.02\n"],
+                         ids=["no-Omega", "Omega-below-h"])
+@pytest.mark.parametrize("subcommand", [s for s in SUBCOMMANDS if s != "oracle-compare"])
+def test_no_interior_dof_is_named_before_assembly(subcommand, omega, config_path,
+                                                  monkeypatch, capsys):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("a kernel form was assembled before the interior check")
+
+    monkeypatch.setattr(assembly, "_kernel_form", no_assembly)
+    path, out = config_path
+    path.write_text(path.read_text().replace("Omega = -1.0, 1.0\n", omega))
+    assert main([subcommand, "--config", str(path)]) == 3
+    assert "config error: [regions]: no interior dof" in capsys.readouterr().err
+    assert not out.exists()
+
+
 QUADRATURE_CHECK = "\n[quadrature]\ncheck = true\n"
 
 
@@ -526,6 +558,11 @@ def _with_key(path, section, key, value):
     ("reconstruct", "reconstruct", "scales", "8, 4"),
     ("reconstruct", "reconstruct", "scales", "4, 4"),
     ("oracle-compare", "oracle", "s_list", ","),
+    ("solve", "data", "f", "bump:0,1,1.5"),
+    ("solve", "data", "source", "wiggle:1"),
+    ("oracle-compare", "oracle", "u", "gaussian:0,1,0"),
+    ("counterexample", "coefficients", "gamma", "wiggle:1"),
+    ("poincare", "coefficients", "q", "constant:nan"),
 ])
 def test_value_outside_its_domain_is_named_before_assembly(
         subcommand, section, key, value, config_path, monkeypatch, capsys):

@@ -262,6 +262,5 @@ gamma = constant:1
     assert np.allclose(co.gamma, 1.0)
     bad = text.replace("gamma = constant:1", "gamma = gaussian:1,1,0,1")
     p.write_text(bad)
-    cfg = parse_config(p)
-    with pytest.raises(ConfigError):
-        cfg.coefficients(cfg.build_mesh())
+    with pytest.raises(ConfigError, match=r"\[coefficients\] gamma"):
+        parse_config(p)
