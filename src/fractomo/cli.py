@@ -18,8 +18,10 @@ forms would not fit in the available memory), 2 violated invariant
 (e.g. lost coercivity, a failed maximum principle or decay bound), 3
 configuration error (including a usage error, a value outside its domain
 such as a malformed preset or a non-constant coefficient preset on a 2D
-config, a 1D pipeline requested on a 2D config, and a mesh without an
-interior dof for any subcommand but ``oracle-compare``).  Artifacts
+config, a 1D pipeline requested on a 2D config, a mesh without an
+interior dof for any subcommand but ``oracle-compare``, and a ``gamma``
+that is not positive on every node of the finest mesh the run builds,
+for every subcommand).  Artifacts
 (CSV series, JSON reports) land in the output directory; identical
 configs and seeds produce byte-identical files.
 """
@@ -102,15 +104,14 @@ def _available_memory():
     return None
 
 
-def _memory_preflight(subcommand: str, cfg: ExperimentConfig) -> None:
+def _memory_preflight(mesh) -> None:
     """Raise :class:`InsufficientMemory` if ``FORMS_ALIVE`` dense forms on
-    the run's largest mesh exceed the available memory; skip the check if
-    that cannot be read."""
+    ``mesh``, the run's largest mesh, exceed the available memory; skip
+    the check if that cannot be read."""
     available = _available_memory()
     if available is None:
         return
-    level = cfg.levels - 1 if subcommand in SUBCOMMANDS_REFINING else 0
-    N = cfg.build_mesh(level).num_nodes
+    N = mesh.num_nodes
     need = FORMS_ALIVE * 8 * N * N
     if need > available:
         raise InsufficientMemory(
@@ -135,7 +136,8 @@ def _system_form(cfg: ExperimentConfig, mesh, params, coeffs):
     and its potential form, the absorption form."""
     cond = conductivity_form(mesh, params, coeffs, check=cfg.quadrature_check)
     qform = potential_form(mesh, coeffs.q)
-    return cond + qform, qform
+    cond.entries += qform.entries  # the potential form's tail row is zero
+    return cond, qform
 
 
 def _measurement_region(cfg: ExperimentConfig, label: str, key: str) -> str:
@@ -391,7 +393,10 @@ def run_experiment(subcommand: str, cfg: ExperimentConfig, outdir=None) -> str:
     if subcommand != "oracle-compare" and not cfg.build_mesh().interior_dofs.size:
         raise ConfigError(f"[regions]: no interior dof at h = {cfg.h:g}: a region "
                           "Omega must contain the support of a hat function")
-    _memory_preflight(subcommand, cfg)
+    # refinement keeps every coarser node: the finest mesh covers the run
+    mesh = cfg.build_mesh(cfg.levels - 1 if subcommand in SUBCOMMANDS_REFINING else 0)
+    cfg.coefficients(mesh)  # gamma > 0 on every node, before any assembly
+    _memory_preflight(mesh)
     out = Path(outdir or cfg.outdir)
     out.mkdir(parents=True, exist_ok=True)
     return RUNNERS[subcommand](cfg, out)

@@ -23,14 +23,15 @@ estimates of one call) and runs Lanczos with full reorthogonalization on
 ``L^{-1} F L^{-T}`` until the residual bounds of both extreme Ritz values
 fall to ``1e-14`` of the estimate, which then matches the dense value to
 1e-12 relative.  A Lanczos step costs about its two triangular solves: a
-form whose nonzeros all lie on its three central diagonals (every 1D
-potential form) is applied from those diagonals in O(N), any other form
-by a dense product; the basis is preallocated and only its rows in use
-are touched; and the convergence test computes only the two extreme Ritz
-values and the last components of their eigenvectors, by bisection and
-inverse iteration on the tridiagonal Lanczos matrix.  The 1D mass matrix
-is tridiagonal and is solved from its band; any other mass matrix is
-rejected.
+form is applied from its nonzero diagonals, so a local form (a mass or
+potential form: 3 diagonals in 1D, 7 in 2D) costs O(N) and a dense one
+O(N^2); the basis is preallocated and only its rows in use are touched;
+and the convergence test computes only the two extreme Ritz values and
+the last components of their eigenvectors, by bisection and inverse
+iteration on the tridiagonal Lanczos matrix.  A mass matrix is solved
+from its lower band by one banded Cholesky factor, in any dimension.
+Both band readers take the diagonals of a form from one helper, which
+reads outward from the main diagonal until it holds every nonzero.
 """
 
 from __future__ import annotations
@@ -141,33 +142,34 @@ class FactorizedSystem:
 
 
 def mass_solve(mass: SymForm, rhs: np.ndarray) -> np.ndarray:
-    """``M^{-1} rhs`` for the 1D P1 mass matrix ``M`` and a vector or a
-    block of columns: ``M`` is tridiagonal, so one banded Cholesky factor
-    of its lower band serves every column.
+    """``M^{-1} rhs`` for a symmetric positive definite mass matrix ``M``
+    and a vector or a block of columns: ``M`` is local, so one banded
+    Cholesky factor of its lower band serves every column.
 
     Raises
     ------
-    ValueError
-        If ``M`` has a nonzero off its three central diagonals (a 2D mass
-        matrix, for one).
+    numpy.linalg.LinAlgError
+        If ``M`` is not positive definite.
     """
-    bands = _three_diagonals(mass.entries)
-    if bands is None:
-        raise ValueError("mass matrix is not tridiagonal (not a 1D P1 mass matrix)")
-    lower, main, _ = bands
-    ab = np.zeros((2, main.size))
-    ab[0] = main
-    ab[1, :-1] = lower
+    lower = [(-offset, d) for offset, d in _diagonals(mass.entries) if offset <= 0]
+    ab = np.zeros((max((k for k, _ in lower), default=0) + 1, mass.entries.shape[0]))
+    for k, diagonal in lower:
+        ab[k, :diagonal.size] = diagonal
     return la.solveh_banded(ab, rhs, lower=True, check_finite=False)
 
 
-def _three_diagonals(A):
-    """``(lower, main, upper)`` diagonals of the square ``A`` if every
-    nonzero of ``A`` lies on them, else ``None``; one pass over ``A``."""
-    bands = tuple(np.diagonal(A, k) for k in (-1, 0, 1))
-    if np.count_nonzero(A) > sum(np.count_nonzero(band) for band in bands):
-        return None
-    return bands
+def _diagonals(A):
+    """The nonzero diagonals of the square ``A`` as ``(offset, diagonal)``
+    pairs, read outward from the main diagonal (offsets 0, -1, 1, -2, 2,
+    ...) until they hold every nonzero of ``A``."""
+    diagonals, left = [], np.count_nonzero(A)
+    offsets = (sign * k for k in range(len(A)) for sign in (-1, 1)[not k:])
+    while left:  # every nonzero lies on a diagonal: the offsets cannot run out
+        diagonal = np.diagonal(A, offset := next(offsets))
+        if count := np.count_nonzero(diagonal):
+            diagonals.append((offset, diagonal))
+            left -= count
+    return diagonals
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +260,11 @@ def _lanczos_extreme(F, L) -> float:
     Stops once the residual bound ``beta_k |s_k|`` of both extreme Ritz
     values is at most ``LANCZOS_TOL * max |theta|``, or when the Krylov
     space is exhausted.  A step is two triangular solves, a product with
-    ``F`` (from its three central diagonals when ``F`` has no other
-    nonzero, dense otherwise), two Gram--Schmidt passes over the basis
-    rows in use, and the two extreme Ritz pairs.
+    ``F`` from its nonzero diagonals, two Gram--Schmidt passes over the
+    basis rows in use, and the two extreme Ritz pairs.
     """
     n = F.shape[0]
-    bands = _three_diagonals(F)
+    diagonals = _diagonals(F)
     V = np.empty((n, n))  # the basis, a row per step: unused rows stay untouched
     alpha, beta = np.empty(n), np.empty(n)
     q = np.random.default_rng(0).standard_normal(n)
@@ -271,8 +272,7 @@ def _lanczos_extreme(F, L) -> float:
     for k in range(1, n + 1):
         # L is a Cholesky factor, never singular: the solves cannot fail
         y, _ = dtrtrs(L, V[k - 1], lower=1, trans=1)
-        w, _ = dtrtrs(L, F @ y if bands is None else _tridiagonal_matvec(bands, y),
-                      lower=1)
+        w, _ = dtrtrs(L, _diagonal_matvec(diagonals, y), lower=1)
         alpha[k - 1] = V[k - 1] @ w
         for _ in range(2):  # classical Gram-Schmidt, twice is enough
             w -= V[:k].T @ (V[:k] @ w)
@@ -285,12 +285,13 @@ def _lanczos_extreme(F, L) -> float:
         V[k] = w / b
 
 
-def _tridiagonal_matvec(bands, y):
-    """``A @ y`` for the ``(lower, main, upper)`` diagonals of ``A``."""
-    lower, main, upper = bands
-    z = main * y
-    z[1:] += lower * y[:-1]
-    z[:-1] += upper * y[1:]
+def _diagonal_matvec(diagonals, y):
+    """``A @ y`` from the ``(offset, diagonal)`` pairs of ``A``, each
+    diagonal's product added in their order."""
+    z = np.zeros_like(y)
+    for offset, diagonal in diagonals:
+        first = max(-offset, 0)  # the row of the diagonal's first entry
+        z[first:first + diagonal.size] += diagonal * y[first + offset:][:diagonal.size]
     return z
 
 

@@ -1,7 +1,9 @@
 import configparser
+import importlib.util
 import inspect
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -538,6 +540,11 @@ def _with_key(path, section, key, value):
     return bad
 
 
+#: a gamma that is positive on the nodes of the test config at h = 1/32 and
+#: -1 at the node 1/64 of its refinement h/2
+GAMMA_NEGATIVE_AT_H2 = "piecewise:-10,1,0.01,-1,0.02,1"
+
+
 @pytest.mark.parametrize("subcommand, section, key, value", [
     ("solve", "data", "far_field", "nan"),
     ("convergence-study", "convergence", "levels", "0"),
@@ -563,6 +570,12 @@ def _with_key(path, section, key, value):
     ("oracle-compare", "oracle", "u", "gaussian:0,1,0"),
     ("counterexample", "coefficients", "gamma", "wiggle:1"),
     ("poincare", "coefficients", "q", "constant:nan"),
+    ("poincare", "coefficients", "gamma", "constant:-1"),
+    ("counterexample", "coefficients", "gamma", "constant:-1"),
+    # negative only at x = 1/64, a node of the second refinement level
+    ("liouville-check", "coefficients", "gamma", GAMMA_NEGATIVE_AT_H2),
+    ("transfer-check", "coefficients", "gamma", GAMMA_NEGATIVE_AT_H2),
+    ("convergence-study", "coefficients", "gamma", GAMMA_NEGATIVE_AT_H2),
 ])
 def test_value_outside_its_domain_is_named_before_assembly(
         subcommand, section, key, value, config_path, monkeypatch, capsys):
@@ -573,6 +586,27 @@ def test_value_outside_its_domain_is_named_before_assembly(
     path, out = config_path
     assert main([subcommand, "--config", str(_with_key(path, section, key, value))]) == 3
     assert f"[{section}] {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["solve", "dn", "reconstruct"])
+def test_gamma_negative_off_the_run_mesh_is_not_an_error(subcommand, config_path):
+    path, out = config_path
+    bad = _with_key(path, "coefficients", "gamma", GAMMA_NEGATIVE_AT_H2)
+    assert main([subcommand, "--config", str(bad)]) == 0
+
+
+def test_system_form_adds_the_potential_form_in_place(config_path):
+    path, out = config_path
+    cfg = cli.parse_config(path)
+    mesh = cfg.build_mesh()
+    params = cfg.params()
+    coeffs = cfg.coefficients(mesh)
+    form, qform = cli._system_form(cfg, mesh, params, coeffs)
+    summed = (assembly.conductivity_form(mesh, params, coeffs)
+              + assembly.potential_form(mesh, coeffs.q))
+    assert np.array_equal(form.entries, summed.entries)
+    assert np.array_equal(form.tail_row, summed.tail_row)
+    assert np.array_equal(qform.entries, assembly.potential_form(mesh, coeffs.q).entries)
 
 
 # each value lies in its key's domain but breaks a relation with the
@@ -641,3 +675,28 @@ def test_memory_preflight_is_skipped_without_a_reading(config_path, monkeypatch)
 def test_available_memory_reads_a_byte_count():
     available = cli._available_memory()
     assert available is None or (isinstance(available, int) and available > 0)
+
+
+def _artifact_digest():
+    """The module of ``tools/artifact_digest.py``."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "artifact_digest.py"
+    spec = importlib.util.spec_from_file_location("artifact_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_artifact_digest_of_a_repeated_run_is_identical(config_path, capsys):
+    path, out = config_path
+    digest = _artifact_digest()
+    assert digest.main([str(path), "poincare", "dn"]) == 0
+    first = capsys.readouterr().out
+    assert digest.main([str(path), "poincare", "dn"]) == 0
+    assert capsys.readouterr().out == first
+    assert [line.split()[:3] for line in first.splitlines()] == [
+        ["poincare", "0", "poincare.json"], ["poincare", "0", "(stdout)"],
+        ["poincare", "0", "(stderr)"], ["dn", "0", "dn_matrix.csv"],
+        ["dn", "0", "(stdout)"], ["dn", "0", "(stderr)"],
+    ]
+    # --out overrides the config's directory: the runs wrote nothing there
+    assert not out.exists()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import given, settings, strategies as st
 from scipy.special import gamma as gamma_fn
 
 from fractomo import solver
@@ -231,9 +232,9 @@ def test_multiplier_estimate_rejects_an_indefinite_inner_product():
 
 
 def _matvec_form(case, rng):
-    """``F`` of one matvec case: a diagonal one, a tridiagonal one with
-    zero off-diagonal entries, any 1 x 1 and 2 x 2 one (all banded), and a
-    tridiagonal one with a nonzero pair far from the diagonal (dense)."""
+    """``F`` of one band case: a diagonal one, a tridiagonal one with zero
+    off-diagonal entries, any 1 x 1 and 2 x 2 one, and a tridiagonal one
+    with a nonzero pair far from the diagonal."""
     if case == "n1":
         return np.array([[-2.5]])
     if case == "n2":
@@ -252,39 +253,94 @@ def _matvec_form(case, rng):
 
 
 @pytest.mark.parametrize("case", ["diagonal", "zero_off_diagonals", "n1", "n2", "far"])
-def test_multiplier_estimate_of_each_matvec_path_matches_dense_pencil(case, monkeypatch):
+def test_multiplier_estimate_of_each_matvec_path_matches_dense_pencil(case):
     rng = np.random.default_rng(sum(map(ord, case)))
     F = _matvec_form(case, rng)
     n = F.shape[0]
     R = rng.standard_normal((n, n))
     H = R @ R.T + n * np.eye(n)
-    banded = []
-    matvec = solver._tridiagonal_matvec
-    monkeypatch.setattr(solver, "_tridiagonal_matvec",
-                        lambda bands, y: banded.append(1) or matvec(bands, y))
     est = multiplier_norm_estimate(SymForm(F), gform=SymForm(H),
                                    mass=SymForm(np.zeros((n, n))))
     vals = la.eigh(F, H, eigvals_only=True)
     assert est == pytest.approx(max(abs(vals[0]), abs(vals[-1])), rel=1e-12)
-    assert bool(banded) == (case != "far")
-    assert (solver._three_diagonals(F) is None) == (case == "far")
 
 
-def test_mass_solve_rejects_a_mass_matrix_that_is_not_tridiagonal():
-    mesh = build_mesh(Box((-1.0, -1.0), (1.0, 1.0)), 1 / 4)
+def _tridiagonal_matvec(A, y):
+    """``A @ y`` of a tridiagonal ``A``: the main diagonal's product, then
+    the lower's, then the upper's added, the order in which the band
+    product must add them to keep 1D results bit for bit."""
+    lower, main, upper = (np.diagonal(A, k) for k in (-1, 0, 1))
+    z = main * y
+    z[1:] += lower * y[:-1]
+    z[:-1] += upper * y[1:]
+    return z
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.integers(1, 40), offsets=st.sets(st.integers(-39, 39), max_size=8),
+       fill=st.sampled_from(["tridiagonal", "diagonals", "zero", "dense"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_diagonal_matvec_of_the_diagonals_is_the_dense_product(n, offsets, fill, seed):
+    rng = np.random.default_rng(seed)
+    A = np.zeros((n, n))
+    if fill == "dense":
+        A = rng.standard_normal((n, n))
+    if fill == "tridiagonal":
+        offsets = {-1, 0, 1}
+    if fill in ("tridiagonal", "diagonals"):
+        for k in offsets & set(range(1 - n, n)):
+            d = rng.standard_normal(n - abs(k))
+            d[rng.random(d.size) < 0.3] = 0.0
+            A += np.diag(d, k)
+    y = rng.standard_normal(n)
+    diagonals = solver._diagonals(A)
+    assert all(np.count_nonzero(d) for _, d in diagonals)
+    assert sum(np.count_nonzero(d) for _, d in diagonals) == np.count_nonzero(A)
+    z = solver._diagonal_matvec(diagonals, y)
+    assert np.all(np.abs(z - A @ y) <= 1e-13 * (np.abs(A) @ np.abs(y)))
+    if not np.triu(A, 2).any() and not np.tril(A, -2).any():
+        assert np.array_equal(z, _tridiagonal_matvec(A, y))
+
+
+def test_diagonals_of_a_2d_mass_matrix_are_its_seven_local_ones():
+    mesh = build_mesh(Box((-1.0, -1.0), (1.0, 1.0)), 1 / 8)
+    nx = 17  # nodes per row
+    offsets = [k for k, _ in solver._diagonals(mass_matrix(mesh).entries)]
+    assert offsets == [0, -1, 1, -nx, nx, -(nx + 1), nx + 1]
+
+
+def test_multiplier_estimate_of_a_2d_potential_form_matches_dense_pencil():
+    mesh = build_mesh(Box((-1.0, -1.0), (1.0, 1.0)), 1 / 8,
+                      [Region("Omega", (-0.5, -0.5), (0.5, 0.5))])
+    G = gagliardo_form(mesh, KernelParams(2, 0.25))
     M = mass_matrix(mesh)
-    with pytest.raises(ValueError, match="not tridiagonal"):
-        mass_solve(M, np.ones(mesh.num_nodes))
+    x, y = mesh.nodes.T
+    Q = potential_form(mesh, np.sin(3 * x) - 2 * y)
+    est = multiplier_norm_estimate(Q, gform=G, mass=M)
+    vals = la.eigh(Q.entries, G.entries + M.entries, eigvals_only=True)
+    assert est == pytest.approx(max(abs(vals[0]), abs(vals[-1])), rel=1e-12)
+
+
+def test_mass_solve_rejects_a_mass_matrix_that_is_not_positive_definite():
+    # the zero matrix has no diagonal: it reaches the factor all the same
+    for entries in (np.zeros((4, 4)), np.diag([1.0, -1.0, 2.0]),
+                    np.array([[1.0, 2.0], [2.0, 1.0]])):
+        with pytest.raises(la.LinAlgError):
+            mass_solve(SymForm(entries), np.ones(entries.shape[0]))
 
 
 def test_mass_solve_of_a_block_matches_dense_and_columnwise(setting):
-    mesh, _, A, M = setting
-    rhs = A.entries @ np.random.default_rng(3).standard_normal((mesh.num_nodes, 3))
-    block = mass_solve(M, rhs)
-    dense = np.linalg.solve(M.entries, rhs)
-    assert np.abs(block - dense).max() <= 1e-13 * np.abs(dense).max()
-    for k in range(3):
-        assert np.array_equal(block[:, k], mass_solve(M, rhs[:, k]))
+    mesh_1d, _, _, _ = setting
+    # the 1D test mesh and 2D ones, whose masses have 7 nonzero diagonals
+    for mesh in [mesh_1d] + [build_mesh(Box((-1.0, -1.0), (1.0, 1.0)), h)
+                             for h in (1 / 4, 1 / 16)]:
+        M = mass_matrix(mesh)
+        rhs = np.random.default_rng(3).standard_normal((mesh.num_nodes, 3))
+        block = mass_solve(M, rhs)
+        dense = np.linalg.solve(M.entries, rhs)
+        assert np.abs(block - dense).max() <= 1e-13 * np.abs(dense).max()
+        for k in range(3):
+            assert np.array_equal(block[:, k], mass_solve(M, rhs[:, k]))
 
 
 def test_coercivity_bound_arithmetic():
