@@ -15,8 +15,9 @@ refinement decays geometrically.  The offset engine of
 :mod:`fractomo.assembly` turns the blocks into block-Toeplitz sequences
 over node offsets: off the box boundary the in-box form is a sum of 49
 of them, scaled on both sides by shifted copies of the diffusion weight,
-and the rows and columns of the perimeter nodes take the triangles that
-exist next to them.
+which collapse to one where the weight is constant, and the rows and
+columns of the perimeter nodes take the triangles that exist next to
+them.
 
 The exterior-tail weight ``omega(x) = int_{box^c} |x-y|^{-2-2s} dy`` is
 evaluated in closed form (one incomplete beta function per box face),
@@ -34,12 +35,14 @@ The class blocks, their offset sequences and the tail rules with
 of :mod:`fractomo.assembly` (:func:`_inbox_plan_2d`,
 :func:`_tail_plan_2d`), built by the first form on a grid and order and
 contracted with ``g`` by every form.  This 2D path targets desk-scale
-meshes: on one core of a 2-core x86_64 host the in-box part of a form
-takes 0.066 s cold (plan built) and 0.020 s warm (plan cached) at N =
-289, 0.33 s and 0.17 s at N = 1089, and 2.4 s and 1.6 s at N = 4225 (h =
-1/32 on ``[-1, 1]^2``), where one dense form holds 143 MB and the in-box
-plan 79 MB; the tail takes 0.05, 0.10 and 0.24 s cold and under 1 ms
-warm.  The in-box near pairs are accurate at the percent level.
+meshes: on one core of a 2-core x86_64 host the in-box part of a
+Gagliardo form takes 0.15 s cold (plan built) and 0.002 s warm (plan
+cached) at N = 289, 0.30 s and 0.008 s at N = 1089, and 1.4 s and 0.10 s
+at N = 4225 (h = 1/32 on ``[-1, 1]^2``), where one dense form holds
+143 MB and the in-box plan 88 MB.  With ``gamma - 1`` on a disc of radius
+0.45 the warm in-box part takes 0.014, 0.090 and 0.74 s.  The tail takes
+0.05, 0.10 and 0.24 s cold and under 1 ms warm.  The in-box near pairs
+are accurate at the percent level.
 """
 
 from __future__ import annotations

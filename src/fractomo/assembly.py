@@ -16,15 +16,25 @@ of the diffusion weight: ``sum_pq D_p T_pq D_q`` over the node offsets
 ``D_p = diag(g[i + p])`` (cf. Ainsworth & Glusa, 2018, on this structure
 for the fractional Laplacian).  That identity assumes every element next
 to a node exists; the rows and columns of the nodes on the box boundary
-are evaluated with the elements that do.  The element-local blocks are
-correlations of the diffusion with the class blocks, one batched FFT in
-either dimension.
+are evaluated with the elements that do.  A form pays for all the terms
+only on the support rows of its weight.  Where every ``D_p`` of a row
+and a column holds one constant ``c`` (``g`` at the lower box corner),
+the terms collapse to ``c^2`` times one Toeplitz/BTTB matrix, filled
+through a sliding window over one sequence; between a support row and
+such a column they collapse to 3 (1D) or 7 (2D) partial sums.  The
+box-face rows take the same split, from their values for a unit weight.
+So a Gagliardo form (``g = 1``) costs one window and a copy, and a
+weight that differs from its background on a compact set, as the
+paper's coefficients do, pays the full sums on the grid lines around
+that set only.  The element-local blocks are correlations of the
+diffusion with the class blocks, one batched FFT in either dimension.
 
 A kernel form is built in two steps.  The grid plan holds what depends
 on the grid and the order but not on the coefficients: the element
 table, the identical-pair entries, the operand of the element-local
 correlations (the conjugate spectrum of the class blocks), the slot-pair
-sequences of the box-face rows, the merged Toeplitz/BTTB sequences, the
+sequences of the box-face rows and those rows for a unit weight, the
+merged Toeplitz/BTTB sequences with their collapsed and partial sums, the
 node offsets and the slot masks (:func:`_offset_plan`), and the
 exterior-tail rules with ``omega`` multiplied in.  One bounded LRU cache
 (:func:`_grid_plan`, :data:`PLAN_CACHE` plans) keeps the plans with
@@ -34,13 +44,13 @@ reads.  Every form, the first one too, takes its plans from there and
 contracts them with its diffusion weight (:func:`_apply_offsets` and
 the tail weights), so a form from a cached plan is bit-identical to one
 built from scratch.  A plan grows linearly with the grid, a dense form
-quadratically: an in-box plan holds about 0.6 kB per node in 1D and
-19 kB per node in 2D (mostly the face-row sequences and the correlation
-spectrum), a 1D tail plan 0.4 kB per node, and a 2D one grows with the
-boundary elements and their singular rules.  In-box plus tail plan take
-0.86 + 0.56 MB at N = 1409 in 1D (a form: 15.9 MB), 1.4 + 0.2 MB at N =
-81 in 2D, and 79 + 1.5 MB at N = 4225 (h = 1/32 on ``[-1, 1]^2``, a
-form: 143 MB).
+quadratically: an in-box plan holds about 0.7 kB per node in 1D and
+21 kB per node in 2D (mostly the face-row sequences, the face rows of a
+unit weight and the correlation spectrum), a 1D tail plan 0.4 kB per
+node, and a 2D one grows with the boundary elements and their singular
+rules.  In-box plus tail plan take 0.97 + 0.56 MB at N = 1409 in 1D (a
+form: 15.9 MB), 1.4 + 0.2 MB at N = 81 in 2D, and 88 + 1.5 MB at N =
+4225 (h = 1/32 on ``[-1, 1]^2``, a form: 143 MB).
 
 The blocks come from
 
@@ -463,24 +473,36 @@ def _point_pair_blocks(W, lam):
 ROW_BLOCK = 64
 
 
+def _toeplitz(seq, shape):
+    """The Toeplitz (1D) or BTTB (2D) matrices of the sequences ``seq``
+    (..., *(2 shape - 1)) on the node grid ``shape``, as a read-only view:
+    ``[..., *i, *j]`` is ``seq[..., *(j - i + shape - 1)]``."""
+    n = len(shape)
+    win = sliding_window_view(seq, shape, axis=tuple(range(seq.ndim - n, seq.ndim)))
+    return win[(Ellipsis,) + (slice(None, None, -1),) * n + (slice(None),) * n]
+
+
 def _offset_sum(seq, left, right, rows, cols):
     """Block ``sum_ab left[a][i] seq[a, b][j - i] right[b][j]`` of a sum of
-    diagonally scaled Toeplitz (1D) or BTTB (2D) matrices.
+    diagonally scaled Toeplitz (1D) or BTTB (2D) matrices, or ``sum_a
+    left[a][i] seq[a][j - i]`` where ``right`` is None.
 
     ``left`` (na, *shape) and ``right`` (nb, *shape) are nodal weights on
-    the node grid, and ``seq[a, b]`` holds one value per node offset
-    ``k``, stored at ``k + shape - 1``.  ``rows`` and ``cols`` are tuples
-    of basic indices (ints and slices) into the node grid that select the
-    nodes ``i`` and ``j``.  The Toeplitz matrices are read through a
-    sliding window over ``seq`` and never formed.
+    the node grid, and ``seq[a, b]`` (or ``seq[a]``) holds one value per
+    node offset ``k``, stored at ``k + shape - 1``.  ``rows`` and ``cols``
+    are tuples of basic indices (ints and slices) into the node grid that
+    select the nodes ``i`` and ``j``.  The Toeplitz matrices are read
+    through :func:`_toeplitz` and never formed.
     """
-    n = left.ndim - 1
-    win = sliding_window_view(seq, left.shape[1:], axis=tuple(range(2, 2 + n)))
-    win = win[(slice(None),) * 2 + (slice(None, None, -1),) * n]
-    lw, rw = left[(slice(None),) + rows], right[(slice(None),) + cols]
-    i, j = "rst"[:lw.ndim - 1], "uvw"[:rw.ndim - 1]
-    return np.einsum(f"a{i},ab{i}{j},b{j}->{i}{j}", lw,
-                     win[(slice(None),) * 2 + rows + cols], rw)
+    lead = seq.ndim - (left.ndim - 1)
+    win = _toeplitz(seq, left.shape[1:])[(slice(None),) * lead + rows + cols]
+    lw = left[(slice(None),) + rows]
+    i = "rst"[:lw.ndim - 1]
+    j = "uvw"[:win.ndim - lead - len(i)]
+    if right is None:
+        return np.einsum(f"a{i},a{i}{j}->{i}{j}", lw, win)
+    return np.einsum(f"a{i},ab{i}{j},b{j}->{i}{j}", lw, win,
+                     right[(slice(None),) + cols])
 
 
 def _mirror_upper(M):
@@ -491,9 +513,13 @@ def _mirror_upper(M):
 
 @functools.lru_cache(maxsize=16)
 def _strict_lower(m):
-    """Read-only mask of the strict lower triangle of an ``m x m`` matrix;
-    a form mirrors row blocks of a few sizes only (:data:`ROW_BLOCK` rows,
-    the last block, the face rows)."""
+    """Read-only mask of the strict lower triangle of an ``m x m`` matrix.
+
+    A form mirrors the diagonal blocks of its support rows and its face
+    rows.  The blocks hold :data:`ROW_BLOCK` rows (whole grid lines in 2D)
+    but the last one, whose size follows the support of ``g`` and so
+    changes from form to form; the cache keeps the 16 masks used last.
+    """
     return _frozen(np.tri(m, k=-1, dtype=bool))
 
 
@@ -548,10 +574,13 @@ class _OffsetPlan(NamedTuple):
     partners: np.ndarray  # operand of _partner_terms
     V: np.ndarray  # (na, na, *(2 shape - 1)) slot-pair sequences
     S: np.ndarray  # (P, P, *(2 shape - 1)) sequences merged by offset
+    S_part: np.ndarray  # (P, *(2 shape - 1)) partial sums sum_q S[p, q]
+    S_sum: np.ndarray  # (*(2 shape - 1)) sum_pq S[p, q], made symmetric
     offsets: np.ndarray  # (P, n) node offsets p
     p: np.ndarray  # (na,) offset index of each slot
     exists: np.ndarray  # (T, nv, *shape) where each slot's element exists
-    faces: tuple  # (basic index of the face, its node indices) per face
+    faces: tuple  # (slices of the face, its node indices) per face
+    face_rows: tuple  # (face nodes, N) per face: its rows at g = 1
 
 
 def _offset_plan(shape, verts, keys, blocks, scale):
@@ -584,12 +613,21 @@ def _offset_plan(shape, verts, keys, blocks, scale):
     * next to a node off the box boundary every element exists, and the
       slots with equal ``p`` merge: those rows and columns are ``sum_pq
       D_p T_pq D_q`` with ``D_p = diag(g[i + p])`` (``g`` zero-padded)
-      and ``T_pq`` the Toeplitz (1D) or BTTB (2D) matrix of the sum of
-      the ``V_ab`` with ``p(a) = p, p(b) = q``: 9 terms in 1D, 49 in 2D.
-      They are evaluated :data:`ROW_BLOCK` rows at a time on and above
-      the diagonal and mirrored below it;
+      and ``T_pq`` the Toeplitz (1D) or BTTB (2D) matrix of the sequence
+      ``S_pq``, the sum of the ``V_ab`` with ``p(a) = p, p(b) = q``: 9
+      terms in 1D, 49 in 2D.  Where every ``D_p`` of a row and of a
+      column holds one constant ``c``, the entry collapses to ``c^2``
+      times the Toeplitz/BTTB matrix of ``S_sum = sum_pq S_pq``; where
+      only those of the column do, to ``sum_p D_p T_p c`` with the
+      partial sums ``S_part[p] = sum_q S_pq``, 3 terms in 1D, 7 in 2D
+      (see :func:`_apply_offsets`).  ``S_sum`` adds its terms in the
+      order of the full sum and takes its negative offsets from the
+      positive ones, so at ``c = 1`` a window over it reproduces the
+      upper triangle of the full sum and its mirror bit for bit;
     * the rows of each box face, and so its columns, take the masked
-      ``L_a`` and every ``V_ab``.
+      ``L_a`` and every ``V_ab``.  The plan keeps these rows for ``g =
+      1``: where ``g`` is the constant ``c`` on both stencils, an entry
+      is ``c^2`` times its value there.
 
     The ``xx``/``yy`` blocks of the distinct pairs give each element a
     local matrix (see :func:`_partner_terms`).  An identical pair lies in
@@ -636,23 +674,71 @@ def _offset_plan(shape, verts, keys, blocks, scale):
     # contiguous along the offsets, which the windows read
     S = np.ascontiguousarray(np.einsum("ap,ab...,bq->pq...", merge, V, merge,
                                        optimize=True))
+    P = len(offsets)
+    # S_sum adds (p, q) in turn, as the full offset sum does; offset 0 sits
+    # at the middle of the raveled sequence and -k mirrors k about it
+    S_sum = S.reshape(P * P, -1).sum(axis=0)
+    S_sum[:S_sum.size // 2] = S_sum[:S_sum.size // 2:-1]
 
     anchor = np.indices(shape)[None, None] - verts.reshape(T, nv, n, *(1,) * n)
     exists = ((anchor >= 0) & (anchor < cells.reshape(n, *(1,) * n))).all(axis=2)
-    faces = []
+    # the slot weights L of g = 1, and the face rows they give; a face is
+    # one bounded slice per axis, the first over the grid lines
+    L1 = np.repeat(exists, nv, axis=1).reshape(na, *shape).astype(float)
+    faces, face_rows = [], []
     for d in range(n):
         for side in (0, shape[d] - 1):
-            face = full[:d] + (side,) + full[d + 1:]
-            faces.append((face, index[face].ravel()))
+            face = tuple(slice(side, side + 1) if k == d else slice(0, m)
+                         for k, m in enumerate(shape))
+            rows = index[face].ravel()
+            faces.append((face, rows))
+            face_rows.append(_face_rows(V, L1, face, full).reshape(rows.size, -1))
+            _mirror_face(face_rows[-1], rows)
     return _OffsetPlan(tuple(int(m) for m in shape), grid_elements(shape, verts),
-                       own, partners, V, S, offsets, p, exists, tuple(faces))
+                       own, partners, V, S, S.sum(axis=1), S_sum.reshape(S.shape[2:]),
+                       offsets, p, exists, tuple(faces), tuple(face_rows))
+
+
+def _face_rows(V, L, rows, cols):
+    """Block ``sum_ab L_a[i] V_ab[j - i] L_b[j]`` of the box-face nodes
+    ``i`` in ``rows`` against the nodes ``j`` in ``cols`` (basic indices
+    into the node grid), over the slots ``a`` that exist on those rows."""
+    live = L[(slice(None),) + rows].reshape(len(L), -1).any(axis=1)
+    return _offset_sum(V[live], L[live], L, rows, cols)
+
+
+def _mirror_face(R, rows):
+    """Make the block of the face rows ``R`` (rows.size, N) on the face's
+    own columns ``rows`` symmetric: its upper triangle, mirrored."""
+    sub = R[:, rows]
+    _mirror_upper(sub)
+    R[:, rows] = sub
 
 
 def _apply_offsets(plan, g):
     """The dense form of :func:`_offset_plan` with the nodal diffusion
-    weight ``g``: the element-local terms, the nodal weights, the box-face
-    rows, the Toeplitz/BTTB sums a row block at a time, and the local
-    scatter, in that order."""
+    weight ``g``.
+
+    ``g`` counts as the constant ``c = g[0]`` (the lower box corner)
+    except on its support lines: the grid lines of the nodes whose
+    stencil ``i + p`` sees another value, widened to one contiguous range
+    of node rows.
+
+    1. The form is filled once with ``c^2`` times the Toeplitz/BTTB
+       matrix of ``S_sum`` (a window, no sums).
+    2. The support rows take the full sums of ``S`` on and above the
+       diagonal of the support block, mirrored below it, and the partial
+       sums ``S_part`` times ``c`` towards the other columns, a
+       :data:`ROW_BLOCK` of rows at a time; their columns take their
+       mirror.
+    3. The box-face rows are ``c^2`` times the plan's rows of ``g = 1``,
+       with the full sums over every ``V_ab`` in the support lines and
+       the support columns; they overwrite their rows and columns.
+    4. The element-local terms are scattered in.
+
+    So a form with a constant weight costs a window and a copy, and any
+    other one the full sums on its support lines only.
+    """
     shape, elements = np.asarray(plan.shape), plan.elements
     T, nv, *_ = elements.shape
     n, N = len(plan.shape), int(shape.prod())
@@ -667,26 +753,51 @@ def _apply_offsets(plan, g):
                   for off in plan.offsets])
     L = (plan.exists[:, :, None] * G[plan.p].reshape(T, nv, nv, *shape)
          ).reshape(na, *shape)
-    # the face rows are written after the Toeplitz part
+
+    # the support lines [x0, x1): the lines of g != c widened by the stencil
+    c = g[0]
+    lines = np.flatnonzero((g != c).reshape(shape[0], -1).any(axis=1))
+    x0, x1 = ((max(0, lines[0] - plan.offsets[:, 0].max()),
+               min(shape[0], lines[-1] - plan.offsets[:, 0].min() + 1))
+              if lines.size else (0, 0))
+    support = (slice(x0, x1),) + full[1:]
+
+    # the face rows, written after the Toeplitz part: c^2 times those of
+    # g = 1, but the full sums in the support lines and columns
     faces = []
-    for face, rows in plan.faces:
-        live = L[(slice(None),) + face].reshape(na, -1).any(axis=1)
-        R = _offset_sum(plan.V[live], L[live], L, face, full).reshape(rows.size, N)
-        sub = R[:, rows]
-        _mirror_upper(sub)
-        R[:, rows] = sub
+    for (face, rows), unit in zip(plan.faces, plan.face_rows):
+        R = (c * c) * unit
+        rgrid = R.reshape(tuple(f.stop - f.start for f in face) + plan.shape)
+        a, b = face[0].start, face[0].stop
+        for l0, l1, cols in ((a, min(b, x0), support), (max(a, x0), min(b, x1), full),
+                             (max(a, x1), b, support)):
+            if l0 < l1 and x0 < x1:
+                rgrid[(slice(l0 - a, l1 - a),) + full[1:] + cols] = _face_rows(
+                    plan.V, L, (slice(l0, l1),) + face[1:], cols)
+        _mirror_face(R, rows)
         faces.append((rows, R))
 
-    A = np.zeros((N, N))
+    A = np.empty((N, N))
     grid = A.reshape(tuple(shape) * 2)  # A[i, j] at grid[(*i, *j)]
+    np.multiply(_toeplitz(plan.S_sum, plan.shape), c * c, out=grid)
+
     rest = N // shape[0]
     step = max(1, ROW_BLOCK // rest)
-    for x0 in range(0, shape[0], step):
-        r0, r1 = x0 * rest, min(N, (x0 + step) * rest)
-        rsel, csel = (slice(x0, x0 + step),) + full[1:], (slice(x0, None),) + full[1:]
+    s0, s1 = x0 * rest, x1 * rest  # the support rows
+    cG = c * G
+    constant = [slice(a, b) for a, b in ((0, x0), (x1, shape[0])) if a < b]
+    for a in range(x0, x1, step):
+        b = min(a + step, x1)
+        ra, rb = a * rest, b * rest
+        rsel, csel = (slice(a, b),) + full[1:], (slice(a, x1),) + full[1:]
         grid[rsel + csel] = _offset_sum(plan.S, G, G, rsel, csel)
-        _mirror_upper(A[r0:r1, r0:r1])
-        A[r1:, r0:r1] = A[r0:r1, r1:].T
+        _mirror_upper(A[ra:rb, ra:rb])
+        A[rb:s1, ra:rb] = A[ra:rb, rb:s1].T
+        for cols in constant:
+            csel = (cols,) + full[1:]
+            grid[rsel + csel] = _offset_sum(plan.S_part, cG, None, rsel, csel)
+    A[:s0, s0:s1] = A[s0:s1, :s0].T
+    A[s1:, s0:s1] = A[s0:s1, s1:].T
     for rows, R in faces:
         A[rows] = R
         A[:, rows] = R.T

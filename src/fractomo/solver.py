@@ -215,20 +215,26 @@ def multiplier_norm_estimate(form: SymForm, *, gform: SymForm,
     """Discrete estimate of the Sobolev multiplier norm of a pairing form.
 
     Largest absolute generalized eigenvalue of ``form`` (the potential
-    form of ``q``, or any assembled distributional form) against the
-    discrete ``H^s`` inner product ``H = gform + mass``, taken over the
-    full nodal space.  This is a lower bound on the true multiplier norm
-    (the supremum is restricted to the nodal subspace) and is reported as
+    form of ``q``, or another local, banded form) against the discrete
+    ``H^s`` inner product ``H = gform + mass``, taken over the full nodal
+    space.  This is a lower bound on the true multiplier norm (the
+    supremum is restricted to the nodal subspace) and is reported as
     such.  ``H = L L^T`` is factored in place and the two extreme
     eigenvalues come from Lanczos on ``L^{-1} F L^{-T}`` (see
     :func:`_lanczos_extreme`).
+
+    ``F`` is applied through its nonzero diagonals, one slice product
+    each per Lanczos step: 3 for a local 1D form, 7 for a local 2D one.
+    A dense ``F`` has ``2N - 1`` of them, about ten times the cost of
+    one dense product per step, so it should be local.
     """
     return multiplier_norm_estimates([form], gform=gform, mass=mass)[0]
 
 
 def multiplier_norm_estimates(forms, *, gform: SymForm, mass: SymForm) -> list:
     """:func:`multiplier_norm_estimate` of each of ``forms``, all on one
-    factor of ``H = gform + mass``."""
+    factor of ``H = gform + mass``; each form should be local (banded),
+    as there."""
     # H is symmetric: its transpose is the same matrix in the Fortran order
     # that lets the factor overwrite it instead of a copy
     H = (gform.entries + mass.entries).T

@@ -596,6 +596,42 @@ def test_plan_arrays_are_read_only():
                 a.flat[0] = 1.0
 
 
+# g = 1 and powers of two: there every product of the full sums is exact,
+# so equality pins the order of their additions; any other constant rounds
+# c^2 once instead of c S c per term (the property tests bound that)
+@pytest.mark.parametrize("c", [1.0, 2.0, 0.5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_constant_weight_fill_equals_the_full_offset_sum(n, c, monkeypatch):
+    from fractomo import _assembly2d
+
+    build, orders = ((assembly._inbox_plan_1d, (6, 4)) if n == 1
+                     else (_assembly2d._inbox_plan_2d, (5,)))
+    box, h = PLAN_MESHES[n]
+    plan = assembly._grid_plan(build, box, h, 0.25, *orders)
+    shape, N = plan.shape, int(np.prod(plan.shape))
+    g = np.full(N, c)
+    monkeypatch.setattr(assembly, "_add_local", lambda *args: None)
+    A = assembly._apply_offsets(plan, g)
+    # the full sum over all (p, q), upper triangle mirrored
+    gpad = np.pad(g.reshape(shape), 1)
+    G = np.stack([gpad[tuple(slice(1 + o, 1 + o + m) for o, m in zip(off, shape))]
+                  for off in plan.offsets])
+    full = (slice(None),) * n
+    F = assembly._offset_sum(plan.S, G, G, full, full).reshape(N, N)
+    F = np.triu(F) + np.triu(F, 1).T
+    inner = np.zeros(shape, bool)
+    inner[(slice(1, -1),) * n] = True
+    inner = np.flatnonzero(inner)
+    assert np.array_equal(A[np.ix_(inner, inner)], F[np.ix_(inner, inner)])
+    # the box-face rows: the full sums over their existing slots
+    T, nv = plan.elements.shape[:2]
+    L = (plan.exists[:, :, None] * G[plan.p].reshape(T, nv, nv, *shape)
+         ).reshape(len(plan.p), *shape)
+    for face, rows in plan.faces:
+        R = assembly._face_rows(plan.V, L, face, full).reshape(rows.size, N)
+        assert np.array_equal(A[np.ix_(rows, inner)], R[:, inner])
+
+
 def test_plan_cache_is_bounded():
     assembly._grid_plan.cache_clear()
     for k in range(assembly.PLAN_CACHE + 3):

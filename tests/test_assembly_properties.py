@@ -13,7 +13,7 @@ engine, so these identities hold for any order, spacing and diffusion:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fractomo import _assembly2d, assembly
 from fractomo.assembly import Coefficients, KernelParams, conductivity_form
@@ -157,3 +157,62 @@ def test_offset_engine_matches_class_scatter_2d(s, cells, h, lower, seed):
     mesh = build_mesh(Box(lower, upper), h, [])
     gamma = np.random.default_rng(seed).uniform(0.2, 5.0, mesh.num_nodes)
     _check_engine(mesh, s, gamma)
+
+
+# The split of the offset engine: off the support lines of g (the lines
+# whose stencil sees a value other than c = g[0]) the form is c^2 times one
+# collapsed window, towards them partial sums, and the box-face rows are
+# c^2 times those of g = 1.  gamma is c^2 off a sub-box of nodes and random
+# inside it, so every part of the split is exercised.
+
+def _split_gamma(shape, c, lo, hi, seed):
+    """``c^2`` on the node grid ``shape``, random inside the index box
+    ``[lo, hi)`` (empty where ``lo >= hi`` on an axis)."""
+    gamma = np.full(shape, c * c)
+    box = tuple(slice(a, b) for a, b in zip(lo, hi))
+    gamma[box] = np.random.default_rng(seed).uniform(0.2, 5.0, gamma[box].shape)
+    return gamma.ravel()
+
+
+# 131 nodes: two row blocks and more.  A sub-box [lo, hi) off node 0 puts
+# the support range at [lo - 1, hi + 1): (65, 127) starts it on a
+# ROW_BLOCK edge and ends it one row block later, (2, 65) makes it one row
+# block plus one row, (1, 5) and (120, 131) put it next to a box face and
+# (7, 7) leaves it empty; (0, 131) spans every node
+@settings(max_examples=25, deadline=None, database=None)
+@given(s=st.floats(0.05, 0.49), c=st.floats(0.3, 3.0),
+       span=st.tuples(st.integers(0, 131), st.integers(0, 131)),
+       seed=st.integers(0, 2**32 - 1))
+@example(s=0.25, c=1.0, span=(65, 127), seed=1)
+@example(s=0.25, c=0.7, span=(2, 65), seed=2)
+@example(s=0.3, c=1.3, span=(1, 5), seed=3)
+@example(s=0.3, c=2.1, span=(120, 131), seed=4)
+@example(s=0.2, c=1.7, span=(7, 7), seed=5)
+@example(s=0.4, c=0.9, span=(0, 131), seed=6)
+def test_offset_engine_split_matches_class_scatter_1d(s, c, span, seed):
+    h = 1.0 / 16
+    mesh = build_mesh(Box((-1.0,), (-1.0 + 130 * h,)), h, [])
+    lo, hi = min(span), max(span)
+    _check_engine(mesh, s, _split_gamma(mesh.shape, c, (lo,), (hi,), seed))
+
+
+# 15 x 5 nodes, 12 grid lines per row block: a sub-box [lo, hi) off node
+# 0 puts the support lines at [lo[0] - 1, hi[0] + 1).  Lines (1, 11)
+# start them at the face and fill one row block, (2, 14) make one row
+# block plus two lines and end them at the other face, (6, 8) keep them
+# inside and (4, 4) leave them empty; (0, 15) x (0, 5) spans every node
+@settings(max_examples=10, deadline=None, database=None)
+@given(s=st.floats(0.05, 0.45), c=st.floats(0.3, 3.0),
+       lines=st.tuples(st.integers(0, 15), st.integers(0, 15)),
+       cols=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+       seed=st.integers(0, 2**32 - 1))
+@example(s=0.25, c=1.0, lines=(1, 11), cols=(1, 4), seed=1)
+@example(s=0.3, c=0.8, lines=(2, 14), cols=(0, 5), seed=2)
+@example(s=0.3, c=1.4, lines=(6, 8), cols=(2, 3), seed=3)
+@example(s=0.2, c=1.9, lines=(4, 4), cols=(1, 3), seed=4)
+@example(s=0.4, c=0.6, lines=(0, 15), cols=(0, 5), seed=5)
+def test_offset_engine_split_matches_class_scatter_2d(s, c, lines, cols, seed):
+    h = 0.25
+    mesh = build_mesh(Box((-1.0, -0.5), (-1.0 + 14 * h, -0.5 + 4 * h)), h, [])
+    lo, hi = (min(lines), min(cols)), (max(lines), max(cols))
+    _check_engine(mesh, s, _split_gamma(mesh.shape, c, lo, hi, seed))
