@@ -243,7 +243,7 @@ def run_reconstruct(cfg, outdir):
                           mass=mass_matrix(mesh))
     form, qform = _system_form(cfg, mesh, params, coeffs)
     op = DNOperator(mesh, params, coeffs, form=form)
-    result = exterior_reconstruct(op, bumps)
+    result = exterior_reconstruct(op.matrix(wlabel, wlabel), bumps)
     decay = potential_decay_check(qform, bumps, cfg.p_exponent, params)
     export_reconstruction_csv(
         outdir / "reconstruction.csv", result["samples"], cfg.gamma_true,

@@ -9,7 +9,10 @@ independence on the exterior quotient space.
 
 DN matrices are finite sections over the compactly supported hat bases
 of two measurement regions; all columns reuse one interior
-factorization.
+factorization.  :class:`DNOperator` has two DN readers: ``matrix`` for
+a block of data (the only Schur complement of the system form, and what
+the inverse side reads) and ``pairing`` for one datum (the reference for
+representative independence).
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ class DNOperator:
     """Discrete DN machinery for one coefficient pair.
 
     Factors the interior block of the assembled system form once and
-    reads every pairing, self pairing and matrix column from that
+    reads every solution, pairing and matrix column from that
     factorization.
 
     Parameters
@@ -84,25 +87,6 @@ class DNOperator:
             raise SupportViolation("test datum has interior support")
         u = self.solve(f).u
         return float(g @ (self.form.entries @ u))
-
-    def self_pairings(self, Phi: np.ndarray) -> np.ndarray:
-        """``<Lambda Phi_k, Phi_k>`` for each column ``Phi_k`` of ``Phi``.
-
-        Raises
-        ------
-        SupportViolation
-            If a column has interior support.
-        """
-        interior, B = self.system.interior, self.form.entries
-        if np.abs(Phi[interior]).max(initial=0.0) > 0.0:
-            raise SupportViolation("a column has interior support")
-        # u = phi outside the interior and u_I = -B_II^{-1} (B phi)_I, so by
-        # symmetry <Lambda phi, phi> = phi^T B phi - (B phi)_I^T B_II^{-1} (B phi)_I:
-        # one product and one block solve for all columns
-        BPhi = B @ Phi
-        rhs = BPhi[interior]
-        return (np.sum(Phi * BPhi, axis=0)
-                - np.sum(rhs * self.system.solve_interior(rhs), axis=0))
 
     def matrix(self, W1, W2) -> DNMatrix:
         """DN matrix over the compactly supported hats of W1 and W2.

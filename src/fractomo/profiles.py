@@ -65,16 +65,12 @@ def mollifier_kernel(eps: float, h: float, n: int = 1) -> np.ndarray:
     """Grid samples of the standard mollifier of width ``eps``.
 
     Returns the kernel on the symmetric stencil of spacing ``h`` that
-    covers ``(-eps, eps)`` (tensor stencil in 2D), renormalized to unit
-    discrete integral: ``h^n * sum == 1``.
+    covers ``(-eps, eps)`` (the tensor stencil over ``n`` axes),
+    renormalized to unit discrete integral: ``h^n * sum == 1``.
     """
     m = int(np.ceil(eps / h))
     offsets = h * np.arange(-m, m + 1)
-    if n == 1:
-        vals = bump(offsets / eps)
-    else:
-        X, Y = np.meshgrid(offsets, offsets, indexing="ij")
-        vals = bump(np.stack([X / eps, Y / eps], axis=-1))
+    vals = bump(np.stack(np.meshgrid(*[offsets / eps] * n, indexing="ij"), axis=-1))
     total = vals.sum() * h**n
     if total <= 0.0:
         raise ValueError("mollifier width is unresolvable on this grid")

@@ -1,9 +1,10 @@
 """Pointwise recovery of the diffusion from exterior measurements.
 
 A sequence of smooth bumps concentrating at a point of the measurement
-set, each normalized to unit discrete fractional energy, is fed through
-the DN map; the diagonal pairings converge to the diffusion value at the
-concentration point.  The normalization uses the assembled energy form
+set, each normalized to unit discrete fractional energy, is paired
+against DN data: a DN matrix over the hats of the measurement set.  The
+diagonal pairings converge to the diffusion value at the concentration
+point.  The normalization uses the assembled energy form
 (``u^T A u``), so the limit is the diffusion value itself with no extra
 convention factor; the absorption contribution vanishes at a rate
 controlled by the interpolation estimate for the potential term.
@@ -17,14 +18,15 @@ import math
 import numpy as np
 
 from .assembly import KernelParams, SymForm
-from .dnmap import DNOperator
+from .dnmap import DNMatrix
 from .errors import (
     DecayCheckFailed,
     ExponentOutOfRange,
     OutsideMeasurementSet,
+    SupportViolation,
     UnresolvableScale,
 )
-from .mesh import Mesh, resolve_region
+from .mesh import Mesh, resolve_region, support_dofs
 from .profiles import bump
 
 #: minimum width of a bump support, in mesh widths
@@ -57,38 +59,44 @@ class BumpSequence:
         return len(self.scales)
 
 
-def _region_bounds(mesh: Mesh, W) -> tuple:
-    W = resolve_region(mesh, W)
-    return W.lower[0], W.upper[0]
-
-
-def _scale_error(mesh: Mesh, bounds: tuple, x0: float, N: int):
-    """The error that rules out the bump of scale ``N`` at ``x0``, or None
-    if it is admissible: its support of radius ``1/N`` stays inside the
-    measurement set of ``bounds`` and spans ``MIN_SUPPORT_NODES`` mesh
-    widths (up to round-off in ``radius / h``)."""
-    wl, wu = bounds
-    radius = 1.0 / N
-    if x0 - radius <= wl or x0 + radius >= wu:
-        return OutsideMeasurementSet(
-            f"support of scale N={N} bump leaves W=({wl}, {wu})")
-    if radius < 0.5 * MIN_SUPPORT_NODES * mesh.h * (1.0 - 1e-12):
-        return UnresolvableScale(
-            f"scale N={N} support spans fewer than {MIN_SUPPORT_NODES} mesh widths")
-    return None
+def _scale_errors(mesh: Mesh, W, x0: float, Ns):
+    """Yield ``(N, error)`` for each scale of ``Ns``: the error that rules
+    out the bump of scale ``N`` at ``x0``, or None if it is admissible.
+    It is admissible if its support of radius ``1/N`` stays inside the
+    measurement set ``W`` (a region) and spans ``MIN_SUPPORT_NODES`` mesh
+    widths (up to round-off in ``radius / h``), and its P1 interpolant is
+    nonzero only on the hats of ``W`` (:func:`support_dofs`), the basis of
+    the DN matrix that :func:`exterior_reconstruct` reads."""
+    wl, wu = W.lower[0], W.upper[0]
+    off_hats = np.delete(mesh.coords, support_dofs(mesh, W))
+    for N in Ns:
+        radius = 1.0 / N
+        if x0 - radius <= wl or x0 + radius >= wu:
+            yield N, OutsideMeasurementSet(
+                f"support of scale N={N} bump leaves W=({wl}, {wu})")
+        elif radius < 0.5 * MIN_SUPPORT_NODES * mesh.h * (1.0 - 1e-12):
+            yield N, UnresolvableScale(
+                f"scale N={N} support spans fewer than {MIN_SUPPORT_NODES} mesh widths")
+        else:
+            nodes = off_hats[bump(N * (off_hats - x0)) != 0.0]
+            yield N, (OutsideMeasurementSet(f"scale N={N} bump is nonzero at node "
+                                            f"{nodes[0]:g}, whose hat leaves W=({wl}, {wu})")
+                      if nodes.size else None)
 
 
 def default_scales(mesh: Mesh, W, x0: float) -> list:
     """The admissible scales among ``2, 4, 8, ..., 2**24``.
 
     A scale is admissible if the bump support stays inside the
-    measurement set and spans ``MIN_SUPPORT_NODES`` mesh widths; the
-    admissible scales are consecutive.  The test does not depend on where
-    ``x0`` falls between nodes.
+    measurement set and spans ``MIN_SUPPORT_NODES`` mesh widths, and the
+    bump is nonzero only on nodes whose hats lie in the closure of the
+    measurement set; the admissible scales are consecutive.  The radius
+    test does not depend on where ``x0`` falls between nodes; the node
+    test does.
     """
-    bounds = _region_bounds(mesh, W)
-    scales = [2**k for k in range(1, 25)
-              if _scale_error(mesh, bounds, x0, 2**k) is None]
+    scales = [N for N, error in _scale_errors(mesh, resolve_region(mesh, W), x0,
+                                              [2**k for k in range(1, 25)])
+              if error is None]
     if not scales:
         raise UnresolvableScale("no admissible bump scale on this mesh")
     return scales
@@ -99,21 +107,22 @@ def bump_scales(mesh: Mesh, W, x0: float, Ns=None) -> list:
     ``Ns`` after checking them, or :func:`default_scales` if ``Ns`` is None.
 
     ``x0`` must lie inside ``W`` with positive distance to its boundary,
-    and the support of radius ``1/N`` of every bump must stay inside
-    ``W`` and span ``MIN_SUPPORT_NODES`` mesh widths.  Needs only the
-    mesh, so a caller can check its inputs before assembling a form.
+    the support of radius ``1/N`` of every bump must stay inside ``W``
+    and span ``MIN_SUPPORT_NODES`` mesh widths, and every bump must be
+    nonzero only on ``support_dofs(mesh, W)``.  Needs only the mesh, so
+    a caller can check its inputs before assembling a form.
 
     Raises
     ------
     OutsideMeasurementSet, UnresolvableScale, UnknownRegion
     """
-    wl, wu = bounds = _region_bounds(mesh, W)
+    W = resolve_region(mesh, W)
+    wl, wu = W.lower[0], W.upper[0]
     if not wl < x0 < wu:
         raise OutsideMeasurementSet(f"x0={x0} is not inside W=({wl}, {wu})")
     if Ns is None:
         return default_scales(mesh, W, x0)
-    for N in Ns:
-        error = _scale_error(mesh, bounds, x0, N)
+    for N, error in _scale_errors(mesh, W, x0, Ns):
         if error is not None:
             raise error
     return list(Ns)
@@ -187,13 +196,22 @@ def extrapolate_power_fit(scales, values) -> dict:
             "fit_residual": resid}
 
 
-def exterior_reconstruct(operator: DNOperator, bumps: BumpSequence) -> dict:
-    """Evaluate the exterior reconstruction sequence of a DN operator.
+def exterior_reconstruct(dn: DNMatrix, bumps: BumpSequence) -> dict:
+    """Evaluate the exterior reconstruction sequence on DN data.
 
-    Computes ``estimate_N = <Lambda Phi_N, Phi_N>`` for the normalized
-    bump sequence and extrapolates the limit, which recovers the
-    diffusion value at the bumps' center (for a.e.-continuous diffusion
-    there).
+    Computes ``estimate_N = <Lambda Phi_N, Phi_N> = Phi_N^T D Phi_N`` for
+    the normalized bump sequence, with ``Phi_N`` restricted to the basis
+    of the DN matrix ``D``, and extrapolates the limit, which recovers
+    the diffusion value at the bumps' center (for a.e.-continuous
+    diffusion there).
+
+    Parameters
+    ----------
+    dn : DNMatrix
+        DN data over the hats of the measurement set of the bumps, e.g.
+        ``op.matrix(W, W)``; reads nothing else of the forward problem.
+    bumps : BumpSequence
+        Nodal bump vectors on the mesh of ``dn``.
 
     Returns
     -------
@@ -202,10 +220,19 @@ def exterior_reconstruct(operator: DNOperator, bumps: BumpSequence) -> dict:
 
     Raises
     ------
+    ValueError
+        If the receiver and source bases of ``dn`` differ.
     SupportViolation
-        If a bump has interior support.
+        If a bump is nonzero off the basis of ``dn``; this includes any
+        interior entry, since no measurement-set hat is an interior hat.
     """
-    estimates = operator.self_pairings(np.column_stack(bumps.vectors))
+    if not np.array_equal(dn.rows, dn.cols):
+        raise ValueError("the DN matrix needs identical receiver and source bases")
+    Phi = np.column_stack(bumps.vectors)
+    if np.delete(Phi, dn.cols, axis=0).any():
+        raise SupportViolation("a bump is nonzero off the hats of the DN matrix")
+    P = Phi[dn.cols]
+    estimates = np.sum(P * (dn.entries @ P), axis=0)
     samples = [{"N": int(N), "estimate": float(e)}
                for N, e in zip(bumps.scales, estimates)]
     fit = extrapolate_power_fit(
@@ -243,13 +270,9 @@ def potential_decay_check(qform: SymForm, bumps: BumpSequence,
     theta = 2.0 - n / (s * p) if p <= n / s else 1.0
     values = [float(phi @ (qform.entries @ phi)) for phi in bumps.vectors]
     norms = bumps.l2_norms
-    if abs(values[0]) > 0:
-        C = abs(values[0]) / norms[0] ** theta
-    else:
-        C = 0.0
-    records = []
-    for N, v, r in zip(bumps.scales, values, norms):
-        records.append({"N": int(N), "value": v, "bound": C * r**theta})
+    C = abs(values[0]) / norms[0] ** theta if abs(values[0]) > 0 else 0.0
+    records = [{"N": int(N), "value": v, "bound": C * r**theta}
+               for N, v, r in zip(bumps.scales, values, norms)]
     for k, rec in enumerate(records):
         if abs(rec["value"]) > rec["bound"] * (1.0 + DECAY_TOL) + 1e-300:
             raise DecayCheckFailed(

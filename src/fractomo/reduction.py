@@ -28,7 +28,8 @@ import numpy as np
 
 from .assembly import Coefficients, SymForm
 from .dnmap import DNOperator, _require_agreement
-from .errors import NonPositiveGamma
+from .errors import HypothesisViolation, NonPositiveGamma
+from .mesh import region_dofs
 
 #: epsilon-guard scale for relative residuals
 GUARD = 1e-14
@@ -111,9 +112,11 @@ def dn_transfer_residual(operator: DNOperator, Gamma: np.ndarray, W,
     Raises
     ------
     HypothesisViolation
-        If the diffusions differ on the nodes of ``W``.
+        If the diffusions differ on the nodes of ``W``, or ``f`` or ``g``
+        is nonzero on an exterior node outside ``W``.
     SupportViolation
-        If ``f`` or ``g`` has interior support.
+        If ``f`` or ``g`` has interior support; checked before the
+        support in ``W``.
     """
     mesh, coeffs = operator.mesh, operator.coeffs
     Gamma = np.asarray(Gamma, dtype=float)
@@ -122,6 +125,9 @@ def dn_transfer_residual(operator: DNOperator, Gamma: np.ndarray, W,
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     lhs = operator.pairing(f, g)
+    nodes = region_dofs(mesh, W)
+    if np.delete(f, nodes).any() or np.delete(g, nodes).any():
+        raise HypothesisViolation("a datum is nonzero on a node outside the measurement set")
 
     reduced = DNOperator(mesh, operator.params, Coefficients.background(mesh),
                          form=schrodinger_form(coeffs, gform=gform, qform=qform))

@@ -20,11 +20,48 @@ The 2D class-block reference (:func:`leaf_class_blocks`) is the
 leaf-by-leaf form of the same subdivision quadrature as the class
 recursion in ``fractomo._assembly2d``: it collects every leaf pair of one
 reference pair with an explicit stack and contracts all leaves at once.
+
+The exact DN oracle (:func:`exact_dn_pairing_1d`) evaluates the DN
+pairing of the continuum problem on the interval through its fractional
+Poisson kernel, with no mesh at all.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import roots_jacobi, roots_legendre
+
+from fractomo.assembly import normalization_constant
+
+
+def exact_dn_pairing_1d(s, f, f_support, g, g_support, n=80):
+    """``<Lambda f, g>`` of gamma = 1, q = 0 on Omega = (-1, 1), for exterior
+    data ``f, g`` (callables) supported in the disjoint intervals
+    ``f_support``, ``g_support`` outside [-1, 1].
+
+    The solution is ``u = f`` off Omega and, on Omega, ``u(y) = int f(z)
+    P(y, z) dz`` with the Poisson kernel ``P(y, z) = (sin pi s / pi)
+    ((1 - y^2) / (z^2 - 1))^s / |y - z|`` (Blumenthal, Getoor & Ray, 1961).
+    As ``u = 0`` on the support of ``g``, ``<Lambda f, g> = -C int g(x)
+    [int_Omega u(y) + int f(y)] |x - y|^{-1-2s} dy dx`` with ``C`` the
+    normalization constant.  Gauss-Jacobi (s, s) takes the factor
+    ``(1 - y^2)^s`` of ``u``, Gauss-Legendre the supports; ``n = 80``
+    agrees with ``n = 320`` to 1e-13 on bumps of radius 0.14.
+    """
+    t, wt = roots_legendre(n)
+
+    def legendre(a, b):
+        return 0.5 * (a + b) + 0.5 * (b - a) * t, 0.5 * (b - a) * wt
+
+    y, wy = roots_jacobi(n, s, s)
+    zf, wf = legendre(*f_support)
+    xg, wg = legendre(*g_support)
+    wf = wf * f(zf)
+    # u = (1 - y^2)^s v on Omega
+    v = np.sin(np.pi * s) / np.pi * (wf / (zf**2 - 1.0) ** s / np.abs(y[:, None] - zf)).sum(1)
+    kernel = np.abs(xg[:, None] - np.concatenate([y, zf])) ** (-1.0 - 2.0 * s)
+    inner = kernel @ np.concatenate([wy * v, wf])
+    return -normalization_constant(1, s) * float((wg * g(xg)) @ inner)
 
 
 def hat_values_1d(mesh, points):

@@ -38,6 +38,7 @@ from _oracles import (
     bruteforce_kernel_form_1d,
     bruteforce_kernel_form_2d,
     bruteforce_local_form_1d,
+    exact_dn_pairing_1d,
 )
 from _systems import system_operator
 
@@ -257,7 +258,7 @@ def test_criterion_07_exterior_reconstruction():
     bumps = bump_sequence(mesh, "W1", x0, gform=gform, mass=mass_matrix(mesh))
     qform = potential_form(mesh, q)
     op = DNOperator(mesh, par, co, form=conductivity_form(mesh, par, co) + qform)
-    out = exterior_reconstruct(op, bumps)
+    out = exterior_reconstruct(op.matrix("W1", "W1"), bumps)
     err = abs(out["extrapolated"] - 2.0) / 2.0
     assert err < 0.05
     records = potential_decay_check(qform, bumps, math.inf, par)
@@ -409,3 +410,29 @@ def test_criterion_11_bruteforce_oracle():
     worst_rel = max(w[1] for w in worst)
     report(11, f"all entries within 1% (worst scale-rel {worst_scale:.3%}, "
                f"worst entry-rel {worst_rel:.3%}) on 9-node 1D and 2D meshes")
+
+
+def test_criterion_12_exact_dn_map():
+    # gamma = 1, q = 0 on Omega = (-1, 1): the fractional Poisson kernel of
+    # the interval gives <Lambda f, g> exactly for disjointly supported data
+    regions = [Region("Omega", (-1.0,), (1.0,)), Region("W1", (1.2,), (1.8,))]
+    mesh = build_mesh(Box((-2.25,), (3.25,)), 1 / 256, regions)
+    f_support, g_support = (1.21, 1.49), (1.51, 1.79)
+
+    def f(x):
+        return bump((x - 1.35) / 0.14)
+
+    def g(x):
+        return bump((x - 1.65) / 0.14)
+
+    fh, gh = f(mesh.coords), g(mesh.coords)
+    errors = {}
+    for s in (0.1, 0.25, 0.45):
+        exact = exact_dn_pairing_1d(s, f, f_support, g, g_support)
+        op = system_operator(mesh, KernelParams(1, s), Coefficients.background(mesh))
+        dn = op.matrix("W1", "W1")
+        readers = (op.pairing(fh, gh), gh[dn.cols] @ dn.entries @ fh[dn.cols])
+        errors[s] = max(abs(v - exact) / abs(exact) for v in readers)
+        assert errors[s] <= 1e-3
+    report(12, "pairing and DN matrix against the exact DN map at h=1/256: "
+               + ", ".join(f"s={s} {e:.1e}" for s, e in errors.items()) + " (<= 1e-3)")

@@ -2,6 +2,7 @@ import configparser
 import importlib.util
 import inspect
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -610,27 +611,33 @@ def test_system_form_adds_the_potential_form_in_place(config_path):
 
 
 # each value lies in its key's domain but breaks a relation with the
-# regions (W1 = 1.2, 1.8 at h = 1/32): the library's message is kept
-@pytest.mark.parametrize("subcommand, section, key, value, message", [
-    ("reconstruct", "reconstruct", "x0", "2.5", "x0=2.5 is not inside W=(1.2, 1.8)"),
-    ("reconstruct", "reconstruct", "scales", "2, 4",
+# regions (W1 = 1.2, 1.8 at h = 1/32): the library's message is kept.  At
+# x0 = 1.46 the N = 4 bump stays inside W1 but is nonzero at the node
+# 1.21875, whose hat reaches 1.1875 < 1.2
+@pytest.mark.parametrize("subcommand, section, keys, message", [
+    ("reconstruct", "reconstruct", {"x0": "2.5"}, "x0=2.5 is not inside W=(1.2, 1.8)"),
+    ("reconstruct", "reconstruct", {"scales": "2, 4"},
      "support of scale N=2 bump leaves W=(1.2, 1.8)"),
-    ("reconstruct", "reconstruct", "scales", "4, 64",
+    ("reconstruct", "reconstruct", {"scales": "4, 64"},
      "scale N=64 support spans fewer than 4 mesh widths"),
-    ("counterexample", "counterexample", "omega", "1.3, 1.6",
+    ("reconstruct", "reconstruct", {"x0": "1.46", "scales": "4, 8"},
+     "scale N=4 bump is nonzero at node 1.21875, whose hat leaves W=(1.2, 1.8)"),
+    ("counterexample", "counterexample", {"omega": "1.3, 1.6"},
      "omega(5eps) and W intersect"),
-    ("counterexample", "counterexample", "eps", "5",
+    ("counterexample", "counterexample", {"eps": "5"},
      "Omega'(5eps) and omega(5eps) intersect"),
-], ids=["x0-outside-W", "scale-leaves-W", "scale-unresolved", "omega-meets-W",
-        "eps-joins-sets"])
+], ids=["x0-outside-W", "scale-leaves-W", "scale-unresolved", "bump-off-the-hats-of-W",
+        "omega-meets-W", "eps-joins-sets"])
 def test_region_relation_is_named_before_assembly(
-        subcommand, section, key, value, message, config_path, monkeypatch, capsys):
+        subcommand, section, keys, message, config_path, monkeypatch, capsys):
     def no_assembly(*args, **kwargs):
         raise AssertionError("a form was assembled before the relation check")
 
     monkeypatch.setattr(assembly, "_kernel_form", no_assembly)
     path, out = config_path
-    assert main([subcommand, "--config", str(_with_key(path, section, key, value))]) == 3
+    for key, value in keys.items():
+        path = _with_key(path, section, key, value)
+    assert main([subcommand, "--config", str(path)]) == 3
     assert f"config error: [{section}]: {message}" in capsys.readouterr().err
 
 
@@ -677,10 +684,10 @@ def test_available_memory_reads_a_byte_count():
     assert available is None or (isinstance(available, int) and available > 0)
 
 
-def _artifact_digest():
-    """The module of ``tools/artifact_digest.py``."""
-    path = Path(__file__).resolve().parent.parent / "tools" / "artifact_digest.py"
-    spec = importlib.util.spec_from_file_location("artifact_digest", path)
+def _tool(name):
+    """The module of ``tools/NAME.py``."""
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -688,7 +695,7 @@ def _artifact_digest():
 
 def test_artifact_digest_of_a_repeated_run_is_identical(config_path, capsys):
     path, out = config_path
-    digest = _artifact_digest()
+    digest = _tool("artifact_digest")
     assert digest.main([str(path), "poincare", "dn"]) == 0
     first = capsys.readouterr().out
     assert digest.main([str(path), "poincare", "dn"]) == 0
@@ -700,3 +707,31 @@ def test_artifact_digest_of_a_repeated_run_is_identical(config_path, capsys):
     ]
     # --out overrides the config's directory: the runs wrote nothing there
     assert not out.exists()
+
+
+def test_artifact_drift_names_the_changed_cell(config_path, tmp_path):
+    path, out = config_path
+    assert main(["reconstruct", "--config", str(path)]) == 0
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    drift = _tool("artifact_drift")
+    assert drift.drift(out, copy) == [
+        "reconstruction.csv: max abs 0, max rel 0",
+        "reconstruction.json: max abs 0, max rel 0",
+    ]
+    rows = (copy / "reconstruction.csv").read_text().splitlines()
+    cells = rows[2].split(",")
+    cells[1] = repr(float(cells[1]) * (1.0 + 1e-6))
+    rows[2] = ",".join(cells)
+    (copy / "reconstruction.csv").write_text("\n".join(rows) + "\n")
+    report = json.loads((copy / "reconstruction.json").read_text())
+    report["x0"] = "moved"
+    (copy / "reconstruction.json").write_text(json.dumps(report))
+    (copy / "extra.txt").write_text("")
+    lines = drift.drift(out, copy)
+    assert lines[0] == "extra.txt: only in B"
+    assert lines[1].startswith("reconstruction.csv: max abs ")
+    assert lines[1].count("(line 3, field 2)") == 2
+    assert float(lines[1].split("max rel ")[1].split()[0]) == pytest.approx(1e-6, rel=1e-3)
+    assert lines[2:] == ["reconstruction.json: max abs 0, max rel 0",
+                         "reconstruction.json: .x0: 1.5 -> 'moved'"]

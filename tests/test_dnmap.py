@@ -17,6 +17,7 @@ from fractomo.errors import HypothesisViolation, SupportViolation
 from fractomo.mesh import Box, Region, build_mesh, support_dofs
 from fractomo.profiles import bump, plateau
 
+from _oracles import exact_dn_pairing_1d
 from _systems import system_operator
 
 
@@ -90,26 +91,48 @@ def test_well_definedness_representative_independence(setting, s, amp, freq,
 @settings(max_examples=20, deadline=None, database=None)
 @given(s=orders, amp=amplitudes, freq=frequencies, phase=phases, level=levels,
        seed=st.integers(0, 2**32 - 1))
-def test_self_pairings_are_the_diagonal_pairings(setting, s, amp, freq, phase,
-                                                 level, seed):
+def test_dn_matrix_quadratic_forms_are_the_diagonal_pairings(setting, s, amp, freq,
+                                                             phase, level, seed):
+    # the Schur complement of the DN matrix and the solve of one pairing
+    # give one value for data on the hats of W1
     mesh = setting[0]
     op = _drawn_operator(mesh, s, amp, freq, phase, level)
-    cols = support_dofs(mesh, "W1")
+    dn = op.matrix("W1", "W1")
     Phi = np.zeros((mesh.num_nodes, 4))
-    Phi[cols] = np.random.default_rng(seed).standard_normal((cols.size, 4))
-    values = op.self_pairings(Phi)
-    assert values.shape == (4,)
-    for value, phi in zip(values, Phi.T):
+    Phi[dn.cols] = np.random.default_rng(seed).standard_normal((dn.cols.size, 4))
+    for phi in Phi.T:
+        value = phi[dn.cols] @ dn.entries @ phi[dn.cols]
         assert value == pytest.approx(op.pairing(phi, phi), rel=1e-14)
 
 
-def test_self_pairings_reject_interior_support(setting):
-    mesh, par, co, op = setting
-    Phi = np.zeros((mesh.num_nodes, 2))
-    Phi[support_dofs(mesh, "W1"), 0] = 1.0
-    Phi[mesh.interior_dofs[-1], 1] = 1e-3
-    with pytest.raises(SupportViolation, match="interior support"):
-        op.self_pairings(Phi)
+# the exact DN oracle on the dn1d box with W1 = (1.2, 1.8), gamma = 1 and
+# q = 0, for data bumps of radius 0.14 at 1.35 and 1.65
+EXACT_F = (lambda x: bump((x - 1.35) / 0.14), (1.21, 1.49))
+EXACT_G = (lambda x: bump((x - 1.65) / 0.14), (1.51, 1.79))
+
+
+@pytest.mark.parametrize("s, exact, bound", [
+    (0.1, -1.70486509e-3, 5e-5),
+    (0.25, -5.73982057e-3, 1.1e-4),
+    (0.45, -1.50946088e-2, 5e-4),
+])
+def test_dn_readers_converge_to_the_exact_dn_map(s, exact, bound):
+    value = exact_dn_pairing_1d(s, *EXACT_F, *EXACT_G)
+    assert value == pytest.approx(exact, rel=1e-8)
+    assert value == pytest.approx(exact_dn_pairing_1d(s, *EXACT_F, *EXACT_G, n=320),
+                                  rel=1e-12)
+    errors = []
+    for h in (1 / 64, 1 / 128, 1 / 256):
+        mesh = build_mesh(Box((-2.25,), (3.25,)), h,
+                          [Region("Omega", (-1.0,), (1.0,)), Region("W1", (1.2,), (1.8,))])
+        op = system_operator(mesh, KernelParams(1, s), Coefficients.background(mesh))
+        dn = op.matrix("W1", "W1")
+        f, g = EXACT_F[0](mesh.coords), EXACT_G[0](mesh.coords)
+        assert not (np.delete(f, dn.cols).any() or np.delete(g, dn.cols).any())
+        readers = (op.pairing(f, g), g[dn.cols] @ dn.entries @ f[dn.cols])
+        errors.append(max(abs(v - value) / abs(value) for v in readers))
+    assert errors[-1] <= bound
+    assert errors[0] > errors[1] > errors[2]
 
 
 def test_operator_needs_an_assembled_form(setting):

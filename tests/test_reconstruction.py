@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from fractomo.errors import (
     UnknownRegion,
     UnresolvableScale,
 )
-from fractomo.mesh import Box, Region, build_mesh
+from fractomo.mesh import Box, Region, build_mesh, region_dofs, support_dofs
 from fractomo.profiles import bump, plateau
 from fractomo.reconstruction import (
     BumpSequence,
@@ -102,6 +103,10 @@ def test_bump_errors(setting):
         bump_sequence(mesh, "W1", 3.0, [4], gform=gform, mass=mass)
     with pytest.raises(OutsideMeasurementSet):
         bump_sequence(mesh, "W1", X0, [1], gform=gform, mass=mass)  # support leaves W
+    with pytest.raises(OutsideMeasurementSet, match="node 1.20312, whose hat leaves W"):
+        # the support (1.202, 1.702) stays in W, but the hat of the node
+        # 1.203125 reaches 1.1875
+        bump_sequence(mesh, "W1", 1.452, [4], gform=gform, mass=mass)
     with pytest.raises(UnresolvableScale):
         bump_sequence(mesh, "W1", X0, [4096], gform=gform, mass=mass)
 
@@ -120,7 +125,7 @@ def test_unknown_label_is_named_like_everywhere_else(setting):
 def test_reconstruct_unit_background(setting):
     mesh, par, gform, bumps = setting
     co = Coefficients.background(mesh)
-    out = exterior_reconstruct(system_operator(mesh, par, co), bumps)
+    out = exterior_reconstruct(system_operator(mesh, par, co).matrix("W1", "W1"), bumps)
     for rec in out["samples"]:
         assert abs(rec["estimate"] - 1.0) < 0.05
     assert abs(out["extrapolated"] - 1.0) < 0.02
@@ -132,13 +137,26 @@ def test_reconstruct_equals_the_per_bump_pairings(setting):
     co = Coefficients.from_arrays(1.0 + 0.7 * bump((x - 2.0) / 1.4),
                                   2.0 * bump((x - X0) / 0.5))
     op = system_operator(mesh, par, co)
-    out = exterior_reconstruct(op, bumps)
+    out = exterior_reconstruct(op.matrix("W1", "W1"), bumps)
     for rec, phi in zip(out["samples"], bumps.vectors):
         assert rec["estimate"] == pytest.approx(op.pairing(phi, phi), rel=1e-14)
-    inside = bumps.vectors[0].copy()
-    inside[mesh.interior_dofs[0]] = 1e-3
-    with pytest.raises(SupportViolation):
-        exterior_reconstruct(op, BumpSequence(X0, [2], [inside], [1.0]))
+
+
+def test_reconstruct_admits_only_bumps_on_the_hats_of_w(setting):
+    # the DN matrix sees a bump only on the hats of W1: an interior entry
+    # and an entry on a node of W1 whose hat leaves W1 are both rejected
+    mesh, par, gform, bumps = setting
+    dn = system_operator(mesh, par, Coefficients.background(mesh)).matrix("W1", "W1")
+    edge = np.setdiff1d(region_dofs(mesh, "W1"), support_dofs(mesh, "W1"))
+    assert edge.size == 2
+    for node in (mesh.interior_dofs[0], mesh.interior_dofs[-1], edge[0], edge[1]):
+        phi = bumps.vectors[0].copy()
+        phi[node] = 1e-3
+        with pytest.raises(SupportViolation, match="off the hats"):
+            exterior_reconstruct(dn, BumpSequence(X0, [2], [phi], [1.0]))
+    with pytest.raises(ValueError, match="identical"):
+        exterior_reconstruct(dataclasses.replace(dn, rows=dn.rows[1:],
+                                                 entries=dn.entries[1:]), bumps)
 
 
 def test_dn_decomposition_identity(setting):
@@ -179,8 +197,8 @@ def test_reconstruct_locality_in_q(setting):
     q2 = q1 + 0.7 * bump((x - 3.2) / 0.2)  # far outside supports and Omega
     co1 = Coefficients.from_arrays(np.ones_like(x), q1)
     co2 = Coefficients.from_arrays(np.ones_like(x), q2)
-    r1 = exterior_reconstruct(system_operator(mesh, par, co1), bumps)
-    r2 = exterior_reconstruct(system_operator(mesh, par, co2), bumps)
+    r1 = exterior_reconstruct(system_operator(mesh, par, co1).matrix("W1", "W1"), bumps)
+    r2 = exterior_reconstruct(system_operator(mesh, par, co2).matrix("W1", "W1"), bumps)
     for a, b in zip(r1["samples"], r2["samples"]):
         assert abs(a["estimate"] - b["estimate"]) < 1e-9
 
@@ -240,9 +258,11 @@ def test_exterior_q_shifts_estimates_by_its_pairing(setting):
     gam = 1.0 + plateau(x, (1.0, 2.6), (0.7, 2.9))
     q = 5.0 * bump((x - X0) / 0.5)
     r0 = exterior_reconstruct(
-        system_operator(mesh, par, Coefficients.from_arrays(gam)), bumps)
+        system_operator(mesh, par, Coefficients.from_arrays(gam)).matrix("W1", "W1"),
+        bumps)
     rq = exterior_reconstruct(
-        system_operator(mesh, par, Coefficients.from_arrays(gam, q)), bumps)
+        system_operator(mesh, par, Coefficients.from_arrays(gam, q)).matrix("W1", "W1"),
+        bumps)
     records = potential_decay_check(potential_form(mesh, q), bumps, math.inf, par)
     for a, b, d in zip(r0["samples"], rq["samples"], records):
         delta = abs(b["estimate"] - a["estimate"])
@@ -257,7 +277,7 @@ def test_energy_concentration_monotone(setting):
     x = mesh.coords
     gam = 1.0 + plateau(x, (1.0, 2.6), (0.7, 2.9))
     co = Coefficients.from_arrays(gam)
-    out = exterior_reconstruct(system_operator(mesh, par, co), bumps)
+    out = exterior_reconstruct(system_operator(mesh, par, co).matrix("W1", "W1"), bumps)
     errors = [abs(rec["estimate"] - 2.0) for rec in out["samples"]]
     assert all(b < a for a, b in zip(errors, errors[1:]))
 

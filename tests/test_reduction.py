@@ -183,6 +183,24 @@ def test_transfer_hypothesis_violation(setting):
 
 
 @pytest.mark.parametrize("datum", ["f", "g"])
+def test_transfer_rejects_data_off_the_measurement_set(setting, datum):
+    # the reduced side scales the data nodally by Gamma^{1/2}, which is
+    # tied to gamma only on W1 = (1.25, 2.0): a datum reaching past 2.0
+    # has no transfer identity to check
+    mesh, par, gform = setting
+    co = _smooth_coeffs(mesh)
+    x = mesh.coords
+    data = {"f": bump((x - 1.625) / 0.3), "g": bump((x - 1.625) / 0.22)}
+    data[datum] = bump((x - 1.8) / 0.4)
+    for v in data.values():
+        v[mesh.interior_dofs] = 0.0
+    with pytest.raises(HypothesisViolation, match="outside the measurement set"):
+        dn_transfer_residual(system_operator(mesh, par, co), co.gamma, "W1",
+                             data["f"], data["g"], gform=gform,
+                             qform=potential_form(mesh, co.q))
+
+
+@pytest.mark.parametrize("datum", ["f", "g"])
 def test_transfer_rejects_interior_support(setting, datum):
     mesh, par, gform = setting
     co = _smooth_coeffs(mesh)
