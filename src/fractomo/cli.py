@@ -16,7 +16,8 @@ trace.
 Exit codes: 0 success, 1 runtime error (including a run whose dense
 forms would not fit in the available memory), 2 violated invariant
 (e.g. lost coercivity, a failed maximum principle or decay bound), 3
-configuration error (including a usage error, a value outside its domain
+configuration error (including a usage error, a key or section the
+grammar does not name, a value outside its domain
 such as a malformed preset or a non-constant coefficient preset on a 2D
 config, a 1D pipeline requested on a 2D config, a mesh without an
 interior dof for any subcommand but ``oracle-compare``, and a ``gamma``
@@ -24,6 +25,13 @@ that is not positive on every node of the finest mesh the run builds,
 for every subcommand).  Artifacts
 (CSV series, JSON reports) land in the output directory; identical
 configs and seeds produce byte-identical files.
+
+:func:`run_experiment` resolves each run once and hands it to the
+subcommand's runner ``run_*(cfg, levels, outdir)``: ``levels`` is the
+list of ``(mesh, coeffs)`` on the levels ``h, h/2, ...`` (one level
+unless the subcommand is in :data:`SUBCOMMANDS_REFINING`), checked
+before any assembly, and the runner builds no mesh and evaluates no
+coefficients of its own.
 """
 
 from __future__ import annotations
@@ -64,7 +72,7 @@ from .io import (
     residual_records,
     write_json_report,
 )
-from .mesh import is_measurement_label
+from .mesh import grid_shape, is_measurement_label
 from .profiles import bump
 from .reconstruction import (
     bump_scales,
@@ -104,27 +112,19 @@ def _available_memory():
     return None
 
 
-def _memory_preflight(mesh) -> None:
+def _memory_preflight(N: int) -> None:
     """Raise :class:`InsufficientMemory` if ``FORMS_ALIVE`` dense forms on
-    ``mesh``, the run's largest mesh, exceed the available memory; skip
-    the check if that cannot be read."""
+    ``N`` nodes, the node count of the run's largest grid, exceed the
+    available memory; skip the check if that cannot be read."""
     available = _available_memory()
     if available is None:
         return
-    N = mesh.num_nodes
     need = FORMS_ALIVE * 8 * N * N
     if need > available:
         raise InsufficientMemory(
             f"N = {N} nodes: {FORMS_ALIVE} dense forms need about {need} bytes, "
             f"{available} bytes are available"
         )
-
-
-def _exterior_datum(cfg, mesh, spec):
-    f = cfg.nodal(mesh, spec)
-    f = np.asarray(f, dtype=float).copy()
-    f[mesh.interior_dofs] = 0.0
-    return f
 
 
 def _gagliardo(cfg: ExperimentConfig, mesh, params):
@@ -160,15 +160,8 @@ def _relation(section: str, check, *args):
         raise ConfigError(f"{section}: {exc}") from None
 
 
-def _refinements(cfg: ExperimentConfig):
-    """Yield ``(h, mesh, coeffs)`` on the levels ``h, h/2, ...`` of the config."""
-    for level in range(cfg.levels):
-        mesh = cfg.build_mesh(level)
-        yield mesh.h, mesh, cfg.coefficients(mesh)
-
-
-def _window_levels(cfg: ExperimentConfig, wlabel: str):
-    """Yield ``(h, op, qform, f, g)`` on the refinement levels: the DN
+def _window_levels(cfg: ExperimentConfig, levels, wlabel: str):
+    """Yield ``(op, qform, f, g)`` on the run's levels: the DN
     operator of the level's system form, its absorption form and the
     exterior data ``f, g``, bumps centred in ``W`` of widths 0.45 and 0.35
     of ``W``, zero on the interior dofs."""
@@ -176,17 +169,17 @@ def _window_levels(cfg: ExperimentConfig, wlabel: str):
     W = cfg.regions[wlabel]
     center = 0.5 * (W.lower[0] + W.upper[0])
     width = W.upper[0] - W.lower[0]
-    for h, mesh, coeffs in _refinements(cfg):
+    for mesh, coeffs in levels:
         f = bump((mesh.coords - center) / (0.45 * width))
         g = bump((mesh.coords - center) / (0.35 * width))
         f[mesh.interior_dofs] = 0.0
         g[mesh.interior_dofs] = 0.0
         form, qform = _system_form(cfg, mesh, params, coeffs)
-        yield h, DNOperator(mesh, params, coeffs, form=form), qform, f, g
+        yield DNOperator(mesh, params, coeffs, form=form), qform, f, g
 
 
-def run_poincare(cfg, outdir):
-    mesh = cfg.build_mesh()
+def run_poincare(cfg, levels, outdir):
+    mesh, _ = levels[0]
     params = cfg.params()
     result = poincare_constant(mesh, params, gform=_gagliardo(cfg, mesh, params),
                                mass=mass_matrix(mesh))
@@ -194,12 +187,11 @@ def run_poincare(cfg, outdir):
     return f"C_opt={result['C_opt']:.6g} delta0={result['delta0']:.6g}"
 
 
-def run_solve(cfg, outdir):
-    mesh = cfg.build_mesh()
-    params = cfg.params()
-    coeffs = cfg.coefficients(mesh)
-    form, _ = _system_form(cfg, mesh, params, coeffs)
-    f = _exterior_datum(cfg, mesh, cfg.f_spec)
+def run_solve(cfg, levels, outdir):
+    mesh, coeffs = levels[0]
+    form, _ = _system_form(cfg, mesh, cfg.params(), coeffs)
+    f = cfg.nodal(mesh, cfg.f_spec)
+    f[mesh.interior_dofs] = 0.0
     src = cfg.nodal(mesh, cfg.source_spec)
     f_src = mass_matrix(mesh).entries @ src
     sol = FactorizedSystem(form, mesh).solve(f, f_src, far_field=cfg.far_field)
@@ -213,12 +205,11 @@ def run_solve(cfg, outdir):
     return f"residual={sol.residual:.2e} energy={sol.energy:.6g}"
 
 
-def run_dn(cfg, outdir):
+def run_dn(cfg, levels, outdir):
     if "W1" not in cfg.regions:
         raise ConfigError("[regions]: dn needs a measurement region W1")
-    mesh = cfg.build_mesh()
+    mesh, coeffs = levels[0]
     params = cfg.params()
-    coeffs = cfg.coefficients(mesh)
     form, _ = _system_form(cfg, mesh, params, coeffs)
     op = DNOperator(mesh, params, coeffs, form=form)
     dn = op.matrix("W1", "W2" if "W2" in mesh.regions else "W1")
@@ -229,11 +220,10 @@ def run_dn(cfg, outdir):
     return f"dn {dn.entries.shape[0]}x{dn.entries.shape[1]}{sym}"
 
 
-def run_reconstruct(cfg, outdir):
+def run_reconstruct(cfg, levels, outdir):
     wlabel = _measurement_region(cfg, cfg.reconstruct_W, "[reconstruct] W")
-    mesh = cfg.build_mesh()
+    mesh, coeffs = levels[0]
     params = cfg.params()
-    coeffs = cfg.coefficients(mesh)
     if cfg.x0 is None:
         raise ConfigError("[reconstruct] x0: key is required")
     scales = _relation("[reconstruct]", bump_scales, mesh, wlabel, cfg.x0,
@@ -258,13 +248,13 @@ def run_reconstruct(cfg, outdir):
     return f"extrapolated={result['extrapolated']:.6g} over {len(bumps)} scales"
 
 
-def run_liouville_check(cfg, outdir):
+def run_liouville_check(cfg, levels, outdir):
     params = cfg.params()
     omega = cfg.regions["Omega"]
     center = 0.5 * (omega.lower[0] + omega.upper[0])
     halfw = 0.5 * (omega.upper[0] - omega.lower[0])
-    hs, residuals = [], []
-    for h, mesh, coeffs in _refinements(cfg):
+    residuals = []
+    for mesh, coeffs in levels:
         x = mesh.coords
         u = np.zeros_like(x)
         phi = np.zeros_like(x)
@@ -276,31 +266,27 @@ def run_liouville_check(cfg, outdir):
             coeffs, u, phi, cond_form=form,
             gform=_gagliardo(cfg, mesh, params), qform=qform,
         ))
-        hs.append(h)
-    records = residual_records(hs, residuals)
+    records = residual_records([mesh.h for mesh, _ in levels], residuals)
     write_json_report(outdir / "liouville.json", {"records": records},
                       "fractomo.residuals.v1")
     return "residuals " + " ".join(f"{r:.2e}" for r in residuals)
 
 
-def run_transfer_check(cfg, outdir):
+def run_transfer_check(cfg, levels, outdir):
     wlabel = _measurement_region(cfg, cfg.reconstruct_W, "[reconstruct] W")
-    hs, residuals = [], []
-    for h, op, qform, f, g in _window_levels(cfg, wlabel):
-        residuals.append(dn_transfer_residual(
-            op, op.coeffs.gamma, wlabel, f, g,
-            gform=_gagliardo(cfg, op.mesh, op.params), qform=qform,
-        ))
-        hs.append(h)
-    records = residual_records(hs, residuals)
+    residuals = [dn_transfer_residual(op, op.coeffs.gamma, wlabel, f, g,
+                                      gform=_gagliardo(cfg, op.mesh, op.params),
+                                      qform=qform)
+                 for op, qform, f, g in _window_levels(cfg, levels, wlabel)]
+    records = residual_records([mesh.h for mesh, _ in levels], residuals)
     write_json_report(outdir / "transfer.json", {"records": records},
                       "fractomo.residuals.v1")
     return "residuals " + " ".join(f"{r:.2e}" for r in residuals)
 
 
-def run_counterexample(cfg, outdir):
+def run_counterexample(cfg, levels, outdir):
     wlabel = _measurement_region(cfg, cfg.ce_W, "[counterexample] W")
-    mesh = cfg.build_mesh()
+    mesh, _ = levels[0]
     params = cfg.params()
     if cfg.ce_omega_prime is None or cfg.ce_omega is None:
         raise ConfigError("[counterexample]: omega_prime and omega are required")
@@ -322,8 +308,8 @@ def run_counterexample(cfg, outdir):
             f"admissible={report['admissible']}")
 
 
-def run_oracle_compare(cfg, outdir):
-    mesh = cfg.build_mesh()
+def run_oracle_compare(cfg, levels, outdir):
+    mesh, _ = levels[0]
     u = cfg.nodal(mesh, cfg.oracle_u_spec)
     orders = [KernelParams(cfg.n, s) for s in cfg.oracle_s_list]
     try:
@@ -347,15 +333,12 @@ def run_oracle_compare(cfg, outdir):
     return " ".join(f"s={r['s']:g}:{r['rel_l2_mismatch']:.3%}" for r in rows)
 
 
-def run_convergence_study(cfg, outdir):
+def run_convergence_study(cfg, levels, outdir):
     wlabel = _measurement_region(cfg, cfg.reconstruct_W, "[reconstruct] W")
-    values, hs = [], []
-    for h, op, _, f, g in _window_levels(cfg, wlabel):
-        values.append(op.pairing(f, g))
-        hs.append(h)
+    values = [op.pairing(f, g) for op, _, f, g in _window_levels(cfg, levels, wlabel)]
     records = []
-    for k, (h, v) in enumerate(zip(hs, values)):
-        rec = {"h": h, "value": v}
+    for k, ((mesh, _), v) in enumerate(zip(levels, values)):
+        rec = {"h": mesh.h, "value": v}
         if k:
             rec["diff"] = abs(v - values[k - 1])
             if k >= 2 and rec["diff"] > 0 and records[-1]["diff"] > 0:
@@ -382,7 +365,15 @@ SUBCOMMANDS = tuple(RUNNERS)
 
 
 def run_experiment(subcommand: str, cfg: ExperimentConfig, outdir=None) -> str:
-    """Run one subcommand; returns the one-line summary (raises on error)."""
+    """Run one subcommand; returns the one-line summary (raises on error).
+
+    The run is resolved once, before any assembly: the level-0 mesh and
+    its coefficients are built and checked, the memory preflight sizes
+    the finest grid from the box and the spacing, and only then are the
+    refined levels built (refining subcommands only), finest first.  The
+    runner reads every mesh and coefficient set from that list of
+    ``(mesh, coeffs)``, one per level ``h, h/2, ...``.
+    """
     if subcommand not in RUNNERS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     if cfg.n != 1 and subcommand not in SUBCOMMANDS_2D:
@@ -390,16 +381,20 @@ def run_experiment(subcommand: str, cfg: ExperimentConfig, outdir=None) -> str:
             f"{subcommand} is a 1D pipeline; 2D configs run "
             + " and ".join(SUBCOMMANDS_2D)
         )
-    if subcommand != "oracle-compare" and not cfg.build_mesh().interior_dofs.size:
+    mesh = cfg.build_mesh()
+    if subcommand != "oracle-compare" and not mesh.interior_dofs.size:
         raise ConfigError(f"[regions]: no interior dof at h = {cfg.h:g}: a region "
                           "Omega must contain the support of a hat function")
-    # refinement keeps every coarser node: the finest mesh covers the run
-    mesh = cfg.build_mesh(cfg.levels - 1 if subcommand in SUBCOMMANDS_REFINING else 0)
-    cfg.coefficients(mesh)  # gamma > 0 on every node, before any assembly
-    _memory_preflight(mesh)
+    levels = [(mesh, cfg.coefficients(mesh))]  # gamma > 0 on every node
+    finest = cfg.levels - 1 if subcommand in SUBCOMMANDS_REFINING else 0
+    _memory_preflight(int(np.prod(grid_shape(mesh.box, cfg.h / 2**finest))))
+    # finest first: refinement keeps every coarser node, so the first gamma
+    # check of a refined level covers them all
+    refined = [cfg.build_mesh(level) for level in range(finest, 0, -1)]
+    levels += [(m, cfg.coefficients(m)) for m in refined][::-1]
     out = Path(outdir or cfg.outdir)
     out.mkdir(parents=True, exist_ok=True)
-    return RUNNERS[subcommand](cfg, out)
+    return RUNNERS[subcommand](cfg, levels, out)
 
 
 def main(argv=None) -> int:

@@ -73,7 +73,9 @@ then the domain of each key):
 A preset key holds a preset of :func:`fractomo.profiles.evaluate_preset`
 (its name and arguments are checked).  A value outside its domain is a
 ``ConfigError`` naming the key, raised by :func:`parse_config` before any
-assembly.  Nothing comes from the
+assembly.  So is a key or a section the grammar above does not name,
+such as a misspelled key, a section of no keys, or any ``[DEFAULT]`` key:
+a typo never falls back to a default.  Nothing comes from the
 environment: everything lives in the file, and only the output
 directory may be overridden (by ``--out``).
 """
@@ -241,11 +243,17 @@ def parse_config(path) -> ExperimentConfig:
         labels.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
+    # configparser copies [DEFAULT] keys into every section, [regions] too
+    if parser.defaults():
+        raise ConfigError(f"[{parser.default_section}] "
+                          f"{next(iter(parser.defaults()))}: unknown key")
 
     cfg = ExperimentConfig()
+    read = set()
 
     def get(section, key, cast, default, ok=None, domain=""):
         """The cast value of ``[section] key``; ``ok`` tests its domain."""
+        read.add((section, key))
         where = f"[{section}] {key}"
         if not parser.has_option(section, key):
             return default
@@ -319,6 +327,13 @@ def parse_config(path) -> ExperimentConfig:
                      lambda v: v >= 1, "at least 1")
     cfg.outdir = get("output", "directory", str, cfg.outdir)
     cfg.seed = get("output", "seed", int, cfg.seed, lambda v: v >= 0, "nonnegative")
+    # a key or section the grammar does not name is an error, not a default
+    for section in parser.sections():
+        if section not in {"regions"} | {known for known, _ in read}:
+            raise ConfigError(f"[{section}]: unknown section")
+        for key in parser.options(section):
+            if section != "regions" and (section, key) not in read:
+                raise ConfigError(f"[{section}] {key}: unknown key")
 
     # cheap global validations before any solve starts
     for order in cfg.oracle_s_list:

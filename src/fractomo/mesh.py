@@ -203,8 +203,19 @@ class Mesh:
         return self.nodes[:, 0]
 
 
-def _axis_counts(box: Box, h: float) -> tuple:
-    counts = []
+def grid_shape(box: Box, h: float) -> tuple:
+    """Nodes per axis of the uniform grid of ``box`` with spacing ``h``,
+    known before the mesh is built.
+
+    Raises
+    ------
+    NonConformingSpacing
+        Unless ``h`` is positive and ``(upper - lower)/h`` is integral
+        within 1e-9 along every axis.
+    """
+    if h <= 0:
+        raise NonConformingSpacing("spacing must be positive")
+    shape = []
     for l, u in zip(box.lower, box.upper):
         ratio = (u - l) / h
         m = round(ratio)
@@ -213,8 +224,8 @@ def _axis_counts(box: Box, h: float) -> tuple:
                 f"spacing {h} does not divide box extent {u - l} "
                 f"(ratio {ratio} is not integral within 1e-9)"
             )
-        counts.append(m)
-    return tuple(counts)
+        shape.append(m + 1)
+    return tuple(shape)
 
 
 def grid_elements(shape: tuple, verts) -> np.ndarray:
@@ -261,12 +272,8 @@ def build_mesh(box: Box, h: float, regions: list | None = None) -> Mesh:
     ------
     NonConformingSpacing, EmptyRegion, RegionOverlapViolation
     """
-    if h <= 0:
-        raise NonConformingSpacing("spacing must be positive")
     regions = list(regions) if regions else []
-    cells = _axis_counts(box, h)
-
-    shape = tuple(m + 1 for m in cells)
+    shape = grid_shape(box, h)
     axes = [l + h * np.arange(m) for l, m in zip(box.lower, shape)]
     nodes = np.stack([X.ravel() for X in np.meshgrid(*axes, indexing="ij")],
                      axis=1)

@@ -148,16 +148,24 @@ def dn_difference_decomposition(op1: DNOperator, op2: DNOperator,
     driven by ``(-Delta)^s (m_2 - m_1)``, the potential difference term,
     and the solution-relation term) and the relative defect of the
     identity.  The datum ``f`` must be exterior-supported with one layer
-    of exterior nodes around its support.
+    of exterior nodes around its support.  Each operator solves once for
+    ``f``; the pairing difference reads the same solutions as the
+    solution-relation term.
+
+    Raises
+    ------
+    SupportViolation
+        If ``f`` is nonzero on an interior dof.
     """
     f = np.asarray(f, dtype=float)
     pair1, pair2 = op1.coeffs, op2.coeffs
-    lhs = op1.pairing(f, f) - op2.pairing(f, f)
+    u1 = op1.solve(f).u
+    u2 = op2.solve(f).u
+    # <Lambda_k f, f> = B_k(u_k, f), the arithmetic of DNOperator.pairing
+    lhs = float(f @ (op1.form.entries @ u1)) - float(f @ (op2.form.entries @ u2))
 
     sq1 = np.sqrt(pair1.gamma)
     sq2 = np.sqrt(pair2.gamma)
-    u1 = op1.solve(f).u
-    u2 = op2.solve(f).u
     d_m = gform.entries @ (pair2.m_gamma - pair1.m_gamma)
     term_m = float(d_m @ (sq1 * f * f))
     term_q = float(f @ ((qform1.entries - qform2.entries) @ f))

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fractomo import assembly, cli, dnmap
-from fractomo.cli import SUBCOMMANDS, SUBCOMMANDS_2D, main
+from fractomo import assembly, cli, config, dnmap
+from fractomo.cli import SUBCOMMANDS, SUBCOMMANDS_2D, SUBCOMMANDS_REFINING, main
+from fractomo.config import ExperimentConfig, parse_config
 from fractomo.profiles import bump
 
 CONFIG = """
@@ -596,6 +597,31 @@ def test_gamma_negative_off_the_run_mesh_is_not_an_error(subcommand, config_path
     assert main([subcommand, "--config", str(bad)]) == 0
 
 
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_each_level_is_built_and_evaluated_once(subcommand, config_path, monkeypatch):
+    # parse_config builds the level-0 mesh to validate it; the run builds
+    # each of its levels once, finest first, evaluates the coefficients
+    # once on each, and the runner reads them from that list
+    built, evaluated = [], []
+    build, coefficients = ExperimentConfig.build_mesh, ExperimentConfig.coefficients
+
+    def recording_build(self, level=0):
+        built.append(level)
+        return build(self, level)
+
+    def recording_coefficients(self, mesh):
+        evaluated.append(mesh.h)
+        return coefficients(self, mesh)
+
+    monkeypatch.setattr(ExperimentConfig, "build_mesh", recording_build)
+    monkeypatch.setattr(ExperimentConfig, "coefficients", recording_coefficients)
+    path, out = config_path
+    main([subcommand, "--config", str(path)])  # oracle-compare exits 3 here
+    levels = 2 if subcommand in SUBCOMMANDS_REFINING else 1
+    assert built == [0, 0] + list(range(levels - 1, 0, -1))
+    assert evaluated == [0.03125 / 2**level for level in [0] + built[2:]]
+
+
 def test_system_form_adds_the_potential_form_in_place(config_path):
     path, out = config_path
     cfg = cli.parse_config(path)
@@ -673,10 +699,55 @@ def test_memory_preflight_exits_1_before_any_kernel_form(
     assert not out.exists()
 
 
+def test_memory_preflight_refuses_before_any_refined_mesh(config_path, monkeypatch,
+                                                          capsys):
+    # levels = 16 puts 176 * 2**15 + 1 nodes on the finest grid: the
+    # preflight sizes it from the box and the spacing, and no mesh finer
+    # than level 0 is ever built
+    spacings = []
+    original = config.build_mesh
+
+    def recording(box, h, regions=None):
+        spacings.append(h)
+        return original(box, h, regions)
+
+    monkeypatch.setattr(config, "build_mesh", recording)
+    nodes = 176 * 2**15 + 1
+    need = cli.FORMS_ALIVE * 8 * nodes**2
+    monkeypatch.setattr(cli, "_available_memory", lambda: need - 1)
+    path, out = config_path
+    path.write_text(path.read_text().replace("levels = 2", "levels = 16"))
+    assert main(["convergence-study", "--config", str(path)]) == 1
+    assert f"N = {nodes} nodes" in capsys.readouterr().err
+    assert spacings and set(spacings) == {0.03125}
+    assert not out.exists()
+
+
 def test_memory_preflight_is_skipped_without_a_reading(config_path, monkeypatch):
     monkeypatch.setattr(cli, "_available_memory", lambda: None)
     path, out = config_path
     assert main(["poincare", "--config", str(path)]) == 0
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace("x0 = 1.5", "x0 = 1.5\nsacles = 4, 8"),
+     "[reconstruct] sacles: unknown key"),
+    (lambda text: text + "\n[bogus]\n", "[bogus]: unknown section"),
+    (lambda text: text + "\n[Convergence]\nlevels = 3\n", "[Convergence]: unknown section"),
+    (lambda text: "[DEFAULT]\nh = 0.0625\n" + text, "[DEFAULT] h: unknown key"),
+], ids=["misspelled-key", "empty-section", "section-case", "default-key"])
+def test_a_name_the_grammar_does_not_know_is_a_config_error(
+        edit, message, config_path, monkeypatch, capsys):
+    # a typo exits 3 instead of running the default it leaves in place
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("a kernel form was assembled before the key check")
+
+    monkeypatch.setattr(assembly, "_kernel_form", no_assembly)
+    path, out = config_path
+    path.write_text(edit(path.read_text()))
+    assert main(["reconstruct", "--config", str(path)]) == 3
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_available_memory_reads_a_byte_count():
@@ -684,13 +755,17 @@ def test_available_memory_reads_a_byte_count():
     assert available is None or (isinstance(available, int) and available > 0)
 
 
-def _tool(name):
-    """The module of ``tools/NAME.py``."""
-    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+def _module(name, path):
+    """The module of the source file at ``path``."""
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tool(name):
+    """The module of ``tools/NAME.py``."""
+    return _module(name, Path(__file__).resolve().parent.parent / "tools" / f"{name}.py")
 
 
 def test_artifact_digest_of_a_repeated_run_is_identical(config_path, capsys):
@@ -735,3 +810,26 @@ def test_artifact_drift_names_the_changed_cell(config_path, tmp_path):
     assert float(lines[1].split("max rel ")[1].split()[0]) == pytest.approx(1e-6, rel=1e-3)
     assert lines[2:] == ["reconstruction.json: max abs 0, max rel 0",
                          "reconstruction.json: .x0: 1.5 -> 'moved'"]
+
+
+def test_artifact_configs_parse(tmp_path, capsys):
+    # every config the tool writes parses, and each printed run names one
+    tool = _tool("artifact_configs")
+    assert tool.main([str(tmp_path / "cfgs")]) == 0
+    runs = [line.split() for line in capsys.readouterr().out.splitlines()]
+    written = sorted(p for p in (tmp_path / "cfgs").rglob("*.ini"))
+    assert sorted(Path(run[0]) for run in runs) == written and len(written) == 7
+    for config_file, *subcommands in runs:
+        parse_config(config_file)
+        assert set(subcommands) <= set(SUBCOMMANDS)
+
+
+def test_benchmark_configs_parse(tmp_path):
+    # the inverse1d workload runs the CLI on the configs it draws: a key
+    # parse_config does not know would fail every op of the benchmark
+    workloads = _module("_bench_workloads",
+                        Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
+    for seed in range(3):
+        draw = workloads.Inverse1D(1 / 128, tmp_path).draw(np.random.default_rng(seed))
+        for config_file in draw["configs"].values():
+            parse_config(config_file)

@@ -237,6 +237,38 @@ def test_schrodinger_solution_relation_refinement():
     assert (rates > 0.5).all()
 
 
+def test_dn_difference_decomposition_solves_each_operator_once(monkeypatch):
+    # the pairing difference is B_k(u_k, f) on the solutions the
+    # solution-relation term reads: the numbers of two pairing calls,
+    # from two solves instead of four
+    mesh = build_mesh(BOX, 1 / 32, REGIONS)
+    par = KernelParams(1, 0.25)
+    x = mesh.coords
+    pair1 = Coefficients.from_arrays(1.0 + 0.3 * bump(x / 0.7), 0.4 * bump(x / 0.8))
+    pair2 = Coefficients.from_arrays(np.ones_like(x), -0.2 * bump(x / 0.6))
+    op1, op2 = system_operator(mesh, par, pair1), system_operator(mesh, par, pair2)
+    f = bump((x - 1.625) / 0.25)
+    f[mesh.interior_dofs] = 0.0
+    expected = op1.pairing(f, f) - op2.pairing(f, f)
+    kwargs = dict(gform=gagliardo_form(mesh, par),
+                  qform1=potential_form(mesh, pair1.q),
+                  qform2=potential_form(mesh, pair2.q))
+    solves = []
+    original = FactorizedSystem.solve
+
+    def counting(self, *args, **kw):
+        solves.append(self)
+        return original(self, *args, **kw)
+
+    monkeypatch.setattr(FactorizedSystem, "solve", counting)
+    out = dn_difference_decomposition(op1, op2, f, **kwargs)
+    assert out["pairing_difference"] == expected
+    assert solves == [op1.system, op2.system]
+    f[mesh.interior_dofs[0]] = 1.0
+    with pytest.raises(SupportViolation):
+        dn_difference_decomposition(op1, op2, f, **kwargs)
+
+
 def test_dn_difference_decomposition_exact_for_unit_gamma():
     # with unit diffusions and absorptions agreeing near the datum the
     # three-term decomposition is a discrete identity
