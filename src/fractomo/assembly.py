@@ -1,8 +1,17 @@
 """Galerkin assembly of the nonlocal bilinear forms on nodal P1 bases.
 
-Every form is a dense symmetric matrix over the full nodal basis of the
-mesh; nodal functions are extended by zero outside the computational box.
-The kernel-type forms (Gagliardo energy and weighted-diffusion energy)
+Every form is a symmetric matrix over the full nodal basis of the mesh;
+nodal functions are extended by zero outside the computational box.  A
+kernel form is dense (:class:`SymForm`); a local form, the mass matrix
+or a potential form, couples only the nodes of one element and is
+stored as its nonzero diagonals (:class:`LocalForm`: 3 in 1D, 7 in 2D),
+so it never takes N x N memory.  Both kinds offer the same reads: the
+product ``form @ x``, a dense block ``form.block(rows, cols)`` and the
+tail row; ``entries`` of a local form is a dense view built on demand
+for tests and checks only.  Adding a local form to a dense one
+(``SymForm + LocalForm``, or ``+=`` in place) adds its band to a copy
+of the dense entries, one addition per entry as in the dense sum.  The
+kernel-type forms (Gagliardo energy and weighted-diffusion energy)
 come from one engine (:func:`_offset_plan`, :func:`_apply_offsets`).  On
 the uniform mesh every element pair is a translate of a reference pair:
 its class is the offset ``d`` in 1D and ``(type_a, type_b, di, dj)`` in
@@ -65,8 +74,13 @@ The contribution of the box complement (where nodal functions vanish
 and the diffusion equals its constant exterior value) is the weighted
 local mass ``int g phi_a phi_b omega`` with the complement weight
 ``omega(x) = int_{box^c} |x - y|^{-n-2s} dy``, known in closed form in
-1D and 2D.  One routine (:func:`_add_local_mass`) assembles it, the mass
-matrix and the potential form from per-element quadrature weights.
+1D and 2D.  One routine (:func:`_local_mass`) computes its element
+matrices and those of the mass matrix and the potential form from
+per-element quadrature weights, and one scatter (:func:`_scatter`) lays
+them out: ``np.add.at`` adds the tail's into the dense kernel form, and
+one ``bincount`` per form sums a local form's into its diagonals, in
+the scatter's order, so each band entry is bit for bit the entry that
+``np.add.at`` on a zero matrix gives.
 
 The adopted energy convention is ``u^T A u = ||(-Delta)^{s/2} u||_L2^2``,
 i.e. the assembled Gagliardo form carries the factor ``C_ns / 2`` in
@@ -204,7 +218,8 @@ class Coefficients:
 
 @dataclass
 class SymForm:
-    """Dense symmetric bilinear form over the nodal basis."""
+    """Dense symmetric bilinear form over the nodal basis (a kernel form,
+    or a sum of one with local forms)."""
 
     entries: np.ndarray
     tail_row: np.ndarray = None
@@ -213,11 +228,42 @@ class SymForm:
         if self.tail_row is None:
             self.tail_row = np.zeros(self.entries.shape[0])
 
-    def __add__(self, other: "SymForm") -> "SymForm":
-        if self.entries.shape != other.entries.shape:
+    @property
+    def shape(self) -> tuple:
+        return self.entries.shape
+
+    def __add__(self, other: "SymForm | LocalForm") -> "SymForm":
+        """The dense sum: a copy of ``entries`` plus the other form, each
+        entry added once."""
+        if self.shape != other.shape:
             raise ValueError("form dimensions differ")
+        if isinstance(other, LocalForm):
+            total = SymForm(self.entries.copy(), self.tail_row.copy())
+            total += other
+            return total
         return SymForm(self.entries + other.entries,
                        self.tail_row + other.tail_row)
+
+    def __iadd__(self, other: "LocalForm") -> "SymForm":
+        """Add a local form into ``entries`` in place, on its band only."""
+        if self.shape != other.shape:
+            raise ValueError("form dimensions differ")
+        for offset, diagonal in other.diagonals():
+            _diagonal(self.entries, offset)[:] += diagonal
+        self.tail_row += other.tail_row
+        return self
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.entries @ x
+
+    def block(self, rows, cols) -> np.ndarray:
+        """The dense block ``entries[rows][:, cols]``, a new array.  Where
+        both index arrays are runs of consecutive indices (always in 1D)
+        it is copied from a slice, several times faster than a gather."""
+        r, c = _run(rows), _run(cols)
+        if r is not None and c is not None:
+            return self.entries[r, c].copy()
+        return self.entries[np.ix_(rows, cols)]
 
     def energy(self, u: np.ndarray, far_field: float = 0.0) -> float:
         """``B(u + c 1_ext, u + c 1_ext)`` for far-field constant ``c``."""
@@ -229,6 +275,112 @@ class SymForm:
 
     def symmetry_defect(self) -> float:
         return _asymmetry(self.entries)
+
+
+@dataclass
+class LocalForm:
+    """Symmetric form of element-local integrals (a mass or a potential
+    form), stored as its nonzero diagonals: 3 in 1D, 7 in 2D.
+
+    ``offsets`` lists the diagonals outward from the main one (0, -1, 1,
+    -2, 2, ...), the order in which every product adds them; row ``m`` of
+    ``band`` holds the diagonal of offset ``offsets[m]`` in its first
+    ``N - |offsets[m]|`` entries and zeros after.  A local form couples
+    no hat with the box complement, so its ``tail_row`` is zero.
+    """
+
+    offsets: tuple
+    band: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        N = self.band.shape[1]
+        return (N, N)
+
+    @property
+    def tail_row(self) -> np.ndarray:
+        return np.zeros(self.band.shape[1])
+
+    def diagonals(self):
+        """The ``(offset, diagonal)`` pairs, in the order of ``offsets``."""
+        N = self.band.shape[1]
+        return [(k, d[:N - abs(k)]) for k, d in zip(self.offsets, self.band)]
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense N x N matrix, built on every read and read-only.
+        It is a view for tests and checks: no product needs it."""
+        A = np.zeros(self.shape)
+        for offset, diagonal in self.diagonals():
+            _diagonal(A, offset)[:] = diagonal
+        A.flags.writeable = False
+        return A
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return _diagonal_matvec(self.diagonals(), x)
+
+    def energy(self, u: np.ndarray, far_field: float = 0.0) -> float:
+        """``B(u, u)``; the far field adds nothing, as ``tail_row`` is zero."""
+        return float(u @ (self @ u))
+
+    def block(self, rows, cols) -> np.ndarray:
+        """The dense block of ``rows`` and ``cols`` (index arrays), filled
+        from the band."""
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        where = np.full((2, self.band.shape[1]), -1)
+        where[0, rows] = np.arange(rows.size)
+        where[1, cols] = np.arange(cols.size)
+        out = np.zeros((rows.size, cols.size))
+        for offset, diagonal in self.diagonals():
+            r, c = _band_index(offset, diagonal.size)
+            i, j = where[0, r], where[1, c]
+            keep = (i >= 0) & (j >= 0)
+            out[i[keep], j[keep]] = diagonal[keep]
+        return out
+
+    def scaled(self, weight: np.ndarray) -> "LocalForm":
+        """The form ``(u, v) -> B(weight u, weight v)``: entry ``ij``
+        becomes ``(weight_i B_ij) weight_j``."""
+        band = np.zeros_like(self.band)
+        for m, (offset, diagonal) in enumerate(self.diagonals()):
+            r, c = _band_index(offset, diagonal.size)
+            band[m, :diagonal.size] = weight[r] * diagonal * weight[c]
+        return LocalForm(self.offsets, band)
+
+
+def _run(indices):
+    """The slice of ``indices`` if they are one run of consecutive
+    integers, else None."""
+    indices = np.asarray(indices)
+    # the span of the ends rules out most other index sets at once
+    if (indices.size and indices[-1] - indices[0] == indices.size - 1
+            and (np.diff(indices) == 1).all()):
+        return slice(int(indices[0]), int(indices[-1]) + 1)
+    return None
+
+
+def _band_index(offset: int, size: int) -> tuple:
+    """The slices of the rows and of the columns of the ``size`` entries
+    of the diagonal of ``offset`` (positive above the main diagonal)."""
+    first = max(-offset, 0)
+    return slice(first, first + size), slice(first + offset, first + offset + size)
+
+
+def _diagonal(A, offset: int) -> np.ndarray:
+    """The diagonal of ``offset`` of the square ``A`` as a writable view."""
+    rows, cols = _band_index(offset, A.shape[0] - abs(offset))
+    return np.einsum("ii->i", A[rows, cols])
+
+
+def _diagonal_matvec(diagonals, y):
+    """``A @ y`` for a vector or a block of columns ``y``, from the
+    ``(offset, diagonal)`` pairs of ``A``, each diagonal's product added
+    in their order."""
+    z = np.zeros(np.shape(y))
+    for offset, diagonal in diagonals:
+        rows, cols = _band_index(offset, diagonal.size)
+        z[rows] += diagonal.reshape(-1, *(1,) * (z.ndim - 1)) * y[cols]
+    return z
 
 
 def _asymmetry(entries: np.ndarray) -> float:
@@ -248,34 +400,63 @@ def _asymmetry(entries: np.ndarray) -> float:
 _TRIU = {nv: np.triu_indices(nv) for nv in (2, 3)}
 
 
-def _add_local_mass(A, elements, w, lam):
-    """Add ``int rho phi_a phi_b`` over every element into ``A`` in place.
+def _local_mass(elements, w, lam):
+    """Local entries ``int rho phi_a phi_b`` of every element, in the
+    layout of :func:`_scatter`.
 
     ``w`` (E, P) holds each element's quadrature weights with the density
     ``rho`` folded in; ``lam`` (P, nv) or (E, P, nv) holds the P1 shape
-    values at the points.  Returns the row sums of what was added (see
-    :func:`_add_local`).
+    values at the points.
     """
     a, b = _TRIU[elements.shape[1]]
-    return _add_local(A, elements,
-                      (w[..., None] * (lam[..., a] * lam[..., b])).sum(axis=-2))
+    return (w[..., None] * (lam[..., a] * lam[..., b])).sum(axis=-2)
 
 
-def _add_local(A, elements, local):
-    """Add element matrices into ``A`` in place.
+def _add_local_mass(A, elements, w, lam):
+    """Add ``int rho phi_a phi_b`` over every element into ``A`` in place
+    (see :func:`_local_mass`); returns the row sums of what was added."""
+    return _add_local(A, elements, _local_mass(elements, w, lam))
+
+
+def _scatter(elements, local):
+    """The ``(rows, cols, vals)`` of the element matrices ``local``.
 
     ``local`` (E, nv (nv + 1) / 2) holds the local entries ``a <= b`` of
-    each element in ``triu_indices`` order; each off-diagonal one is
-    added at ``(r, c)`` and at ``(c, r)``, which keeps ``A`` exactly
-    symmetric.  Returns the row sums of what was added.
+    each element in ``triu_indices`` order; each off-diagonal one goes to
+    ``(r, c)`` and to ``(c, r)``, which keeps the sum exactly symmetric.
     """
     a, b = _TRIU[elements.shape[1]]
     off = a != b
     rows = np.concatenate([elements[:, a], elements[:, b[off]]], axis=1).ravel()
     cols = np.concatenate([elements[:, b], elements[:, a[off]]], axis=1).ravel()
     vals = np.concatenate([local, local[:, off]], axis=1).ravel()
+    return rows, cols, vals
+
+
+def _add_local(A, elements, local):
+    """Add element matrices (see :func:`_scatter`) into ``A`` in place;
+    returns the row sums of what was added."""
+    rows, cols, vals = _scatter(elements, local)
     np.add.at(A, (rows, cols), vals)
     return np.bincount(rows, vals, A.shape[0])
+
+
+def _local_form(N, elements, local):
+    """The :class:`LocalForm` of the element matrices ``local`` (see
+    :func:`_scatter`) on ``N`` nodes.
+
+    One ``bincount`` sums the scatter into a bin per diagonal entry, in
+    the order of the scatter: every entry is the same sum, in the same
+    order, as ``np.add.at`` of the scatter on a zero matrix.
+    """
+    rows, cols, vals = _scatter(elements, local)
+    keys = cols - rows + (N - 1)  # the offset of each entry, shifted to >= 0
+    present = np.flatnonzero(np.bincount(keys, minlength=2 * N - 1)) - (N - 1)
+    offsets = sorted(present.tolist(), key=lambda k: (abs(k), k > 0))
+    slot = np.zeros(2 * N - 1, dtype=np.int64)  # shifted offset -> band row
+    slot[np.add(offsets, N - 1)] = np.arange(len(offsets))
+    band = np.bincount(slot[keys] * N + np.minimum(rows, cols), vals, len(offsets) * N)
+    return LocalForm(tuple(offsets), band.reshape(-1, N))
 
 
 def _shapes_1d(t):
@@ -283,12 +464,12 @@ def _shapes_1d(t):
     return np.stack([1.0 - t, t], axis=-1)
 
 
-def mass_matrix(mesh: Mesh) -> SymForm:
+def mass_matrix(mesh: Mesh) -> LocalForm:
     """Exact P1 mass matrix (symmetric positive definite)."""
     return potential_form(mesh, np.ones(mesh.num_nodes))
 
 
-def potential_form(mesh: Mesh, q: np.ndarray) -> SymForm:
+def potential_form(mesh: Mesh, q: np.ndarray) -> LocalForm:
     """Weighted mass form ``(u, v) -> int q_h u v`` with P1-interpolated q.
 
     The rules (two-point Gauss in 1D, the degree-4 triangle rule in 2D)
@@ -307,10 +488,9 @@ def potential_form(mesh: Mesh, q: np.ndarray) -> SymForm:
         bary, w = _triangle_rule_deg4()
         lam = bary.T
         w = w * (mesh.h**2 / 2.0)
-    N = mesh.num_nodes
-    A = np.zeros((N, N))
-    _add_local_mass(A, mesh.elements, w * (q[mesh.elements] @ lam.T), lam)
-    return SymForm(A)
+    elements = mesh.elements
+    return _local_form(mesh.num_nodes, elements,
+                       _local_mass(elements, w * (q[elements] @ lam.T), lam))
 
 
 def _triangle_rule_deg4():

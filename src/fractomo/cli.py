@@ -72,11 +72,11 @@ from .io import (
     residual_records,
     write_json_report,
 )
-from .mesh import grid_shape, is_measurement_label
+from .mesh import is_measurement_label
 from .profiles import bump
 from .reconstruction import (
+    BumpSequence,
     bump_scales,
-    bump_sequence,
     exterior_reconstruct,
     potential_decay_check,
 )
@@ -92,10 +92,11 @@ SUBCOMMANDS_REFINING = ("liouville-check", "transfer-check", "convergence-study"
 
 #: dense N x N arrays a run holds at its peak, in units of one form: peak
 #: resident memory above the import baseline over 8 N^2 bytes on the 1D
-#: test config, on a largest mesh of N = 2817 nodes, is 6.93 for
-#: counterexample, 5.6 for transfer-check, 5.1 for liouville-check and at
-#: most 3.7 for the other subcommands (the quadrature self check holds one
-#: more form while it compares)
+#: test config, on a largest mesh of N = 2817 nodes, is 4.00 for
+#: counterexample, 3.77 for transfer-check, 3.21 for liouville-check and at
+#: most 1.81 for the other subcommands, within 0.05 of that with numpy's
+#: huge-page advice off (mass and potential forms are bands, not forms;
+#: the quadrature self check holds one more form while it compares)
 FORMS_ALIVE = 7
 
 
@@ -136,7 +137,7 @@ def _system_form(cfg: ExperimentConfig, mesh, params, coeffs):
     and its potential form, the absorption form."""
     cond = conductivity_form(mesh, params, coeffs, check=cfg.quadrature_check)
     qform = potential_form(mesh, coeffs.q)
-    cond.entries += qform.entries  # the potential form's tail row is zero
+    cond += qform  # in place, on the band of the potential form
     return cond, qform
 
 
@@ -193,7 +194,7 @@ def run_solve(cfg, levels, outdir):
     f = cfg.nodal(mesh, cfg.f_spec)
     f[mesh.interior_dofs] = 0.0
     src = cfg.nodal(mesh, cfg.source_spec)
-    f_src = mass_matrix(mesh).entries @ src
+    f_src = mass_matrix(mesh) @ src
     sol = FactorizedSystem(form, mesh).solve(f, f_src, far_field=cfg.far_field)
     export_solution_csv(outdir / "solution.csv", mesh, sol.u)
     write_json_report(
@@ -228,12 +229,14 @@ def run_reconstruct(cfg, levels, outdir):
         raise ConfigError("[reconstruct] x0: key is required")
     scales = _relation("[reconstruct]", bump_scales, mesh, wlabel, cfg.x0,
                        cfg.scales)
-    bumps = bump_sequence(mesh, wlabel, cfg.x0, scales,
-                          gform=_gagliardo(cfg, mesh, params),
-                          mass=mass_matrix(mesh))
+    bumps = BumpSequence.at_scales(mesh, cfg.x0, scales,
+                                   gform=_gagliardo(cfg, mesh, params),
+                                   mass=mass_matrix(mesh))
     form, qform = _system_form(cfg, mesh, params, coeffs)
     op = DNOperator(mesh, params, coeffs, form=form)
-    result = exterior_reconstruct(op.matrix(wlabel, wlabel), bumps)
+    # the DN basis is the hats the bumps touch: every bump is nonzero on
+    # the hats of W only, so this is a subset of them
+    result = exterior_reconstruct(op.matrix(bumps.support, bumps.support), bumps)
     decay = potential_decay_check(qform, bumps, cfg.p_exponent, params)
     export_reconstruction_csv(
         outdir / "reconstruction.csv", result["samples"], cfg.gamma_true,
@@ -321,11 +324,11 @@ def run_oracle_compare(cfg, levels, outdir):
     M = mass_matrix(mesh)
     # one form at a time; the mass matrix is solved once for all orders
     nodals = mass_solve(M, np.column_stack(
-        [_gagliardo(cfg, mesh, params).entries @ u for params in orders]))
+        [_gagliardo(cfg, mesh, params) @ u for params in orders]))
     rows = []
     for params, spec, nodal in zip(orders, specs, nodals.T):
         diff = nodal - spec
-        rel = np.sqrt(diff @ M.entries @ diff) / np.sqrt(spec @ M.entries @ spec)
+        rel = np.sqrt(diff @ (M @ diff)) / np.sqrt(spec @ (M @ spec))
         rows.append({"s": params.s, "rel_l2_mismatch": float(rel)})
     export_oracle_csv(outdir / "oracle_compare.csv", rows)
     write_json_report(outdir / "oracle_compare.json", {"rows": rows},
@@ -381,13 +384,13 @@ def run_experiment(subcommand: str, cfg: ExperimentConfig, outdir=None) -> str:
             f"{subcommand} is a 1D pipeline; 2D configs run "
             + " and ".join(SUBCOMMANDS_2D)
         )
+    finest = cfg.levels - 1 if subcommand in SUBCOMMANDS_REFINING else 0
+    _memory_preflight(int(np.prod(cfg.grid_shape(finest))))
     mesh = cfg.build_mesh()
     if subcommand != "oracle-compare" and not mesh.interior_dofs.size:
         raise ConfigError(f"[regions]: no interior dof at h = {cfg.h:g}: a region "
                           "Omega must contain the support of a hat function")
     levels = [(mesh, cfg.coefficients(mesh))]  # gamma > 0 on every node
-    finest = cfg.levels - 1 if subcommand in SUBCOMMANDS_REFINING else 0
-    _memory_preflight(int(np.prod(grid_shape(mesh.box, cfg.h / 2**finest))))
     # finest first: refinement keeps every coarser node, so the first gamma
     # check of a refined level covers them all
     refined = [cfg.build_mesh(level) for level in range(finest, 0, -1)]

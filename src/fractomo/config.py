@@ -91,7 +91,7 @@ import numpy as np
 
 from .assembly import Coefficients, KernelParams
 from .errors import ConfigError, FractomoError
-from .mesh import Box, Mesh, Region, build_mesh
+from .mesh import Box, Mesh, Region, build_mesh, grid_axes, grid_shape
 from .profiles import evaluate_preset
 
 
@@ -201,10 +201,19 @@ class ExperimentConfig:
 
     def build_mesh(self, level: int = 0) -> Mesh:
         """Mesh of spacing ``h / 2**level`` on the box resolved for ``h``."""
+        h = self._spacing(level)
+        return build_mesh(self.resolved_box(), h, list(self.regions.values()))
+
+    def grid_shape(self, level: int = 0) -> tuple:
+        """Nodes per axis of :meth:`build_mesh` of ``level``, without
+        building it."""
+        h = self._spacing(level)
+        return grid_shape(self.resolved_box(), h)
+
+    def _spacing(self, level: int) -> float:
         if self.h is None:
             raise ConfigError("[mesh]: key 'h' is required")
-        return build_mesh(self.resolved_box(), self.h / 2**level,
-                          list(self.regions.values()))
+        return self.h / 2**level
 
     def coefficients(self, mesh: Mesh) -> Coefficients:
         # presets read the first coordinate; 2D configs hold only constants
@@ -343,7 +352,8 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"[oracle] s_list: {exc}") from None
     try:
         if cfg.h is not None and (cfg.regions or cfg.box):
-            cfg.build_mesh()
+            # the grid and the regions, checked without building a mesh
+            grid_axes(cfg.resolved_box(), cfg.h, list(cfg.regions.values()))
     except FractomoError as exc:
         raise ConfigError(f"mesh validation failed: {exc}") from None
     return cfg

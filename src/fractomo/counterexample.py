@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import Coefficients, SymForm
+from .assembly import Coefficients, LocalForm, SymForm
 from .dnmap import DNOperator
 from .errors import GeometryViolation, NegativeSolution
 from .mesh import Mesh, Region, region_dofs, support_dofs
@@ -118,7 +118,7 @@ def check_geometry(mesh: Mesh, omega_prime: Region, omega_set: Region,
 
 
 def build_pair(mesh: Mesh, omega_prime: Region, omega_set: Region, eps: float,
-               W: Region, *, gform: SymForm, mass: SymForm, scale: float = 1.0,
+               W: Region, *, gform: SymForm, mass: LocalForm, scale: float = 1.0,
                eta_amplitude: float = 1.0) -> CounterexamplePair:
     """Run the construction; see the module docstring.
 
@@ -173,7 +173,7 @@ def build_pair(mesh: Mesh, omega_prime: Region, omega_set: Region, eps: float,
     kernel = mollifier_kernel(eps, mesh.h, mesh.n)
     smoothed = np.convolve(m_tilde, kernel, mode="same") * mesh.h
     rho_inf = float(kernel.max() * eps**mesh.n)
-    m_tilde_l2 = float(np.sqrt(m_tilde @ (mass.entries @ m_tilde)))
+    m_tilde_l2 = float(np.sqrt(m_tilde @ (mass @ m_tilde)))
     if m_tilde_l2 > 0.0:
         c_eps = eps ** (mesh.n / 2.0) / (
             2.0 * np.sqrt(UNIT_BALL_VOLUME[mesh.n]) * np.sqrt(rho_inf) * m_tilde_l2
@@ -183,7 +183,7 @@ def build_pair(mesh: Mesh, omega_prime: Region, omega_set: Region, eps: float,
     m = scale * c_eps * smoothed
 
     gamma1 = (1.0 + m) ** 2
-    q_raw = mass_solve(mass, gform.entries @ m)
+    q_raw = mass_solve(mass, gform @ m)
     q1 = (1.0 + m) * q_raw
     coeffs = Coefficients.from_arrays(gamma1, q1, gamma0=1.0)
     return CounterexamplePair(coeffs=coeffs, m=m, q_raw=q_raw, m_tilde=m_tilde,
@@ -191,8 +191,8 @@ def build_pair(mesh: Mesh, omega_prime: Region, omega_set: Region, eps: float,
 
 
 def verify_nonuniqueness(pair: CounterexamplePair, W: Region | str, *,
-                         operator: DNOperator, gform: SymForm, qform: SymForm,
-                         mass: SymForm, seed: int = 0) -> dict:
+                         operator: DNOperator, gform: SymForm, qform: LocalForm,
+                         mass: LocalForm, seed: int = 0) -> dict:
     """Measure how well the pair reproduces the background DN data.
 
     ``operator`` is the DN operator of ``pair.coeffs`` and carries the
@@ -236,9 +236,9 @@ def verify_nonuniqueness(pair: CounterexamplePair, W: Region | str, *,
     X = np.zeros((mesh.num_nodes, 2 * NUM_TEST_PAIRS))
     X[interior] = rng.standard_normal((2 * NUM_TEST_PAIRS, interior.size)).T
     Xv, Xw = X[:, 0::2], X[:, 1::2]
-    h_norm = np.sqrt(np.sum(X * (gform.entries @ X), axis=0)
-                     + np.sum(X * (mass.entries @ X), axis=0))
-    val = np.abs(np.sum(Xv * (Q.entries @ Xw), axis=0))
+    h_norm = np.sqrt(np.sum(X * (gform @ X), axis=0)
+                     + np.sum(X * (mass @ X), axis=0))
+    val = np.abs(np.sum(Xv * (Q @ Xw), axis=0))
     q_form_residual = (val / (h_norm[0::2] * h_norm[1::2])).max()
     q_form_norm, mult = multiplier_norm_estimates((Q, qform), gform=gform, mass=mass)
 

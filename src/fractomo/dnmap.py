@@ -8,11 +8,15 @@ interior-supported vector -- the discrete counterpart of representative
 independence on the exterior quotient space.
 
 DN matrices are finite sections over the compactly supported hat bases
-of two measurement regions; all columns reuse one interior
-factorization.  :class:`DNOperator` has two DN readers: ``matrix`` for
-a block of data (the only Schur complement of the system form, and what
-the inverse side reads) and ``pairing`` for one datum (the reference for
-representative independence).
+of two measurement regions (or any set of exterior hats); all columns
+reuse one interior factorization ``B_II = L L^T``.  The matrix is the
+Schur complement ``B_RC - (L^{-1} B_IR)^T (L^{-1} B_IC)``: one
+triangular solve over the source columns serves a square matrix, which
+comes out exactly symmetric.  :class:`DNOperator` has two DN readers:
+``matrix`` for a block of data (the only Schur complement of the system
+form, and what the inverse side reads) and ``pairing`` for one datum
+(the reference for representative independence, from its own full
+solve).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import Coefficients, KernelParams, SymForm, _asymmetry
+from .assembly import Coefficients, KernelParams, LocalForm, SymForm, _asymmetry
 from .errors import HypothesisViolation, SupportViolation
 from .mesh import Mesh, region_dofs, support_dofs
 from .solver import FactorizedSystem
@@ -86,23 +90,35 @@ class DNOperator:
         if check_support and np.abs(g[self.system.interior]).max(initial=0.0) > 0.0:
             raise SupportViolation("test datum has interior support")
         u = self.solve(f).u
-        return float(g @ (self.form.entries @ u))
+        return float(g @ (self.form @ u))
 
     def matrix(self, W1, W2) -> DNMatrix:
         """DN matrix over the compactly supported hats of W1 and W2.
 
-        The solutions for all columns come from one block solve with the
-        shared interior factorization; only the receiver rows are formed.
+        ``W1`` and ``W2`` are measurement regions (or labels), or arrays
+        of exterior node indices whose hats form the basis.  The DN matrix is the
+        Schur complement ``D = B_RC - X_R^T X_C`` with ``X = L^{-1} B_I.``
+        and ``B_II = L L^T`` the shared interior factor: one triangular
+        solve over the source columns, and a second over the receiver
+        rows only if they differ.  With ``rows == cols``, ``X_R = X_C``
+        and ``D`` is exactly symmetric.
         """
-        cols = support_dofs(self.mesh, W1)
-        rows = support_dofs(self.mesh, W2)
+        cols, rows = self._basis(W1), self._basis(W2)
         if cols.size == 0 or rows.size == 0:
             raise HypothesisViolation("measurement basis is empty")
         interior = self.system.interior
-        B = self.form.entries
-        U_int = self.system.solve_interior(-B[np.ix_(interior, cols)])
-        entries = B[np.ix_(rows, cols)] + B[np.ix_(rows, interior)] @ U_int
+        X_C = self.system.solve_lower(self.form.block(interior, cols))
+        X_R = (X_C if np.array_equal(rows, cols)
+               else self.system.solve_lower(self.form.block(interior, rows)))
+        entries = self.form.block(rows, cols) - X_R.T @ X_C
         return DNMatrix(rows=rows, cols=cols, entries=entries)
+
+    def _basis(self, W) -> np.ndarray:
+        """The node indices of a DN basis: ``support_dofs`` of a region or
+        label, or ``W`` itself if it is an array of node indices."""
+        if isinstance(W, np.ndarray):
+            return W
+        return support_dofs(self.mesh, W)
 
 
 def _require_agreement(mesh: Mesh, gamma1, gamma2, W, message: str) -> None:
@@ -114,7 +130,7 @@ def _require_agreement(mesh: Mesh, gamma1, gamma2, W, message: str) -> None:
 
 
 def solution_relation_residual(op1: DNOperator, op2: DNOperator, f: np.ndarray,
-                               W2, *, mass: SymForm) -> float:
+                               W2, *, mass: LocalForm) -> float:
     """Discrete defect of the solution relation
     ``sqrt(gamma_1) u^(1) = sqrt(gamma_2) u^(2)``.
 
@@ -143,8 +159,7 @@ def solution_relation_residual(op1: DNOperator, op2: DNOperator, f: np.ndarray,
         raise HypothesisViolation("datum support covers the whole receiver set")
     v1 = np.sqrt(gamma1) * op1.solve(f).u
     v2 = np.sqrt(gamma2) * op2.solve(f).u
-    M = mass.entries
     diff = v1 - v2
-    num = float(np.sqrt(diff @ (M @ diff)))
-    den = float(np.sqrt(v1 @ (M @ v1)))
+    num = float(np.sqrt(diff @ (mass @ diff)))
+    den = float(np.sqrt(v1 @ (mass @ v1)))
     return num / den if den > 0 else num

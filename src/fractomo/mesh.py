@@ -125,6 +125,14 @@ class Region:
             mask &= (pts[:, i] > l + tol) & (pts[:, i] < u - tol)
         return mask
 
+    def captures_node(self, axes) -> bool:
+        """Whether a node of the tensor grid with the coordinates ``axes``
+        (one array per axis) lies in the open region: on every axis, a
+        coordinate does, under the rule of :meth:`contains_open`."""
+        tol = self._tol()
+        return all(((a > l + tol) & (a < u - tol)).any()
+                   for a, l, u in zip(axes, self.lower, self.upper))
+
     def contains_closed(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask of points inside the closure of the region."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -228,6 +236,32 @@ def grid_shape(box: Box, h: float) -> tuple:
     return tuple(shape)
 
 
+def grid_axes(box: Box, h: float, regions=None) -> list:
+    """Node coordinates along each axis of the uniform grid of ``box``
+    with spacing ``h``, after checking the spacing and the ``regions``
+    against that grid as :func:`build_mesh` does; builds no mesh, so a
+    caller can validate a grid before it knows it can afford it.
+
+    Raises
+    ------
+    NonConformingSpacing, EmptyRegion, RegionOverlapViolation
+    """
+    axes = [l + h * np.arange(m) for l, m in zip(box.lower, grid_shape(box, h))]
+    regions = list(regions) if regions else []
+    omega = {r.name: r for r in regions}.get("Omega")
+    for r in regions:
+        if r.n != box.n:
+            raise ValueError(f"region {r.name!r} has wrong dimension")
+        if omega is not None and is_measurement_label(r.name):
+            if r.intersects_closed(omega):
+                raise RegionOverlapViolation(
+                    f"measurement set {r.name!r} meets the closure of Omega"
+                )
+        if not r.captures_node(axes):
+            raise EmptyRegion(f"region {r.name!r} captures zero nodes")
+    return axes
+
+
 def grid_elements(shape: tuple, verts) -> np.ndarray:
     """Node indices (T, nv, *cells) of every element of the node grid
     ``shape``, C-contiguous.
@@ -273,8 +307,8 @@ def build_mesh(box: Box, h: float, regions: list | None = None) -> Mesh:
     NonConformingSpacing, EmptyRegion, RegionOverlapViolation
     """
     regions = list(regions) if regions else []
-    shape = grid_shape(box, h)
-    axes = [l + h * np.arange(m) for l, m in zip(box.lower, shape)]
+    axes = grid_axes(box, h, regions)
+    shape = tuple(axis.size for axis in axes)
     nodes = np.stack([X.ravel() for X in np.meshgrid(*axes, indexing="ij")],
                      axis=1)
     table = grid_elements(shape, ELEMENT_VERTS[box.n])
@@ -283,17 +317,6 @@ def build_mesh(box: Box, h: float, regions: list | None = None) -> Mesh:
 
     labeled = {r.name: r for r in regions}
     omega = labeled.get("Omega")
-    for r in regions:
-        if r.n != box.n:
-            raise ValueError(f"region {r.name!r} has wrong dimension")
-        if omega is not None and is_measurement_label(r.name):
-            if r.intersects_closed(omega):
-                raise RegionOverlapViolation(
-                    f"measurement set {r.name!r} meets the closure of Omega"
-                )
-        if not r.contains_open(nodes).any():
-            raise EmptyRegion(f"region {r.name!r} captures zero nodes")
-
     interior = (
         _support_dofs(nodes, elements, omega)
         if omega is not None

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .assembly import KernelParams, SymForm
+from .assembly import KernelParams, LocalForm, SymForm
 from .dnmap import DNMatrix
 from .errors import (
     DecayCheckFailed,
@@ -34,6 +34,9 @@ MIN_SUPPORT_NODES = 4
 
 #: number of trailing samples in the power-fit extrapolation
 FIT_WINDOW = 5
+
+#: the rates ``b`` the power fit tries
+FIT_RATES = np.linspace(0.1, 3.0, 117)
 
 #: relative slack of the absorption decay check, on the bound and on the
 #: step from one scale to the next
@@ -57,6 +60,39 @@ class BumpSequence:
 
     def __len__(self):
         return len(self.scales)
+
+    @property
+    def support(self) -> np.ndarray:
+        """The nodes on which some bump is nonzero, in increasing order:
+        the smallest DN basis that :func:`exterior_reconstruct` accepts."""
+        return np.flatnonzero(np.any(self.vectors, axis=0))
+
+    @classmethod
+    def at_scales(cls, mesh: Mesh, x0: float, Ns, *, gform: SymForm,
+                  mass: LocalForm) -> "BumpSequence":
+        """The sequence at ``x0`` of the scales ``Ns``, which must have
+        passed :func:`bump_scales`; :func:`bump_sequence` checks them
+        first.
+
+        Raises
+        ------
+        UnresolvableScale
+            If the L2 norms fail to decrease.
+        """
+        x = mesh.coords
+        vectors, energies, l2s = [], [], []
+        for N in Ns:
+            phi = bump(N * (x - x0))
+            raw = float(phi @ (gform @ phi))
+            c = 1.0 / math.sqrt(raw)
+            phi = c * phi
+            vectors.append(phi)
+            energies.append(float(phi @ (gform @ phi)))
+            l2s.append(float(np.sqrt(phi @ (mass @ phi))))
+        if any(l2s[k + 1] >= l2s[k] for k in range(len(l2s) - 1)):
+            raise UnresolvableScale("L2 norms of the bump sequence fail to decrease")
+        return cls(center=float(x0), scales=list(Ns), vectors=vectors,
+                   energies=energies, l2_norms=l2s)
 
 
 def _scale_errors(mesh: Mesh, W, x0: float, Ns):
@@ -129,7 +165,7 @@ def bump_scales(mesh: Mesh, W, x0: float, Ns=None) -> list:
 
 
 def bump_sequence(mesh: Mesh, W, x0: float, Ns=None, *,
-                  gform: SymForm, mass: SymForm) -> BumpSequence:
+                  gform: SymForm, mass: LocalForm) -> BumpSequence:
     """Build the energy-normalized concentrating sequence at ``x0``.
 
     Parameters
@@ -150,23 +186,8 @@ def bump_sequence(mesh: Mesh, W, x0: float, Ns=None, *,
     """
     if mesh.n != 1:
         raise NotImplementedError("bump sequences are implemented for 1D meshes")
-    Ns = bump_scales(mesh, W, x0, Ns)
-    x = mesh.coords
-    vectors, energies, l2s = [], [], []
-    for N in Ns:
-        phi = bump(N * (x - x0))
-        raw = float(phi @ (gform.entries @ phi))
-        c = 1.0 / math.sqrt(raw)
-        phi = c * phi
-        vectors.append(phi)
-        energies.append(float(phi @ (gform.entries @ phi)))
-        l2s.append(float(np.sqrt(phi @ (mass.entries @ phi))))
-    if any(l2s[k + 1] >= l2s[k] for k in range(len(l2s) - 1)):
-        raise UnresolvableScale("L2 norms of the bump sequence fail to decrease")
-    return BumpSequence(
-        center=float(x0), scales=Ns, vectors=vectors,
-        energies=energies, l2_norms=l2s,
-    )
+    return BumpSequence.at_scales(mesh, x0, bump_scales(mesh, W, x0, Ns),
+                                  gform=gform, mass=mass)
 
 
 def extrapolate_power_fit(scales, values) -> dict:
@@ -174,17 +195,20 @@ def extrapolate_power_fit(scales, values) -> dict:
 
     Only the last ``FIT_WINDOW`` samples enter the fit (the leading ones are
     outside the asymptotic regime).  Returns the fitted limit ``g``,
-    amplitude ``a``, rate ``b`` and the fit residual.  With fewer than
-    three samples no fit is made: the last value is returned as the limit
-    and the amplitude, rate and fit residual are None.
+    amplitude ``a``, rate ``b``, the fit residual, and
+    ``rate_at_grid_edge``: whether ``b`` is an end of the rate grid
+    :data:`FIT_RATES`, where the best fit may lie beyond the grid and the
+    limit is suspect.  With fewer than three samples no fit is made: the
+    last value is returned as the limit, the amplitude, rate and fit
+    residual are None and ``rate_at_grid_edge`` is False.
     """
     scales = np.asarray(scales, dtype=float)[-FIT_WINDOW:]
     values = np.asarray(values, dtype=float)[-FIT_WINDOW:]
     if len(values) < 3:
         return {"limit": float(values[-1]), "amplitude": None, "rate": None,
-                "fit_residual": None}
+                "fit_residual": None, "rate_at_grid_edge": False}
     best = None
-    for b in np.linspace(0.1, 3.0, 117):
+    for b in FIT_RATES:
         basis = scales ** (-b)
         Amat = np.column_stack([np.ones_like(scales), basis])
         coef, *_ = np.linalg.lstsq(Amat, values, rcond=None)
@@ -193,7 +217,8 @@ def extrapolate_power_fit(scales, values) -> dict:
             best = (resid, coef[0], coef[1], b)
     resid, g, a, b = best
     return {"limit": float(g), "amplitude": float(a), "rate": float(b),
-            "fit_residual": resid}
+            "fit_residual": resid,
+            "rate_at_grid_edge": bool(b in (FIT_RATES[0], FIT_RATES[-1]))}
 
 
 def exterior_reconstruct(dn: DNMatrix, bumps: BumpSequence) -> dict:
@@ -241,7 +266,7 @@ def exterior_reconstruct(dn: DNMatrix, bumps: BumpSequence) -> dict:
     return {"samples": samples, "extrapolated": fit["limit"], "fit": fit}
 
 
-def potential_decay_check(qform: SymForm, bumps: BumpSequence,
+def potential_decay_check(qform: LocalForm, bumps: BumpSequence,
                           p: float, params: KernelParams) -> list:
     """Decay of the absorption pairing along the bump sequence.
 
@@ -268,7 +293,7 @@ def potential_decay_check(qform: SymForm, bumps: BumpSequence,
             f"integrability exponent p={p} must exceed n/(2s)={n/(2*s)}"
         )
     theta = 2.0 - n / (s * p) if p <= n / s else 1.0
-    values = [float(phi @ (qform.entries @ phi)) for phi in bumps.vectors]
+    values = [float(phi @ (qform @ phi)) for phi in bumps.vectors]
     norms = bumps.l2_norms
     C = abs(values[0]) / norms[0] ** theta if abs(values[0]) > 0 else 0.0
     records = [{"N": int(N), "value": v, "bound": C * r**theta}

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import Coefficients, SymForm
+from .assembly import Coefficients, LocalForm, SymForm
 from .dnmap import DNOperator, _require_agreement
 from .errors import HypothesisViolation, NonPositiveGamma
 from .mesh import region_dofs
@@ -41,7 +41,7 @@ def _relative_defect(lhs: float, rhs: float) -> float:
 
 
 def reduced_potential_form(coeffs: Coefficients, *, gform: SymForm,
-                           qform: SymForm) -> SymForm:
+                           qform: LocalForm) -> LocalForm:
     """Assemble the discrete pairing form of the reduced potential.
 
     The action on nodal vectors is
@@ -51,29 +51,29 @@ def reduced_potential_form(coeffs: Coefficients, *, gform: SymForm,
 
     with ``A = gform`` the Gagliardo form, ``Pi`` nodal re-interpolation
     of the pointwise product and ``M_q = qform`` the potential form of
-    ``coeffs.q``; symmetric by construction.  For unit diffusion this is exactly the potential form
-    of ``q``.
+    ``coeffs.q``; symmetric by construction, and local like ``M_q``: the
+    result is the band of ``M_q`` scaled on both sides, plus the diagonal
+    of the first part.  For unit diffusion this is exactly the potential
+    form of ``q``.
     """
     if coeffs.gamma.min() <= 0.0:
         raise NonPositiveGamma("diffusion must be positive")
     inv_sqrt = 1.0 / np.sqrt(coeffs.gamma)
-    diagonal = -(gform.entries @ coeffs.m_gamma) * inv_sqrt
-    # scaled in place: no N x N temporary besides the result
-    entries = inv_sqrt[:, None] * qform.entries
-    entries *= inv_sqrt[None, :]
-    entries[np.diag_indices_from(entries)] += diagonal
-    return SymForm(entries)
+    diagonal = -(gform @ coeffs.m_gamma) * inv_sqrt
+    Q = qform.scaled(inv_sqrt)
+    Q.band[Q.offsets.index(0)] += diagonal
+    return Q
 
 
 def schrodinger_form(coeffs: Coefficients, *, gform: SymForm,
-                     qform: SymForm) -> SymForm:
+                     qform: LocalForm) -> SymForm:
     """System form of the reduced problem: Gagliardo + reduced potential."""
     return gform + reduced_potential_form(coeffs, gform=gform, qform=qform)
 
 
 def liouville_residual(coeffs: Coefficients, u: np.ndarray, phi: np.ndarray, *,
                        cond_form: SymForm, gform: SymForm,
-                       qform: SymForm) -> float:
+                       qform: LocalForm) -> float:
     """Relative defect of the form identity
     ``B_{gamma,q}(u, phi) = B_Q(sqrt(gamma) u, sqrt(gamma) phi)``.
 
@@ -86,16 +86,16 @@ def liouville_residual(coeffs: Coefficients, u: np.ndarray, phi: np.ndarray, *,
     """
     u = np.asarray(u, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    lhs = float(u @ (cond_form.entries @ phi))
+    lhs = float(u @ (cond_form @ phi))
     sq = np.sqrt(coeffs.gamma)
     S = schrodinger_form(coeffs, gform=gform, qform=qform)
-    rhs = float((sq * u) @ (S.entries @ (sq * phi)))
+    rhs = float((sq * u) @ (S @ (sq * phi)))
     return _relative_defect(lhs, rhs)
 
 
 def dn_transfer_residual(operator: DNOperator, Gamma: np.ndarray, W,
                          f: np.ndarray, g: np.ndarray, *, gform: SymForm,
-                         qform: SymForm) -> float:
+                         qform: LocalForm) -> float:
     """Relative defect of the DN transfer identity
     ``<Lambda_{gamma,q} f, g> = <Lambda_Q (Gamma^{1/2} f), Gamma^{1/2} g>``.
 
@@ -138,7 +138,7 @@ def dn_transfer_residual(operator: DNOperator, Gamma: np.ndarray, W,
 
 def dn_difference_decomposition(op1: DNOperator, op2: DNOperator,
                                 f: np.ndarray, *, gform: SymForm,
-                                qform1: SymForm, qform2: SymForm) -> dict:
+                                qform1: LocalForm, qform2: LocalForm) -> dict:
     """Three-term decomposition of ``<(Lambda_1 - Lambda_2) f, f>``.
 
     ``op1``, ``op2`` are the DN operators of the two coefficient pairs on
@@ -162,14 +162,14 @@ def dn_difference_decomposition(op1: DNOperator, op2: DNOperator,
     u1 = op1.solve(f).u
     u2 = op2.solve(f).u
     # <Lambda_k f, f> = B_k(u_k, f), the arithmetic of DNOperator.pairing
-    lhs = float(f @ (op1.form.entries @ u1)) - float(f @ (op2.form.entries @ u2))
+    lhs = float(f @ (op1.form @ u1)) - float(f @ (op2.form @ u2))
 
     sq1 = np.sqrt(pair1.gamma)
     sq2 = np.sqrt(pair2.gamma)
-    d_m = gform.entries @ (pair2.m_gamma - pair1.m_gamma)
+    d_m = gform @ (pair2.m_gamma - pair1.m_gamma)
     term_m = float(d_m @ (sq1 * f * f))
-    term_q = float(f @ ((qform1.entries - qform2.entries) @ f))
-    term_sol = float((sq1 * u1 - sq2 * u2) @ (gform.entries @ (sq1 * f)))
+    term_q = float(f @ (qform1 @ f - qform2 @ f))
+    term_sol = float((sq1 * u1 - sq2 * u2) @ (gform @ (sq1 * f)))
     return {
         "pairing_difference": lhs,
         "deviation_term": term_m,

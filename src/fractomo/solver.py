@@ -10,7 +10,10 @@ block equation reads
 where ``c`` is an optional constant far-field value on the box
 complement.  The interior block is symmetric positive definite whenever
 the potential stays in the admissible multiplier regime; loss of
-positivity is reported as :class:`CoercivityLost`.
+positivity is reported as :class:`CoercivityLost`.  A solve reads only
+the columns of ``B_IE`` on the support of the datum, and
+:meth:`FactorizedSystem.solve_lower` applies half the factor, the one
+triangular solve of a DN matrix.
 
 The module also computes the discrete fractional Poincare constant, the
 constant ``delta0 = 2 max(1, C_opt)`` derived from it, discrete Sobolev
@@ -30,8 +33,11 @@ and the convergence test computes only the two extreme Ritz values and
 the last components of their eigenvectors, by bisection and inverse
 iteration on the tridiagonal Lanczos matrix.  A mass matrix is solved
 from its lower band by one banded Cholesky factor, in any dimension.
-Both band readers take the diagonals of a form from one helper, which
-reads outward from the main diagonal until it holds every nonzero.
+Both band readers take the diagonals of a form from one helper: a local
+form hands over its stored band, in the order 0, -1, 1, ...; a dense
+form is read outward from the main diagonal until every nonzero is
+held, which gives the same diagonals in the same order.  The Poincare
+pencil takes the interior block of the mass matrix from its band.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import numpy as np
 import scipy.linalg as la
 from scipy.linalg.lapack import dstebz, dstein, dtrtrs
 
-from .assembly import KernelParams, SymForm
+from .assembly import KernelParams, LocalForm, SymForm, _diagonal_matvec
 from .errors import CoercivityLost, EigenFailure, EmptyRegion, SupportViolation
 from .mesh import Mesh
 
@@ -93,10 +99,7 @@ class FactorizedSystem:
         self.interior = np.asarray(interior, dtype=np.int64)
         if self.interior.size == 0:
             raise EmptyRegion("domain has no interior degrees of freedom")
-        mask = np.zeros(mesh.num_nodes, dtype=bool)
-        mask[self.interior] = True
-        self.exterior = np.flatnonzero(~mask)
-        self.B_II = self.form.entries[np.ix_(self.interior, self.interior)]
+        self.B_II = self.form.block(self.interior, self.interior)
         try:
             self._chol = la.cho_factor(self.B_II, lower=True, check_finite=False)
         except la.LinAlgError as exc:
@@ -118,13 +121,14 @@ class FactorizedSystem:
             raise ValueError("exterior datum has wrong length")
         if np.abs(f_ext[self.interior]).max(initial=0.0) > 0.0:
             raise SupportViolation("exterior datum is nonzero on interior dofs")
-        rhs = -self.form.entries[np.ix_(self.interior, self.exterior)] @ f_ext[self.exterior]
+        support = np.flatnonzero(f_ext)  # exterior dofs only, checked above
+        rhs = -self.form.block(self.interior, support) @ f_ext[support]
         if far_field != 0.0:
             rhs += far_field * self.form.tail_row[self.interior]
         if f_src is not None:
             f_src = np.asarray(f_src, dtype=float)
             rhs += f_src[self.interior]
-        u_I = self.solve_interior(rhs)
+        u_I = la.cho_solve(self._chol, rhs, check_finite=False)
         u = f_ext.copy()
         u[self.interior] = u_I
         rnorm = np.linalg.norm(self.B_II @ u_I - rhs)
@@ -136,12 +140,14 @@ class FactorizedSystem:
             energy=float(energy), far_field=float(far_field),
         )
 
-    def solve_interior(self, rhs: np.ndarray) -> np.ndarray:
-        """``B_II^{-1} rhs`` for a vector or a block of interior columns."""
-        return la.cho_solve(self._chol, rhs, check_finite=False)
+    def solve_lower(self, rhs: np.ndarray) -> np.ndarray:
+        """``L^{-1} rhs`` with ``B_II = L L^T``, for a vector or a block of
+        interior columns: half of a solve with ``B_II``."""
+        # the factor is nonsingular: the solve cannot fail
+        return dtrtrs(self._chol[0], rhs, lower=1)[0]
 
 
-def mass_solve(mass: SymForm, rhs: np.ndarray) -> np.ndarray:
+def mass_solve(mass: LocalForm | SymForm, rhs: np.ndarray) -> np.ndarray:
     """``M^{-1} rhs`` for a symmetric positive definite mass matrix ``M``
     and a vector or a block of columns: ``M`` is local, so one banded
     Cholesky factor of its lower band serves every column.
@@ -151,11 +157,19 @@ def mass_solve(mass: SymForm, rhs: np.ndarray) -> np.ndarray:
     numpy.linalg.LinAlgError
         If ``M`` is not positive definite.
     """
-    lower = [(-offset, d) for offset, d in _diagonals(mass.entries) if offset <= 0]
-    ab = np.zeros((max((k for k, _ in lower), default=0) + 1, mass.entries.shape[0]))
+    lower = [(-offset, d) for offset, d in _band(mass) if offset <= 0]
+    ab = np.zeros((max((k for k, _ in lower), default=0) + 1, mass.shape[0]))
     for k, diagonal in lower:
         ab[k, :diagonal.size] = diagonal
     return la.solveh_banded(ab, rhs, lower=True, check_finite=False)
+
+
+def _band(form):
+    """The ``(offset, diagonal)`` pairs of a form: the stored band of a
+    :class:`LocalForm`, read by :func:`_diagonals` from a dense one."""
+    if isinstance(form, LocalForm):
+        return form.diagonals()
+    return _diagonals(form.entries)
 
 
 def _diagonals(A):
@@ -197,8 +211,8 @@ def poincare_constant(mesh: Mesh, params: KernelParams, *,
     dofs = mesh.interior_dofs
     if dofs.size == 0:
         raise EmptyRegion("region has no interior degrees of freedom")
-    G = (2.0 / params.C_ns) * gform.entries[np.ix_(dofs, dofs)]
-    M = mass.entries[np.ix_(dofs, dofs)]
+    G = (2.0 / params.C_ns) * gform.block(dofs, dofs)
+    M = mass.block(dofs, dofs)
     try:
         lam_min = float(la.eigh(G, M, subset_by_index=[0, 0], eigvals_only=True,
                                 check_finite=False)[0])
@@ -237,12 +251,12 @@ def multiplier_norm_estimates(forms, *, gform: SymForm, mass: SymForm) -> list:
     as there."""
     # H is symmetric: its transpose is the same matrix in the Fortran order
     # that lets the factor overwrite it instead of a copy
-    H = (gform.entries + mass.entries).T
+    H = (gform + mass).entries.T
     try:
         L = la.cholesky(H, lower=True, overwrite_a=True, check_finite=False)
     except la.LinAlgError as exc:
         raise EigenFailure(str(exc)) from None
-    return [_lanczos_extreme(form.entries, L) for form in forms]
+    return [_lanczos_extreme(_band(form), L) for form in forms]
 
 
 def coercivity_bound(gamma0: float, delta0: float, q_small_norm: float) -> float:
@@ -259,9 +273,10 @@ def coercivity_bound(gamma0: float, delta0: float, q_small_norm: float) -> float
     return float(gamma0 / delta0 - q_small_norm)
 
 
-def _lanczos_extreme(F, L) -> float:
+def _lanczos_extreme(diagonals, L) -> float:
     """``max |lambda|`` of ``L^{-1} F L^{-T}`` by Lanczos with full
-    reorthogonalization from a fixed-seed start vector.
+    reorthogonalization from a fixed-seed start vector; ``F`` is given by
+    its ``(offset, diagonal)`` pairs.
 
     Stops once the residual bound ``beta_k |s_k|`` of both extreme Ritz
     values is at most ``LANCZOS_TOL * max |theta|``, or when the Krylov
@@ -269,8 +284,7 @@ def _lanczos_extreme(F, L) -> float:
     ``F`` from its nonzero diagonals, two Gram--Schmidt passes over the
     basis rows in use, and the two extreme Ritz pairs.
     """
-    n = F.shape[0]
-    diagonals = _diagonals(F)
+    n = L.shape[0]
     V = np.empty((n, n))  # the basis, a row per step: unused rows stay untouched
     alpha, beta = np.empty(n), np.empty(n)
     q = np.random.default_rng(0).standard_normal(n)
@@ -289,16 +303,6 @@ def _lanczos_extreme(F, L) -> float:
             return float(extreme)
         beta[k - 1] = b
         V[k] = w / b
-
-
-def _diagonal_matvec(diagonals, y):
-    """``A @ y`` from the ``(offset, diagonal)`` pairs of ``A``, each
-    diagonal's product added in their order."""
-    z = np.zeros_like(y)
-    for offset, diagonal in diagonals:
-        first = max(-offset, 0)  # the row of the diagonal's first entry
-        z[first:first + diagonal.size] += diagonal * y[first + offset:][:diagonal.size]
-    return z
 
 
 def _extreme_ritz_pairs(alpha, beta):

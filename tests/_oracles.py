@@ -21,6 +21,11 @@ leaf-by-leaf form of the same subdivision quadrature as the class
 recursion in ``fractomo._assembly2d``: it collects every leaf pair of one
 reference pair with an explicit stack and contracts all leaves at once.
 
+The dense local-form reference (:func:`dense_potential_form`) assembles
+the mass and potential forms by ``np.add.at`` on a dense matrix, the
+assembly the band storage of ``fractomo.assembly`` must reproduce bit
+for bit.
+
 The exact DN oracle (:func:`exact_dn_pairing_1d`) evaluates the DN
 pairing of the continuum problem on the interval through its fractional
 Poisson kernel, with no mesh at all.
@@ -212,6 +217,33 @@ def bruteforce_local_form_1d(mesh, weight, refine=10):
     P = hat_values_1d(mesh, centers)
     wc = np.ones_like(centers) if weight is None else P @ weight
     return np.einsum("pi,pj,p->ij", P, P, wc * delta, optimize=True)
+
+
+def dense_potential_form(mesh, q):
+    """The potential form of ``q`` (the mass matrix for ``q = 1``) as a
+    dense matrix, by ``np.add.at`` of every element's local entries on a
+    zero matrix: the same rules and the same scatter order as
+    ``fractomo.assembly.potential_form``, without its band storage."""
+    if mesh.n == 1:
+        xg, wg = roots_legendre(2)
+        t = 0.5 * (xg + 1.0)
+        lam = np.stack([1.0 - t, t], axis=-1)
+        w = 0.5 * wg * mesh.h
+    else:
+        bary, w = _triangle_rule_deg4_local()
+        lam = bary
+        w = w * (mesh.h**2 / 2.0)
+    elements = mesh.elements
+    w = w * (q[elements] @ lam.T)
+    a, b = np.triu_indices(elements.shape[1])
+    local = (w[..., None] * (lam[..., a] * lam[..., b])).sum(axis=-2)
+    off = a != b
+    rows = np.concatenate([elements[:, a], elements[:, b[off]]], axis=1).ravel()
+    cols = np.concatenate([elements[:, b], elements[:, a[off]]], axis=1).ravel()
+    vals = np.concatenate([local, local[:, off]], axis=1).ravel()
+    A = np.zeros((mesh.num_nodes, mesh.num_nodes))
+    np.add.at(A, (rows, cols), vals)
+    return A
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ engine, so these identities hold for any order, spacing and diffusion:
 * the interior block is positive definite,
 * the 2D exterior tail keeps the symmetries of the mesh,
 * the offset engine agrees with the pair-by-pair class scatter and
-  writes a bit-for-bit symmetric form.
+  writes a bit-for-bit symmetric form,
+* a local form's band is, entry for entry, the dense ``np.add.at``
+  assembly, and adding it to a dense form is the dense sum.
 """
 
 import numpy as np
@@ -16,10 +18,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fractomo import _assembly2d, assembly
-from fractomo.assembly import Coefficients, KernelParams, conductivity_form
+from fractomo.assembly import (
+    Coefficients,
+    KernelParams,
+    SymForm,
+    conductivity_form,
+    mass_matrix,
+    potential_form,
+)
 from fractomo.mesh import Box, Region, build_mesh
+from fractomo.reduction import reduced_potential_form
 
-from _oracles import class_scatter_reference, tail_matrix_2d
+from _oracles import class_scatter_reference, dense_potential_form, tail_matrix_2d
 
 amplitudes = st.one_of(st.just(0.0), st.floats(0.01, 0.9))
 frequencies = st.floats(0.1, 3.0)
@@ -216,3 +226,66 @@ def test_offset_engine_split_matches_class_scatter_2d(s, c, lines, cols, seed):
     mesh = build_mesh(Box((-1.0, -0.5), (-1.0 + 14 * h, -0.5 + 4 * h)), h, [])
     lo, hi = (min(lines), min(cols)), (max(lines), max(cols))
     _check_engine(mesh, s, _split_gamma(mesh.shape, c, lo, hi, seed))
+
+
+def _potential(kind, rng, N):
+    """A nodal potential: positive, zero or of changing sign."""
+    if kind == "positive":
+        return rng.uniform(0.1, 2.0, N)
+    if kind == "zero":
+        return np.zeros(N)
+    return rng.standard_normal(N)
+
+
+local_meshes = st.sampled_from([(1, 1 / 4), (1, 1 / 16), (1, 1 / 128), (2, 1 / 2), (2, 1 / 8)])
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(grid=local_meshes, kind=st.sampled_from(["positive", "zero", "sign-changing"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_local_forms_are_the_dense_add_at_assembly(grid, kind, seed):
+    n, h = grid
+    mesh = build_mesh(Box((-1.0,) * n, (1.0,) * n), h, [])
+    rng = np.random.default_rng(seed)
+    N = mesh.num_nodes
+    q = _potential(kind, rng, N)
+    for form, weight in ((potential_form(mesh, q), q), (mass_matrix(mesh), np.ones(N))):
+        dense = form.entries
+        assert np.array_equal(dense, dense_potential_form(mesh, weight))
+        assert not dense.flags.writeable
+        assert form.band.shape == (3 if n == 1 else 7, N)
+        x = rng.standard_normal((N, 2))
+        assert np.allclose(form @ x, dense @ x, rtol=0.0,
+                           atol=1e-14 * (np.abs(dense) @ np.abs(x)).max())
+        rows = np.sort(rng.choice(N, N // 2, replace=False))
+        cols = np.arange(N // 3, N)
+        assert np.array_equal(form.block(rows, cols), dense[np.ix_(rows, cols)])
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(grid=local_meshes, kind=st.sampled_from(["positive", "zero", "sign-changing"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_dense_form_plus_a_local_form_is_the_dense_sum(grid, kind, seed):
+    n, h = grid
+    mesh = build_mesh(Box((-1.0,) * n, (1.0,) * n), h, [])
+    rng = np.random.default_rng(seed)
+    N = mesh.num_nodes
+    S = rng.standard_normal((N, N))
+    S = SymForm(S + S.T, rng.standard_normal(N))
+    P = potential_form(mesh, _potential(kind, rng, N))
+    total = S + P
+    assert np.array_equal(total.entries, S.entries + P.entries)
+    assert np.array_equal(total.tail_row, S.tail_row)
+    in_place = SymForm(S.entries.copy(), S.tail_row.copy())
+    in_place += P
+    assert np.array_equal(in_place.entries, total.entries)
+    assert np.array_equal(in_place.tail_row, total.tail_row)
+    # the reduced potential form is the band of P scaled on both sides,
+    # entry for entry the dense scaling of the dense view
+    gamma = rng.uniform(0.5, 2.0, N)
+    co = Coefficients.from_arrays(gamma, P.band[0])
+    inv_sqrt = 1.0 / np.sqrt(gamma)
+    expected = inv_sqrt[:, None] * P.entries
+    expected *= inv_sqrt[None, :]
+    expected[np.diag_indices(N)] += -(S.entries @ co.m_gamma) * inv_sqrt
+    assert np.array_equal(reduced_potential_form(co, gform=S, qform=P).entries, expected)

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fractomo import assembly, cli, config, dnmap
+from fractomo import assembly, cli, config, dnmap, reconstruction
 from fractomo.cli import SUBCOMMANDS, SUBCOMMANDS_2D, SUBCOMMANDS_REFINING, main
 from fractomo.config import ExperimentConfig, parse_config
+from fractomo.mesh import support_dofs
 from fractomo.profiles import bump
 
 CONFIG = """
@@ -599,9 +600,10 @@ def test_gamma_negative_off_the_run_mesh_is_not_an_error(subcommand, config_path
 
 @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
 def test_each_level_is_built_and_evaluated_once(subcommand, config_path, monkeypatch):
-    # parse_config builds the level-0 mesh to validate it; the run builds
-    # each of its levels once, finest first, evaluates the coefficients
-    # once on each, and the runner reads them from that list
+    # parse_config validates the grid without a mesh; the run builds each
+    # of its levels once, level 0 and then the others finest first,
+    # evaluates the coefficients once on each, and the runner reads them
+    # from that list
     built, evaluated = [], []
     build, coefficients = ExperimentConfig.build_mesh, ExperimentConfig.coefficients
 
@@ -618,8 +620,8 @@ def test_each_level_is_built_and_evaluated_once(subcommand, config_path, monkeyp
     path, out = config_path
     main([subcommand, "--config", str(path)])  # oracle-compare exits 3 here
     levels = 2 if subcommand in SUBCOMMANDS_REFINING else 1
-    assert built == [0, 0] + list(range(levels - 1, 0, -1))
-    assert evaluated == [0.03125 / 2**level for level in [0] + built[2:]]
+    assert built == [0] + list(range(levels - 1, 0, -1))
+    assert evaluated == [0.03125 / 2**level for level in built]
 
 
 def test_system_form_adds_the_potential_form_in_place(config_path):
@@ -634,6 +636,63 @@ def test_system_form_adds_the_potential_form_in_place(config_path):
     assert np.array_equal(form.entries, summed.entries)
     assert np.array_equal(form.tail_row, summed.tail_row)
     assert np.array_equal(qform.entries, assembly.potential_form(mesh, coeffs.q).entries)
+
+
+def test_no_run_reads_the_dense_view_of_a_local_form(tmp_path, monkeypatch):
+    # a mass or potential form is applied, solved with and added from its
+    # band only: every subcommand runs with its dense view made to raise
+    def no_dense_view(form):
+        raise AssertionError("a local form's dense view was built")
+
+    monkeypatch.setattr(assembly.LocalForm, "entries", property(no_dense_view))
+    runs = [(CONFIG, sub) for sub in SUBCOMMANDS if sub != "oracle-compare"]
+    runs += [(ORACLE_CONFIG, "oracle-compare")]
+    runs += [(CONFIG_2D, sub) for sub in SUBCOMMANDS_2D]
+    for k, (text, subcommand) in enumerate(runs):
+        path = tmp_path / f"run{k}.ini"
+        path.write_text(text.format(out=tmp_path / f"out{k}"))
+        assert main([subcommand, "--config", str(path)]) == 0, subcommand
+
+
+def test_reconstruct_reads_the_dn_columns_of_the_bump_support(config_path, monkeypatch):
+    # the DN matrix spans the hats the bumps touch, fewer than the hats of
+    # W1, and the scales are checked once
+    matrices, checks = [], []
+    matrix, scale_errors = dnmap.DNOperator.matrix, reconstruction._scale_errors
+
+    def recording_matrix(self, W1, W2):
+        matrices.append(matrix(self, W1, W2))
+        return matrices[-1]
+
+    def recording_scale_errors(*args):
+        checks.append(args)
+        return scale_errors(*args)
+
+    monkeypatch.setattr(dnmap.DNOperator, "matrix", recording_matrix)
+    monkeypatch.setattr(reconstruction, "_scale_errors", recording_scale_errors)
+    path, out = config_path
+    assert main(["reconstruct", "--config", str(path)]) == 0
+    assert len(checks) == 1
+    (dn,) = matrices
+    cfg = parse_config(path)
+    mesh = cfg.build_mesh()
+    x = mesh.coords
+    touched = np.flatnonzero(np.any([bump(N * (x - cfg.x0)) for N in (4, 8, 16)], axis=0))
+    assert np.array_equal(dn.cols, touched) and np.array_equal(dn.rows, touched)
+    assert dn.cols.size < support_dofs(mesh, "W1").size
+
+
+def test_reconstruction_json_flags_a_rate_at_the_grid_edge(config_path):
+    # on this config the fit over the scales 4, 8, 16 settles on the lower
+    # end of the rate grid; with two scales no fit is made
+    path, out = config_path
+    assert main(["reconstruct", "--config", str(path)]) == 0
+    fit = _strict_json(out / "reconstruction.json")["fit"]
+    assert fit["rate"] == pytest.approx(0.1) and fit["rate_at_grid_edge"] is True
+    path.write_text(path.read_text().replace("x0 = 1.5", "x0 = 1.5\nscales = 4, 8"))
+    assert main(["reconstruct", "--config", str(path)]) == 0
+    fit = _strict_json(out / "reconstruction.json")["fit"]
+    assert fit["rate"] is None and fit["rate_at_grid_edge"] is False
 
 
 # each value lies in its key's domain but breaks a relation with the
@@ -702,8 +761,8 @@ def test_memory_preflight_exits_1_before_any_kernel_form(
 def test_memory_preflight_refuses_before_any_refined_mesh(config_path, monkeypatch,
                                                           capsys):
     # levels = 16 puts 176 * 2**15 + 1 nodes on the finest grid: the
-    # preflight sizes it from the box and the spacing, and no mesh finer
-    # than level 0 is ever built
+    # preflight sizes it from the box and the spacing, and no mesh is
+    # ever built, level 0 neither
     spacings = []
     original = config.build_mesh
 
@@ -719,7 +778,27 @@ def test_memory_preflight_refuses_before_any_refined_mesh(config_path, monkeypat
     path.write_text(path.read_text().replace("levels = 2", "levels = 16"))
     assert main(["convergence-study", "--config", str(path)]) == 1
     assert f"N = {nodes} nodes" in capsys.readouterr().err
-    assert spacings and set(spacings) == {0.03125}
+    assert not spacings
+    assert not out.exists()
+
+
+def test_a_run_too_large_for_memory_builds_no_mesh(config_path, monkeypatch, capsys):
+    # h = 2**-20 puts 5.5 * 2**20 + 1 nodes on the level-0 grid: parse_config
+    # checks the grid and the regions without a mesh, and the preflight
+    # refuses the run before the first mesh
+    built = []
+
+    def refusing(box, h, regions=None):
+        built.append(h)
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(config, "build_mesh", refusing)
+    monkeypatch.setattr(cli, "_available_memory", lambda: 16 * 2**30)
+    path, out = config_path
+    path = _with_key(path, "mesh", "h", repr(2.0**-20))
+    assert main(["poincare", "--config", str(path)]) == 1
+    assert f"N = {11 * 2**19 + 1} nodes" in capsys.readouterr().err
+    assert not built
     assert not out.exists()
 
 

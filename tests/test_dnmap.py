@@ -176,6 +176,39 @@ def test_dn_matrix_shapes_symmetry(setting):
     assert dn.symmetry_defect() < 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_dn_matrix_entries_are_the_pairings_of_hats(n):
+    # every entry of the one-solve Schur complement is the pairing
+    # <Lambda phi_i, phi_j> of two hats, each from its own solve; on
+    # W1 x W1 the matrix is exactly symmetric
+    if n == 1:
+        mesh = build_mesh(Box((-2.0,), (3.0,)), 1 / 16,
+                          [Region("Omega", (-1.0,), (1.0,)), Region("W1", (1.2,), (1.8,)),
+                           Region("W2", (2.0,), (2.75,))])
+    else:
+        mesh = build_mesh(Box((-1.0, -1.0), (1.0, 1.0)), 1 / 4,
+                          [Region("Omega", (-0.5, -0.5), (0.5, 0.5)),
+                           Region("W1", (0.5, -0.75), (1.0, 0.75)),
+                           Region("W2", (-1.0, -1.0), (0.0, -0.5))])
+    x = mesh.nodes[:, 0]
+    co = Coefficients.from_arrays(1.0 + 0.4 * np.cos(2 * x) ** 2, 0.3 * bump(x / 0.9))
+    op = system_operator(mesh, KernelParams(n, 0.25), co)
+    hats = np.eye(mesh.num_nodes)
+    for W2 in ("W1", "W2"):
+        dn = op.matrix("W1", W2)
+        pairings = np.array([[op.pairing(hats[i], hats[j]) for i in dn.cols]
+                             for j in dn.rows])
+        assert np.abs(dn.entries - pairings).max() <= 1e-12 * np.abs(pairings).max()
+    dn = op.matrix("W1", "W1")
+    assert np.array_equal(dn.entries, dn.entries.T)
+    # a basis given by its node indices reads the same block
+    sub = dn.cols[1:-1]
+    assert np.array_equal(op.matrix(sub, sub).entries,
+                          op.matrix(sub, sub).entries.T)
+    assert np.abs(op.matrix(sub, sub).entries - dn.entries[1:-1, 1:-1]).max() \
+        <= 1e-14 * np.abs(dn.entries).max()
+
+
 def test_dn_matrix_above_two_thousand_interior_dofs():
     mesh = build_mesh(
         Box((-1.25,), (1.75,)), 1 / 1024,

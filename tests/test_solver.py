@@ -303,10 +303,57 @@ def test_diagonal_matvec_of_the_diagonals_is_the_dense_product(n, offsets, fill,
 
 
 def test_diagonals_of_a_2d_mass_matrix_are_its_seven_local_ones():
+    # the mass matrix stores the seven diagonals that the dense reader
+    # finds in its dense view, in the reader's order
     mesh = build_mesh(Box((-1.0, -1.0), (1.0, 1.0)), 1 / 8)
     nx = 17  # nodes per row
-    offsets = [k for k, _ in solver._diagonals(mass_matrix(mesh).entries)]
-    assert offsets == [0, -1, 1, -nx, nx, -(nx + 1), nx + 1]
+    M = mass_matrix(mesh)
+    assert M.offsets == (0, -1, 1, -nx, nx, -(nx + 1), nx + 1)
+    assert M.band.shape == (7, mesh.num_nodes)
+    dense = solver._diagonals(M.entries)
+    assert [k for k, _ in dense] == list(M.offsets)
+    for (_, stored), (_, read) in zip(M.diagonals(), dense):
+        assert np.array_equal(stored, read)
+
+
+def test_multiplier_estimates_of_a_band_and_of_its_dense_form_are_equal(setting):
+    # the stored band and the dense reader give the Lanczos product the
+    # same diagonals in the same order: the estimates agree bit for bit
+    mesh, par, A, M = setting
+    x = mesh.coords
+    for q in (np.sin(3 * x) - 0.2, np.zeros(mesh.num_nodes), 1.0 + x**2):
+        Q = potential_form(mesh, q)
+        dense = SymForm(np.array(Q.entries))
+        assert (multiplier_norm_estimate(Q, gform=A, mass=M)
+                == multiplier_norm_estimate(dense, gform=A, mass=SymForm(np.array(M.entries))))
+    rhs = np.random.default_rng(5).standard_normal((mesh.num_nodes, 2))
+    assert np.array_equal(mass_solve(M, rhs), mass_solve(SymForm(np.array(M.entries)), rhs))
+
+
+def test_solve_reads_the_load_of_the_datum_support_only():
+    # the load B_{I, supp f} f_supp agrees with the load of the whole
+    # exterior block B_IE f_E, 1D and 2D, far field or not
+    cases = [(build_mesh(Box((-2.0,), (2.5,)), 1 / 32, [Region("Omega", (-1.0,), (1.0,))]),
+              lambda nodes: bump((nodes[:, 0] - 1.6) / 0.3)),
+             (build_mesh(Box((-1.0, -1.0), (1.0, 1.0)), 1 / 8,
+                         [Region("Omega", (-0.5, -0.5), (0.5, 0.5))]),
+              lambda nodes: bump((nodes - np.array([0.75, 0.0])) / 0.24))]
+    for mesh, datum in cases:
+        x = mesh.nodes[:, 0]
+        co = Coefficients.from_arrays(1.0 + 0.3 * bump(x / 0.8), 0.2 * bump(x / 0.5))
+        B = conductivity_form(mesh, KernelParams(mesh.n, 0.25), co) + potential_form(mesh, co.q)
+        system = FactorizedSystem(B, mesh)
+        ii = system.interior
+        exterior = np.setdiff1d(np.arange(mesh.num_nodes), ii)
+        f = datum(mesh.nodes)
+        f[ii] = 0.0
+        assert 0 < np.count_nonzero(f) < exterior.size
+        for c in (0.0, 0.7):
+            rhs = -B.entries[np.ix_(ii, exterior)] @ f[exterior] + c * B.tail_row[ii]
+            full = f.copy()
+            full[ii] = la.cho_solve(la.cho_factor(B.entries[np.ix_(ii, ii)], lower=True), rhs)
+            u = system.solve(f, far_field=c).u
+            assert np.abs(u - full).max() <= 1e-14 * np.abs(full).max()
 
 
 def test_multiplier_estimate_of_a_2d_potential_form_matches_dense_pencil():
