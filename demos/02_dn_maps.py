@@ -37,7 +37,7 @@ print(f"symmetry defect: {dn.symmetry_defect():.2e}")
 for k in (0, len(dn.cols) // 2):
     phi = np.zeros(mesh.num_nodes)
     phi[dn.cols[k]] = 1.0
-    direct = form.energy(phi)
+    direct = phi @ (form @ phi)
     print(f"hat at x = {x[dn.cols[k]]:+.3f}: <Lambda phi, phi> = "
           f"{dn.entries[k, k]:.6f} <= direct energy {direct:.6f}")
 

@@ -6,11 +6,13 @@ kernel form is dense (:class:`SymForm`); a local form, the mass matrix
 or a potential form, couples only the nodes of one element and is
 stored as its nonzero diagonals (:class:`LocalForm`: 3 in 1D, 7 in 2D),
 so it never takes N x N memory.  Both kinds offer the same reads: the
-product ``form @ x``, a dense block ``form.block(rows, cols)`` and the
-tail row; ``entries`` of a local form is a dense view built on demand
-for tests and checks only.  Adding a local form to a dense one
-(``SymForm + LocalForm``, or ``+=`` in place) adds its band to a copy
-of the dense entries, one addition per entry as in the dense sum.  The
+product ``form @ x`` and a dense block ``form.block(rows, cols)``;
+``entries`` of a local form is a dense view built on demand for tests
+and checks only.  Only a dense form has a tail row: a local form couples
+no hat with the box complement.  Adding a local form to a dense one
+(``SymForm + LocalForm`` on a copy, or ``+=`` in place) adds its band
+to the dense entries, one addition per entry as in the dense sum, and
+leaves the tail row as it is.  The
 kernel-type forms (Gagliardo energy and weighted-diffusion energy)
 come from one engine (:func:`_offset_plan`, :func:`_apply_offsets`).  On
 the uniform mesh every element pair is a translate of a reference pair:
@@ -86,10 +88,11 @@ The adopted energy convention is ``u^T A u = ||(-Delta)^{s/2} u||_L2^2``,
 i.e. the assembled Gagliardo form carries the factor ``C_ns / 2`` in
 front of the double integral.
 
-Forms remember their exterior-tail row sums (``tail_row``): the coupling
-of each hat with a unit constant on the box complement.  By construction
-``sum_j entries[i, j] == tail_row[i]`` up to round-off, which makes
-globally constant functions exact kernel elements of the diffusion form.
+A dense form keeps the exterior-tail row sums of its kernel form
+(``tail_row``): the coupling of each hat with a unit constant on the box
+complement.  By construction ``sum_j entries[i, j] == tail_row[i]`` up
+to round-off, which makes globally constant functions exact kernel
+elements of the diffusion form.
 """
 
 from __future__ import annotations
@@ -219,38 +222,29 @@ class Coefficients:
 @dataclass
 class SymForm:
     """Dense symmetric bilinear form over the nodal basis (a kernel form,
-    or a sum of one with local forms)."""
+    or a sum of one with local forms) with its exterior-tail row sums."""
 
     entries: np.ndarray
-    tail_row: np.ndarray = None
-
-    def __post_init__(self):
-        if self.tail_row is None:
-            self.tail_row = np.zeros(self.entries.shape[0])
+    tail_row: np.ndarray
 
     @property
     def shape(self) -> tuple:
         return self.entries.shape
 
-    def __add__(self, other: "SymForm | LocalForm") -> "SymForm":
-        """The dense sum: a copy of ``entries`` plus the other form, each
-        entry added once."""
-        if self.shape != other.shape:
-            raise ValueError("form dimensions differ")
-        if isinstance(other, LocalForm):
-            total = SymForm(self.entries.copy(), self.tail_row.copy())
-            total += other
-            return total
-        return SymForm(self.entries + other.entries,
-                       self.tail_row + other.tail_row)
+    def __add__(self, other: "LocalForm") -> "SymForm":
+        """The sum with a local form: a copy of this form, the band of
+        ``other`` added in place."""
+        total = SymForm(self.entries.copy(), self.tail_row.copy())
+        total += other
+        return total
 
     def __iadd__(self, other: "LocalForm") -> "SymForm":
-        """Add a local form into ``entries`` in place, on its band only."""
+        """Add a local form into ``entries`` in place, on its band only;
+        it couples no hat with the box complement, so ``tail_row`` stays."""
         if self.shape != other.shape:
             raise ValueError("form dimensions differ")
         for offset, diagonal in other.diagonals():
             _diagonal(self.entries, offset)[:] += diagonal
-        self.tail_row += other.tail_row
         return self
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -265,14 +259,6 @@ class SymForm:
             return self.entries[r, c].copy()
         return self.entries[np.ix_(rows, cols)]
 
-    def energy(self, u: np.ndarray, far_field: float = 0.0) -> float:
-        """``B(u + c 1_ext, u + c 1_ext)`` for far-field constant ``c``."""
-        e = float(u @ (self.entries @ u))
-        if far_field != 0.0:
-            e -= 2.0 * far_field * float(self.tail_row @ u)
-            e += far_field**2 * float(self.tail_row.sum())
-        return e
-
     def symmetry_defect(self) -> float:
         return _asymmetry(self.entries)
 
@@ -286,7 +272,8 @@ class LocalForm:
     -2, 2, ...), the order in which every product adds them; row ``m`` of
     ``band`` holds the diagonal of offset ``offsets[m]`` in its first
     ``N - |offsets[m]|`` entries and zeros after.  A local form couples
-    no hat with the box complement, so its ``tail_row`` is zero.
+    no hat with the box complement: it has no tail row, and adding it to
+    a dense form leaves that form's ``tail_row`` as it is.
     """
 
     offsets: tuple
@@ -296,10 +283,6 @@ class LocalForm:
     def shape(self) -> tuple:
         N = self.band.shape[1]
         return (N, N)
-
-    @property
-    def tail_row(self) -> np.ndarray:
-        return np.zeros(self.band.shape[1])
 
     def diagonals(self):
         """The ``(offset, diagonal)`` pairs, in the order of ``offsets``."""
@@ -318,10 +301,6 @@ class LocalForm:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return _diagonal_matvec(self.diagonals(), x)
-
-    def energy(self, u: np.ndarray, far_field: float = 0.0) -> float:
-        """``B(u, u)``; the far field adds nothing, as ``tail_row`` is zero."""
-        return float(u @ (self @ u))
 
     def block(self, rows, cols) -> np.ndarray:
         """The dense block of ``rows`` and ``cols`` (index arrays), filled

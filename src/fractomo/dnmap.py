@@ -115,10 +115,19 @@ class DNOperator:
 
     def _basis(self, W) -> np.ndarray:
         """The node indices of a DN basis: ``support_dofs`` of a region or
-        label, or ``W`` itself if it is an array of node indices."""
-        if isinstance(W, np.ndarray):
-            return W
-        return support_dofs(self.mesh, W)
+        label, or ``W`` itself if it is an array of exterior node indices.
+
+        Raises ``ValueError`` for an index outside ``[0, N)`` and
+        :class:`SupportViolation` for an interior dof, as ``pairing``
+        does for a test datum with interior support.
+        """
+        if not isinstance(W, np.ndarray):
+            return support_dofs(self.mesh, W)
+        if W.size and (W.min() < 0 or W.max() >= self.mesh.num_nodes):
+            raise ValueError("DN basis index outside the mesh nodes")
+        if np.isin(W, self.system.interior).any():
+            raise SupportViolation("DN basis holds an interior dof")
+        return W
 
 
 def _require_agreement(mesh: Mesh, gamma1, gamma2, W, message: str) -> None:

@@ -11,7 +11,8 @@ where ``c`` is an optional constant far-field value on the box
 complement.  The interior block is symmetric positive definite whenever
 the potential stays in the admissible multiplier regime; loss of
 positivity is reported as :class:`CoercivityLost`.  A solve reads only
-the columns of ``B_IE`` on the support of the datum, and
+the columns of ``B_IE`` on the support of the datum, and its energy
+only those, the interior block, the datum's own block and the tail row;
 :meth:`FactorizedSystem.solve_lower` applies half the factor, the one
 triangular solve of a DN matrix.
 
@@ -25,18 +26,14 @@ full nodal space: it factors ``H = L L^T`` once (shared by all the
 estimates of one call) and runs Lanczos with full reorthogonalization on
 ``L^{-1} F L^{-T}`` until the residual bounds of both extreme Ritz values
 fall to ``1e-14`` of the estimate, which then matches the dense value to
-1e-12 relative.  A Lanczos step costs about its two triangular solves: a
-form is applied from its nonzero diagonals, so a local form (a mass or
-potential form: 3 diagonals in 1D, 7 in 2D) costs O(N) and a dense one
-O(N^2); the basis is preallocated and only its rows in use are touched;
-and the convergence test computes only the two extreme Ritz values and
-the last components of their eigenvectors, by bisection and inverse
-iteration on the tridiagonal Lanczos matrix.  A mass matrix is solved
-from its lower band by one banded Cholesky factor, in any dimension.
-Both band readers take the diagonals of a form from one helper: a local
-form hands over its stored band, in the order 0, -1, 1, ...; a dense
-form is read outward from the main diagonal until every nonzero is
-held, which gives the same diagonals in the same order.  The Poincare
+1e-12 relative.  A Lanczos step costs about its two triangular solves:
+the form is local (:class:`LocalForm`, a mass or potential form: 3
+diagonals in 1D, 7 in 2D) and applied from its band in O(N); the basis
+is preallocated and only its rows in use are touched; and the
+convergence test computes only the two extreme Ritz values and the last
+components of their eigenvectors, by bisection and inverse iteration on
+the tridiagonal Lanczos matrix.  A mass matrix is solved from its lower
+band by one banded Cholesky factor, in any dimension.  The Poincare
 pencil takes the interior block of the mass matrix from its band.
 """
 
@@ -48,7 +45,7 @@ import numpy as np
 import scipy.linalg as la
 from scipy.linalg.lapack import dstebz, dstein, dtrtrs
 
-from .assembly import KernelParams, LocalForm, SymForm, _diagonal_matvec
+from .assembly import KernelParams, LocalForm, SymForm
 from .errors import CoercivityLost, EigenFailure, EmptyRegion, SupportViolation
 from .mesh import Mesh
 
@@ -122,19 +119,27 @@ class FactorizedSystem:
         if np.abs(f_ext[self.interior]).max(initial=0.0) > 0.0:
             raise SupportViolation("exterior datum is nonzero on interior dofs")
         support = np.flatnonzero(f_ext)  # exterior dofs only, checked above
-        rhs = -self.form.block(self.interior, support) @ f_ext[support]
+        f_s, tail_I = f_ext[support], self.form.tail_row[self.interior]
+        load = self.form.block(self.interior, support) @ f_s
+        rhs = -load
         if far_field != 0.0:
-            rhs += far_field * self.form.tail_row[self.interior]
+            rhs += far_field * tail_I
         if f_src is not None:
             f_src = np.asarray(f_src, dtype=float)
             rhs += f_src[self.interior]
         u_I = la.cho_solve(self._chol, rhs, check_finite=False)
         u = f_ext.copy()
         u[self.interior] = u_I
-        rnorm = np.linalg.norm(self.B_II @ u_I - rhs)
+        B_u = self.B_II @ u_I
+        rnorm = np.linalg.norm(B_u - rhs)
         denom = np.linalg.norm(rhs)
         residual = rnorm / denom if denom > 0 else rnorm
-        energy = self.form.energy(u, far_field)
+        # B(u + c 1_ext, u + c 1_ext), read from the blocks of I and supp f
+        B_ss = self.form.block(support, support)
+        energy = u_I @ B_u + 2.0 * (u_I @ load) + f_s @ (B_ss @ f_s)
+        if far_field != 0.0:
+            energy -= 2.0 * far_field * (u_I @ tail_I + f_s @ self.form.tail_row[support])
+            energy += far_field**2 * self.form.tail_row.sum()
         return DirichletSolution(
             u=u, residual=float(residual),
             energy=float(energy), far_field=float(far_field),
@@ -147,7 +152,7 @@ class FactorizedSystem:
         return dtrtrs(self._chol[0], rhs, lower=1)[0]
 
 
-def mass_solve(mass: LocalForm | SymForm, rhs: np.ndarray) -> np.ndarray:
+def mass_solve(mass: LocalForm, rhs: np.ndarray) -> np.ndarray:
     """``M^{-1} rhs`` for a symmetric positive definite mass matrix ``M``
     and a vector or a block of columns: ``M`` is local, so one banded
     Cholesky factor of its lower band serves every column.
@@ -157,33 +162,11 @@ def mass_solve(mass: LocalForm | SymForm, rhs: np.ndarray) -> np.ndarray:
     numpy.linalg.LinAlgError
         If ``M`` is not positive definite.
     """
-    lower = [(-offset, d) for offset, d in _band(mass) if offset <= 0]
-    ab = np.zeros((max((k for k, _ in lower), default=0) + 1, mass.shape[0]))
+    lower = [(-offset, d) for offset, d in mass.diagonals() if offset <= 0]
+    ab = np.zeros((max(k for k, _ in lower) + 1, mass.shape[0]))
     for k, diagonal in lower:
         ab[k, :diagonal.size] = diagonal
     return la.solveh_banded(ab, rhs, lower=True, check_finite=False)
-
-
-def _band(form):
-    """The ``(offset, diagonal)`` pairs of a form: the stored band of a
-    :class:`LocalForm`, read by :func:`_diagonals` from a dense one."""
-    if isinstance(form, LocalForm):
-        return form.diagonals()
-    return _diagonals(form.entries)
-
-
-def _diagonals(A):
-    """The nonzero diagonals of the square ``A`` as ``(offset, diagonal)``
-    pairs, read outward from the main diagonal (offsets 0, -1, 1, -2, 2,
-    ...) until they hold every nonzero of ``A``."""
-    diagonals, left = [], np.count_nonzero(A)
-    offsets = (sign * k for k in range(len(A)) for sign in (-1, 1)[not k:])
-    while left:  # every nonzero lies on a diagonal: the offsets cannot run out
-        diagonal = np.diagonal(A, offset := next(offsets))
-        if count := np.count_nonzero(diagonal):
-            diagonals.append((offset, diagonal))
-            left -= count
-    return diagonals
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +174,7 @@ def _diagonals(A):
 # ---------------------------------------------------------------------------
 
 def poincare_constant(mesh: Mesh, params: KernelParams, *,
-                      gform: SymForm, mass: SymForm) -> dict:
+                      gform: SymForm, mass: LocalForm) -> dict:
     """Optimal discrete fractional Poincare constant of ``Omega``.
 
     ``C_opt`` is the reciprocal of the smallest eigenvalue of the raw
@@ -201,8 +184,10 @@ def poincare_constant(mesh: Mesh, params: KernelParams, *,
 
     Parameters
     ----------
-    gform, mass : SymForm
-        The Gagliardo form and the mass matrix of ``mesh``.
+    gform : SymForm
+        The Gagliardo form of ``mesh``.
+    mass : LocalForm
+        The mass matrix of ``mesh``.
 
     Returns
     -------
@@ -224,8 +209,8 @@ def poincare_constant(mesh: Mesh, params: KernelParams, *,
     return {"C_opt": float(c_opt), "delta0": float(2.0 * max(1.0, c_opt))}
 
 
-def multiplier_norm_estimate(form: SymForm, *, gform: SymForm,
-                             mass: SymForm) -> float:
+def multiplier_norm_estimate(form: LocalForm, *, gform: SymForm,
+                             mass: LocalForm) -> float:
     """Discrete estimate of the Sobolev multiplier norm of a pairing form.
 
     Largest absolute generalized eigenvalue of ``form`` (the potential
@@ -237,18 +222,16 @@ def multiplier_norm_estimate(form: SymForm, *, gform: SymForm,
     eigenvalues come from Lanczos on ``L^{-1} F L^{-T}`` (see
     :func:`_lanczos_extreme`).
 
-    ``F`` is applied through its nonzero diagonals, one slice product
-    each per Lanczos step: 3 for a local 1D form, 7 for a local 2D one.
-    A dense ``F`` has ``2N - 1`` of them, about ten times the cost of
-    one dense product per step, so it should be local.
+    No pipeline calls it: each takes its estimates on one factor from
+    :func:`multiplier_norm_estimates`.  It stays as the name under which
+    the benchmark's tracer times the eigen solves.
     """
     return multiplier_norm_estimates([form], gform=gform, mass=mass)[0]
 
 
-def multiplier_norm_estimates(forms, *, gform: SymForm, mass: SymForm) -> list:
-    """:func:`multiplier_norm_estimate` of each of ``forms``, all on one
-    factor of ``H = gform + mass``; each form should be local (banded),
-    as there."""
+def multiplier_norm_estimates(forms, *, gform: SymForm, mass: LocalForm) -> list:
+    """:func:`multiplier_norm_estimate` of each of the local ``forms``,
+    all on one factor of ``H = gform + mass``."""
     # H is symmetric: its transpose is the same matrix in the Fortran order
     # that lets the factor overwrite it instead of a copy
     H = (gform + mass).entries.T
@@ -256,7 +239,7 @@ def multiplier_norm_estimates(forms, *, gform: SymForm, mass: SymForm) -> list:
         L = la.cholesky(H, lower=True, overwrite_a=True, check_finite=False)
     except la.LinAlgError as exc:
         raise EigenFailure(str(exc)) from None
-    return [_lanczos_extreme(_band(form), L) for form in forms]
+    return [_lanczos_extreme(form, L) for form in forms]
 
 
 def coercivity_bound(gamma0: float, delta0: float, q_small_norm: float) -> float:
@@ -273,16 +256,15 @@ def coercivity_bound(gamma0: float, delta0: float, q_small_norm: float) -> float
     return float(gamma0 / delta0 - q_small_norm)
 
 
-def _lanczos_extreme(diagonals, L) -> float:
+def _lanczos_extreme(F: LocalForm, L) -> float:
     """``max |lambda|`` of ``L^{-1} F L^{-T}`` by Lanczos with full
-    reorthogonalization from a fixed-seed start vector; ``F`` is given by
-    its ``(offset, diagonal)`` pairs.
+    reorthogonalization from a fixed-seed start vector.
 
     Stops once the residual bound ``beta_k |s_k|`` of both extreme Ritz
     values is at most ``LANCZOS_TOL * max |theta|``, or when the Krylov
     space is exhausted.  A step is two triangular solves, a product with
-    ``F`` from its nonzero diagonals, two Gram--Schmidt passes over the
-    basis rows in use, and the two extreme Ritz pairs.
+    ``F`` from its band, two Gram--Schmidt passes over the basis rows in
+    use, and the two extreme Ritz pairs.
     """
     n = L.shape[0]
     V = np.empty((n, n))  # the basis, a row per step: unused rows stay untouched
@@ -292,7 +274,7 @@ def _lanczos_extreme(diagonals, L) -> float:
     for k in range(1, n + 1):
         # L is a Cholesky factor, never singular: the solves cannot fail
         y, _ = dtrtrs(L, V[k - 1], lower=1, trans=1)
-        w, _ = dtrtrs(L, _diagonal_matvec(diagonals, y), lower=1)
+        w, _ = dtrtrs(L, F @ y, lower=1)
         alpha[k - 1] = V[k - 1] @ w
         for _ in range(2):  # classical Gram-Schmidt, twice is enough
             w -= V[:k].T @ (V[:k] @ w)

@@ -897,10 +897,14 @@ def test_artifact_configs_parse(tmp_path, capsys):
     assert tool.main([str(tmp_path / "cfgs")]) == 0
     runs = [line.split() for line in capsys.readouterr().out.splitlines()]
     written = sorted(p for p in (tmp_path / "cfgs").rglob("*.ini"))
-    assert sorted(Path(run[0]) for run in runs) == written and len(written) == 7
+    assert sorted(Path(run[0]) for run in runs) == written and len(written) == 8
     for config_file, *subcommands in runs:
         parse_config(config_file)
         assert set(subcommands) <= set(SUBCOMMANDS)
+    # the far-field solve runs at the size of the benchmark's dn1d workload
+    far = parse_config(tmp_path / "cfgs" / "far1d.ini")
+    assert far.far_field == 0.7 and far.grid_shape() == (1409,)
+    assert [run[1:] for run in runs if run[0].endswith("far1d.ini")] == [["solve"]]
 
 
 def test_benchmark_configs_parse(tmp_path):

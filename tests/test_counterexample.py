@@ -156,8 +156,8 @@ def _q_form_residual_by_pairs(mesh, Q, gform, mass, seed):
         w = np.zeros(mesh.num_nodes)
         v[ii] = rng.standard_normal(ii.size)
         w[ii] = rng.standard_normal(ii.size)
-        den = np.sqrt((gform.energy(v) + mass.energy(v))
-                      * (gform.energy(w) + mass.energy(w)))
+        den = np.sqrt((v @ (gform @ v) + v @ (mass @ v))
+                      * (w @ (gform @ w) + w @ (mass @ w)))
         worst = max(worst, abs(v @ Q.entries @ w) / den)
     return worst
 

@@ -176,6 +176,29 @@ def test_dn_matrix_shapes_symmetry(setting):
     assert dn.symmetry_defect() < 1e-10
 
 
+def test_dn_matrix_rejects_an_index_basis_outside_the_nodes(setting):
+    # a negative index would wrap around to the last box nodes
+    mesh, par, co, op = setting
+    W1 = support_dofs(mesh, "W1")
+    for bad in (np.array([-1, -2]), np.append(W1, mesh.num_nodes)):
+        with pytest.raises(ValueError):
+            op.matrix(bad, W1)
+        with pytest.raises(ValueError):
+            op.matrix(W1, bad)
+
+
+def test_dn_matrix_rejects_an_index_basis_with_interior_dofs(setting):
+    mesh, par, co, op = setting
+    ii = mesh.interior_dofs
+    W1 = support_dofs(mesh, "W1")
+    with pytest.raises(SupportViolation):
+        op.matrix(ii[:3], ii[:3])
+    with pytest.raises(SupportViolation):
+        op.matrix(W1, np.append(W1, ii[-1]))
+    # an exterior index basis is read as the hats it names
+    assert np.array_equal(op.matrix(W1, W1).entries, op.matrix("W1", "W1").entries)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_dn_matrix_entries_are_the_pairings_of_hats(n):
     # every entry of the one-solve Schur complement is the pairing
@@ -227,7 +250,7 @@ def test_dn_energy_bound_on_diagonal(setting):
     for k, i in enumerate(dn.cols):
         phi = np.zeros(mesh.num_nodes)
         phi[i] = 1.0
-        assert dn.entries[k, k] <= op.form.energy(phi) + 1e-12
+        assert dn.entries[k, k] <= phi @ (op.form @ phi) + 1e-12
 
 
 @settings(max_examples=40, deadline=None, database=None)

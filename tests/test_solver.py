@@ -4,10 +4,10 @@ import scipy.linalg as la
 from hypothesis import given, settings, strategies as st
 from scipy.special import gamma as gamma_fn
 
-from fractomo import solver
 from fractomo.assembly import (
     Coefficients,
     KernelParams,
+    LocalForm,
     SymForm,
     conductivity_form,
     gagliardo_form,
@@ -191,6 +191,25 @@ def test_multiplier_estimate_unit_q_and_svd_oracle():
     assert est == pytest.approx(svd_norm, rel=1e-8)
 
 
+def _local(F):
+    """The square ``F`` as a :class:`LocalForm` that holds all its
+    ``2n - 1`` diagonals, outward from the main one."""
+    n = F.shape[0]
+    offsets = (0,) + tuple(sign * k for k in range(1, n) for sign in (-1, 1))
+    band = np.zeros((len(offsets), n))
+    for m, k in enumerate(offsets):
+        diagonal = np.diagonal(F, k)
+        band[m, :diagonal.size] = diagonal
+    return LocalForm(offsets, band)
+
+
+def _dense_h(H):
+    """``gform`` and ``mass`` whose sum is ``H``: ``H`` itself, with no
+    tail row, and a zero mass matrix."""
+    n = H.shape[0]
+    return {"gform": SymForm(H, np.zeros(n)), "mass": _local(np.zeros((n, n)))}
+
+
 def _pencil(n, band, sign, rng):
     """Random SPD ``H`` and symmetric ``F``: tridiagonal or dense, and
     positive semidefinite (``sign = 1``), negative semidefinite plus a
@@ -217,8 +236,7 @@ def test_multiplier_estimate_matches_dense_pencil(n, band, sign):
     if sign == -1:
         assert abs(vals[0]) > vals[-1]
     dense = max(abs(vals[0]), abs(vals[-1]))
-    est = multiplier_norm_estimate(SymForm(F), gform=SymForm(H),
-                                   mass=SymForm(np.zeros((n, n))))
+    est = multiplier_norm_estimate(_local(F), **_dense_h(H))
     assert est == pytest.approx(dense, rel=1e-12)
 
 
@@ -227,8 +245,7 @@ def test_multiplier_estimate_rejects_an_indefinite_inner_product():
     F, H = _pencil(5, False, 0, rng)
     H[0, 0] = -1.0
     with pytest.raises(EigenFailure):
-        multiplier_norm_estimate(SymForm(F), gform=SymForm(H),
-                                 mass=SymForm(np.zeros((5, 5))))
+        multiplier_norm_estimate(_local(F), **_dense_h(H))
 
 
 def _matvec_form(case, rng):
@@ -259,8 +276,7 @@ def test_multiplier_estimate_of_each_matvec_path_matches_dense_pencil(case):
     n = F.shape[0]
     R = rng.standard_normal((n, n))
     H = R @ R.T + n * np.eye(n)
-    est = multiplier_norm_estimate(SymForm(F), gform=SymForm(H),
-                                   mass=SymForm(np.zeros((n, n))))
+    est = multiplier_norm_estimate(_local(F), **_dense_h(H))
     vals = la.eigh(F, H, eigvals_only=True)
     assert est == pytest.approx(max(abs(vals[0]), abs(vals[-1])), rel=1e-12)
 
@@ -281,6 +297,8 @@ def _tridiagonal_matvec(A, y):
        fill=st.sampled_from(["tridiagonal", "diagonals", "zero", "dense"]),
        seed=st.integers(0, 2**32 - 1))
 def test_diagonal_matvec_of_the_diagonals_is_the_dense_product(n, offsets, fill, seed):
+    # a band that holds every diagonal, zero ones too, is the dense product;
+    # the zero diagonals leave a tridiagonal product bit for bit as it is
     rng = np.random.default_rng(seed)
     A = np.zeros((n, n))
     if fill == "dense":
@@ -293,41 +311,10 @@ def test_diagonal_matvec_of_the_diagonals_is_the_dense_product(n, offsets, fill,
             d[rng.random(d.size) < 0.3] = 0.0
             A += np.diag(d, k)
     y = rng.standard_normal(n)
-    diagonals = solver._diagonals(A)
-    assert all(np.count_nonzero(d) for _, d in diagonals)
-    assert sum(np.count_nonzero(d) for _, d in diagonals) == np.count_nonzero(A)
-    z = solver._diagonal_matvec(diagonals, y)
+    z = _local(A) @ y
     assert np.all(np.abs(z - A @ y) <= 1e-13 * (np.abs(A) @ np.abs(y)))
     if not np.triu(A, 2).any() and not np.tril(A, -2).any():
         assert np.array_equal(z, _tridiagonal_matvec(A, y))
-
-
-def test_diagonals_of_a_2d_mass_matrix_are_its_seven_local_ones():
-    # the mass matrix stores the seven diagonals that the dense reader
-    # finds in its dense view, in the reader's order
-    mesh = build_mesh(Box((-1.0, -1.0), (1.0, 1.0)), 1 / 8)
-    nx = 17  # nodes per row
-    M = mass_matrix(mesh)
-    assert M.offsets == (0, -1, 1, -nx, nx, -(nx + 1), nx + 1)
-    assert M.band.shape == (7, mesh.num_nodes)
-    dense = solver._diagonals(M.entries)
-    assert [k for k, _ in dense] == list(M.offsets)
-    for (_, stored), (_, read) in zip(M.diagonals(), dense):
-        assert np.array_equal(stored, read)
-
-
-def test_multiplier_estimates_of_a_band_and_of_its_dense_form_are_equal(setting):
-    # the stored band and the dense reader give the Lanczos product the
-    # same diagonals in the same order: the estimates agree bit for bit
-    mesh, par, A, M = setting
-    x = mesh.coords
-    for q in (np.sin(3 * x) - 0.2, np.zeros(mesh.num_nodes), 1.0 + x**2):
-        Q = potential_form(mesh, q)
-        dense = SymForm(np.array(Q.entries))
-        assert (multiplier_norm_estimate(Q, gform=A, mass=M)
-                == multiplier_norm_estimate(dense, gform=A, mass=SymForm(np.array(M.entries))))
-    rhs = np.random.default_rng(5).standard_normal((mesh.num_nodes, 2))
-    assert np.array_equal(mass_solve(M, rhs), mass_solve(SymForm(np.array(M.entries)), rhs))
 
 
 def test_solve_reads_the_load_of_the_datum_support_only():
@@ -352,8 +339,13 @@ def test_solve_reads_the_load_of_the_datum_support_only():
             rhs = -B.entries[np.ix_(ii, exterior)] @ f[exterior] + c * B.tail_row[ii]
             full = f.copy()
             full[ii] = la.cho_solve(la.cho_factor(B.entries[np.ix_(ii, ii)], lower=True), rhs)
-            u = system.solve(f, far_field=c).u
-            assert np.abs(u - full).max() <= 1e-14 * np.abs(full).max()
+            sol = system.solve(f, far_field=c)
+            assert np.abs(sol.u - full).max() <= 1e-14 * np.abs(full).max()
+            # the energy from the solve's blocks is the quadratic form of
+            # u + c 1_ext over the whole system form
+            u = sol.u
+            energy = u @ (B.entries @ u) - 2 * c * (B.tail_row @ u) + c**2 * B.tail_row.sum()
+            assert abs(sol.energy - energy) <= 1e-13 * abs(energy)
 
 
 def test_multiplier_estimate_of_a_2d_potential_form_matches_dense_pencil():
@@ -369,11 +361,10 @@ def test_multiplier_estimate_of_a_2d_potential_form_matches_dense_pencil():
 
 
 def test_mass_solve_rejects_a_mass_matrix_that_is_not_positive_definite():
-    # the zero matrix has no diagonal: it reaches the factor all the same
     for entries in (np.zeros((4, 4)), np.diag([1.0, -1.0, 2.0]),
                     np.array([[1.0, 2.0], [2.0, 1.0]])):
         with pytest.raises(la.LinAlgError):
-            mass_solve(SymForm(entries), np.ones(entries.shape[0]))
+            mass_solve(_local(entries), np.ones(entries.shape[0]))
 
 
 def test_mass_solve_of_a_block_matches_dense_and_columnwise(setting):
@@ -382,6 +373,12 @@ def test_mass_solve_of_a_block_matches_dense_and_columnwise(setting):
     for mesh in [mesh_1d] + [build_mesh(Box((-1.0, -1.0), (1.0, 1.0)), h)
                              for h in (1 / 4, 1 / 16)]:
         M = mass_matrix(mesh)
+        if mesh.n == 2:  # the seven local diagonals of a 2D mass matrix
+            nx = round(2 / mesh.h) + 1  # nodes per row
+            assert M.offsets == (0, -1, 1, -nx, nx, -(nx + 1), nx + 1)
+            assert M.band.shape == (7, mesh.num_nodes)
+        for k, diagonal in M.diagonals():
+            assert np.array_equal(diagonal, np.diagonal(M.entries, k))
         rhs = np.random.default_rng(3).standard_normal((mesh.num_nodes, 3))
         block = mass_solve(M, rhs)
         dense = np.linalg.solve(M.entries, rhs)

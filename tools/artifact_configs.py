@@ -8,6 +8,10 @@ writes into ``DIR``:
 
 * ``run.ini``, ``oracle.ini`` and ``run2d.ini``: ``CONFIG``,
   ``ORACLE_CONFIG`` and ``CONFIG_2D`` of ``tests/test_cli.py``;
+* ``far1d.ini``: ``CONFIG`` at the spacing of the benchmark's dn1d
+  workload (h = 1/256, N = 1409; the geometry is the same) with
+  ``[data] far_field = 0.7``, for ``solve`` only: the one run whose
+  solution and energy read the exterior tail row;
 * ``inverse1d-SEED/reconstruct.ini`` and ``counterexample.ini`` for the
   seeds 701 and 702: the configs the benchmark's inverse1d workload
   (``bench/workloads.py``) draws with ``numpy.random.default_rng(SEED)``
@@ -23,7 +27,9 @@ dimension allows).  The digest of two source trees is then::
 
 from __future__ import annotations
 
+import configparser
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
@@ -33,6 +39,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: the inverse1d draws, by the seed of their generator
 SEEDS = (701, 702)
+
+#: the far-field value of ``far1d.ini``
+FAR_FIELD = 0.7
 
 
 def _load(name: str, path: Path):
@@ -49,11 +58,19 @@ def write_configs(directory: Path) -> list:
     directory.mkdir(parents=True, exist_ok=True)
     test_cli = _load("_test_cli", ROOT / "tests" / "test_cli.py")
     workloads = _load("_bench_workloads", ROOT / "bench" / "workloads.py")
+    far1d = configparser.ConfigParser()
+    far1d.optionxform = str  # region labels are case-sensitive
+    far1d.read_string(test_cli.CONFIG)
+    far1d["mesh"]["h"] = str(workloads.SPACING["dn1d"])
+    far1d["data"]["far_field"] = str(FAR_FIELD)
+    far1d_text = io.StringIO()
+    far1d.write(far1d_text)
     runs = []
     for name, text, subcommands in (
             ("run.ini", test_cli.CONFIG, []),
             ("oracle.ini", test_cli.ORACLE_CONFIG, ["oracle-compare"]),
-            ("run2d.ini", test_cli.CONFIG_2D, [])):
+            ("run2d.ini", test_cli.CONFIG_2D, []),
+            ("far1d.ini", far1d_text.getvalue(), ["solve"])):
         path = directory / name
         path.write_text(text.format(out=directory / "out"))
         runs.append([str(path)] + subcommands)
