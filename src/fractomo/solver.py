@@ -18,23 +18,27 @@ triangular solve of a DN matrix.
 
 The module also computes the discrete fractional Poincare constant, the
 constant ``delta0 = 2 max(1, C_opt)`` derived from it, discrete Sobolev
-multiplier norm estimates, and the resulting coercivity lower bound.  The
-Poincare constant needs the smallest eigenvalue of a pencil on the
-interior block and takes it from a dense generalized eigensolve.  A
+multiplier norm estimates, and the resulting coercivity lower bound.
+Both eigenvalue problems go through one Lanczos routine with full
+reorthogonalization on ``L^{-1} A L^{-T}``, ``L`` a dense Cholesky
+factor and ``A`` a local form applied from its band (:class:`LocalForm`,
+a mass or potential form: 3 diagonals in 1D, 7 in 2D) in O(N).  A
 multiplier estimate needs the two extreme eigenvalues of a pencil on the
 full nodal space: it factors ``H = L L^T`` once (shared by all the
-estimates of one call) and runs Lanczos with full reorthogonalization on
-``L^{-1} F L^{-T}`` until the residual bounds of both extreme Ritz values
-fall to ``1e-14`` of the estimate, which then matches the dense value to
-1e-12 relative.  A Lanczos step costs about its two triangular solves:
-the form is local (:class:`LocalForm`, a mass or potential form: 3
-diagonals in 1D, 7 in 2D) and applied from its band in O(N); the basis
-is preallocated and only its rows in use are touched; and the
-convergence test computes only the two extreme Ritz values and the last
+estimates of one call) and stops when the gap-refined error bounds
+``min(r, r^2/delta)`` of both extreme Ritz values fall to ``1e-14`` of
+the estimate, which then matches the dense value to 1e-12 relative.  The
+Poincare constant needs the smallest eigenvalue of a pencil on the
+interior block and takes it in shift-invert form: it factors the
+seminorm block and stops on the largest eigenvalue of ``L^{-1} M_II
+L^{-T}`` alone, since all of them are positive; ``M_II`` is applied from
+the band of the mass matrix, never as a dense block.  A Lanczos step
+costs about its two triangular solves: the basis is preallocated and
+only its rows in use are touched, and the convergence test computes only
+the Ritz values at the tested ends, their neighbours and the last
 components of their eigenvectors, by bisection and inverse iteration on
 the tridiagonal Lanczos matrix.  A mass matrix is solved from its lower
-band by one banded Cholesky factor, in any dimension.  The Poincare
-pencil takes the interior block of the mass matrix from its band.
+band by one banded Cholesky factor, in any dimension.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .assembly import KernelParams, LocalForm, SymForm
 from .errors import CoercivityLost, EigenFailure, EmptyRegion, SupportViolation
 from .mesh import Mesh
 
-#: relative residual bound of the extreme Ritz values that stops Lanczos
+#: relative gap-refined error bound of the extreme Ritz values that stops Lanczos
 LANCZOS_TOL = 1e-14
 
 
@@ -178,9 +182,16 @@ def poincare_constant(mesh: Mesh, params: KernelParams, *,
     """Optimal discrete fractional Poincare constant of ``Omega``.
 
     ``C_opt`` is the reciprocal of the smallest eigenvalue of the raw
-    Gagliardo seminorm form (``(2/C_ns) * gform``) against the mass
-    matrix over the compactly supported hats of ``Omega``; the derived
-    constant is ``delta0 = 2 max(1, C_opt)``.
+    Gagliardo seminorm form (``G = (2/C_ns) * gform``) against the mass
+    matrix ``M`` over the compactly supported hats of ``Omega``; the
+    derived constant is ``delta0 = 2 max(1, C_opt)``.
+
+    The eigenvalue comes from Lanczos in shift-invert form: ``G_II = L
+    L^T`` is factored, and ``C_opt`` is the largest eigenvalue of ``L^{-1}
+    M_II L^{-T}`` (see :func:`_lanczos_extreme`).  ``M_II`` is applied
+    from the band of ``mass`` (scatter, band product, gather); only that
+    end is tested, since ``M_II`` is positive definite and so is the
+    whole spectrum.
 
     Parameters
     ----------
@@ -192,20 +203,30 @@ def poincare_constant(mesh: Mesh, params: KernelParams, *,
     Returns
     -------
     dict with keys ``C_opt`` and ``delta0``.
+
+    Raises
+    ------
+    EigenFailure
+        If the seminorm block ``G_II`` is not positive definite.
     """
     dofs = mesh.interior_dofs
     if dofs.size == 0:
         raise EmptyRegion("region has no interior degrees of freedom")
-    G = (2.0 / params.C_ns) * gform.block(dofs, dofs)
-    M = mass.block(dofs, dofs)
+    G = gform.block(dofs, dofs)
+    G *= 2.0 / params.C_ns
+    # G is symmetric: its transpose is the same matrix in the Fortran order
+    # that lets the factor overwrite it instead of a copy
     try:
-        lam_min = float(la.eigh(G, M, subset_by_index=[0, 0], eigvals_only=True,
-                                check_finite=False)[0])
+        L = la.cholesky(G.T, lower=True, overwrite_a=True, check_finite=False)
     except la.LinAlgError as exc:
         raise EigenFailure(str(exc)) from None
-    if lam_min <= 0:
-        raise EigenFailure(f"nonpositive seminorm eigenvalue {lam_min}")
-    c_opt = 1.0 / lam_min
+    full = np.zeros(mesh.num_nodes)
+
+    def mass_ii(y):
+        full[dofs] = y
+        return (mass @ full)[dofs]
+
+    c_opt = _lanczos_extreme(L, mass_ii, positive=True)
     return {"C_opt": float(c_opt), "delta0": float(2.0 * max(1.0, c_opt))}
 
 
@@ -219,7 +240,8 @@ def multiplier_norm_estimate(form: LocalForm, *, gform: SymForm,
     space.  This is a lower bound on the true multiplier norm (the
     supremum is restricted to the nodal subspace) and is reported as
     such.  ``H = L L^T`` is factored in place and the two extreme
-    eigenvalues come from Lanczos on ``L^{-1} F L^{-T}`` (see
+    eigenvalues come from Lanczos on ``L^{-1} F L^{-T}``, stopped when
+    the gap-refined bounds of both have converged (see
     :func:`_lanczos_extreme`).
 
     No pipeline calls it: each takes its estimates on one factor from
@@ -239,7 +261,7 @@ def multiplier_norm_estimates(forms, *, gform: SymForm, mass: LocalForm) -> list
         L = la.cholesky(H, lower=True, overwrite_a=True, check_finite=False)
     except la.LinAlgError as exc:
         raise EigenFailure(str(exc)) from None
-    return [_lanczos_extreme(form, L) for form in forms]
+    return [_lanczos_extreme(L, form.__matmul__) for form in forms]
 
 
 def coercivity_bound(gamma0: float, delta0: float, q_small_norm: float) -> float:
@@ -256,15 +278,22 @@ def coercivity_bound(gamma0: float, delta0: float, q_small_norm: float) -> float
     return float(gamma0 / delta0 - q_small_norm)
 
 
-def _lanczos_extreme(F: LocalForm, L) -> float:
-    """``max |lambda|`` of ``L^{-1} F L^{-T}`` by Lanczos with full
+def _lanczos_extreme(L, apply, *, positive: bool = False) -> float:
+    """``max |lambda|`` of ``L^{-1} A L^{-T}``, where ``apply(y)`` returns
+    ``A @ y`` for a symmetric ``A``, by Lanczos with full
     reorthogonalization from a fixed-seed start vector.
 
-    Stops once the residual bound ``beta_k |s_k|`` of both extreme Ritz
-    values is at most ``LANCZOS_TOL * max |theta|``, or when the Krylov
-    space is exhausted.  A step is two triangular solves, a product with
-    ``F`` from its band, two Gram--Schmidt passes over the basis rows in
-    use, and the two extreme Ritz pairs.
+    A Ritz value ``theta`` has converged when its gap-refined bound
+    ``min(r, r^2 / delta)`` (Parlett, *The Symmetric Eigenvalue Problem*,
+    Sec. 11-7) is at most ``LANCZOS_TOL * max |theta|``: ``r = beta_k
+    |s_k|`` is its residual bound and ``delta`` the distance to the
+    neighbouring Ritz value.  Lanczos stops once the smallest and the
+    largest Ritz value have converged (an indefinite ``A`` may have its
+    largest ``|lambda|`` at either end) or, with ``positive`` (``A``
+    positive definite, so every eigenvalue is positive), once the largest
+    has; or when the Krylov space is exhausted.  A step is two triangular
+    solves, one ``apply``, two Gram--Schmidt passes over the basis rows
+    in use, and the Ritz pairs at the tested ends.
     """
     n = L.shape[0]
     V = np.empty((n, n))  # the basis, a row per step: unused rows stay untouched
@@ -274,32 +303,56 @@ def _lanczos_extreme(F: LocalForm, L) -> float:
     for k in range(1, n + 1):
         # L is a Cholesky factor, never singular: the solves cannot fail
         y, _ = dtrtrs(L, V[k - 1], lower=1, trans=1)
-        w, _ = dtrtrs(L, F @ y, lower=1)
+        w, _ = dtrtrs(L, apply(y), lower=1)
         alpha[k - 1] = V[k - 1] @ w
         for _ in range(2):  # classical Gram-Schmidt, twice is enough
             w -= V[:k].T @ (V[:k] @ w)
         b = np.linalg.norm(w)
-        (lo, s_lo), (hi, s_hi) = _extreme_ritz_pairs(alpha[:k], beta[:k - 1])
-        extreme = max(abs(lo), abs(hi))
-        if k == n or b * max(abs(s_lo), abs(s_hi)) <= LANCZOS_TOL * extreme:
+        T = alpha[:k], beta[:k - 1]
+        ends = [(i, *_ritz_pair(*T, i)) for i in ((k,) if positive else (1, k))]
+        extreme = max(abs(theta) for _, theta, _ in ends)
+        if k == n or all(_converged(T, i, b * abs(s), extreme) for i, _, s in ends):
             return float(extreme)
         beta[k - 1] = b
         V[k] = w / b
 
 
-def _extreme_ritz_pairs(alpha, beta):
-    """The smallest and the largest eigenvalue of the symmetric tridiagonal
-    matrix with diagonal ``alpha`` and off-diagonal ``beta``, each with the
-    last component of its unit eigenvector: bisection for the value,
-    inverse iteration for the vector."""
+def _converged(T, i, r, extreme) -> bool:
+    """Whether ``min(r, r^2 / delta) <= LANCZOS_TOL * extreme`` for the
+    Ritz value ``i`` of ``T`` with residual bound ``r``.  Past ``r``
+    itself the test reads ``r^2 <= tol * delta``; ``delta`` is at most
+    the spread of the Ritz values, ``2 * extreme``, so the neighbouring
+    value is computed only when that bound lets the test pass."""
+    tol = LANCZOS_TOL * extreme
+    if r <= tol:
+        return True
+    return r * r <= 2.0 * tol * extreme and r * r <= tol * _ritz_gap(*T, i)
+
+
+def _ritz_pair(alpha, beta, i):
+    """The ``i``-th smallest eigenvalue of the symmetric tridiagonal
+    matrix with diagonal ``alpha`` and off-diagonal ``beta``, and the last
+    component of its unit eigenvector: bisection for the value, inverse
+    iteration for the vector."""
     if alpha.size == 1:
-        return [(alpha[0], 1.0)] * 2
-    pairs = []
-    for i in (1, alpha.size):
-        _, w, block, split, info = dstebz(alpha, beta, 2, 0.0, 0.0, i, i, 0.0, "B")
-        if info == 0:
-            v, info = dstein(alpha, beta, w[:1], block, split)
-        if info != 0:
-            raise EigenFailure(f"Ritz pair {i} of {alpha.size} did not converge")
-        pairs.append((w[0], v[-1, 0]))
-    return pairs
+        return alpha[0], 1.0
+    _, w, block, split, info = dstebz(alpha, beta, 2, 0.0, 0.0, i, i, 0.0, "B")
+    if info == 0:
+        v, info = dstein(alpha, beta, w[:1], block, split)
+    if info != 0:
+        raise EigenFailure(f"Ritz pair {i} of {alpha.size} did not converge")
+    return w[0], v[-1, 0]
+
+
+def _ritz_gap(alpha, beta, i):
+    """Distance from the ``i``-th eigenvalue of that matrix, ``i`` at one
+    end of the spectrum, to the next one inward (0 for a 1 x 1 matrix,
+    which has none)."""
+    k = alpha.size
+    if k == 1:
+        return 0.0
+    first = min(i, k - 1)
+    _, w, _, _, info = dstebz(alpha, beta, 2, 0.0, 0.0, first, first + 1, 0.0, "E")
+    if info != 0:
+        raise EigenFailure(f"Ritz values {first}, {first + 1} of {k} did not converge")
+    return w[1] - w[0]

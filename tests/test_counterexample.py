@@ -183,21 +183,21 @@ def test_report_invariants(setting):
 
 
 def test_multiplier_estimates_of_the_pair_match_the_dense_pencil(setting, monkeypatch):
-    # both estimates of the report; Lanczos stops long before the Krylov
-    # space is exhausted
+    # both estimates of the report; the gap-refined stop takes 25 and 26
+    # steps here on 177 nodes (the plain residual bound took 33 and 32)
     mesh, par, gform, W, pair = setting
     qform, mass = potential_form(mesh, pair.q1), mass_matrix(mesh)
     Q = reduced_potential_form(pair.coeffs, gform=gform, qform=qform)
     H = gform.entries + mass.entries
     steps = []
-    ritz = solver._extreme_ritz_pairs
-    monkeypatch.setattr(solver, "_extreme_ritz_pairs",
-                        lambda d, e: steps.append(len(d)) or ritz(d, e))
+    ritz = solver._ritz_pair
+    monkeypatch.setattr(solver, "_ritz_pair",
+                        lambda d, e, i: steps.append(len(d)) or ritz(d, e, i))
     for form in (qform, Q):
         vals = la.eigh(form.entries, H, eigvals_only=True)
         est = multiplier_norm_estimate(form, gform=gform, mass=mass)
         assert est == pytest.approx(max(-vals[0], vals[-1]), rel=1e-12)
-    assert max(steps) < mesh.num_nodes / 4
+    assert max(steps) <= 26
 
 
 def test_report_estimates_share_one_factor_of_h(setting, monkeypatch):
@@ -206,13 +206,15 @@ def test_report_estimates_share_one_factor_of_h(setting, monkeypatch):
     Q = reduced_potential_form(pair.coeffs, gform=gform, qform=qform)
     separate = [multiplier_norm_estimate(form, gform=gform, mass=mass)
                 for form in (Q, qform)]
+    # the N x N factors of H; the Poincare constant factors its interior block
     factors = []
     cholesky = la.cholesky
-    monkeypatch.setattr(la, "cholesky", lambda *a, **kw: factors.append(1) or cholesky(*a, **kw))
+    monkeypatch.setattr(la, "cholesky", lambda a, **kw: factors.append(
+        a.shape[0] == mesh.num_nodes) or cholesky(a, **kw))
     report = verify_nonuniqueness(pair, W,
                                   operator=system_operator(mesh, par, pair.coeffs),
                                   gform=gform, qform=qform, mass=mass)
-    assert len(factors) == 1
+    assert sum(factors) == 1
     assert [report["q_form_norm"], report["multiplier_estimate"]] == separate
 
 

@@ -4,6 +4,7 @@ import scipy.linalg as la
 from hypothesis import given, settings, strategies as st
 from scipy.special import gamma as gamma_fn
 
+from fractomo import solver
 from fractomo.assembly import (
     Coefficients,
     KernelParams,
@@ -162,6 +163,34 @@ def test_delta0_arithmetic():
     assert pc["delta0"] == 2.0 * max(1.0, pc["C_opt"])
 
 
+def _dense_c_opt(mesh, par, A, M):
+    """``1 / lambda_min`` of the interior seminorm pencil, by dense ``eigh``."""
+    ii = mesh.interior_dofs
+    G = (2.0 / par.C_ns) * A.entries[np.ix_(ii, ii)]
+    lam = la.eigh(G, M.entries[np.ix_(ii, ii)], subset_by_index=[0, 0],
+                  eigvals_only=True)[0]
+    return 1.0 / lam
+
+
+@pytest.mark.parametrize("n, s", [(1, 0.1), (1, 0.25), (1, 0.45), (2, 0.25)])
+def test_poincare_constant_matches_the_dense_pencil(n, s):
+    if n == 1:
+        mesh = build_mesh(Box((-2.0,), (2.0,)), 1 / 32, [Region("Omega", (-1.0,), (1.0,))])
+    else:
+        mesh = build_mesh(Box((-1.0, -1.0), (1.0, 1.0)), 1 / 4,
+                          [Region("Omega", (-0.5, -0.5), (0.5, 0.5))])
+    par = KernelParams(n, s)
+    A, M = gagliardo_form(mesh, par), mass_matrix(mesh)
+    pc = poincare_constant(mesh, par, gform=A, mass=M)
+    assert pc["C_opt"] == pytest.approx(_dense_c_opt(mesh, par, A, M), rel=1e-12)
+
+
+def test_poincare_constant_rejects_a_seminorm_that_is_not_positive_definite(setting):
+    mesh, par, A, M = setting
+    with pytest.raises(EigenFailure):
+        poincare_constant(mesh, par, gform=SymForm(-A.entries, -A.tail_row), mass=M)
+
+
 def test_multiplier_estimate_basics(setting):
     mesh, par, A, M = setting
     zero = multiplier_norm_estimate(potential_form(mesh, np.zeros(mesh.num_nodes)),
@@ -238,6 +267,48 @@ def test_multiplier_estimate_matches_dense_pencil(n, band, sign):
     dense = max(abs(vals[0]), abs(vals[-1]))
     est = multiplier_norm_estimate(_local(F), **_dense_h(H))
     assert est == pytest.approx(dense, rel=1e-12)
+
+
+def _spectrum(kind, n, rng):
+    """``n`` eigenvalues: a near tie ``|lambda_min| = (1 +- 1e-6)
+    lambda_max``, magnitudes spread over 12 decades toward 0, or Gaussian."""
+    if kind == "gaussian":
+        return rng.standard_normal(n)
+    if kind == "clustered_at_0":
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12.0, 0.0, n)
+    lam = rng.uniform(-1.0, 1.0, n)
+    lam[0], lam[-1] = 1.0, -(1.0 + {"tie_above": 1e-6, "tie_below": -1e-6}[kind])
+    return lam
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.integers(1, 80),
+       kind=st.sampled_from(["tie_above", "tie_below", "clustered_at_0", "gaussian"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_multiplier_estimate_of_a_random_pencil_matches_dense_eigh(n, kind, seed):
+    # F = L Q diag(lambda) Q^T L^T and H = L L^T: a near tie puts the
+    # largest |lambda| at either end, so both ends must converge
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((n, n))
+    L = np.linalg.cholesky(R @ R.T + n * np.eye(n))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    F = L @ Q @ np.diag(_spectrum(kind, n, rng)) @ Q.T @ L.T
+    F = 0.5 * (F + F.T)
+    H = L @ L.T
+    vals = la.eigh(F, H, eigvals_only=True)
+    est = multiplier_norm_estimate(_local(F), **_dense_h(H))
+    assert est == pytest.approx(max(abs(vals[0]), abs(vals[-1])), rel=1e-12)
+
+
+def test_the_lanczos_stop_reads_the_gap_to_the_neighbouring_ritz_value():
+    # the largest Ritz value 1 of a 2 x 2 T, its neighbour 0.5 or 1 - 1e-3
+    wide = (np.array([0.75, 0.75]), np.array([0.25]))
+    close = (np.array([1.0 - 5e-4, 1.0 - 5e-4]), np.array([5e-4]))
+    # r = 1e-8 is far above 1e-14, but r^2 / delta is below it only when
+    # delta = 0.5; r = 1e-15 passes on the plain bound
+    assert solver._converged(wide, 2, 1e-8, 1.0)
+    assert not solver._converged(close, 2, 1e-8, 1.0)
+    assert solver._converged(close, 2, 1e-15, 1.0)
 
 
 def test_multiplier_estimate_rejects_an_indefinite_inner_product():

@@ -1,12 +1,20 @@
-"""Time the kernel forms and the forward DN stack at fixed sizes, with
-one BLAS thread.
+"""Time the kernel forms, the forward DN stack and the eigen layer at
+fixed sizes, with one BLAS thread.
 
 Usage::
 
     PYTHONPATH=src python3 tools/engine_timing.py
 
-prints one line per size and form: the size, the form, the cold time
-(the form builds its grid plans), the warm time (median of
+Every figure is given twice: in wall time, and in probe units
+(``x_probe``), the wall time without the probes that ran inside it
+divided by the mean time of the benchmark's machine-speed probe
+(``bench/probe.py``) around and inside the measurement, as
+``bench/run.py`` reports an op's cost.  Wall times move by 20-70% with
+the load of a shared host; probe units by much less, so they are the
+figures to compare between runs.
+
+The script prints one line per size and form: the size, the form, the
+cold time (the form builds its grid plans), the warm time (median of
 :data:`REPEATS` forms from cached plans) and the size of the in-box
 plan in MB (10^6 bytes).  The forms are ``gagliardo_form`` and a
 ``conductivity_form`` with ``gamma = 1 + 0.5 bump(x / 0.45)``, whose
@@ -21,7 +29,15 @@ bump(x / 0.4)``, with ``Omega = (-1, 1)`` and ``W1 = (1.2, 1.8)`` as in
 the benchmark's dn1d workload: the median over :data:`REPEATS` of the
 interior factorization (``DNOperator``), the DN matrix over the hats of
 ``W1`` (``matrix``), one exterior solve with a far field (``solve``) and
-their sum, in ms.  There are no options.
+their sum, in ms.
+
+Then one line per 1D size for the eigen layer on the same mesh and
+coefficients: the median over :data:`REPEATS` of the multiplier estimate
+(each with its own factor of ``H = gform + mass``) of the potential form
+of ``q`` (``qform``) and of the reduced-potential form of ``(gamma, q)``
+(``reduced``), and of the Poincare constant of ``Omega`` (``poincare``),
+in ms, each with its Lanczos step count.
+There are no options.
 
 Two versions of the package are compared by running the script under
 each one's source tree, e.g. ``PYTHONPATH=../parent/src``.
@@ -35,16 +51,19 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import statistics  # noqa: E402
 import sys  # noqa: E402
-import time  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from fractomo import _assembly2d, assembly  # noqa: E402
+from fractomo import _assembly2d, assembly, solver  # noqa: E402
 from fractomo.dnmap import DNOperator  # noqa: E402
 from fractomo.mesh import Box, Region, build_mesh  # noqa: E402
 from fractomo.profiles import bump  # noqa: E402
+from fractomo.reduction import reduced_potential_form  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import probe  # noqa: E402
 
 S = 0.25
 
@@ -60,36 +79,77 @@ SIZES = (
 )
 
 
-def _seconds(form):
-    start = time.perf_counter()
-    form()
-    return time.perf_counter() - start
+_PROBE = probe.Probe()
 
 
-def _dn_stack_ms(box, h):
-    """Median ms of the factorization, the DN matrix and one solve, and
-    of their sum (see the module docstring)."""
-    mesh = build_mesh(box, h, [Region("Omega", (-1.0,), (1.0,)),
-                               Region("W1", (1.2,), (1.8,))])
-    params = assembly.KernelParams(1, S)
+def _timed(fn):
+    """``fn()`` timed with the probe: (ms without the probes inside, the
+    same in probe units)."""
+    _, seconds, mean = _PROBE.time_op(fn)
+    return 1e3 * seconds, seconds / mean
+
+
+def _median_timed(fns):
+    """Median over :data:`REPEATS` of each stage's (ms, x_probe) and of
+    their sums, for stages ``fns`` that run in this order."""
+    times = np.array([[_timed(fn) for fn in fns] for _ in range(REPEATS)])
+    return (*np.median(times, axis=0), np.median(times.sum(axis=1), axis=0))
+
+
+def _coefficients(mesh):
     x = mesh.coords
-    coeffs = assembly.Coefficients.from_arrays(1.0 + 0.5 * bump(x / 0.45),
-                                               0.2 * bump(x / 0.4))
+    return assembly.Coefficients.from_arrays(1.0 + 0.5 * bump(x / 0.45),
+                                             0.2 * bump(x / 0.4))
+
+
+def _dn_mesh(box, h):
+    return build_mesh(box, h, [Region("Omega", (-1.0,), (1.0,)),
+                               Region("W1", (1.2,), (1.8,))])
+
+
+def _dn_stack(box, h):
+    """Median (ms, x_probe) of the factorization, the DN matrix and one
+    solve, and of their sum (see the module docstring)."""
+    mesh = _dn_mesh(box, h)
+    params = assembly.KernelParams(1, S)
+    coeffs = _coefficients(mesh)
     form = (assembly.conductivity_form(mesh, params, coeffs)
             + assembly.potential_form(mesh, coeffs.q))
-    f = bump((x - 1.5) / 0.28)
-    times = []
-    for _ in range(REPEATS):
-        stages = [time.perf_counter()]
-        op = DNOperator(mesh, params, coeffs, form=form)
-        stages.append(time.perf_counter())
-        op.matrix("W1", "W1")
-        stages.append(time.perf_counter())
-        op.solve(f, far_field=0.7)
-        stages.append(time.perf_counter())
-        times.append(np.diff(stages))
-    stage_ms = 1e3 * np.median(times, axis=0)
-    return (*stage_ms, 1e3 * np.median(np.sum(times, axis=1)))
+    f = bump((mesh.coords - 1.5) / 0.28)
+    ops = []
+    return _median_timed((
+        lambda: ops.append(DNOperator(mesh, params, coeffs, form=form)),
+        lambda: ops[-1].matrix("W1", "W1"),
+        lambda: ops[-1].solve(f, far_field=0.7),
+    ))
+
+
+def _lanczos_steps(fn):
+    """Lanczos steps of ``fn()``, one Lanczos run: the size of the largest
+    tridiagonal matrix whose Ritz pairs it computes."""
+    ritz, sizes = solver._ritz_pair, [0]
+    solver._ritz_pair = lambda alpha, *args: sizes.append(alpha.size) or ritz(alpha, *args)
+    try:
+        fn()
+    finally:
+        solver._ritz_pair = ritz
+    return max(sizes)
+
+
+def _eigen_layer(box, h):
+    """Per eigen solve (see the module docstring): its median (ms,
+    x_probe) and its Lanczos step count."""
+    mesh = _dn_mesh(box, h)
+    params = assembly.KernelParams(1, S)
+    coeffs = _coefficients(mesh)
+    gform, mass = assembly.gagliardo_form(mesh, params), assembly.mass_matrix(mesh)
+    qform = assembly.potential_form(mesh, coeffs.q)
+    reduced = reduced_potential_form(coeffs, gform=gform, qform=qform)
+    fns = [lambda form=form: solver.multiplier_norm_estimate(form, gform=gform, mass=mass)
+           for form in (qform, reduced)]
+    fns.append(lambda: solver.poincare_constant(mesh, params, gform=gform, mass=mass))
+    timings = _median_timed(fns)[:-1]
+    return [(*timing, _lanczos_steps(fn)) for timing, fn in zip(timings, fns)]
 
 
 def _nbytes(item):
@@ -109,7 +169,8 @@ def _inbox_plan_mb(mesh):
 
 
 def main() -> int:
-    print(f"{'size':<10} {'form':<12} {'cold_s':>8} {'warm_s':>8} {'inbox_plan_MB':>14}")
+    print(f"{'size':<10} {'form':<12} {'cold_s':>8} {'cold_x':>8} {'warm_s':>8} "
+          f"{'warm_x':>8} {'inbox_plan_MB':>14}")
     for label, box, h in SIZES:
         mesh = build_mesh(box, h, [])
         params = assembly.KernelParams(mesh.n, S)
@@ -120,17 +181,23 @@ def main() -> int:
                  ("bump-gamma", lambda: assembly.conductivity_form(mesh, params, coeffs)))
         for name, form in forms:
             assembly._grid_plan.cache_clear()
-            cold = _seconds(form)
-            warm = statistics.median(_seconds(form) for _ in range(REPEATS))
-            print(f"{label:<10} {name:<12} {cold:8.3f} {warm:8.3f} "
-                  f"{_inbox_plan_mb(mesh):14.2f}", flush=True)
-    print(f"\n{'size':<10} {'factor_ms':>10} {'matrix_ms':>10} {'solve_ms':>10} "
-          f"{'dn_stack_ms':>12}")
-    for label, box, h in SIZES:
-        if box.n == 1:
-            ms = _dn_stack_ms(box, h)
-            print(f"{label:<10} {ms[0]:10.2f} {ms[1]:10.2f} {ms[2]:10.2f} {ms[3]:12.2f}",
+            cold_ms, cold_x = _timed(form)
+            warm_ms, warm_x = np.median([_timed(form) for _ in range(REPEATS)], axis=0)
+            print(f"{label:<10} {name:<12} {cold_ms / 1e3:8.3f} {cold_x:8.1f} "
+                  f"{warm_ms / 1e3:8.3f} {warm_x:8.1f} {_inbox_plan_mb(mesh):14.2f}",
                   flush=True)
+    one_d = [(label, box, h) for label, box, h in SIZES if box.n == 1]
+    print(f"\n{'size':<10} {'factor_ms':>10} {'x':>6} {'matrix_ms':>10} {'x':>6} "
+          f"{'solve_ms':>10} {'x':>6} {'dn_stack_ms':>12} {'x':>6}")
+    for label, box, h in one_d:
+        cells = "".join(f" {ms:10.2f} {x:6.2f}" for ms, x in _dn_stack(box, h))
+        print(f"{label:<10}{cells}", flush=True)
+    print(f"\n{'size':<10}" + "".join(f" {name + '_ms':>12} {'x':>6} {'steps':>5}"
+                                    for name in ("qform", "reduced", "poincare")))
+    for label, box, h in one_d:
+        cells = "".join(f" {ms:12.2f} {x:6.2f} {steps:5d}"
+                        for ms, x, steps in _eigen_layer(box, h))
+        print(f"{label:<10}{cells}", flush=True)
     return 0
 
 
