@@ -25,7 +25,6 @@ from .mesh import Box, Mesh, Region, build_mesh, region_dofs, support_dofs
 from .reconstruction import (
     BumpSequence,
     bump_sequence,
-    default_scales,
     exterior_reconstruct,
     potential_decay_check,
 )
@@ -50,7 +49,7 @@ __all__ = [
     "DirichletSolution", "DNMatrix", "DNOperator", "FactorizedSystem",
     "KernelParams", "Mesh", "Region", "SymForm",
     "build_mesh", "build_pair", "bump_sequence", "coercivity_bound",
-    "conductivity_form", "default_scales", "dn_difference_decomposition",
+    "conductivity_form", "dn_difference_decomposition",
     "dn_transfer_residual", "exterior_reconstruct",
     "gagliardo_form", "liouville_residual", "mass_matrix",
     "multiplier_norm_estimate", "normalization_constant", "poincare_constant",

@@ -5,17 +5,17 @@ nodal functions are extended by zero outside the computational box.  A
 kernel form is dense (:class:`SymForm`); a local form, the mass matrix
 or a potential form, couples only the nodes of one element and is
 stored as its nonzero diagonals (:class:`LocalForm`: 3 in 1D, 7 in 2D),
-so it never takes N x N memory.  Both kinds offer the same reads: the
-product ``form @ x`` and a dense block ``form.block(rows, cols)``;
-``entries`` of a local form is a dense view built on demand for tests
-and checks only.  Only a dense form has a tail row: a local form couples
-no hat with the box complement.  Adding a local form to a dense one
-(``SymForm + LocalForm`` on a copy, or ``+=`` in place) adds its band
-to the dense entries, one addition per entry as in the dense sum, and
-leaves the tail row as it is.  The
-kernel-type forms (Gagliardo energy and weighted-diffusion energy)
-come from one engine (:func:`_offset_plan`, :func:`_apply_offsets`).  On
-the uniform mesh every element pair is a translate of a reference pair:
+so it never takes N x N memory.  Both kinds offer the product ``form @
+x``; a dense form also gives a dense block ``form.block(rows, cols)``,
+and ``entries`` of a local form is a dense view built on demand for
+tests and checks only.  Only a dense form has a tail row: a local form
+couples no hat with the box complement.  Adding a local form to a dense
+one (``SymForm + LocalForm`` on a copy, or ``+=`` in place) adds its
+band to the dense entries, one addition per entry as in the dense sum,
+and leaves the tail row as it is.  The kernel-type forms (Gagliardo
+energy and weighted-diffusion energy) come from one engine
+(:func:`_offset_plan`, :func:`_apply_offsets`).  On the uniform mesh
+every element pair is a translate of a reference pair:
 its class is the offset ``d`` in 1D and ``(type_a, type_b, di, dj)`` in
 2D.  The P1 diffusion weight enters bilinearly through its vertex
 values, so a class reduces to vertex-resolved reference blocks,
@@ -162,11 +162,9 @@ class Coefficients:
     Attributes
     ----------
     gamma : ndarray
-        Nodal diffusion values, bounded below by ``gamma0 > 0``.
+        Nodal diffusion values, all positive.
     q : ndarray
         Nodal absorption (potential) values.
-    gamma0 : float
-        Uniform ellipticity lower bound.
     gamma_exterior : float
         Constant diffusion value on the box complement (1 unless a
         globally rescaled problem is set up).
@@ -174,7 +172,6 @@ class Coefficients:
 
     gamma: np.ndarray
     q: np.ndarray
-    gamma0: float
     gamma_exterior: float = 1.0
 
     def __post_init__(self):
@@ -182,16 +179,17 @@ class Coefficients:
         q = np.asarray(self.q, dtype=float)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "q", q)
-        if not self.gamma0 > 0:
-            raise NonPositiveGamma(f"gamma0={self.gamma0} is not positive")
-        if gamma.min() <= 0.0 or gamma.min() < self.gamma0 - 1e-14:
-            raise NonPositiveGamma(
-                f"gamma dips to {gamma.min()} below gamma0={self.gamma0}"
-            )
+        if gamma.min() <= 0.0:
+            raise NonPositiveGamma(f"gamma dips to {gamma.min()} <= 0")
         if self.gamma_exterior <= 0:
             raise NonPositiveGamma("exterior diffusion value must be positive")
         if not (np.isfinite(gamma).all() and np.isfinite(q).all()):
             raise ValueError("coefficients must be finite")
+
+    @property
+    def gamma0(self) -> float:
+        """Uniform ellipticity lower bound: the smallest nodal diffusion."""
+        return float(self.gamma.min())
 
     @property
     def m_gamma(self) -> np.ndarray:
@@ -199,17 +197,14 @@ class Coefficients:
         return np.sqrt(self.gamma) - 1.0
 
     @classmethod
-    def from_arrays(cls, gamma, q=None, gamma0=None, gamma_exterior=1.0):
-        """Build validated coefficients; ``gamma0`` defaults to ``min(gamma)``."""
+    def from_arrays(cls, gamma, q=None, gamma_exterior=1.0):
+        """Build validated coefficients; ``q`` defaults to zero."""
         gamma = np.asarray(gamma, dtype=float)
         if q is None:
             q = np.zeros_like(gamma)
-        if gamma0 is None:
-            gamma0 = float(gamma.min())
         return cls(
             gamma=gamma,
             q=np.asarray(q, dtype=float),
-            gamma0=float(gamma0),
             gamma_exterior=float(gamma_exterior),
         )
 
@@ -302,21 +297,6 @@ class LocalForm:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return _diagonal_matvec(self.diagonals(), x)
 
-    def block(self, rows, cols) -> np.ndarray:
-        """The dense block of ``rows`` and ``cols`` (index arrays), filled
-        from the band."""
-        rows, cols = np.asarray(rows), np.asarray(cols)
-        where = np.full((2, self.band.shape[1]), -1)
-        where[0, rows] = np.arange(rows.size)
-        where[1, cols] = np.arange(cols.size)
-        out = np.zeros((rows.size, cols.size))
-        for offset, diagonal in self.diagonals():
-            r, c = _band_index(offset, diagonal.size)
-            i, j = where[0, r], where[1, c]
-            keep = (i >= 0) & (j >= 0)
-            out[i[keep], j[keep]] = diagonal[keep]
-        return out
-
     def scaled(self, weight: np.ndarray) -> "LocalForm":
         """The form ``(u, v) -> B(weight u, weight v)``: entry ``ij``
         becomes ``(weight_i B_ij) weight_j``."""
@@ -389,12 +369,6 @@ def _local_mass(elements, w, lam):
     """
     a, b = _TRIU[elements.shape[1]]
     return (w[..., None] * (lam[..., a] * lam[..., b])).sum(axis=-2)
-
-
-def _add_local_mass(A, elements, w, lam):
-    """Add ``int rho phi_a phi_b`` over every element into ``A`` in place
-    (see :func:`_local_mass`); returns the row sums of what was added."""
-    return _add_local(A, elements, _local_mass(elements, w, lam))
 
 
 def _scatter(elements, local):
@@ -589,7 +563,7 @@ def _kernel_form(mesh, params, sqrt_gamma, sqrt_gamma_ext, check):
             tail = kernel_tail_2d(mesh, params.s, sqrt_gamma, q_sing)
         A *= 0.5 * params.C_ns
         scale = params.C_ns * sqrt_gamma_ext
-        return A, sum(_add_local_mass(A, elements, scale * w, lam)
+        return A, sum(_add_local(A, elements, _local_mass(elements, scale * w, lam))
                       for elements, w, lam in tail)
 
     A, tail_row = build(ORDER_SINGULAR, ORDER_REGULAR)
@@ -1070,7 +1044,7 @@ def _tail_plan_1d(mesh, s, q_sing):
 def _kernel_tail_1d(mesh, s, g, q_sing):
     """Tail quadrature of ``int_E g phi_a phi_b omega`` with ``omega(x) =
     ((x - a)^{-2s} + (b - x)^{-2s}) / (2s)`` (no C_ns), as one
-    ``(elements, weights, shapes)`` group for :func:`_add_local_mass`;
+    ``(elements, weights, shapes)`` group for :func:`_local_mass`;
     the rules come from :func:`_tail_plan_1d`.
     """
     (elements, w, lam), = _grid_plan(_tail_plan_1d, mesh.box, mesh.h, s, q_sing)

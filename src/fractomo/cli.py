@@ -75,8 +75,8 @@ from .io import (
 from .mesh import is_measurement_label
 from .profiles import bump
 from .reconstruction import (
-    BumpSequence,
     bump_scales,
+    bump_sequence,
     exterior_reconstruct,
     potential_decay_check,
 )
@@ -229,9 +229,8 @@ def run_reconstruct(cfg, levels, outdir):
         raise ConfigError("[reconstruct] x0: key is required")
     scales = _relation("[reconstruct]", bump_scales, mesh, wlabel, cfg.x0,
                        cfg.scales)
-    bumps = BumpSequence.at_scales(mesh, cfg.x0, scales,
-                                   gform=_gagliardo(cfg, mesh, params),
-                                   mass=mass_matrix(mesh))
+    bumps = bump_sequence(mesh, wlabel, cfg.x0, scales,
+                          gform=_gagliardo(cfg, mesh, params), mass=mass_matrix(mesh))
     form, qform = _system_form(cfg, mesh, params, coeffs)
     op = DNOperator(mesh, params, coeffs, form=form)
     # the DN basis is the hats the bumps touch: every bump is nonzero on

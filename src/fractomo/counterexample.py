@@ -46,7 +46,7 @@ from .solver import (
     FactorizedSystem,
     coercivity_bound,
     mass_solve,
-    multiplier_norm_estimates,
+    multiplier_norm_estimate,
     poincare_constant,
 )
 
@@ -185,7 +185,7 @@ def build_pair(mesh: Mesh, omega_prime: Region, omega_set: Region, eps: float,
     gamma1 = (1.0 + m) ** 2
     q_raw = mass_solve(mass, gform @ m)
     q1 = (1.0 + m) * q_raw
-    coeffs = Coefficients.from_arrays(gamma1, q1, gamma0=1.0)
+    coeffs = Coefficients.from_arrays(gamma1, q1)
     return CounterexamplePair(coeffs=coeffs, m=m, q_raw=q_raw, m_tilde=m_tilde,
                               c_eps=float(c_eps), scale=float(scale))
 
@@ -240,7 +240,7 @@ def verify_nonuniqueness(pair: CounterexamplePair, W: Region | str, *,
                      + np.sum(X * (mass @ X), axis=0))
     val = np.abs(np.sum(Xv * (Q @ Xw), axis=0))
     q_form_residual = (val / (h_norm[0::2] * h_norm[1::2])).max()
-    q_form_norm, mult = multiplier_norm_estimates((Q, qform), gform=gform, mass=mass)
+    q_form_norm, mult = multiplier_norm_estimate((Q, qform), gform=gform, mass=mass)
 
     cond3 = np.abs(pair.q_raw[w_nodes] - q1[w_nodes]).max()
     cond3 /= max(1.0, np.abs(q1).max())

@@ -8,6 +8,9 @@ point.  The normalization uses the assembled energy form
 (``u^T A u``), so the limit is the diffusion value itself with no extra
 convention factor; the absorption contribution vanishes at a rate
 controlled by the interpolation estimate for the potential term.
+:func:`bump_sequence` is the one constructor of the sequence; a caller
+that wants to reject bad scales before it assembles a form checks them
+with :func:`bump_scales`, which needs only the mesh.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ class BumpSequence:
     center: float
     scales: list
     vectors: list
-    energies: list
     l2_norms: list = field(default_factory=list)
 
     def __len__(self):
@@ -66,33 +68,6 @@ class BumpSequence:
         """The nodes on which some bump is nonzero, in increasing order:
         the smallest DN basis that :func:`exterior_reconstruct` accepts."""
         return np.flatnonzero(np.any(self.vectors, axis=0))
-
-    @classmethod
-    def at_scales(cls, mesh: Mesh, x0: float, Ns, *, gform: SymForm,
-                  mass: LocalForm) -> "BumpSequence":
-        """The sequence at ``x0`` of the scales ``Ns``, which must have
-        passed :func:`bump_scales`; :func:`bump_sequence` checks them
-        first.
-
-        Raises
-        ------
-        UnresolvableScale
-            If the L2 norms fail to decrease.
-        """
-        x = mesh.coords
-        vectors, energies, l2s = [], [], []
-        for N in Ns:
-            phi = bump(N * (x - x0))
-            raw = float(phi @ (gform @ phi))
-            c = 1.0 / math.sqrt(raw)
-            phi = c * phi
-            vectors.append(phi)
-            energies.append(float(phi @ (gform @ phi)))
-            l2s.append(float(np.sqrt(phi @ (mass @ phi))))
-        if any(l2s[k + 1] >= l2s[k] for k in range(len(l2s) - 1)):
-            raise UnresolvableScale("L2 norms of the bump sequence fail to decrease")
-        return cls(center=float(x0), scales=list(Ns), vectors=vectors,
-                   energies=energies, l2_norms=l2s)
 
 
 def _scale_errors(mesh: Mesh, W, x0: float, Ns):
@@ -120,33 +95,18 @@ def _scale_errors(mesh: Mesh, W, x0: float, Ns):
                       if nodes.size else None)
 
 
-def default_scales(mesh: Mesh, W, x0: float) -> list:
-    """The admissible scales among ``2, 4, 8, ..., 2**24``.
-
-    A scale is admissible if the bump support stays inside the
-    measurement set and spans ``MIN_SUPPORT_NODES`` mesh widths, and the
-    bump is nonzero only on nodes whose hats lie in the closure of the
-    measurement set; the admissible scales are consecutive.  The radius
-    test does not depend on where ``x0`` falls between nodes; the node
-    test does.
-    """
-    scales = [N for N, error in _scale_errors(mesh, resolve_region(mesh, W), x0,
-                                              [2**k for k in range(1, 25)])
-              if error is None]
-    if not scales:
-        raise UnresolvableScale("no admissible bump scale on this mesh")
-    return scales
-
-
 def bump_scales(mesh: Mesh, W, x0: float, Ns=None) -> list:
     """The concentration scales of a bump sequence at ``x0`` in ``W``:
-    ``Ns`` after checking them, or :func:`default_scales` if ``Ns`` is None.
+    ``Ns`` after checking them, or if ``Ns`` is None the admissible
+    scales among ``2, 4, 8, ..., 2**24``.
 
     ``x0`` must lie inside ``W`` with positive distance to its boundary,
     the support of radius ``1/N`` of every bump must stay inside ``W``
     and span ``MIN_SUPPORT_NODES`` mesh widths, and every bump must be
-    nonzero only on ``support_dofs(mesh, W)``.  Needs only the mesh, so
-    a caller can check its inputs before assembling a form.
+    nonzero only on ``support_dofs(mesh, W)``.  The admissible default
+    scales are consecutive; their radius test does not depend on where
+    ``x0`` falls between nodes, their node test does.  Needs only the
+    mesh, so a caller can check its inputs before assembling a form.
 
     Raises
     ------
@@ -157,7 +117,12 @@ def bump_scales(mesh: Mesh, W, x0: float, Ns=None) -> list:
     if not wl < x0 < wu:
         raise OutsideMeasurementSet(f"x0={x0} is not inside W=({wl}, {wu})")
     if Ns is None:
-        return default_scales(mesh, W, x0)
+        scales = [N for N, error in _scale_errors(mesh, W, x0,
+                                                  [2**k for k in range(1, 25)])
+                  if error is None]
+        if not scales:
+            raise UnresolvableScale("no admissible bump scale on this mesh")
+        return scales
     for N, error in _scale_errors(mesh, W, x0, Ns):
         if error is not None:
             raise error
@@ -166,28 +131,40 @@ def bump_scales(mesh: Mesh, W, x0: float, Ns=None) -> list:
 
 def bump_sequence(mesh: Mesh, W, x0: float, Ns=None, *,
                   gform: SymForm, mass: LocalForm) -> BumpSequence:
-    """Build the energy-normalized concentrating sequence at ``x0``.
+    """Build the energy-normalized concentrating sequence at ``x0``: the
+    one constructor of a :class:`BumpSequence` in the pipelines.
 
     Parameters
     ----------
     W : Region or label
         Measurement set; ``x0`` and the scales must pass
-        :func:`bump_scales`.
+        :func:`bump_scales`, which this checks first.
     Ns : list of int, optional
         Concentration scales (support radius ``1/N``); defaults to the
-        geometric schedule of :func:`default_scales`.
-    gform, mass : SymForm
-        The Gagliardo form of ``mesh``, whose energy normalizes the bumps,
-        and the mass matrix of ``mesh``, which gives their L2 norms.
+        geometric schedule of :func:`bump_scales`.
+    gform : SymForm
+        The Gagliardo form of ``mesh``, whose energy normalizes the bumps.
+    mass : LocalForm
+        The mass matrix of ``mesh``, which gives their L2 norms.
 
     Raises
     ------
     OutsideMeasurementSet, UnresolvableScale, UnknownRegion
+        ``UnresolvableScale`` also if the L2 norms fail to decrease.
     """
     if mesh.n != 1:
         raise NotImplementedError("bump sequences are implemented for 1D meshes")
-    return BumpSequence.at_scales(mesh, x0, bump_scales(mesh, W, x0, Ns),
-                                  gform=gform, mass=mass)
+    Ns = bump_scales(mesh, W, x0, Ns)
+    x = mesh.coords
+    vectors, l2s = [], []
+    for N in Ns:
+        phi = bump(N * (x - x0))
+        phi *= 1.0 / math.sqrt(float(phi @ (gform @ phi)))
+        vectors.append(phi)
+        l2s.append(float(np.sqrt(phi @ (mass @ phi))))
+    if any(l2s[k + 1] >= l2s[k] for k in range(len(l2s) - 1)):
+        raise UnresolvableScale("L2 norms of the bump sequence fail to decrease")
+    return BumpSequence(center=float(x0), scales=Ns, vectors=vectors, l2_norms=l2s)
 
 
 def extrapolate_power_fit(scales, values) -> dict:

@@ -130,6 +130,8 @@ class FactorizedSystem:
             rhs += far_field * tail_I
         if f_src is not None:
             f_src = np.asarray(f_src, dtype=float)
+            if f_src.shape[0] != self.mesh.num_nodes:
+                raise ValueError("interior source has wrong length")
             rhs += f_src[self.interior]
         u_I = la.cho_solve(self._chol, rhs, check_finite=False)
         u = f_ext.copy()
@@ -230,30 +232,29 @@ def poincare_constant(mesh: Mesh, params: KernelParams, *,
     return {"C_opt": float(c_opt), "delta0": float(2.0 * max(1.0, c_opt))}
 
 
-def multiplier_norm_estimate(form: LocalForm, *, gform: SymForm,
-                             mass: LocalForm) -> float:
-    """Discrete estimate of the Sobolev multiplier norm of a pairing form.
+def multiplier_norm_estimate(forms, *, gform: SymForm, mass: LocalForm) -> list:
+    """Discrete estimates of the Sobolev multiplier norms of pairing forms.
 
-    Largest absolute generalized eigenvalue of ``form`` (the potential
-    form of ``q``, or another local, banded form) against the discrete
-    ``H^s`` inner product ``H = gform + mass``, taken over the full nodal
-    space.  This is a lower bound on the true multiplier norm (the
-    supremum is restricted to the nodal subspace) and is reported as
-    such.  ``H = L L^T`` is factored in place and the two extreme
-    eigenvalues come from Lanczos on ``L^{-1} F L^{-T}``, stopped when
-    the gap-refined bounds of both have converged (see
+    For each of the local ``forms`` (the potential form of ``q``, or
+    another local, banded form), in order, the largest absolute
+    generalized eigenvalue of the form against the discrete ``H^s`` inner
+    product ``H = gform + mass``, taken over the full nodal space.  This
+    is a lower bound on the true multiplier norm (the supremum is
+    restricted to the nodal subspace) and is reported as such.  ``H = L
+    L^T`` is factored once, in place, for all the forms, and the two
+    extreme eigenvalues of each come from Lanczos on ``L^{-1} F L^{-T}``,
+    stopped when the gap-refined bounds of both have converged (see
     :func:`_lanczos_extreme`).
 
-    No pipeline calls it: each takes its estimates on one factor from
-    :func:`multiplier_norm_estimates`.  It stays as the name under which
-    the benchmark's tracer times the eigen solves.
+    Both ends are tested for every form, a positive semidefinite one too:
+    a potential form with ``q >= 0`` is one (``u^T F u`` integrates
+    ``q_h u^2``, ``q_h >= 0`` the P1 interpolant), and its run waits for
+    the smallest Ritz value to converge into the eigenvalues at 0.  For
+    ``q = 0.2 bump(x / 0.4)`` on the box ``(-2.25, 3.25)`` that takes 96
+    steps at N = 705 and 190 at N = 1409, against 25 and 24 for the
+    reduced-potential form of the same coefficients
+    (``tools/engine_timing.py``).
     """
-    return multiplier_norm_estimates([form], gform=gform, mass=mass)[0]
-
-
-def multiplier_norm_estimates(forms, *, gform: SymForm, mass: LocalForm) -> list:
-    """:func:`multiplier_norm_estimate` of each of the local ``forms``,
-    all on one factor of ``H = gform + mass``."""
     # H is symmetric: its transpose is the same matrix in the Fortran order
     # that lets the factor overwrite it instead of a copy
     H = (gform + mass).entries.T

@@ -727,9 +727,9 @@ def tail_matrix_2d(mesh, s, sqrt_gamma, q_sing):
     """The 2D exterior tail ``int g phi_a phi_b omega`` (no C_ns) as a dense
     matrix, from the groups of ``kernel_tail_2d``."""
     from fractomo._assembly2d import kernel_tail_2d
-    from fractomo.assembly import _add_local_mass
+    from fractomo.assembly import _add_local, _local_mass
 
     T = np.zeros((mesh.num_nodes, mesh.num_nodes))
     for elements, w, lam in kernel_tail_2d(mesh, s, sqrt_gamma, q_sing):
-        _add_local_mass(T, elements, w, lam)
+        _add_local(T, elements, _local_mass(elements, w, lam))
     return T

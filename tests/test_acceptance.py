@@ -309,7 +309,7 @@ def test_criterion_08_poincare_coercivity_chain():
         co = Coefficients.from_arrays(gam, q)
         B = conductivity_form(msh, par, co) + potential_form(msh, q)
         pcm = poincare_constant(msh, par, gform=Am, mass=Mm)
-        qn = multiplier_norm_estimate(potential_form(msh, q), gform=Am, mass=Mm)
+        qn, = multiplier_norm_estimate([potential_form(msh, q)], gform=Am, mass=Mm)
         alpha = coercivity_bound(co.gamma0, pcm["delta0"], qn)
         assert alpha > 0
         iim = msh.interior_dofs

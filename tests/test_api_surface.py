@@ -11,9 +11,11 @@ from pathlib import Path
 import numpy as np
 
 import fractomo
-from fractomo import assembly
+from fractomo import assembly, cli
 from fractomo.assembly import Coefficients, KernelParams, conductivity_form
 from fractomo.mesh import Box, build_mesh
+
+from test_cli import CONFIG
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -70,3 +72,27 @@ def test_trace_spans_of_cold_and_warm_2d_forms():
         assert names.count("kernel_inbox_2d") == names.count("kernel_tail_2d") == 1
         points = sum(s["work"] for s in mine if s["name"] == "tail_weight_2d")
         assert (points > 0) == (op == 0)
+
+
+def test_pipeline_runs_record_the_spans_of_their_steps(tmp_path):
+    # reconstruct builds its bumps, and counterexample takes its two
+    # multiplier estimates on one factor, through the traced public names
+    tracer = _tracer()
+    path = tmp_path / "run.ini"
+    path.write_text(CONFIG.format(out=tmp_path / "artifacts"))
+    runs = ["reconstruct", "counterexample"]
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        for op, subcommand in enumerate(runs):
+            spans.op = op
+            assert cli.main([subcommand, "--config", str(path)]) == 0
+    finally:
+        spans.uninstall()
+    for op, subcommand in enumerate(runs):
+        mine = [s for s in spans.spans if s["op"] == op]
+        names = [s["name"] for s in mine]
+        assert names.count("bump_sequence") == (subcommand == "reconstruct")
+        assert names.count("multiplier_norm_estimate") == (subcommand == "counterexample")
+        eigen = [s["name"] for s in mine if s["group"] == "solver.eigen"]
+        assert len(eigen) == (2 if subcommand == "counterexample" else 0)

@@ -656,7 +656,8 @@ def test_no_run_reads_the_dense_view_of_a_local_form(tmp_path, monkeypatch):
 
 def test_reconstruct_reads_the_dn_columns_of_the_bump_support(config_path, monkeypatch):
     # the DN matrix spans the hats the bumps touch, fewer than the hats of
-    # W1, and the scales are checked once
+    # W1; the scales are checked before any form, and again by the bump
+    # sequence
     matrices, checks = [], []
     matrix, scale_errors = dnmap.DNOperator.matrix, reconstruction._scale_errors
 
@@ -672,7 +673,7 @@ def test_reconstruct_reads_the_dn_columns_of_the_bump_support(config_path, monke
     monkeypatch.setattr(reconstruction, "_scale_errors", recording_scale_errors)
     path, out = config_path
     assert main(["reconstruct", "--config", str(path)]) == 0
-    assert len(checks) == 1
+    assert len(checks) == 2
     (dn,) = matrices
     cfg = parse_config(path)
     mesh = cfg.build_mesh()

@@ -195,7 +195,7 @@ def test_multiplier_estimates_of_the_pair_match_the_dense_pencil(setting, monkey
                         lambda d, e, i: steps.append(len(d)) or ritz(d, e, i))
     for form in (qform, Q):
         vals = la.eigh(form.entries, H, eigvals_only=True)
-        est = multiplier_norm_estimate(form, gform=gform, mass=mass)
+        est, = multiplier_norm_estimate([form], gform=gform, mass=mass)
         assert est == pytest.approx(max(-vals[0], vals[-1]), rel=1e-12)
     assert max(steps) <= 26
 
@@ -204,7 +204,7 @@ def test_report_estimates_share_one_factor_of_h(setting, monkeypatch):
     mesh, par, gform, W, pair = setting
     qform, mass = potential_form(mesh, pair.q1), mass_matrix(mesh)
     Q = reduced_potential_form(pair.coeffs, gform=gform, qform=qform)
-    separate = [multiplier_norm_estimate(form, gform=gform, mass=mass)
+    separate = [multiplier_norm_estimate([form], gform=gform, mass=mass)[0]
                 for form in (Q, qform)]
     # the N x N factors of H; the Poincare constant factors its interior block
     factors = []

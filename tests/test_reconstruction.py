@@ -25,8 +25,8 @@ from fractomo.mesh import Box, Region, build_mesh, region_dofs, support_dofs
 from fractomo.profiles import bump, plateau
 from fractomo.reconstruction import (
     BumpSequence,
+    bump_scales,
     bump_sequence,
-    default_scales,
     exterior_reconstruct,
     potential_decay_check,
 )
@@ -49,7 +49,7 @@ def setting():
 
 def test_energies_normalized(setting):
     mesh, par, gform, bumps = setting
-    assert all(abs(e - 1.0) < 1e-10 for e in bumps.energies)
+    assert all(abs(phi @ (gform @ phi) - 1.0) < 1e-10 for phi in bumps.vectors)
 
 
 def test_l2_norms_strictly_decreasing(setting):
@@ -89,7 +89,7 @@ def test_l2_scaling_exponent(setting):
 
 def test_default_scales_respect_resolution(setting):
     mesh, par, gform, bumps = setting
-    Ns = default_scales(mesh, "W1", X0)
+    Ns = bump_scales(mesh, "W1", X0)
     x = mesh.coords
     for N in Ns:
         assert np.count_nonzero(np.abs(x - X0) < 1.0 / N) >= 4
@@ -117,7 +117,7 @@ def test_unknown_label_is_named_like_everywhere_else(setting):
     with pytest.raises(UnknownRegion, match="W9"):
         bump_sequence(mesh, "W9", X0, [4], gform=gform, mass=mass_matrix(mesh))
     with pytest.raises(UnknownRegion, match="W9"):
-        default_scales(mesh, "W9", X0)
+        bump_scales(mesh, "W9", X0)
     with pytest.raises(UnknownRegion, match="W9"):
         DNOperator(mesh, par, Coefficients.background(mesh), form=gform).matrix("W9", "W1")
 
@@ -153,7 +153,7 @@ def test_reconstruct_admits_only_bumps_on_the_hats_of_w(setting):
         phi = bumps.vectors[0].copy()
         phi[node] = 1e-3
         with pytest.raises(SupportViolation, match="off the hats"):
-            exterior_reconstruct(dn, BumpSequence(X0, [2], [phi], [1.0]))
+            exterior_reconstruct(dn, BumpSequence(X0, [2], [phi]))
     with pytest.raises(ValueError, match="identical"):
         exterior_reconstruct(dataclasses.replace(dn, rows=dn.rows[1:],
                                                  entries=dn.entries[1:]), bumps)
@@ -288,5 +288,5 @@ def test_default_scales_do_not_depend_on_grid_nodes(setting, k):
     # x0 = a grid node of W1 (1.2, 2.4) at least 0.1 inside it
     mesh = setting[0]
     x0 = float(mesh.coords[k])
-    assert default_scales(mesh, "W1", x0) == default_scales(mesh, "W1", x0 - 1e-9) \
-        == default_scales(mesh, "W1", x0 + 1e-9)
+    assert bump_scales(mesh, "W1", x0) == bump_scales(mesh, "W1", x0 - 1e-9) \
+        == bump_scales(mesh, "W1", x0 + 1e-9)

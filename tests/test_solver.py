@@ -79,6 +79,21 @@ def test_exterior_datum_support_checked(setting):
         FactorizedSystem(A, mesh).solve(f)
 
 
+def test_solve_checks_the_length_of_each_nodal_vector():
+    # on 33 nodes, a 26-entry source still covers every interior index
+    # and a 40-entry one holds them all: neither is a nodal vector
+    mesh = build_mesh(Box((-2.0,), (2.0,)), 1 / 8, [Region("Omega", (-1.0,), (1.0,))])
+    assert mesh.num_nodes == 33 and mesh.interior_dofs.max() < 26
+    system = FactorizedSystem(gagliardo_form(mesh, KernelParams(1, 0.25)), mesh)
+    zero = np.zeros(mesh.num_nodes)
+    for n in (26, 40):
+        with pytest.raises(ValueError, match="interior source"):
+            system.solve(zero, f_src=np.ones(n))
+        with pytest.raises(ValueError, match="exterior datum"):
+            system.solve(np.zeros(n))
+    assert system.solve(zero, f_src=np.ones(33)).residual < 1e-12
+
+
 def test_uniqueness_and_superposition(setting):
     mesh, par, A, M = setting
     x = mesh.coords
@@ -193,13 +208,14 @@ def test_poincare_constant_rejects_a_seminorm_that_is_not_positive_definite(sett
 
 def test_multiplier_estimate_basics(setting):
     mesh, par, A, M = setting
-    zero = multiplier_norm_estimate(potential_form(mesh, np.zeros(mesh.num_nodes)),
-                                    gform=A, mass=M)
-    assert zero == 0.0
     q = bump(mesh.coords / 1.2)
-    e1 = multiplier_norm_estimate(potential_form(mesh, q), gform=A, mass=M)
-    e2 = multiplier_norm_estimate(potential_form(mesh, -3.0 * q), gform=A, mass=M)
+    forms = [potential_form(mesh, w) for w in (np.zeros(mesh.num_nodes), q, -3.0 * q)]
+    zero, e1, e2 = multiplier_norm_estimate(forms, gform=A, mass=M)
+    assert zero == 0.0
     assert e2 == pytest.approx(3.0 * e1, rel=1e-10)
+    # in the order of the forms, each as if it were the only one
+    assert multiplier_norm_estimate(forms[::-1], gform=A, mass=M) == [e2, e1, zero]
+    assert multiplier_norm_estimate(forms[1:2], gform=A, mass=M) == [e1]
 
 
 def test_multiplier_estimate_unit_q_and_svd_oracle():
@@ -208,8 +224,8 @@ def test_multiplier_estimate_unit_q_and_svd_oracle():
     par = KernelParams(1, 0.25)
     A = gagliardo_form(mesh, par)
     M = mass_matrix(mesh)
-    est = multiplier_norm_estimate(potential_form(mesh, np.ones(mesh.num_nodes)),
-                                   gform=A, mass=M)
+    est, = multiplier_norm_estimate([potential_form(mesh, np.ones(mesh.num_nodes))],
+                                    gform=A, mass=M)
     assert est <= 1.0 + 1e-10
     # dense SVD oracle on this <= 50-node mesh
     H = A.entries + M.entries
@@ -265,7 +281,7 @@ def test_multiplier_estimate_matches_dense_pencil(n, band, sign):
     if sign == -1:
         assert abs(vals[0]) > vals[-1]
     dense = max(abs(vals[0]), abs(vals[-1]))
-    est = multiplier_norm_estimate(_local(F), **_dense_h(H))
+    est, = multiplier_norm_estimate([_local(F)], **_dense_h(H))
     assert est == pytest.approx(dense, rel=1e-12)
 
 
@@ -296,7 +312,7 @@ def test_multiplier_estimate_of_a_random_pencil_matches_dense_eigh(n, kind, seed
     F = 0.5 * (F + F.T)
     H = L @ L.T
     vals = la.eigh(F, H, eigvals_only=True)
-    est = multiplier_norm_estimate(_local(F), **_dense_h(H))
+    est, = multiplier_norm_estimate([_local(F)], **_dense_h(H))
     assert est == pytest.approx(max(abs(vals[0]), abs(vals[-1])), rel=1e-12)
 
 
@@ -316,7 +332,7 @@ def test_multiplier_estimate_rejects_an_indefinite_inner_product():
     F, H = _pencil(5, False, 0, rng)
     H[0, 0] = -1.0
     with pytest.raises(EigenFailure):
-        multiplier_norm_estimate(_local(F), **_dense_h(H))
+        multiplier_norm_estimate([_local(F)], **_dense_h(H))
 
 
 def _matvec_form(case, rng):
@@ -347,7 +363,7 @@ def test_multiplier_estimate_of_each_matvec_path_matches_dense_pencil(case):
     n = F.shape[0]
     R = rng.standard_normal((n, n))
     H = R @ R.T + n * np.eye(n)
-    est = multiplier_norm_estimate(_local(F), **_dense_h(H))
+    est, = multiplier_norm_estimate([_local(F)], **_dense_h(H))
     vals = la.eigh(F, H, eigvals_only=True)
     assert est == pytest.approx(max(abs(vals[0]), abs(vals[-1])), rel=1e-12)
 
@@ -426,7 +442,7 @@ def test_multiplier_estimate_of_a_2d_potential_form_matches_dense_pencil():
     M = mass_matrix(mesh)
     x, y = mesh.nodes.T
     Q = potential_form(mesh, np.sin(3 * x) - 2 * y)
-    est = multiplier_norm_estimate(Q, gform=G, mass=M)
+    est, = multiplier_norm_estimate([Q], gform=G, mass=M)
     vals = la.eigh(Q.entries, G.entries + M.entries, eigvals_only=True)
     assert est == pytest.approx(max(abs(vals[0]), abs(vals[-1])), rel=1e-12)
 
@@ -480,7 +496,7 @@ def test_coercivity_bound_vs_eigenvalue():
     co = Coefficients.from_arrays(1.0 + 0.4 * bump(x / 1.2), q)
     B = conductivity_form(mesh, par, co) + potential_form(mesh, q)
     pc = poincare_constant(mesh, par, gform=A, mass=M)
-    qnorm = multiplier_norm_estimate(potential_form(mesh, q), gform=A, mass=M)
+    qnorm, = multiplier_norm_estimate([potential_form(mesh, q)], gform=A, mass=M)
     alpha = coercivity_bound(co.gamma0, pc["delta0"], qnorm)
     assert alpha > 0
     ii = mesh.interior_dofs
