@@ -59,6 +59,7 @@ from .assembly import (
     _offset_plan,
     _point_pair_blocks,
     _triangle_rule_deg4,
+    normalization_constant,
 )
 from .mesh import ELEMENT_VERTS
 
@@ -182,16 +183,18 @@ def _inbox_plan_2d(mesh, s, depth):
     half = D[(D[:, 0] > 0) | ((D[:, 0] == 0) & (D[:, 1] >= 0))]
     keys = np.concatenate([np.column_stack([np.full(len(d), ta), np.full(len(d), tb), d])
                            for ta, tb, d in ((0, 0, half), (0, 1, D), (1, 1, half))])
-    return _offset_plan(mesh.shape, ELEMENT_VERTS[2], keys,
-                        _class_blocks(s, keys, depth), mesh.h ** (2.0 - 2.0 * s))
+    return _offset_plan(mesh.shape, ELEMENT_VERTS[2], keys, _class_blocks(s, keys, depth),
+                        0.5 * normalization_constant(2, s) * mesh.h ** (2.0 - 2.0 * s))
 
 
-def kernel_inbox_2d(mesh, s, g, depth: int = MAX_DEPTH):
-    """Raw double integral over box x box (no normalization factor): the
+def kernel_inbox_2d(mesh, s, g, depth: int = MAX_DEPTH, lines=None):
+    """The double integral over box x box times ``C_ns / 2``, or its
+    principal block over the nodes of the grid lines ``lines``: the
     offset plan of :func:`_inbox_plan_2d`, built once per grid, ``s`` and
     ``depth``, contracted with ``g`` by the offset engine of
     :mod:`fractomo.assembly`."""
-    return _apply_offsets(_grid_plan(_inbox_plan_2d, mesh.box, mesh.h, s, depth), g)
+    return _apply_offsets(_grid_plan(_inbox_plan_2d, mesh.box, mesh.h, s, depth),
+                          g, lines)
 
 
 def _face_coords(points, box):

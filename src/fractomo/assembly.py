@@ -10,16 +10,21 @@ x``; a dense form also gives a dense block ``form.block(rows, cols)``,
 and ``entries`` of a local form is a dense view built on demand for
 tests and checks only.  Only a dense form has a tail row: a local form
 couples no hat with the box complement.  Adding a local form to a dense
-one (``SymForm + LocalForm`` on a copy, or ``+=`` in place) adds its
-band to the dense entries, one addition per entry as in the dense sum,
-and leaves the tail row as it is.  The kernel-type forms (Gagliardo
+one (``SymForm + LocalForm`` on a copy, or ``+=`` in place) keeps its
+band beside the dense entries and adds it to every read, one addition
+per entry as in the dense sum, and leaves the tail row as it is.  A
+kernel form evaluates its dense entries when they are first read: a
+block inside its window (the grid lines from ``Omega``'s first dof to
+the last hat of a measurement set, all that a DN operator reads) costs
+that principal block only, and any other read the full matrix (see
+:func:`_kernel_form`).  The kernel-type forms (Gagliardo
 energy and weighted-diffusion energy) come from one engine
 (:func:`_offset_plan`, :func:`_apply_offsets`).  On the uniform mesh
 every element pair is a translate of a reference pair:
 its class is the offset ``d`` in 1D and ``(type_a, type_b, di, dj)`` in
 2D.  The P1 diffusion weight enters bilinearly through its vertex
 values, so a class reduces to vertex-resolved reference blocks,
-integrated once on unit elements and scaled by ``h^{n-2s}``.  Because
+integrated once on unit elements and scaled by ``C_ns h^{n-2s} / 2``.  Because
 a class depends only on its offset, the form is a sum of Toeplitz (1D)
 or block-Toeplitz (2D) matrices scaled on both sides by shifted copies
 of the diffusion weight: ``sum_pq D_p T_pq D_q`` over the node offsets
@@ -86,7 +91,7 @@ the scatter's order, so each band entry is bit for bit the entry that
 
 The adopted energy convention is ``u^T A u = ||(-Delta)^{s/2} u||_L2^2``,
 i.e. the assembled Gagliardo form carries the factor ``C_ns / 2`` in
-front of the double integral.
+front of the double integral; the in-box plans carry it in their scale.
 
 A dense form keeps the exterior-tail row sums of its kernel form
 (``tail_row``): the coupling of each hat with a unit constant on the box
@@ -106,7 +111,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gamma as gamma_fn, roots_jacobi, roots_legendre
 
 from .errors import NonPositiveGamma, QuadratureFailure
-from .mesh import ELEMENT_VERTS, Mesh, build_mesh, grid_elements
+from .mesh import (
+    ELEMENT_VERTS,
+    Mesh,
+    build_mesh,
+    grid_elements,
+    is_measurement_label,
+    support_dofs,
+)
 
 #: Gauss--Jacobi order of the identical and node-sharing 1D panels and of
 #: the exterior tail of boundary elements (``ORDER_SINGULAR + 4`` points
@@ -214,32 +226,102 @@ class Coefficients:
         return cls.from_arrays(np.ones(mesh.num_nodes), np.zeros(mesh.num_nodes))
 
 
-@dataclass
+class _Evaluated:
+    """The dense entries of a form before any local form is added: given
+    at construction, or a kernel form's, evaluated on demand.
+
+    ``evaluate(lines)`` returns the principal block over the nodes of the
+    grid lines ``lines = (l0, l1)`` of the node grid ``shape``.  The first
+    read that stays inside ``window`` (a line range, or None) evaluates
+    that block; any other read evaluates all lines, and the full matrix
+    replaces the block, so at most one array is held.  It is read-only:
+    every form summed from one kernel form shares it.
+    """
+
+    def __init__(self, evaluate, shape, window=None, array=None):
+        self._evaluate, self._window = evaluate, window
+        self._lines, self._rest = shape[0], int(np.prod(shape[1:], dtype=int))
+        self._array, self._first = array, 0
+
+    def covering(self, lo: int, hi: int) -> tuple:
+        """The held array and its first node, evaluated first unless it
+        holds the nodes ``lo .. hi``."""
+        A, first = self._array, self._first
+        if A is not None and first <= lo and hi < first + A.shape[0]:
+            return A, first
+        w, rest = self._window, self._rest
+        if A is None and w is not None and w[0] * rest <= lo and hi < w[1] * rest:
+            lines = w
+        else:
+            lines, self._window = (0, self._lines), None
+        A = self._evaluate(lines)
+        A.flags.writeable = False
+        self._array, self._first = A, lines[0] * rest
+        return A, self._first
+
+    def full(self) -> np.ndarray:
+        return self.covering(0, self._lines * self._rest - 1)[0]
+
+
 class SymForm:
     """Dense symmetric bilinear form over the nodal basis (a kernel form,
-    or a sum of one with local forms) with its exterior-tail row sums."""
+    or a sum of one with local forms) with its exterior-tail row sums.
 
-    entries: np.ndarray
-    tail_row: np.ndarray
+    ``SymForm(entries, tail_row)`` holds the given entries.  A kernel form
+    (:func:`gagliardo_form`, :func:`conductivity_form`) evaluates its
+    entries when they are first read, on the grid lines it needs (see
+    :func:`_kernel_form`).  A local form added to it (``+`` on a copy,
+    ``+=`` in place) is kept as its band and added to every read, one
+    addition per entry in the order the forms were added, as a dense sum
+    adds them; it couples no hat with the box complement, so
+    ``tail_row`` stays.  The forms summed from one kernel form share its
+    evaluated entries read-only: ``+`` copies the bands and the tail row
+    only, and a later ``+=`` on either form leaves the other as it is.
+    """
+
+    def __init__(self, entries: np.ndarray, tail_row: np.ndarray):
+        self._held = _Evaluated(None, entries.shape[:1], array=entries)
+        self._bands = ()
+        self.tail_row = tail_row
+
+    @classmethod
+    def _deferred(cls, held: _Evaluated, tail_row: np.ndarray) -> "SymForm":
+        form = cls.__new__(cls)
+        form._held, form._bands, form.tail_row = held, (), tail_row
+        return form
 
     @property
     def shape(self) -> tuple:
-        return self.entries.shape
+        N = self.tail_row.shape[0]
+        return (N, N)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense N x N matrix.  With no local form added it is the
+        held array (read-only for a kernel form); otherwise a new array,
+        built on every read."""
+        A = self._held.full()
+        if not self._bands:
+            return A
+        A = A.copy()
+        for band in self._bands:
+            for offset, diagonal in band.diagonals():
+                _diagonal(A, offset)[:] += diagonal
+        return A
 
     def __add__(self, other: "LocalForm") -> "SymForm":
-        """The sum with a local form: a copy of this form, the band of
-        ``other`` added in place."""
-        total = SymForm(self.entries.copy(), self.tail_row.copy())
+        """The sum with a local form, a new form; see the class."""
+        total = SymForm._deferred(self._held, self.tail_row.copy())
+        total._bands = self._bands
         total += other
         return total
 
     def __iadd__(self, other: "LocalForm") -> "SymForm":
-        """Add a local form into ``entries`` in place, on its band only;
-        it couples no hat with the box complement, so ``tail_row`` stays."""
+        """Add a local form in place: a copy of its band joins this
+        form's; see the class."""
         if self.shape != other.shape:
             raise ValueError("form dimensions differ")
-        for offset, diagonal in other.diagonals():
-            _diagonal(self.entries, offset)[:] += diagonal
+        self._bands += (LocalForm(other.offsets, other.band.copy()),)
         return self
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -249,10 +331,19 @@ class SymForm:
         """The dense block ``entries[rows][:, cols]``, a new array.  Where
         both index arrays are runs of consecutive indices (always in 1D)
         it is copied from a slice, several times faster than a gather."""
-        r, c = _run(rows), _run(cols)
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        if not (rows.size and cols.size):
+            return np.empty((rows.size, cols.size))
+        A, first = self._held.covering(min(rows.min(), cols.min()),
+                                       max(rows.max(), cols.max()))
+        r, c = _run(rows - first), _run(cols - first)
         if r is not None and c is not None:
-            return self.entries[r, c].copy()
-        return self.entries[np.ix_(rows, cols)]
+            B = A[r, c].copy()
+        else:
+            B = A[np.ix_(rows - first, cols - first)]
+        for band in self._bands:
+            _add_band(B, rows, cols, band)
+        return B
 
     def symmetry_defect(self) -> float:
         return _asymmetry(self.entries)
@@ -316,6 +407,26 @@ def _run(indices):
             and (np.diff(indices) == 1).all()):
         return slice(int(indices[0]), int(indices[-1]) + 1)
     return None
+
+
+def _add_band(B, rows, cols, form: "LocalForm") -> None:
+    """Add the entries of the local ``form`` at ``(rows[i], cols[j])`` to
+    ``B[i, j]``, in place.  Entry ``m`` of a diagonal lies at row and
+    column ``m`` and ``m + offset``, so ``band[:, min(i, j)]``.  Runs
+    of rows and columns (always in 1D) take each diagonal as a slice,
+    other index sets all of them in one gather."""
+    r, c = _run(rows), _run(cols)
+    if r is not None and c is not None:
+        for diagonal, k in zip(form.band, form.offsets):
+            i = np.arange(max(r.start, c.start - k), min(r.stop, c.stop - k))
+            B[i - r.start, i + k - c.start] += diagonal[np.minimum(i, i + k)]
+        return
+    N = form.band.shape[1]
+    slot = np.full(2 * N - 1, -1)  # shifted offset -> band row, -1 off the band
+    slot[np.add(form.offsets, N - 1)] = np.arange(len(form.offsets))
+    m = slot[np.subtract.outer(cols, rows).T + (N - 1)]
+    i, j = np.nonzero(m >= 0)
+    B[i, j] += form.band[m[i, j], np.minimum(rows[i], cols[j])]
 
 
 def _band_index(offset: int, size: int) -> tuple:
@@ -386,12 +497,18 @@ def _scatter(elements, local):
     return rows, cols, vals
 
 
-def _add_local(A, elements, local):
-    """Add element matrices (see :func:`_scatter`) into ``A`` in place;
-    returns the row sums of what was added."""
-    rows, cols, vals = _scatter(elements, local)
-    np.add.at(A, (rows, cols), vals)
-    return np.bincount(rows, vals, A.shape[0])
+def _add_local(A, elements, local, first=0):
+    """Add element matrices (see :func:`_scatter`) in place into ``A``, the
+    principal block of a form from node ``first`` on."""
+    _add_scattered(A, *_scatter(elements, local), first)
+
+
+def _add_scattered(A, rows, cols, vals, first=0):
+    """Add the scattered entries that fall inside ``A``, the principal
+    block of a form from node ``first`` on, in place and in their order."""
+    end = first + A.shape[0]
+    keep = (rows >= first) & (rows < end) & (cols >= first) & (cols < end)
+    np.add.at(A, (rows[keep] - first, cols[keep] - first), vals[keep])
 
 
 def _local_form(N, elements, local):
@@ -517,7 +634,8 @@ def gagliardo_form(mesh: Mesh, params: KernelParams, *,
     definite.
 
     The quadrature orders are :data:`ORDER_SINGULAR` and
-    :data:`ORDER_REGULAR`.
+    :data:`ORDER_REGULAR`.  The tail row is computed here, the in-box
+    entries when they are first read (see :func:`_kernel_form`).
 
     Parameters
     ----------
@@ -548,33 +666,74 @@ def conductivity_form(mesh: Mesh, params: KernelParams, coeffs: Coefficients, *,
 
 
 def _kernel_form(mesh, params, sqrt_gamma, sqrt_gamma_ext, check):
+    """The kernel form of the diffusion weight ``sqrt_gamma``, its in-box
+    entries deferred.
+
+    The tail row and the tail's element matrices are computed here, O(N).
+    The in-box engine runs when the entries are first read (see
+    :class:`SymForm`): on a block inside the window of :func:`_window`,
+    over those grid lines only; on any other read, over all lines.  Both
+    are one call of :func:`_apply_offsets`, and every entry of the window
+    is bit for bit the entry of the full matrix.  ``check`` evaluates the
+    full matrix here, at both orders.
+    """
     if params.n != mesh.n:
         raise ValueError("mesh and kernel params dimensions differ")
+    s, N = params.s, mesh.num_nodes
 
     def build(q_sing, q_reg, extra_depth=0):
         if mesh.n == 1:
-            A = _kernel_inbox_1d(mesh, params.s, sqrt_gamma, q_sing, q_reg)
-            tail = _kernel_tail_1d(mesh, params.s, sqrt_gamma, q_sing)
+            tail = _kernel_tail_1d(mesh, s, sqrt_gamma, q_sing)
         else:
-            from ._assembly2d import MAX_DEPTH, kernel_inbox_2d, kernel_tail_2d
+            from ._assembly2d import kernel_tail_2d
 
-            A = kernel_inbox_2d(mesh, params.s, sqrt_gamma,
-                                depth=MAX_DEPTH + extra_depth)
-            tail = kernel_tail_2d(mesh, params.s, sqrt_gamma, q_sing)
-        A *= 0.5 * params.C_ns
+            tail = kernel_tail_2d(mesh, s, sqrt_gamma, q_sing)
         scale = params.C_ns * sqrt_gamma_ext
-        return A, sum(_add_local(A, elements, _local_mass(elements, scale * w, lam))
-                      for elements, w, lam in tail)
+        tail = [_scatter(elements, _local_mass(elements, scale * w, lam))
+                for elements, w, lam in tail]
 
-    A, tail_row = build(ORDER_SINGULAR, ORDER_REGULAR)
+        def evaluate(lines):
+            if mesh.n == 1:
+                A = _kernel_inbox_1d(mesh, s, sqrt_gamma, q_sing, q_reg, lines=lines)
+            else:
+                from ._assembly2d import MAX_DEPTH, kernel_inbox_2d
+
+                A = kernel_inbox_2d(mesh, s, sqrt_gamma,
+                                    depth=MAX_DEPTH + extra_depth, lines=lines)
+            for scattered in tail:
+                _add_scattered(A, *scattered, lines[0] * (N // mesh.shape[0]))
+            return A
+
+        return evaluate, sum(np.bincount(rows, vals, N) for rows, _, vals in tail)
+
+    evaluate, tail_row = build(ORDER_SINGULAR, ORDER_REGULAR)
+    held = _Evaluated(evaluate, mesh.shape, _window(mesh))
     if check:
-        A2, _ = build(ORDER_SINGULAR + 4, ORDER_REGULAR + 4, extra_depth=1)
+        A = held.full()
+        A2 = build(ORDER_SINGULAR + 4, ORDER_REGULAR + 4, extra_depth=1)[0](
+            (0, mesh.shape[0]))
         defect = float(np.abs(A - A2).max() / max(np.abs(A).max(), 1e-300))
         if defect > 5e-4:
             raise QuadratureFailure(
                 f"panel self check failed: relative defect {defect:.2e}"
             )
-    return SymForm(A, tail_row)
+    return SymForm._deferred(held, tail_row)
+
+
+def _window(mesh):
+    """The grid lines ``(l0, l1)`` from the first to the last that holds a
+    node of ``mesh.interior_dofs`` or a hat of a measurement set (see
+    :func:`fractomo.mesh.support_dofs`), or None if there is no such node.
+
+    A DN operator reads the blocks of these nodes only: its interior
+    block, the columns of its data and the blocks of its bases.
+    """
+    nodes = np.concatenate([mesh.interior_dofs] + [
+        support_dofs(mesh, label) for label in mesh.regions if is_measurement_label(label)])
+    if not nodes.size:
+        return None
+    rest = mesh.num_nodes // mesh.shape[0]
+    return int(nodes.min()) // rest, int(nodes.max()) // rest + 1
 
 
 def _jacobi_rule(order, a, b, length=1.0):
@@ -732,7 +891,7 @@ def _offset_plan(shape, verts, keys, blocks, scale):
     pairs the test hats ``alpha, beta`` with the diffusion vertex weights
     ``c`` (x element) and ``d`` (y element).  A class counts once for
     identical pairs and twice (both orders of the double integral) for
-    distinct ones, times ``scale`` (``h^{n-2s}``).
+    distinct ones, times ``scale`` (``C_ns h^{n-2s} / 2``).
 
     The blocks reach the form as offset sequences, not pair by pair.  A
     slot ``a = (t, alpha, c)`` is vertex ``alpha`` of an element of type
@@ -832,11 +991,13 @@ def _offset_plan(shape, verts, keys, blocks, scale):
                        offsets, p, exists, tuple(faces), tuple(face_rows))
 
 
-def _face_rows(V, L, rows, cols):
+def _face_rows(V, L, rows, cols, live=None):
     """Block ``sum_ab L_a[i] V_ab[j - i] L_b[j]`` of the box-face nodes
     ``i`` in ``rows`` against the nodes ``j`` in ``cols`` (basic indices
-    into the node grid), over the slots ``a`` that exist on those rows."""
-    live = L[(slice(None),) + rows].reshape(len(L), -1).any(axis=1)
+    into the node grid), over the slots ``a`` that exist on the rows
+    ``live`` (by default ``rows``)."""
+    live = L[(slice(None),) + (rows if live is None else live)]
+    live = live.reshape(len(L), -1).any(axis=1)
     return _offset_sum(V[live], L[live], L, rows, cols)
 
 
@@ -848,9 +1009,13 @@ def _mirror_face(R, rows):
     R[:, rows] = sub
 
 
-def _apply_offsets(plan, g):
+def _apply_offsets(plan, g, lines=None):
     """The dense form of :func:`_offset_plan` with the nodal diffusion
-    weight ``g``.
+    weight ``g``, or its principal block over the nodes of the grid lines
+    ``lines = (w0, w1)`` (by default all of them).  Every entry of the
+    block is bit for bit the entry of the full form: each step below is
+    restricted to the lines and columns of the block, and the sums of an
+    entry do not depend on the rows and columns computed with it.
 
     ``g`` counts as the constant ``c = g[0]`` (the lower box corner)
     except on its support lines: the grid lines of the nodes whose
@@ -876,6 +1041,8 @@ def _apply_offsets(plan, g):
     T, nv, *_ = elements.shape
     n, N = len(plan.shape), int(shape.prod())
     na, full = len(plan.p), (slice(None),) * n
+    w0, w1 = (0, plan.shape[0]) if lines is None else lines
+    rest = N // shape[0]
     gv = g[elements]
     local = (np.einsum("tc...,td...,tecd->t...e", gv, gv, plan.own)
              + _partner_terms(gv, plan.partners))
@@ -889,53 +1056,80 @@ def _apply_offsets(plan, g):
 
     # the support lines [x0, x1): the lines of g != c widened by the stencil
     c = g[0]
-    lines = np.flatnonzero((g != c).reshape(shape[0], -1).any(axis=1))
-    x0, x1 = ((max(0, lines[0] - plan.offsets[:, 0].max()),
-               min(shape[0], lines[-1] - plan.offsets[:, 0].min() + 1))
-              if lines.size else (0, 0))
-    support = (slice(x0, x1),) + full[1:]
+    varied = np.flatnonzero((g != c).reshape(shape[0], -1).any(axis=1))
+    x0, x1 = ((max(0, varied[0] - plan.offsets[:, 0].max()),
+               min(shape[0], varied[-1] - plan.offsets[:, 0].min() + 1))
+              if varied.size else (0, 0))
 
-    # the face rows, written after the Toeplitz part: c^2 times those of
-    # g = 1, but the full sums in the support lines and columns
+    def clip(a, b):
+        """The lines [a, b) that the block holds, or None."""
+        a, b = max(a, w0), min(b, w1)
+        return (a, b) if a < b else None
+
+    def lines_of(span, rest_of_grid=full[1:]):
+        """Basic indices of the nodes on the grid lines ``span``."""
+        return (slice(*span),) + rest_of_grid
+
+    def shifted(span, first):
+        return span[0] - first, span[1] - first
+
+    def in_block(rows, cols):
+        """Index into ``grid`` of the grid lines ``rows`` x ``cols``."""
+        return lines_of(shifted(rows, w0)) + lines_of(shifted(cols, w0))
+
+    # the face rows of the block, written after the Toeplitz part: c^2
+    # times those of g = 1, but the full sums in the support lines and
+    # columns
     faces = []
     for (face, rows), unit in zip(plan.faces, plan.face_rows):
-        R = (c * c) * unit
-        rgrid = R.reshape(tuple(f.stop - f.start for f in face) + plan.shape)
         a, b = face[0].start, face[0].stop
-        for l0, l1, cols in ((a, min(b, x0), support), (max(a, x0), min(b, x1), full),
-                             (max(a, x1), b, support)):
-            if l0 < l1 and x0 < x1:
-                rgrid[(slice(l0 - a, l1 - a),) + full[1:] + cols] = _face_rows(
-                    plan.V, L, (slice(l0, l1),) + face[1:], cols)
-        _mirror_face(R, rows)
-        faces.append((rows, R))
+        mine = clip(a, b)
+        if mine is None:
+            continue
+        per_line = rows.size // (b - a)
+        sel = slice((mine[0] - a) * per_line, (mine[1] - a) * per_line)
+        R = (c * c) * unit[sel, w0 * rest:w1 * rest]
+        rgrid = R.reshape((mine[1] - mine[0],) + tuple(f.stop - f.start for f in face[1:])
+                          + (w1 - w0,) + plan.shape[1:])
+        for piece, cols in (((a, min(b, x0)), (x0, x1)),
+                            ((max(a, x0), min(b, x1)), (0, shape[0])),
+                            ((max(a, x1), b), (x0, x1))):
+            r, k = clip(*piece), clip(*cols)
+            if r is not None and k is not None and x0 < x1:
+                rgrid[lines_of(shifted(r, mine[0])) + lines_of(shifted(k, w0))] = _face_rows(
+                    plan.V, L, lines_of(r, face[1:]), lines_of(k),
+                    live=lines_of(piece, face[1:]))
+        own = rows[sel] - w0 * rest
+        _mirror_face(R, own)
+        faces.append((own, R))
 
-    A = np.empty((N, N))
-    grid = A.reshape(tuple(shape) * 2)  # A[i, j] at grid[(*i, *j)]
-    np.multiply(_toeplitz(plan.S_sum, plan.shape), c * c, out=grid)
+    A = np.empty(((w1 - w0) * rest,) * 2)
+    grid = A.reshape(((w1 - w0,) + plan.shape[1:]) * 2)  # A[i, j] at grid[(*i, *j)]
+    np.multiply(_toeplitz(plan.S_sum, plan.shape)[lines_of((w0, w1)) * 2], c * c, out=grid)
 
-    rest = N // shape[0]
+    # the support rows [y0, y1) of the block, rows [t0, t1) of A
+    y0, y1 = clip(x0, x1) or (w0, w0)
+    t0, t1 = (y0 - w0) * rest, (y1 - w0) * rest
     step = max(1, ROW_BLOCK // rest)
-    s0, s1 = x0 * rest, x1 * rest  # the support rows
     cG = c * G
-    constant = [slice(a, b) for a, b in ((0, x0), (x1, shape[0])) if a < b]
-    for a in range(x0, x1, step):
-        b = min(a + step, x1)
-        ra, rb = a * rest, b * rest
-        rsel, csel = (slice(a, b),) + full[1:], (slice(a, x1),) + full[1:]
-        grid[rsel + csel] = _offset_sum(plan.S, G, G, rsel, csel)
+    constant = [k for k in (clip(0, x0), clip(x1, shape[0])) if k is not None]
+    for a in range(y0, y1, step):
+        b = min(a + step, y1)
+        ra, rb = (a - w0) * rest, (b - w0) * rest
+        grid[in_block((a, b), (a, y1))] = _offset_sum(
+            plan.S, G, G, lines_of((a, b)), lines_of((a, y1)))
         _mirror_upper(A[ra:rb, ra:rb])
-        A[rb:s1, ra:rb] = A[ra:rb, rb:s1].T
-        for cols in constant:
-            csel = (cols,) + full[1:]
-            grid[rsel + csel] = _offset_sum(plan.S_part, cG, None, rsel, csel)
-    A[:s0, s0:s1] = A[s0:s1, :s0].T
-    A[s1:, s0:s1] = A[s0:s1, s1:].T
-    for rows, R in faces:
-        A[rows] = R
-        A[:, rows] = R.T
+        A[rb:t1, ra:rb] = A[ra:rb, rb:t1].T
+        for k in constant:
+            grid[in_block((a, b), k)] = _offset_sum(
+                plan.S_part, cG, None, lines_of((a, b)), lines_of(k))
+    A[:t0, t0:t1] = A[t0:t1, :t0].T
+    A[t1:, t0:t1] = A[t0:t1, t1:].T
+    for own, R in faces:
+        A[own] = R
+        A[:, own] = R.T
     _add_local(A, np.moveaxis(elements, 1, -1).reshape(-1, nv),
-               local.reshape(-1, plan.own.shape[1]))
+               local.reshape(-1, plan.own.shape[1]), w0 * rest)
     return A
 
 
@@ -1007,13 +1201,15 @@ def _inbox_plan_1d(mesh, s, q_sing, q_reg):
         mesh.shape, ELEMENT_VERTS[1], keys,
         np.concatenate([_touching_blocks_1d(s, q_sing),
                         _separated_blocks_1d(s, M, q_reg)])[:M],
-        mesh.h ** (1.0 - 2.0 * s))
+        0.5 * normalization_constant(1, s) * mesh.h ** (1.0 - 2.0 * s))
 
 
-def _kernel_inbox_1d(mesh, s, g, q_sing, q_reg):
-    """Raw double integral over box x box (without the C_ns/2 factor)."""
+def _kernel_inbox_1d(mesh, s, g, q_sing, q_reg, lines=None):
+    """The double integral over box x box times ``C_ns / 2`` (the plan
+    carries the factor), or its principal block over the nodes of the
+    grid lines ``lines`` (see :func:`_apply_offsets`)."""
     return _apply_offsets(_grid_plan(_inbox_plan_1d, mesh.box, mesh.h, s,
-                                     q_sing, q_reg), g)
+                                     q_sing, q_reg), g, lines)
 
 
 def _tail_plan_1d(mesh, s, q_sing):

@@ -160,6 +160,9 @@ def build_pair(mesh: Mesh, omega_prime: Region, omega_set: Region, eps: float,
     # s-harmonic extension of eta across Omega'(2eps)
     solve_region = omega_prime.dilate(2 * eps)
     interior = support_dofs(mesh, solve_region)
+    # G @ m below reads all of gform, and the extension reads it beyond
+    # its window (eta lies past W): one evaluation in full serves both
+    G = gform.entries
     sol = FactorizedSystem(gform, mesh, interior=interior).solve(eta)
     m_tilde = sol.u
     if m_tilde.min() < -MAX_PRINCIPLE_TOL:
@@ -183,7 +186,7 @@ def build_pair(mesh: Mesh, omega_prime: Region, omega_set: Region, eps: float,
     m = scale * c_eps * smoothed
 
     gamma1 = (1.0 + m) ** 2
-    q_raw = mass_solve(mass, gform @ m)
+    q_raw = mass_solve(mass, G @ m)
     q1 = (1.0 + m) * q_raw
     coeffs = Coefficients.from_arrays(gamma1, q1)
     return CounterexamplePair(coeffs=coeffs, m=m, q_raw=q_raw, m_tilde=m_tilde,

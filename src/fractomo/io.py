@@ -27,6 +27,21 @@ def _write_csv(path, header, rows) -> None:
                     for row in rows)
 
 
+def _write_table(path, header, table, labels=None) -> None:
+    """The header row, then a row per row of the float array ``table``,
+    after its label if ``labels`` are given: the bytes of
+    :func:`_write_csv` on the same cells, each row formatted by one
+    ``%`` with a ``%.17g`` per cell (``%.17g`` formats a float as
+    ``format(x, ".17g")`` does).  No label or number holds a character
+    that the CSV dialect quotes."""
+    table = np.asarray(table, dtype=float)
+    line = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+    heads = [""] * len(table) if labels is None else [label + "," for label in labels]
+    with Path(path).open("w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(head + line % tuple(row) for head, row in zip(heads, table.tolist()))
+
+
 def _coord_names(mesh) -> list:
     return [f"x{k}" for k in range(mesh.n)]
 
@@ -40,16 +55,14 @@ def export_solution_csv(path, mesh, u: np.ndarray) -> None:
 
     Coordinates are in the length units of the box.
     """
-    rows = ([*node, val] for node, val in zip(mesh.nodes, u))
-    _write_csv(path, _coord_names(mesh) + ["u"], rows)
+    _write_table(path, _coord_names(mesh) + ["u"], np.column_stack([mesh.nodes, u]))
 
 
 def export_dn_csv(path, mesh, dn) -> None:
     """DN matrix CSV with row/column node coordinates in the header."""
     header = ["row_node"] + [_node_label("col_", mesh.nodes[j]) for j in dn.cols]
-    rows = ([_node_label("row_", mesh.nodes[i]), *dn.entries[r]]
-            for r, i in enumerate(dn.rows))
-    _write_csv(path, header, rows)
+    _write_table(path, header, dn.entries,
+                 [_node_label("row_", mesh.nodes[i]) for i in dn.rows])
 
 
 def export_reconstruction_csv(path, samples, true_value=None,
@@ -70,9 +83,8 @@ def export_oracle_csv(path, rows) -> None:
 
 def export_pair_csv(path, mesh, pair) -> None:
     """Counterexample pair CSV: node coordinate, gamma_1, q_1, deviation."""
-    rows = ([*node, g, q, m]
-            for node, g, q, m in zip(mesh.nodes, pair.gamma1, pair.q1, pair.m))
-    _write_csv(path, _coord_names(mesh) + ["gamma1", "q1", "m"], rows)
+    _write_table(path, _coord_names(mesh) + ["gamma1", "q1", "m"],
+                 np.column_stack([mesh.nodes, pair.gamma1, pair.q1, pair.m]))
 
 
 def write_json_report(path, payload: dict, schema: str) -> None:

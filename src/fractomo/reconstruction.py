@@ -41,6 +41,11 @@ FIT_WINDOW = 5
 #: the rates ``b`` the power fit tries
 FIT_RATES = np.linspace(0.1, 3.0, 117)
 
+#: the round-off of a fit's residual, in units of ``eps |values| / rho``
+#: (see :func:`extrapolate_power_fit`); measured at most 0.52 on random
+#: data, and at least 5 covers a basis that ``lstsq`` takes as rank one
+_FIT_SLACK = 64
+
 #: relative slack of the absorption decay check, on the bound and on the
 #: step from one scale to the next
 DECAY_TOL = 0.25
@@ -143,7 +148,8 @@ def bump_sequence(mesh: Mesh, W, x0: float, Ns=None, *,
         Concentration scales (support radius ``1/N``); defaults to the
         geometric schedule of :func:`bump_scales`.
     gform : SymForm
-        The Gagliardo form of ``mesh``, whose energy normalizes the bumps.
+        The Gagliardo form of ``mesh``, whose energy normalizes the bumps;
+        only its block on each bump's support is read, inside ``W``.
     mass : LocalForm
         The mass matrix of ``mesh``, which gives their L2 norms.
 
@@ -159,7 +165,9 @@ def bump_sequence(mesh: Mesh, W, x0: float, Ns=None, *,
     vectors, l2s = [], []
     for N in Ns:
         phi = bump(N * (x - x0))
-        phi *= 1.0 / math.sqrt(float(phi @ (gform @ phi)))
+        support = np.flatnonzero(phi)
+        phi_s = phi[support]
+        phi *= 1.0 / math.sqrt(float(phi_s @ (gform.block(support, support) @ phi_s)))
         vectors.append(phi)
         l2s.append(float(np.sqrt(phi @ (mass @ phi))))
     if any(l2s[k + 1] >= l2s[k] for k in range(len(l2s) - 1)):
@@ -171,11 +179,14 @@ def extrapolate_power_fit(scales, values) -> dict:
     """Least-squares fit ``value_N = g + a N^{-b}`` over a grid of rates.
 
     Only the last ``FIT_WINDOW`` samples enter the fit (the leading ones are
-    outside the asymptotic regime).  Returns the fitted limit ``g``,
-    amplitude ``a``, rate ``b``, the fit residual, and
-    ``rate_at_grid_edge``: whether ``b`` is an end of the rate grid
-    :data:`FIT_RATES`, where the best fit may lie beyond the grid and the
-    limit is suspect.  With fewer than three samples no fit is made: the
+    outside the asymptotic regime).  Every rate is scored in closed form
+    at once; ``lstsq`` re-solves the rates whose residual may be the
+    smallest within round-off, and the first smallest in grid order wins,
+    so the fit is the one that ``lstsq`` at every rate would pick.
+    Returns the fitted limit ``g``, amplitude ``a``, rate ``b``, the fit
+    residual, and ``rate_at_grid_edge``: whether ``b`` is an end of the
+    rate grid :data:`FIT_RATES`, where the best fit may lie beyond the
+    grid and the limit is suspect.  With fewer than three samples no fit is made: the
     last value is returned as the limit, the amplitude, rate and fit
     residual are None and ``rate_at_grid_edge`` is False.
     """
@@ -184,8 +195,23 @@ def extrapolate_power_fit(scales, values) -> dict:
     if len(values) < 3:
         return {"limit": float(values[-1]), "amplitude": None, "rate": None,
                 "fit_residual": None, "rate_at_grid_edge": False}
+    # every rate's fit in closed form, its residual to within tol: the
+    # round-off of either solve grows with the condition of the basis
+    # [1, N^-b], rho its smallest over its largest singular value (to a
+    # factor 2).  Only the rates that may hold the minimum are re-solved,
+    # and all of them where a score is not finite.
+    n = len(values)
+    X = scales ** -FIT_RATES[:, None]
+    Xc = X - X.mean(axis=1, keepdims=True)
+    yc = values - values.mean()
+    norm2 = np.einsum("ij,ij->i", Xc, Xc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        resid = np.linalg.norm(yc - (Xc @ yc / norm2)[:, None] * Xc, axis=1)
+        rho = np.sqrt(n * norm2) / (n * (1.0 + X.mean(axis=1) ** 2) + norm2)
+        tol = _FIT_SLACK * np.finfo(float).eps * np.linalg.norm(values) / rho
+        near = ~(resid - tol > (resid + tol).min())
     best = None
-    for b in FIT_RATES:
+    for b in FIT_RATES[near]:
         basis = scales ** (-b)
         Amat = np.column_stack([np.ones_like(scales), basis])
         coef, *_ = np.linalg.lstsq(Amat, values, rcond=None)

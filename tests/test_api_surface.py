@@ -51,8 +51,9 @@ def test_trace_targets_resolve():
 
 
 def test_trace_spans_of_cold_and_warm_2d_forms():
-    # each 2D form runs the in-box and the tail span once; only the form
-    # that builds the tail plan evaluates the exterior weight
+    # each 2D form runs the tail span once when it is built and the
+    # in-box span once when it is read in full; only the form that builds
+    # the tail plan evaluates the exterior weight
     tracer = _tracer()
     mesh = build_mesh(Box((-1.0, -1.0), (1.0, 1.0)), 0.25, [])
     coeffs = Coefficients.from_arrays(1.0 + 0.1 * np.cos(mesh.nodes[:, 0]))
@@ -62,7 +63,7 @@ def test_trace_spans_of_cold_and_warm_2d_forms():
     try:
         for op in (0, 1):
             spans.op = op
-            conductivity_form(mesh, KernelParams(2, 0.25), coeffs)
+            conductivity_form(mesh, KernelParams(2, 0.25), coeffs).entries
     finally:
         spans.uninstall()
     assert assembly.conductivity_form is conductivity_form

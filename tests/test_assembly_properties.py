@@ -23,10 +23,12 @@ from fractomo.assembly import (
     KernelParams,
     SymForm,
     conductivity_form,
+    gagliardo_form,
     mass_matrix,
     potential_form,
 )
 from fractomo.mesh import Box, Region, build_mesh
+from fractomo.profiles import bump
 from fractomo.reduction import reduced_potential_form
 
 from _oracles import class_scatter_reference, dense_potential_form, tail_matrix_2d
@@ -111,8 +113,8 @@ def _engine_against_reference(mesh, s, gamma):
         classes.append((keys, blocks, scale))
         return plan(shape, verts, keys, blocks, scale)
 
-    def recorded_apply(offset_plan, g):
-        A = apply(offset_plan, g)
+    def recorded_apply(offset_plan, g, lines=None):
+        A = apply(offset_plan, g, lines)
         parts.append((A.copy(), g))
         return A
 
@@ -123,6 +125,7 @@ def _engine_against_reference(mesh, s, gamma):
             mp.setattr(module, "_apply_offsets", recorded_apply)
         form = conductivity_form(mesh, KernelParams(mesh.n, s),
                                  Coefficients.from_arrays(gamma))
+        form.entries  # the in-box part is evaluated on the first read
     (keys, blocks, scale), = classes
     (A, g), = parts
     return form, A, class_scatter_reference(mesh, g, keys, blocks, scale)
@@ -286,3 +289,86 @@ def test_a_dense_form_plus_a_local_form_is_the_dense_sum(grid, kind, seed):
     expected *= inv_sqrt[None, :]
     expected[np.diag_indices(N)] += -(S.entries @ co.m_gamma) * inv_sqrt
     assert np.array_equal(reduced_potential_form(co, gform=S, qform=P).entries, expected)
+
+
+# A kernel form evaluates the principal block of its window (the grid
+# lines from Omega's first dof to the last hat of a measurement set) on a
+# first read inside it, and the full matrix on any other read; the local
+# forms added to it join every read.  Either way a block is the same bits.
+
+def _dn_mesh(n):
+    if n == 1:
+        return build_mesh(Box((-2.25,), (3.25,)), 1 / 32,
+                          [Region("Omega", (-1.0,), (1.0,)), Region("W1", (1.2,), (1.8,))])
+    return build_mesh(Box((-1.0, -1.0), (1.0, 1.0)), 0.25,
+                      [Region("Omega", (-0.5, -0.5), (0.5, 0.5)),
+                       Region("W1", (0.5, -0.75), (1.0, 0.75))])
+
+
+def _kernel_form_of(kind, mesh, rng):
+    """A Gagliardo form, or the conductivity form of a bump of gamma at a
+    random place: inside the window, across it or outside it."""
+    params = KernelParams(mesh.n, 0.25)
+    if kind == "gagliardo":
+        return gagliardo_form(mesh, params)
+    lo, hi = mesh.box.lower, mesh.box.upper
+    center = rng.uniform(lo, hi)
+    y = np.linalg.norm((mesh.nodes - center) / rng.uniform(0.2, 1.0), axis=1)
+    gamma = 1.0 + rng.uniform(0.1, 0.9) * bump(y)
+    return conductivity_form(mesh, params, Coefficients.from_arrays(gamma))
+
+
+def _index_set(rng, nodes, window):
+    """Random sorted node indices, or a run of consecutive ones, from the
+    window or from all nodes."""
+    pool = window if rng.random() < 0.5 else np.arange(nodes)
+    if rng.random() < 0.5:
+        a, b = np.sort(rng.integers(0, pool.size, 2))
+        return pool[a:b + 1]
+    return np.sort(rng.choice(pool, rng.integers(1, pool.size + 1), replace=False))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(n=st.sampled_from([1, 2]), kind=st.sampled_from(["gagliardo", "bump"]),
+       bands=st.integers(0, 2), entries_first=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_block_of_a_kernel_form_is_its_entries(n, kind, bands, entries_first, seed):
+    rng = np.random.default_rng(seed)
+    mesh = _dn_mesh(n)
+    N = mesh.num_nodes
+    form = _kernel_form_of(kind, mesh, rng)
+    for _ in range(bands):
+        form = form + potential_form(mesh, rng.standard_normal(N))
+    l0, l1 = assembly._window(mesh)
+    rest = N // mesh.shape[0]
+    window = np.arange(l0 * rest, l1 * rest)
+    sets = [(_index_set(rng, N, window), _index_set(rng, N, window)) for _ in range(4)]
+    if entries_first:
+        A = form.entries
+    blocks = [form.block(r, c) for r, c in sets]
+    if not entries_first:
+        A = form.entries
+    for (r, c), B in zip(sets, blocks):
+        assert np.array_equal(B, A[np.ix_(r, c)])
+        assert np.array_equal(form.block(r, c), B)
+
+
+def test_a_sum_keeps_its_value_when_its_operand_is_added_to():
+    mesh = _dn_mesh(1)
+    N = mesh.num_nodes
+    A = _kernel_form_of("bump", mesh, np.random.default_rng(11))
+    K = _kernel_form_of("bump", mesh, np.random.default_rng(11)).entries
+    rng = np.random.default_rng(12)
+    P, Q = (potential_form(mesh, rng.standard_normal(N)) for _ in range(2))
+    total = A + P
+    ii = mesh.interior_dofs
+    block, tail_row = total.block(ii, ii), total.tail_row.copy()
+    A += Q
+    assert np.array_equal(total.block(ii, ii), block)
+    assert np.array_equal(total.tail_row, tail_row)
+    assert np.array_equal(total.entries, K + P.entries)
+    assert np.array_equal(A.entries, K + Q.entries)
+    # and the other way round: the operand keeps its value
+    total += Q
+    assert np.array_equal(A.entries, K + Q.entries)
+    assert np.array_equal(total.entries, K + P.entries + Q.entries)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.special import roots_legendre
 from fractomo.assembly import (
     Coefficients,
     KernelParams,
+    conductivity_form,
     gagliardo_form,
     mass_matrix,
     potential_form,
@@ -365,3 +367,29 @@ def test_truncation_margin_invariance(s, cells, amp):
         co = Coefficients.from_arrays(1.0 + amp * bump(x / 1.4))
         vals.append(system_operator(mesh, par, co).pairing(f, g))
     assert abs(vals[1] - vals[0]) < 1e-10 * abs(vals[0])
+
+
+def test_the_forward_dn_op_allocates_no_dense_form():
+    # the forward DN op of the dn1d benchmark (form, sum with the potential
+    # form, factor, DN matrix on W1, one solve with a far field) reads the
+    # form on the lines from Omega to W1 only.  On a box wide enough that
+    # they are a fifth of the lines, its peak of traced memory stays under
+    # N^2 * 4 bytes, half a dense form: it never allocates an array that
+    # large.  The plans are built first, as in the benchmark's warm ops.
+    regions = [Region("Omega", (-1.0,), (1.0,)), Region("W1", (1.2,), (1.8,))]
+    mesh = build_mesh(Box((-6.25,), (7.25,)), 1 / 128, regions)
+    x, N, par = mesh.coords, mesh.num_nodes, KernelParams(1, 0.25)
+    coeffs = Coefficients.from_arrays(1.0 + 0.5 * bump(x / 0.45), 0.2 * bump(x / 0.4))
+    f = bump((x - 1.5) / 0.28)
+    conductivity_form(mesh, par, coeffs).block([0], [0])
+    tracemalloc.start()
+    try:
+        form = conductivity_form(mesh, par, coeffs) + potential_form(mesh, coeffs.q)
+        op = DNOperator(mesh, par, coeffs, form=form)
+        dn = op.matrix("W1", "W1")
+        sol = op.solve(f, far_field=0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * N * N
+    assert dn.symmetry_defect() == 0.0 and sol.residual < 1e-10

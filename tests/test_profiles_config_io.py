@@ -217,6 +217,25 @@ def test_dn_csv_headers(tmp_path):
     assert str(mesh.coords[dn.cols[0]]) in header or "col_1.5" in header
 
 
+def test_float_tables_are_the_bytes_of_the_cell_writer(tmp_path):
+    # a row formatted at once is the row of cells formatted one by one,
+    # labels, signed zeros, extremes and non-finite values included
+    from fractomo.io import _write_csv, _write_table
+
+    rng = np.random.default_rng(4)
+    table = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-300, 300, (7, 5))
+    table[0] = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    table[1] = [5e-324, 1.7976931348623157e308, 1e16, 0.1, 1 / 3]
+    labels = [f"row_{k}_{-0.25 * k}" for k in range(7)]
+    header = ["row_node"] + [f"col_{k}" for k in range(5)]
+    for rows, kwargs in ((table.tolist(), {}),
+                         ([[label, *row] for label, row in zip(labels, table)],
+                          {"labels": labels})):
+        _write_csv(tmp_path / "cells.csv", header, rows)
+        _write_table(tmp_path / "rows.csv", header, table, **kwargs)
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
 def test_residual_records_rates():
     recs = residual_records([0.2, 0.1, 0.05], [1e-2, 2.5e-3, 6.25e-4])
     assert recs[0]["rate"] is None

@@ -24,10 +24,13 @@ from fractomo.errors import (
 from fractomo.mesh import Box, Region, build_mesh, region_dofs, support_dofs
 from fractomo.profiles import bump, plateau
 from fractomo.reconstruction import (
+    FIT_RATES,
+    FIT_WINDOW,
     BumpSequence,
     bump_scales,
     bump_sequence,
     exterior_reconstruct,
+    extrapolate_power_fit,
     potential_decay_check,
 )
 
@@ -290,3 +293,36 @@ def test_default_scales_do_not_depend_on_grid_nodes(setting, k):
     x0 = float(mesh.coords[k])
     assert bump_scales(mesh, "W1", x0) == bump_scales(mesh, "W1", x0 - 1e-9) \
         == bump_scales(mesh, "W1", x0 + 1e-9)
+
+
+def _power_fit_by_loop(scales, values):
+    """The power fit with one ``lstsq`` per rate of the grid."""
+    scales = np.asarray(scales, dtype=float)[-FIT_WINDOW:]
+    values = np.asarray(values, dtype=float)[-FIT_WINDOW:]
+    best = None
+    for b in FIT_RATES:
+        A = np.column_stack([np.ones_like(scales), scales ** (-b)])
+        coef, *_ = np.linalg.lstsq(A, values, rcond=None)
+        resid = float(np.linalg.norm(A @ coef - values))
+        if best is None or resid < best[0]:
+            best = (resid, coef[0], coef[1], b)
+    resid, g, a, b = best
+    return {"limit": float(g), "amplitude": float(a), "rate": float(b),
+            "fit_residual": resid,
+            "rate_at_grid_edge": bool(b in (FIT_RATES[0], FIT_RATES[-1]))}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(first=st.integers(1, 20), count=st.integers(3, 7), rate=st.floats(0.05, 3.2),
+       on_grid=st.booleans(), limit=st.floats(-3.0, 3.0), amplitude=st.floats(-1e3, 1e3),
+       noise=st.sampled_from([0.0, 1e-14, 1e-9, 1e-5, 1e-2]), seed=st.integers(0, 2**32 - 1))
+def test_power_fit_is_the_fit_of_one_lstsq_per_rate(first, count, rate, on_grid, limit,
+                                                    amplitude, noise, seed):
+    # exact fits (no noise, a rate on the grid) tie many rates within
+    # round-off, and large scales make the basis nearly rank one
+    rng = np.random.default_rng(seed)
+    scales = 2.0 ** np.arange(first, first + count)
+    if on_grid:
+        rate = FIT_RATES[rng.integers(FIT_RATES.size)]
+    values = limit + amplitude * scales ** -rate + noise * rng.standard_normal(count)
+    assert extrapolate_power_fit(scales, values) == _power_fit_by_loop(scales, values)

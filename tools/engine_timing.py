@@ -16,20 +16,24 @@ figures to compare between runs.
 The script prints one line per size and form: the size, the form, the
 cold time (the form builds its grid plans), the warm time (median of
 :data:`REPEATS` forms from cached plans) and the size of the in-box
-plan in MB (10^6 bytes).  The forms are ``gagliardo_form`` and a
+plan in MB (10^6 bytes).  A form is timed with its full matrix
+(``entries``): a kernel form evaluates its in-box entries when they are
+first read.  The forms are ``gagliardo_form`` and a
 ``conductivity_form`` with ``gamma = 1 + 0.5 bump(x / 0.45)``, whose
 ``gamma - 1`` lies in the ball of radius 0.45 about the origin, as in
 the benchmark's draws; all at ``s = 0.25``.  The sizes: 1D on the box ``(-2.25, 3.25)`` at N = 705
 and 1409 (h = 1/128 and 1/256), 2D on ``[-1, 1]^2`` at h = 1/16 and
 1/32 (N = 1089 and 4225).
 
-Then one line per 1D size for the forward DN stack on the system form
-``conductivity_form + potential_form`` of that ``gamma`` and ``q = 0.2
-bump(x / 0.4)``, with ``Omega = (-1, 1)`` and ``W1 = (1.2, 1.8)`` as in
-the benchmark's dn1d workload: the median over :data:`REPEATS` of the
-interior factorization (``DNOperator``), the DN matrix over the hats of
-``W1`` (``matrix``), one exterior solve with a far field (``solve``) and
-their sum, in ms.
+Then one line per 1D size for the forward DN op of the benchmark's dn1d
+workload, from a fresh form each time, with ``Omega = (-1, 1)`` and
+``W1 = (1.2, 1.8)``: the median over :data:`REPEATS` of the
+``conductivity_form`` of that ``gamma`` (``form``), its sum with the
+``potential_form`` of ``q = 0.2 bump(x / 0.4)`` (``sum``), the interior
+factorization (``DNOperator``, which evaluates the form on its window),
+the DN matrix over the hats of ``W1`` (``matrix``), one exterior solve
+with a far field (``solve``) and their sum (``dn_op``), in ms and in
+probe units.
 
 Then one line per 1D size for the eigen layer on the same mesh and
 coefficients: the median over :data:`REPEATS` of the two multiplier
@@ -112,18 +116,19 @@ def _dn_mesh(box, h):
                                Region("W1", (1.2,), (1.8,))])
 
 
-def _dn_stack(box, h):
-    """Median (ms, x_probe) of the factorization, the DN matrix and one
-    solve, and of their sum (see the module docstring)."""
+def _dn_op(box, h):
+    """Median (ms, x_probe) of each stage of the forward DN op, and of
+    their sum (see the module docstring)."""
     mesh = _dn_mesh(box, h)
     params = assembly.KernelParams(1, S)
     coeffs = _coefficients(mesh)
-    form = (assembly.conductivity_form(mesh, params, coeffs)
-            + assembly.potential_form(mesh, coeffs.q))
     f = bump((mesh.coords - 1.5) / 0.28)
-    ops = []
+    assembly.conductivity_form(mesh, params, coeffs).entries  # warm plans
+    forms, ops = [], []
     return _median_timed((
-        lambda: ops.append(DNOperator(mesh, params, coeffs, form=form)),
+        lambda: forms.append(assembly.conductivity_form(mesh, params, coeffs)),
+        lambda: forms.append(forms[-1] + assembly.potential_form(mesh, coeffs.q)),
+        lambda: ops.append(DNOperator(mesh, params, coeffs, form=forms[-1])),
         lambda: ops[-1].matrix("W1", "W1"),
         lambda: ops[-1].solve(f, far_field=0.7),
     ))
@@ -183,8 +188,9 @@ def main() -> int:
         y = mesh.nodes / 0.45
         gamma = 1.0 + 0.5 * bump(y[:, 0] if mesh.n == 1 else y)
         coeffs = assembly.Coefficients.from_arrays(gamma)
-        forms = (("gagliardo", lambda: assembly.gagliardo_form(mesh, params)),
-                 ("bump-gamma", lambda: assembly.conductivity_form(mesh, params, coeffs)))
+        forms = (("gagliardo", lambda: assembly.gagliardo_form(mesh, params).entries),
+                 ("bump-gamma",
+                  lambda: assembly.conductivity_form(mesh, params, coeffs).entries))
         for name, form in forms:
             assembly._grid_plan.cache_clear()
             cold_ms, cold_x = _timed(form)
@@ -193,10 +199,10 @@ def main() -> int:
                   f"{warm_ms / 1e3:8.3f} {warm_x:8.1f} {_inbox_plan_mb(mesh):14.2f}",
                   flush=True)
     one_d = [(label, box, h) for label, box, h in SIZES if box.n == 1]
-    print(f"\n{'size':<10} {'factor_ms':>10} {'x':>6} {'matrix_ms':>10} {'x':>6} "
-          f"{'solve_ms':>10} {'x':>6} {'dn_stack_ms':>12} {'x':>6}")
+    stages = ("form", "sum", "factor", "matrix", "solve", "dn_op")
+    print(f"\n{'size':<10}" + "".join(f" {name + '_ms':>10} {'x':>6}" for name in stages))
     for label, box, h in one_d:
-        cells = "".join(f" {ms:10.2f} {x:6.2f}" for ms, x in _dn_stack(box, h))
+        cells = "".join(f" {ms:10.2f} {x:6.2f}" for ms, x in _dn_op(box, h))
         print(f"{label:<10}{cells}", flush=True)
     print(f"\n{'size':<10}" + "".join(f" {name + '_ms':>13} {'x':>6} {'steps':>7}"
                                     for name in ("estimates", "poincare")))
